@@ -16,6 +16,12 @@ run cargo test -q --workspace
 run cargo fmt --all -- --check
 run cargo clippy --workspace --all-targets -- -D warnings
 run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+# Superseded entry points are deleted, not deprecated: a shim that survives
+# "one release" is surface every later change has to carry.
+if grep -rn '#\[deprecated' crates shims; then
+    echo "ci.sh: deprecated attribute found; delete the old entry point instead"
+    exit 1
+fi
 
 # --- serve smoke test -------------------------------------------------------
 # End-to-end over a real socket: start `julienne serve`, fire concurrent
@@ -241,6 +247,13 @@ echo "mutate-while-serving smoke test: ok"
 # aborts otherwise); smoke mode skips artifacts and keeps timings advisory.
 run target/release/decode 9 smoke
 
+# --- repo benchmark smoke ----------------------------------------------------
+# `bench-layers` links the crates' public surface from outside the
+# workspace and every workload checks its answers against an oracle; the
+# smoke run (scale-12 inputs, 2 s windows) catches a deletion or rename that
+# breaks that surface here, before the benchmark itself does.
+run benchmark/run.sh --smoke
+
 # --- corrupt-payload regression ----------------------------------------------
 # Truncated and overlong codewords, bad chunk headers, and malformed raw
 # parts must surface typed errors (or clean panics on the traversal path),
@@ -277,19 +290,6 @@ run env JULIENNE_CHAOS_SEED=1 JULIENNE_NUM_THREADS=4 cargo test -q --test integr
 # own seeded scenarios internally), and mutate-vs-rebuild must stay exact.
 run env JULIENNE_CHAOS_SEED=1 JULIENNE_NUM_THREADS=4 cargo test -q --test snapshot_isolation
 run env JULIENNE_CHAOS_SEED=1 JULIENNE_NUM_THREADS=4 cargo test -q --test differential_updates curated
-
-# --- bucket-fusion equivalence ----------------------------------------------
-# Fused and unfused runs must be bit-identical (dist / coreness / trussness
-# and round counts) on both backends, at 1 and 4 threads, and under the
-# adversarial scheduler; the unit suite pins the FusedBuckets adapter and
-# the cross-backend counter contract.
-run cargo test -q --test integration_fusion
-run env JULIENNE_CHAOS_SEED=1 JULIENNE_NUM_THREADS=4 cargo test -q --test integration_fusion
-run env JULIENNE_CHAOS_SEED=1 JULIENNE_NUM_THREADS=4 cargo test -q -p julienne fused
-# Bench smoke: fused Δ-stepping must actually skip update_buckets round
-# trips on the road-like grid (the binary asserts fused_rounds > 0 and
-# fails the build if the fast path never fires).
-run cargo run -q -p julienne-bench --release --bin fusion 11
 
 # --- concurrency stress ------------------------------------------------------
 # Re-run the lock-free kernels (atomics, bucket structure, worker pool) many

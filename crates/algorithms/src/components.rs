@@ -6,6 +6,7 @@
 use julienne_ligra::edge_map::EdgeMap;
 use julienne_ligra::subset::VertexSubset;
 use julienne_ligra::traits::{GraphRef, OutEdges};
+use julienne_ligra::vertex_ops::vertex_for_each;
 use julienne_primitives::atomics::write_min_u32;
 use julienne_primitives::bitset::AtomicBitSet;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -23,6 +24,12 @@ pub struct ComponentsResult {
 /// Label propagation on a symmetric graph: every vertex starts with its own
 /// id; each round, frontier vertices push their label to neighbors via
 /// `writeMin`. Converges in O(component diameter) rounds.
+///
+/// A frontier vertex pushes the label it held when the round began, not
+/// its live one: a live read would let a label lowered mid-round travel
+/// two hops in one round on some schedules, making `rounds` depend on the
+/// thread count. With the round-start snapshot each round's outcome is a
+/// pure function of the frontier set (as in `delta_stepping::sssp`).
 pub fn connected_components<G: GraphRef>(g: &G) -> ComponentsResult {
     assert!(
         g.is_symmetric(),
@@ -30,6 +37,7 @@ pub fn connected_components<G: GraphRef>(g: &G) -> ComponentsResult {
     );
     let n = g.num_vertices();
     let label: Vec<AtomicU32> = (0..n as u32).map(AtomicU32::new).collect();
+    let snap: Vec<AtomicU32> = (0..n as u32).map(AtomicU32::new).collect();
     let flags = AtomicBitSet::new(n);
 
     let mut frontier = VertexSubset::all(n);
@@ -39,7 +47,7 @@ pub fn connected_components<G: GraphRef>(g: &G) -> ComponentsResult {
         let next = EdgeMap::new(g).run(
             &frontier,
             |u, v, _| {
-                let lu = label[u as usize].load(Ordering::SeqCst);
+                let lu = snap[u as usize].load(Ordering::SeqCst);
                 if write_min_u32(&label[v as usize], lu) {
                     return flags.set(v as usize);
                 }
@@ -47,9 +55,10 @@ pub fn connected_components<G: GraphRef>(g: &G) -> ComponentsResult {
             },
             |_| true,
         );
-        for v in &next {
+        vertex_for_each(&next, |v| {
             flags.clear(v as usize);
-        }
+            snap[v as usize].store(label[v as usize].load(Ordering::SeqCst), Ordering::SeqCst);
+        });
         frontier = next;
     }
 

@@ -13,15 +13,10 @@
 //! * [`delta_stepping_light_heavy`] — the Meyer–Sanders light/heavy edge
 //!   split the paper implemented but found unhelpful on its inputs (kept
 //!   for the A2 ablation).
-//!
-//! The historical `delta_stepping` / `delta_stepping_opts` /
-//! `delta_stepping_with` triplet survives as deprecated one-line wrappers
-//! over [`sssp`].
 
 use crate::bellman_ford::SsspResult;
 use crate::INF;
 use julienne::bucket::{BucketId, Bucketing, Order, NULL_BKT};
-use julienne::engine::Engine;
 use julienne::query::QueryCtx;
 use julienne::telemetry::{Counter, RoundRecord, TraversalKind};
 use julienne::Error;
@@ -213,55 +208,6 @@ pub fn sssp<G: OutEdges<W = u32>>(
     })
 }
 
-/// Δ-stepping from `src` with bucket width `delta` (Algorithm 2).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `sssp` with `SsspParams` and a `QueryCtx`"
-)]
-pub fn delta_stepping<G: OutEdges<W = u32>>(g: &G, src: VertexId, delta: u64) -> DeltaResult {
-    sssp(g, &SsspParams { src, delta }, &QueryCtx::default()).expect("uncancellable query")
-}
-
-/// [`sssp`] with an explicit number of open buckets.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `sssp` with `SsspParams` and a `QueryCtx`"
-)]
-pub fn delta_stepping_opts<G: OutEdges<W = u32>>(
-    g: &G,
-    src: VertexId,
-    delta: u64,
-    num_open: usize,
-) -> DeltaResult {
-    let engine = Engine::builder().open_buckets(num_open).build();
-    sssp(
-        g,
-        &SsspParams { src, delta },
-        &QueryCtx::from_engine(&engine),
-    )
-    .expect("uncancellable query")
-}
-
-/// [`sssp`] against an [`Engine`]: bucket window and telemetry sink come
-/// from the engine.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `sssp` with `SsspParams` and a `QueryCtx`"
-)]
-pub fn delta_stepping_with<G: OutEdges<W = u32>>(
-    g: &G,
-    src: VertexId,
-    delta: u64,
-    engine: &Engine,
-) -> DeltaResult {
-    sssp(
-        g,
-        &SsspParams { src, delta },
-        &QueryCtx::from_engine(engine),
-    )
-    .expect("uncancellable query")
-}
-
 /// Weighted BFS: Δ-stepping with Δ = 1 (Theorem 4.2).
 pub fn wbfs<G: OutEdges<W = u32>>(g: &G, src: VertexId) -> DeltaResult {
     sssp(g, &SsspParams { src, delta: 1 }, &QueryCtx::default()).expect("uncancellable query")
@@ -381,6 +327,7 @@ pub fn delta_stepping_light_heavy<G: OutEdges<W = u32>>(
 mod tests {
     use super::*;
     use crate::dijkstra::dijkstra;
+    use julienne::engine::Engine;
     use julienne_graph::generators::{erdos_renyi, grid2d, rmat, RmatParams};
     use julienne_graph::transform::{assign_weights, wbfs_weight_range};
 

@@ -12,12 +12,9 @@
 //!   algorithm (the "well-tuned sequential baseline").
 //!
 //! All three return identical coreness values; the tests check them against
-//! each other and against hand-computed graphs. The historical
-//! `coreness_julienne` / `coreness_julienne_opts` / `coreness_julienne_with`
-//! triplet survives as deprecated one-line wrappers over [`coreness`].
+//! each other and against hand-computed graphs.
 
 use julienne::bucket::{Bucketing, Order};
-use julienne::engine::Engine;
 use julienne::query::QueryCtx;
 use julienne::telemetry::{Counter, RoundRecord, TraversalKind};
 use julienne::Error;
@@ -150,38 +147,6 @@ pub fn coreness<G: OutEdges>(
         edges_traversed,
         identifiers_moved,
     })
-}
-
-/// Work-efficient coreness (Algorithm 1) with default options.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `coreness` with `KcoreParams` and a `QueryCtx`"
-)]
-pub fn coreness_julienne<G: OutEdges>(g: &G) -> KcoreResult {
-    coreness(g, &KcoreParams::default(), &QueryCtx::default()).expect("uncancellable query")
-}
-
-/// [`coreness`] with an explicit number of open buckets (for the nB
-/// ablation).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `coreness` with `KcoreParams` and a `QueryCtx`"
-)]
-pub fn coreness_julienne_opts<G: OutEdges>(g: &G, num_open: usize) -> KcoreResult {
-    let engine = Engine::builder().open_buckets(num_open).build();
-    coreness(g, &KcoreParams::default(), &QueryCtx::from_engine(&engine))
-        .expect("uncancellable query")
-}
-
-/// [`coreness`] against an [`Engine`]: bucket window and telemetry sink
-/// come from the engine.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `coreness` with `KcoreParams` and a `QueryCtx`"
-)]
-pub fn coreness_julienne_with<G: OutEdges>(g: &G, engine: &Engine) -> KcoreResult {
-    coreness(g, &KcoreParams::default(), &QueryCtx::from_engine(engine))
-        .expect("uncancellable query")
 }
 
 /// Work-inefficient Ligra-style coreness: for each core value k, repeatedly
@@ -480,6 +445,7 @@ fn descend(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use julienne::engine::Engine;
     use julienne_graph::builder::from_pairs_symmetric;
     use julienne_graph::csr::Csr;
     use julienne_graph::generators::{erdos_renyi, rmat, RmatParams};

@@ -45,7 +45,7 @@ pub struct KtrussParams {}
 /// the single entry point behind the `truss` registry id. The graph must be
 /// symmetric.
 ///
-/// Bucket window, fusion policy, and telemetry scope come from `ctx`'s
+/// Bucket window and telemetry scope come from `ctx`'s
 /// engine. The context is polled once per peeling round: a cancelled or
 /// deadline-expired query returns `Err` with no partial output, dropping
 /// its buckets on the way out.
@@ -185,15 +185,6 @@ pub fn ktruss<G: GraphRef>(
         rounds,
         max_truss,
     })
-}
-
-/// Work-efficient parallel truss decomposition with default options.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `ktruss` with `KtrussParams` and a `QueryCtx`"
-)]
-pub fn ktruss_julienne<G: GraphRef>(g: &G) -> KtrussResult {
-    ktruss(g, &KtrussParams::default(), &QueryCtx::default()).expect("uncancellable query")
 }
 
 /// Sequential oracle: one-edge-at-a-time min-support peel with a lazy

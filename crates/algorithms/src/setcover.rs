@@ -17,7 +17,6 @@
 //! progress while the per-bucket (1+ε) approximation factor is preserved.
 
 use julienne::bucket::{BucketDest, BucketId, Bucketing, Order, NULL_BKT};
-use julienne::engine::Engine;
 use julienne::query::QueryCtx;
 use julienne::telemetry::{Counter, RoundRecord, TraversalKind};
 use julienne::Error;
@@ -231,35 +230,6 @@ pub fn cover(
         rounds,
         edges_examined,
     })
-}
-
-/// Work-efficient approximate set cover (Algorithm 3) with parameter `eps`
-/// (the paper's experiments use ε = 0.01).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `cover` with `SetCoverParams` and a `QueryCtx`"
-)]
-pub fn set_cover_julienne(inst: &SetCoverInstance, eps: f64) -> SetCoverResult {
-    cover(inst, &SetCoverParams { eps }, &QueryCtx::default()).expect("uncancellable query")
-}
-
-/// [`cover`] against an [`Engine`]: bucket window and telemetry sink come
-/// from the engine.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `cover` with `SetCoverParams` and a `QueryCtx`"
-)]
-pub fn set_cover_julienne_with(
-    inst: &SetCoverInstance,
-    eps: f64,
-    engine: &Engine,
-) -> SetCoverResult {
-    cover(
-        inst,
-        &SetCoverParams { eps },
-        &QueryCtx::from_engine(engine),
-    )
-    .expect("uncancellable query")
 }
 
 /// Checks that `cover` covers every element of the instance.

@@ -59,6 +59,7 @@ fn bench_semisort_impls(c: &mut Criterion) {
 /// an extra random read+write per moved identifier).
 fn bench_getbucket_interface(c: &mut Criterion) {
     use julienne::bucket::{BucketDest, Bucketing, BucketsBuilder, Order};
+    use julienne_bench::mapped::{MappedBuckets, MappedDest};
     use julienne_primitives::rng::hash_range;
     use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -98,21 +99,20 @@ fn bench_getbucket_interface(c: &mut Criterion) {
     group.bench_function("internal_map_getbucket", |bench| {
         bench.iter(|| {
             let d: Vec<AtomicU32> = init.iter().map(|&x| AtomicU32::new(x)).collect();
-            let mut bk = BucketsBuilder::new(
+            let mut bk = MappedBuckets::new(
                 n,
                 |i: u32| d[i as usize].load(Ordering::SeqCst),
                 Order::Increasing,
-            )
-            .build_mapped();
+            );
             while let Some((cur, ids)) = bk.next_bucket() {
-                let mut moves: Vec<(u32, BucketDest)> = Vec::with_capacity(ids.len());
+                let mut moves: Vec<(u32, MappedDest)> = Vec::with_capacity(ids.len());
                 for &i in &ids {
                     let v = hash_range(0xFEED, i as u64, n as u64) as u32;
                     let dv = d[v as usize].load(Ordering::SeqCst);
                     if dv != u32::MAX && dv > cur {
                         let new = (dv / 2).max(cur);
                         d[v as usize].store(new, Ordering::SeqCst);
-                        moves.push((v, bk.get_bucket(v, dv, new)));
+                        moves.push((v, bk.get_bucket(v, new)));
                     }
                 }
                 bk.update_buckets(&moves);

@@ -19,7 +19,7 @@
 //!
 //! Writes `results/serve.txt` and `results/serve.csv`.
 
-use julienne::prelude::{Backend, Engine, FusionPolicy, QueryCtx};
+use julienne::prelude::{Backend, Engine, QueryCtx};
 use julienne_algorithms::registry::{GraphStore, ParamMap, Registry};
 use julienne_bench::report::Table;
 use julienne_bench::timing::{scale_arg, time};
@@ -206,17 +206,13 @@ fn drive_homogeneous(addr: &str, expect: &HashMap<u32, String>) -> (f64, usize, 
 }
 
 fn start(scale: u32, backend: Backend, config: SchedulerConfig) -> (String, impl FnOnce()) {
-    start_with(scale, backend, config, Engine::default())
-}
-
-fn start_with(
-    scale: u32,
-    backend: Backend,
-    config: SchedulerConfig,
-    engine: Engine,
-) -> (String, impl FnOnce()) {
-    let server =
-        Server::bind_with("127.0.0.1:0", &engine, store(scale, backend), config).expect("bind");
+    let server = Server::bind_with(
+        "127.0.0.1:0",
+        &Engine::default(),
+        store(scale, backend),
+        config,
+    )
+    .expect("bind");
     let addr = server.local_addr().expect("addr").to_string();
     let handle = server.shutdown_handle();
     let join = thread::spawn(move || server.serve());
@@ -290,40 +286,6 @@ fn main() {
                 &"0.00",
             ]);
         }
-
-        // Section 1b: same mixed workload with the bucket-fusion fast path
-        // armed on the server engine. `drive` asserts every wire payload
-        // byte-identical to the unfused direct API, so this row doubles as
-        // an end-to-end fused ≡ unfused check behind the serve pipeline.
-        let solo_mixed_secs = drive(&addr, HOM_CONNS, &expect);
-        stop();
-        let fused_engine = Engine::builder().fusion(FusionPolicy::Auto).build();
-        let (addr, stop) = start_with(scale, backend, SchedulerConfig::default(), fused_engine);
-        drive(&addr, 1, &expect); // warm-up
-        let fused_secs = drive(&addr, HOM_CONNS, &expect);
-        {
-            let queries = HOM_CONNS * QUERIES_PER_CONN;
-            let qps = queries as f64 / fused_secs;
-            let speedup = solo_mixed_secs / fused_secs;
-            println!(
-                "{:<9} {name:<12} {HOM_CONNS:>5} {queries:>8} {fused_secs:>8.3} {qps:>12.1} {speedup:>8.2} {:>9} {:>9}",
-                "mix-fused", "0.00", "0.00"
-            );
-            table.rowf(&[
-                &"mix-fused",
-                &name,
-                &HOM_CONNS,
-                &queries,
-                &format!("{fused_secs:.4}"),
-                &format!("{qps:.1}"),
-                &format!("{speedup:.2}"),
-                &"0.00",
-                &"0.00",
-            ]);
-        }
-        stop();
-        let (addr, stop) = start(scale, backend, SchedulerConfig::default());
-        drive(&addr, 1, &expect); // warm-up the replacement plain server
 
         // Section 2: the homogeneous wBFS burst, solo vs batched.
         let hom = wbfs_answers(scale, backend);

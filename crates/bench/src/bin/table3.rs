@@ -4,7 +4,7 @@
 //!
 //! Usage: `cargo run -p julienne-bench --release --bin table3 [scale] [kcore|wbfs|delta|setcover|all]`
 
-use julienne::prelude::{Engine, FusionPolicy};
+use julienne::prelude::Engine;
 use julienne::query::QueryCtx;
 use julienne_algorithms::delta_stepping::{self, SsspParams};
 use julienne_algorithms::kcore::{self, KcoreParams};
@@ -87,21 +87,6 @@ fn run_kcore(scale: u32) {
         });
         trace(&engine, "kcore", named.name);
         row("k-core (Julienne)", named.name, j1, jp);
-        // Same implementation with the bucket-fusion fast path armed:
-        // identical coreness, fewer update_buckets/next_bucket round trips.
-        let fused = Engine::builder().fusion(FusionPolicy::Auto).build();
-        let (rf, f1) = with_threads(1, || {
-            time(|| {
-                kcore::coreness(g, &KcoreParams::default(), &QueryCtx::from_engine(&fused)).unwrap()
-            })
-        });
-        let (rfp, fp) = with_threads(tmax, || {
-            time(|| {
-                kcore::coreness(g, &KcoreParams::default(), &QueryCtx::from_engine(&fused)).unwrap()
-            })
-        });
-        assert_eq!(rf.coreness, rfp.coreness);
-        row("k-core (Julienne, fused)", named.name, f1, fp);
         // Same implementation over the byte-compressed backend: identical
         // coreness, different space/decode profile.
         let cg = CompressedGraph::from_csr(g);
@@ -158,30 +143,6 @@ fn run_sssp(scale: u32, heavy: bool) {
         });
         trace(&engine, if heavy { "delta" } else { "wbfs" }, name);
         row("SSSP (Julienne)", name, j1, jp);
-        // Fusion fast path armed (auto): bit-identical distances.
-        let fused = Engine::builder().fusion(FusionPolicy::Auto).build();
-        let (rf, f1) = with_threads(1, || {
-            time(|| {
-                delta_stepping::sssp(
-                    &g,
-                    &SsspParams { src: 0, delta },
-                    &QueryCtx::from_engine(&fused),
-                )
-                .unwrap()
-            })
-        });
-        assert_eq!(rf.dist, oracle);
-        let (_, fp) = with_threads(tmax, || {
-            time(|| {
-                delta_stepping::sssp(
-                    &g,
-                    &SsspParams { src: 0, delta },
-                    &QueryCtx::from_engine(&fused),
-                )
-                .unwrap()
-            })
-        });
-        row("SSSP (Julienne, fused)", name, f1, fp);
         let cg = CompressedWGraph::from_csr(&g);
         footprint(
             &format!("{name}{}", if heavy { " (heavy-w)" } else { " (log-w)" }),

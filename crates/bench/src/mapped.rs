@@ -6,23 +6,39 @@
 //! O(n) was significant (about 30% more expensive) in our applications,
 //! due to the cost of an extra random-access read and write per identifier
 //! in updateBuckets". [`MappedBuckets`] exists to reproduce that
-//! measurement (ablation A1b) — production code should use
-//! [`super::Buckets`]. Under the unified [`Bucketing`] trait it ignores the
-//! `prev` argument of `get_bucket(i, prev, next)` and reads its map
-//! instead; the other backends ignore `i`.
+//! measurement (ablation A1b, `benches/ablation_update_buckets.rs`) and
+//! lives in the bench crate for that reason: the library ships only the
+//! production [`julienne::bucket::Buckets`]. Its `get_bucket(i, next)`
+//! takes no `prev` — that is the design under test — so it has its own
+//! destination type and does not implement `julienne::bucket::Bucketing`.
 
-use super::{BucketDest, BucketId, BucketStats, Bucketing, Identifier, Order, NULL_BKT};
+use julienne::bucket::{BucketId, BucketStats, Identifier, Order, DEFAULT_OPEN_BUCKETS, NULL_BKT};
 use julienne_primitives::filter::filter_map;
 use julienne_primitives::histogram::blocked_histogram;
-use julienne_primitives::telemetry::{Counter, Telemetry};
 use julienne_primitives::unsafe_write::DisjointWriter;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering as AtomicOrdering};
 
 const NO_SLOT: u32 = u32::MAX;
 
-/// Bucket structure with an internal identifier→slot map; the `prev`
-/// argument of `get_bucket` is ignored in favor of the map.
+/// Destination of a moving identifier: a slot of the open window (or the
+/// overflow bucket); [`MappedDest::NULL`] means "no physical move".
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MappedDest(u32);
+
+impl MappedDest {
+    /// The "no move needed" destination.
+    pub const NULL: MappedDest = MappedDest(NO_SLOT);
+
+    /// Whether this destination requires no physical move.
+    #[inline]
+    pub fn is_null(self) -> bool {
+        self.0 == NO_SLOT
+    }
+}
+
+/// Bucket structure with an internal identifier→slot map in place of the
+/// `prev` argument of `get_bucket`.
 pub struct MappedBuckets<D> {
     d: D,
     order: Order,
@@ -37,33 +53,13 @@ pub struct MappedBuckets<D> {
     /// the cost the paper measured.
     location: Vec<AtomicU32>,
     stats: BucketStats,
-    telemetry: Telemetry,
 }
 
 impl<D: Fn(Identifier) -> BucketId + Sync> MappedBuckets<D> {
-    /// Deprecated free-standing constructor, kept for one release; use
-    /// [`BucketsBuilder::build_mapped`](super::BucketsBuilder::build_mapped).
-    #[deprecated(note = "use BucketsBuilder::new(n, d, order).build_mapped()")]
+    /// Creates the structure (cf. `makeBuckets`) with the paper's default
+    /// window of 128 open buckets.
     pub fn new(n: usize, d: D, order: Order) -> Self {
-        Self::from_builder(
-            n,
-            d,
-            order,
-            super::DEFAULT_OPEN_BUCKETS,
-            &Telemetry::disabled(),
-        )
-    }
-
-    /// Creates the structure (cf. `makeBuckets`). Called by the unified
-    /// builder.
-    pub(crate) fn from_builder(
-        n: usize,
-        d: D,
-        order: Order,
-        num_open: usize,
-        telemetry: &Telemetry,
-    ) -> Self {
-        assert!(num_open >= 1);
+        let num_open = DEFAULT_OPEN_BUCKETS;
         let flip_base = match order {
             Order::Increasing => 0,
             Order::Decreasing => julienne_primitives::reduce::max_mapped(n, 0, |i| {
@@ -86,7 +82,6 @@ impl<D: Fn(Identifier) -> BucketId + Sync> MappedBuckets<D> {
             overflow: Vec::new(),
             location: (0..n).map(|_| AtomicU32::new(NO_SLOT)).collect(),
             stats: BucketStats::default(),
-            telemetry: telemetry.clone(),
         };
         let slots: Vec<Option<usize>> = (0..n)
             .into_par_iter()
@@ -128,14 +123,6 @@ impl<D: Fn(Identifier) -> BucketId + Sync> MappedBuckets<D> {
     #[inline]
     fn cur_key(&self) -> u64 {
         self.cur_range * self.num_open as u64 + self.cur_local as u64
-    }
-
-    /// Deprecated single-argument `getBucket` spelling, kept for one
-    /// release while call sites migrate to the unified
-    /// [`Bucketing::get_bucket`]`(i, prev, next)`.
-    #[deprecated(note = "use Bucketing::get_bucket(i, prev, next)")]
-    pub fn get_bucket_legacy(&self, i: Identifier, next: BucketId) -> BucketDest {
-        Bucketing::get_bucket(self, i, NULL_BKT, next)
     }
 
     fn insert_with<S, I>(&mut self, len: usize, slot_of: &S, id_of: I)
@@ -181,7 +168,6 @@ impl<D: Fn(Identifier) -> BucketId + Sync> MappedBuckets<D> {
             return false;
         }
         self.stats.overflow_redistributions += 1;
-        self.telemetry.incr(Counter::OverflowRedistributions);
         let over = std::mem::take(&mut self.overflow);
         let window_end = (self.cur_range + 1) * self.num_open as u64;
         let d = &self.d;
@@ -233,24 +219,16 @@ impl<D: Fn(Identifier) -> BucketId + Sync> MappedBuckets<D> {
         true
     }
 
-    /// Identifiers moved so far (for throughput accounting).
-    #[deprecated(note = "use Bucketing::stats().identifiers_moved")]
-    pub fn moved(&self) -> u64 {
-        self.stats.identifiers_moved
-    }
-}
-
-impl<D: Fn(Identifier) -> BucketId + Sync> Bucketing for MappedBuckets<D> {
-    /// `getBucket(i, prev, next)`: the internal map supplies the source
-    /// slot, so `prev` is ignored — at the price of a random read per call
-    /// (the overhead ablation A1b measures).
-    fn get_bucket(&self, i: Identifier, _prev: BucketId, next: BucketId) -> BucketDest {
+    /// `getBucket(i, next)`: the internal map supplies the source slot, so
+    /// there is no `prev` — at the price of a random read per call (the
+    /// overhead ablation A1b measures).
+    pub fn get_bucket(&self, i: Identifier, next: BucketId) -> MappedDest {
         if next == NULL_BKT {
-            return BucketDest::NULL;
+            return MappedDest::NULL;
         }
         let key_next = self.key_of(next);
         if key_next < self.cur_key() {
-            return BucketDest::NULL;
+            return MappedDest::NULL;
         }
         let window = key_next / self.num_open as u64;
         let slot_next = if window == self.cur_range {
@@ -261,19 +239,17 @@ impl<D: Fn(Identifier) -> BucketId + Sync> Bucketing for MappedBuckets<D> {
         // The extra random read the two-argument interface avoids:
         let slot_prev = self.location[i as usize].load(AtomicOrdering::SeqCst);
         if key_next != self.cur_key() && slot_prev == slot_next as u32 {
-            return BucketDest::NULL;
+            return MappedDest::NULL;
         }
-        BucketDest(slot_next as u32)
+        MappedDest(slot_next as u32)
     }
 
     /// `updateBuckets` with internal map maintenance (the extra random
     /// write per identifier).
-    fn update_buckets(&mut self, moves: &[(Identifier, BucketDest)]) {
+    pub fn update_buckets(&mut self, moves: &[(Identifier, MappedDest)]) {
         let nulls = moves.par_iter().filter(|(_, dest)| dest.is_null()).count() as u64;
         self.stats.null_requests += nulls;
         self.stats.identifiers_moved += moves.len() as u64 - nulls;
-        self.telemetry
-            .add(Counter::IdentifiersMoved, moves.len() as u64 - nulls);
         // Maintain the map (the measured overhead).
         moves.par_iter().for_each(|&(i, dest)| {
             if !dest.is_null() {
@@ -295,7 +271,7 @@ impl<D: Fn(Identifier) -> BucketId + Sync> Bucketing for MappedBuckets<D> {
     }
 
     /// `nextBucket` (identical semantics to the two-argument structure).
-    fn next_bucket(&mut self) -> Option<(BucketId, Vec<Identifier>)> {
+    pub fn next_bucket(&mut self) -> Option<(BucketId, Vec<Identifier>)> {
         loop {
             while self.cur_local < self.num_open {
                 if !self.open[self.cur_local].is_empty() {
@@ -307,9 +283,6 @@ impl<D: Fn(Identifier) -> BucketId + Sync> Bucketing for MappedBuckets<D> {
                     if !live.is_empty() {
                         self.stats.identifiers_extracted += live.len() as u64;
                         self.stats.buckets_extracted += 1;
-                        self.telemetry
-                            .add(Counter::IdentifiersExtracted, live.len() as u64);
-                        self.telemetry.incr(Counter::BucketsExtracted);
                         return Some((bkt, live));
                     }
                 }
@@ -321,75 +294,40 @@ impl<D: Fn(Identifier) -> BucketId + Sync> Bucketing for MappedBuckets<D> {
         }
     }
 
-    /// The current-bucket fast path (same cursor discipline as the
-    /// two-argument structure).
-    fn try_next_in_current(&mut self) -> Option<Vec<Identifier>> {
-        if self.cur_local >= self.num_open || self.open[self.cur_local].is_empty() {
-            return None;
-        }
-        let raw = std::mem::take(&mut self.open[self.cur_local]);
-        let bkt = self.bucket_of_key(self.cur_key());
-        let d = &self.d;
-        let live: Vec<Identifier> = filter_map(&raw, |&i| if d(i) == bkt { Some(i) } else { None });
-        if live.is_empty() {
-            return None;
-        }
-        self.stats.identifiers_extracted += live.len() as u64;
-        self.stats.buckets_extracted += 1;
-        self.telemetry
-            .add(Counter::IdentifiersExtracted, live.len() as u64);
-        self.telemetry.incr(Counter::BucketsExtracted);
-        Some(live)
-    }
-
     /// The operation counters accumulated so far.
-    fn stats(&self) -> BucketStats {
+    pub fn stats(&self) -> BucketStats {
         self.stats
-    }
-
-    /// The bucket id at the structure's current position.
-    fn current_bucket(&self) -> BucketId {
-        self.bucket_of_key(self.cur_key())
-    }
-
-    /// Same slot discipline as the two-argument structure: within the open
-    /// window the cursor's slot uniquely identifies the current bucket.
-    fn is_current_destination(&self, dest: BucketDest) -> bool {
-        !dest.is_null() && self.cur_local < self.num_open && dest.0 == self.cur_local as u32
-    }
-
-    fn filter_live_current(&self, raw: Vec<Identifier>) -> Vec<Identifier> {
-        let bkt = self.bucket_of_key(self.cur_key());
-        let d = &self.d;
-        filter_map(&raw, |&i| if d(i) == bkt { Some(i) } else { None })
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::{BucketsBuilder, Order};
     use super::*;
+    use julienne::bucket::{Bucketing, BucketsBuilder};
+    use julienne_primitives::rng::SplitMix64;
+
+    fn atomic_d(init: &[u32]) -> Vec<AtomicU32> {
+        init.iter().map(|&x| AtomicU32::new(x)).collect()
+    }
 
     #[test]
     fn matches_two_argument_structure_on_kcore_like_workload() {
-        use julienne_primitives::rng::SplitMix64;
         let n = 5_000usize;
         let mut rng = SplitMix64::new(3);
         let init: Vec<u32> = (0..n).map(|_| rng.next_u32() % 400).collect();
-        let a: Vec<AtomicU32> = init.iter().map(|&x| AtomicU32::new(x)).collect();
-        let b: Vec<AtomicU32> = init.iter().map(|&x| AtomicU32::new(x)).collect();
+        let a = atomic_d(&init);
+        let b = atomic_d(&init);
         let mut two = BucketsBuilder::new(
             n,
             |i: u32| a[i as usize].load(AtomicOrdering::SeqCst),
             Order::Increasing,
         )
         .build();
-        let mut one = BucketsBuilder::new(
+        let mut one = MappedBuckets::new(
             n,
             |i: u32| b[i as usize].load(AtomicOrdering::SeqCst),
             Order::Increasing,
-        )
-        .build_mapped();
+        );
         let mut extracted = vec![false; n];
         loop {
             let x = two.next_bucket();
@@ -422,7 +360,7 @@ mod tests {
                         a[i as usize].store(new, AtomicOrdering::SeqCst);
                         b[i as usize].store(new, AtomicOrdering::SeqCst);
                         mx.push((i, two.get_bucket(i, old, new)));
-                        my.push((i, one.get_bucket(i, old, new)));
+                        my.push((i, one.get_bucket(i, new)));
                     }
                     two.update_buckets(&mx);
                     one.update_buckets(&my);
@@ -432,11 +370,63 @@ mod tests {
         }
         assert!(extracted.iter().all(|&e| e));
         assert!(one.stats().identifiers_moved > 0);
-        // Semantic counter parity with the two-argument structure.
         assert_eq!(
             one.stats().identifiers_extracted,
             two.stats().identifiers_extracted
         );
         assert_eq!(one.stats().buckets_extracted, two.stats().buckets_extracted);
+    }
+
+    /// With every bucket inside the first open window (so no move can start
+    /// and end in the overflow bucket) the internal map must account for
+    /// exactly the traffic the two-argument structure does: extracted,
+    /// moved, null requests and buckets all equal.
+    #[test]
+    fn counters_match_two_argument_structure_inside_the_open_window() {
+        let n = 4_000usize;
+        let mut rng = SplitMix64::new(9);
+        let init: Vec<u32> = (0..n).map(|_| (rng.next_u64() % 96) as u32).collect();
+        let a = atomic_d(&init);
+        let b = atomic_d(&init);
+        let mut two = BucketsBuilder::new(
+            n,
+            |i: u32| a[i as usize].load(AtomicOrdering::SeqCst),
+            Order::Increasing,
+        )
+        .build();
+        let mut one = MappedBuckets::new(
+            n,
+            |i: u32| b[i as usize].load(AtomicOrdering::SeqCst),
+            Order::Increasing,
+        );
+        let mut rng = SplitMix64::new(0xC0DE);
+        while let Some((cur, ids)) = two.next_bucket() {
+            assert_eq!(
+                one.next_bucket().map(|(k, v)| (k, v.len())),
+                Some((cur, ids.len()))
+            );
+            let (mut mx, mut my) = (Vec::new(), Vec::new());
+            for _ in &ids {
+                // Halve the bucket of a pseudo-random other identifier.
+                let v = (rng.next_u64() % n as u64) as u32;
+                let dv = a[v as usize].load(AtomicOrdering::SeqCst);
+                if dv != NULL_BKT && dv > cur {
+                    let new = (dv / 2).max(cur);
+                    a[v as usize].store(new, AtomicOrdering::SeqCst);
+                    b[v as usize].store(new, AtomicOrdering::SeqCst);
+                    mx.push((v, two.get_bucket(v, dv, new)));
+                    my.push((v, one.get_bucket(v, new)));
+                }
+            }
+            two.update_buckets(&mx);
+            one.update_buckets(&my);
+        }
+        assert!(one.next_bucket().is_none());
+        let (s1, s2) = (one.stats(), two.stats());
+        assert!(s2.identifiers_moved > 0);
+        assert_eq!(s1.identifiers_extracted, s2.identifiers_extracted);
+        assert_eq!(s1.identifiers_moved, s2.identifiers_moved);
+        assert_eq!(s1.null_requests, s2.null_requests);
+        assert_eq!(s1.buckets_extracted, s2.buckets_extracted);
     }
 }

@@ -10,8 +10,7 @@
 //! directly and one answered by a server are byte-identical.
 
 use crate::args::{ArgError, Args};
-use julienne::bucket::DEFAULT_FUSION_THRESHOLD;
-use julienne::prelude::{Backend, Engine, FusionPolicy, QueryCtx};
+use julienne::prelude::{Backend, Engine, QueryCtx};
 use julienne::Error;
 use julienne_algorithms::dynamic::DynamicStore;
 use julienne_algorithms::registry::{GraphNeeds, GraphStore, ParamMap, Registry};
@@ -95,21 +94,6 @@ fn backend_opt(a: &Args) -> Result<Backend, CmdError> {
     Ok(Backend::parse(&a.string_or("backend", "csr"))?)
 }
 
-/// Reads the global `fusion=<on|off|auto>` and `fusion_threshold=<f>`
-/// options. Validated once in [`dispatch`]; the commands that build an
-/// [`Engine`] re-read them here. Fusion never changes any output — only
-/// how much bucket churn the ordered traversals pay.
-fn fusion_opt(a: &Args) -> Result<(FusionPolicy, f64), CmdError> {
-    let policy = FusionPolicy::parse(&a.string_or("fusion", "off"))?;
-    let threshold: f64 = a.get_or("fusion_threshold", DEFAULT_FUSION_THRESHOLD)?;
-    if !(threshold.is_finite() && 0.0 < threshold && threshold <= 1.0) {
-        return Err(usage_err(format!(
-            "fusion_threshold={threshold} out of range (expected 0 < t <= 1)"
-        )));
-    }
-    Ok((policy, threshold))
-}
-
 /// Loads with format auto-detection (extension, then magic bytes).
 fn load<W: julienne_graph::csr::Weight>(path: &Path) -> Result<Csr<W>, Error> {
     GraphIo::read(path, &IoOptions::default())
@@ -136,16 +120,12 @@ fn require_nonempty<W: julienne_graph::csr::Weight>(g: &Csr<W>) -> Result<(), Cm
 /// `timeout_ms=<n>` arms a deadline (a run past it exits with a runtime
 /// error, the same `deadline` class a served query reports).
 fn query_ctx(a: &Args) -> Result<QueryCtx, CmdError> {
-    let (fusion, fusion_threshold) = fusion_opt(a)?;
-    let builder = || {
-        Engine::builder()
-            .fusion(fusion)
-            .fusion_threshold(fusion_threshold)
-    };
     let stats = a.string_or("stats", "none");
     let mut ctx = match stats.as_str() {
-        "none" => QueryCtx::from_engine(&builder().build()),
-        "json" => QueryCtx::from_engine(&builder().telemetry(true).build()).with_stats(true),
+        "none" => QueryCtx::default(),
+        "json" => {
+            QueryCtx::from_engine(&Engine::builder().telemetry(true).build()).with_stats(true)
+        }
         other => {
             return Err(usage_err(format!(
                 "unknown stats mode {other:?} (expected none|json)"
@@ -399,7 +379,6 @@ pub fn cmd_serve(a: &Args) -> CmdResult {
     let weighted: bool = a.get_or("weighted", !mutable)?;
     let addr = a.string_or("addr", "127.0.0.1:0");
     let open_buckets: usize = a.get_or("open_buckets", 0)?;
-    let (fusion, fusion_threshold) = fusion_opt(a)?;
     let backend = backend_opt(a)?;
     if mutable && weighted {
         return Err(usage_err(
@@ -435,9 +414,7 @@ pub fn cmd_serve(a: &Args) -> CmdResult {
     if store.num_vertices() == 0 {
         return Err(runtime_err("graph is empty (0 vertices); nothing to serve"));
     }
-    let mut builder = Engine::builder()
-        .fusion(fusion)
-        .fusion_threshold(fusion_threshold);
+    let mut builder = Engine::builder();
     if open_buckets > 0 {
         builder = builder.open_buckets(open_buckets);
     }
@@ -701,7 +678,7 @@ COMMANDS:
   setcover    [sets=256] [elements=16384] [mult=4] [eps=0.01] [seed=1] [stats=none|json]
   serve       in=<file> [weighted=true] [mutable=false] [addr=127.0.0.1:0]
               [open_buckets=128] [batch_window_ms=0] [cache_bytes=0]
-              [scheduler=fifo|priority] [fusion=off|on|auto]
+              [scheduler=fifo|priority]
               loads the graph once and answers concurrent queries over a local
               socket (line-delimited JSON; see `query`); batch_window_ms>0
               coalesces compatible queries into one fused run (multi-source
@@ -734,12 +711,6 @@ after loading), or zero-copy memory-mapping (requires a .jgr input; opening
 does no per-edge work). Outputs are identical for every backend.
 Graph files are detected by extension (.adj/.el/.txt/.gr/.metis/.graph/
 .bin/.jgr), falling back to magic-byte sniffing for unknown extensions.
-fusion=<off|on|auto> (algorithm commands and serve) arms the bucket-fusion
-fast path: rounds whose relaxations land mostly back in the current minimum
-bucket are served from an in-round buffer, skipping the update/extract
-churn. `on` always diverts current-bucket moves, `auto` only when they
-reach fusion_threshold=<0..1] (default 0.5) of a round's non-null moves.
-Outputs are bit-identical under every policy; only round cost changes.
 stats=json appends one JSON object per run: accumulated counters plus a
 per-round trace (round, bucket, frontier, edges scanned/relaxed,
 sparse-vs-dense choice, elapsed microseconds).
@@ -751,14 +722,12 @@ stops at the next round boundary with a `deadline` error (exit 1).
 
 /// Dispatches a parsed command.
 ///
-/// Three options are global. `threads=` is consumed here (before the
+/// Two options are global. `threads=` is consumed here (before the
 /// subcommand runs) and sets the process-wide worker-thread count, the same
 /// knob as `JULIENNE_NUM_THREADS`. `backend=` is validated here and
 /// re-read by the graph commands to pick the graph representation (raw
-/// CSR, byte-compressed, or mmap'd container). `fusion=` (with
-/// `fusion_threshold=`) is validated here and re-read wherever an
-/// [`Engine`] is built, arming the bucket-fusion fast path. None affects
-/// any output, only speed and space. Algorithm ids resolve through
+/// CSR, byte-compressed, or mmap'd container). Neither affects any
+/// output, only speed and space. Algorithm ids resolve through
 /// [`Registry::standard`], the same table `julienne serve` dispatches from.
 pub fn dispatch(a: &Args) -> CmdResult {
     let threads: usize = a.get_or("threads", 0)?;
@@ -766,7 +735,6 @@ pub fn dispatch(a: &Args) -> CmdResult {
         rayon::set_num_threads(threads);
     }
     backend_opt(a)?;
-    fusion_opt(a)?;
     match a.command.as_str() {
         "gen" => cmd_gen(a),
         "stats" => cmd_stats(a),
@@ -902,42 +870,22 @@ mod tests {
     }
 
     #[test]
-    fn fusion_policies_do_not_change_output() {
-        let fw = tmp("fz.bin");
-        let f = tmp("fzu.bin");
-        run(&format!("gen kind=rmat scale=9 weights=log out={fw}")).unwrap();
-        run(&format!("gen kind=rmat scale=9 out={f}")).unwrap();
-        for cmd in [
-            format!("sssp in={fw} algo=delta delta=64"),
-            format!("sssp in={fw} algo=wbfs"),
-            format!("kcore in={f}"),
-            format!("truss in={f}"),
-        ] {
-            let off = run(&format!("{cmd} fusion=off")).unwrap();
-            let default = run(&cmd).unwrap();
-            assert_eq!(off, default, "fusion=off must be the default: {cmd}");
-            for policy in ["on", "auto"] {
-                let fused = run(&format!("{cmd} fusion={policy}")).unwrap();
-                assert_eq!(off, fused, "fusion={policy} diverges: {cmd}");
-            }
-            let tuned = run(&format!("{cmd} fusion=auto fusion_threshold=0.25")).unwrap();
-            assert_eq!(off, tuned, "tuned auto threshold diverges: {cmd}");
-        }
-        std::fs::remove_file(fw).ok();
-        std::fs::remove_file(f).ok();
-    }
-
-    #[test]
-    fn bad_fusion_options_are_usage_errors() {
+    fn removed_fusion_options_are_unknown_options() {
+        // `fusion=` / `fusion_threshold=` were deleted with the fusion
+        // wrapper; a script still passing them must be told (exit 2), not
+        // silently ignored.
+        let f = tmp("nofusion.bin");
+        run(&format!("gen kind=rmat scale=8 out={f}")).unwrap();
         for line in [
-            "components in=x.bin fusion=sometimes",
-            "components in=x.bin fusion_threshold=0",
-            "components in=x.bin fusion_threshold=1.5",
-            "components in=x.bin fusion_threshold=nope",
+            format!("kcore in={f} fusion=on"),
+            format!("kcore in={f} fusion_threshold=0.5"),
+            format!("serve in={f} fusion=on"),
         ] {
-            let e = run_classed(line).unwrap_err();
-            assert!(matches!(e, CmdError::Usage(_)), "{line}: {e:?}");
+            let e = run_classed(&line).unwrap_err();
+            assert_eq!(e.exit_code(), 2, "{line}: {e:?}");
+            assert!(e.to_string().contains("unknown options"), "{line}: {e}");
         }
+        std::fs::remove_file(f).ok();
     }
 
     #[test]

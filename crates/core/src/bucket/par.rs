@@ -22,8 +22,7 @@
 //! calls and O((K + L) log n) depth w.h.p. for L `nextBucket` calls.
 
 use super::{
-    BucketDest, BucketId, BucketStats, Bucketing, FusedBuckets, FusionPolicy, Identifier,
-    MappedBuckets, Order, SeqBuckets, DEFAULT_FUSION_THRESHOLD, NULL_BKT,
+    BucketDest, BucketId, BucketStats, Bucketing, Identifier, Order, SeqBuckets, NULL_BKT,
 };
 use julienne_primitives::filter::filter_map;
 use julienne_primitives::histogram::blocked_histogram;
@@ -59,11 +58,9 @@ pub struct Buckets<D> {
     telemetry: Telemetry,
 }
 
-/// Builder for every bucket structure — the single construction path for
-/// the parallel ([`build`](Self::build)), sequential
-/// ([`build_seq`](Self::build_seq)), internal-map
-/// ([`build_mapped`](Self::build_mapped)), and fusion-wrapped
-/// ([`build_fused`](Self::build_fused)) representations.
+/// Builder for the bucket structures (the paper's `makeBuckets`):
+/// [`build`](Self::build) for the parallel structure,
+/// [`build_seq`](Self::build_seq) for the sequential reference.
 ///
 /// ```
 /// use julienne::bucket::{Bucketing, BucketsBuilder, Order};
@@ -79,13 +76,11 @@ pub struct BucketsBuilder<D> {
     order: Order,
     num_open: usize,
     telemetry: Telemetry,
-    fusion: FusionPolicy,
-    fusion_threshold: f64,
 }
 
 impl<D> BucketsBuilder<D> {
     /// Starts a builder for `makeBuckets(n, D, O)` with the paper's default
-    /// window of 128 open buckets, no telemetry, and fusion off.
+    /// window of 128 open buckets and no telemetry.
     pub fn new(n: usize, d: D, order: Order) -> Self {
         BucketsBuilder {
             n,
@@ -93,8 +88,6 @@ impl<D> BucketsBuilder<D> {
             order,
             num_open: DEFAULT_OPEN_BUCKETS,
             telemetry: Telemetry::disabled(),
-            fusion: FusionPolicy::default(),
-            fusion_threshold: DEFAULT_FUSION_THRESHOLD,
         }
     }
 
@@ -113,21 +106,6 @@ impl<D> BucketsBuilder<D> {
         self.telemetry = sink.clone();
         self
     }
-
-    /// Sets the fusion policy applied by [`build_fused`](Self::build_fused)
-    /// (ignored by the raw `build*` methods).
-    pub fn fusion(mut self, policy: FusionPolicy) -> Self {
-        self.fusion = policy;
-        self
-    }
-
-    /// Sets the `fusion=auto` threshold (fraction of a round's non-null
-    /// moves that must target the current bucket before the fast path
-    /// fires).
-    pub fn fusion_threshold(mut self, threshold: f64) -> Self {
-        self.fusion_threshold = threshold;
-        self
-    }
 }
 
 impl<D: Fn(Identifier) -> BucketId> BucketsBuilder<D> {
@@ -140,23 +118,6 @@ impl<D: Fn(Identifier) -> BucketId> BucketsBuilder<D> {
 }
 
 impl<D: Fn(Identifier) -> BucketId + Sync> BucketsBuilder<D> {
-    /// Builds the internal-map ablation variant (Section 3.3's rejected
-    /// alternative).
-    pub fn build_mapped(self) -> MappedBuckets<D> {
-        MappedBuckets::from_builder(self.n, self.d, self.order, self.num_open, &self.telemetry)
-    }
-
-    /// Builds the parallel structure wrapped in the fusion adapter,
-    /// honoring [`fusion`](Self::fusion) and
-    /// [`fusion_threshold`](Self::fusion_threshold). With
-    /// [`FusionPolicy::Off`] the wrapper is a pure passthrough.
-    pub fn build_fused(self) -> FusedBuckets<Buckets<D>> {
-        let policy = self.fusion;
-        let threshold = self.fusion_threshold;
-        let telemetry = self.telemetry.clone();
-        FusedBuckets::new(self.build(), policy, threshold, &telemetry)
-    }
-
     /// Builds the structure and performs the initial insertion of every
     /// identifier `i in 0..n` with `D(i) != NULL_BKT`.
     pub fn build(self) -> Buckets<D> {
@@ -166,7 +127,6 @@ impl<D: Fn(Identifier) -> BucketId + Sync> BucketsBuilder<D> {
             order,
             num_open,
             telemetry,
-            ..
         } = self;
         assert!(num_open >= 1);
         let flip_base = match order {
@@ -260,14 +220,6 @@ impl<D: Fn(Identifier) -> BucketId + Sync> Buckets<D> {
         } else {
             self.num_open
         }
-    }
-
-    /// Deprecated two-argument `getBucket` spelling, kept for one release
-    /// while call sites migrate to the unified
-    /// [`Bucketing::get_bucket`]`(i, prev, next)`.
-    #[deprecated(note = "use Bucketing::get_bucket(i, prev, next)")]
-    pub fn get_bucket_legacy(&self, prev: BucketId, next: BucketId) -> BucketDest {
-        Bucketing::get_bucket(self, 0, prev, next)
     }
 
     /// Shared insertion kernel: routes item `k in 0..len` to slot
@@ -366,6 +318,69 @@ impl<D: Fn(Identifier) -> BucketId + Sync> Buckets<D> {
         true
     }
 
+    /// Semisort-based `updateBuckets` (Section 3.2) — the theoretically
+    /// clean variant the paper found slower in practice; kept for the A1
+    /// ablation. Semantically identical to
+    /// [`update_buckets`](Bucketing::update_buckets).
+    pub fn update_buckets_semisort(&mut self, moves: &[(Identifier, BucketDest)]) {
+        let nulls = moves.iter().filter(|(_, d)| d.is_null()).count() as u64;
+        self.stats.null_requests += nulls;
+        self.stats.identifiers_moved += moves.len() as u64 - nulls;
+        self.telemetry
+            .add(Counter::IdentifiersMoved, moves.len() as u64 - nulls);
+
+        let mut pairs: Vec<(Identifier, u32)> = filter_map(moves, |&(i, dest)| {
+            if dest.is_null() {
+                None
+            } else {
+                Some((i, dest.0))
+            }
+        });
+        if pairs.is_empty() {
+            return;
+        }
+        // Semisort by destination slot, then bulk-append each group.
+        let groups = semisort_by_key(&mut pairs, self.num_open as u32, |p| p.1);
+        for g in groups {
+            let slot = g.key as usize;
+            let b = if slot == self.num_open {
+                &mut self.overflow
+            } else {
+                &mut self.open[slot]
+            };
+            b.extend(pairs[g.start..g.start + g.len].iter().map(|&(i, _)| i));
+        }
+    }
+
+    /// Re-examines the **current** bucket only: if it holds live
+    /// identifiers (reinserted since the last extraction, or not yet
+    /// extracted), returns them without advancing the cursor; otherwise
+    /// returns `None` (cursor unchanged).
+    ///
+    /// `next_bucket` is built on this; the only outside caller is the
+    /// light/heavy edge optimization of Δ-stepping (Section 4.2), which
+    /// must finish relaxing light edges inside the current annulus before
+    /// the heavy relaxations may repopulate *earlier* open buckets than the
+    /// next non-empty one.
+    pub fn try_next_in_current(&mut self) -> Option<Vec<Identifier>> {
+        if self.cur_local >= self.num_open || self.open[self.cur_local].is_empty() {
+            return None;
+        }
+        let raw = std::mem::take(&mut self.open[self.cur_local]);
+        let bkt = self.bucket_of_key(self.cur_key());
+        let d = &self.d;
+        let live: Vec<Identifier> = filter_map(&raw, |&i| if d(i) == bkt { Some(i) } else { None });
+        if live.is_empty() {
+            return None;
+        }
+        self.stats.identifiers_extracted += live.len() as u64;
+        self.stats.buckets_extracted += 1;
+        self.telemetry
+            .add(Counter::IdentifiersExtracted, live.len() as u64);
+        self.telemetry.incr(Counter::BucketsExtracted);
+        Some(live)
+    }
+
     /// The number of open buckets (`nB`).
     pub fn num_open_buckets(&self) -> usize {
         self.num_open
@@ -438,39 +453,6 @@ impl<D: Fn(Identifier) -> BucketId + Sync> Bucketing for Buckets<D> {
         );
     }
 
-    /// Semisort-based `updateBuckets` (Section 3.2) — the theoretically
-    /// clean variant the paper found slower in practice; kept for the A1
-    /// ablation. Semantically identical to `update_buckets`.
-    fn update_buckets_semisort(&mut self, moves: &[(Identifier, BucketDest)]) {
-        let nulls = moves.iter().filter(|(_, d)| d.is_null()).count() as u64;
-        self.stats.null_requests += nulls;
-        self.stats.identifiers_moved += moves.len() as u64 - nulls;
-        self.telemetry
-            .add(Counter::IdentifiersMoved, moves.len() as u64 - nulls);
-
-        let mut pairs: Vec<(Identifier, u32)> = filter_map(moves, |&(i, dest)| {
-            if dest.is_null() {
-                None
-            } else {
-                Some((i, dest.0))
-            }
-        });
-        if pairs.is_empty() {
-            return;
-        }
-        // Semisort by destination slot, then bulk-append each group.
-        let groups = semisort_by_key(&mut pairs, self.num_open as u32, |p| p.1);
-        for g in groups {
-            let slot = g.key as usize;
-            let b = if slot == self.num_open {
-                &mut self.overflow
-            } else {
-                &mut self.open[slot]
-            };
-            b.extend(pairs[g.start..g.start + g.len].iter().map(|&(i, _)| i));
-        }
-    }
-
     /// `nextBucket` (Section 3.1): the id and live identifiers of the next
     /// non-empty bucket, or `None` when the structure is exhausted. The
     /// same bucket id can be returned again if identifiers were reinserted
@@ -478,20 +460,8 @@ impl<D: Fn(Identifier) -> BucketId + Sync> Bucketing for Buckets<D> {
     fn next_bucket(&mut self) -> Option<(BucketId, Vec<Identifier>)> {
         loop {
             while self.cur_local < self.num_open {
-                if !self.open[self.cur_local].is_empty() {
-                    let raw = std::mem::take(&mut self.open[self.cur_local]);
-                    let bkt = self.bucket_of_key(self.cur_key());
-                    let d = &self.d;
-                    let live: Vec<Identifier> =
-                        filter_map(&raw, |&i| if d(i) == bkt { Some(i) } else { None });
-                    if !live.is_empty() {
-                        self.stats.identifiers_extracted += live.len() as u64;
-                        self.stats.buckets_extracted += 1;
-                        self.telemetry
-                            .add(Counter::IdentifiersExtracted, live.len() as u64);
-                        self.telemetry.incr(Counter::BucketsExtracted);
-                        return Some((bkt, live));
-                    }
+                if let Some(live) = self.try_next_in_current() {
+                    return Some((self.bucket_of_key(self.cur_key()), live));
                 }
                 self.cur_local += 1;
             }
@@ -501,56 +471,9 @@ impl<D: Fn(Identifier) -> BucketId + Sync> Bucketing for Buckets<D> {
         }
     }
 
-    /// Re-examines the **current** bucket only: if identifiers were
-    /// reinserted into it since the last extraction, returns them without
-    /// advancing the cursor; otherwise returns `None` (cursor unchanged).
-    ///
-    /// Used by the light/heavy edge optimization of Δ-stepping (Section
-    /// 4.2), which must finish relaxing light edges inside the current
-    /// annulus before the heavy relaxations may repopulate *earlier* open
-    /// buckets than the next non-empty one, and by the fusion adapter's
-    /// drain-merge.
-    fn try_next_in_current(&mut self) -> Option<Vec<Identifier>> {
-        if self.cur_local >= self.num_open || self.open[self.cur_local].is_empty() {
-            return None;
-        }
-        let raw = std::mem::take(&mut self.open[self.cur_local]);
-        let bkt = self.bucket_of_key(self.cur_key());
-        let d = &self.d;
-        let live: Vec<Identifier> = filter_map(&raw, |&i| if d(i) == bkt { Some(i) } else { None });
-        if live.is_empty() {
-            return None;
-        }
-        self.stats.identifiers_extracted += live.len() as u64;
-        self.stats.buckets_extracted += 1;
-        self.telemetry
-            .add(Counter::IdentifiersExtracted, live.len() as u64);
-        self.telemetry.incr(Counter::BucketsExtracted);
-        Some(live)
-    }
-
     /// The operation counters accumulated so far.
     fn stats(&self) -> BucketStats {
         self.stats
-    }
-
-    /// The bucket id at the structure's current position.
-    fn current_bucket(&self) -> BucketId {
-        self.bucket_of_key(self.cur_key())
-    }
-
-    /// A destination addresses the current bucket iff its slot is the
-    /// cursor's slot within the open window: keys behind the cursor map to
-    /// `NULL`, and a same-slot key in a *later* window maps to the overflow
-    /// slot, so the slot comparison is exact.
-    fn is_current_destination(&self, dest: BucketDest) -> bool {
-        !dest.is_null() && self.cur_local < self.num_open && dest.0 == self.cur_local as u32
-    }
-
-    fn filter_live_current(&self, raw: Vec<Identifier>) -> Vec<Identifier> {
-        let bkt = self.bucket_of_key(self.cur_key());
-        let d = &self.d;
-        filter_map(&raw, |&i| if d(i) == bkt { Some(i) } else { None })
     }
 }
 
@@ -675,6 +598,26 @@ mod tests {
         assert!(!dest.is_null());
         b.update_buckets(&[(1, dest)]);
         assert_eq!(b.next_bucket().unwrap(), (1, vec![1]));
+    }
+
+    #[test]
+    fn try_next_in_current_returns_reinserted_ids_without_advancing() {
+        let d = atomic_d(&[0, NULL_BKT, 5]);
+        let mut b = BucketsBuilder::new(
+            3,
+            |i| d[i as usize].load(Ordering::Relaxed),
+            Order::Increasing,
+        )
+        .build();
+        assert_eq!(b.next_bucket().unwrap(), (0, vec![0]));
+        assert!(b.try_next_in_current().is_none());
+        d[1].store(0, Ordering::Relaxed);
+        let dest = b.get_bucket(1, NULL_BKT, 0);
+        b.update_buckets(&[(1, dest)]);
+        assert_eq!(b.try_next_in_current().unwrap(), vec![1]);
+        // Bucket 5 is not the current one: only next_bucket reaches it.
+        assert!(b.try_next_in_current().is_none());
+        assert_eq!(b.next_bucket().unwrap(), (5, vec![2]));
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! (stale copies are filtered at extraction against `D`), and `bucket_dest`
 //! coincides with the bucket key. Serves as the oracle for the property
 //! tests of the parallel structure and as the sequential baseline in the
-//! ablation benchmarks. Reports the same semantic [`BucketStats`] counters
-//! as the parallel structure (the overflow counters stay 0: the exact
-//! representation has no overflow bucket).
+//! ablation benchmarks. Reports the same [`BucketStats`] extraction
+//! counters as the parallel structure (the overflow counters stay 0: the
+//! exact representation has no overflow bucket).
 
 use super::{BucketDest, BucketId, BucketStats, Bucketing, Identifier, Order, NULL_BKT};
 use julienne_primitives::telemetry::{Counter, Telemetry};
@@ -27,16 +27,9 @@ pub struct SeqBuckets<D> {
 }
 
 impl<D: Fn(Identifier) -> BucketId> SeqBuckets<D> {
-    /// Deprecated free-standing constructor, kept for one release; use
-    /// [`BucketsBuilder::build_seq`](super::BucketsBuilder::build_seq).
-    #[deprecated(note = "use BucketsBuilder::new(n, d, order).build_seq()")]
-    pub fn new(n: usize, d: D, order: Order) -> Self {
-        Self::from_builder(n, d, order, &Telemetry::disabled())
-    }
-
     /// Creates the structure over identifiers `0..n` with initial buckets
     /// given by `d` (which the structure keeps and re-evaluates lazily).
-    /// Called by the unified builder.
+    /// Called by [`BucketsBuilder::build_seq`](super::BucketsBuilder::build_seq).
     pub(crate) fn from_builder(n: usize, d: D, order: Order, telemetry: &Telemetry) -> Self {
         let flip_base = match order {
             Order::Increasing => 0,
@@ -94,14 +87,6 @@ impl<D: Fn(Identifier) -> BucketId> SeqBuckets<D> {
             self.buckets.resize_with(idx + 1, Vec::new);
         }
         self.buckets[idx].push(i);
-    }
-
-    /// Deprecated two-argument `getBucket` spelling, kept for one release
-    /// while call sites migrate to the unified
-    /// [`Bucketing::get_bucket`]`(i, prev, next)`.
-    #[deprecated(note = "use Bucketing::get_bucket(i, prev, next)")]
-    pub fn get_bucket_legacy(&self, prev: BucketId, next: BucketId) -> BucketDest {
-        Bucketing::get_bucket(self, 0, prev, next)
     }
 }
 
@@ -167,47 +152,10 @@ impl<D: Fn(Identifier) -> BucketId> Bucketing for SeqBuckets<D> {
         None
     }
 
-    /// The current-bucket fast path, specialized for the exact
-    /// representation (the current bucket is directly addressable).
-    fn try_next_in_current(&mut self) -> Option<Vec<Identifier>> {
-        let idx = self.cur as usize;
-        if idx >= self.buckets.len() || self.buckets[idx].is_empty() {
-            return None;
-        }
-        let raw = std::mem::take(&mut self.buckets[idx]);
-        let bkt = self.bucket_of_key(self.cur);
-        let live: Vec<Identifier> = raw.into_iter().filter(|&i| (self.d)(i) == bkt).collect();
-        if live.is_empty() {
-            return None;
-        }
-        self.stats.identifiers_extracted += live.len() as u64;
-        self.stats.buckets_extracted += 1;
-        self.telemetry
-            .add(Counter::IdentifiersExtracted, live.len() as u64);
-        self.telemetry.incr(Counter::BucketsExtracted);
-        Some(live)
-    }
-
     /// The operation counters accumulated so far (overflow counters always
     /// 0 on this backend).
     fn stats(&self) -> BucketStats {
         self.stats
-    }
-
-    /// The current bucket id the structure is positioned at.
-    fn current_bucket(&self) -> BucketId {
-        self.bucket_of_key(self.cur)
-    }
-
-    /// In the exact representation a destination *is* a key, so "current"
-    /// is a direct key comparison.
-    fn is_current_destination(&self, dest: BucketDest) -> bool {
-        !dest.is_null() && dest.0 as u64 == self.cur
-    }
-
-    fn filter_live_current(&self, raw: Vec<Identifier>) -> Vec<Identifier> {
-        let bkt = self.bucket_of_key(self.cur);
-        raw.into_iter().filter(|&i| (self.d)(i) == bkt).collect()
     }
 }
 
@@ -234,7 +182,6 @@ mod tests {
         let (k3, ids3) = b.next_bucket().unwrap();
         assert_eq!((k3, ids3), (3, vec![0]));
         assert!(b.next_bucket().is_none());
-        assert_eq!(b.total_extracted(), 4);
         assert_eq!(b.stats().identifiers_extracted, 4);
         assert_eq!(b.stats().buckets_extracted, 3);
     }
@@ -277,7 +224,6 @@ mod tests {
         d.borrow_mut()[1] = 1;
         let dest = b.get_bucket(1, NULL_BKT, 1);
         assert!(!dest.is_null());
-        assert!(b.is_current_destination(dest));
         b.update_buckets(&[(1, dest)]);
         assert_eq!(b.next_bucket().unwrap(), (1, vec![1]));
     }
@@ -302,32 +248,6 @@ mod tests {
         assert_eq!(b.next_bucket().unwrap(), (2, vec![0]));
         // cur is now 2; destination 1 is behind it.
         assert!(b.get_bucket(0, 2, 1).is_null());
-    }
-
-    #[test]
-    fn try_next_in_current_returns_reinserted_ids() {
-        let d = RefCell::new(vec![0u32, NULL_BKT]);
-        let dref = &d;
-        let mut b = build(2, move |i| dref.borrow()[i as usize], Order::Increasing);
-        assert_eq!(b.next_bucket().unwrap(), (0, vec![0]));
-        assert!(b.try_next_in_current().is_none());
-        d.borrow_mut()[1] = 0;
-        let dest = b.get_bucket(1, NULL_BKT, 0);
-        b.update_buckets(&[(1, dest)]);
-        assert_eq!(b.try_next_in_current().unwrap(), vec![1]);
-        assert_eq!(b.current_bucket(), 0, "cursor unchanged");
-    }
-
-    #[test]
-    fn deprecated_entry_points_still_work() {
-        #[allow(deprecated)]
-        {
-            let d = vec![1u32, 0];
-            let dd = d.clone();
-            let mut b = SeqBuckets::new(2, move |i| dd[i as usize], Order::Increasing);
-            assert_eq!(b.next_bucket().unwrap(), (0, vec![1]));
-            assert!(b.get_bucket_legacy(1, NULL_BKT).is_null());
-        }
     }
 
     #[test]

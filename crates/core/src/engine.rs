@@ -29,10 +29,7 @@
 //! `telemetry` feature is disabled (the sink becomes a ZST whose methods are
 //! empty `#[inline(always)]` bodies).
 
-use crate::bucket::{
-    BucketId, Buckets, BucketsBuilder, FusedBuckets, FusionPolicy, Identifier, Order,
-    DEFAULT_FUSION_THRESHOLD, DEFAULT_OPEN_BUCKETS,
-};
+use crate::bucket::{BucketId, Buckets, BucketsBuilder, Identifier, Order, DEFAULT_OPEN_BUCKETS};
 use julienne_ligra::traits::OutEdges;
 use julienne_ligra::{EdgeMap, EdgeMapOptions, Mode};
 use julienne_primitives::error::Error;
@@ -101,8 +98,6 @@ pub struct Engine {
     open_buckets: usize,
     num_threads: Option<usize>,
     backend: Backend,
-    fusion: FusionPolicy,
-    fusion_threshold: f64,
     telemetry: Telemetry,
 }
 
@@ -122,8 +117,6 @@ impl Engine {
             open_buckets: DEFAULT_OPEN_BUCKETS,
             num_threads: None,
             backend: Backend::default(),
-            fusion: FusionPolicy::default(),
-            fusion_threshold: DEFAULT_FUSION_THRESHOLD,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -136,22 +129,16 @@ impl Engine {
             .telemetry(&self.telemetry)
     }
 
-    /// A bucket structure over `n` identifiers pre-configured with this
-    /// engine's open-bucket window, fusion policy, and telemetry sink.
-    ///
-    /// The returned [`FusedBuckets`] wraps the parallel [`Buckets`]
-    /// structure; with the default [`FusionPolicy::Off`] the wrapper is a
-    /// pure passthrough, byte-identical to the raw structure.
-    pub fn buckets<D>(&self, n: usize, d: D, order: Order) -> FusedBuckets<Buckets<D>>
+    /// The parallel bucket structure over `n` identifiers, pre-configured
+    /// with this engine's open-bucket window and telemetry sink.
+    pub fn buckets<D>(&self, n: usize, d: D, order: Order) -> Buckets<D>
     where
         D: Fn(Identifier) -> BucketId + Sync,
     {
         BucketsBuilder::new(n, d, order)
             .open_buckets(self.open_buckets)
             .telemetry(&self.telemetry)
-            .fusion(self.fusion)
-            .fusion_threshold(self.fusion_threshold)
-            .build_fused()
+            .build()
     }
 
     /// The engine's edge-map options.
@@ -174,17 +161,6 @@ impl Engine {
     /// The graph backend the driver should load/convert to.
     pub fn backend(&self) -> Backend {
         self.backend
-    }
-
-    /// The bucket-fusion policy applied to structures handed out by
-    /// [`Engine::buckets`].
-    pub fn fusion(&self) -> FusionPolicy {
-        self.fusion
-    }
-
-    /// The `fusion=auto` threshold in effect.
-    pub fn fusion_threshold(&self) -> f64 {
-        self.fusion_threshold
     }
 
     /// The shared telemetry sink (a no-op sink unless enabled via the
@@ -228,8 +204,6 @@ pub struct EngineBuilder {
     open_buckets: usize,
     num_threads: Option<usize>,
     backend: Backend,
-    fusion: FusionPolicy,
-    fusion_threshold: f64,
     telemetry: Telemetry,
 }
 
@@ -303,23 +277,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Selects the bucket-fusion policy (default [`FusionPolicy::Off`]) for
-    /// every structure handed out by [`Engine::buckets`]. Outputs are
-    /// bit-identical under every policy — fusion only skips physical
-    /// insertion/extraction churn (see the fusion equivalence suite).
-    pub fn fusion(mut self, policy: FusionPolicy) -> Self {
-        self.fusion = policy;
-        self
-    }
-
-    /// Sets the `fusion=auto` threshold: the fraction of a round's non-null
-    /// moves that must target the current bucket before the fast path
-    /// fires (default 0.5; clamped to `(0, 1]` at use).
-    pub fn fusion_threshold(mut self, threshold: f64) -> Self {
-        self.fusion_threshold = threshold;
-        self
-    }
-
     /// Finalizes the engine.
     pub fn build(self) -> Engine {
         if let Some(n) = self.num_threads {
@@ -330,8 +287,6 @@ impl EngineBuilder {
             open_buckets: self.open_buckets,
             num_threads: self.num_threads,
             backend: self.backend,
-            fusion: self.fusion,
-            fusion_threshold: self.fusion_threshold,
             telemetry: self.telemetry,
         }
     }
@@ -393,27 +348,6 @@ mod tests {
 
         engine.reset_telemetry();
         assert_eq!(engine.telemetry().get(Counter::EdgesScanned), 0);
-    }
-
-    #[test]
-    fn fusion_selection_round_trips() {
-        assert_eq!(Engine::default().fusion(), FusionPolicy::Off);
-        let e = Engine::builder()
-            .fusion(FusionPolicy::Auto)
-            .fusion_threshold(0.75)
-            .build();
-        assert_eq!(e.fusion(), FusionPolicy::Auto);
-        assert!((e.fusion_threshold() - 0.75).abs() < 1e-12);
-        let d: Vec<AtomicU32> = [0u32, 1].into_iter().map(AtomicU32::new).collect();
-        let mut b = e.buckets(
-            2,
-            |i| d[i as usize].load(AtomicOrdering::SeqCst),
-            Order::Increasing,
-        );
-        assert_eq!(b.policy(), FusionPolicy::Auto);
-        assert_eq!(b.next_bucket(), Some((0, vec![0])));
-        assert_eq!(b.next_bucket(), Some((1, vec![1])));
-        assert_eq!(b.next_bucket(), None);
     }
 
     #[test]

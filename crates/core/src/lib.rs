@@ -50,8 +50,8 @@ pub mod prelude {
     //! [`BucketsBuilder`] (bucket structure). Traversals are generic over
     //! the [`OutEdges`] / [`InEdges`] / [`GraphRef`] backend hierarchy.
     pub use crate::bucket::{
-        BucketDest, BucketId, BucketStats, Bucketing, Buckets, BucketsBuilder, FusedBuckets,
-        FusionPolicy, FusionStats, Identifier, Order, SeqBuckets, NULL_BKT,
+        BucketDest, BucketId, BucketStats, Bucketing, Buckets, BucketsBuilder, Identifier, Order,
+        SeqBuckets, NULL_BKT,
     };
     pub use crate::cache::{CacheKey, CacheStats, ResultCache};
     pub use crate::engine::{Backend, Engine, EngineBuilder};

@@ -133,7 +133,7 @@ impl Default for CancelToken {
 ///
 /// Construct via [`Session::query`] for served traffic, or
 /// [`QueryCtx::from_engine`] / [`QueryCtx::default`] to run an algorithm
-/// directly (the deprecated `foo_with(engine)` wrappers do exactly that).
+/// directly.
 #[derive(Clone)]
 pub struct QueryCtx {
     engine: Engine,

@@ -49,17 +49,11 @@ pub enum Counter {
     VerticesScanned,
     /// Algorithm rounds executed.
     Rounds,
-    /// Buckets served straight from the fusion buffer, skipping the
-    /// `update_buckets` insertion + `next_bucket` extraction churn.
-    FusedRounds,
-    /// Identifiers diverted into the fusion buffer instead of being
-    /// physically reinserted into the current bucket.
-    FusedIdentifiers,
 }
 
 impl Counter {
     /// Number of distinct counters (array size).
-    pub const COUNT: usize = 12;
+    pub const COUNT: usize = 10;
 
     /// All counters, in discriminant order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -73,8 +67,6 @@ impl Counter {
         Counter::DenseTraversals,
         Counter::VerticesScanned,
         Counter::Rounds,
-        Counter::FusedRounds,
-        Counter::FusedIdentifiers,
     ];
 
     /// snake_case name used as the JSON key.
@@ -90,8 +82,6 @@ impl Counter {
             Counter::DenseTraversals => "dense_traversals",
             Counter::VerticesScanned => "vertices_scanned",
             Counter::Rounds => "rounds",
-            Counter::FusedRounds => "fused_rounds",
-            Counter::FusedIdentifiers => "fused_identifiers",
         }
     }
 }

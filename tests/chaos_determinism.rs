@@ -91,7 +91,8 @@ fn frontier_algorithms_deterministic_under_chaos() {
     for (name, g) in small_graphs() {
         chaos_check(&format!("bfs/{name}"), || bfs(&g, 0).level);
         chaos_check(&format!("components/{name}"), || {
-            connected_components(&g).label
+            let r = connected_components(&g);
+            (r.label, r.rounds)
         });
         chaos_check(&format!("pagerank/{name}"), || {
             pagerank(&g, 0.85, 1e-9, 30)

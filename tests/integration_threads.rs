@@ -10,6 +10,7 @@
 mod common;
 
 use common::{at, graphs, weighted};
+use julienne_repro::algorithms::components::connected_components;
 use julienne_repro::algorithms::delta_stepping::{sssp, wbfs, SsspParams};
 use julienne_repro::algorithms::kcore::{coreness, KcoreParams};
 use julienne_repro::algorithms::setcover::{cover, verify_cover, SetCoverParams};
@@ -29,6 +30,18 @@ fn kcore_identical_across_thread_counts() {
                 coreness(&g, &KcoreParams::default(), &QueryCtx::default()).unwrap()
             });
             assert_eq!(r.coreness, reference.coreness, "{name} at {t} threads");
+        }
+    }
+}
+
+#[test]
+fn components_identical_across_thread_counts() {
+    for (name, g) in graphs() {
+        let reference = at(1, || connected_components(&g));
+        for t in THREADS {
+            let r = at(t, || connected_components(&g));
+            assert_eq!(r.label, reference.label, "{name} at {t} threads");
+            assert_eq!(r.rounds, reference.rounds, "{name} rounds at {t} threads");
         }
     }
 }
