@@ -78,6 +78,23 @@ wait "$SERVE_PID"
 grep -q "server stopped" "$SMOKE/serve.log"
 echo "serve smoke test: ok"
 
+# --- wire floor gate -----------------------------------------------------------
+# A refused request does no work, so its round trip is what the socket
+# alone costs. A reply that leaves as two segments, or a socket without
+# TCP_NODELAY, puts the peer's 40 ms delayed ACK under every served query;
+# the benchmark's traced serve-mixed run measures it as `wire.floor_ms`.
+echo "==> wire floor gate"
+benchmark/run.sh --smoke --workload serve-mixed --trace 1 | tail -n 1 >"$SMOKE/floor.json"
+python3 - "$SMOKE/floor.json" <<'PY'
+import json, sys
+metrics = json.load(open(sys.argv[1]))["metrics"]
+floor = metrics["wire.floor_ms"]["value"]
+failed = metrics["loadgen.failed"]["value"]
+assert floor < 5, "wire.floor_ms = %r: replies are waiting out a delayed ACK" % floor
+assert failed == 0, "loadgen.failed = %r on serve-mixed" % failed
+print("wire floor gate: ok (%.2f ms)" % floor)
+PY
+
 # --- batched serve smoke test ------------------------------------------------
 # The scheduler pipeline over a raw socket (the CLI client hides the wire
 # flags): a homogeneous pipelined burst must coalesce (`"batched": true` on

@@ -4,8 +4,9 @@
 //! `C(v) = true`, returning the vertices for which `F` returned `true`.
 //! Two traversal strategies:
 //!
-//! * **sparse (push)** — iterate the out-edges of the frontier; output is
-//!   built with the scan–scatter–filter pattern so the traversal "only
+//! * **sparse (push)** — iterate the out-edges of the frontier in
+//!   edge-balanced blocks, each appending its hits to a block-local buffer
+//!   (`sparse_blocked`, GBBS's `edgeMapBlocked`), so the traversal "only
 //!   writes to an amount of memory proportional to the size of the output
 //!   frontier" (the optimization the paper credits for its fast 1-thread
 //!   SSSP times);
@@ -16,8 +17,8 @@
 //! Both directions split **giant adjacency lists** into parallel chunk
 //! tasks when the backend supports it (see [`OutEdges::out_chunk_edges`]):
 //! a hub vertex whose list spans more than two chunks no longer serializes
-//! a round on one worker. Chunk boundaries are a pure function of degrees,
-//! so results stay identical at every thread count.
+//! a round on one worker. Chunk and block boundaries are a pure function of
+//! degrees, so results stay identical at every thread count.
 //!
 //! The unified entry point is the [`EdgeMap`] builder, which owns the
 //! traversal options and an optional [`Telemetry`] sink recording the
@@ -32,10 +33,9 @@ use crate::subset::{VertexSubset, VertexSubsetData};
 use crate::traits::{GraphRef, OutEdges};
 use julienne_graph::VertexId;
 use julienne_primitives::bitset::AtomicBitSet;
-use julienne_primitives::filter::filter_map;
+use julienne_primitives::filter::{filter_map, flatten};
 use julienne_primitives::scan::prefix_sums;
 use julienne_primitives::telemetry::{Counter, Telemetry};
-use julienne_primitives::unsafe_write::DisjointWriter;
 use rayon::prelude::*;
 
 /// Traversal strategy selection.
@@ -180,20 +180,20 @@ impl<'g, G: OutEdges> EdgeMap<'g, G> {
         Fu: Fn(VertexId, VertexId, G::W) -> bool + Send + Sync,
         Fc: Fn(VertexId) -> bool + Send + Sync,
     {
-        let (out, scanned) = sparse_counted(
-            self.g,
-            frontier_ids,
-            update,
-            cond,
-            self.opts.remove_duplicates,
-        );
+        let n = self.g.num_vertices();
+        let dedup = self.opts.remove_duplicates.then(|| AtomicBitSet::new(n));
+        let (hits, scanned) = sparse_blocked(self.g, frontier_ids, |u, v, w| {
+            let emit =
+                cond(v) && update(u, v, w) && dedup.as_ref().is_none_or(|bs| bs.set(v as usize));
+            emit.then_some(v)
+        });
         self.note(
             Counter::SparseTraversals,
             frontier_ids.len(),
             scanned,
-            out.len(),
+            hits.len(),
         );
-        out
+        VertexSubset::from_vertices(n, hits)
     }
 
     /// Sparse (push) data-carrying traversal over an explicit id list.
@@ -208,14 +208,20 @@ impl<'g, G: OutEdges> EdgeMap<'g, G> {
         Fu: Fn(VertexId, VertexId, G::W) -> Option<T> + Send + Sync,
         Fc: Fn(VertexId) -> bool + Send + Sync,
     {
-        let (out, scanned) = sparse_data_counted(self.g, frontier_ids, update, cond);
+        let (hits, scanned) = sparse_blocked(self.g, frontier_ids, |u, v, w| {
+            if cond(v) {
+                update(u, v, w).map(|t| (v, t))
+            } else {
+                None
+            }
+        });
         self.note(
             Counter::SparseTraversals,
             frontier_ids.len(),
             scanned,
-            out.len(),
+            hits.len(),
         );
-        out
+        VertexSubsetData::from_entries(self.g.num_vertices(), hits)
     }
 }
 
@@ -278,103 +284,69 @@ impl<'g, G: GraphRef> EdgeMap<'g, G> {
     }
 }
 
-/// Sparse push kernel; returns the new frontier and the edges scanned.
-fn sparse_counted<G, Fu, Fc>(
-    g: &G,
-    frontier_ids: &[VertexId],
-    update: Fu,
-    cond: Fc,
-    remove_duplicates: bool,
-) -> (VertexSubset, u64)
+/// Edges per block of [`sparse_blocked`] (GBBS's `edgeMapBlocked` size):
+/// enough work to pay for a block's buffer, few enough that a skewed
+/// frontier still yields many blocks. A constant, so block boundaries never
+/// depend on the thread count.
+const BLOCK_EDGES: usize = 4096;
+
+/// The sparse (push) driver behind every frontier-out traversal in this
+/// crate: applies `visit(u, v, w)` to each out-edge of `frontier_ids` and
+/// returns the `Some` results in (frontier position, edge position) order,
+/// plus the edges scanned.
+///
+/// The frontier's degree prefix sums are cut into blocks of about
+/// [`BLOCK_EDGES`] edges. A block owns every *unit* whose first edge falls
+/// in its range, a unit being a whole out-list or — for a list longer than
+/// twice the backend's [`OutEdges::out_chunk_edges`] — one chunk of it, so a
+/// hub spreads over many blocks. Each block appends its hits to its own
+/// buffer and the buffers are concatenated in block order: memory written
+/// is proportional to the hits, not to the edges scanned.
+pub(crate) fn sparse_blocked<G, T, F>(g: &G, frontier_ids: &[VertexId], visit: F) -> (Vec<T>, u64)
 where
     G: OutEdges,
-    Fu: Fn(VertexId, VertexId, G::W) -> bool + Send + Sync,
-    Fc: Fn(VertexId) -> bool + Send + Sync,
+    T: Copy + Send + Sync,
+    F: Fn(VertexId, VertexId, G::W) -> Option<T> + Send + Sync,
 {
-    const SENTINEL: VertexId = VertexId::MAX;
-    let n = g.num_vertices();
     let mut offsets: Vec<usize> = frontier_ids.par_iter().map(|&u| g.out_degree(u)).collect();
-    let max_deg = offsets.par_iter().copied().max().unwrap_or(0);
     let total = prefix_sums(&mut offsets);
-
-    let mut out: Vec<VertexId> = vec![SENTINEL; total];
-    let dedup = if remove_duplicates {
-        Some(AtomicBitSet::new(n))
-    } else {
-        None
+    let split = g.out_chunk_edges();
+    let scan_block = |lo: usize, hi: usize| {
+        let mut hits = Vec::new();
+        // Start at the list holding edge `lo`: the last one whose first
+        // edge is at or before it.
+        let mut i = offsets.partition_point(|&o| o <= lo).saturating_sub(1);
+        while i < offsets.len() && offsets[i] < hi {
+            let (u, base) = (frontier_ids[i], offsets[i]);
+            let end = offsets.get(i + 1).copied().unwrap_or(total);
+            let mut push = |v, w| {
+                if let Some(t) = visit(u, v, w) {
+                    hits.push(t);
+                }
+            };
+            if split != usize::MAX && end - base > split.saturating_mul(2) {
+                let first = lo.saturating_sub(base).div_ceil(split);
+                let last = (hi.min(end) - base).div_ceil(split);
+                for c in first..last {
+                    g.for_each_out_chunk(u, c, &mut push);
+                }
+            } else if base >= lo {
+                g.for_each_out(u, push);
+            }
+            i += 1;
+        }
+        hits
     };
-    {
-        let writer = DisjointWriter::new(&mut out);
-        let split = g.out_chunk_edges();
-        if split != usize::MAX && max_deg > split.saturating_mul(2) {
-            // A hub vertex dominates the frontier: split giant out-lists
-            // into per-chunk tasks so no single list serializes the round.
-            // Chunk c of u writes slots [base + c·split, ...) — the same
-            // slots the unsplit scan would use, so the output (and its
-            // ordering) is unchanged.
-            split_tasks(g, frontier_ids, &offsets, split)
-                .par_iter()
-                .for_each(|&(u, c, slot)| {
-                    let mut k = slot;
-                    g.for_each_out_chunk(u, c, |v, w| {
-                        if cond(v) && update(u, v, w) {
-                            let emit = match &dedup {
-                                Some(bs) => bs.set(v as usize),
-                                None => true,
-                            };
-                            if emit {
-                                // SAFETY: slot k lies in chunk c's private
-                                // slice of u's range.
-                                unsafe { writer.write(k, v) };
-                            }
-                        }
-                        k += 1;
-                    });
-                });
-        } else {
-            frontier_ids
-                .par_iter()
-                .zip(offsets.par_iter())
-                .for_each(|(&u, &base)| {
-                    let mut k = base;
-                    g.for_each_out(u, |v, w| {
-                        if cond(v) && update(u, v, w) {
-                            let emit = match &dedup {
-                                Some(bs) => bs.set(v as usize),
-                                None => true,
-                            };
-                            if emit {
-                                // SAFETY: slot k lies in u's private range.
-                                unsafe { writer.write(k, v) };
-                            }
-                        }
-                        k += 1;
-                    });
-                });
-        }
-    }
-    let result = filter_map(&out, |&v| if v == SENTINEL { None } else { Some(v) });
-    (VertexSubset::from_vertices(n, result), total as u64)
-}
-
-/// Materializes the `(source, chunk, slot base)` task list for a sparse
-/// push whose frontier contains at least one giant out-list. Chunk counts
-/// are a pure function of degrees, so the task set — and therefore the
-/// traversal's output — is identical at every thread count.
-fn split_tasks<G: OutEdges>(
-    g: &G,
-    frontier_ids: &[VertexId],
-    offsets: &[usize],
-    split: usize,
-) -> Vec<(VertexId, usize, usize)> {
-    let mut tasks = Vec::with_capacity(frontier_ids.len());
-    for (i, &u) in frontier_ids.iter().enumerate() {
-        let deg = g.out_degree(u);
-        for c in 0..deg.div_ceil(split) {
-            tasks.push((u, c, offsets[i] + c * split));
-        }
-    }
-    tasks
+    let hits = if total <= BLOCK_EDGES {
+        scan_block(0, total)
+    } else {
+        let blocks: Vec<Vec<T>> = (0..total.div_ceil(BLOCK_EDGES))
+            .into_par_iter()
+            .map(|b| scan_block(b * BLOCK_EDGES, ((b + 1) * BLOCK_EDGES).min(total)))
+            .collect();
+        flatten(&blocks)
+    };
+    (hits, total as u64)
 }
 
 /// Dense pull kernel; returns the new frontier and the in-edges examined
@@ -461,68 +433,6 @@ fn heavy_trigger(split: usize) -> usize {
     } else {
         split.saturating_mul(2)
     }
-}
-
-/// Sparse push data kernel; returns the data-subset and edges scanned.
-fn sparse_data_counted<G, T, Fu, Fc>(
-    g: &G,
-    frontier_ids: &[VertexId],
-    update: Fu,
-    cond: Fc,
-) -> (VertexSubsetData<T>, u64)
-where
-    G: OutEdges,
-    T: Copy + Send + Sync,
-    Fu: Fn(VertexId, VertexId, G::W) -> Option<T> + Send + Sync,
-    Fc: Fn(VertexId) -> bool + Send + Sync,
-{
-    let n = g.num_vertices();
-    let mut offsets: Vec<usize> = frontier_ids.par_iter().map(|&u| g.out_degree(u)).collect();
-    let max_deg = offsets.par_iter().copied().max().unwrap_or(0);
-    let total = prefix_sums(&mut offsets);
-
-    let mut out: Vec<Option<(VertexId, T)>> = vec![None; total];
-    {
-        let writer = DisjointWriter::new(&mut out);
-        let split = g.out_chunk_edges();
-        if split != usize::MAX && max_deg > split.saturating_mul(2) {
-            // Giant out-lists go through per-chunk tasks; slots match the
-            // unsplit scan, so the output ordering is unchanged.
-            split_tasks(g, frontier_ids, &offsets, split)
-                .par_iter()
-                .for_each(|&(u, c, slot)| {
-                    let mut k = slot;
-                    g.for_each_out_chunk(u, c, |v, w| {
-                        if cond(v) {
-                            if let Some(t) = update(u, v, w) {
-                                // SAFETY: slot k lies in chunk c's private
-                                // slice of u's range.
-                                unsafe { writer.write(k, Some((v, t))) };
-                            }
-                        }
-                        k += 1;
-                    });
-                });
-        } else {
-            frontier_ids
-                .par_iter()
-                .zip(offsets.par_iter())
-                .for_each(|(&u, &base)| {
-                    let mut k = base;
-                    g.for_each_out(u, |v, w| {
-                        if cond(v) {
-                            if let Some(t) = update(u, v, w) {
-                                // SAFETY: slot k lies in u's private range.
-                                unsafe { writer.write(k, Some((v, t))) };
-                            }
-                        }
-                        k += 1;
-                    });
-                });
-        }
-    }
-    let entries = filter_map(&out, |slot| *slot);
-    (VertexSubsetData::from_entries(n, entries), total as u64)
 }
 
 /// Dense pull data kernel; returns the data-subset and in-edges examined.

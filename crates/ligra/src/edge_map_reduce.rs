@@ -13,51 +13,13 @@
 //!   clears only touched entries, trading O(n) one-time space for fewer
 //!   passes (the A3 ablation compares the two).
 
+use crate::edge_map::sparse_blocked;
 use crate::subset::VertexSubsetData;
 use crate::traits::OutEdges;
 use julienne_graph::VertexId;
 use julienne_primitives::filter::filter_map;
-use julienne_primitives::scan::prefix_sums;
 use julienne_primitives::semisort::semisort_by_key;
-use julienne_primitives::unsafe_write::DisjointWriter;
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
-
-/// Gathers `(target, M(u,v,w))` for every edge out of `frontier_ids` whose
-/// target satisfies `cond`.
-fn gather_pairs<G, T, M, Fc>(
-    g: &G,
-    frontier_ids: &[VertexId],
-    map: M,
-    cond: Fc,
-) -> Vec<(VertexId, T)>
-where
-    G: OutEdges,
-    T: Copy + Send + Sync,
-    M: Fn(VertexId, VertexId, G::W) -> T + Send + Sync,
-    Fc: Fn(VertexId) -> bool + Send + Sync,
-{
-    let mut offsets: Vec<usize> = frontier_ids.par_iter().map(|&u| g.out_degree(u)).collect();
-    let total = prefix_sums(&mut offsets);
-    let mut out: Vec<Option<(VertexId, T)>> = vec![None; total];
-    {
-        let writer = DisjointWriter::new(&mut out);
-        frontier_ids
-            .par_iter()
-            .zip(offsets.par_iter())
-            .for_each(|(&u, &base)| {
-                let mut k = base;
-                g.for_each_out(u, |v, w| {
-                    if cond(v) {
-                        // SAFETY: slot k lies in u's private range.
-                        unsafe { writer.write(k, Some((v, map(u, v, w)))) };
-                    }
-                    k += 1;
-                });
-            });
-    }
-    filter_map(&out, |slot| *slot)
-}
 
 /// `edgeMapReduce`: per-target reduction of mapped edge values.
 ///
@@ -80,7 +42,11 @@ where
     Fc: Fn(VertexId) -> bool + Send + Sync,
 {
     let n = g.num_vertices();
-    let mut pairs = gather_pairs(g, frontier_ids, map, cond);
+    // `(target, M(u,v,w))` for every edge out of the frontier whose target
+    // satisfies `cond`.
+    let (mut pairs, _) = sparse_blocked(g, frontier_ids, |u, v, w| {
+        cond(v).then(|| (v, map(u, v, w)))
+    });
     if pairs.is_empty() {
         return VertexSubsetData::empty(n);
     }
@@ -145,32 +111,10 @@ where
 {
     let n = g.num_vertices();
     debug_assert_eq!(scratch.counts.len(), n);
-    const SENTINEL: VertexId = VertexId::MAX;
-
-    let mut offsets: Vec<usize> = frontier_ids.par_iter().map(|&u| g.out_degree(u)).collect();
-    let total = prefix_sums(&mut offsets);
-    let mut touched: Vec<VertexId> = vec![SENTINEL; total];
-    {
-        let writer = DisjointWriter::new(&mut touched);
-        frontier_ids
-            .par_iter()
-            .zip(offsets.par_iter())
-            .for_each(|(&u, &base)| {
-                let mut k = base;
-                g.for_each_out(u, |v, _| {
-                    if cond(v) {
-                        let prev = scratch.counts[v as usize].fetch_add(1, Ordering::Relaxed);
-                        if prev == 0 {
-                            // First toucher claims v for the output list.
-                            // SAFETY: slot k lies in u's private range.
-                            unsafe { writer.write(k, v) };
-                        }
-                    }
-                    k += 1;
-                });
-            });
-    }
-    let owners = filter_map(&touched, |&v| if v == SENTINEL { None } else { Some(v) });
+    let (owners, _) = sparse_blocked(g, frontier_ids, |_, v, _| {
+        // First toucher claims v for the output list.
+        (cond(v) && scratch.counts[v as usize].fetch_add(1, Ordering::Relaxed) == 0).then_some(v)
+    });
     let entries = filter_map(&owners, |&v| {
         let count = scratch.counts[v as usize].swap(0, Ordering::Relaxed);
         debug_assert!(count > 0);

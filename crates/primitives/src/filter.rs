@@ -47,7 +47,11 @@ where
         })
         .collect();
 
-    // Concatenate at scanned offsets.
+    flatten(&buffers)
+}
+
+/// Concatenates per-chunk buffers, in chunk order, at scanned offsets.
+pub fn flatten<U: Copy + Send + Sync>(buffers: &[Vec<U>]) -> Vec<U> {
     let mut counts: Vec<usize> = buffers.iter().map(Vec::len).collect();
     let total = prefix_sums(&mut counts);
     let mut out: Vec<U> = Vec::with_capacity(total);

@@ -7,9 +7,14 @@ use julienne_algorithms::registry::{GraphStore, ParamMap, Registry};
 use julienne_graph::generators::{rmat, RmatParams};
 use julienne_graph::transform::assign_weights;
 use julienne_server::json::Json;
-use julienne_server::{query_request, Client, Server, ShutdownHandle};
+use julienne_server::{
+    query_request, Client, SchedPolicy, SchedulerConfig, Server, ShutdownHandle,
+};
 use std::collections::HashMap;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::thread;
+use std::time::{Duration, Instant};
 
 /// The served graph: weighted + symmetric so every algorithm in the mix
 /// (k-core needs symmetry, Δ-stepping needs weights) runs on one store.
@@ -19,7 +24,15 @@ fn store(backend: Backend) -> GraphStore {
 }
 
 fn start(backend: Backend) -> (String, thread::JoinHandle<()>, ShutdownHandle) {
-    let server = Server::bind("127.0.0.1:0", &Engine::default(), store(backend)).unwrap();
+    start_with(backend, SchedulerConfig::default())
+}
+
+fn start_with(
+    backend: Backend,
+    config: SchedulerConfig,
+) -> (String, thread::JoinHandle<()>, ShutdownHandle) {
+    let server =
+        Server::bind_with("127.0.0.1:0", &Engine::default(), store(backend), config).unwrap();
     let addr = server.local_addr().unwrap().to_string();
     let handle = server.shutdown_handle();
     let join = thread::spawn(move || server.serve().unwrap());
@@ -43,16 +56,17 @@ const MIX: &[(&str, &[(&str, &str)])] = &[
     ),
 ];
 
+fn direct_answer(direct: &GraphStore, algo: &str, params: &[(&str, &str)]) -> String {
+    let pm = ParamMap::from_pairs(params.iter().map(|(k, v)| (k.to_string(), v.to_string())));
+    Registry::standard()
+        .run(algo, direct, &pm, &QueryCtx::default())
+        .unwrap()
+}
+
 fn direct_answers(backend: Backend) -> Vec<String> {
     let direct = store(backend);
     MIX.iter()
-        .map(|(algo, params)| {
-            let pm =
-                ParamMap::from_pairs(params.iter().map(|(k, v)| (k.to_string(), v.to_string())));
-            Registry::standard()
-                .run(algo, &direct, &pm, &QueryCtx::default())
-                .unwrap()
-        })
+        .map(|(algo, params)| direct_answer(&direct, algo, params))
         .collect()
 }
 
@@ -270,5 +284,97 @@ fn wire_shutdown_drains_the_server() {
     assert_eq!(resp.get("shutdown").and_then(Json::as_bool), Some(true));
 
     // serve() returns: all connection and worker threads joined.
+    join.join().unwrap();
+}
+
+#[test]
+fn refused_requests_never_wait_out_a_delayed_ack() {
+    // A reply written as two segments (body, then "\n") on a socket without
+    // TCP_NODELAY holds the second segment until the peer's delayed ACK:
+    // ~40 ms on every reply after a connection's first. A refused request
+    // does no work, so its round trip is the wire floor.
+    let (addr, join, handle) = start(Backend::Csr);
+    let mut client = Client::connect(&addr).unwrap();
+    let mut trips = Vec::new();
+    for i in 0..20 {
+        let sent = Instant::now();
+        client
+            .send_raw(&format!(r#"{{"id":"r{i}","algo":"nope"}}"#))
+            .unwrap();
+        let resp = client.recv().unwrap();
+        trips.push(sent.elapsed());
+        assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
+    }
+    let mut later = trips[1..].to_vec();
+    later.sort();
+    let median = later[later.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "median refused round trip {median:?} (all: {trips:?})"
+    );
+    handle.stop();
+    join.join().unwrap();
+}
+
+#[test]
+fn reply_bytes_are_golden() {
+    // The four reply shapes, byte for byte as they leave the socket.
+    let config = SchedulerConfig {
+        batch_window: Duration::from_millis(250),
+        cache_bytes: 1 << 20,
+        policy: SchedPolicy::Fifo,
+    };
+    let (addr, join, handle) = start_with(Backend::Csr, config);
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    // Sends the request lines in one write, reads one reply line for each.
+    let mut exchange = |requests: &[&str]| -> Vec<String> {
+        stream
+            .write_all((requests.join("\n") + "\n").as_bytes())
+            .unwrap();
+        requests
+            .iter()
+            .map(|_| {
+                let mut line = String::new();
+                reader.read_line(&mut line).unwrap();
+                line
+            })
+            .collect()
+    };
+    let direct = store(Backend::Csr);
+    let output = |algo: &str, params: &[(&str, &str)]| {
+        Json::Str(direct_answer(&direct, algo, params)).to_json()
+    };
+
+    let kcore = output("kcore", &[("top", "3")]);
+    assert_eq!(
+        exchange(&[r#"{"id":"g1","algo":"kcore","params":{"top":"3"}}"#]),
+        [format!(r#"{{"id":"g1","ok":true,"output":{kcore}}}"#) + "\n"]
+    );
+    assert_eq!(
+        exchange(&[r#"{"id":"g2","algo":"nope"}"#]),
+        [concat!(
+            r#"{"id":"g2","ok":false,"error":{"code":"usage","#,
+            r#""message":"unknown algorithm \"nope\""}}"#,
+            "\n"
+        )]
+    );
+    // Two pipelined wBFS queries land in one batch window and fuse.
+    let wbfs = |id: &str, src: &str| {
+        let out = output("sssp", &[("algo", "wbfs"), ("src", src)]);
+        format!(r#"{{"id":"{id}","ok":true,"output":{out},"batched":true}}"#) + "\n"
+    };
+    let mut fused = exchange(&[
+        r#"{"id":"g3","algo":"sssp","params":{"algo":"wbfs","src":"1"}}"#,
+        r#"{"id":"g4","algo":"sssp","params":{"algo":"wbfs","src":"2"}}"#,
+    ]);
+    fused.sort();
+    assert_eq!(fused, [wbfs("g3", "1"), wbfs("g4", "2")]);
+    assert_eq!(
+        exchange(&[r#"{"id":"g5","algo":"kcore","params":{"top":"3"}}"#]),
+        [format!(r#"{{"id":"g5","ok":true,"output":{kcore},"cached":true}}"#) + "\n"]
+    );
+
+    handle.stop();
     join.join().unwrap();
 }

@@ -1,0 +1,60 @@
+//! Allocation bound of the sparse `edgeMap`: memory written is proportional
+//! to the frontier and the hits, not to the edges scanned. Its own test
+//! binary, because it replaces the global allocator to count bytes.
+
+use julienne_repro::graph::builder::from_pairs;
+use julienne_repro::ligra::edge_map::EdgeMap;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Bytes requested from the allocator so far, by every thread.
+static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`; the counter is a
+// statistic and publishes no other data.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATED.fetch_add(layout.size(), Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATED.fetch_add(new_size, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+#[test]
+fn rejected_hub_scan_allocates_for_hits_not_for_edges() {
+    // A star: vertex 0 points at a million others. One slot per scanned
+    // edge would be 24 MB for this traversal.
+    const SPOKES: u32 = 1_000_000;
+    let pairs: Vec<(u32, u32)> = (1..=SPOKES).map(|v| (0, v)).collect();
+    let g = from_pairs(SPOKES as usize + 1, &pairs);
+    let em = EdgeMap::new(&g);
+    let hits_of = |keep: u32| {
+        let before = ALLOCATED.load(Ordering::Relaxed);
+        let out = em.run_sparse_data(&[0], |_, v, _| Some(v), |v| v <= keep);
+        (out.len(), ALLOCATED.load(Ordering::Relaxed) - before)
+    };
+    hits_of(0); // spawns the worker pool outside the measured calls
+
+    // Every target rejected: what is left is per block (an empty buffer
+    // and its offset, 1/4096 of the edges), not per edge.
+    let (hits, bytes) = hits_of(0);
+    assert_eq!(hits, 0);
+    assert!(bytes < 64 << 10, "{bytes} bytes for a scan with no hits");
+
+    // A thousand 8-byte hits cost their own size a few times over (buffer
+    // growth, then the concatenated copy), still nothing per edge.
+    let (hits, more) = hits_of(1_000);
+    assert_eq!(hits, 1_000);
+    assert!(more < bytes + (64 << 10), "{more} bytes for 1000 hits");
+}
