@@ -298,6 +298,11 @@ run env JULIENNE_NUM_THREADS=4 cargo test -q --workspace
 run env JULIENNE_NUM_THREADS=4 cargo test -q --test chaos_determinism
 run env JULIENNE_CHAOS_SEED=1 JULIENNE_NUM_THREADS=4 cargo test -q -p julienne bucket
 run env JULIENNE_CHAOS_SEED=1 JULIENNE_NUM_THREADS=4 cargo test -q -p rayon
+# The direct (one block) and blocked-histogram insertion paths must leave
+# the same bucket contents, in the same order, under any schedule.
+for seed in 1 24301; do
+    run env JULIENNE_CHAOS_SEED=$seed JULIENNE_NUM_THREADS=4 cargo test -q --test proptest_bucket --test alloc_bucket
+done
 # The chunked compressed backend's split traversal paths (per-chunk sparse
 # tasks, dense heavy-vertex scan) under the adversarial scheduler: results
 # must stay bit-identical to CSR.

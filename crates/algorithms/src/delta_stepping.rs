@@ -145,11 +145,16 @@ pub fn sssp<G: OutEdges<W = u32>>(
             break;
         };
         rounds += 1;
-        let round_edges = ids.par_iter().map(|&v| g.out_degree(v) as u64).sum::<u64>();
+        // One pass over the frontier: store the round-start snapshot and
+        // sum the out-degrees.
+        let round_edges = ids
+            .par_iter()
+            .map(|&v| {
+                snap[v as usize].store(sp[v as usize].load(Ordering::SeqCst), Ordering::SeqCst);
+                g.out_degree(v) as u64
+            })
+            .sum::<u64>();
         relaxations += round_edges;
-        ids.par_iter().for_each(|&v| {
-            snap[v as usize].store(sp[v as usize].load(Ordering::SeqCst), Ordering::SeqCst)
-        });
 
         // Update (Algorithm 2, lines 4–10): relax from the round-start
         // snapshot, with the flag CAS electing the unique visitor that

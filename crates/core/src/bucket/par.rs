@@ -10,10 +10,16 @@
 //!   `prev` (the paper measured the internal-map alternative at ~30% more
 //!   expensive);
 //! * `updateBuckets` writes identifiers directly to their destination
-//!   buckets with the blocked-histogram scatter of Section 3.3 (blocks of
-//!   M = 2048, strided scan), avoiding the semisort's shuffle — the
-//!   semisort route of Section 3.2 is kept as
-//!   [`Buckets::update_buckets_semisort`] for the ablation benchmarks;
+//!   buckets, avoiding the semisort's shuffle. A batch longer than one
+//!   block (M = 2048) goes through the blocked-histogram scatter of
+//!   Section 3.3 (per-block counts, strided scan, parallel scatter at
+//!   unique offsets). A batch of at most one block — where that scatter is
+//!   one sequential walk in input order anyway — is appended in that same
+//!   order without the counting pass, so a call costs per identifier moved
+//!   and nothing per open bucket. Construction and overflow redistribution
+//!   insert through the same kernel. The semisort route of Section 3.2 is
+//!   kept as [`Buckets::update_buckets_semisort`] for the ablation
+//!   benchmarks;
 //! * when the open window is exhausted, the overflow bucket is
 //!   redistributed by re-evaluating `D`, jumping `cur` to the window of the
 //!   smallest live key.
@@ -25,7 +31,7 @@ use super::{
     BucketDest, BucketId, BucketStats, Bucketing, Identifier, Order, SeqBuckets, NULL_BKT,
 };
 use julienne_primitives::filter::filter_map;
-use julienne_primitives::histogram::blocked_histogram;
+use julienne_primitives::histogram::{blocked_histogram, BLOCK_SIZE};
 use julienne_primitives::semisort::semisort_by_key;
 use julienne_primitives::telemetry::{Counter, Telemetry};
 use julienne_primitives::unsafe_write::DisjointWriter;
@@ -155,27 +161,20 @@ impl<D: Fn(Identifier) -> BucketId + Sync> BucketsBuilder<D> {
             stats: BucketStats::default(),
             telemetry,
         };
-        // Initial insertion of every bucketed identifier, via the same
-        // blocked-histogram machinery as updateBuckets. Slots are computed
-        // up front (the window starts at 0).
-        let slots: Vec<Option<usize>> = (0..n)
+        // One pass over D: only the bucketed identifiers are materialised
+        // and inserted, so an almost-empty start (SSSP buckets its source
+        // alone) costs n reads of D and nothing else per identifier.
+        let bucketed: Vec<(Identifier, BucketDest)> = (0..n)
             .into_par_iter()
-            .map(|i| {
+            .filter_map(|i| {
                 let b = (this.d)(i as Identifier);
-                if b == NULL_BKT {
-                    None
-                } else {
-                    let key = this.key_of(b);
-                    let window = key / num_open as u64;
-                    Some(if window == 0 {
-                        (key % num_open as u64) as usize
-                    } else {
-                        num_open
-                    })
-                }
+                (b != NULL_BKT).then(|| {
+                    let slot = this.slot_for_key(this.key_of(b));
+                    (i as Identifier, BucketDest(slot as u32))
+                })
             })
             .collect();
-        this.insert_with(n, &|k| slots[k], |k| k as Identifier);
+        this.insert(&bucketed);
         this
     }
 }
@@ -222,28 +221,49 @@ impl<D: Fn(Identifier) -> BucketId + Sync> Buckets<D> {
         }
     }
 
-    /// Shared insertion kernel: routes item `k in 0..len` to slot
-    /// `slot_of(k)` (`None` = skip), writing identifier `id_of(k)`.
-    fn insert_with<S, I>(&mut self, len: usize, slot_of: &S, id_of: I)
-    where
-        S: Fn(usize) -> Option<usize> + Sync,
-        I: Fn(usize) -> Identifier + Sync,
-    {
-        if len == 0 {
-            return;
+    /// The physical bucket behind a slot: an open bucket, or the overflow
+    /// bucket for slot `nB`.
+    #[inline]
+    fn slot_mut(&mut self, slot: usize) -> &mut Vec<Identifier> {
+        if slot == self.num_open {
+            &mut self.overflow
+        } else {
+            &mut self.open[slot]
         }
+    }
+
+    /// Shared insertion kernel of `build`, `update_buckets` and overflow
+    /// redistribution: appends every identifier with a non-null destination
+    /// to its slot, in input order within each slot, and returns how many
+    /// it appended.
+    fn insert(&mut self, moves: &[(Identifier, BucketDest)]) -> usize {
+        if moves.len() <= BLOCK_SIZE {
+            // One histogram block: the blocked scatter below would walk it
+            // sequentially and in this order anyway, so append directly and
+            // skip the per-call counting, scan and writer set-up. This is
+            // the many-small-rounds case (Figure 1's left side).
+            let mut inserted = 0;
+            for &(i, dest) in moves {
+                if !dest.is_null() {
+                    self.slot_mut(dest.0 as usize).push(i);
+                    inserted += 1;
+                }
+            }
+            return inserted;
+        }
+        let len = moves.len();
         let num_slots = self.num_open + 1;
+        let slot_of = |k: usize| {
+            let dest = moves[k].1;
+            (!dest.is_null()).then_some(dest.0 as usize)
+        };
         let hist = blocked_histogram(len, num_slots, slot_of);
 
         // Resize every destination bucket once, then scatter in parallel at
         // unique offsets.
         let mut old_lens = Vec::with_capacity(num_slots);
         for (s, total) in hist.slot_totals.iter().enumerate() {
-            let b = if s == self.num_open {
-                &mut self.overflow
-            } else {
-                &mut self.open[s]
-            };
+            let b = self.slot_mut(s);
             old_lens.push(b.len());
             b.resize(b.len() + total, 0);
         }
@@ -261,9 +281,10 @@ impl<D: Fn(Identifier) -> BucketId + Sync> Buckets<D> {
             hist.scatter(len, slot_of, |slot, pos, k| {
                 // SAFETY: the histogram hands each (slot, pos) to exactly
                 // one item.
-                unsafe { writers[slot].write(pos, id_of(k)) };
+                unsafe { writers[slot].write(pos, moves[k].0) };
             });
         }
+        hist.slot_totals.iter().sum()
     }
 
     /// Empties the overflow bucket back into the structure. Returns whether
@@ -310,11 +331,11 @@ impl<D: Fn(Identifier) -> BucketId + Sync> Buckets<D> {
         self.cur_local = (min_key % self.num_open as u64) as usize;
         self.stats.identifiers_redistributed += keyed.len() as u64;
 
-        let slots: Vec<usize> = keyed
+        let moves: Vec<(Identifier, BucketDest)> = keyed
             .par_iter()
-            .map(|&(_, key)| self.slot_for_key(key))
+            .map(|&(i, key)| (i, BucketDest(self.slot_for_key(key) as u32)))
             .collect();
-        self.insert_with(keyed.len(), &|k| Some(slots[k]), |k| keyed[k].0);
+        self.insert(&moves);
         true
     }
 
@@ -342,13 +363,8 @@ impl<D: Fn(Identifier) -> BucketId + Sync> Buckets<D> {
         // Semisort by destination slot, then bulk-append each group.
         let groups = semisort_by_key(&mut pairs, self.num_open as u32, |p| p.1);
         for g in groups {
-            let slot = g.key as usize;
-            let b = if slot == self.num_open {
-                &mut self.overflow
-            } else {
-                &mut self.open[slot]
-            };
-            b.extend(pairs[g.start..g.start + g.len].iter().map(|&(i, _)| i));
+            self.slot_mut(g.key as usize)
+                .extend(pairs[g.start..g.start + g.len].iter().map(|&(i, _)| i));
         }
     }
 
@@ -432,25 +448,13 @@ impl<D: Fn(Identifier) -> BucketId + Sync> Bucketing for Buckets<D> {
     }
 
     /// `updateBuckets` (Section 3.3): moves `moves.len()` identifiers to
-    /// their destinations with the blocked-histogram scatter.
+    /// their destinations — direct appends up to one histogram block, the
+    /// blocked-histogram scatter beyond.
     fn update_buckets(&mut self, moves: &[(Identifier, BucketDest)]) {
-        let nulls = moves.par_iter().filter(|(_, dest)| dest.is_null()).count() as u64;
-        self.stats.null_requests += nulls;
-        self.stats.identifiers_moved += moves.len() as u64 - nulls;
-        self.telemetry
-            .add(Counter::IdentifiersMoved, moves.len() as u64 - nulls);
-        self.insert_with(
-            moves.len(),
-            &|k| {
-                let (_, dest) = moves[k];
-                if dest.is_null() {
-                    None
-                } else {
-                    Some(dest.0 as usize)
-                }
-            },
-            |k| moves[k].0,
-        );
+        let moved = self.insert(moves) as u64;
+        self.stats.null_requests += moves.len() as u64 - moved;
+        self.stats.identifiers_moved += moved;
+        self.telemetry.add(Counter::IdentifiersMoved, moved);
     }
 
     /// `nextBucket` (Section 3.1): the id and live identifiers of the next

@@ -2,34 +2,12 @@
 //! to the frontier and the hits, not to the edges scanned. Its own test
 //! binary, because it replaces the global allocator to count bytes.
 
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::bytes_of;
 use julienne_repro::graph::builder::from_pairs;
 use julienne_repro::ligra::edge_map::EdgeMap;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Bytes requested from the allocator so far, by every thread.
-static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`; the counter is a
-// statistic and publishes no other data.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.fetch_add(layout.size(), Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATED.fetch_add(new_size, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 #[test]
 fn rejected_hub_scan_allocates_for_hits_not_for_edges() {
@@ -40,9 +18,8 @@ fn rejected_hub_scan_allocates_for_hits_not_for_edges() {
     let g = from_pairs(SPOKES as usize + 1, &pairs);
     let em = EdgeMap::new(&g);
     let hits_of = |keep: u32| {
-        let before = ALLOCATED.load(Ordering::Relaxed);
-        let out = em.run_sparse_data(&[0], |_, v, _| Some(v), |v| v <= keep);
-        (out.len(), ALLOCATED.load(Ordering::Relaxed) - before)
+        let (out, bytes) = bytes_of(|| em.run_sparse_data(&[0], |_, v, _| Some(v), |v| v <= keep));
+        (out.len(), bytes)
     };
     hits_of(0); // spawns the worker pool outside the measured calls
 

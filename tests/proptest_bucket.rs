@@ -1,9 +1,14 @@
 //! Property tests: the parallel bucket structure must produce exactly the
 //! same extraction sequence as the sequential reference (Section 3.2)
 //! under arbitrary initial bucketings and random monotone update streams,
-//! in both orders and at any number of open buckets.
+//! in both orders and at any number of open buckets. Around the histogram
+//! block size, where `updateBuckets` switches from direct appends to the
+//! blocked scatter, the comparison is exact: identifiers *and their order*.
+
+mod common;
 
 use julienne::bucket::{BucketDest, BucketStats, Bucketing, BucketsBuilder, Order, NULL_BKT};
+use julienne_primitives::histogram::BLOCK_SIZE as B;
 use julienne_primitives::rng::SplitMix64;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering as AtomicOrdering};
@@ -180,5 +185,130 @@ proptest! {
         want.sort_unstable();
         got.sort_unstable();
         prop_assert_eq!(got, want);
+    }
+}
+
+/// One `updateBuckets` batch of exactly `len` moves, applied after each of
+/// the first three extractions, mixing every kind of request: removals
+/// (null requests), fresh insertions into the current bucket, the open
+/// window and the overflow bucket, moves toward the current bucket, and
+/// reinsertions of just-extracted identifiers into the current bucket. No
+/// move starts and ends in the overflow bucket, so the two structures must
+/// agree on every counter, and — both appending in request order — on the
+/// order of every extraction.
+fn exact_order_at_batch_len(len: usize) {
+    const NUM_OPEN: usize = 16;
+    const BATCHES: usize = 3;
+    let n = (BATCHES + 1) * len + 64;
+    let mut rng = SplitMix64::new(len as u64);
+    let initial: Vec<u32> = (0..n)
+        .map(|_| {
+            if rng.next_range(2) == 0 {
+                NULL_BKT
+            } else {
+                rng.next_range(300) as u32
+            }
+        })
+        .collect();
+    let d_par: Vec<AtomicU32> = initial.iter().map(|&x| AtomicU32::new(x)).collect();
+    let d_seq: Vec<AtomicU32> = initial.iter().map(|&x| AtomicU32::new(x)).collect();
+    let set = |i: u32, b: u32| {
+        d_par[i as usize].store(b, AtomicOrdering::SeqCst);
+        d_seq[i as usize].store(b, AtomicOrdering::SeqCst);
+    };
+    let mut par = BucketsBuilder::new(
+        n,
+        |i: u32| d_par[i as usize].load(AtomicOrdering::SeqCst),
+        Order::Increasing,
+    )
+    .open_buckets(NUM_OPEN)
+    .build();
+    let mut seq = BucketsBuilder::new(
+        n,
+        |i: u32| d_seq[i as usize].load(AtomicOrdering::SeqCst),
+        Order::Increasing,
+    )
+    .build_seq();
+
+    // Each identifier is requested at most once, in a shuffled order, plus
+    // at most one reinsertion after it has been extracted.
+    let mut fresh: Vec<u32> = (0..n as u32).collect();
+    for k in (1..n).rev() {
+        fresh.swap(k, rng.next_range(k as u64 + 1) as usize);
+    }
+    let mut extracted = vec![false; n];
+    let mut reinserted = vec![false; n];
+    let mut batches = 0;
+    loop {
+        let (p, s) = (par.next_bucket(), seq.next_bucket());
+        assert_eq!(p, s, "extraction (ids and order) diverges at len {len}");
+        let Some((cur, ids)) = p else { break };
+        for &i in &ids {
+            extracted[i as usize] = true;
+        }
+        if batches == BATCHES {
+            continue;
+        }
+        batches += 1;
+        let window_end = (cur / NUM_OPEN as u32 + 1) * NUM_OPEN as u32;
+        // (identifier, prev, next) requests; D is updated as they are made.
+        let mut requests: Vec<(u32, u32, u32)> = Vec::with_capacity(len);
+        for &i in ids.iter().take(len / 8) {
+            if !std::mem::replace(&mut reinserted[i as usize], true) {
+                requests.push((i, cur, cur));
+            }
+        }
+        while requests.len() < len {
+            let i = fresh.pop().expect("enough fresh identifiers");
+            if extracted[i as usize] {
+                continue;
+            }
+            let old = d_par[i as usize].load(AtomicOrdering::SeqCst);
+            let new = if old == NULL_BKT {
+                match rng.next_range(3) {
+                    0 => cur,
+                    1 => cur + rng.next_range((window_end - cur) as u64) as u32,
+                    _ => window_end + rng.next_range(200) as u32,
+                }
+            } else if rng.next_range(3) == 0 {
+                NULL_BKT
+            } else {
+                // Toward cur, landing inside the open window (old > cur:
+                // everything at or before cur has been extracted).
+                cur + rng.next_range((old.min(window_end) - cur) as u64) as u32
+            };
+            set(i, new);
+            requests.push((i, old, new));
+        }
+        let moves = |b: &dyn Bucketing| -> Vec<(u32, BucketDest)> {
+            requests
+                .iter()
+                .map(|&(i, prev, next)| (i, b.get_bucket(i, prev, next)))
+                .collect()
+        };
+        let (moves_par, moves_seq) = (moves(&par), moves(&seq));
+        assert_eq!(moves_par.len(), len);
+        par.update_buckets(&moves_par);
+        seq.update_buckets(&moves_seq);
+    }
+    assert_eq!(batches, BATCHES, "workload too short for len {len}");
+    let (p, s) = (par.stats(), seq.stats());
+    assert_eq!(p.identifiers_extracted, s.identifiers_extracted);
+    assert_eq!(p.buckets_extracted, s.buckets_extracted);
+    assert_eq!(p.identifiers_moved, s.identifiers_moved);
+    assert_eq!(p.null_requests, s.null_requests);
+    assert!(p.null_requests > 0 || len == 1);
+    assert!(p.overflow_redistributions > 0);
+}
+
+#[test]
+fn batches_straddling_the_block_size_keep_sequential_order() {
+    // Under the ambient schedule; ci.sh runs this binary under two chaos
+    // seeds (`JULIENNE_CHAOS_SEED`, read once per process) rather than this
+    // test setting the process-global seed under its siblings.
+    for threads in [1, 2] {
+        for len in [1, B - 1, B, B + 1, 3 * B] {
+            common::at(threads, || exact_order_at_batch_len(len));
+        }
     }
 }
