@@ -22,6 +22,13 @@ if grep -rn '#\[deprecated' crates shims; then
     echo "ci.sh: deprecated attribute found; delete the old entry point instead"
     exit 1
 fi
+# edgeMapSum is emit / count / update with plain loads and stores: the locked
+# add per scanned edge (and the append branch behind it) cost k-core a third
+# of its wall time (EXPERIMENTS.md, "What a scanned edge cost edgeMapSum").
+if grep -nE 'fetch_add|fetch_sub|swap\(|compare_exchange' crates/ligra/src/edge_map_reduce.rs; then
+    echo "ci.sh: locked read-modify-write in edge_map_reduce.rs; count in the sequential pass instead"
+    exit 1
+fi
 
 # --- serve smoke test -------------------------------------------------------
 # End-to-end over a real socket: start `julienne serve`, fire concurrent

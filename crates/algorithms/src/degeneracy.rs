@@ -30,7 +30,11 @@ pub fn degeneracy_order<G: OutEdges>(g: &G) -> DegeneracyOrder {
     let degrees: Vec<AtomicU32> = (0..n)
         .map(|v| AtomicU32::new(g.out_degree(v as VertexId) as u32))
         .collect();
-    let d = |i: u32| degrees[i as usize].load(AtomicOrdering::SeqCst);
+    // ORDERING: `Relaxed` throughout the peel, by the invariant stated in
+    // `kcore::coreness`: emit only reads degrees, update writes each from one
+    // task per round, and fork–join separates the phases and the buckets'
+    // `d` reads.
+    let d = |i: u32| degrees[i as usize].load(AtomicOrdering::Relaxed);
     let mut buckets = BucketsBuilder::new(n, d, Order::Increasing).build();
     let scratch = SumScratch::new(n);
 
@@ -43,17 +47,17 @@ pub fn degeneracy_order<G: OutEdges>(g: &G) -> DegeneracyOrder {
             g,
             &ids,
             |v, removed| {
-                let induced = degrees[v as usize].load(AtomicOrdering::SeqCst);
+                let induced = degrees[v as usize].load(AtomicOrdering::Relaxed);
                 if induced > k {
                     let new_d = induced.saturating_sub(removed).max(k);
-                    degrees[v as usize].store(new_d, AtomicOrdering::SeqCst);
+                    degrees[v as usize].store(new_d, AtomicOrdering::Relaxed);
                     let dest = buckets.get_bucket(v, induced, new_d);
                     (!dest.is_null()).then_some(dest)
                 } else {
                     None
                 }
             },
-            |v| degrees[v as usize].load(AtomicOrdering::SeqCst) > k,
+            |v| degrees[v as usize].load(AtomicOrdering::Relaxed) > k,
             &scratch,
         );
         buckets.update_buckets(moved.entries());

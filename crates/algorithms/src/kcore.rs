@@ -70,7 +70,13 @@ pub fn coreness<G: OutEdges>(
     let degrees: Vec<AtomicU32> = (0..n)
         .map(|v| AtomicU32::new(g.out_degree(v as VertexId) as u32))
         .collect();
-    let d = |i: u32| degrees[i as usize].load(Ordering::SeqCst);
+    // ORDERING: every access to `degrees` in this function is `Relaxed`.
+    // Within a round, edgeMapSum's emit phase only reads degrees (`cond`),
+    // its update phase writes each degree from exactly one task (one call
+    // per distinct target), and the bucket structure reads `d` only inside
+    // `next_bucket`/`update_buckets`; these are separated by fork–join, which
+    // orders them, so no access races with a write.
+    let d = |i: u32| degrees[i as usize].load(Ordering::Relaxed);
     let mut buckets = engine.buckets(n, d, Order::Increasing);
     let telemetry = engine.telemetry();
     // Persistent per-neighbor counters for edgeMapSum (cleared per round in
@@ -103,10 +109,10 @@ pub fn coreness<G: OutEdges>(
             g,
             &ids,
             |v, edges_removed| {
-                let induced = degrees[v as usize].load(Ordering::SeqCst);
+                let induced = degrees[v as usize].load(Ordering::Relaxed);
                 if induced > k {
                     let new_d = induced.saturating_sub(edges_removed).max(k);
-                    degrees[v as usize].store(new_d, Ordering::SeqCst);
+                    degrees[v as usize].store(new_d, Ordering::Relaxed);
                     let dest = buckets.get_bucket(v, induced, new_d);
                     if dest.is_null() {
                         None
@@ -117,7 +123,7 @@ pub fn coreness<G: OutEdges>(
                     None
                 }
             },
-            |v| degrees[v as usize].load(Ordering::SeqCst) > k,
+            |v| degrees[v as usize].load(Ordering::Relaxed) > k,
             &scratch,
         );
         let relaxed = moved.entries().len() as u64;

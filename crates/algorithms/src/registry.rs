@@ -730,13 +730,21 @@ fn render_kcore(coreness: &[u32], top: usize, counters: Option<(u64, u64)>) -> S
         .enumerate()
         .map(|(v, &c)| (c, v as u32))
         .collect();
+    // Only `top` lines are printed: select them, then order just those. The
+    // comparator is total on distinct `(coreness, id)` pairs, so the prefix
+    // is the one a full sort would produce.
+    let top = top.min(by_core.len());
+    if top > 0 && top < by_core.len() {
+        by_core.select_nth_unstable_by(top - 1, |a, b| b.cmp(a));
+    }
+    by_core.truncate(top);
     by_core.sort_unstable_by(|a, b| b.cmp(a));
     let mut out = match counters {
         Some((rounds, moves)) => format!("k_max={k_max} rounds={rounds} moves={moves}\n"),
         None => format!("k_max={k_max}\n"),
     };
     let _ = writeln!(out, "top vertices by coreness:");
-    for (c, v) in by_core.into_iter().take(top) {
+    for (c, v) in by_core {
         let _ = writeln!(out, "  v{v}: coreness {c}");
     }
     out
@@ -1280,5 +1288,34 @@ mod tests {
             )
             .unwrap();
         assert!(out.contains("valid=yes"), "{out}");
+    }
+
+    #[test]
+    fn render_kcore_prints_what_a_full_sort_would() {
+        // The report before top-k selection: sort every pair, print `top`.
+        let full_sort = |coreness: &[u32], top: usize| {
+            let mut all: Vec<(u32, u32)> = coreness.iter().copied().zip(0u32..).collect();
+            all.sort_unstable_by(|a, b| b.cmp(a));
+            let mut out = format!("k_max={}\ntop vertices by coreness:\n", all[0].0);
+            for (c, v) in all.into_iter().take(top) {
+                let _ = writeln!(out, "  v{v}: coreness {c}");
+            }
+            out
+        };
+        // Many ties: every cut below falls inside a run of equal coreness,
+        // where only the id breaks the tie.
+        let coreness: Vec<u32> = (0..200u32).map(|v| (v * 7919) % 5).collect();
+        let n = coreness.len();
+        for top in [0, 1, 3, 39, 40, 41, n - 1, n, n + 1, usize::MAX] {
+            assert_eq!(
+                render_kcore(&coreness, top, None),
+                full_sort(&coreness, top),
+                "top={top}"
+            );
+        }
+        assert_eq!(
+            render_kcore(&[], 3, Some((0, 0))),
+            "k_max=0 rounds=0 moves=0\ntop vertices by coreness:\n"
+        );
     }
 }

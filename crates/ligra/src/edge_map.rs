@@ -182,10 +182,10 @@ impl<'g, G: OutEdges> EdgeMap<'g, G> {
     {
         let n = self.g.num_vertices();
         let dedup = self.opts.remove_duplicates.then(|| AtomicBitSet::new(n));
-        let (hits, scanned) = sparse_blocked(self.g, frontier_ids, |u, v, w| {
-            let emit =
-                cond(v) && update(u, v, w) && dedup.as_ref().is_none_or(|bs| bs.set(v as usize));
-            emit.then_some(v)
+        let (hits, scanned) = sparse_blocked(self.g, frontier_ids, |u, v, w, hits| {
+            if cond(v) && update(u, v, w) && dedup.as_ref().is_none_or(|bs| bs.set(v as usize)) {
+                hits.push(v);
+            }
         });
         self.note(
             Counter::SparseTraversals,
@@ -208,11 +208,11 @@ impl<'g, G: OutEdges> EdgeMap<'g, G> {
         Fu: Fn(VertexId, VertexId, G::W) -> Option<T> + Send + Sync,
         Fc: Fn(VertexId) -> bool + Send + Sync,
     {
-        let (hits, scanned) = sparse_blocked(self.g, frontier_ids, |u, v, w| {
+        let (hits, scanned) = sparse_blocked(self.g, frontier_ids, |u, v, w, hits| {
             if cond(v) {
-                update(u, v, w).map(|t| (v, t))
-            } else {
-                None
+                if let Some(t) = update(u, v, w) {
+                    hits.push((v, t));
+                }
             }
         });
         self.note(
@@ -291,9 +291,11 @@ impl<'g, G: GraphRef> EdgeMap<'g, G> {
 const BLOCK_EDGES: usize = 4096;
 
 /// The sparse (push) driver behind every frontier-out traversal in this
-/// crate: applies `visit(u, v, w)` to each out-edge of `frontier_ids` and
-/// returns the `Some` results in (frontier position, edge position) order,
-/// plus the edges scanned.
+/// crate: applies `visit(u, v, w, hits)` to each out-edge of `frontier_ids`,
+/// `hits` being the buffer `visit` appends its results to, and returns what
+/// was appended in (frontier position, edge position) order, plus the edges
+/// scanned. How a result is appended is the caller's: behind a branch when
+/// hits are rare, without one when they are a coin flip per edge.
 ///
 /// The frontier's degree prefix sums are cut into blocks of about
 /// [`BLOCK_EDGES`] edges. A block owns every *unit* whose first edge falls
@@ -306,7 +308,7 @@ pub(crate) fn sparse_blocked<G, T, F>(g: &G, frontier_ids: &[VertexId], visit: F
 where
     G: OutEdges,
     T: Copy + Send + Sync,
-    F: Fn(VertexId, VertexId, G::W) -> Option<T> + Send + Sync,
+    F: Fn(VertexId, VertexId, G::W, &mut Vec<T>) + Send + Sync,
 {
     let mut offsets: Vec<usize> = frontier_ids.par_iter().map(|&u| g.out_degree(u)).collect();
     let total = prefix_sums(&mut offsets);
@@ -319,11 +321,7 @@ where
         while i < offsets.len() && offsets[i] < hi {
             let (u, base) = (frontier_ids[i], offsets[i]);
             let end = offsets.get(i + 1).copied().unwrap_or(total);
-            let mut push = |v, w| {
-                if let Some(t) = visit(u, v, w) {
-                    hits.push(t);
-                }
-            };
+            let mut push = |v, w| visit(u, v, w, &mut hits);
             if split != usize::MAX && end - base > split.saturating_mul(2) {
                 let first = lo.saturating_sub(base).div_ceil(split);
                 let last = (hi.min(end) - base).div_ceil(split);

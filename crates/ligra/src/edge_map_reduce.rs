@@ -9,9 +9,12 @@
 //! Two implementations:
 //! * the default gathers live `(target, value)` pairs and aggregates them
 //!   with the semisort (the paper's theoretically-efficient route);
-//! * [`edge_map_sum_with_scratch`] keeps a reusable atomic counter array and
-//!   clears only touched entries, trading O(n) one-time space for fewer
-//!   passes (the A3 ablation compares the two).
+//! * [`edge_map_sum_with_scratch`] is the paper's histogram over a reusable
+//!   counter array, in three phases — emit the live targets, count them in
+//!   one pass, update each distinct target once — clearing only touched
+//!   counters, trading O(n) one-time space for fewer passes (the A3
+//!   ablation compares the two). No phase needs a locked read-modify-write;
+//!   `ci.sh` keeps it that way.
 
 use crate::edge_map::sparse_blocked;
 use crate::subset::VertexSubsetData;
@@ -44,8 +47,10 @@ where
     let n = g.num_vertices();
     // `(target, M(u,v,w))` for every edge out of the frontier whose target
     // satisfies `cond`.
-    let (mut pairs, _) = sparse_blocked(g, frontier_ids, |u, v, w| {
-        cond(v).then(|| (v, map(u, v, w)))
+    let (mut pairs, _) = sparse_blocked(g, frontier_ids, |u, v, w, pairs| {
+        if cond(v) {
+            pairs.push((v, map(u, v, w)));
+        }
     });
     if pairs.is_empty() {
         return VertexSubsetData::empty(n);
@@ -92,10 +97,13 @@ impl SumScratch {
     }
 }
 
-/// `edgeMapSum` via a persistent atomic counter array: every live edge
-/// increments its target's counter; the first incrementer claims the target
-/// for the output. Counters of touched vertices are reset before returning,
-/// keeping per-call work proportional to the traversed edges.
+/// `edgeMapSum` as a histogram over a persistent counter array: **emit**
+/// every live target in (frontier position, edge position) order, **count**
+/// them in one sequential pass that also keeps each target's first
+/// occurrence, then **update** each distinct target with its count.
+/// Counters of touched vertices are reset before returning, keeping per-call
+/// work proportional to the traversed edges, and the entry order is the same
+/// at every thread count by construction.
 pub fn edge_map_sum_with_scratch<G, O, U, Fc>(
     g: &G,
     frontier_ids: &[VertexId],
@@ -111,13 +119,31 @@ where
 {
     let n = g.num_vertices();
     debug_assert_eq!(scratch.counts.len(), n);
-    let (owners, _) = sparse_blocked(g, frontier_ids, |_, v, _| {
-        // First toucher claims v for the output list.
-        (cond(v) && scratch.counts[v as usize].fetch_add(1, Ordering::Relaxed) == 0).then_some(v)
+    // In a peel `cond` is a coin flip per edge, so the append must not branch
+    // on it: write the slot, keep it iff live.
+    let (mut live, _) = sparse_blocked(g, frontier_ids, |_, v, _, live| {
+        live.push(v);
+        live.truncate(live.len() - usize::from(!cond(v)));
     });
-    let entries = filter_map(&owners, |&v| {
-        let count = scratch.counts[v as usize].swap(0, Ordering::Relaxed);
-        debug_assert!(count > 0);
+    // ORDERING: this pass is the only code touching the counters and it runs
+    // on the calling thread, so `Relaxed` load + store is a plain increment;
+    // the fork–join around it orders it against the other two phases.
+    // First occurrences are compacted into the front of `live` itself:
+    // `owners <= i`, so the slot written was already read.
+    let mut owners = 0;
+    for i in 0..live.len() {
+        let v = live[i];
+        let count = &scratch.counts[v as usize];
+        let seen = count.load(Ordering::Relaxed);
+        count.store(seen + 1, Ordering::Relaxed);
+        live[owners] = v;
+        owners += usize::from(seen == 0);
+    }
+    live.truncate(owners);
+    // Each owner appears once, so exactly one task reads and clears a counter.
+    let entries = filter_map(&live, |&v| {
+        let count = scratch.counts[v as usize].load(Ordering::Relaxed);
+        scratch.counts[v as usize].store(0, Ordering::Relaxed);
         update(v, count).map(|o| (v, o))
     });
     VertexSubsetData::from_entries(n, entries)
