@@ -29,6 +29,12 @@ if grep -nE 'fetch_add|fetch_sub|swap\(|compare_exchange' crates/ligra/src/edge_
     echo "ci.sh: locked read-modify-write in edge_map_reduce.rs; count in the sequential pass instead"
     exit 1
 fi
+# The byte-compressed graph is one `Compressed<W>`; a weighted twin of the
+# struct, its decoder, its validator or its loader is the copy PR 19 removed.
+if grep -rnE 'struct CompressedWGraph|fn decode_wrun|fn validate_wrun|fn read_compressed_weighted' crates; then
+    echo "ci.sh: weight is a type parameter of the one compressed graph; do not copy the type"
+    exit 1
+fi
 
 # --- serve smoke test -------------------------------------------------------
 # End-to-end over a real socket: start `julienne serve`, fire concurrent

@@ -36,11 +36,11 @@ use crate::triangles::triangle_count;
 use crate::{delta_stepping, delta_stepping::SsspParams};
 use julienne::prelude::{Backend, QueryCtx};
 use julienne::Error;
-use julienne_graph::compress::{CompressedGraph, CompressedWGraph};
+use julienne_graph::compress::{Compressed, CompressedGraph, CompressedWGraph};
 use julienne_graph::container::{self, MappedGraph};
 use julienne_graph::io::{Format, GraphIo, IoOptions};
 use julienne_graph::snapshot::SnapshotGraph;
-use julienne_graph::{Graph, WGraph};
+use julienne_graph::{Graph, WGraph, Weight};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -82,6 +82,85 @@ pub enum GraphStore {
         /// Requested representation for generated inputs.
         backend: Backend,
     },
+}
+
+/// Binds `$g` to whatever graph `$store` holds and evaluates `$body`, or
+/// `$empty` when it holds none — the algorithms are generic over the graph
+/// traits, so one body serves every representation (a dynamic store reads
+/// its snapshot's CSR).
+macro_rules! any_graph_or {
+    ($store:expr, |$g:ident| $body:expr, $empty:expr) => {
+        match $store {
+            GraphStore::Csr(g) => {
+                let $g = g.as_ref();
+                $body
+            }
+            GraphStore::WCsr(g) => {
+                let $g = g.as_ref();
+                $body
+            }
+            GraphStore::Compressed(g) => {
+                let $g = g.as_ref();
+                $body
+            }
+            GraphStore::WCompressed(g) => {
+                let $g = g.as_ref();
+                $body
+            }
+            GraphStore::Mapped(g) => {
+                let $g = g.as_ref();
+                $body
+            }
+            GraphStore::WMapped(g) => {
+                let $g = g.as_ref();
+                $body
+            }
+            GraphStore::Dynamic { store, pinned } => {
+                let snap = GraphStore::dynamic_snapshot(store, pinned);
+                let $g = snap.csr();
+                $body
+            }
+            GraphStore::Empty { .. } => $empty,
+        }
+    };
+}
+
+/// [`any_graph_or!`] for algorithm `$id`, which needs a graph: an empty
+/// store is an input error.
+macro_rules! any_graph {
+    ($store:expr, $id:expr, |$g:ident| $body:expr) => {
+        any_graph_or!(
+            $store,
+            |$g| $body,
+            return Err(Error::input(format!("{} requires a graph input", $id)))
+        )
+    };
+}
+
+/// Like [`any_graph!`], restricted to the weighted representations.
+macro_rules! weighted_graph {
+    ($store:expr, $id:expr, |$g:ident| $body:expr) => {
+        match $store {
+            GraphStore::WCsr(g) => {
+                let $g = g.as_ref();
+                $body
+            }
+            GraphStore::WCompressed(g) => {
+                let $g = g.as_ref();
+                $body
+            }
+            GraphStore::WMapped(g) => {
+                let $g = g.as_ref();
+                $body
+            }
+            _ => {
+                return Err(Error::input(format!(
+                    "{} requires a weighted graph input",
+                    $id
+                )))
+            }
+        }
+    };
 }
 
 impl GraphStore {
@@ -178,30 +257,11 @@ impl GraphStore {
                     Ok(GraphStore::Mapped(Arc::new(MappedGraph::open(path)?)))
                 }
             }
-            Backend::Compressed => {
-                if fmt == Format::Container && container::peek(path)?.has_compressed {
-                    return Ok(if weighted {
-                        GraphStore::WCompressed(Arc::new(container::read_compressed_weighted(
-                            path,
-                        )?))
-                    } else {
-                        GraphStore::Compressed(Arc::new(container::read_compressed(path)?))
-                    });
-                }
-                let opts = IoOptions {
-                    format: Some(fmt),
-                    ..Default::default()
-                };
-                Ok(if weighted {
-                    GraphStore::WCompressed(Arc::new(CompressedWGraph::from_csr(&GraphIo::read(
-                        path, &opts,
-                    )?)))
-                } else {
-                    GraphStore::Compressed(Arc::new(CompressedGraph::from_csr(&GraphIo::read(
-                        path, &opts,
-                    )?)))
-                })
-            }
+            Backend::Compressed => Ok(if weighted {
+                GraphStore::WCompressed(Arc::new(open_compressed(path, fmt)?))
+            } else {
+                GraphStore::Compressed(Arc::new(open_compressed(path, fmt)?))
+            }),
             Backend::Csr => {
                 let opts = IoOptions {
                     format: Some(fmt),
@@ -235,52 +295,29 @@ impl GraphStore {
         )
     }
 
+    /// `(n, m, symmetric)` of the held graph — one dispatch over the
+    /// graph traits, `(0, 0, false)` when empty.
+    fn shape(&self) -> (usize, usize, bool) {
+        any_graph_or!(
+            self,
+            |g| (g.num_vertices(), g.num_edges(), g.is_symmetric()),
+            (0, 0, false)
+        )
+    }
+
     /// Vertex count (0 when empty).
     pub fn num_vertices(&self) -> usize {
-        match self {
-            GraphStore::Csr(g) => g.num_vertices(),
-            GraphStore::WCsr(g) => g.num_vertices(),
-            GraphStore::Compressed(g) => g.num_vertices(),
-            GraphStore::WCompressed(g) => g.num_vertices(),
-            GraphStore::Mapped(g) => g.num_vertices(),
-            GraphStore::WMapped(g) => g.num_vertices(),
-            GraphStore::Dynamic { store, pinned } => {
-                Self::dynamic_snapshot(store, pinned).num_vertices()
-            }
-            GraphStore::Empty { .. } => 0,
-        }
+        self.shape().0
     }
 
     /// Directed edge count (0 when empty).
     pub fn num_edges(&self) -> usize {
-        match self {
-            GraphStore::Csr(g) => g.num_edges(),
-            GraphStore::WCsr(g) => g.num_edges(),
-            GraphStore::Compressed(g) => g.num_edges(),
-            GraphStore::WCompressed(g) => g.num_edges(),
-            GraphStore::Mapped(g) => g.num_edges(),
-            GraphStore::WMapped(g) => g.num_edges(),
-            GraphStore::Dynamic { store, pinned } => {
-                Self::dynamic_snapshot(store, pinned).num_edges()
-            }
-            GraphStore::Empty { .. } => 0,
-        }
+        self.shape().1
     }
 
     /// Whether the stored graph is symmetric (false when empty).
     pub fn is_symmetric(&self) -> bool {
-        match self {
-            GraphStore::Csr(g) => g.is_symmetric(),
-            GraphStore::WCsr(g) => g.is_symmetric(),
-            GraphStore::Compressed(g) => g.is_symmetric(),
-            GraphStore::WCompressed(g) => g.is_symmetric(),
-            GraphStore::Mapped(g) => g.is_symmetric(),
-            GraphStore::WMapped(g) => g.is_symmetric(),
-            GraphStore::Dynamic { store, pinned } => {
-                Self::dynamic_snapshot(store, pinned).is_symmetric()
-            }
-            GraphStore::Empty { .. } => false,
-        }
+        self.shape().2
     }
 
     fn require_nonempty(&self) -> Result<(), Error> {
@@ -302,6 +339,20 @@ impl GraphStore {
     }
 }
 
+/// The compressed load: a `.jgr` container with an embedded payload hands
+/// over its pre-encoded blocks verbatim; anything else is read as CSR and
+/// byte-compressed in memory.
+fn open_compressed<W: Weight>(path: &Path, fmt: Format) -> Result<Compressed<W>, Error> {
+    if fmt == Format::Container && container::peek(path)?.has_compressed {
+        return container::read_compressed(path);
+    }
+    let opts = IoOptions {
+        format: Some(fmt),
+        ..Default::default()
+    };
+    Ok(Compressed::from_csr(&GraphIo::read(path, &opts)?))
+}
+
 impl std::fmt::Debug for GraphStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -313,74 +364,6 @@ impl std::fmt::Debug for GraphStore {
             self.num_edges()
         )
     }
-}
-
-/// Binds `$g` to whatever graph `$store` holds and evaluates `$body` —
-/// the algorithms are generic over the graph traits, so one body serves
-/// all six representations.
-macro_rules! any_graph {
-    ($store:expr, $id:expr, |$g:ident| $body:expr) => {
-        match $store {
-            GraphStore::Csr(g) => {
-                let $g = g.as_ref();
-                $body
-            }
-            GraphStore::WCsr(g) => {
-                let $g = g.as_ref();
-                $body
-            }
-            GraphStore::Compressed(g) => {
-                let $g = g.as_ref();
-                $body
-            }
-            GraphStore::WCompressed(g) => {
-                let $g = g.as_ref();
-                $body
-            }
-            GraphStore::Mapped(g) => {
-                let $g = g.as_ref();
-                $body
-            }
-            GraphStore::WMapped(g) => {
-                let $g = g.as_ref();
-                $body
-            }
-            GraphStore::Dynamic { store, pinned } => {
-                let snap = GraphStore::dynamic_snapshot(store, pinned);
-                let $g = snap.as_ref();
-                $body
-            }
-            GraphStore::Empty { .. } => {
-                return Err(Error::input(format!("{} requires a graph input", $id)))
-            }
-        }
-    };
-}
-
-/// Like [`any_graph!`], restricted to the weighted representations.
-macro_rules! weighted_graph {
-    ($store:expr, $id:expr, |$g:ident| $body:expr) => {
-        match $store {
-            GraphStore::WCsr(g) => {
-                let $g = g.as_ref();
-                $body
-            }
-            GraphStore::WCompressed(g) => {
-                let $g = g.as_ref();
-                $body
-            }
-            GraphStore::WMapped(g) => {
-                let $g = g.as_ref();
-                $body
-            }
-            _ => {
-                return Err(Error::input(format!(
-                    "{} requires a weighted graph input",
-                    $id
-                )))
-            }
-        }
-    };
 }
 
 /// String-keyed parameters with typed getters and unknown-key rejection —

@@ -120,14 +120,14 @@ fn main() {
         let new = measure(reps, edges, || {
             let mut sum = 0u64;
             for &v in &vs {
-                legacy.for_each_neighbor(v, |u| sum = sum.wrapping_add(u as u64));
+                legacy.for_each_out(v, |u, ()| sum = sum.wrapping_add(u as u64));
             }
             sum
         });
         let chk = measure(reps, edges, || {
             let mut sum = 0u64;
             for &v in &vs {
-                chunked.for_each_neighbor(v, |u| sum = sum.wrapping_add(u as u64));
+                chunked.for_each_out(v, |u, ()| sum = sum.wrapping_add(u as u64));
             }
             sum
         });
@@ -199,7 +199,7 @@ fn main() {
         let new = measure(reps, edges, || {
             let mut sum = 0u64;
             for &v in &vs {
-                wlegacy.for_each_edge(v, |u, w| {
+                wlegacy.for_each_out(v, |u, w| {
                     sum = sum.wrapping_add(u as u64).wrapping_add(w as u64);
                 });
             }
@@ -208,7 +208,7 @@ fn main() {
         let chk = measure(reps, edges, || {
             let mut sum = 0u64;
             for &v in &vs {
-                wchunked.for_each_edge(v, |u, w| {
+                wchunked.for_each_out(v, |u, w| {
                     sum = sum.wrapping_add(u as u64).wrapping_add(w as u64);
                 });
             }

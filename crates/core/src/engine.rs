@@ -47,8 +47,9 @@ pub enum Backend {
     /// Plain CSR adjacency arrays (`Csr<W>`).
     #[default]
     Csr,
-    /// Ligra+-style byte-compressed adjacency (`CompressedGraph` /
-    /// `CompressedWGraph`), built by compressing the CSR after load.
+    /// Ligra+-style byte-compressed adjacency (`Compressed<W>`): a `.jgr`
+    /// container's embedded payload adopted verbatim, or any other input
+    /// compressed from its CSR after load.
     Compressed,
     /// Zero-copy memory-mapped `.jgr` container (`MappedGraph<W>`): the
     /// graph is served straight from the mapped file, so opening does no

@@ -7,6 +7,12 @@
 //! the 225B-edge Hyperlink graph in 1TB; here it demonstrates the same
 //! neighbor-iteration abstraction on compressed storage.
 //!
+//! The edge weight is a type parameter, as for [`Csr`]: [`Compressed<()>`]
+//! stores gaps only, any other [`Weight`] interleaves one weight codeword
+//! after each gap (Ligra+'s weighted byte codes). That is the *only*
+//! difference between the two, and it is decided by [`Weight::IS_UNIT`] at
+//! monomorphisation — one encoder, one validator, one traversal method set.
+//!
 //! Decoding runs on the table-driven cursor in [`crate::decode`] — a
 //! first-byte code table plus a word-at-a-time continuation scan — with the
 //! gap accumulation fused into the traversal loops, so the hot path is one
@@ -25,11 +31,13 @@
 //! the whole block. `chunk_size == 0` is the legacy unchunked layout —
 //! byte-identical to what pre-chunking builds (and `.jgr` payloads) encode.
 
-use crate::csr::Csr;
+use crate::csr::{Csr, Weight};
 use crate::decode::{put_varint, zigzag_decode, zigzag_encode, BlockDecoder};
 use crate::VertexId;
 use julienne_primitives::scan::prefix_sums;
+use julienne_primitives::unsafe_write::DisjointWriter;
 use rayon::prelude::*;
+use std::marker::PhantomData;
 
 /// Default edges-per-chunk for freshly encoded graphs. Small enough that a
 /// hub vertex yields many parallel decode tasks, large enough that the
@@ -37,9 +45,12 @@ use rayon::prelude::*;
 /// power-law graphs).
 pub const DEFAULT_CHUNK_SIZE: u32 = 256;
 
-/// A compressed unweighted graph: per-vertex byte-coded neighbor blocks.
+/// A byte-compressed graph: per-vertex blocks of gap codewords, each
+/// followed by a weight codeword unless `W` is the unit weight. Weight
+/// codewords are 32-bit (the fused pair kernel decodes them into a `u32`
+/// lane), so a wider `W` must hold values that fit.
 #[derive(Clone, Debug)]
-pub struct CompressedGraph {
+pub struct Compressed<W: Weight> {
     n: usize,
     m: usize,
     /// Byte offset of each vertex's block (length n+1).
@@ -53,17 +64,29 @@ pub struct CompressedGraph {
     symmetric: bool,
     /// Byte-compressed transpose for dense (pull) traversals of directed
     /// graphs; symmetric graphs are their own in-view and leave this empty.
-    in_graph: Option<Box<CompressedGraph>>,
+    in_graph: Option<Box<Compressed<W>>>,
+    _weight: PhantomData<W>,
 }
 
-/// Encodes one run of sorted neighbors: zig-zag first delta, then gaps.
-fn encode_run(v: VertexId, neighbors: &[VertexId], out: &mut Vec<u8>) {
+/// Unweighted compressed graph.
+pub type CompressedGraph = Compressed<()>;
+/// Integer-weighted compressed graph.
+pub type CompressedWGraph = Compressed<u32>;
+
+/// Encodes one run of edges sorted by target: zig-zag first delta, then
+/// gaps, each followed by its weight codeword when `W` carries one.
+fn encode_run<W: Weight>(v: VertexId, edges: &[(VertexId, W)], out: &mut Vec<u8>) {
     let mut prev = 0u32;
-    for (i, &u) in neighbors.iter().enumerate() {
+    for (i, &(u, w)) in edges.iter().enumerate() {
         if i == 0 {
             put_varint(out, zigzag_encode(u as i64 - v as i64));
         } else {
             put_varint(out, (u - prev) as u64);
+        }
+        if !W::IS_UNIT {
+            let w = w.to_u64();
+            assert!(w <= u64::from(u32::MAX), "weight {w} overflows u32");
+            put_varint(out, w);
         }
         prev = u;
     }
@@ -71,58 +94,56 @@ fn encode_run(v: VertexId, neighbors: &[VertexId], out: &mut Vec<u8>) {
 
 /// Lays out one block, splitting into decode chunks when the degree
 /// exceeds `chunk_size` (see the module docs for the layout).
-fn encode_chunked(
-    deg: usize,
+fn encode_block<W: Weight>(
+    v: VertexId,
+    edges: &[(VertexId, W)],
     chunk_size: usize,
     out: &mut Vec<u8>,
-    mut encode_range: impl FnMut(usize, usize, &mut Vec<u8>),
 ) {
-    if chunk_size == 0 || deg <= chunk_size {
-        encode_range(0, deg, out);
+    if chunk_size == 0 || edges.len() <= chunk_size {
+        encode_run(v, edges, out);
         return;
     }
-    let nc = deg.div_ceil(chunk_size);
-    let mut bodies = Vec::with_capacity(deg * 2);
-    let mut lens = Vec::with_capacity(nc);
-    let mut lo = 0;
-    while lo < deg {
-        let hi = (lo + chunk_size).min(deg);
+    let mut bodies = Vec::with_capacity(edges.len() * 2);
+    let mut lens = Vec::with_capacity(edges.len().div_ceil(chunk_size));
+    for chunk in edges.chunks(chunk_size) {
         let start = bodies.len();
-        encode_range(lo, hi, &mut bodies);
+        encode_run(v, chunk, &mut bodies);
         lens.push(bodies.len() - start);
-        lo = hi;
     }
-    for &l in &lens[..nc - 1] {
+    for &l in &lens[..lens.len() - 1] {
         put_varint(out, l as u64);
     }
     out.extend_from_slice(&bodies);
 }
 
-fn encode_block(v: VertexId, neighbors: &[VertexId], chunk_size: usize, out: &mut Vec<u8>) {
-    debug_assert!(neighbors.windows(2).all(|w| w[0] < w[1]), "must be sorted");
-    encode_chunked(neighbors.len(), chunk_size, out, |lo, hi, buf| {
-        encode_run(v, &neighbors[lo..hi], buf);
-    });
+/// The weight codeword after a gap — nothing to read for the unit weight.
+#[inline(always)]
+fn decode_weight<W: Weight>(dec: &mut BlockDecoder<'_>) -> W {
+    if W::IS_UNIT {
+        W::default()
+    } else {
+        W::from_u64(dec.varint())
+    }
 }
 
-/// Decodes one neighbor run with the gap accumulation fused in, stopping
-/// when `f` returns `false`. Wrapping adds keep debug and release behavior
-/// identical on (unvalidated, in-memory) corrupt input; validated graphs
-/// never wrap.
+/// Decodes one run with the gap accumulation fused in, stopping when `f`
+/// returns `false`. Wrapping adds keep debug and release behavior identical
+/// on (unvalidated, in-memory) corrupt input; validated graphs never wrap.
 #[inline]
-fn decode_run<F: FnMut(VertexId) -> bool>(
+fn decode_run<W: Weight, F: FnMut(VertexId, W) -> bool>(
     v: VertexId,
     dec: &mut BlockDecoder<'_>,
     cnt: usize,
     f: &mut F,
 ) -> bool {
     let mut cur = (v as i64).wrapping_add(zigzag_decode(dec.varint())) as VertexId;
-    if !f(cur) {
+    if !f(cur, decode_weight(dec)) {
         return false;
     }
     for _ in 1..cnt {
         cur = cur.wrapping_add(dec.varint() as VertexId);
-        if !f(cur) {
+        if !f(cur, decode_weight(dec)) {
             return false;
         }
     }
@@ -133,62 +154,27 @@ fn decode_run<F: FnMut(VertexId) -> bool>(
 /// decoded unconditionally, keeping the per-edge loop free of the bool
 /// check for the (dominant) full-scan traversals.
 #[inline(always)]
-fn decode_run_all<F: FnMut(VertexId)>(
+fn decode_run_all<W: Weight, F: FnMut(VertexId, W)>(
     v: VertexId,
     dec: &mut BlockDecoder<'_>,
     cnt: usize,
     f: &mut F,
 ) {
     let cur = (v as i64).wrapping_add(zigzag_decode(dec.varint())) as VertexId;
-    f(cur);
-    // Fused bulk decode: the window scan peels several codewords per
-    // 8-byte load *and* carries the gap accumulation, so uniform windows
-    // produce neighbor ids through a log-depth prefix tree instead of a
-    // serial per-edge add chain.
-    dec.for_each_delta_sum(cur, cnt - 1, f);
-}
-
-/// Weighted twin of [`decode_run`]: gap and weight codewords interleave.
-#[inline]
-fn decode_wrun<F: FnMut(VertexId, u32) -> bool>(
-    v: VertexId,
-    dec: &mut BlockDecoder<'_>,
-    cnt: usize,
-    f: &mut F,
-) -> bool {
-    let mut cur = (v as i64).wrapping_add(zigzag_decode(dec.varint())) as VertexId;
-    let w = dec.varint() as u32;
-    if !f(cur, w) {
-        return false;
+    f(cur, decode_weight(dec));
+    // Fused bulk decode: the window scan peels several codewords per 8-byte
+    // load *and* carries the gap accumulation (and, weighted, the gap/weight
+    // interleave), so uniform windows produce neighbor ids through a
+    // log-depth prefix tree instead of a serial per-edge add chain.
+    if W::IS_UNIT {
+        dec.for_each_delta_sum(cur, cnt - 1, |u| f(u, W::default()));
+    } else {
+        dec.for_each_delta_weight(cur, cnt - 1, |u, w| f(u, W::from_u64(u64::from(w))));
     }
-    for _ in 1..cnt {
-        cur = cur.wrapping_add(dec.varint() as VertexId);
-        let w = dec.varint() as u32;
-        if !f(cur, w) {
-            return false;
-        }
-    }
-    true
 }
 
-/// [`decode_wrun`] without the early-exit plumbing.
-#[inline(always)]
-fn decode_wrun_all<F: FnMut(VertexId, u32)>(
-    v: VertexId,
-    dec: &mut BlockDecoder<'_>,
-    cnt: usize,
-    f: &mut F,
-) {
-    let cur = (v as i64).wrapping_add(zigzag_decode(dec.varint())) as VertexId;
-    f(cur, dec.varint() as u32);
-    // Fused pair decode: the window scan peels (gap, weight) pairs with
-    // the accumulation and interleave built in, so uniform runs decode
-    // four pairs per load instead of toggling parity per codeword.
-    dec.for_each_delta_weight(cur, cnt - 1, f);
-}
-
-/// Structural checks shared by both compressed graph types: array lengths,
-/// monotone offsets covering `data` exactly, and degrees summing to `m`.
+/// Structural checks: array lengths, monotone offsets covering `data`
+/// exactly, and degrees summing to `m`.
 fn validate_parts(
     n: usize,
     m: usize,
@@ -225,71 +211,43 @@ fn validate_parts(
     Ok(())
 }
 
-/// Walks every block in parallel with the fallible decoder, proving each
-/// one decodes to exactly its degree within its byte span. `run` validates
-/// one (re-anchored) chunk body of `cnt` edges.
-fn validate_blocks(
-    n: usize,
-    offsets: &[u64],
-    degrees: &[u32],
-    data: &[u8],
-    chunk_size: u32,
-    run: impl Fn(&mut BlockDecoder<'_>, VertexId, usize) -> Result<(), String> + Sync,
-) -> Result<(), String> {
-    let errs: Vec<String> = (0..n as VertexId)
-        .into_par_iter()
-        .filter_map(|v| {
-            validate_block(v, offsets, degrees, data, chunk_size, &run)
-                .err()
-                .map(|e| format!("vertex {v}: {e}"))
-        })
-        .collect();
-    errs.into_iter().next().map_or(Ok(()), Err)
+/// Edges per independently decodable chunk for a stored chunk size: the
+/// size itself, or `usize::MAX` for the legacy layout (`0`), whose blocks
+/// are one run each.
+#[inline]
+fn chunk_edges(chunk_size: u32) -> usize {
+    match chunk_size {
+        0 => usize::MAX,
+        cs => cs as usize,
+    }
 }
 
-fn validate_block(
+/// Walks one block with the fallible decoder, proving it decodes to exactly
+/// its degree within its byte span and agrees with its chunk header.
+fn validate_block<W: Weight>(
+    n: usize,
     v: VertexId,
-    offsets: &[u64],
-    degrees: &[u32],
-    data: &[u8],
+    deg: usize,
+    block: &[u8],
     chunk_size: u32,
-    run: &(impl Fn(&mut BlockDecoder<'_>, VertexId, usize) -> Result<(), String> + Sync),
 ) -> Result<(), String> {
-    let deg = degrees[v as usize] as usize;
-    let block = &data[offsets[v as usize] as usize..offsets[v as usize + 1] as usize];
-    if deg == 0 {
-        return if block.is_empty() {
-            Ok(())
-        } else {
-            Err(format!("{} bytes in zero-degree block", block.len()))
-        };
-    }
-    let cs = chunk_size as usize;
+    let cs = chunk_edges(chunk_size);
+    let nc = deg.div_ceil(cs);
     let mut dec = BlockDecoder::new(block);
-    if cs != 0 && deg > cs {
-        let nc = deg.div_ceil(cs);
-        let mut lens = Vec::with_capacity(nc - 1);
-        for _ in 0..nc - 1 {
-            lens.push(dec.try_varint().map_err(String::from)?);
+    let mut lens = Vec::with_capacity(nc.saturating_sub(1));
+    for _ in 1..nc {
+        lens.push(dec.try_varint().map_err(String::from)?);
+    }
+    for ci in 0..nc {
+        let start = dec.pos();
+        validate_run::<W>(n, v, &mut dec, cs.min(deg - ci * cs))?;
+        let len = (dec.pos() - start) as u64;
+        if lens.get(ci).is_some_and(|&want| want != len) {
+            return Err(format!(
+                "chunk {ci} body is {len} bytes, header says {}",
+                lens[ci]
+            ));
         }
-        let mut done = 0;
-        let mut ci = 0;
-        while done < deg {
-            let cnt = cs.min(deg - done);
-            let start = dec.pos();
-            run(&mut dec, v, cnt)?;
-            if ci + 1 < nc && (dec.pos() - start) as u64 != lens[ci] {
-                return Err(format!(
-                    "chunk {ci} body is {} bytes, header says {}",
-                    dec.pos() - start,
-                    lens[ci]
-                ));
-            }
-            done += cnt;
-            ci += 1;
-        }
-    } else {
-        run(&mut dec, v, deg)?;
     }
     if dec.pos() != block.len() {
         return Err(format!(
@@ -300,80 +258,51 @@ fn validate_block(
     Ok(())
 }
 
-/// Validates one unweighted chunk body: in-range first delta, gaps that
-/// stay inside `[0, n)`.
-fn validate_run(
+/// Validates one chunk body: in-range first delta, gaps that stay inside
+/// `[0, n)`, and (weighted) a weight codeword after each that fits `u32`.
+fn validate_run<W: Weight>(
     n: usize,
     v: VertexId,
     dec: &mut BlockDecoder<'_>,
     cnt: usize,
 ) -> Result<(), String> {
-    let first = zigzag_decode(dec.try_varint().map_err(String::from)?);
-    let u0 = (v as i64)
-        .checked_add(first)
-        .filter(|&u| 0 <= u && u < n as i64)
-        .ok_or_else(|| format!("first neighbor delta {first} leaves vertex range"))?;
-    let mut cur = u0 as u64;
-    for _ in 1..cnt {
-        let gap = dec.try_varint().map_err(String::from)?;
-        cur = cur
-            .checked_add(gap)
-            .filter(|&u| u < n as u64)
-            .ok_or_else(|| format!("neighbor gap {gap} leaves vertex range"))?;
-    }
-    Ok(())
-}
-
-/// Weighted twin of [`validate_run`]: each gap is followed by a weight
-/// codeword that must fit `u32`.
-fn validate_wrun(
-    n: usize,
-    v: VertexId,
-    dec: &mut BlockDecoder<'_>,
-    cnt: usize,
-) -> Result<(), String> {
-    let check_weight = |w: u64| {
-        if w > u64::from(u32::MAX) {
-            Err(format!("weight {w} overflows u32"))
+    let mut cur = 0u64;
+    for i in 0..cnt {
+        let x = dec.try_varint().map_err(String::from)?;
+        cur = if i == 0 {
+            let first = zigzag_decode(x);
+            (v as i64)
+                .checked_add(first)
+                .filter(|&u| 0 <= u && u < n as i64)
+                .ok_or_else(|| format!("first neighbor delta {first} leaves vertex range"))?
+                as u64
         } else {
-            Ok(())
+            cur.checked_add(x)
+                .filter(|&u| u < n as u64)
+                .ok_or_else(|| format!("neighbor gap {x} leaves vertex range"))?
+        };
+        if !W::IS_UNIT {
+            let w = dec.try_varint().map_err(String::from)?;
+            if w > u64::from(u32::MAX) {
+                return Err(format!("weight {w} overflows u32"));
+            }
         }
-    };
-    let first = zigzag_decode(dec.try_varint().map_err(String::from)?);
-    let u0 = (v as i64)
-        .checked_add(first)
-        .filter(|&u| 0 <= u && u < n as i64)
-        .ok_or_else(|| format!("first neighbor delta {first} leaves vertex range"))?;
-    check_weight(dec.try_varint().map_err(String::from)?)?;
-    let mut cur = u0 as u64;
-    for _ in 1..cnt {
-        let gap = dec.try_varint().map_err(String::from)?;
-        cur = cur
-            .checked_add(gap)
-            .filter(|&u| u < n as u64)
-            .ok_or_else(|| format!("neighbor gap {gap} leaves vertex range"))?;
-        check_weight(dec.try_varint().map_err(String::from)?)?;
     }
     Ok(())
 }
 
-/// `.cgr` magic, version 1: unchunked blocks, no chunk-size field.
-const MAGIC_V1: u64 = 0x4A43_4F4D_5052_4753; // "JCOMPRGS"
-/// `.cgr` magic, version 2: adds the chunk size after the symmetric flag.
-const MAGIC_V2: u64 = 0x4A43_4F4D_5052_4732; // "JCOMPRG2"
-
-impl CompressedGraph {
-    /// Compresses `g` with the default chunked layout (neighbor lists are
-    /// sorted first if needed). If `g` is directed and carries an attached
-    /// transpose, the transpose is compressed too, so the dense (pull)
-    /// traversal path keeps working on the compressed form.
-    pub fn from_csr(g: &Csr<()>) -> Self {
+impl<W: Weight> Compressed<W> {
+    /// Compresses `g` with the default chunked layout (edge lists are
+    /// sorted by target first if needed). If `g` is directed and carries an
+    /// attached transpose, the transpose is compressed too, so the dense
+    /// (pull) traversal path keeps working on the compressed form.
+    pub fn from_csr(g: &Csr<W>) -> Self {
         Self::from_csr_with_chunk_size(g, DEFAULT_CHUNK_SIZE)
     }
 
     /// Compresses `g` with an explicit decode-chunk size (`0` = legacy
     /// unchunked blocks, byte-identical to pre-chunking encodes).
-    pub fn from_csr_with_chunk_size(g: &Csr<()>, chunk_size: u32) -> Self {
+    pub fn from_csr_with_chunk_size(g: &Csr<W>, chunk_size: u32) -> Self {
         let mut this = Self::encode_out(g, chunk_size);
         if !g.is_symmetric() {
             if let Some(t) = g.in_view() {
@@ -384,16 +313,16 @@ impl CompressedGraph {
     }
 
     /// Compresses just the out-adjacency of `g` (no transpose handling).
-    fn encode_out(g: &Csr<()>, chunk_size: u32) -> Self {
+    fn encode_out(g: &Csr<W>, chunk_size: u32) -> Self {
         let n = g.num_vertices();
         // Encode every vertex block in parallel into per-vertex buffers.
         let blocks: Vec<Vec<u8>> = (0..n as VertexId)
             .into_par_iter()
             .map(|v| {
-                let mut nbrs = g.neighbors(v).to_vec();
-                nbrs.sort_unstable();
-                let mut buf = Vec::with_capacity(nbrs.len() * 2);
-                encode_block(v, &nbrs, chunk_size as usize, &mut buf);
+                let mut edges: Vec<(VertexId, W)> = g.edges_of(v).collect();
+                edges.sort_unstable_by_key(|&(u, w)| (u, w.to_u64()));
+                let mut buf = Vec::with_capacity(edges.len() * if W::IS_UNIT { 2 } else { 3 });
+                encode_block(v, &edges, chunk_size as usize, &mut buf);
                 buf
             })
             .collect();
@@ -405,7 +334,7 @@ impl CompressedGraph {
         for (v, block) in blocks.iter().enumerate() {
             data[offsets[v] as usize..offsets[v] as usize + block.len()].copy_from_slice(block);
         }
-        CompressedGraph {
+        Compressed {
             n,
             m: g.num_edges(),
             offsets,
@@ -414,6 +343,7 @@ impl CompressedGraph {
             chunk_size,
             symmetric: g.is_symmetric(),
             in_graph: None,
+            _weight: PhantomData,
         }
     }
 
@@ -430,7 +360,7 @@ impl CompressedGraph {
     /// The in-adjacency view used by dense (pull) traversals: the graph
     /// itself when symmetric, the compressed transpose when attached,
     /// `None` otherwise.
-    pub fn in_view(&self) -> Option<&CompressedGraph> {
+    pub fn in_view(&self) -> Option<&Compressed<W>> {
         if self.symmetric {
             Some(self)
         } else {
@@ -463,6 +393,14 @@ impl CompressedGraph {
         self.chunk_size
     }
 
+    /// Edges per independently decodable chunk as a split granularity:
+    /// [`chunk_size`](Self::chunk_size), or `usize::MAX` for the legacy
+    /// layout, whose blocks cannot be split.
+    #[inline]
+    pub fn chunk_edges(&self) -> usize {
+        chunk_edges(self.chunk_size)
+    }
+
     /// Out-degree of `v`.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
@@ -473,13 +411,7 @@ impl CompressedGraph {
     /// block at or under the chunk size, and for legacy layouts).
     #[inline]
     pub fn num_chunks_of(&self, v: VertexId) -> usize {
-        let deg = self.degrees[v as usize] as usize;
-        let cs = self.chunk_size as usize;
-        if cs == 0 || deg <= cs {
-            1
-        } else {
-            deg.div_ceil(cs)
-        }
+        self.degree(v).div_ceil(self.chunk_edges()).max(1)
     }
 
     /// Total compressed adjacency bytes (for reporting compression ratios).
@@ -495,71 +427,63 @@ impl CompressedGraph {
         own + self
             .in_graph
             .as_deref()
-            .map_or(0, CompressedGraph::footprint_bytes)
+            .map_or(0, Compressed::footprint_bytes)
     }
 
-    /// Decodes and visits each out-neighbor of `v` in increasing order.
-    /// Fused full-run decode: no early-exit check per edge.
-    #[inline]
-    pub fn for_each_neighbor<F: FnMut(VertexId)>(&self, v: VertexId, mut f: F) {
-        let deg = self.degrees[v as usize] as usize;
-        if deg == 0 {
-            return;
-        }
+    /// The one chunk-header walk behind the whole-block traversals: skips
+    /// `v`'s chunk-length header and hands `run` a cursor on each chunk
+    /// body in turn with that chunk's edge count, until it returns `false`.
+    /// An unchunked block is a single run of `deg` edges.
+    #[inline(always)]
+    fn for_each_run(&self, v: VertexId, mut run: impl FnMut(&mut BlockDecoder<'_>, usize) -> bool) {
+        let deg = self.degree(v);
+        let cs = self.chunk_edges();
         let mut dec = BlockDecoder::new_at(&self.data, self.offsets[v as usize] as usize);
-        let cs = self.chunk_size as usize;
-        if cs != 0 && deg > cs {
+        if deg > cs {
             dec.skip_varints(deg.div_ceil(cs) - 1);
-            let mut done = 0;
-            while done < deg {
-                let cnt = cs.min(deg - done);
-                decode_run_all(v, &mut dec, cnt, &mut f);
-                done += cnt;
+        }
+        let mut done = 0;
+        while done < deg {
+            let cnt = cs.min(deg - done);
+            if !run(&mut dec, cnt) {
+                return;
             }
-        } else {
-            decode_run_all(v, &mut dec, deg, &mut f);
+            done += cnt;
         }
     }
 
-    /// Decodes out-neighbors of `v` in increasing order until `f` returns
-    /// `false` — the decode stops mid-block, so a pull traversal's early
-    /// exit skips the remaining varints entirely.
+    /// Decodes and visits each out-edge `(target, weight)` of `v` in
+    /// increasing target order. Fused full-run decode: no early-exit check
+    /// per edge.
     #[inline]
-    pub fn for_each_neighbor_until<F: FnMut(VertexId) -> bool>(&self, v: VertexId, mut f: F) {
-        let deg = self.degrees[v as usize] as usize;
-        if deg == 0 {
-            return;
-        }
-        let mut dec = BlockDecoder::new_at(&self.data, self.offsets[v as usize] as usize);
-        let cs = self.chunk_size as usize;
-        if cs != 0 && deg > cs {
-            dec.skip_varints(deg.div_ceil(cs) - 1);
-            let mut done = 0;
-            while done < deg {
-                let cnt = cs.min(deg - done);
-                if !decode_run(v, &mut dec, cnt, &mut f) {
-                    return;
-                }
-                done += cnt;
-            }
-        } else {
-            decode_run(v, &mut dec, deg, &mut f);
-        }
+    pub fn for_each_out<F: FnMut(VertexId, W)>(&self, v: VertexId, mut f: F) {
+        self.for_each_run(v, |dec, cnt| {
+            decode_run_all(v, dec, cnt, &mut f);
+            true
+        });
+    }
+
+    /// Decodes out-edges of `v` in increasing target order until `f`
+    /// returns `false` — the decode stops mid-block, so a pull traversal's
+    /// early exit skips the remaining varints entirely.
+    #[inline]
+    pub fn for_each_out_until<F: FnMut(VertexId, W) -> bool>(&self, v: VertexId, mut f: F) {
+        self.for_each_run(v, |dec, cnt| decode_run(v, dec, cnt, &mut f));
     }
 
     /// Decodes only chunk `c` of `v`'s block — local edge range
     /// `[c·cs, min((c+1)·cs, deg))` — jumping straight to its body via the
     /// block header. Chunks of one vertex may be decoded concurrently.
     #[inline]
-    pub fn for_each_neighbor_chunk<F: FnMut(VertexId)>(&self, v: VertexId, c: usize, mut f: F) {
-        let deg = self.degrees[v as usize] as usize;
+    pub fn for_each_out_chunk<F: FnMut(VertexId, W)>(&self, v: VertexId, c: usize, mut f: F) {
+        let deg = self.degree(v);
         if deg == 0 {
             debug_assert_eq!(c, 0, "chunk {c} of empty block");
             return;
         }
-        let cs = self.chunk_size as usize;
+        let cs = self.chunk_edges();
         let mut dec = BlockDecoder::new_at(&self.data, self.offsets[v as usize] as usize);
-        if cs == 0 || deg <= cs {
+        if deg <= cs {
             assert_eq!(c, 0, "unchunked block has a single chunk");
             decode_run_all(v, &mut dec, deg, &mut f);
             return;
@@ -578,81 +502,6 @@ impl CompressedGraph {
         decode_run_all(v, &mut dec, cnt, &mut f);
     }
 
-    /// Decodes `v`'s neighbors into a fresh vector (test/debug helper).
-    pub fn neighbors_vec(&self, v: VertexId) -> Vec<VertexId> {
-        let mut out = Vec::with_capacity(self.degree(v));
-        self.for_each_neighbor(v, |u| out.push(u));
-        out
-    }
-
-    /// Serialises to the compressed binary format (so the decode-on-the-fly
-    /// representation can be the *storage* format too, as in Ligra+).
-    pub fn write_to(&self, path: &std::path::Path) -> std::io::Result<()> {
-        use bytes::BufMut;
-        use std::io::Write as _;
-        let mut buf: Vec<u8> = Vec::with_capacity(32 + 12 * self.n + self.data.len());
-        buf.put_u64_le(MAGIC_V2);
-        buf.put_u64_le(self.n as u64);
-        buf.put_u64_le(self.m as u64);
-        buf.put_u8(u8::from(self.symmetric));
-        buf.put_u32_le(self.chunk_size);
-        for &o in &self.offsets {
-            buf.put_u64_le(o);
-        }
-        for &d in &self.degrees {
-            buf.put_u32_le(d);
-        }
-        buf.put_u64_le(self.data.len() as u64);
-        buf.extend_from_slice(&self.data);
-        let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
-        out.write_all(&buf)?;
-        out.flush()
-    }
-
-    /// Reads a graph written by [`CompressedGraph::write_to`] (either
-    /// version: v1 files decode as legacy unchunked blocks). The payload is
-    /// fully validated — corrupt files fail with `InvalidData`, never a
-    /// traversal-time panic.
-    pub fn read_from(path: &std::path::Path) -> std::io::Result<CompressedGraph> {
-        use bytes::Buf;
-        use std::io::Read as _;
-        let bad = |m: String| std::io::Error::new(std::io::ErrorKind::InvalidData, m);
-        let mut raw = Vec::new();
-        std::fs::File::open(path)?.read_to_end(&mut raw)?;
-        let mut buf: &[u8] = &raw;
-        if buf.remaining() < 25 {
-            return Err(bad("truncated header".into()));
-        }
-        let chunked = match buf.get_u64_le() {
-            MAGIC_V1 => false,
-            MAGIC_V2 => true,
-            _ => return Err(bad("bad magic".into())),
-        };
-        let n = buf.get_u64_le() as usize;
-        let m = buf.get_u64_le() as usize;
-        let symmetric = buf.get_u8() != 0;
-        let chunk_size = if chunked {
-            if buf.remaining() < 4 {
-                return Err(bad("truncated header".into()));
-            }
-            buf.get_u32_le()
-        } else {
-            0
-        };
-        if buf.remaining() < 8 * (n + 1) + 4 * n + 8 {
-            return Err(bad("truncated header".into()));
-        }
-        let offsets: Vec<u64> = (0..=n).map(|_| buf.get_u64_le()).collect();
-        let degrees: Vec<u32> = (0..n).map(|_| buf.get_u32_le()).collect();
-        let len = buf.get_u64_le() as usize;
-        if buf.remaining() < len {
-            return Err(bad("truncated data".into()));
-        }
-        let data = buf[..len].to_vec();
-        Self::try_from_raw_parts(n, m, offsets, degrees, data, symmetric, chunk_size, None)
-            .map_err(bad)
-    }
-
     /// The raw storage arrays `(offsets, degrees, data)` — what the `.jgr`
     /// container embeds verbatim as its compressed-payload sections.
     pub fn raw_parts(&self) -> (&[u64], &[u32], &[u8]) {
@@ -660,7 +509,7 @@ impl CompressedGraph {
     }
 
     /// Rebuilds a graph from storage arrays produced by
-    /// [`CompressedGraph::raw_parts`] (the `.jgr` load path — the byte
+    /// [`raw_parts`](Self::raw_parts) (the `.jgr` load path — the byte
     /// blocks are adopted verbatim, never re-encoded), failing closed on
     /// corrupt input: structural checks on offsets/degrees, then a full
     /// parallel decode walk proving every block is well-formed, in-range,
@@ -675,12 +524,21 @@ impl CompressedGraph {
         data: Vec<u8>,
         symmetric: bool,
         chunk_size: u32,
-        in_graph: Option<Box<CompressedGraph>>,
+        in_graph: Option<Box<Compressed<W>>>,
     ) -> Result<Self, String> {
         validate_parts(n, m, &offsets, &degrees, data.len())?;
-        validate_blocks(n, &offsets, &degrees, &data, chunk_size, |dec, v, cnt| {
-            validate_run(n, v, dec, cnt)
-        })?;
+        let errs: Vec<String> = (0..n)
+            .into_par_iter()
+            .filter_map(|v| {
+                let block = &data[offsets[v] as usize..offsets[v + 1] as usize];
+                validate_block::<W>(n, v as VertexId, degrees[v] as usize, block, chunk_size)
+                    .err()
+                    .map(|e| format!("vertex {v}: {e}"))
+            })
+            .collect();
+        if let Some(e) = errs.into_iter().next() {
+            return Err(e);
+        }
         if let Some(ig) = &in_graph {
             if ig.n != n || ig.m != m {
                 return Err(format!(
@@ -689,7 +547,7 @@ impl CompressedGraph {
                 ));
             }
         }
-        Ok(CompressedGraph {
+        Ok(Compressed {
             n,
             m,
             offsets,
@@ -698,11 +556,12 @@ impl CompressedGraph {
             chunk_size,
             symmetric,
             in_graph,
+            _weight: PhantomData,
         })
     }
 
     /// Decompresses back into a CSR.
-    pub fn to_csr(&self) -> Csr<()> {
+    pub fn to_csr(&self) -> Csr<W> {
         let mut offsets = Vec::with_capacity(self.n + 1);
         let mut acc = 0u64;
         offsets.push(0);
@@ -711,336 +570,13 @@ impl CompressedGraph {
             offsets.push(acc);
         }
         let mut targets = vec![0 as VertexId; self.m];
-        let starts = offsets.clone();
+        let mut weights = vec![W::default(); self.m];
         {
-            use julienne_primitives::unsafe_write::DisjointWriter;
-            let w = DisjointWriter::new(&mut targets);
-            (0..self.n as VertexId).into_par_iter().for_each(|v| {
-                let mut k = starts[v as usize] as usize;
-                self.for_each_neighbor(v, |u| {
-                    // SAFETY: each vertex owns a disjoint target range.
-                    unsafe { w.write(k, u) };
-                    k += 1;
-                });
-            });
-        }
-        Csr::from_parts(offsets, targets, vec![], self.symmetric)
-    }
-}
-
-/// A compressed **weighted** graph: neighbor gaps and weights interleaved
-/// per edge, as in Ligra+'s weighted byte codes. Chunking works exactly as
-/// for [`CompressedGraph`], with chunk boundaries in edges (pairs).
-#[derive(Clone, Debug)]
-pub struct CompressedWGraph {
-    n: usize,
-    m: usize,
-    offsets: Vec<u64>,
-    degrees: Vec<u32>,
-    data: Vec<u8>,
-    /// Edges per decode chunk; 0 = legacy unchunked blocks.
-    chunk_size: u32,
-    symmetric: bool,
-    /// Compressed transpose for dense pull on directed weighted graphs.
-    in_graph: Option<Box<CompressedWGraph>>,
-}
-
-fn encode_wblock(v: VertexId, pairs: &[(VertexId, u32)], chunk_size: usize, out: &mut Vec<u8>) {
-    debug_assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0), "must be sorted");
-    encode_chunked(pairs.len(), chunk_size, out, |lo, hi, buf| {
-        let mut prev = 0u32;
-        for (i, &(u, w)) in pairs[lo..hi].iter().enumerate() {
-            if i == 0 {
-                put_varint(buf, zigzag_encode(u as i64 - v as i64));
-            } else {
-                put_varint(buf, (u - prev) as u64);
-            }
-            put_varint(buf, w as u64);
-            prev = u;
-        }
-    });
-}
-
-impl CompressedWGraph {
-    /// Compresses a weighted CSR with the default chunked layout (neighbor
-    /// lists sorted first). A directed graph's attached transpose is
-    /// compressed too, preserving the dense (pull) traversal path.
-    pub fn from_csr(g: &Csr<u32>) -> Self {
-        Self::from_csr_with_chunk_size(g, DEFAULT_CHUNK_SIZE)
-    }
-
-    /// Compresses `g` with an explicit decode-chunk size (`0` = legacy
-    /// unchunked blocks).
-    pub fn from_csr_with_chunk_size(g: &Csr<u32>, chunk_size: u32) -> Self {
-        let mut this = Self::encode_out(g, chunk_size);
-        if !g.is_symmetric() {
-            if let Some(t) = g.in_view() {
-                this.in_graph = Some(Box::new(Self::encode_out(t, chunk_size)));
-            }
-        }
-        this
-    }
-
-    /// Compresses just the out-adjacency (no transpose handling).
-    fn encode_out(g: &Csr<u32>, chunk_size: u32) -> Self {
-        let n = g.num_vertices();
-        let blocks: Vec<Vec<u8>> = (0..n as VertexId)
-            .into_par_iter()
-            .map(|v| {
-                let mut pairs: Vec<(VertexId, u32)> = g.edges_of(v).collect();
-                pairs.sort_unstable();
-                let mut buf = Vec::with_capacity(pairs.len() * 3);
-                encode_wblock(v, &pairs, chunk_size as usize, &mut buf);
-                buf
-            })
-            .collect();
-        let mut counts: Vec<usize> = blocks.iter().map(Vec::len).collect();
-        counts.push(0);
-        let total = prefix_sums(&mut counts);
-        let offsets: Vec<u64> = counts.iter().map(|&c| c as u64).collect();
-        let mut data = vec![0u8; total];
-        for (v, block) in blocks.iter().enumerate() {
-            data[offsets[v] as usize..offsets[v] as usize + block.len()].copy_from_slice(block);
-        }
-        CompressedWGraph {
-            n,
-            m: g.num_edges(),
-            offsets,
-            degrees: g.degrees(),
-            data,
-            chunk_size,
-            symmetric: g.is_symmetric(),
-            in_graph: None,
-        }
-    }
-
-    /// Attaches a compressed transpose so dense traversals work on directed
-    /// compressed graphs (no-op when symmetric or already attached).
-    pub fn with_transpose(mut self) -> Self {
-        if !self.symmetric && self.in_graph.is_none() {
-            let t = crate::transform::transpose(&self.to_csr());
-            self.in_graph = Some(Box::new(Self::encode_out(&t, self.chunk_size)));
-        }
-        self
-    }
-
-    /// The in-adjacency view for dense (pull) traversals, if available.
-    pub fn in_view(&self) -> Option<&CompressedWGraph> {
-        if self.symmetric {
-            Some(self)
-        } else {
-            self.in_graph.as_deref()
-        }
-    }
-
-    /// Whether a dense (pull) traversal is possible.
-    pub fn has_in_view(&self) -> bool {
-        self.symmetric || self.in_graph.is_some()
-    }
-
-    /// Number of vertices.
-    pub fn num_vertices(&self) -> usize {
-        self.n
-    }
-
-    /// Number of edges.
-    pub fn num_edges(&self) -> usize {
-        self.m
-    }
-
-    /// Whether the source graph was symmetric.
-    pub fn is_symmetric(&self) -> bool {
-        self.symmetric
-    }
-
-    /// Edges per decode chunk (`0` = legacy unchunked blocks).
-    pub fn chunk_size(&self) -> u32 {
-        self.chunk_size
-    }
-
-    /// Out-degree of `v`.
-    #[inline]
-    pub fn degree(&self, v: VertexId) -> usize {
-        self.degrees[v as usize] as usize
-    }
-
-    /// Number of independently decodable chunks of `v`'s block.
-    #[inline]
-    pub fn num_chunks_of(&self, v: VertexId) -> usize {
-        let deg = self.degrees[v as usize] as usize;
-        let cs = self.chunk_size as usize;
-        if cs == 0 || deg <= cs {
-            1
-        } else {
-            deg.div_ceil(cs)
-        }
-    }
-
-    /// Total compressed adjacency bytes (gaps and weights interleaved).
-    /// Excludes the optional transpose; see [`footprint_bytes`](Self::footprint_bytes).
-    pub fn compressed_bytes(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Total in-memory footprint in bytes: byte-coded blocks plus the
-    /// offset/degree arrays, including an attached transpose.
-    pub fn footprint_bytes(&self) -> usize {
-        let own = self.data.len() + self.offsets.len() * 8 + self.degrees.len() * 4;
-        own + self
-            .in_graph
-            .as_deref()
-            .map_or(0, CompressedWGraph::footprint_bytes)
-    }
-
-    /// Decodes and visits each `(neighbor, weight)` of `v` in increasing
-    /// neighbor order. Fused full-run decode: no early-exit check per edge.
-    #[inline]
-    pub fn for_each_edge<F: FnMut(VertexId, u32)>(&self, v: VertexId, mut f: F) {
-        let deg = self.degrees[v as usize] as usize;
-        if deg == 0 {
-            return;
-        }
-        let mut dec = BlockDecoder::new_at(&self.data, self.offsets[v as usize] as usize);
-        let cs = self.chunk_size as usize;
-        if cs != 0 && deg > cs {
-            dec.skip_varints(deg.div_ceil(cs) - 1);
-            let mut done = 0;
-            while done < deg {
-                let cnt = cs.min(deg - done);
-                decode_wrun_all(v, &mut dec, cnt, &mut f);
-                done += cnt;
-            }
-        } else {
-            decode_wrun_all(v, &mut dec, deg, &mut f);
-        }
-    }
-
-    /// Decodes `(neighbor, weight)` pairs of `v` in increasing neighbor
-    /// order until `f` returns `false` (early decode stop).
-    #[inline]
-    pub fn for_each_edge_until<F: FnMut(VertexId, u32) -> bool>(&self, v: VertexId, mut f: F) {
-        let deg = self.degrees[v as usize] as usize;
-        if deg == 0 {
-            return;
-        }
-        let mut dec = BlockDecoder::new_at(&self.data, self.offsets[v as usize] as usize);
-        let cs = self.chunk_size as usize;
-        if cs != 0 && deg > cs {
-            dec.skip_varints(deg.div_ceil(cs) - 1);
-            let mut done = 0;
-            while done < deg {
-                let cnt = cs.min(deg - done);
-                if !decode_wrun(v, &mut dec, cnt, &mut f) {
-                    return;
-                }
-                done += cnt;
-            }
-        } else {
-            decode_wrun(v, &mut dec, deg, &mut f);
-        }
-    }
-
-    /// Decodes only chunk `c` of `v`'s block — local edge range
-    /// `[c·cs, min((c+1)·cs, deg))`.
-    #[inline]
-    pub fn for_each_edge_chunk<F: FnMut(VertexId, u32)>(&self, v: VertexId, c: usize, mut f: F) {
-        let deg = self.degrees[v as usize] as usize;
-        if deg == 0 {
-            debug_assert_eq!(c, 0, "chunk {c} of empty block");
-            return;
-        }
-        let cs = self.chunk_size as usize;
-        let mut dec = BlockDecoder::new_at(&self.data, self.offsets[v as usize] as usize);
-        if cs == 0 || deg <= cs {
-            assert_eq!(c, 0, "unchunked block has a single chunk");
-            decode_wrun_all(v, &mut dec, deg, &mut f);
-            return;
-        }
-        let nc = deg.div_ceil(cs);
-        assert!(c < nc, "chunk {c} out of range ({nc} chunks)");
-        let mut skip = 0u64;
-        for i in 0..nc - 1 {
-            let l = dec.varint();
-            if i < c {
-                skip += l;
-            }
-        }
-        dec.advance(skip as usize);
-        let cnt = cs.min(deg - c * cs);
-        decode_wrun_all(v, &mut dec, cnt, &mut f);
-    }
-
-    /// Decodes `v`'s edges into a fresh vector (test/debug helper).
-    pub fn edges_vec(&self, v: VertexId) -> Vec<(VertexId, u32)> {
-        let mut out = Vec::with_capacity(self.degree(v));
-        self.for_each_edge(v, |u, w| out.push((u, w)));
-        out
-    }
-
-    /// The raw storage arrays `(offsets, degrees, data)` — what the `.jgr`
-    /// container embeds verbatim as its compressed-payload sections.
-    pub fn raw_parts(&self) -> (&[u64], &[u32], &[u8]) {
-        (&self.offsets, &self.degrees, &self.data)
-    }
-
-    /// Rebuilds a graph from storage arrays produced by
-    /// [`CompressedWGraph::raw_parts`] (the `.jgr` load path), failing
-    /// closed on corrupt input exactly like
-    /// [`CompressedGraph::try_from_raw_parts`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_from_raw_parts(
-        n: usize,
-        m: usize,
-        offsets: Vec<u64>,
-        degrees: Vec<u32>,
-        data: Vec<u8>,
-        symmetric: bool,
-        chunk_size: u32,
-        in_graph: Option<Box<CompressedWGraph>>,
-    ) -> Result<Self, String> {
-        validate_parts(n, m, &offsets, &degrees, data.len())?;
-        validate_blocks(n, &offsets, &degrees, &data, chunk_size, |dec, v, cnt| {
-            validate_wrun(n, v, dec, cnt)
-        })?;
-        if let Some(ig) = &in_graph {
-            if ig.n != n || ig.m != m {
-                return Err(format!(
-                    "transpose shape ({}, {}) != graph shape ({n}, {m})",
-                    ig.n, ig.m
-                ));
-            }
-        }
-        Ok(CompressedWGraph {
-            n,
-            m,
-            offsets,
-            degrees,
-            data,
-            chunk_size,
-            symmetric,
-            in_graph,
-        })
-    }
-
-    /// Decompresses back into a weighted CSR.
-    pub fn to_csr(&self) -> Csr<u32> {
-        let mut offsets = Vec::with_capacity(self.n + 1);
-        let mut acc = 0u64;
-        offsets.push(0);
-        for &d in &self.degrees {
-            acc += d as u64;
-            offsets.push(acc);
-        }
-        let mut targets = vec![0 as VertexId; self.m];
-        let mut weights = vec![0u32; self.m];
-        let starts = offsets.clone();
-        {
-            use julienne_primitives::unsafe_write::DisjointWriter;
             let wt = DisjointWriter::new(&mut targets);
             let ww = DisjointWriter::new(&mut weights);
             (0..self.n as VertexId).into_par_iter().for_each(|v| {
-                let mut k = starts[v as usize] as usize;
-                self.for_each_edge(v, |u, w| {
+                let mut k = offsets[v as usize] as usize;
+                self.for_each_out(v, |u, w| {
                     // SAFETY: each vertex owns a disjoint target range.
                     unsafe {
                         wt.write(k, u);
@@ -1057,21 +593,98 @@ impl CompressedWGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::from_pairs;
     use crate::generators::{erdos_renyi, rmat, RmatParams};
+    use crate::transform::{assign_weights, transpose};
 
-    #[test]
-    fn compress_roundtrip_er() {
-        let g = erdos_renyi(2000, 20_000, 42, false);
-        let c = CompressedGraph::from_csr(&g);
+    /// Every behaviour below is asserted once, in a helper generic over the
+    /// weight, and run at `()` and `u32` over the same edge structure.
+    fn weighted(g: &Csr<()>) -> Csr<u32> {
+        assign_weights(g, 1, 1000, 7)
+    }
+
+    fn out<W: Weight>(c: &Compressed<W>, v: VertexId) -> Vec<(VertexId, W)> {
+        let mut edges = Vec::with_capacity(c.degree(v));
+        c.for_each_out(v, |u, w| edges.push((u, w)));
+        edges
+    }
+
+    fn sorted_edges<W: Weight>(g: &Csr<W>, v: VertexId) -> Vec<(VertexId, W)> {
+        let mut want: Vec<(VertexId, W)> = g.edges_of(v).collect();
+        want.sort_unstable_by_key(|&(u, w)| (u, w.to_u64()));
+        want
+    }
+
+    fn vertices<W: Weight>(g: &Csr<W>) -> std::ops::Range<VertexId> {
+        0..g.num_vertices() as VertexId
+    }
+
+    fn check_roundtrip<W: Weight>(g: &Csr<W>) {
+        let c = Compressed::from_csr(g);
         assert_eq!(c.num_vertices(), g.num_vertices());
         assert_eq!(c.num_edges(), g.num_edges());
+        assert_eq!(c.is_symmetric(), g.is_symmetric());
         let back = c.to_csr();
-        for v in 0..g.num_vertices() as VertexId {
-            let mut want = g.neighbors(v).to_vec();
-            want.sort_unstable();
-            assert_eq!(back.neighbors(v), &want[..]);
-            assert_eq!(c.neighbors_vec(v), want);
+        for v in vertices(g) {
+            let want = sorted_edges(g, v);
+            assert_eq!(out(&c, v), want, "decoded edges of {v}");
+            assert_eq!(back.edges_of(v).collect::<Vec<_>>(), want, "to_csr {v}");
+            assert_eq!(c.degree(v), g.degree(v));
         }
+        // Gaps (and interleaved weights) compress below the raw arrays.
+        let raw = g.num_edges() * (4 + std::mem::size_of::<W>());
+        assert!(
+            c.compressed_bytes() < raw,
+            "{} >= raw {raw}",
+            c.compressed_bytes()
+        );
+    }
+
+    #[test]
+    fn compress_roundtrip() {
+        let g = erdos_renyi(2000, 20_000, 42, false);
+        check_roundtrip(&g);
+        check_roundtrip(&weighted(&g));
+        let g = rmat(12, 8, RmatParams::default(), 1, true);
+        check_roundtrip(&g);
+        check_roundtrip(&weighted(&g));
+    }
+
+    /// Every chunk size — including pathological 1 — decodes to the same
+    /// edge lists as the legacy unchunked layout, and concatenating the
+    /// per-chunk decodes reproduces the whole block chunk by chunk.
+    fn check_chunks<W: Weight>(g: &Csr<W>) {
+        let legacy = Compressed::from_csr_with_chunk_size(g, 0);
+        for cs in [1u32, 3, 6, 64, DEFAULT_CHUNK_SIZE] {
+            let c = Compressed::from_csr_with_chunk_size(g, cs);
+            assert_eq!(c.chunk_size(), cs);
+            for v in vertices(g) {
+                let whole = out(&legacy, v);
+                assert_eq!(out(&c, v), whole, "cs={cs} v={v}");
+                assert_eq!(legacy.num_chunks_of(v), 1);
+                let deg = c.degree(v);
+                assert_eq!(c.num_chunks_of(v), deg.div_ceil(cs as usize).max(1));
+                let mut got = Vec::new();
+                for ch in 0..c.num_chunks_of(v) {
+                    let before = got.len();
+                    c.for_each_out_chunk(v, ch, |u, w| got.push((u, w)));
+                    let want = (cs as usize).min(deg - ch * cs as usize);
+                    assert_eq!(got.len() - before, want, "cs={cs} v={v} chunk {ch}");
+                }
+                assert_eq!(got, whole, "chunk concat cs={cs} v={v}");
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_decode_matches_whole_block() {
+        // A star hub: 20 edges / 6 per chunk = chunks of 6, 6, 6, 2.
+        let hub = from_pairs(21, &(1..=20).map(|u| (0, u)).collect::<Vec<_>>());
+        check_chunks(&hub);
+        check_chunks(&weighted(&hub));
+        let g = erdos_renyi(600, 24_000, 11, true);
+        check_chunks(&g);
+        check_chunks(&weighted(&g));
     }
 
     #[test]
@@ -1086,362 +699,238 @@ mod tests {
             raw_bytes
         );
         // And it still decodes correctly on a sample.
-        for v in (0..g.num_vertices() as VertexId).step_by(97) {
-            let mut want = g.neighbors(v).to_vec();
-            want.sort_unstable();
-            assert_eq!(c.neighbors_vec(v), want);
+        for v in vertices(&g).step_by(97) {
+            assert_eq!(out(&c, v), sorted_edges(&g, v));
         }
     }
 
-    #[test]
-    fn chunked_layouts_decode_identically() {
-        // Every chunk size — including pathological 1 — must decode to the
-        // same neighbor lists as the legacy unchunked layout.
-        let g = rmat(11, 8, RmatParams::default(), 3, true);
-        let legacy = CompressedGraph::from_csr_with_chunk_size(&g, 0);
-        for cs in [1u32, 3, 8, 64, DEFAULT_CHUNK_SIZE] {
-            let c = CompressedGraph::from_csr_with_chunk_size(&g, cs);
-            assert_eq!(c.chunk_size(), cs);
-            for v in 0..g.num_vertices() as VertexId {
-                assert_eq!(c.neighbors_vec(v), legacy.neighbors_vec(v), "cs={cs} v={v}");
-            }
-        }
-    }
-
-    #[test]
-    fn chunk_decode_matches_whole_block() {
-        // Concatenating per-chunk decodes reproduces the full list, and a
-        // star hub splits into the expected number of chunks.
-        let pairs: Vec<(VertexId, VertexId)> = (1..=20).map(|u| (0, u)).collect();
-        let g = crate::builder::from_pairs(21, &pairs);
-        let c = CompressedGraph::from_csr_with_chunk_size(&g, 6);
-        assert_eq!(c.num_chunks_of(0), 4); // 20 edges / 6 per chunk
-        assert_eq!(c.num_chunks_of(5), 1);
-        let mut got = Vec::new();
-        for ch in 0..c.num_chunks_of(0) {
-            let before = got.len();
-            c.for_each_neighbor_chunk(0, ch, |u| got.push(u));
-            let cnt = got.len() - before;
-            assert_eq!(cnt, if ch < 3 { 6 } else { 2 }, "chunk {ch} count");
-        }
-        assert_eq!(got, c.neighbors_vec(0));
-        assert_eq!(got, (1..=20).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn weighted_chunk_decode_matches_whole_block() {
-        use crate::transform::assign_weights;
-        let g = assign_weights(&erdos_renyi(600, 24_000, 11, true), 1, 1000, 7);
-        let legacy = CompressedWGraph::from_csr_with_chunk_size(&g, 0);
-        let c = CompressedWGraph::from_csr_with_chunk_size(&g, 8);
-        for v in 0..g.num_vertices() as VertexId {
-            assert_eq!(c.edges_vec(v), legacy.edges_vec(v), "v={v}");
-            let mut got = Vec::new();
-            for ch in 0..c.num_chunks_of(v) {
-                c.for_each_edge_chunk(v, ch, |u, w| got.push((u, w)));
-            }
-            assert_eq!(got, c.edges_vec(v), "chunk concat v={v}");
-        }
-    }
-
-    #[test]
-    fn compressed_binary_roundtrip() {
-        let g = rmat(11, 8, RmatParams::default(), 2, true);
-        let c = CompressedGraph::from_csr(&g);
-        let p = std::env::temp_dir().join(format!("julienne-cgrs-{}", std::process::id()));
-        c.write_to(&p).unwrap();
-        let back = CompressedGraph::read_from(&p).unwrap();
-        assert_eq!(back.num_vertices(), c.num_vertices());
-        assert_eq!(back.num_edges(), c.num_edges());
-        assert_eq!(back.is_symmetric(), c.is_symmetric());
-        assert_eq!(back.chunk_size(), c.chunk_size());
-        for v in (0..g.num_vertices() as VertexId).step_by(37) {
-            assert_eq!(back.neighbors_vec(v), c.neighbors_vec(v));
-        }
-        std::fs::remove_file(p).ok();
-    }
-
-    #[test]
-    fn legacy_v1_binary_still_loads() {
-        // A v1 file (old magic, no chunk-size field) decodes as the legacy
-        // unchunked layout.
-        use bytes::BufMut;
-        let g = erdos_renyi(300, 3_000, 5, true);
-        let c = CompressedGraph::from_csr_with_chunk_size(&g, 0);
-        let (offsets, degrees, data) = c.raw_parts();
-        let mut buf: Vec<u8> = Vec::new();
-        buf.put_u64_le(MAGIC_V1);
-        buf.put_u64_le(c.num_vertices() as u64);
-        buf.put_u64_le(c.num_edges() as u64);
-        buf.put_u8(1);
-        for &o in offsets {
-            buf.put_u64_le(o);
-        }
-        for &d in degrees {
-            buf.put_u32_le(d);
-        }
-        buf.put_u64_le(data.len() as u64);
-        buf.extend_from_slice(data);
-        let p = std::env::temp_dir().join(format!("julienne-cgr-v1-{}", std::process::id()));
-        std::fs::write(&p, &buf).unwrap();
-        let back = CompressedGraph::read_from(&p).unwrap();
-        assert_eq!(back.chunk_size(), 0);
-        for v in 0..c.num_vertices() as VertexId {
-            assert_eq!(back.neighbors_vec(v), c.neighbors_vec(v));
-        }
-        std::fs::remove_file(p).ok();
-    }
-
-    #[test]
-    fn weighted_compress_roundtrip() {
-        use crate::transform::assign_weights;
-        let g = assign_weights(&erdos_renyi(1500, 12_000, 8, true), 1, 1000, 9);
-        let c = CompressedWGraph::from_csr(&g);
-        assert_eq!(c.num_vertices(), g.num_vertices());
-        assert_eq!(c.num_edges(), g.num_edges());
-        assert!(c.is_symmetric());
-        for v in 0..g.num_vertices() as VertexId {
-            let mut want: Vec<(u32, u32)> = g.edges_of(v).collect();
-            want.sort_unstable();
-            assert_eq!(c.edges_vec(v), want);
-            assert_eq!(c.degree(v), g.degree(v));
-        }
-        // Interleaved weights still compress below the 8-byte raw pair.
-        assert!(c.compressed_bytes() < g.num_edges() * 8);
-    }
-
-    #[test]
-    fn neighbor_until_stops_early() {
-        let g = crate::builder::from_pairs(6, &[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]);
+    fn check_until_stops_early<W: Weight>(g: &Csr<W>) {
         for cs in [0u32, 2] {
-            let c = CompressedGraph::from_csr_with_chunk_size(&g, cs);
-            let mut seen = Vec::new();
-            c.for_each_neighbor_until(0, |u| {
-                seen.push(u);
-                seen.len() < 3
-            });
-            assert_eq!(seen, vec![1, 2, 3], "cs={cs}");
+            let c = Compressed::from_csr_with_chunk_size(g, cs);
+            for stop in 1..=c.degree(0) {
+                let mut seen = Vec::new();
+                c.for_each_out_until(0, |u, w| {
+                    seen.push((u, w));
+                    seen.len() < stop
+                });
+                assert_eq!(seen, out(&c, 0)[..stop], "cs={cs} stop={stop}");
+            }
         }
+    }
+
+    #[test]
+    fn out_until_stops_early() {
+        let g = from_pairs(6, &[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]);
+        check_until_stops_early(&g);
+        check_until_stops_early(&weighted(&g));
+    }
+
+    fn check_transpose<W: Weight>(g: &Csr<W>) {
+        let c = Compressed::from_csr(g);
+        assert!(!c.has_in_view());
+        let c = c.with_transpose();
+        assert!(c.has_in_view());
+        let want = transpose(g);
+        let iv = c.in_view().unwrap();
+        for v in vertices(g) {
+            assert_eq!(out(iv, v), sorted_edges(&want, v), "in-edges of {v}");
+        }
+        // from_csr picks up an attached transpose automatically.
+        let c2 = Compressed::from_csr(&g.clone().with_transpose());
+        assert!(c2.has_in_view());
+        // Footprint accounts for the transpose.
+        assert!(c2.footprint_bytes() > Compressed::from_csr(g).footprint_bytes());
     }
 
     #[test]
     fn transpose_views() {
         let g = rmat(9, 6, RmatParams::default(), 4, false);
-        let c = CompressedGraph::from_csr(&g);
-        assert!(!c.has_in_view());
-        let c = c.with_transpose();
-        assert!(c.has_in_view());
-        let want = crate::transform::transpose(&g);
-        let iv = c.in_view().unwrap();
-        for v in (0..g.num_vertices() as VertexId).step_by(13) {
-            let mut w = want.neighbors(v).to_vec();
-            w.sort_unstable();
-            assert_eq!(iv.neighbors_vec(v), w, "in-neighbors of {v}");
-        }
-        // from_csr picks up an attached transpose automatically.
-        let c2 = CompressedGraph::from_csr(&g.clone().with_transpose());
-        assert!(c2.has_in_view());
-        // Footprint accounts for the transpose.
-        assert!(c2.footprint_bytes() > CompressedGraph::from_csr(&g).footprint_bytes());
-    }
-
-    #[test]
-    fn weighted_transpose_and_roundtrip() {
-        use crate::transform::assign_weights;
-        let g = assign_weights(&rmat(9, 6, RmatParams::default(), 6, false), 1, 50, 3);
-        let c = CompressedWGraph::from_csr(&g);
-        assert!(!c.has_in_view());
-        let c = c.with_transpose();
-        assert!(c.has_in_view());
-        let back = c.to_csr();
-        for v in 0..g.num_vertices() as VertexId {
-            let mut want: Vec<(u32, u32)> = g.edges_of(v).collect();
-            want.sort_unstable();
-            let got: Vec<(u32, u32)> = back.edges_of(v).collect();
-            assert_eq!(got, want, "edges of {v}");
-        }
-        // Early-exit weighted decode.
-        let sym = CompressedWGraph::from_csr(&assign_weights(
-            &crate::builder::from_pairs_symmetric(4, &[(0, 1), (0, 2), (0, 3)]),
-            1,
-            9,
-            5,
-        ));
-        let mut seen = 0;
-        sym.for_each_edge_until(0, |_, _| {
-            seen += 1;
-            false
-        });
-        assert_eq!(seen, 1);
+        check_transpose(&g);
+        check_transpose(&weighted(&g));
     }
 
     #[test]
     fn empty_and_isolated() {
-        let g = crate::builder::from_pairs(5, &[(0, 4)]);
+        let g = from_pairs(5, &[(0, 4)]);
         let c = CompressedGraph::from_csr(&g);
-        assert_eq!(c.neighbors_vec(0), vec![4]);
+        assert_eq!(out(&c, 0), vec![(4, ())]);
         for v in 1..4 {
-            assert!(c.neighbors_vec(v).is_empty());
+            assert!(out(&c, v).is_empty());
             assert_eq!(c.degree(v), 0);
         }
     }
 
-    /// Clones a valid graph's raw parts for corruption tests.
-    fn parts(c: &CompressedGraph) -> (Vec<u64>, Vec<u32>, Vec<u8>) {
+    /// The on-disk encoding, pinned: 6 vertices at chunk size 3. Vertex 0
+    /// (5 edges) splits into two chunks behind a one-length header; vertex 2
+    /// holds a multi-edge to 4 whose two weights arrive out of order;
+    /// vertex 3 is a self-loop (delta 0); vertex 5 points backwards
+    /// (negative zig-zag delta) with a 3-byte weight.
+    #[test]
+    fn golden_bytes() {
+        let offsets = vec![0u64, 5, 5, 7, 8, 8, 10];
+        let targets = vec![1u32, 2, 3, 4, 5, 4, 4, 3, 0, 5];
+        let weights = vec![1u32, 2, 130, 4, 5, 300, 7, 9, 16384, 1];
+        let gu: Csr<()> = Csr::from_parts(offsets.clone(), targets.clone(), vec![], false);
+        let gw: Csr<u32> = Csr::from_parts(offsets, targets, weights, false);
+        let degrees: &[u32] = &[5, 0, 2, 1, 0, 2];
+
+        let cu = CompressedGraph::from_csr_with_chunk_size(&gu, 3);
+        let (o, d, b) = cu.raw_parts();
+        assert_eq!(o, [0, 6, 6, 8, 9, 9, 11]);
+        assert_eq!(d, degrees);
+        assert_eq!(b, [3, 2, 1, 1, 8, 1, 4, 0, 0, 9, 5]);
+
+        let cw = CompressedWGraph::from_csr_with_chunk_size(&gw, 3);
+        let (o, d, b) = cw.raw_parts();
+        assert_eq!(o, [0, 12, 12, 17, 19, 19, 25]);
+        assert_eq!(d, degrees);
+        assert_eq!(
+            b,
+            [
+                7, 2, 1, 1, 2, 1, 130, 1, 8, 4, 1, 5, // vertex 0: header, two chunks
+                4, 7, 0, 172, 2, // vertex 2: (4, 7) then (4, 300)
+                0, 9, // vertex 3
+                9, 128, 128, 1, 5, 1, // vertex 5: (0, 16384), (5, 1)
+            ]
+        );
+    }
+
+    /// `try_from_raw_parts` on `c`'s own arrays with one of them replaced.
+    fn rebuild<W: Weight>(
+        c: &Compressed<W>,
+        offsets: Option<Vec<u64>>,
+        degrees: Option<Vec<u32>>,
+        data: Option<Vec<u8>>,
+    ) -> Result<Compressed<W>, String> {
         let (o, d, b) = c.raw_parts();
-        (o.to_vec(), d.to_vec(), b.to_vec())
+        Compressed::try_from_raw_parts(
+            c.num_vertices(),
+            c.num_edges(),
+            offsets.unwrap_or_else(|| o.to_vec()),
+            degrees.unwrap_or_else(|| d.to_vec()),
+            data.unwrap_or_else(|| b.to_vec()),
+            c.is_symmetric(),
+            c.chunk_size(),
+            None,
+        )
+    }
+
+    fn check_corrupt_structure_rejected<W: Weight>(g: &Csr<W>) {
+        let c = Compressed::from_csr(g);
+        let (o, d, b) = c.raw_parts();
+        // The pristine parts reconstruct fine.
+        assert!(rebuild(&c, None, None, None).is_ok());
+        // Truncated data (by a byte, and by half): offsets no longer cover
+        // it — a typed error, not a traversal panic.
+        for keep in [b.len() - 1, b.len() / 2] {
+            let err = rebuild(&c, None, None, Some(b[..keep].to_vec())).unwrap_err();
+            assert!(err.contains("data length"), "{err}");
+        }
+        // Non-monotone offsets.
+        let mut bad_o = o.to_vec();
+        bad_o[1] = bad_o[2] + 1;
+        let err = rebuild(&c, Some(bad_o), None, None).unwrap_err();
+        assert!(err.contains("monotone"), "{err}");
+        // Degree sum disagrees with m.
+        let mut bad_d = d.to_vec();
+        bad_d[0] += 1;
+        let err = rebuild(&c, None, Some(bad_d), None).unwrap_err();
+        assert!(err.contains("degree sum"), "{err}");
+        // Wrong offsets length.
+        let err = rebuild(&c, Some(o[..o.len() - 1].to_vec()), None, None).unwrap_err();
+        assert!(err.contains("offsets length"), "{err}");
     }
 
     #[test]
     fn corrupt_structural_payload_rejected() {
         let g = erdos_renyi(200, 2_000, 3, true);
-        let c = CompressedGraph::from_csr(&g);
-        let n = c.num_vertices();
-        let m = c.num_edges();
-        let cs = c.chunk_size();
-        let (o, d, b) = parts(&c);
-        // The pristine parts reconstruct fine.
-        assert!(CompressedGraph::try_from_raw_parts(
-            n,
-            m,
-            o.clone(),
-            d.clone(),
-            b.clone(),
-            true,
-            cs,
-            None
-        )
-        .is_ok());
-        // Truncated data: offsets no longer cover it.
-        let err = CompressedGraph::try_from_raw_parts(
-            n,
-            m,
-            o.clone(),
-            d.clone(),
-            b[..b.len() - 1].to_vec(),
-            true,
-            cs,
-            None,
-        )
-        .unwrap_err();
-        assert!(err.contains("data length"), "{err}");
-        // Non-monotone offsets.
-        let mut bad_o = o.clone();
-        bad_o[1] = bad_o[2] + 1;
-        let err =
-            CompressedGraph::try_from_raw_parts(n, m, bad_o, d.clone(), b.clone(), true, cs, None)
-                .unwrap_err();
-        assert!(err.contains("monotone"), "{err}");
-        // Degree sum disagrees with m.
-        let mut bad_d = d.clone();
-        bad_d[0] += 1;
-        let err =
-            CompressedGraph::try_from_raw_parts(n, m, o.clone(), bad_d, b.clone(), true, cs, None)
-                .unwrap_err();
-        assert!(err.contains("degree sum"), "{err}");
-        // Wrong offsets length.
-        let err = CompressedGraph::try_from_raw_parts(n, m, o[..n].to_vec(), d, b, true, cs, None)
-            .unwrap_err();
-        assert!(err.contains("offsets length"), "{err}");
+        check_corrupt_structure_rejected(&g);
+        check_corrupt_structure_rejected(&weighted(&g));
     }
 
-    #[test]
-    fn corrupt_block_bytes_rejected() {
-        // A degree-1 vertex whose block is an overlong codeword (the old
-        // decoder's unbounded-shift hole), a truncated codeword, an
-        // out-of-range neighbor, and trailing garbage — all typed errors.
-        let build = |data: Vec<u8>, deg: u32| {
-            CompressedGraph::try_from_raw_parts(
-                2,
-                deg as usize,
-                vec![0, data.len() as u64, data.len() as u64],
-                vec![deg, 0],
-                data,
-                true,
-                0,
-                None,
-            )
-        };
-        let err = build(vec![0x80; 11], 1).unwrap_err();
-        assert!(err.contains("overlong"), "{err}");
-        let err = build(vec![0x80, 0x80], 1).unwrap_err();
-        assert!(err.contains("mid-codeword"), "{err}");
-        // zigzag(+5) from vertex 0 = neighbor 5 ≥ n = 2.
-        let err = build(vec![0x0A], 1).unwrap_err();
-        assert!(err.contains("vertex range"), "{err}");
-        // Valid neighbor followed by trailing garbage.
-        let err = build(vec![0x02, 0x00], 1).unwrap_err();
-        assert!(err.contains("trailing"), "{err}");
-        // Gap that runs past n.
-        let err = build(vec![0x02, 0x7F], 2).unwrap_err();
-        assert!(err.contains("vertex range"), "{err}");
-    }
-
-    #[test]
-    fn corrupt_chunk_header_rejected() {
-        // Chunked block whose header length disagrees with the body.
-        let g = crate::builder::from_pairs(10, &(1..=9).map(|u| (0, u)).collect::<Vec<_>>());
-        let c = CompressedGraph::from_csr_with_chunk_size(&g, 4);
-        let (o, d, mut b) = parts(&c);
-        assert!(c.num_chunks_of(0) == 3);
-        // Vertex 0's block starts with two chunk-body lengths; bump the
-        // first so the walk detects the mismatch.
-        b[0] += 1;
-        let err = CompressedGraph::try_from_raw_parts(10, 9, o, d, b, false, 4, None).unwrap_err();
-        assert!(
-            err.contains("length mismatch")
-                || err.contains("header says")
-                || err.contains("trailing"),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn corrupt_weighted_payload_rejected() {
-        use crate::transform::assign_weights;
-        let g = assign_weights(&erdos_renyi(100, 1_000, 4, true), 1, 100, 2);
-        let c = CompressedWGraph::from_csr(&g);
-        let (o, d, b) = c.raw_parts();
-        let (o, d, b) = (o.to_vec(), d.to_vec(), b.to_vec());
-        assert!(CompressedWGraph::try_from_raw_parts(
-            c.num_vertices(),
-            c.num_edges(),
-            o.clone(),
-            d.clone(),
-            b.clone(),
-            true,
-            c.chunk_size(),
-            None
-        )
-        .is_ok());
-        // Truncation surfaces a typed error, not a traversal panic.
-        let err = CompressedWGraph::try_from_raw_parts(
-            c.num_vertices(),
-            c.num_edges(),
-            o,
-            d,
-            b[..b.len() / 2].to_vec(),
-            true,
-            c.chunk_size(),
-            None,
-        )
-        .unwrap_err();
-        assert!(err.contains("data length"), "{err}");
-        // A weight codeword too large for u32 fails closed.
-        let mut data = Vec::new();
-        put_varint(&mut data, zigzag_encode(1)); // neighbor 1
-        put_varint(&mut data, u64::from(u32::MAX) + 1); // weight overflow
-        let err = CompressedWGraph::try_from_raw_parts(
+    /// A two-vertex graph whose vertex 0 has `deg` edges coded as `data`.
+    fn one_block<W: Weight>(data: Vec<u8>, deg: u32) -> Result<Compressed<W>, String> {
+        Compressed::try_from_raw_parts(
             2,
-            1,
+            deg as usize,
             vec![0, data.len() as u64, data.len() as u64],
-            vec![1, 0],
+            vec![deg, 0],
             data,
             true,
             0,
             None,
         )
-        .unwrap_err();
+    }
+
+    fn check_corrupt_block_bytes_rejected<W: Weight>() {
+        // Single-byte gap codewords, each followed by a weight of 1 when
+        // the byte code carries weights.
+        let edges = |gaps: &[u8]| -> Vec<u8> {
+            gaps.iter()
+                .flat_map(|&g| [g, 1].into_iter().take(if W::IS_UNIT { 1 } else { 2 }))
+                .collect()
+        };
+        // An overlong codeword (the old decoder's unbounded-shift hole), a
+        // truncated codeword, an out-of-range neighbor, and trailing
+        // garbage — all typed errors.
+        let err = one_block::<W>(vec![0x80; 11], 1).unwrap_err();
+        assert!(err.contains("overlong"), "{err}");
+        let err = one_block::<W>(vec![0x80, 0x80], 1).unwrap_err();
+        assert!(err.contains("mid-codeword"), "{err}");
+        // zigzag(+5) from vertex 0 = neighbor 5 ≥ n = 2.
+        let err = one_block::<W>(edges(&[0x0A]), 1).unwrap_err();
+        assert!(err.contains("vertex range"), "{err}");
+        // Valid neighbor followed by trailing garbage.
+        let mut data = edges(&[0x02]);
+        assert!(one_block::<W>(data.clone(), 1).is_ok());
+        data.push(0x00);
+        let err = one_block::<W>(data, 1).unwrap_err();
+        assert!(err.contains("trailing"), "{err}");
+        // Gap that runs past n.
+        let err = one_block::<W>(edges(&[0x02, 0x7F]), 2).unwrap_err();
+        assert!(err.contains("vertex range"), "{err}");
+    }
+
+    #[test]
+    fn corrupt_block_bytes_rejected() {
+        check_corrupt_block_bytes_rejected::<()>();
+        check_corrupt_block_bytes_rejected::<u32>();
+    }
+
+    #[test]
+    fn corrupt_weight_codeword_rejected() {
+        // A weight codeword too large for u32 fails closed.
+        let mut data = Vec::new();
+        put_varint(&mut data, zigzag_encode(1)); // neighbor 1
+        put_varint(&mut data, u64::from(u32::MAX) + 1); // weight overflow
+        let err = one_block::<u32>(data, 1).unwrap_err();
         assert!(err.contains("overflows u32"), "{err}");
+        // A gap with no weight after it: the unweighted reading of the
+        // same bytes is fine, the weighted one is truncated.
+        assert!(one_block::<()>(vec![0x02], 1).is_ok());
+        let err = one_block::<u32>(vec![0x02], 1).unwrap_err();
+        assert!(err.contains("mid-codeword"), "{err}");
+    }
+
+    fn check_corrupt_chunk_header_rejected<W: Weight>(g: &Csr<W>) {
+        // Chunked block whose header length disagrees with the body.
+        let c = Compressed::from_csr_with_chunk_size(g, 4);
+        assert_eq!(c.num_chunks_of(0), 3);
+        // Vertex 0's block starts with two chunk-body lengths; bump the
+        // first so the walk detects the mismatch.
+        let mut b = c.raw_parts().2.to_vec();
+        b[0] += 1;
+        let err = rebuild(&c, None, None, Some(b)).unwrap_err();
+        assert!(
+            err.contains("header says") || err.contains("trailing"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn corrupt_chunk_header_rejected() {
+        let g = from_pairs(10, &(1..=9).map(|u| (0, u)).collect::<Vec<_>>());
+        check_corrupt_chunk_header_rejected(&g);
+        check_corrupt_chunk_header_rejected(&weighted(&g));
     }
 }

@@ -51,7 +51,7 @@
 //! section kinds, so future writers can add sections without breaking old
 //! readers.
 
-use crate::compress::{CompressedGraph, CompressedWGraph};
+use crate::compress::Compressed;
 use crate::csr::{Csr, Weight};
 use crate::mmap::MmapBuf;
 use crate::VertexId;
@@ -104,6 +104,21 @@ mod kind {
     /// Chunked-payload metadata for the transpose direction.
     pub const COMP_IN_META: u32 = 14;
 }
+
+/// Section kinds of one compressed-payload direction: offsets, degrees,
+/// data, chunk meta.
+const COMP_OUT: [u32; 4] = [
+    kind::COMP_OFFSETS,
+    kind::COMP_DEGREES,
+    kind::COMP_DATA,
+    kind::COMP_META,
+];
+const COMP_IN: [u32; 4] = [
+    kind::COMP_IN_OFFSETS,
+    kind::COMP_IN_DEGREES,
+    kind::COMP_IN_DATA,
+    kind::COMP_IN_META,
+];
 
 /// FNV-1a 64 — the per-section checksum. Cheap, dependency-free, and good
 /// enough to catch torn writes and bit rot (not an integrity MAC).
@@ -207,6 +222,76 @@ pub fn peek(path: &Path) -> Result<ContainerInfo, Error> {
     parse_header(path, &head).map(|(info, _)| info)
 }
 
+/// Parses a whole container's header and section table — the one copy both
+/// loaders use. Bounds everything later arithmetic leans on: `n` fits the
+/// 32-bit id space (so `(n + 1) * 8` cannot overflow), `n` and `m` fit
+/// `usize`, and every section is 64-byte aligned and lies inside `bytes`.
+fn parse_table(
+    path: &Path,
+    bytes: &[u8],
+) -> Result<(ContainerInfo, usize, usize, Vec<Section>), Error> {
+    let (info, count) = parse_header(path, bytes)?;
+    let n = usize::try_from(info.n).map_err(|_| bad(path, "vertex count overflows usize"))?;
+    let m = usize::try_from(info.m).map_err(|_| bad(path, "edge count overflows usize"))?;
+    if n > VertexId::MAX as usize {
+        return Err(bad(path, "vertex count exceeds the 32-bit id space"));
+    }
+    let table_end = HEADER_LEN.saturating_add((count as usize).saturating_mul(SECTION_ENTRY_LEN));
+    if table_end > bytes.len() {
+        return Err(bad(path, "truncated container (section table cut short)"));
+    }
+    let mut sections = Vec::with_capacity(count as usize);
+    for e in bytes[HEADER_LEN..table_end].chunks_exact(SECTION_ENTRY_LEN) {
+        let s = Section {
+            kind: u32::from_le_bytes(e[0..4].try_into().unwrap()),
+            offset: u64::from_le_bytes(e[8..16].try_into().unwrap()),
+            len: u64::from_le_bytes(e[16..24].try_into().unwrap()),
+            checksum: u64::from_le_bytes(e[24..32].try_into().unwrap()),
+        };
+        if !s.offset.is_multiple_of(SECTION_ALIGN as u64) {
+            return Err(bad(path, format!("section {} is misaligned", s.kind)));
+        }
+        if s.offset
+            .checked_add(s.len)
+            .is_none_or(|end| end > bytes.len() as u64)
+        {
+            return Err(bad(
+                path,
+                format!("truncated container (section {} cut short)", s.kind),
+            ));
+        }
+        sections.push(s);
+    }
+    Ok((info, n, m, sections))
+}
+
+/// The payload of the section of kind `k`, which must be exactly
+/// `want_len` bytes when a length is given.
+fn section_payload<'a>(
+    path: &Path,
+    bytes: &'a [u8],
+    sections: &[Section],
+    k: u32,
+    want_len: Option<u64>,
+    what: &str,
+) -> Result<&'a [u8], Error> {
+    let s = sections
+        .iter()
+        .find(|s| s.kind == k)
+        .ok_or_else(|| bad(path, format!("missing {what} section")))?;
+    if let Some(want) = want_len.filter(|&l| l != s.len) {
+        return Err(bad(
+            path,
+            format!(
+                "{what} section has {} bytes, expected {want} (corrupt header?)",
+                s.len
+            ),
+        ));
+    }
+    // `parse_table` checked offset + len against the file.
+    Ok(&bytes[s.offset as usize..(s.offset + s.len) as usize])
+}
+
 // --------------------------------------------------------------------------
 // Writing
 // --------------------------------------------------------------------------
@@ -284,44 +369,15 @@ pub fn write<W: Weight>(
         _ => Vec::new(),
     };
     // Optional compressed payload: encode now so the sections can borrow.
-    let comp_u = if W::IS_UNIT && opts.compressed_payload {
-        let unweighted: Csr<()> = Csr::from_parts(
-            g.offsets().to_vec(),
-            g.targets().to_vec(),
-            vec![],
-            g.is_symmetric(),
-        );
-        Some(CompressedGraph::from_csr(&unweighted))
-    } else {
-        None
-    };
-    let comp_w = if !W::IS_UNIT && opts.compressed_payload {
-        let weighted: Csr<u32> = Csr::from_parts(
-            g.offsets().to_vec(),
-            g.targets().to_vec(),
-            weights_u32.clone(),
-            g.is_symmetric(),
-        );
-        Some(CompressedWGraph::from_csr(&weighted))
-    } else {
-        None
-    };
-    // For directed graphs the compressed transpose is re-encoded from the
-    // in-view so pull traversals work on the compressed payload too.
-    let comp_in_u = comp_u.as_ref().and(in_view).map(|t| {
-        let unweighted: Csr<()> =
-            Csr::from_parts(t.offsets().to_vec(), t.targets().to_vec(), vec![], false);
-        CompressedGraph::from_csr(&unweighted)
-    });
-    let comp_in_w = comp_w.as_ref().and(in_view).map(|t| {
-        let weighted: Csr<u32> = Csr::from_parts(
-            t.offsets().to_vec(),
-            t.targets().to_vec(),
-            in_weights_u32.clone(),
-            false,
-        );
-        CompressedWGraph::from_csr(&weighted)
-    });
+    // A directed graph's in-view is encoded with it, so pull traversals
+    // work on the compressed payload too.
+    let comp = opts
+        .compressed_payload
+        .then(|| Compressed::<W>::from_csr(g));
+    let comp_in = comp
+        .as_ref()
+        .filter(|c| !c.is_symmetric())
+        .and_then(|c| c.in_view());
 
     let mut sections: Vec<(u32, Cow<'_, [u8]>)> = vec![
         (kind::OFFSETS, le_u64_bytes(g.offsets())),
@@ -337,81 +393,22 @@ pub fn write<W: Weight>(
             sections.push((kind::IN_WEIGHTS, le_u32_bytes(&in_weights_u32)));
         }
     }
-    let push_comp = |sections: &mut Vec<(u32, Cow<'_, [u8]>)>,
-                     kinds: [u32; 3],
-                     offsets: &'_ [u64],
-                     degrees: &'_ [u32],
-                     data: &'_ [u8]| {
-        sections.push((kinds[0], Cow::Owned(le_u64_bytes(offsets).into_owned())));
-        sections.push((kinds[1], Cow::Owned(le_u32_bytes(degrees).into_owned())));
-        sections.push((kinds[2], Cow::Owned(data.to_vec())));
-    };
     // Chunked payloads advertise their chunk size in a META section (and
     // the COMP_CHUNKED flag below); chunk_size 0 writes the legacy layout
     // with no META, which pre-chunking readers accept.
-    let push_meta = |sections: &mut Vec<(u32, Cow<'_, [u8]>)>, k: u32, chunk_size: u32| {
-        if chunk_size != 0 {
-            let mut payload = [0u8; 8];
-            payload[..4].copy_from_slice(&chunk_size.to_le_bytes());
-            sections.push((k, Cow::Owned(payload.to_vec())));
-        }
-    };
     let mut comp_chunked = false;
-    if let Some(c) = &comp_u {
-        let (o, d, b) = c.raw_parts();
-        push_comp(
-            &mut sections,
-            [kind::COMP_OFFSETS, kind::COMP_DEGREES, kind::COMP_DATA],
-            o,
-            d,
-            b,
-        );
-        push_meta(&mut sections, kind::COMP_META, c.chunk_size());
-        comp_chunked |= c.chunk_size() != 0;
-    }
-    if let Some(c) = &comp_w {
-        let (o, d, b) = c.raw_parts();
-        push_comp(
-            &mut sections,
-            [kind::COMP_OFFSETS, kind::COMP_DEGREES, kind::COMP_DATA],
-            o,
-            d,
-            b,
-        );
-        push_meta(&mut sections, kind::COMP_META, c.chunk_size());
-        comp_chunked |= c.chunk_size() != 0;
-    }
-    if let Some(c) = &comp_in_u {
-        let (o, d, b) = c.raw_parts();
-        push_comp(
-            &mut sections,
-            [
-                kind::COMP_IN_OFFSETS,
-                kind::COMP_IN_DEGREES,
-                kind::COMP_IN_DATA,
-            ],
-            o,
-            d,
-            b,
-        );
-        push_meta(&mut sections, kind::COMP_IN_META, c.chunk_size());
-        comp_chunked |= c.chunk_size() != 0;
-    }
-    if let Some(c) = &comp_in_w {
-        let (o, d, b) = c.raw_parts();
-        push_comp(
-            &mut sections,
-            [
-                kind::COMP_IN_OFFSETS,
-                kind::COMP_IN_DEGREES,
-                kind::COMP_IN_DATA,
-            ],
-            o,
-            d,
-            b,
-        );
-        push_meta(&mut sections, kind::COMP_IN_META, c.chunk_size());
-        comp_chunked |= c.chunk_size() != 0;
+    for (c, kinds) in [(comp.as_ref(), COMP_OUT), (comp_in, COMP_IN)] {
+        let Some(c) = c else { continue };
+        let (offsets, degrees, data) = c.raw_parts();
+        sections.push((kinds[0], le_u64_bytes(offsets)));
+        sections.push((kinds[1], le_u32_bytes(degrees)));
+        sections.push((kinds[2], Cow::Borrowed(data)));
+        if c.chunk_size() != 0 {
+            let mut payload = [0u8; 8];
+            payload[..4].copy_from_slice(&c.chunk_size().to_le_bytes());
+            sections.push((kinds[3], Cow::Owned(payload.to_vec())));
+            comp_chunked = true;
+        }
     }
 
     // Lay out the table and compute checksums.
@@ -439,7 +436,7 @@ pub fn write<W: Weight>(
     if in_view.is_some() {
         flags |= FLAG_HAS_IN;
     }
-    if comp_u.is_some() || comp_w.is_some() {
+    if comp.is_some() {
         flags |= FLAG_HAS_COMPRESSED;
     }
     if comp_chunked {
@@ -543,65 +540,20 @@ impl<W: Weight> MappedGraph<W> {
     #[cfg(target_endian = "little")]
     fn from_buf(buf: MmapBuf, path: &Path) -> Result<Self, Error> {
         let bytes = buf.bytes();
-        let (info, count) = parse_header(path, bytes)?;
+        let (info, n, m, sections) = parse_table(path, bytes)?;
         if info.weighted == W::IS_UNIT {
             return Err(bad(
                 path,
                 "weightedness of container does not match requested graph type",
             ));
         }
-        let n = usize::try_from(info.n).map_err(|_| bad(path, "vertex count overflows usize"))?;
-        let m = usize::try_from(info.m).map_err(|_| bad(path, "edge count overflows usize"))?;
-        if n > VertexId::MAX as usize {
-            return Err(bad(path, "vertex count exceeds the 32-bit id space"));
-        }
-        let table_end =
-            HEADER_LEN.saturating_add((count as usize).saturating_mul(SECTION_ENTRY_LEN));
-        if table_end > bytes.len() {
-            return Err(bad(path, "truncated container (section table cut short)"));
-        }
-        let mut sections = Vec::with_capacity(count as usize);
-        for i in 0..count as usize {
-            let at = HEADER_LEN + i * SECTION_ENTRY_LEN;
-            let e = &bytes[at..at + SECTION_ENTRY_LEN];
-            let s = Section {
-                kind: u32::from_le_bytes(e[0..4].try_into().unwrap()),
-                offset: u64::from_le_bytes(e[8..16].try_into().unwrap()),
-                len: u64::from_le_bytes(e[16..24].try_into().unwrap()),
-                checksum: u64::from_le_bytes(e[24..32].try_into().unwrap()),
-            };
-            if !s.offset.is_multiple_of(SECTION_ALIGN as u64) {
-                return Err(bad(path, format!("section {} is misaligned", s.kind)));
-            }
-            let end = s
-                .offset
-                .checked_add(s.len)
-                .ok_or_else(|| bad(path, "section range overflows"))?;
-            if end > bytes.len() as u64 {
-                return Err(bad(
-                    path,
-                    format!("truncated container (section {} cut short)", s.kind),
-                ));
-            }
-            sections.push(s);
-        }
-        let find = |k: u32| sections.iter().find(|s| s.kind == k);
-        let expect = |k: u32, want_len: u64, what: &str| -> Result<*const u8, Error> {
-            let s = find(k).ok_or_else(|| bad(path, format!("missing {what} section")))?;
-            if s.len != want_len {
-                return Err(bad(
-                    path,
-                    format!(
-                        "{what} section has {} bytes, expected {want_len} (corrupt header?)",
-                        s.len
-                    ),
-                ));
-            }
-            // SAFETY: offset+len bounds were checked above.
-            Ok(unsafe { bytes.as_ptr().add(s.offset as usize) })
+        let expect = |k: u32, want_len: u64, what: &str| {
+            section_payload(path, bytes, &sections, k, Some(want_len), what).map(<[u8]>::as_ptr)
         };
         let offsets_len = (n as u64 + 1) * 8;
-        let targets_len = m as u64 * 4;
+        let targets_len = (m as u64)
+            .checked_mul(4)
+            .ok_or_else(|| bad(path, "edge count overflows the section lengths"))?;
         let out = RawAdj {
             offsets: expect(kind::OFFSETS, offsets_len, "offsets")? as *const u64,
             targets: expect(kind::TARGETS, targets_len, "targets")? as *const VertexId,
@@ -963,208 +915,63 @@ impl<W: Weight> std::fmt::Debug for MappedGraph<W> {
 // Compressed payload loading
 // --------------------------------------------------------------------------
 
-/// One decoded compressed-payload adjacency: vertex offsets into the byte
-/// stream, per-vertex degrees, and the byte-coded edge data itself.
-type CompParts = (Vec<u64>, Vec<u32>, Vec<u8>);
-
-fn read_comp_parts(
-    path: &Path,
-    bytes: &[u8],
-    sections: &[Section],
-    kinds: [u32; 3],
-    n: usize,
-    what: &str,
-) -> Result<CompParts, Error> {
-    let find = |k: u32| -> Result<&Section, Error> {
-        sections
-            .iter()
-            .find(|s| s.kind == k)
-            .ok_or_else(|| bad(path, format!("missing {what} section (kind {k})")))
-    };
-    let o = find(kinds[0])?;
-    let d = find(kinds[1])?;
-    let b = find(kinds[2])?;
-    if o.len != (n as u64 + 1) * 8 || d.len != n as u64 * 4 {
-        return Err(bad(
-            path,
-            format!("{what} section lengths are inconsistent"),
-        ));
-    }
-    let payload = |s: &Section| &bytes[s.offset as usize..(s.offset + s.len) as usize];
-    let offsets: Vec<u64> = payload(o)
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    let degrees: Vec<u32> = payload(d)
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    Ok((offsets, degrees, payload(b).to_vec()))
-}
-
-/// Chunk size of one compressed-payload direction: 0 (legacy unchunked)
-/// when the META section is absent, its stored u32 otherwise.
-fn comp_chunk_size(
-    path: &Path,
-    bytes: &[u8],
-    sections: &[Section],
-    meta_kind: u32,
-) -> Result<u32, Error> {
-    let Some(s) = sections.iter().find(|s| s.kind == meta_kind) else {
-        return Ok(0);
-    };
-    if s.len != 8 {
-        return Err(bad(
-            path,
-            format!("compressed-payload meta section has length {}", s.len),
-        ));
-    }
-    let p = &bytes[s.offset as usize..s.offset as usize + 4];
-    Ok(u32::from_le_bytes(p.try_into().unwrap()))
-}
-
-fn comp_sections(path: &Path) -> Result<(ContainerInfo, Vec<Section>, MmapBuf), Error> {
+/// Loads the byte-compressed payload of a container whose weightedness
+/// matches `W`, skipping the CSR re-encode entirely: the blocks were
+/// encoded at convert time and are adopted verbatim, after a full
+/// validation walk ([`Compressed::try_from_raw_parts`]).
+pub fn read_compressed<W: Weight>(path: &Path) -> Result<Compressed<W>, Error> {
     let buf = MmapBuf::open(path)?;
-    let (info, count) = parse_header(path, buf.bytes())?;
+    let bytes = buf.bytes();
+    let (info, n, m, sections) = parse_table(path, bytes)?;
     if !info.has_compressed {
         return Err(bad(path, "container has no compressed payload sections"));
     }
-    let bytes = buf.bytes();
-    let table_end = HEADER_LEN + count as usize * SECTION_ENTRY_LEN;
-    if table_end > bytes.len() {
-        return Err(bad(path, "truncated container (section table cut short)"));
+    if info.weighted == W::IS_UNIT {
+        return Err(bad(
+            path,
+            "weightedness of container does not match requested graph type",
+        ));
     }
-    let mut sections = Vec::with_capacity(count as usize);
-    for i in 0..count as usize {
-        let at = HEADER_LEN + i * SECTION_ENTRY_LEN;
-        let e = &bytes[at..at + SECTION_ENTRY_LEN];
-        let s = Section {
-            kind: u32::from_le_bytes(e[0..4].try_into().unwrap()),
-            offset: u64::from_le_bytes(e[8..16].try_into().unwrap()),
-            len: u64::from_le_bytes(e[16..24].try_into().unwrap()),
-            checksum: u64::from_le_bytes(e[24..32].try_into().unwrap()),
+    // One direction's arrays: offsets, degrees, data, and the chunk size
+    // from its META section (absent = 0, the legacy unchunked layout).
+    let direction = |kinds: [u32; 4], what: &str, symmetric, in_graph| {
+        let part = |k, want_len, name: &str| {
+            section_payload(
+                path,
+                bytes,
+                &sections,
+                k,
+                want_len,
+                &format!("{what} {name}"),
+            )
         };
-        if s.offset
-            .checked_add(s.len)
-            .is_none_or(|end| end > bytes.len() as u64)
-        {
-            return Err(bad(path, "truncated container (section cut short)"));
-        }
-        sections.push(s);
-    }
-    Ok((info, sections, buf))
-}
-
-/// Loads the byte-compressed payload of an **unweighted** container,
-/// skipping the CSR re-encode entirely (the blocks were encoded at convert
-/// time and are copied verbatim).
-pub fn read_compressed(path: &Path) -> Result<CompressedGraph, Error> {
-    let (info, sections, buf) = comp_sections(path)?;
-    if info.weighted {
-        return Err(bad(
-            path,
-            "weightedness of container does not match requested graph type",
-        ));
-    }
-    let n = info.n as usize;
-    let bytes = buf.bytes();
-    let (offsets, degrees, data) = read_comp_parts(
-        path,
-        bytes,
-        &sections,
-        [kind::COMP_OFFSETS, kind::COMP_DEGREES, kind::COMP_DATA],
-        n,
-        "compressed payload",
-    )?;
-    let corrupt = |what: &str, msg: String| bad(path, format!("corrupt {what}: {msg}"));
+        let offsets = part(kinds[0], Some((n as u64 + 1) * 8), "offsets")?
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        let degrees = part(kinds[1], Some(n as u64 * 4), "degrees")?
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        let data = part(kinds[2], None, "data")?.to_vec();
+        let chunk_size = if sections.iter().any(|s| s.kind == kinds[3]) {
+            let meta = part(kinds[3], Some(8), "meta")?;
+            u32::from_le_bytes(meta[..4].try_into().unwrap())
+        } else {
+            0
+        };
+        Compressed::try_from_raw_parts(
+            n, m, offsets, degrees, data, symmetric, chunk_size, in_graph,
+        )
+        .map_err(|e| bad(path, format!("corrupt {what}: {e}")))
+    };
     let in_graph = if !info.symmetric && sections.iter().any(|s| s.kind == kind::COMP_IN_DATA) {
-        let (o, d, b) = read_comp_parts(
-            path,
-            bytes,
-            &sections,
-            [
-                kind::COMP_IN_OFFSETS,
-                kind::COMP_IN_DEGREES,
-                kind::COMP_IN_DATA,
-            ],
-            n,
-            "compressed transpose payload",
-        )?;
-        let cs = comp_chunk_size(path, bytes, &sections, kind::COMP_IN_META)?;
-        Some(Box::new(
-            CompressedGraph::try_from_raw_parts(n, info.m as usize, o, d, b, false, cs, None)
-                .map_err(|e| corrupt("compressed transpose payload", e))?,
-        ))
+        let t = direction(COMP_IN, "compressed transpose payload", false, None)?;
+        Some(Box::new(t))
     } else {
         None
     };
-    let cs = comp_chunk_size(path, bytes, &sections, kind::COMP_META)?;
-    CompressedGraph::try_from_raw_parts(
-        n,
-        info.m as usize,
-        offsets,
-        degrees,
-        data,
-        info.symmetric,
-        cs,
-        in_graph,
-    )
-    .map_err(|e| corrupt("compressed payload", e))
-}
-
-/// Loads the byte-compressed payload of a **weighted** container.
-pub fn read_compressed_weighted(path: &Path) -> Result<CompressedWGraph, Error> {
-    let (info, sections, buf) = comp_sections(path)?;
-    if !info.weighted {
-        return Err(bad(
-            path,
-            "weightedness of container does not match requested graph type",
-        ));
-    }
-    let n = info.n as usize;
-    let bytes = buf.bytes();
-    let (offsets, degrees, data) = read_comp_parts(
-        path,
-        bytes,
-        &sections,
-        [kind::COMP_OFFSETS, kind::COMP_DEGREES, kind::COMP_DATA],
-        n,
-        "compressed payload",
-    )?;
-    let corrupt = |what: &str, msg: String| bad(path, format!("corrupt {what}: {msg}"));
-    let in_graph = if !info.symmetric && sections.iter().any(|s| s.kind == kind::COMP_IN_DATA) {
-        let (o, d, b) = read_comp_parts(
-            path,
-            bytes,
-            &sections,
-            [
-                kind::COMP_IN_OFFSETS,
-                kind::COMP_IN_DEGREES,
-                kind::COMP_IN_DATA,
-            ],
-            n,
-            "compressed transpose payload",
-        )?;
-        let cs = comp_chunk_size(path, bytes, &sections, kind::COMP_IN_META)?;
-        Some(Box::new(
-            CompressedWGraph::try_from_raw_parts(n, info.m as usize, o, d, b, false, cs, None)
-                .map_err(|e| corrupt("compressed transpose payload", e))?,
-        ))
-    } else {
-        None
-    };
-    let cs = comp_chunk_size(path, bytes, &sections, kind::COMP_META)?;
-    CompressedWGraph::try_from_raw_parts(
-        n,
-        info.m as usize,
-        offsets,
-        degrees,
-        data,
-        info.symmetric,
-        cs,
-        in_graph,
-    )
-    .map_err(|e| corrupt("compressed payload", e))
+    direction(COMP_OUT, "compressed payload", info.symmetric, in_graph)
 }
 
 #[cfg(test)]
@@ -1258,51 +1065,72 @@ mod tests {
         std::fs::remove_file(&p).ok();
     }
 
-    #[test]
-    fn compressed_payload_round_trips() {
-        let g = erdos_renyi(250, 1_800, 11, true);
-        let p = tmp("comp");
-        write(
-            &g,
-            &p,
-            &ContainerWriteOptions {
-                compressed_payload: true,
-            },
-        )
-        .unwrap();
+    const WITH_PAYLOAD: ContainerWriteOptions = ContainerWriteOptions {
+        compressed_payload: true,
+    };
+
+    /// The embedded payload is the encoder's output verbatim, transpose
+    /// included; asserted once, run at both weights.
+    fn check_compressed_payload_round_trips<W: Weight>(g: &Csr<W>, name: &str) {
+        let p = tmp(name);
+        write(g, &p, &WITH_PAYLOAD).unwrap();
         assert!(peek(&p).unwrap().has_compressed);
-        let c = read_compressed(&p).unwrap();
+        let c = read_compressed::<W>(&p).unwrap();
+        let direct = Compressed::from_csr(g);
         assert_eq!(c.num_vertices(), g.num_vertices());
         assert_eq!(c.num_edges(), g.num_edges());
-        let direct = CompressedGraph::from_csr(&g);
-        for v in 0..g.num_vertices() as VertexId {
-            assert_eq!(c.neighbors_vec(v), direct.neighbors_vec(v), "vertex {v}");
+        assert_eq!(c.chunk_size(), direct.chunk_size());
+        assert_eq!(c.raw_parts(), direct.raw_parts());
+        assert_eq!(c.has_in_view(), direct.has_in_view());
+        if let (Some(a), Some(b)) = (c.in_view(), direct.in_view()) {
+            assert_eq!(a.raw_parts(), b.raw_parts(), "transpose payload");
         }
         std::fs::remove_file(&p).ok();
     }
 
     #[test]
-    fn weighted_compressed_payload_round_trips() {
-        let g = assign_weights(&erdos_renyi(180, 1_200, 4, true), 1, 60, 7);
-        let p = tmp("wcomp");
-        write(
-            &g,
-            &p,
-            &ContainerWriteOptions {
-                compressed_payload: true,
-            },
-        )
-        .unwrap();
-        let c = read_compressed_weighted(&p).unwrap();
-        let direct = CompressedWGraph::from_csr(&g);
-        for v in 0..g.num_vertices() as VertexId {
-            let mut a = Vec::new();
-            c.for_each_edge(v, |u, w| a.push((u, w)));
-            let mut b = Vec::new();
-            direct.for_each_edge(v, |u, w| b.push((u, w)));
-            assert_eq!(a, b, "vertex {v}");
+    fn compressed_payload_round_trips() {
+        let g = erdos_renyi(250, 1_800, 11, true);
+        check_compressed_payload_round_trips(&g, "comp");
+        check_compressed_payload_round_trips(&assign_weights(&g, 1, 60, 7), "wcomp");
+        let d = rmat(8, 8, RmatParams::default(), 3, false).with_transpose();
+        check_compressed_payload_round_trips(&d, "dcomp");
+        let dw = assign_weights(&d, 1, 60, 7).with_transpose();
+        check_compressed_payload_round_trips(&dw, "dwcomp");
+    }
+
+    #[test]
+    fn hostile_header_counts_are_parse_errors() {
+        // A vertex or edge count no file could hold must be refused by the
+        // table parser, before any section-length arithmetic on it (which
+        // overflowed under debug assertions in the compressed loader).
+        let g = erdos_renyi(60, 300, 5, true);
+        let wg = assign_weights(&g, 1, 9, 2);
+        let (pu, pw) = (tmp("hostile-u"), tmp("hostile-w"));
+        write(&g, &pu, &WITH_PAYLOAD).unwrap();
+        write(&wg, &pw, &WITH_PAYLOAD).unwrap();
+        let pristine = [&pu, &pw].map(|p| std::fs::read(p).unwrap());
+        for (at, count) in [(24, u64::MAX), (24, 1 << 61), (32, u64::MAX)] {
+            for (p, bytes) in [&pu, &pw].into_iter().zip(&pristine) {
+                let mut bytes = bytes.clone();
+                bytes[at..at + 8].copy_from_slice(&count.to_le_bytes());
+                let sum = fnv1a64(&bytes[0..44]) as u32;
+                bytes[44..48].copy_from_slice(&sum.to_le_bytes());
+                std::fs::write(p, &bytes).unwrap();
+            }
+            let errs = [
+                read_compressed::<()>(&pu).err(),
+                read_compressed::<u32>(&pw).err(),
+                MappedGraph::<()>::open(&pu).err(),
+                MappedGraph::<u32>::open(&pw).err(),
+            ];
+            for e in errs {
+                let e = e.unwrap_or_else(|| panic!("count {count:#x} at byte {at} was accepted"));
+                assert_eq!(e.code(), "parse", "{e}");
+            }
         }
-        std::fs::remove_file(&p).ok();
+        std::fs::remove_file(&pu).ok();
+        std::fs::remove_file(&pw).ok();
     }
 
     #[test]
@@ -1467,14 +1295,7 @@ mod tests {
     fn sections_are_64_byte_aligned() {
         let g = erdos_renyi(100, 700, 5, true);
         let p = tmp("align");
-        write(
-            &g,
-            &p,
-            &ContainerWriteOptions {
-                compressed_payload: true,
-            },
-        )
-        .unwrap();
+        write(&g, &p, &WITH_PAYLOAD).unwrap();
         let bytes = std::fs::read(&p).unwrap();
         let count = u32::from_le_bytes(bytes[40..44].try_into().unwrap()) as usize;
         for i in 0..count {

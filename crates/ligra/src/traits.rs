@@ -22,23 +22,20 @@
 //! | backend            | `OutEdges` | `InEdges` (dense pull)                  |
 //! |--------------------|------------|-----------------------------------------|
 //! | `Csr<W>`           | yes        | when symmetric or transpose attached     |
-//! | `CompressedGraph`  | yes        | when symmetric or transpose attached     |
-//! | `CompressedWGraph` | yes        | when symmetric or transpose attached     |
+//! | `Compressed<W>`    | yes        | when symmetric or transpose attached     |
 //! | `MappedGraph<W>`   | yes        | when symmetric or the `.jgr` file        |
 //! |                    |            | carries transpose sections               |
 //! | `PackedGraph`      | yes        | never (`has_in_view` is `false`; packing |
 //! |                    |            | mutates out-lists asymmetrically)        |
-//! | `SnapshotGraph`    | yes        | when symmetric (delegates to its         |
-//! |                    |            | materialized `Csr<()>`)                  |
 //!
-//! All six implement `GraphRef`; `has_in_view()` gates whether the dense
-//! path may actually be chosen.
+//! All four implement `GraphRef`; `has_in_view()` gates whether the dense
+//! path may actually be chosen. A `SnapshotGraph` is read through its
+//! materialized `csr()`.
 
-use julienne_graph::compress::{CompressedGraph, CompressedWGraph};
+use julienne_graph::compress::Compressed;
 use julienne_graph::container::MappedGraph;
 use julienne_graph::csr::{Csr, Weight};
 use julienne_graph::packed::PackedGraph;
-use julienne_graph::snapshot::SnapshotGraph;
 use julienne_graph::VertexId;
 use rayon::prelude::*;
 
@@ -269,18 +266,18 @@ impl<W: Weight> GraphRef for Csr<W> {
 }
 
 // --------------------------------------------------------------------------
-// CompressedGraph
+// Compressed<W>
 // --------------------------------------------------------------------------
 
-impl OutEdges for CompressedGraph {
-    type W = ();
+impl<W: Weight> OutEdges for Compressed<W> {
+    type W = W;
 
     fn num_vertices(&self) -> usize {
-        CompressedGraph::num_vertices(self)
+        Compressed::num_vertices(self)
     }
 
     fn num_edges(&self) -> usize {
-        CompressedGraph::num_edges(self)
+        Compressed::num_edges(self)
     }
 
     #[inline]
@@ -289,32 +286,29 @@ impl OutEdges for CompressedGraph {
     }
 
     #[inline]
-    fn for_each_out<F: FnMut(VertexId, ())>(&self, v: VertexId, mut f: F) {
-        self.for_each_neighbor(v, |u| f(u, ()));
+    fn for_each_out<F: FnMut(VertexId, W)>(&self, v: VertexId, f: F) {
+        Compressed::for_each_out(self, v, f);
     }
 
     #[inline]
-    fn for_each_out_until<F: FnMut(VertexId, ()) -> bool>(&self, v: VertexId, mut f: F) {
-        self.for_each_neighbor_until(v, |u| f(u, ()));
+    fn for_each_out_until<F: FnMut(VertexId, W) -> bool>(&self, v: VertexId, f: F) {
+        Compressed::for_each_out_until(self, v, f);
     }
 
     fn out_chunk_edges(&self) -> usize {
-        match self.chunk_size() {
-            0 => usize::MAX,
-            cs => cs as usize,
-        }
+        self.chunk_edges()
     }
 
     #[inline]
-    fn for_each_out_chunk<F: FnMut(VertexId, ())>(&self, v: VertexId, c: usize, mut f: F) {
-        self.for_each_neighbor_chunk(v, c, |u| f(u, ()));
+    fn for_each_out_chunk<F: FnMut(VertexId, W)>(&self, v: VertexId, c: usize, f: F) {
+        Compressed::for_each_out_chunk(self, v, c, f);
     }
 }
 
-impl InEdges for CompressedGraph {
+impl<W: Weight> InEdges for Compressed<W> {
     #[inline]
     fn has_in_view(&self) -> bool {
-        CompressedGraph::has_in_view(self)
+        Compressed::has_in_view(self)
     }
 
     #[inline]
@@ -323,112 +317,26 @@ impl InEdges for CompressedGraph {
     }
 
     #[inline]
-    fn for_each_in_until<F: FnMut(VertexId, ()) -> bool>(&self, v: VertexId, mut f: F) {
-        self.in_view()
-            .expect(NO_IN_VIEW)
-            .for_each_neighbor_until(v, |u| f(u, ()));
+    fn for_each_in_until<F: FnMut(VertexId, W) -> bool>(&self, v: VertexId, f: F) {
+        self.in_view().expect(NO_IN_VIEW).for_each_out_until(v, f);
     }
 
     fn in_chunk_edges(&self) -> usize {
-        match self.in_view().map(CompressedGraph::chunk_size) {
-            Some(0) | None => usize::MAX,
-            Some(cs) => cs as usize,
-        }
+        self.in_view().map_or(usize::MAX, Compressed::chunk_edges)
     }
 
     #[inline]
-    fn for_each_in_chunk<F: FnMut(VertexId, ())>(&self, v: VertexId, c: usize, mut f: F) {
+    fn for_each_in_chunk<F: FnMut(VertexId, W)>(&self, v: VertexId, c: usize, f: F) {
         self.in_view()
             .expect(NO_IN_VIEW)
-            .for_each_neighbor_chunk(v, c, |u| f(u, ()));
+            .for_each_out_chunk(v, c, f);
     }
 }
 
-impl GraphRef for CompressedGraph {
+impl<W: Weight> GraphRef for Compressed<W> {
     #[inline]
     fn is_symmetric(&self) -> bool {
-        CompressedGraph::is_symmetric(self)
-    }
-}
-
-// --------------------------------------------------------------------------
-// CompressedWGraph
-// --------------------------------------------------------------------------
-
-impl OutEdges for CompressedWGraph {
-    type W = u32;
-
-    fn num_vertices(&self) -> usize {
-        CompressedWGraph::num_vertices(self)
-    }
-
-    fn num_edges(&self) -> usize {
-        CompressedWGraph::num_edges(self)
-    }
-
-    #[inline]
-    fn out_degree(&self, v: VertexId) -> usize {
-        self.degree(v)
-    }
-
-    #[inline]
-    fn for_each_out<F: FnMut(VertexId, u32)>(&self, v: VertexId, f: F) {
-        self.for_each_edge(v, f);
-    }
-
-    #[inline]
-    fn for_each_out_until<F: FnMut(VertexId, u32) -> bool>(&self, v: VertexId, f: F) {
-        self.for_each_edge_until(v, f);
-    }
-
-    fn out_chunk_edges(&self) -> usize {
-        match self.chunk_size() {
-            0 => usize::MAX,
-            cs => cs as usize,
-        }
-    }
-
-    #[inline]
-    fn for_each_out_chunk<F: FnMut(VertexId, u32)>(&self, v: VertexId, c: usize, f: F) {
-        self.for_each_edge_chunk(v, c, f);
-    }
-}
-
-impl InEdges for CompressedWGraph {
-    #[inline]
-    fn has_in_view(&self) -> bool {
-        CompressedWGraph::has_in_view(self)
-    }
-
-    #[inline]
-    fn in_degree(&self, v: VertexId) -> usize {
-        self.in_view().expect(NO_IN_VIEW).degree(v)
-    }
-
-    #[inline]
-    fn for_each_in_until<F: FnMut(VertexId, u32) -> bool>(&self, v: VertexId, f: F) {
-        self.in_view().expect(NO_IN_VIEW).for_each_edge_until(v, f);
-    }
-
-    fn in_chunk_edges(&self) -> usize {
-        match self.in_view().map(CompressedWGraph::chunk_size) {
-            Some(0) | None => usize::MAX,
-            Some(cs) => cs as usize,
-        }
-    }
-
-    #[inline]
-    fn for_each_in_chunk<F: FnMut(VertexId, u32)>(&self, v: VertexId, c: usize, f: F) {
-        self.in_view()
-            .expect(NO_IN_VIEW)
-            .for_each_edge_chunk(v, c, f);
-    }
-}
-
-impl GraphRef for CompressedWGraph {
-    #[inline]
-    fn is_symmetric(&self) -> bool {
-        CompressedWGraph::is_symmetric(self)
+        Compressed::is_symmetric(self)
     }
 }
 
@@ -565,85 +473,6 @@ impl GraphRef for PackedGraph {
     #[inline]
     fn is_symmetric(&self) -> bool {
         false
-    }
-}
-
-// --------------------------------------------------------------------------
-// SnapshotGraph — an epoch-stamped CSR; every access delegates to the
-// materialized Csr<()>, so reads cost the same as the plain CSR backend.
-// --------------------------------------------------------------------------
-
-impl OutEdges for SnapshotGraph {
-    type W = ();
-
-    fn num_vertices(&self) -> usize {
-        SnapshotGraph::num_vertices(self)
-    }
-
-    fn num_edges(&self) -> usize {
-        SnapshotGraph::num_edges(self)
-    }
-
-    #[inline]
-    fn out_degree(&self, v: VertexId) -> usize {
-        OutEdges::out_degree(self.csr(), v)
-    }
-
-    #[inline]
-    fn for_each_out<F: FnMut(VertexId, ())>(&self, v: VertexId, f: F) {
-        OutEdges::for_each_out(self.csr(), v, f);
-    }
-
-    #[inline]
-    fn for_each_out_until<F: FnMut(VertexId, ()) -> bool>(&self, v: VertexId, f: F) {
-        OutEdges::for_each_out_until(self.csr(), v, f);
-    }
-
-    fn out_chunk_edges(&self) -> usize {
-        OutEdges::out_chunk_edges(self.csr())
-    }
-
-    #[inline]
-    fn for_each_out_chunk<F: FnMut(VertexId, ())>(&self, v: VertexId, c: usize, f: F) {
-        OutEdges::for_each_out_chunk(self.csr(), v, c, f);
-    }
-}
-
-impl InEdges for SnapshotGraph {
-    #[inline]
-    fn has_in_view(&self) -> bool {
-        InEdges::has_in_view(self.csr())
-    }
-
-    #[inline]
-    fn in_degree(&self, v: VertexId) -> usize {
-        InEdges::in_degree(self.csr(), v)
-    }
-
-    #[inline]
-    fn for_each_in_until<F: FnMut(VertexId, ()) -> bool>(&self, v: VertexId, f: F) {
-        InEdges::for_each_in_until(self.csr(), v, f);
-    }
-
-    fn in_chunk_edges(&self) -> usize {
-        InEdges::in_chunk_edges(self.csr())
-    }
-
-    #[inline]
-    fn for_each_in_chunk<F: FnMut(VertexId, ())>(&self, v: VertexId, c: usize, f: F) {
-        InEdges::for_each_in_chunk(self.csr(), v, c, f);
-    }
-}
-
-impl GraphRef for SnapshotGraph {
-    #[inline]
-    fn is_symmetric(&self) -> bool {
-        SnapshotGraph::is_symmetric(self)
-    }
-
-    #[inline]
-    fn out_degrees_sum(&self, vs: &[VertexId]) -> usize {
-        GraphRef::out_degrees_sum(self.csr(), vs)
     }
 }
 

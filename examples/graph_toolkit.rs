@@ -116,7 +116,9 @@ fn main() {
     for v in 0..g.num_vertices() as u32 {
         let mut want = g.neighbors(v).to_vec();
         want.sort_unstable();
-        assert_eq!(cg.neighbors_vec(v), want);
+        let mut got = Vec::new();
+        cg.for_each_out(v, |u, ()| got.push(u));
+        assert_eq!(got, want);
     }
     println!("  ok");
 }

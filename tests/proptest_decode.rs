@@ -11,6 +11,12 @@ use proptest::prelude::*;
 mod common;
 use common::{arb_graph, arb_weighted_graph};
 
+fn neighbors(cg: &CompressedGraph, v: u32) -> Vec<u32> {
+    let mut out = Vec::new();
+    cg.for_each_out(v, |u, ()| out.push(u));
+    out
+}
+
 /// Varint values spanning all codeword lengths: uniform `u64` alone almost
 /// never draws short codewords, so shift by a random amount to spread the
 /// draws across 1..=10-byte encodings.
@@ -114,7 +120,7 @@ proptest! {
         let (offsets, degrees, data) = cg.raw_parts();
         for v in 0..g.num_vertices() as u32 {
             let mut table = Vec::new();
-            cg.for_each_neighbor(v, |u| table.push(u));
+            cg.for_each_out(v, |u, ()| table.push(u));
             let mut want = Vec::new();
             reference::for_each_neighbor_legacy(
                 v,
@@ -136,16 +142,16 @@ proptest! {
             let chunked = CompressedGraph::from_csr_with_chunk_size(&g, chunk_size);
             for v in 0..g.num_vertices() as u32 {
                 prop_assert_eq!(
-                    chunked.neighbors_vec(v),
-                    legacy.neighbors_vec(v),
+                    neighbors(&chunked, v),
+                    neighbors(&legacy, v),
                     "vertex {} cs={}", v, chunk_size
                 );
                 // Chunk-wise traversal concatenates to the whole list.
                 let mut cat = Vec::new();
                 for c in 0..chunked.num_chunks_of(v) {
-                    chunked.for_each_neighbor_chunk(v, c, |u| cat.push(u));
+                    chunked.for_each_out_chunk(v, c, |u, ()| cat.push(u));
                 }
-                prop_assert_eq!(cat, legacy.neighbors_vec(v), "chunk concat vertex {} cs={}", v, chunk_size);
+                prop_assert_eq!(cat, neighbors(&legacy, v), "chunk concat vertex {} cs={}", v, chunk_size);
             }
         }
     }
@@ -154,9 +160,9 @@ proptest! {
     fn early_exit_sees_a_prefix(g in arb_graph(), k in 0usize..12) {
         let cg = CompressedGraph::from_csr_with_chunk_size(&g, 4);
         for v in 0..g.num_vertices() as u32 {
-            let full = cg.neighbors_vec(v);
+            let full = neighbors(&cg, v);
             let mut seen = Vec::new();
-            cg.for_each_neighbor_until(v, |u| {
+            cg.for_each_out_until(v, |u, ()| {
                 seen.push(u);
                 seen.len() < k
             });
@@ -170,7 +176,7 @@ proptest! {
         let cg = CompressedWGraph::from_csr_with_chunk_size(&g, cs);
         for v in 0..g.num_vertices() as u32 {
             let mut got = Vec::new();
-            cg.for_each_edge(v, |u, w| got.push((u, w)));
+            cg.for_each_out(v, |u, w| got.push((u, w)));
             got.sort_unstable();
             let mut want: Vec<(u32, u32)> = g
                 .neighbors(v)
