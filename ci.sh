@@ -272,9 +272,11 @@ grep -q "server stopped" "$SMOKE/dserve.log"
 echo "mutate-while-serving smoke test: ok"
 
 # --- decode microbench smoke -------------------------------------------------
-# The table-driven decoder, the bulk window scan, and the chunked layout
-# must all produce identical neighbor checksums (the bench asserts this and
-# aborts otherwise); smoke mode skips artifacts and keeps timings advisory.
+# The reference loop, the scalar cursor, the fused window kernels and the
+# chunked layout must all produce identical neighbor checksums on unit,
+# light and heavy weights, and the encoder's output must validate (the bench
+# asserts this and aborts otherwise); smoke mode skips artifacts and keeps
+# timings advisory.
 run target/release/decode 9 smoke
 
 # --- repo benchmark smoke ----------------------------------------------------
@@ -283,6 +285,13 @@ run target/release/decode 9 smoke
 # smoke run (scale-12 inputs, 2 s windows) catches a deletion or rename that
 # breaks that surface here, before the benchmark itself does.
 run benchmark/run.sh --smoke
+
+# --- paired-run tooling --------------------------------------------------------
+# tools/ab_pairs.sh is how a perf claim is made (ten alternating
+# parent/change pairs of one workload); keep it parsing and running: one
+# smoke-sized pair of this checkout against itself.
+run bash -n tools/ab_pairs.sh
+run tools/ab_pairs.sh . . sssp-rmat-z --pairs 1 --smoke
 
 # --- corrupt-payload regression ----------------------------------------------
 # Truncated and overlong codewords, bad chunk headers, and malformed raw

@@ -343,8 +343,10 @@ impl GraphStore {
 /// over its pre-encoded blocks verbatim; anything else is read as CSR and
 /// byte-compressed in memory.
 fn open_compressed<W: Weight>(path: &Path, fmt: Format) -> Result<Compressed<W>, Error> {
-    if fmt == Format::Container && container::peek(path)?.has_compressed {
-        return container::read_compressed(path);
+    if fmt == Format::Container {
+        if let Some(c) = container::read_compressed(path)? {
+            return Ok(c);
+        }
     }
     let opts = IoOptions {
         format: Some(fmt),

@@ -1,24 +1,34 @@
 //! Decode microbenchmark: per-edge cost of walking byte-compressed
-//! adjacency lists, old decoder vs the table-driven one, by degree class.
+//! adjacency lists, by degree class, and of validating them at load.
 //!
-//! Three variants over the same R-MAT input:
+//! Unweighted rows, three variants over the same R-MAT input:
 //!
 //! * `reference` — the pre-table branch-per-byte varint loop
 //!   ([`julienne_graph::decode::reference`]) over the legacy (unchunked)
 //!   layout;
-//! * `table` — the table-driven decoder over the same legacy layout
-//!   (isolates the decoder win);
-//! * `table+chunks` — the table-driven decoder over the default chunked
-//!   layout (adds the chunk-header skip the parallel path pays).
+//! * `table` — the window decoder (`for_each_delta_sum`) over the same
+//!   legacy layout (isolates the decoder win);
+//! * `table+chunks` — the same decoder over the default chunked layout
+//!   (adds the chunk-header skip the parallel path pays).
 //!
-//! All variants must produce identical neighbor checksums; the run aborts
-//! otherwise. Usage:
+//! Weighted rows come twice: `w` with weights in `[1, 64)` (1-byte weight
+//! codewords, the layout the uniform-window tier was written for) and
+//! `heavy` with weights in `[1, 100_000)` (what `gen weights=heavy` writes:
+//! 3-byte weights, where every pair goes through the one-window pair
+//! peel). Their `reference` column is the codeword-at-a-time cursor. The
+//! `validate` column is the load-time cost of the same bytes: ns per edge
+//! of `Compressed::try_from_raw_parts` on the chunked parts.
+//!
+//! Every cell is a single-shot best-of-`reps` (`time_best`): no spread is
+//! reported, so compare passes taken in the same hour. All variants must
+//! produce identical neighbor checksums; the run aborts otherwise. Usage:
 //! `cargo run -p julienne-bench --release --bin decode [scale] [smoke]`
 
 use julienne_bench::report::Table;
 use julienne_bench::suite::DEFAULT_SCALE;
-use julienne_bench::timing::time_best;
-use julienne_graph::compress::{CompressedGraph, CompressedWGraph, DEFAULT_CHUNK_SIZE};
+use julienne_bench::timing::{time, time_best};
+use julienne_graph::compress::{Compressed, CompressedGraph, CompressedWGraph, DEFAULT_CHUNK_SIZE};
+use julienne_graph::csr::Weight;
 use julienne_graph::decode::{reference, zigzag_decode, BlockDecoder};
 use julienne_graph::generators::{rmat, RmatParams};
 use julienne_graph::transform::assign_weights;
@@ -51,7 +61,52 @@ fn measure(reps: usize, edges: u64, decode_all: impl FnMut() -> u64) -> Measurem
     }
 }
 
-fn class_vertices(g: &CompressedGraph, lo: usize, hi: usize) -> (Vec<VertexId>, u64) {
+/// Best-of-`reps` ns per edge of the load-time validation walk over `c`'s
+/// own arrays (the copies `try_from_raw_parts` adopts are made untimed).
+fn validate_ns_per_edge<W: Weight>(reps: usize, c: &Compressed<W>) -> f64 {
+    let (o, d, b) = c.raw_parts();
+    let (n, m) = (c.num_vertices(), c.num_edges());
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let parts = (o.to_vec(), d.to_vec(), b.to_vec());
+        let (back, secs) = time(|| {
+            let (o, d, b) = black_box(parts);
+            Compressed::<W>::try_from_raw_parts(n, m, o, d, b, true, c.chunk_size(), None)
+        });
+        assert_eq!(back.expect("encoder output must validate").num_edges(), m);
+        best = best.min(secs);
+    }
+    best * 1e9 / m.max(1) as f64
+}
+
+/// Prints and records one row; `validate` is blank except on `all` rows
+/// (validation walks the whole graph: one number per weight class).
+/// Returns the reference-over-table speedup.
+fn emit_row(
+    table: &mut Table,
+    name: &str,
+    [old, new, chk]: [&Measurement; 3],
+    validate: &str,
+) -> f64 {
+    let speedup = old.per_edge_ns / new.per_edge_ns;
+    let validate = if name.ends_with("all") { validate } else { "" };
+    println!(
+        "{:<20} {:>12} {:>12.2} {:>12.2} {:>14.2} {:>7.2}x {:>13}",
+        name, old.edges, old.per_edge_ns, new.per_edge_ns, chk.per_edge_ns, speedup, validate
+    );
+    table.rowf(&[
+        &name,
+        &old.edges,
+        &old.per_edge_ns,
+        &new.per_edge_ns,
+        &chk.per_edge_ns,
+        &speedup,
+        &validate,
+    ]);
+    speedup
+}
+
+fn class_vertices<W: Weight>(g: &Compressed<W>, lo: usize, hi: usize) -> (Vec<VertexId>, u64) {
     let vs: Vec<VertexId> = (0..g.num_vertices() as VertexId)
         .filter(|&v| g.degree(v) >= lo && g.degree(v) < hi)
         .collect();
@@ -91,12 +146,14 @@ fn main() {
             "table_ns_per_edge",
             "table_chunked_ns_per_edge",
             "speedup",
+            "validate_ns_per_edge",
         ],
     );
     println!(
-        "{:<16} {:>12} {:>12} {:>12} {:>14} {:>8}",
-        "class", "edges", "ref ns/e", "table ns/e", "chunked ns/e", "speedup"
+        "{:<20} {:>12} {:>12} {:>12} {:>14} {:>8} {:>13}",
+        "class", "edges", "ref ns/e", "table ns/e", "chunked ns/e", "speedup", "validate ns/e"
     );
+    let validate = format!("{:.2}", validate_ns_per_edge(reps, &chunked));
     let mut overall_speedup = 0.0;
     for (name, lo, hi) in CLASSES {
         let (vs, edges) = class_vertices(&legacy, lo, hi);
@@ -136,103 +193,84 @@ fn main() {
             old.checksum, chk.checksum,
             "chunked decode diverged ({name})"
         );
-        let speedup = old.per_edge_ns / new.per_edge_ns;
+        let speedup = emit_row(&mut table, name, [&old, &new, &chk], &validate);
         if name == "all" {
             overall_speedup = speedup;
         }
-        println!(
-            "{:<16} {:>12} {:>12.2} {:>12.2} {:>14.2} {:>7.2}x",
-            name, old.edges, old.per_edge_ns, new.per_edge_ns, chk.per_edge_ns, speedup
-        );
-        table.rowf(&[
-            &name,
-            &old.edges,
-            &old.per_edge_ns,
-            &new.per_edge_ns,
-            &chk.per_edge_ns,
-            &speedup,
-        ]);
     }
     println!("\noverall table-decode speedup: {overall_speedup:.2}x");
 
     // Weighted rows: interleaved (gap, weight) blocks. The baseline is the
-    // pre-fusion path — the window scan fed through a closure-side
-    // gap/weight parity toggle — against the paired `for_each_delta_weight`
-    // cursor (column names keep the unweighted schema: reference = toggle,
-    // table = fused pairs, chunked = fused pairs over chunked blocks).
-    let wg = assign_weights(&g, 1, 64, 0xDEC0);
-    let wlegacy = CompressedWGraph::from_csr_with_chunk_size(&wg, 0);
-    let wchunked = CompressedWGraph::from_csr_with_chunk_size(&wg, DEFAULT_CHUNK_SIZE);
-    println!(
-        "\n{:<16} {:>12} {:>12} {:>12} {:>14} {:>8}",
-        "class (weighted)", "edges", "toggle ns/e", "pairs ns/e", "chunked ns/e", "speedup"
-    );
-    for (name, lo, hi) in CLASSES {
-        let vs: Vec<VertexId> = (0..wlegacy.num_vertices() as VertexId)
-            .filter(|&v| wlegacy.degree(v) >= lo && wlegacy.degree(v) < hi)
-            .collect();
-        let edges: u64 = vs.iter().map(|&v| wlegacy.degree(v) as u64).sum();
-        if edges == 0 {
-            continue;
-        }
-        let (offsets, degrees, data) = wlegacy.raw_parts();
-        let old = measure(reps, edges, || {
-            let mut sum = 0u64;
-            for &v in &vs {
-                let deg = degrees[v as usize] as usize;
-                let mut dec = BlockDecoder::new_at(data, offsets[v as usize] as usize);
-                let mut cur = (v as i64).wrapping_add(zigzag_decode(dec.varint())) as VertexId;
-                sum = sum.wrapping_add(cur as u64).wrapping_add(dec.varint());
-                let mut gap_next = true;
-                dec.for_each_varint(2 * (deg - 1), |x| {
-                    if gap_next {
-                        cur = cur.wrapping_add(x as VertexId);
-                        sum = sum.wrapping_add(cur as u64);
-                    } else {
-                        sum = sum.wrapping_add(x);
-                    }
-                    gap_next = !gap_next;
-                });
-            }
-            sum
-        });
-        let new = measure(reps, edges, || {
-            let mut sum = 0u64;
-            for &v in &vs {
-                wlegacy.for_each_out(v, |u, w| {
-                    sum = sum.wrapping_add(u as u64).wrapping_add(w as u64);
-                });
-            }
-            sum
-        });
-        let chk = measure(reps, edges, || {
-            let mut sum = 0u64;
-            for &v in &vs {
-                wchunked.for_each_out(v, |u, w| {
-                    sum = sum.wrapping_add(u as u64).wrapping_add(w as u64);
-                });
-            }
-            sum
-        });
-        assert_eq!(old.checksum, new.checksum, "pair decode diverged ({name})");
-        assert_eq!(
-            old.checksum, chk.checksum,
-            "chunked pair decode diverged ({name})"
-        );
-        let speedup = old.per_edge_ns / new.per_edge_ns;
-        let wname = format!("w {name}");
+    // codeword-at-a-time cursor (`varint` twice per edge, what the
+    // early-exit traversals run) against the paired `for_each_delta_weight`
+    // kernel (column names keep the unweighted schema: reference = scalar
+    // cursor, table = fused pairs, chunked = fused pairs over chunked
+    // blocks).
+    for (tag, weight_hi) in [("w", 64), ("heavy", 100_000)] {
+        let wg = assign_weights(&g, 1, weight_hi, 0xDEC0);
+        let wlegacy = CompressedWGraph::from_csr_with_chunk_size(&wg, 0);
+        let wchunked = CompressedWGraph::from_csr_with_chunk_size(&wg, DEFAULT_CHUNK_SIZE);
         println!(
-            "{:<16} {:>12} {:>12.2} {:>12.2} {:>14.2} {:>7.2}x",
-            wname, old.edges, old.per_edge_ns, new.per_edge_ns, chk.per_edge_ns, speedup
+            "\n{:<20} {:>12} {:>12} {:>12} {:>14} {:>8} {:>13}",
+            format!("class (weights < {weight_hi})"),
+            "edges",
+            "scalar ns/e",
+            "pairs ns/e",
+            "chunked ns/e",
+            "speedup",
+            "validate ns/e"
         );
-        table.rowf(&[
-            &wname,
-            &old.edges,
-            &old.per_edge_ns,
-            &new.per_edge_ns,
-            &chk.per_edge_ns,
-            &speedup,
-        ]);
+        let validate = format!("{:.2}", validate_ns_per_edge(reps, &wchunked));
+        for (name, lo, hi) in CLASSES {
+            let (vs, edges) = class_vertices(&wlegacy, lo, hi);
+            if edges == 0 {
+                continue;
+            }
+            let (offsets, degrees, data) = wlegacy.raw_parts();
+            let old = measure(reps, edges, || {
+                let mut sum = 0u64;
+                for &v in &vs {
+                    let deg = degrees[v as usize] as usize;
+                    let mut dec = BlockDecoder::new_at(data, offsets[v as usize] as usize);
+                    let mut cur = (v as i64).wrapping_add(zigzag_decode(dec.varint())) as VertexId;
+                    sum = sum.wrapping_add(cur as u64).wrapping_add(dec.varint());
+                    for _ in 1..deg {
+                        cur = cur.wrapping_add(dec.varint() as VertexId);
+                        sum = sum.wrapping_add(cur as u64).wrapping_add(dec.varint());
+                    }
+                }
+                sum
+            });
+            let new = measure(reps, edges, || {
+                let mut sum = 0u64;
+                for &v in &vs {
+                    wlegacy.for_each_out(v, |u, w| {
+                        sum = sum.wrapping_add(u as u64).wrapping_add(w as u64);
+                    });
+                }
+                sum
+            });
+            let chk = measure(reps, edges, || {
+                let mut sum = 0u64;
+                for &v in &vs {
+                    wchunked.for_each_out(v, |u, w| {
+                        sum = sum.wrapping_add(u as u64).wrapping_add(w as u64);
+                    });
+                }
+                sum
+            });
+            assert_eq!(old.checksum, new.checksum, "pair decode diverged ({name})");
+            assert_eq!(
+                old.checksum, chk.checksum,
+                "chunked pair decode diverged ({name})"
+            );
+            emit_row(
+                &mut table,
+                &format!("{tag} {name}"),
+                [&old, &new, &chk],
+                &validate,
+            );
+        }
     }
 
     if smoke {

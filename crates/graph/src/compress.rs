@@ -260,6 +260,12 @@ fn validate_block<W: Weight>(
 
 /// Validates one chunk body: in-range first delta, gaps that stay inside
 /// `[0, n)`, and (weighted) a weight codeword after each that fits `u32`.
+///
+/// After the first (zig-zag) edge, a pair the decoder's window primitive
+/// takes — both codewords at most 4 bytes, 8 bytes still left in the block
+/// — is read by that primitive, exactly as the traversal will read it; such
+/// a gap and weight are below 2^28, so only the range check is left to
+/// make. Everything else goes through `try_varint`.
 fn validate_run<W: Weight>(
     n: usize,
     v: VertexId,
@@ -268,7 +274,15 @@ fn validate_run<W: Weight>(
 ) -> Result<(), String> {
     let mut cur = 0u64;
     for i in 0..cnt {
-        let x = dec.try_varint().map_err(String::from)?;
+        let pair = if i > 0 && !W::IS_UNIT {
+            dec.try_window_pair()
+        } else {
+            None
+        };
+        let x = match pair {
+            Some((gap, _)) => u64::from(gap),
+            None => dec.try_varint().map_err(String::from)?,
+        };
         cur = if i == 0 {
             let first = zigzag_decode(x);
             (v as i64)
@@ -281,7 +295,7 @@ fn validate_run<W: Weight>(
                 .filter(|&u| u < n as u64)
                 .ok_or_else(|| format!("neighbor gap {x} leaves vertex range"))?
         };
-        if !W::IS_UNIT {
+        if !W::IS_UNIT && pair.is_none() {
             let w = dec.try_varint().map_err(String::from)?;
             if w > u64::from(u32::MAX) {
                 return Err(format!("weight {w} overflows u32"));
@@ -527,17 +541,15 @@ impl<W: Weight> Compressed<W> {
         in_graph: Option<Box<Compressed<W>>>,
     ) -> Result<Self, String> {
         validate_parts(n, m, &offsets, &degrees, data.len())?;
-        let errs: Vec<String> = (0..n)
-            .into_par_iter()
-            .filter_map(|v| {
-                let block = &data[offsets[v] as usize..offsets[v + 1] as usize];
-                validate_block::<W>(n, v as VertexId, degrees[v] as usize, block, chunk_size)
-                    .err()
-                    .map(|e| format!("vertex {v}: {e}"))
-            })
-            .collect();
-        if let Some(e) = errs.into_iter().next() {
-            return Err(e);
+        let check = |v: usize| {
+            let block = &data[offsets[v] as usize..offsets[v + 1] as usize];
+            validate_block::<W>(n, v as VertexId, degrees[v] as usize, block, chunk_size)
+        };
+        // Report the lowest corrupt vertex, whatever the schedule: find it,
+        // then walk that one block again for the message.
+        let lowest = (0..n).into_par_iter().filter(|&v| check(v).is_err());
+        if let Some(v) = lowest.min() {
+            return Err(format!("vertex {v}: {}", check(v).unwrap_err()));
         }
         if let Some(ig) = &in_graph {
             if ig.n != n || ig.m != m {
@@ -848,18 +860,28 @@ mod tests {
         check_corrupt_structure_rejected(&weighted(&g));
     }
 
+    /// A graph on `n` vertices whose first vertices own `blocks` (degree,
+    /// bytes) verbatim in the unchunked layout.
+    fn from_blocks<W: Weight>(
+        n: usize,
+        blocks: &[(u32, Vec<u8>)],
+    ) -> Result<Compressed<W>, String> {
+        let mut offsets = vec![0u64];
+        let mut degrees = vec![0u32; n];
+        let mut data = Vec::new();
+        for (v, (deg, bytes)) in blocks.iter().enumerate() {
+            degrees[v] = *deg;
+            data.extend_from_slice(bytes);
+            offsets.push(data.len() as u64);
+        }
+        offsets.resize(n + 1, data.len() as u64);
+        let m = blocks.iter().map(|b| b.0 as usize).sum();
+        Compressed::try_from_raw_parts(n, m, offsets, degrees, data, false, 0, None)
+    }
+
     /// A two-vertex graph whose vertex 0 has `deg` edges coded as `data`.
     fn one_block<W: Weight>(data: Vec<u8>, deg: u32) -> Result<Compressed<W>, String> {
-        Compressed::try_from_raw_parts(
-            2,
-            deg as usize,
-            vec![0, data.len() as u64, data.len() as u64],
-            vec![deg, 0],
-            data,
-            true,
-            0,
-            None,
-        )
+        from_blocks(2, &[(deg, data)])
     }
 
     fn check_corrupt_block_bytes_rejected<W: Weight>() {
@@ -910,6 +932,154 @@ mod tests {
         assert!(one_block::<()>(vec![0x02], 1).is_ok());
         let err = one_block::<u32>(vec![0x02], 1).unwrap_err();
         assert!(err.contains("mid-codeword"), "{err}");
+    }
+
+    /// The validator as it stood before the window primitive, byte at a
+    /// time through `try_varint`: the oracle for what the loader accepts.
+    fn validate_run_scalar<W: Weight>(
+        n: usize,
+        v: VertexId,
+        dec: &mut BlockDecoder<'_>,
+        cnt: usize,
+    ) -> Result<(), String> {
+        let mut cur = 0u64;
+        for i in 0..cnt {
+            let x = dec.try_varint().map_err(String::from)?;
+            cur = if i == 0 {
+                let first = zigzag_decode(x);
+                (v as i64)
+                    .checked_add(first)
+                    .filter(|&u| 0 <= u && u < n as i64)
+                    .ok_or_else(|| format!("first neighbor delta {first} leaves vertex range"))?
+                    as u64
+            } else {
+                cur.checked_add(x)
+                    .filter(|&u| u < n as u64)
+                    .ok_or_else(|| format!("neighbor gap {x} leaves vertex range"))?
+            };
+            if !W::IS_UNIT {
+                let w = dec.try_varint().map_err(String::from)?;
+                if w > u64::from(u32::MAX) {
+                    return Err(format!("weight {w} overflows u32"));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Both validators over `run` as a `cnt`-edge run of vertex `v`, from
+    /// cursor offsets 0..3: same verdict, same error text, same bytes
+    /// consumed (which is all `validate_block` sees of a run).
+    fn assert_validators_agree<W: Weight>(n: usize, v: VertexId, run: &[u8], cnt: usize) {
+        for lead in 0..3 {
+            let mut buf = vec![0x80; lead];
+            buf.extend_from_slice(run);
+            let windowed = {
+                let mut dec = BlockDecoder::new_at(&buf, lead);
+                validate_run::<W>(n, v, &mut dec, cnt).map(|()| dec.pos())
+            };
+            let scalar = {
+                let mut dec = BlockDecoder::new_at(&buf, lead);
+                validate_run_scalar::<W>(n, v, &mut dec, cnt).map(|()| dec.pos())
+            };
+            assert_eq!(windowed, scalar, "v={v} cnt={cnt} lead={lead} run={run:?}");
+        }
+    }
+
+    /// Every block of `g` (one run each: unchunked layout), pristine and
+    /// under every single-bit flip, every truncation and a byte inserted at
+    /// every position.
+    fn check_validators_agree_under_mutation<W: Weight>(g: &Csr<W>) {
+        let c = Compressed::from_csr_with_chunk_size(g, 0);
+        let (o, d, b) = c.raw_parts();
+        let n = c.num_vertices();
+        for v in vertices(g) {
+            let run = &b[o[v as usize] as usize..o[v as usize + 1] as usize];
+            let cnt = d[v as usize] as usize;
+            assert_validators_agree::<W>(n, v, run, cnt);
+            assert_validators_agree::<W>(n, v, run, cnt + 1);
+            for at in 0..run.len() {
+                assert_validators_agree::<W>(n, v, &run[..at], cnt);
+                for bit in 0..8 {
+                    let mut m = run.to_vec();
+                    m[at] ^= 1 << bit;
+                    assert_validators_agree::<W>(n, v, &m, cnt);
+                }
+                for byte in [0x00, 0x7F, 0x80, 0xFF] {
+                    let mut m = run.to_vec();
+                    m.insert(at, byte);
+                    assert_validators_agree::<W>(n, v, &m, cnt);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn windowed_validator_matches_scalar_oracle() {
+        // Sparse ids (2–3-byte gaps) under `gen weights=heavy` weights
+        // (3-byte codewords), and a hub whose block is mostly 1-byte gaps.
+        let g = erdos_renyi(3000, 9_000, 5, false);
+        check_validators_agree_under_mutation(&g);
+        check_validators_agree_under_mutation(&assign_weights(&g, 1, 100_000, 7));
+        let hub = from_pairs(400, &(1..300).map(|u| (0, u)).collect::<Vec<_>>());
+        check_validators_agree_under_mutation(&hub);
+        check_validators_agree_under_mutation(&assign_weights(&hub, 1, u32::MAX, 7));
+    }
+
+    /// A weighted block of vertex 0: a first edge to `first` with weight
+    /// 1, then the `(gap, weight)` pairs.
+    fn pairs_block(first: u32, pairs: &[(u64, u64)]) -> Vec<u8> {
+        let mut b = Vec::new();
+        put_varint(&mut b, zigzag_encode(i64::from(first)));
+        put_varint(&mut b, 1);
+        for &(gap, weight) in pairs {
+            put_varint(&mut b, gap);
+            put_varint(&mut b, weight);
+        }
+        b
+    }
+
+    #[test]
+    fn window_edge_cases_validate_like_the_oracle() {
+        const N: usize = 100_000;
+        let verdict = |deg: u32, block: Vec<u8>| {
+            assert_validators_agree::<u32>(N, 0, &block, deg as usize);
+            from_blocks::<u32>(N, &[(deg, block)]).map(|_| ())
+        };
+        // A 5-byte weight above u32::MAX with a full window in front of
+        // it: the primitive declines, the scalar pair refuses it.
+        let over = u64::from(u32::MAX) + 1;
+        let err = verdict(4, pairs_block(1, &[(300, over), (1, 1), (1, 1)])).unwrap_err();
+        assert_eq!(err, format!("vertex 0: weight {over} overflows u32"));
+        // A windowed gap landing exactly on n, and one short of it.
+        let to_n = N as u64 - 1;
+        let body = |gap| pairs_block(1, &[(gap, 70_000), (0, 1)]);
+        let err = verdict(3, body(to_n)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("vertex 0: neighbor gap {to_n} leaves vertex range")
+        );
+        assert_eq!(verdict(3, body(to_n - 1)), Ok(()));
+        // A (4-byte, 4-byte) pair whose second stop byte is the block's
+        // last byte: the window is exactly the rest of the block. (The gap
+        // is 5 padded to 4 bytes, to keep n small.)
+        let mut wide = pairs_block(1, &[]);
+        wide.extend_from_slice(&[0x85, 0x80, 0x80, 0x00]);
+        put_varint(&mut wide, 1 << 27);
+        assert_eq!(wide.len(), 2 + 8);
+        assert_eq!(verdict(2, wide), Ok(()));
+        // A 7-byte block never holds a window.
+        let short = pairs_block(1, &[(200, 5), (1, 1)]);
+        assert_eq!(short.len(), 7);
+        assert_eq!(verdict(3, short), Ok(()));
+        // The last pair's weight stops only in the next vertex's block:
+        // truncated here, trailing bytes there — never read across.
+        let mut cut = pairs_block(1, &[(300, 70_000), (300, 70_000)]);
+        let spill = cut.pop().unwrap();
+        assert_validators_agree::<u32>(N, 0, &cut, 3);
+        let next = [vec![spill], pairs_block(5, &[])].concat();
+        let err = from_blocks::<u32>(N, &[(3, cut), (1, next)]).unwrap_err();
+        assert_eq!(err, "vertex 0: block ends mid-codeword");
     }
 
     fn check_corrupt_chunk_header_rejected<W: Weight>(g: &Csr<W>) {

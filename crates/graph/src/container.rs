@@ -918,13 +918,15 @@ impl<W: Weight> std::fmt::Debug for MappedGraph<W> {
 /// Loads the byte-compressed payload of a container whose weightedness
 /// matches `W`, skipping the CSR re-encode entirely: the blocks were
 /// encoded at convert time and are adopted verbatim, after a full
-/// validation walk ([`Compressed::try_from_raw_parts`]).
-pub fn read_compressed<W: Weight>(path: &Path) -> Result<Compressed<W>, Error> {
+/// validation walk ([`Compressed::try_from_raw_parts`]). A container that
+/// embeds no payload is `Ok(None)`, so a caller with a fallback (compress
+/// the CSR sections in memory) opens and parses the file once.
+pub fn read_compressed<W: Weight>(path: &Path) -> Result<Option<Compressed<W>>, Error> {
     let buf = MmapBuf::open(path)?;
     let bytes = buf.bytes();
     let (info, n, m, sections) = parse_table(path, bytes)?;
     if !info.has_compressed {
-        return Err(bad(path, "container has no compressed payload sections"));
+        return Ok(None);
     }
     if info.weighted == W::IS_UNIT {
         return Err(bad(
@@ -971,7 +973,7 @@ pub fn read_compressed<W: Weight>(path: &Path) -> Result<Compressed<W>, Error> {
     } else {
         None
     };
-    direction(COMP_OUT, "compressed payload", info.symmetric, in_graph)
+    direction(COMP_OUT, "compressed payload", info.symmetric, in_graph).map(Some)
 }
 
 #[cfg(test)]
@@ -1075,7 +1077,7 @@ mod tests {
         let p = tmp(name);
         write(g, &p, &WITH_PAYLOAD).unwrap();
         assert!(peek(&p).unwrap().has_compressed);
-        let c = read_compressed::<W>(&p).unwrap();
+        let c = read_compressed::<W>(&p).unwrap().expect("payload");
         let direct = Compressed::from_csr(g);
         assert_eq!(c.num_vertices(), g.num_vertices());
         assert_eq!(c.num_edges(), g.num_edges());

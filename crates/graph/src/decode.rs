@@ -1,23 +1,36 @@
 //! Branch-reduced LEB128 varint decoding for the byte-compressed backend.
 //!
 //! The hot loop of every compressed traversal is "decode the next gap
-//! codeword". Three tiers keep that loop short and fail-closed:
+//! codeword" — and, weighted, the weight codeword behind it. Everything
+//! here reads an unaligned little-endian window at the cursor, finds the
+//! stop bytes with one continuation-bit scan and `trailing_zeros`, and
+//! splices the 7-bit groups with a masked shift-collapse (`WINDOW_KEEP`),
+//! so a codeword's length never becomes a branch:
 //!
-//! 1. a 256-entry first-byte table ([`FIRST_BYTE`]) that resolves the
-//!    dominant 1-byte-codeword case — value and length — in one lookup;
-//! 2. a word-at-a-time continuation-bit scan (SWAR over 8 little-endian
-//!    bytes) that finds a multi-byte codeword's stop byte in one
-//!    `trailing_zeros` instead of one branch per byte;
-//! 3. a bounded byte-at-a-time tail for codewords near the end of a block,
-//!    with an explicit 10-byte length cap so corrupt input can never
-//!    overflow the shift (the bug class this module retires: the old
-//!    `get_varint` had no end-of-slice guard and an unbounded shift).
-//!
-//! [`BlockDecoder`] is the cursor used by the fused decode loops in
-//! [`compress`](crate::compress); `try_varint` is the `Result` form the
-//! `.jgr` load-time validator uses so corrupt payloads surface typed parse
-//! errors, while `varint` panics with a clear message for in-memory
-//! traversals (which only ever run over validated blocks).
+//! * [`window_pair`] — the pure primitive: one whole (gap, weight) pair out
+//!   of 8 bytes, with a single "not that shape" exit (a 5+-byte codeword).
+//!   It is what a pair *is*: [`BlockDecoder::for_each_delta_weight`]
+//!   traverses with it and the `.jgr` load-time validator in
+//!   [`compress`](crate::compress) checks with it, so the loader accepts
+//!   exactly what the traversal decodes.
+//! * [`BlockDecoder::for_each_delta_sum`] / `for_each_delta_weight` — the
+//!   fused adjacency loops. In front of the general path each keeps the one
+//!   uniform-window tier the `bench --bin decode` trial showed to pay: a
+//!   window of eight 1-byte gaps (four (1, 1)-byte pairs, plus a masked
+//!   short remainder of them) decodes by shifts alone, with the gap sums
+//!   from a log-depth prefix tree. The general unweighted path peels
+//!   mixed-length codewords out of the register; the general weighted path
+//!   is `window_pair`.
+//! * [`BlockDecoder::varint`] — the codeword-at-a-time cursor (first edge
+//!   of a run, chunk headers, early-exit traversals), branchless from a
+//!   4-byte window.
+//! * [`BlockDecoder::try_varint`] — the `Result` form, byte at a time
+//!   through the 256-entry [`FIRST_BYTE`] table with an explicit 10-byte
+//!   length cap, so corrupt input can never overflow the shift or read past
+//!   the slice. It is the only code that validates: the validator uses it
+//!   for whatever the window primitive declines, and the traversal loops
+//!   fall back to it (panicking with a clear message, since they only ever
+//!   run over blocks that were encoded in-process or validated at load).
 
 /// Longest legal LEB128 codeword for a `u64`: nine full 7-bit groups plus a
 /// tenth byte that may only carry the final (63rd) bit.
@@ -63,15 +76,42 @@ const fn build_first_byte_table() -> [FirstByte; 256] {
 /// Continuation bits of 8 packed codeword bytes.
 const CONT_BITS: u64 = 0x8080_8080_8080_8080;
 
-/// Continuation-bit pattern of a window holding exactly four 2-byte
-/// codewords: set on bytes 0, 2, 4, 6, clear on the terminators.
-const TWO_BYTE_X4: u64 = 0x0080_0080_0080_0080;
-
 /// Keep-masks for a 1..=4-byte codeword inside a little-endian 4-byte
 /// window, indexed by codeword length. Masking with `WINDOW_KEEP[len]`
 /// drops the bytes of the *next* codeword so the branchless collapse in
 /// [`BlockDecoder::varint`] sees only this codeword's bytes.
 static WINDOW_KEEP: [u32; 5] = [0, 0xFF, 0xFFFF, 0x00FF_FFFF, 0xFFFF_FFFF];
+
+/// Splices the 7-bit payload groups of a 1..=4-byte codeword, already
+/// masked down to its own bytes, in each 32-bit half of `x` at once.
+#[inline(always)]
+fn collapse(x: u64) -> u64 {
+    const G: u64 = 0x0000_007F_0000_007F;
+    (x & G) | ((x >> 1) & (G << 7)) | ((x >> 2) & (G << 14)) | ((x >> 3) & (G << 21))
+}
+
+/// The (gap, weight) pair at the low end of the little-endian window `w`,
+/// as `(gap, weight, bytes)`, when both codewords are at most 4 bytes long
+/// — such a pair lies wholly inside the 8 bytes, so one load decodes it.
+/// This is what a pair *is*, for the traversal and the load-time validator
+/// alike. `None` is the one "not that shape" exit, and the caller decodes
+/// the pair on the scalar path: with no second stop byte in the window
+/// `trailing_zeros` is 64, so a length comes out above 4 then too. The two
+/// codewords are collapsed side by side, gap in the low half.
+#[inline(always)]
+pub fn window_pair(w: u64) -> Option<(u32, u32, usize)> {
+    let stops = !w & CONT_BITS;
+    let glen = (stops.trailing_zeros() >> 3) as usize + 1;
+    let len = ((stops & stops.wrapping_sub(1)).trailing_zeros() >> 3) as usize + 1;
+    let wlen = len - glen;
+    if glen > 4 || wlen > 4 {
+        return None;
+    }
+    let gap = w & u64::from(WINDOW_KEEP[glen]);
+    let weight = (w >> (8 * glen)) & u64::from(WINDOW_KEEP[wlen]);
+    let both = collapse(gap | (weight << 32));
+    Some((both as u32, (both >> 32) as u32, len))
+}
 
 #[cold]
 #[inline(never)]
@@ -156,12 +196,8 @@ impl<'a> BlockDecoder<'a> {
             let stops = !w & 0x8080_8080;
             if stops != 0 {
                 let len = (stops.trailing_zeros() >> 3) as usize + 1;
-                let m = w & WINDOW_KEEP[len];
                 self.pos += len;
-                return ((m & 0x7F)
-                    | ((m >> 1) & (0x7F << 7))
-                    | ((m >> 2) & (0x7F << 14))
-                    | ((m >> 3) & (0x7F << 21))) as u64;
+                return collapse(u64::from(w & WINDOW_KEEP[len]));
             }
         }
         // By-value in/out (not `&mut self`): the cursor's address must not
@@ -173,144 +209,26 @@ impl<'a> BlockDecoder<'a> {
         x
     }
 
-    /// Decodes `n` consecutive codewords, invoking `f` with each value.
-    ///
-    /// This is the bulk engine behind the fused adjacency loops: it loads
-    /// an 8-byte window **once**, finds every stop byte in it with a single
-    /// continuation-bit scan, then peels the codewords out of the register
-    /// with `s &= s - 1` — so the serial dependency per codeword is a
-    /// 1-cycle bit-clear instead of the load→scan→advance chain a
-    /// codeword-at-a-time loop carries. A window typically yields 4–8
-    /// codewords (gaps on sorted adjacency are 1–3 bytes). Codewords of
-    /// 5+ bytes, windows that end mid-codeword, and the last few bytes of
-    /// a block fall back to the scalar path, which is also the only path
-    /// that validates; like [`varint`](Self::varint), corrupt input panics.
-    #[inline(always)]
-    pub fn for_each_varint<F: FnMut(u64)>(&mut self, n: usize, mut f: F) {
-        let buf = self.buf;
-        let mut pos = self.pos;
-        let mut left = n;
-        // Hoisted window bound: one compare per window entry instead of an
-        // Option subslice plus a length test.
-        let last8 = buf.len().wrapping_sub(8);
-        let has_windows = buf.len() >= 8;
-        'next_window: while left > 0 {
-            if has_windows && pos <= last8 {
-                let w = u64::from_le_bytes(buf[pos..pos + 8].try_into().unwrap());
-                let c = w & CONT_BITS;
-                // Uniform windows first: adjacency gaps cluster hard by
-                // degree (hubs decode runs of 1-byte gaps, mid-degree
-                // vertices runs of 2-byte gaps), so whole windows of one
-                // codeword length are the common case and decode with
-                // shifts alone — no per-codeword scan at all.
-                if c == 0 && left >= 8 {
-                    // Eight 1-byte codewords.
-                    f(w & 0x7F);
-                    f((w >> 8) & 0x7F);
-                    f((w >> 16) & 0x7F);
-                    f((w >> 24) & 0x7F);
-                    f((w >> 32) & 0x7F);
-                    f((w >> 40) & 0x7F);
-                    f((w >> 48) & 0x7F);
-                    f(w >> 56);
-                    pos += 8;
-                    left -= 8;
-                    continue 'next_window;
-                }
-                if c == TWO_BYTE_X4 && left >= 4 {
-                    // Four 2-byte codewords.
-                    f((w & 0x7F) | ((w >> 1) & 0x3F80));
-                    f(((w >> 16) & 0x7F) | ((w >> 17) & 0x3F80));
-                    f(((w >> 32) & 0x7F) | ((w >> 33) & 0x3F80));
-                    f(((w >> 48) & 0x7F) | ((w >> 49) & 0x3F80));
-                    pos += 8;
-                    left -= 4;
-                    continue 'next_window;
-                }
-                if left < 8 {
-                    // Short remainder: only the first `left` codewords
-                    // matter, so test their continuation bits under a mask
-                    // instead of demanding a uniform window — the lookahead
-                    // bytes past the run can be anything. Low-degree runs
-                    // (and the tail of every longer run) finish here.
-                    let lm = (1u64 << (8 * left)) - 1;
-                    if c & lm == 0 {
-                        // `left` 1-byte codewords end the run.
-                        let mut t = w;
-                        for _ in 0..left {
-                            f(t & 0x7F);
-                            t >>= 8;
-                        }
-                        self.pos = pos + left;
-                        return;
-                    }
-                    if left < 4 {
-                        let lm2 = (1u64 << (16 * left)) - 1;
-                        if c & lm2 == TWO_BYTE_X4 & lm2 {
-                            // `left` 2-byte codewords end the run.
-                            let mut t = w;
-                            for _ in 0..left {
-                                f((t & 0x7F) | ((t >> 1) & 0x3F80));
-                                t >>= 16;
-                            }
-                            self.pos = pos + 2 * left;
-                            return;
-                        }
-                    }
-                }
-                let mut s = c ^ CONT_BITS;
-                if s != 0 {
-                    // Mixed-length window: peel codewords out of the
-                    // register by walking the stop bits. No upfront count —
-                    // `count_ones` is a ~15-op SWAR on baseline x86-64 and
-                    // would be paid at every run tail.
-                    let mut start = 0usize;
-                    let mut long = false;
-                    while left > 0 && s != 0 {
-                        let stop = (s.trailing_zeros() >> 3) as usize;
-                        let len = stop - start + 1;
-                        if len > 4 {
-                            // Rare huge gap: commit the short codewords
-                            // already decoded, scalar-decode the long one.
-                            long = true;
-                            break;
-                        }
-                        let m = ((w >> (8 * start)) as u32) & WINDOW_KEEP[len];
-                        f(((m & 0x7F)
-                            | ((m >> 1) & (0x7F << 7))
-                            | ((m >> 2) & (0x7F << 14))
-                            | ((m >> 3) & (0x7F << 21))) as u64);
-                        start = stop + 1;
-                        left -= 1;
-                        s &= s - 1;
-                    }
-                    pos += start;
-                    if !long {
-                        continue 'next_window;
-                    }
-                }
-            }
-            // Window empty, ends mid-codeword, or a 5+-byte codeword is
-            // next: one scalar (validating) decode, then re-window.
-            let (x, np) = varint_multi(buf, pos);
-            f(x);
-            pos = np;
-            left -= 1;
-        }
-        self.pos = pos;
-    }
-
     /// Decodes `n` gap codewords and calls `f` with the running neighbor
     /// sum: `base + g1`, `base + g1 + g2`, … — the fused form of the
-    /// adjacency inner loop (structure mirrors
-    /// [`for_each_varint`](Self::for_each_varint)).
+    /// unweighted adjacency inner loop.
+    ///
+    /// It loads an 8-byte window **once**, finds every stop byte in it with
+    /// a single continuation-bit scan, then peels the codewords out of the
+    /// register with `s &= s - 1` — so the serial dependency per codeword is
+    /// a 1-cycle bit-clear instead of the load→scan→advance chain a
+    /// codeword-at-a-time loop carries. A window typically yields 4–8
+    /// codewords (gaps on sorted adjacency are 1–3 bytes). Codewords of 5+
+    /// bytes, windows that end mid-codeword, and the last few bytes of the
+    /// array fall back to the scalar path, which is also the only path that
+    /// validates; like [`varint`](Self::varint), corrupt input panics.
     ///
     /// Fusing the accumulation here instead of in a caller closure matters
     /// for throughput: a closure-side `cur += gap` is an 8-deep serial add
     /// chain across a uniform window, while in here the eight sums come
     /// from a log-depth prefix tree and the dependency carried from one
     /// window to the next is a single add. Partial sums of in-window gaps
-    /// use plain `+` (each gap is < 2^14, so the tree cannot overflow);
+    /// use plain `+` (each gap is < 2^7, so the tree cannot overflow);
     /// only the add onto `cur` wraps, keeping debug and release behavior
     /// identical on unvalidated corrupt input.
     #[inline(always)]
@@ -319,12 +237,18 @@ impl<'a> BlockDecoder<'a> {
         let mut pos = self.pos;
         let mut left = n;
         let mut cur = base;
+        // Hoisted window bound: one compare per window entry instead of an
+        // Option subslice plus a length test.
         let last8 = buf.len().wrapping_sub(8);
         let has_windows = buf.len() >= 8;
         'next_window: while left > 0 {
             if has_windows && pos <= last8 {
                 let w = u64::from_le_bytes(buf[pos..pos + 8].try_into().unwrap());
                 let c = w & CONT_BITS;
+                // The uniform window first: most edges sit in hub lists,
+                // whose gaps are runs of 1-byte codewords, and a whole
+                // window of those decodes with shifts alone — no
+                // per-codeword scan at all.
                 if c == 0 && left >= 8 {
                     // Eight 1-byte gaps: prefix-sum tree.
                     let g0 = (w & 0x7F) as u32;
@@ -353,68 +277,25 @@ impl<'a> BlockDecoder<'a> {
                     left -= 8;
                     continue 'next_window;
                 }
-                if c == TWO_BYTE_X4 && left >= 4 {
-                    // Four 2-byte gaps: prefix-sum tree.
-                    let g0 = ((w & 0x7F) | ((w >> 1) & 0x3F80)) as u32;
-                    let g1 = (((w >> 16) & 0x7F) | ((w >> 17) & 0x3F80)) as u32;
-                    let g2 = (((w >> 32) & 0x7F) | ((w >> 33) & 0x3F80)) as u32;
-                    let g3 = (((w >> 48) & 0x7F) | ((w >> 49) & 0x3F80)) as u32;
-                    let p01 = g0 + g1;
-                    let b = cur;
-                    f(b.wrapping_add(g0));
-                    f(b.wrapping_add(p01));
-                    f(b.wrapping_add(p01 + g2));
-                    cur = b.wrapping_add(p01 + g2 + g3);
-                    f(cur);
-                    pos += 8;
-                    left -= 4;
-                    continue 'next_window;
-                }
-                if left < 8 {
-                    // Short remainder under a continuation-bit mask; see
-                    // `for_each_varint` for the rationale.
-                    let lm = (1u64 << (8 * left)) - 1;
-                    if c & lm == 0 {
-                        let mut t = w;
-                        for _ in 0..left {
-                            cur = cur.wrapping_add((t & 0x7F) as u32);
-                            f(cur);
-                            t >>= 8;
-                        }
-                        self.pos = pos + left;
-                        return;
-                    }
-                    if left < 4 {
-                        let lm2 = (1u64 << (16 * left)) - 1;
-                        if c & lm2 == TWO_BYTE_X4 & lm2 {
-                            let mut t = w;
-                            for _ in 0..left {
-                                cur = cur.wrapping_add(((t & 0x7F) | ((t >> 1) & 0x3F80)) as u32);
-                                f(cur);
-                                t >>= 16;
-                            }
-                            self.pos = pos + 2 * left;
-                            return;
-                        }
-                    }
-                }
                 let mut s = c ^ CONT_BITS;
                 if s != 0 {
+                    // Mixed-length window: peel codewords out of the
+                    // register by walking the stop bits. No upfront count —
+                    // `count_ones` is a ~15-op SWAR on baseline x86-64 and
+                    // would be paid at every run tail.
                     let mut start = 0usize;
                     let mut long = false;
                     while left > 0 && s != 0 {
                         let stop = (s.trailing_zeros() >> 3) as usize;
                         let len = stop - start + 1;
                         if len > 4 {
+                            // Rare huge gap: commit the short codewords
+                            // already decoded, scalar-decode the long one.
                             long = true;
                             break;
                         }
-                        let m = ((w >> (8 * start)) as u32) & WINDOW_KEEP[len];
-                        let g = (m & 0x7F)
-                            | ((m >> 1) & (0x7F << 7))
-                            | ((m >> 2) & (0x7F << 14))
-                            | ((m >> 3) & (0x7F << 21));
-                        cur = cur.wrapping_add(g);
+                        let m = (w >> (8 * start)) & u64::from(WINDOW_KEEP[len]);
+                        cur = cur.wrapping_add(collapse(m) as u32);
                         f(cur);
                         start = stop + 1;
                         left -= 1;
@@ -426,6 +307,8 @@ impl<'a> BlockDecoder<'a> {
                     }
                 }
             }
+            // Window empty, ends mid-codeword, or a 5+-byte codeword is
+            // next: one scalar (validating) decode, then re-window.
             let (x, np) = varint_multi(buf, pos);
             cur = cur.wrapping_add(x as u32);
             f(cur);
@@ -440,15 +323,14 @@ impl<'a> BlockDecoder<'a> {
     /// twin of [`for_each_delta_sum`](Self::for_each_delta_sum), fusing the
     /// gap accumulation *and* the pair interleave into the window scan.
     ///
-    /// Before this cursor existed the weighted adjacency loop fed
-    /// `for_each_varint(2 * n)` through a closure-side gap/weight toggle:
-    /// every codeword paid a data-dependent parity branch and the gap sums
-    /// formed a serial add chain. Here the dominant layouts decode as whole
+    /// Hub lists under light weights (`gen weights=log`) decode as whole
     /// windows — four (1-byte gap, 1-byte weight) pairs per 8-byte load
-    /// with a log-depth prefix tree over the gaps, or two (2-byte gap,
-    /// 1-byte weight) pairs — and the parity is structural, not branched.
-    /// Mixed-length pairs peel out of the register; 5+-byte codewords and
-    /// end-of-block tails fall back to the scalar (validating) path.
+    /// with a log-depth prefix tree over the gaps, and a run's last one to
+    /// three such pairs under a mask. Every other pair — any gap or weight
+    /// of two or more bytes, which is every pair of `gen weights=heavy` —
+    /// costs one window load and one [`window_pair`]: load at the cursor,
+    /// peel, advance. The scalar (validating) pair is the only fallback: a
+    /// codeword of 5+ bytes, or fewer than 8 bytes left in the array.
     #[inline(always)]
     pub fn for_each_delta_weight<F: FnMut(u32, u32)>(&mut self, base: u32, n: usize, mut f: F) {
         let buf = self.buf;
@@ -479,25 +361,11 @@ impl<'a> BlockDecoder<'a> {
                     left -= 4;
                     continue 'next_window;
                 }
-                // Two (2-byte gap, 1-byte weight) pairs — the mid-degree
-                // layout once gaps outgrow 127: continuation set on the
-                // gap's lead byte, clear on its terminator and the weight.
-                const GAP2_W1_X2: u64 = 0x0000_0000_8000_0080;
-                if left >= 2 && c & 0x0000_FFFF_FFFF_FFFF == GAP2_W1_X2 {
-                    let g0 = ((w & 0x7F) | ((w >> 1) & 0x3F80)) as u32;
-                    let g1 = (((w >> 24) & 0x7F) | ((w >> 25) & 0x3F80)) as u32;
-                    let b = cur;
-                    f(b.wrapping_add(g0), ((w >> 16) & 0x7F) as u32);
-                    cur = b.wrapping_add(g0 + g1);
-                    f(cur, ((w >> 40) & 0x7F) as u32);
-                    pos += 6;
-                    left -= 2;
-                    continue 'next_window;
-                }
                 if left < 4 {
-                    // Short remainder of all-1-byte pairs under a
-                    // continuation-bit mask; see `for_each_varint` for why
-                    // the lookahead bytes past the run may be anything.
+                    // Short remainder of all-1-byte pairs: only the first
+                    // `left` pairs matter, so test their continuation bits
+                    // under a mask instead of demanding a uniform window —
+                    // the lookahead bytes past the run can be anything.
                     let lm = (1u64 << (16 * left)) - 1;
                     if c & lm == 0 {
                         let mut t = w;
@@ -510,73 +378,16 @@ impl<'a> BlockDecoder<'a> {
                         return;
                     }
                 }
-                let mut s = c ^ CONT_BITS;
-                let mut start = 0usize;
-                // Mixed-length pairs: peel gap and weight codewords out of
-                // the register two stop bits at a time. Pairs that straddle
-                // the window end (or carry a 5+-byte codeword) finish on the
-                // scalar path so the gap/weight parity never leaks across
-                // windows.
-                loop {
-                    if left == 0 {
-                        self.pos = pos + start;
-                        return;
-                    }
-                    if s == 0 {
-                        pos += start;
-                        if start == 0 {
-                            break; // whole window is one long codeword
-                        }
-                        continue 'next_window;
-                    }
-                    let stop = (s.trailing_zeros() >> 3) as usize;
-                    let len = stop - start + 1;
-                    if len > 4 {
-                        pos += start;
-                        break; // long gap: scalar pair below
-                    }
-                    let m = ((w >> (8 * start)) as u32) & WINDOW_KEEP[len];
-                    let g = (m & 0x7F)
-                        | ((m >> 1) & (0x7F << 7))
-                        | ((m >> 2) & (0x7F << 14))
-                        | ((m >> 3) & (0x7F << 21));
-                    let wstart = stop + 1;
-                    s &= s - 1;
-                    if s == 0 {
-                        // Weight straddles (or touches) the window end.
-                        cur = cur.wrapping_add(g);
-                        let (wt, np) = varint_multi(buf, pos + wstart);
-                        f(cur, wt as u32);
-                        pos = np;
-                        left -= 1;
-                        continue 'next_window;
-                    }
-                    let stop2 = (s.trailing_zeros() >> 3) as usize;
-                    let len2 = stop2 - wstart + 1;
-                    if len2 > 4 {
-                        cur = cur.wrapping_add(g);
-                        let (wt, np) = varint_multi(buf, pos + wstart);
-                        f(cur, wt as u32);
-                        pos = np;
-                        left -= 1;
-                        continue 'next_window;
-                    }
-                    let m2 = ((w >> (8 * wstart)) as u32) & WINDOW_KEEP[len2];
+                if let Some((g, wt, len)) = window_pair(w) {
                     cur = cur.wrapping_add(g);
-                    f(
-                        cur,
-                        (m2 & 0x7F)
-                            | ((m2 >> 1) & (0x7F << 7))
-                            | ((m2 >> 2) & (0x7F << 14))
-                            | ((m2 >> 3) & (0x7F << 21)),
-                    );
-                    start = stop2 + 1;
+                    f(cur, wt);
+                    pos += len;
                     left -= 1;
-                    s &= s - 1;
+                    continue 'next_window;
                 }
             }
-            // Window empty, ends mid-codeword, or a 5+-byte gap is next:
-            // one scalar (validating) pair, then re-window.
+            // Fewer than 8 bytes left in the array, or a 5+-byte codeword in
+            // the pair: one scalar (validating) pair, then re-window.
             let (g, np) = varint_multi(buf, pos);
             cur = cur.wrapping_add(g as u32);
             let (wt, np2) = varint_multi(buf, np);
@@ -585,6 +396,18 @@ impl<'a> BlockDecoder<'a> {
             left -= 1;
         }
         self.pos = pos;
+    }
+
+    /// Decodes the next (gap, weight) pair by [`window_pair`] and advances
+    /// past it; `None` (cursor unmoved) when fewer than 8 bytes remain or a
+    /// codeword is longer than 4 bytes — [`try_varint`](Self::try_varint)
+    /// then decides what the bytes are.
+    #[inline(always)]
+    pub fn try_window_pair(&mut self) -> Option<(u32, u32)> {
+        let window = self.buf.get(self.pos..self.pos.checked_add(8)?)?;
+        let (gap, weight, len) = window_pair(u64::from_le_bytes(window.try_into().unwrap()))?;
+        self.pos += len;
+        Some((gap, weight))
     }
 
     /// Decodes the next codeword, failing closed on truncated or overlong
@@ -841,11 +664,11 @@ mod tests {
 
     #[test]
     fn delta_weight_matches_serial_on_every_path() {
-        // Pair streams picked to route through each fused tier: whole
-        // (1,1)-byte windows, whole (2,1)-byte windows, masked short
-        // remainders, the mixed-length pair peel (including weights wider
-        // than gaps), window-straddling weights, and 5+-byte scalar
-        // fallbacks on either half of a pair.
+        // Pair streams picked to route through each path: whole
+        // (1,1)-byte windows, masked short remainders of them, the
+        // one-window pair peel (runs of (2,1)-byte pairs, weights wider
+        // than gaps, (4,4)-byte pairs filling the window), and 5+-byte
+        // scalar fallbacks on either half of a pair.
         let streams: Vec<Vec<(u64, u64)>> = vec![
             (0..16)
                 .map(|i| (i as u64 * 7 % 128, i as u64 % 64))
@@ -856,6 +679,7 @@ mod tests {
             (0..3).map(|i| (i as u64 + 1, 2 * i as u64 + 1)).collect(),
             vec![(1, 1)],
             vec![(5, 300), (300, 5), (1, 70000), (70000, 1)],
+            vec![(1 << 21, 1 << 27), ((1 << 28) - 1, 1 << 21), (1 << 28, 1)],
             vec![(3, u64::MAX), (u64::MAX, 3), (1, 1), (2, 2), (130, 130)],
             (0..9)
                 .map(|i| (1u64 << (3 * i % 20), 1u64 << (2 * i % 18)))
@@ -887,10 +711,10 @@ mod tests {
 
     #[test]
     fn delta_sum_matches_serial_on_every_path() {
-        // Streams picked to route through each fused-decode tier: whole
-        // 1-byte windows (prefix tree), whole 2-byte windows, masked short
-        // remainders of both widths, the mixed-length peel, and the long
-        // (5+-byte) scalar fallback.
+        // Streams picked to route through each path: whole 1-byte windows
+        // (prefix tree), the in-register peel (uniform 2-byte windows,
+        // short runs, mixed lengths), and the long (5+-byte) scalar
+        // fallback.
         let streams: Vec<Vec<u64>> = vec![
             (0..16).map(|i| i as u64 * 7 % 128).collect(),
             (0..8).map(|i| 128 + i as u64 * 1000).collect(),

@@ -106,9 +106,16 @@ pub fn arb_frontier(n: usize) -> impl Strategy<Value = Vec<u32>> {
 
 /// Arbitrary symmetric weighted graph (2..100 vertices, weights 1..1000).
 pub fn arb_weighted_graph() -> impl Strategy<Value = Csr<u32>> {
+    arb_weighted_graph_of(1u32..1000)
+}
+
+/// [`arb_weighted_graph`] with the weights drawn from `weight`.
+pub fn arb_weighted_graph_of(
+    weight: impl Strategy<Value = u32>,
+) -> impl Strategy<Value = Csr<u32>> {
     (
         2usize..100,
-        prop::collection::vec((any::<u32>(), any::<u32>(), 1u32..1000), 0..600),
+        prop::collection::vec((any::<u32>(), any::<u32>(), weight), 0..600),
     )
         .prop_map(|(n, raw)| {
             let mut el: EdgeList<u32> = EdgeList::new(n);

@@ -283,7 +283,7 @@ fn all_three_backends_agree_from_one_container() {
     GraphIo::write(&g, &path, &opts).unwrap();
     let _file = TempJgr(path.clone());
     let mg: MappedGraph<()> = MappedGraph::open(&path).unwrap();
-    let cg = read_compressed::<()>(&path).unwrap();
+    let cg = read_compressed::<()>(&path).unwrap().expect("payload");
     let csr: julienne_repro::graph::Graph = GraphIo::read(&path, &IoOptions::default()).unwrap();
 
     let a = bfs(&csr, 0).level;

@@ -9,7 +9,7 @@ use julienne_repro::graph::decode::{put_varint, reference, BlockDecoder, ERR_TRU
 use proptest::prelude::*;
 
 mod common;
-use common::{arb_graph, arb_weighted_graph};
+use common::{arb_graph, arb_weighted_graph_of};
 
 fn neighbors(cg: &CompressedGraph, v: u32) -> Vec<u32> {
     let mut out = Vec::new();
@@ -24,21 +24,15 @@ fn arb_varints() -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec((any::<u64>(), 0u32..64).prop_map(|(x, s)| x >> s), 1..120)
 }
 
-/// Decodes `vals.len()` codewords from `buf` three ways — scalar table
-/// path, bulk window path, validating path — and checks each against the
-/// expected values and final cursor position.
+/// Decodes `vals.len()` codewords from `buf` three ways — scalar window
+/// path, validating path, fused gap-accumulating path — and checks each
+/// against the expected values and final cursor position.
 fn assert_decodes_back(buf: &[u8], vals: &[u64]) {
     let mut scalar = BlockDecoder::new(buf);
     for (i, &v) in vals.iter().enumerate() {
         assert_eq!(scalar.varint(), v, "scalar decode diverged at {i}");
     }
     assert_eq!(scalar.pos(), buf.len(), "scalar cursor off the end");
-
-    let mut bulk = BlockDecoder::new(buf);
-    let mut got = Vec::with_capacity(vals.len());
-    bulk.for_each_varint(vals.len(), |x| got.push(x));
-    assert_eq!(got, vals, "bulk window decode diverged");
-    assert_eq!(bulk.pos(), buf.len(), "bulk cursor off the end");
 
     let mut checked = BlockDecoder::new(buf);
     for (i, &v) in vals.iter().enumerate() {
@@ -62,8 +56,52 @@ fn assert_decodes_back(buf: &[u8], vals: &[u64]) {
     assert_eq!(fused.pos(), buf.len(), "fused cursor off the end");
 }
 
+/// A value whose LEB128 codeword length is uniform over 1..=5 bytes, up to
+/// `u32::MAX` — uniform `u32` alone is a 5-byte codeword 15 times in 16.
+fn arb_codeword() -> impl Strategy<Value = u64> {
+    (1u32..6, any::<u32>()).prop_map(|(len, x)| {
+        let lo = if len == 1 { 0 } else { 1u64 << (7 * (len - 1)) };
+        let hi = (1u64 << (7 * len)).min(1 << 32);
+        lo + u64::from(x) % (hi - lo)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The layout the benchmark runs: (gap, weight) pairs of every length
+    /// mix, decoded by the fused weighted kernel from every placement —
+    /// 0..=9 bytes of arbitrary lookahead after the run cover the window
+    /// path, the end-of-array tail, and the hand-over between them.
+    #[test]
+    fn pair_kernel_matches_reference_at_every_placement(
+        pairs in prop::collection::vec((arb_codeword(), arb_codeword()), 0..40),
+        lead in prop::collection::vec(any::<u8>(), 0..4),
+        pad in prop::collection::vec(any::<u8>(), 9..10),
+        base in any::<u32>(),
+    ) {
+        let mut run = lead.clone();
+        for &(g, w) in &pairs {
+            put_varint(&mut run, g);
+            put_varint(&mut run, w);
+        }
+        for after in 0..=9 {
+            let mut buf = run.clone();
+            buf.extend_from_slice(&pad[..after]);
+            let mut pos = lead.len();
+            let mut cur = base;
+            let mut want = Vec::with_capacity(pairs.len());
+            for _ in &pairs {
+                cur = cur.wrapping_add(reference::get_varint(&buf, &mut pos) as u32);
+                want.push((cur, reference::get_varint(&buf, &mut pos) as u32));
+            }
+            let mut dec = BlockDecoder::new_at(&buf, lead.len());
+            let mut got = Vec::with_capacity(pairs.len());
+            dec.for_each_delta_weight(base, pairs.len(), |u, w| got.push((u, w)));
+            prop_assert_eq!(&got, &want, "{} bytes after the run", after);
+            prop_assert_eq!(dec.pos(), pos, "cursor with {} bytes after the run", after);
+        }
+    }
 
     #[test]
     fn varint_stream_roundtrips_on_all_paths(vals in arb_varints()) {
@@ -172,7 +210,7 @@ proptest! {
     }
 
     #[test]
-    fn weighted_decode_matches_csr(g in arb_weighted_graph(), cs in 0u32..6) {
+    fn weighted_decode_matches_csr(g in arb_weighted_graph_of(any::<u32>()), cs in 0u32..6) {
         let cg = CompressedWGraph::from_csr_with_chunk_size(&g, cs);
         for v in 0..g.num_vertices() as u32 {
             let mut got = Vec::new();

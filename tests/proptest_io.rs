@@ -116,7 +116,7 @@ proptest! {
         let mg: MappedGraph<()> = MappedGraph::open(&jgr.0).unwrap();
         mg.verify(&jgr.0).unwrap();
         assert_same("mapped->csr", &g, &mg.to_csr().unwrap());
-        let cg = julienne_repro::graph::container::read_compressed::<()>(&jgr.0).unwrap();
+        let cg = julienne_repro::graph::container::read_compressed::<()>(&jgr.0).unwrap().expect("payload");
         prop_assert_eq!(cg.num_edges(), g.num_edges());
         for v in 0..g.num_vertices() as u32 {
             let mut want = g.neighbors(v).to_vec();
