@@ -35,6 +35,31 @@ if grep -rnE 'struct CompressedWGraph|fn decode_wrun|fn validate_wrun|fn read_co
     echo "ci.sh: weight is a type parameter of the one compressed graph; do not copy the type"
     exit 1
 fi
+# Every public function has a caller and every option someone who sets it
+# (PR 22): the sweep lists nothing, and the pull-direction data edgeMap, the
+# option block and the CLI's own option map do not come back.
+run tools/uncalled.sh
+if grep -rnE 'EdgeMapOptions|dense_threshold_div|fn run_data|fn dense_data_counted|telemetry_sink|enum ArgError' crates; then
+    echo "ci.sh: an option nobody sets or an entry point nobody calls is back; see CHANGES.md PR 22"
+    exit 1
+fi
+# The paper's "under 100 lines each": the code lines (not blank, not
+# comment-only) of the four bucketed loops, signature to closing brace, stay
+# within the "of which code" column of DESIGN §6's table.
+core_loop_code_lines() { # <module> <fn>
+    awk -v fn="$2" '$0 ~ "^pub fn " fn "[<(]" { on = 1 }
+        on && $0 !~ /^[ \t]*(\/\/.*)?$/ { code++ }
+        on && /^}/ { print code; exit }' "crates/algorithms/src/$1.rs"
+}
+for entry in kcore::coreness delta_stepping::sssp setcover::cover ktruss::ktruss; do
+    budget=$(awk -F'|' -v e="\`$entry\`" '$3 ~ e { print $5 + 0 }' DESIGN.md)
+    code=$(core_loop_code_lines "${entry%%::*}" "${entry##*::}")
+    echo "==> $entry: $code code lines (DESIGN §6 says $budget)"
+    if [ -z "$code" ] || [ -z "$budget" ] || [ "$code" -gt "$budget" ]; then
+        echo "ci.sh: $entry outgrew DESIGN §6's table; shrink the loop or re-measure the table"
+        exit 1
+    fi
+done
 
 # --- serve smoke test -------------------------------------------------------
 # End-to-end over a real socket: start `julienne serve`, fire concurrent
@@ -291,6 +316,7 @@ run benchmark/run.sh --smoke
 # parent/change pairs of one workload); keep it parsing and running: one
 # smoke-sized pair of this checkout against itself.
 run bash -n tools/ab_pairs.sh
+run bash -n tools/uncalled.sh
 run tools/ab_pairs.sh . . sssp-rmat-z --pairs 1 --smoke
 
 # --- corrupt-payload regression ----------------------------------------------

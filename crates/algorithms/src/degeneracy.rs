@@ -5,9 +5,7 @@
 //! peeling process have many downstream uses; these are the two classic
 //! ones, built directly on the work-efficient bucketed peel.
 
-use crate::kcore::{coreness, KcoreParams};
 use julienne::bucket::{Bucketing, BucketsBuilder, Order};
-use julienne::query::QueryCtx;
 use julienne_graph::VertexId;
 use julienne_ligra::edge_map_reduce::{edge_map_sum_with_scratch, SumScratch};
 use julienne_ligra::traits::{GraphRef, OutEdges};
@@ -244,21 +242,11 @@ pub fn induced_density<G: OutEdges>(g: &G, vs: &[VertexId]) -> f64 {
     twice_edges as f64 / 2.0 / vs.len() as f64
 }
 
-/// The coreness lower bound: a graph with degeneracy k has a subgraph of
-/// density ≥ k/2, so the densest subgraph has density ≥ k_max/2.
-pub fn degeneracy_density_bound<G: OutEdges>(g: &G) -> f64 {
-    let k_max = coreness(g, &KcoreParams::default(), &QueryCtx::default())
-        .expect("uncancellable query")
-        .coreness
-        .into_iter()
-        .max()
-        .unwrap_or(0);
-    k_max as f64 / 2.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kcore::{coreness, KcoreParams};
+    use julienne::query::QueryCtx;
     use julienne_graph::builder::from_pairs_symmetric;
     use julienne_graph::csr::Csr;
     use julienne_graph::generators::{erdos_renyi, rmat, RmatParams};
@@ -332,7 +320,14 @@ mod tests {
     fn density_meets_degeneracy_bound() {
         let g = rmat(10, 12, RmatParams::default(), 9, true);
         let ds = densest_subgraph(&g);
-        let bound = degeneracy_density_bound(&g);
+        // A graph with degeneracy k has a subgraph of density ≥ k/2.
+        let k_max = coreness(&g, &KcoreParams::default(), &QueryCtx::default())
+            .unwrap()
+            .coreness
+            .into_iter()
+            .max()
+            .unwrap_or(0);
+        let bound = k_max as f64 / 2.0;
         assert!(
             ds.density + 1e-9 >= bound,
             "density {} below k_max/2 bound {}",

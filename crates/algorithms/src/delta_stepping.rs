@@ -18,7 +18,6 @@ use crate::bellman_ford::SsspResult;
 use crate::INF;
 use julienne::bucket::{BucketId, Bucketing, Order, NULL_BKT};
 use julienne::query::QueryCtx;
-use julienne::telemetry::{Counter, RoundRecord, TraversalKind};
 use julienne::Error;
 use julienne_graph::builder::EdgeList;
 use julienne_graph::csr::Csr;
@@ -94,7 +93,7 @@ impl Default for SsspParams {
 /// Generic over the out-edge backend, so it runs unmodified on plain CSR
 /// and on Ligra+-style byte-compressed weighted graphs. Bucket window and
 /// telemetry scope come from `ctx`'s engine; each annulus round emits a
-/// [`RoundRecord`]. The context is polled once per round: a cancelled or
+/// round record. The context is polled once per round: a cancelled or
 /// deadline-expired query returns `Err` with no partial output, dropping
 /// its buckets on the way out.
 pub fn sssp<G: OutEdges<W = u32>>(
@@ -189,18 +188,8 @@ pub fn sssp<G: OutEdges<W = u32>>(
             Some(buckets.get_bucket(v, prev, annulus(new_dist, delta)))
         });
         buckets.update_buckets(new_buckets.entries());
-        telemetry.incr(Counter::Rounds);
-        if telemetry.is_enabled() {
-            telemetry.record_round(RoundRecord {
-                round: (rounds - 1) as u32,
-                bucket: bkt,
-                frontier: ids.len(),
-                edges_scanned: round_edges,
-                edges_relaxed: new_buckets.entries().len() as u64,
-                mode: TraversalKind::Sparse,
-                elapsed_us: span.elapsed_us(),
-            });
-        }
+        let relaxed = new_buckets.entries().len() as u64;
+        telemetry.finish_round(span, rounds - 1, bkt, ids.len(), round_edges, relaxed);
     }
 
     let identifiers_moved = buckets.stats().identifiers_moved;

@@ -16,7 +16,7 @@
 
 use julienne::bucket::{Bucketing, Order};
 use julienne::query::QueryCtx;
-use julienne::telemetry::{Counter, RoundRecord, TraversalKind};
+use julienne::telemetry::Counter;
 use julienne::Error;
 use julienne_graph::VertexId;
 use julienne_ligra::edge_map_reduce::{edge_map_sum_with_scratch, SumScratch};
@@ -55,7 +55,7 @@ pub struct KcoreParams {}
 /// registry id. The graph must be symmetric.
 ///
 /// Bucket window and telemetry scope come from `ctx`'s engine; each peeling
-/// round emits a [`RoundRecord`]. The context is polled once per round: a
+/// round emits a round record. The context is polled once per round: a
 /// cancelled or deadline-expired query returns `Err` with no partial
 /// output, dropping its buckets on the way out.
 pub fn coreness<G: OutEdges>(
@@ -128,21 +128,10 @@ pub fn coreness<G: OutEdges>(
         );
         let relaxed = moved.entries().len() as u64;
         buckets.update_buckets(moved.entries());
-        telemetry.incr(Counter::Rounds);
         telemetry.add(Counter::VerticesScanned, ids.len() as u64);
         telemetry.add(Counter::EdgesScanned, round_edges);
         telemetry.add(Counter::EdgesRelaxed, relaxed);
-        if telemetry.is_enabled() {
-            telemetry.record_round(RoundRecord {
-                round: (rounds - 1) as u32,
-                bucket: k,
-                frontier: ids.len(),
-                edges_scanned: round_edges,
-                edges_relaxed: relaxed,
-                mode: TraversalKind::Sparse,
-                elapsed_us: span.elapsed_us(),
-            });
-        }
+        telemetry.finish_round(span, rounds - 1, k, ids.len(), round_edges, relaxed);
     }
 
     let identifiers_moved = buckets.stats().identifiers_moved;

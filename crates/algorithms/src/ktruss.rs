@@ -16,7 +16,6 @@
 use crate::triangles::{edge_support, EdgeIndex};
 use julienne::bucket::{BucketDest, Bucketing, Order};
 use julienne::query::QueryCtx;
-use julienne::telemetry::Counter;
 use julienne::Error;
 use julienne_ligra::traits::GraphRef;
 use julienne_primitives::bitset::AtomicBitSet;
@@ -85,6 +84,7 @@ pub fn ktruss<G: GraphRef>(
         // Round boundary: a cancelled/expired query unwinds here, dropping
         // the bucket structure and support array with it.
         ctx.check()?;
+        let span = telemetry.span();
         let (k, peeled) = buckets.next_bucket().expect("peel exhausted early");
         finished += peeled.len();
         rounds += 1;
@@ -169,7 +169,8 @@ pub fn ktruss<G: GraphRef>(
             per_edge.into_iter().flatten().collect()
         };
         buckets.update_buckets(&moves);
-        telemetry.incr(Counter::Rounds);
+        // The peel walks triangles, not an edgeMap: no scanned-edge count.
+        telemetry.finish_round(span, rounds - 1, k, peeled.len(), 0, moves.len() as u64);
 
         // Clear the round marks.
         peeled.par_iter().for_each(|&e| {

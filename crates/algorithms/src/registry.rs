@@ -240,8 +240,13 @@ impl GraphStore {
     /// * [`Backend::Mapped`]: the file **must** be a `.jgr` container —
     ///   mapping is meaningless for formats that need parsing — and is
     ///   served zero-copy with no per-edge work before the first query.
+    ///
+    /// `weighted = false` asks for topology only: a `.jgr` container whose
+    /// header says it carries weights opens as its weighted variant, and
+    /// the algorithms that need none ignore them.
     pub fn open(path: &Path, weighted: bool, backend: Backend) -> Result<GraphStore, Error> {
         let fmt = Format::detect(path)?;
+        let weighted = weighted || (fmt == Format::Container && container::peek(path)?.weighted);
         match backend {
             Backend::Mapped => {
                 if fmt != Format::Container {
@@ -409,20 +414,58 @@ impl ParamMap {
         v
     }
 
+    /// A required string parameter.
+    pub fn require(&self, key: &str) -> Result<String, Error> {
+        self.raw(key)
+            .map(str::to_string)
+            .ok_or_else(|| Error::usage(format!("missing required option {key}=")))
+    }
+
     /// An optional string parameter with default.
     pub fn string_or(&self, key: &str, default: &str) -> String {
         self.raw(key).unwrap_or(default).to_string()
     }
 
-    /// An optional typed parameter with default; a value that fails to
-    /// parse is a usage error naming the offending key and value.
+    /// An optional typed parameter: `Ok(None)` when absent, so absence and
+    /// an explicit value stay distinguishable (`timeout_ms=0` means "already
+    /// expired", no `timeout_ms=` means "no deadline"). A value that fails
+    /// to parse is a usage error naming the offending key and value.
+    pub fn optional<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, Error> {
+        self.raw(key)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| Error::usage(format!("option {key}={v:?} has the wrong type")))
+            })
+            .transpose()
+    }
+
+    /// An optional typed parameter with default.
     pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, Error> {
-        match self.raw(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| Error::usage(format!("option {key}={v:?} has the wrong type"))),
-        }
+        Ok(self.optional(key)?.unwrap_or(default))
+    }
+
+    /// The pairs no getter has touched yet.
+    fn untouched(&self) -> Vec<(&String, &String)> {
+        let used = self.used.borrow();
+        self.map
+            .iter()
+            .filter(|(k, _)| !used.contains(*k))
+            .collect()
+    }
+
+    /// Hands over every parameter no getter touched, marking them used —
+    /// how the CLI forwards what its own options left as an algorithm's
+    /// parameters, whose unknown keys the registry then rejects.
+    pub fn remaining(&self) -> Vec<(String, String)> {
+        let rest: Vec<(String, String)> = self
+            .untouched()
+            .into_iter()
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect();
+        self.used
+            .borrow_mut()
+            .extend(rest.iter().map(|(k, _)| k.clone()));
+        rest
     }
 
     /// Canonical cache/coalesce rendering of the full map: `key=value`
@@ -462,23 +505,22 @@ impl ParamMap {
         Ok(out)
     }
 
-    /// Rejects any parameters no getter touched.
-    pub fn finish(&self, id: &str) -> Result<(), Error> {
-        let used = self.used.borrow();
+    /// Rejects any parameters no getter touched; `id` names the algorithm
+    /// they were meant for (`None` for a CLI command's own options).
+    pub fn finish(&self, id: Option<&str>) -> Result<(), Error> {
         let unknown: Vec<&str> = self
-            .map
-            .keys()
-            .map(String::as_str)
-            .filter(|k| !used.contains(*k))
+            .untouched()
+            .into_iter()
+            .map(|(k, _)| k.as_str())
             .collect();
         if unknown.is_empty() {
-            Ok(())
-        } else {
-            Err(Error::usage(format!(
-                "unknown options for {id}: {}",
-                unknown.join(", ")
-            )))
+            return Ok(());
         }
+        let scope = id.map(|id| format!(" for {id}")).unwrap_or_default();
+        Err(Error::usage(format!(
+            "unknown options{scope}: {}",
+            unknown.join(", ")
+        )))
     }
 }
 
@@ -737,7 +779,7 @@ fn render_kcore(coreness: &[u32], top: usize, counters: Option<(u64, u64)>) -> S
 
 fn run_kcore(store: &GraphStore, p: &ParamMap, ctx: &QueryCtx) -> Result<String, Error> {
     let top: usize = p.get_or("top", 10)?;
-    p.finish("kcore")?;
+    p.finish(Some("kcore"))?;
     store.require_nonempty()?;
     store.require_symmetric("k-core requires a symmetric graph (use convert symmetrize=true)")?;
     // Dynamic stores answer from the maintained coreness vector when its
@@ -776,14 +818,14 @@ struct SsspRequest {
 
 fn parse_sssp(store: &GraphStore, p: &ParamMap) -> Result<SsspRequest, Error> {
     let src: u32 = p.get_or("src", 0)?;
-    let delta: u64 = p.get_or("delta", 32768)?;
+    let delta: u64 = p.get_or("delta", SsspParams::default().delta)?;
     if delta == 0 {
         return Err(Error::usage(
             "delta=0 is invalid; the bucket width must be >= 1",
         ));
     }
     let algo = p.string_or("algo", "delta");
-    p.finish("sssp")?;
+    p.finish(Some("sssp"))?;
     store.require_nonempty()?;
     if src as usize >= store.num_vertices() {
         return Err(Error::input(format!(
@@ -918,7 +960,7 @@ pub fn run_sssp_batch(
 }
 
 fn run_components(store: &GraphStore, p: &ParamMap, ctx: &QueryCtx) -> Result<String, Error> {
-    p.finish("components")?;
+    p.finish(Some("components"))?;
     store.require_nonempty()?;
     store.require_symmetric("components requires a symmetric graph")?;
     ctx.check()?;
@@ -931,7 +973,7 @@ fn run_components(store: &GraphStore, p: &ParamMap, ctx: &QueryCtx) -> Result<St
 }
 
 fn run_densest(store: &GraphStore, p: &ParamMap, ctx: &QueryCtx) -> Result<String, Error> {
-    p.finish("densest")?;
+    p.finish(Some("densest"))?;
     store.require_nonempty()?;
     store.require_symmetric("densest requires a symmetric graph")?;
     ctx.check()?;
@@ -944,7 +986,7 @@ fn run_densest(store: &GraphStore, p: &ParamMap, ctx: &QueryCtx) -> Result<Strin
 }
 
 fn run_triangles(store: &GraphStore, p: &ParamMap, ctx: &QueryCtx) -> Result<String, Error> {
-    p.finish("triangles")?;
+    p.finish(Some("triangles"))?;
     store.require_nonempty()?;
     store.require_symmetric("triangle counting requires a symmetric graph")?;
     ctx.check()?;
@@ -954,7 +996,7 @@ fn run_triangles(store: &GraphStore, p: &ParamMap, ctx: &QueryCtx) -> Result<Str
 
 fn run_truss(store: &GraphStore, p: &ParamMap, ctx: &QueryCtx) -> Result<String, Error> {
     let top: usize = p.get_or("top", 5)?;
-    p.finish("truss")?;
+    p.finish(Some("truss"))?;
     store.require_nonempty()?;
     store.require_symmetric("k-truss requires a symmetric graph")?;
     ctx.check()?;
@@ -985,7 +1027,7 @@ fn run_truss(store: &GraphStore, p: &ParamMap, ctx: &QueryCtx) -> Result<String,
 }
 
 fn run_clustering(store: &GraphStore, p: &ParamMap, ctx: &QueryCtx) -> Result<String, Error> {
-    p.finish("clustering")?;
+    p.finish(Some("clustering"))?;
     store.require_nonempty()?;
     store.require_symmetric("clustering requires a symmetric graph")?;
     ctx.check()?;
@@ -1007,7 +1049,7 @@ fn run_pagerank(store: &GraphStore, p: &ParamMap, ctx: &QueryCtx) -> Result<Stri
         )));
     }
     let iters: u32 = p.get_or("iters", 100)?;
-    p.finish("pagerank")?;
+    p.finish(Some("pagerank"))?;
     store.require_nonempty()?;
     ctx.check()?;
     let r = any_graph!(store, "pagerank", |g| pagerank(g, damping, 1e-9, iters));
@@ -1027,7 +1069,7 @@ fn run_setcover(store: &GraphStore, p: &ParamMap, ctx: &QueryCtx) -> Result<Stri
     let mult: usize = p.get_or("mult", 4)?;
     let eps: f64 = p.get_or("eps", 0.01)?;
     let seed: u64 = p.get_or("seed", 1)?;
-    p.finish("setcover")?;
+    p.finish(Some("setcover"))?;
     let mut inst = julienne_graph::generators::set_cover_instance(sets, elements, mult, seed);
     if store.backend() == Backend::Compressed {
         // Set cover peels a packed (mutable) copy of the membership graph,

@@ -18,7 +18,7 @@
 
 use julienne::bucket::{BucketDest, BucketId, Bucketing, Order, NULL_BKT};
 use julienne::query::QueryCtx;
-use julienne::telemetry::{Counter, RoundRecord, TraversalKind};
+use julienne::telemetry::Counter;
 use julienne::Error;
 use julienne_graph::generators::SetCoverInstance;
 use julienne_graph::packed::PackedGraph;
@@ -80,7 +80,7 @@ impl Default for SetCoverParams {
 /// point behind the `setcover` registry id.
 ///
 /// Bucket window and telemetry scope come from `ctx`'s engine; each bucket
-/// round emits a [`RoundRecord`]. The context is polled once per round: a
+/// round emits a round record. The context is polled once per round: a
 /// cancelled or deadline-expired query returns `Err` with no partial
 /// output, dropping its buckets on the way out.
 pub fn cover(
@@ -198,21 +198,11 @@ pub fn cover(
             Some((s, buckets.get_bucket(s, b, bucket_num(deg, inv_log1p_eps))))
         });
         buckets.update_buckets(&rebucket);
-        telemetry.incr(Counter::Rounds);
         telemetry.add(Counter::VerticesScanned, sets.len() as u64);
         telemetry.add(Counter::EdgesScanned, round_edges);
-        if telemetry.is_enabled() {
-            telemetry.record_round(RoundRecord {
-                round: (rounds - 1) as u32,
-                bucket: b,
-                frontier: sets.len(),
-                edges_scanned: round_edges,
-                // Sets that joined the cover this round.
-                edges_relaxed: (sets.len() - rebucket.len()) as u64,
-                mode: TraversalKind::Sparse,
-                elapsed_us: span.elapsed_us(),
-            });
-        }
+        // "Relaxed" here: the sets that joined the cover this round.
+        let joined = (sets.len() - rebucket.len()) as u64;
+        telemetry.finish_round(span, rounds - 1, b, sets.len(), round_edges, joined);
     }
 
     let cover: Vec<VertexId> = filter_map(&(0..num_sets as u32).collect::<Vec<_>>(), |&s| {

@@ -164,12 +164,6 @@ impl EdgeIndex {
         let e = self.arc_offsets[v as usize + 1] as usize;
         (&self.arc_target[s..e], &self.arc_eid[s..e])
     }
-
-    /// Looks up the undirected edge id of `(a, b)`; `None` if absent.
-    pub fn edge_id(&self, a: VertexId, b: VertexId) -> Option<u32> {
-        let (nbrs, eids) = self.arcs_of(a);
-        nbrs.binary_search(&b).ok().map(|i| eids[i])
-    }
 }
 
 /// Per-edge triangle support: `support[e]` = number of triangles through
@@ -252,10 +246,14 @@ mod tests {
     fn edge_index_lookup_consistent() {
         let g = erdos_renyi(200, 1_600, 7, true);
         let idx = EdgeIndex::new(&g);
+        let edge_id = |a: VertexId, b: VertexId| {
+            let (nbrs, eids) = idx.arcs_of(a);
+            nbrs.binary_search(&b).ok().map(|i| eids[i])
+        };
         for (e, &(u, v)) in idx.endpoints.iter().enumerate() {
             assert!(u < v);
-            assert_eq!(idx.edge_id(u, v), Some(e as u32));
-            assert_eq!(idx.edge_id(v, u), Some(e as u32));
+            assert_eq!(edge_id(u, v), Some(e as u32));
+            assert_eq!(edge_id(v, u), Some(e as u32));
         }
         // Non-edges return None.
         let mut non_edge = None;
@@ -268,7 +266,7 @@ mod tests {
             }
         }
         let (a, b) = non_edge.unwrap();
-        assert_eq!(idx.edge_id(a, b), None);
+        assert_eq!(edge_id(a, b), None);
     }
 
     #[test]

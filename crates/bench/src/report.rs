@@ -1,10 +1,7 @@
 //! Structured result reporting for the harness binaries: aligned console
 //! tables plus machine-readable CSV and JSON next to them, so figure data
-//! can be re-plotted without scraping stdout. Telemetry snapshots from an
-//! [`Engine`](julienne::prelude::Engine) run serialise via
-//! [`telemetry_json`].
+//! can be re-plotted without scraping stdout.
 
-use julienne::telemetry::TelemetrySnapshot;
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
@@ -142,12 +139,6 @@ impl Table {
     }
 }
 
-/// Serialises a telemetry snapshot alongside a bench table: one JSON object
-/// per benchmarked run, in the same shape `julienne-cli --stats json` emits.
-pub fn telemetry_json(algorithm: &str, snapshot: &TelemetrySnapshot) -> String {
-    snapshot.to_json(algorithm)
-}
-
 /// Per-backend memory footprint of one benchmark input: raw CSR bytes
 /// against the byte-compressed form, normalised per directed edge.
 pub struct MemoryFootprint {
@@ -254,17 +245,6 @@ mod tests {
         assert!(j.starts_with("{\"title\":\"a \\\"b\\\"\""), "{j}");
         assert!(j.contains("\"columns\":[\"k\",\"v\"]"));
         assert!(j.contains("\"rows\":[[\"x,y\",\"1\"]]"));
-    }
-
-    #[test]
-    fn telemetry_snapshot_roundtrip() {
-        use julienne::prelude::*;
-        let engine = Engine::builder().telemetry(true).build();
-        engine.telemetry().add(Counter::EdgesScanned, 7);
-        let j = telemetry_json("bench", &engine.snapshot());
-        assert!(j.contains("\"algorithm\":\"bench\""));
-        #[cfg(feature = "telemetry")]
-        assert!(j.contains("\"edges_scanned\":7"), "{j}");
     }
 
     #[test]

@@ -1,151 +1,45 @@
-//! Minimal dependency-free argument parsing: `key=value`, `--key=value`,
-//! and `--key value` options after a subcommand, with typed getters and
-//! unknown-key detection.
+//! Minimal dependency-free argument splitting: a subcommand followed by
+//! `key=value`, `--key=value`, and `--key value` options, collected into
+//! the registry's [`ParamMap`] — whose typed getters and unknown-key
+//! detection serve the CLI's own options and the algorithms' alike.
 
-use std::collections::BTreeMap;
+use julienne::Error;
+use julienne_algorithms::registry::ParamMap;
 
 /// Parsed command line: a subcommand plus `key=value` options.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Args {
     /// The subcommand (first positional argument).
     pub command: String,
-    opts: BTreeMap<String, String>,
-    consumed: std::cell::RefCell<Vec<String>>,
-}
-
-/// Errors produced while parsing or validating arguments.
-#[derive(Debug, PartialEq, Eq)]
-pub enum ArgError {
-    /// No subcommand given.
-    MissingCommand,
-    /// An argument was not of the form `key=value`.
-    Malformed(String),
-    /// A required option was absent.
-    MissingOption(String),
-    /// An option failed to parse as the requested type.
-    BadValue(String, String),
-    /// Options that no getter consumed (typo protection).
-    UnknownOptions(Vec<String>),
-}
-
-impl std::fmt::Display for ArgError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ArgError::MissingCommand => write!(f, "missing subcommand"),
-            ArgError::Malformed(a) => write!(f, "malformed argument {a:?}; expected key=value"),
-            ArgError::MissingOption(k) => write!(f, "missing required option {k}="),
-            ArgError::BadValue(k, v) => write!(f, "option {k}={v:?} has the wrong type"),
-            ArgError::UnknownOptions(ks) => write!(f, "unknown options: {}", ks.join(", ")),
-        }
-    }
+    /// Everything after it.
+    pub opts: ParamMap,
 }
 
 impl Args {
     /// Parses `argv` (without the program name). Options may be spelled
     /// `key=value`, `--key=value`, or `--key value`.
-    pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, ArgError> {
+    pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, Error> {
         let mut it = argv.into_iter();
-        let command = it.next().ok_or(ArgError::MissingCommand)?;
-        let mut opts = BTreeMap::new();
+        let command = it
+            .next()
+            .ok_or_else(|| Error::usage("missing subcommand"))?;
+        let malformed =
+            |raw: &str| Error::usage(format!("malformed argument {raw:?}; expected key=value"));
+        let mut opts = ParamMap::default();
         while let Some(raw) = it.next() {
             if let Some(flag) = raw.strip_prefix("--") {
                 if let Some((k, v)) = flag.split_once('=') {
-                    opts.insert(k.to_string(), v.to_string());
+                    opts.set(k, v);
                 } else {
-                    let v = it.next().ok_or_else(|| ArgError::Malformed(raw.clone()))?;
-                    opts.insert(flag.to_string(), v);
+                    let v = it.next().ok_or_else(|| malformed(&raw))?;
+                    opts.set(flag, v);
                 }
             } else {
-                let (k, v) = raw
-                    .split_once('=')
-                    .ok_or_else(|| ArgError::Malformed(raw.clone()))?;
-                opts.insert(k.to_string(), v.to_string());
+                let (k, v) = raw.split_once('=').ok_or_else(|| malformed(&raw))?;
+                opts.set(k, v);
             }
         }
-        Ok(Args {
-            command,
-            opts,
-            consumed: std::cell::RefCell::new(Vec::new()),
-        })
-    }
-
-    fn raw(&self, key: &str) -> Option<&str> {
-        let v = self.opts.get(key).map(String::as_str);
-        if v.is_some() {
-            self.consumed.borrow_mut().push(key.to_string());
-        }
-        v
-    }
-
-    /// A required string option.
-    pub fn require(&self, key: &str) -> Result<String, ArgError> {
-        self.raw(key)
-            .map(str::to_string)
-            .ok_or_else(|| ArgError::MissingOption(key.to_string()))
-    }
-
-    /// An optional string option with default.
-    pub fn string_or(&self, key: &str, default: &str) -> String {
-        self.raw(key).unwrap_or(default).to_string()
-    }
-
-    /// An optional typed option: `Ok(None)` when absent (unlike
-    /// [`get_or`](Self::get_or), absence and an explicit default value are
-    /// distinguishable — `timeout_ms=0` means "already expired", no
-    /// `timeout_ms=` means "no deadline").
-    pub fn optional<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, ArgError> {
-        match self.raw(key) {
-            None => Ok(None),
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| ArgError::BadValue(key.to_string(), v.to_string())),
-        }
-    }
-
-    /// An optional typed option with default.
-    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ArgError> {
-        match self.raw(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| ArgError::BadValue(key.to_string(), v.to_string())),
-        }
-    }
-
-    /// Hands over every option no getter touched, marking them consumed.
-    /// The caller forwards them as an algorithm parameter map; unknown keys
-    /// are then rejected by the registry with the algorithm's name attached
-    /// instead of by [`finish`](Self::finish).
-    pub fn remaining(&self) -> Vec<(String, String)> {
-        let rest: Vec<(String, String)> = {
-            let consumed = self.consumed.borrow();
-            self.opts
-                .iter()
-                .filter(|(k, _)| !consumed.contains(k))
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect()
-        };
-        self.consumed
-            .borrow_mut()
-            .extend(rest.iter().map(|(k, _)| k.clone()));
-        rest
-    }
-
-    /// Rejects any options no getter touched.
-    pub fn finish(&self) -> Result<(), ArgError> {
-        let consumed = self.consumed.borrow();
-        let unknown: Vec<String> = self
-            .opts
-            .keys()
-            .filter(|k| !consumed.contains(k))
-            .cloned()
-            .collect();
-        if unknown.is_empty() {
-            Ok(())
-        } else {
-            Err(ArgError::UnknownOptions(unknown))
-        }
+        Ok(Args { command, opts })
     }
 }
 
@@ -157,70 +51,79 @@ mod tests {
         s.split_whitespace().map(str::to_string).collect()
     }
 
+    fn parse(s: &str) -> ParamMap {
+        Args::parse(argv(s)).unwrap().opts
+    }
+
     #[test]
     fn parses_command_and_options() {
         let a = Args::parse(argv("gen kind=rmat scale=10")).unwrap();
         assert_eq!(a.command, "gen");
-        assert_eq!(a.require("kind").unwrap(), "rmat");
-        assert_eq!(a.get_or("scale", 0u32).unwrap(), 10);
-        a.finish().unwrap();
+        assert_eq!(a.opts.require("kind").unwrap(), "rmat");
+        assert_eq!(a.opts.get_or("scale", 0u32).unwrap(), 10);
+        a.opts.finish(None).unwrap();
     }
 
     #[test]
     fn defaults_apply() {
-        let a = Args::parse(argv("stats")).unwrap();
+        let a = parse("stats");
         assert_eq!(a.get_or("scale", 14u32).unwrap(), 14);
         assert_eq!(a.string_or("out", "-"), "-");
-        a.finish().unwrap();
+        a.finish(None).unwrap();
     }
 
     #[test]
     fn missing_command() {
-        assert_eq!(
-            Args::parse(Vec::new()).unwrap_err(),
-            ArgError::MissingCommand
-        );
+        let e = Args::parse(Vec::new()).unwrap_err();
+        assert!(e.is_usage());
+        assert_eq!(e.to_string(), "missing subcommand");
     }
 
     #[test]
     fn malformed_option() {
         let e = Args::parse(argv("gen oops")).unwrap_err();
-        assert!(matches!(e, ArgError::Malformed(_)));
+        assert!(e.is_usage());
+        assert_eq!(
+            e.to_string(),
+            "malformed argument \"oops\"; expected key=value"
+        );
     }
 
     #[test]
     fn double_dash_forms() {
-        let a = Args::parse(argv("kcore --in g.bin --stats=json --top 3")).unwrap();
+        let a = parse("kcore --in g.bin --stats=json --top 3");
         assert_eq!(a.require("in").unwrap(), "g.bin");
         assert_eq!(a.string_or("stats", "none"), "json");
         assert_eq!(a.get_or("top", 0usize).unwrap(), 3);
-        a.finish().unwrap();
+        a.finish(None).unwrap();
     }
 
     #[test]
     fn dangling_flag_rejected() {
         let e = Args::parse(argv("kcore --stats")).unwrap_err();
-        assert!(matches!(e, ArgError::Malformed(_)));
+        assert_eq!(
+            e.to_string(),
+            "malformed argument \"--stats\"; expected key=value"
+        );
     }
 
     #[test]
     fn missing_required() {
-        let a = Args::parse(argv("gen")).unwrap();
-        assert!(matches!(a.require("kind"), Err(ArgError::MissingOption(_))));
+        let e = parse("gen").require("kind").unwrap_err();
+        assert!(e.is_usage());
+        assert_eq!(e.to_string(), "missing required option kind=");
     }
 
     #[test]
     fn bad_typed_value() {
-        let a = Args::parse(argv("gen scale=abc")).unwrap();
-        assert!(matches!(
-            a.get_or("scale", 1u32),
-            Err(ArgError::BadValue(_, _))
-        ));
+        let e = parse("gen scale=abc").get_or("scale", 1u32).unwrap_err();
+        assert!(e.is_usage());
+        assert_eq!(e.to_string(), "option scale=\"abc\" has the wrong type");
     }
 
     #[test]
     fn remaining_hands_over_untouched_options_once() {
-        let a = Args::parse(argv("sssp in=g.bin src=3 delta=16")).unwrap();
+        let a = parse("sssp in=g.bin src=3 delta=16");
         let _ = a.require("in");
         let rest = a.remaining();
         assert_eq!(
@@ -232,14 +135,16 @@ mod tests {
         );
         // remaining() consumed them: finish() no longer complains and a
         // second call hands over nothing.
-        a.finish().unwrap();
+        a.finish(None).unwrap();
         assert!(a.remaining().is_empty());
     }
 
     #[test]
     fn unknown_options_rejected() {
-        let a = Args::parse(argv("gen kind=er tpyo=1")).unwrap();
+        let a = parse("gen kind=er tpyo=1");
         let _ = a.require("kind");
-        assert!(matches!(a.finish(), Err(ArgError::UnknownOptions(_))));
+        let e = a.finish(None).unwrap_err();
+        assert!(e.is_usage());
+        assert_eq!(e.to_string(), "unknown options: tpyo");
     }
 }

@@ -9,7 +9,7 @@
 //! `julienne query` is its line-protocol client, so a query answered
 //! directly and one answered by a server are byte-identical.
 
-use crate::args::{ArgError, Args};
+use crate::args::Args;
 use julienne::prelude::{Backend, Engine, QueryCtx};
 use julienne::Error;
 use julienne_algorithms::dynamic::DynamicStore;
@@ -58,12 +58,6 @@ impl std::fmt::Display for CmdError {
     }
 }
 
-impl From<ArgError> for CmdError {
-    fn from(e: ArgError) -> Self {
-        CmdError::Usage(e.to_string())
-    }
-}
-
 impl From<Error> for CmdError {
     /// The workspace error enum maps onto the CLI's two exit classes by
     /// its wire code: `usage` → exit 2, everything else (io, parse, input,
@@ -90,7 +84,7 @@ pub type CmdResult = Result<String, CmdError>;
 /// Reads the global `backend=<csr|compressed|mapped>` option. Validated
 /// once in [`dispatch`]; the graph commands re-read it here to route their
 /// loads through [`GraphStore::open`].
-fn backend_opt(a: &Args) -> Result<Backend, CmdError> {
+fn backend_opt(a: &ParamMap) -> Result<Backend, CmdError> {
     Ok(Backend::parse(&a.string_or("backend", "csr"))?)
 }
 
@@ -119,7 +113,7 @@ fn require_nonempty<W: julienne_graph::csr::Weight>(g: &Csr<W>) -> Result<(), Cm
 /// `stats=<none|json>` selects the telemetry scope and JSON trace, and
 /// `timeout_ms=<n>` arms a deadline (a run past it exits with a runtime
 /// error, the same `deadline` class a served query reports).
-fn query_ctx(a: &Args) -> Result<QueryCtx, CmdError> {
+fn query_ctx(a: &ParamMap) -> Result<QueryCtx, CmdError> {
     let stats = a.string_or("stats", "none");
     let mut ctx = match stats.as_str() {
         "none" => QueryCtx::default(),
@@ -142,10 +136,9 @@ fn query_ctx(a: &Args) -> Result<QueryCtx, CmdError> {
 /// forwards every option the global getters didn't consume as typed
 /// parameters, and dispatches through the same [`Registry`] table the
 /// query server uses.
-fn cmd_algo(a: &Args) -> CmdResult {
-    let id = a.command.clone();
+fn cmd_algo(id: &str, a: &ParamMap) -> CmdResult {
     let spec = Registry::standard()
-        .get(&id)
+        .get(id)
         .expect("dispatch routes only registered ids here");
     let backend = backend_opt(a)?;
     let ctx = query_ctx(a)?;
@@ -168,20 +161,19 @@ fn cmd_algo(a: &Args) -> CmdResult {
             // ahead of filesystem failures by probing against an empty
             // store (the registry validates params before touching the
             // graph, so nothing actually runs).
-            let probe =
-                Registry::standard().run(&id, &GraphStore::Empty { backend }, &params, &ctx);
+            let probe = Registry::standard().run(id, &GraphStore::Empty { backend }, &params, &ctx);
             return match probe {
                 Err(e) if e.is_usage() => Err(e.into()),
                 _ => Err(load_err.into()),
             };
         }
     };
-    Ok(Registry::standard().run(&id, &store, &params, &ctx)?)
+    Ok(Registry::standard().run(id, &store, &params, &ctx)?)
 }
 
 /// `julienne gen kind=<rmat|er|chunglu|grid|regular> out=<file> [scale=14]
 /// [edge_factor=16] [seed=1] [symmetric=true] [weights=none|log|heavy]`
-pub fn cmd_gen(a: &Args) -> CmdResult {
+pub fn cmd_gen(a: &ParamMap) -> CmdResult {
     let kind = a.require("kind")?;
     let out = PathBuf::from(a.require("out")?);
     let scale: u32 = a.get_or("scale", 14)?;
@@ -189,7 +181,7 @@ pub fn cmd_gen(a: &Args) -> CmdResult {
     let seed: u64 = a.get_or("seed", 1)?;
     let symmetric: bool = a.get_or("symmetric", true)?;
     let weights = a.string_or("weights", "none");
-    a.finish()?;
+    a.finish(None)?;
 
     if scale >= usize::BITS {
         return Err(usage_err(format!(
@@ -237,10 +229,10 @@ pub fn cmd_gen(a: &Args) -> CmdResult {
 /// Besides the Table 2 statistics, reports the memory footprint of both
 /// backends: raw CSR bytes and byte-compressed bytes, each per edge, plus
 /// the compression ratio.
-pub fn cmd_stats(a: &Args) -> CmdResult {
+pub fn cmd_stats(a: &ParamMap) -> CmdResult {
     let input = PathBuf::from(a.require("in")?);
     let weighted: bool = a.get_or("weighted", false)?;
-    a.finish()?;
+    a.finish(None)?;
     let (s, csr_bytes, compressed_bytes) = if weighted {
         let g: Csr<u32> = load(&input)?;
         require_nonempty(&g)?;
@@ -282,14 +274,14 @@ pub fn cmd_stats(a: &Args) -> CmdResult {
 /// the pre-encoded blocks verbatim. `verify=true` re-reads the written
 /// file — for containers this checks every section checksum and validates
 /// offsets/targets, the O(file) counterpart of the O(1) open.
-pub fn cmd_convert(a: &Args) -> CmdResult {
+pub fn cmd_convert(a: &ParamMap) -> CmdResult {
     let input = PathBuf::from(a.require("in")?);
     let out = PathBuf::from(a.require("out")?);
     let weighted: bool = a.get_or("weighted", false)?;
     let make_sym: bool = a.get_or("symmetrize", false)?;
     let compressed_payload: bool = a.get_or("compressed_payload", false)?;
     let verify: bool = a.get_or("verify", false)?;
-    a.finish()?;
+    a.finish(None)?;
     let out_fmt = Format::from_extension(&out).ok_or_else(|| {
         usage_err(format!(
             "cannot infer output format from {:?} (use .adj/.el/.gr/.bin/.metis/.jgr)",
@@ -354,11 +346,12 @@ fn verify_written<W: julienne_graph::csr::Weight>(
     }
 }
 
-/// `julienne serve in=<file> [weighted=true] [addr=127.0.0.1:0]
-/// [open_buckets=128] [backend=csr|compressed|mapped]
+/// `julienne serve in=<file> [weighted=true] [mutable=false]
+/// [addr=127.0.0.1:0] [backend=csr|compressed|mapped]
 /// [batch_window_ms=0] [cache_bytes=0] [scheduler=fifo|priority]`
 ///
-/// Loads the graph once, prints `listening on <addr>`, and answers
+/// Loads the graph once (`weighted` defaults to what a `.jgr` header
+/// states), prints `listening on <addr>`, and answers
 /// line-delimited JSON queries until a `{"shutdown": true}` request
 /// arrives (see `julienne query`). All queries share the one immutable
 /// in-memory graph; each carries its own deadline and cancellation token.
@@ -371,16 +364,13 @@ fn verify_written<W: julienne_graph::csr::Weight>(
 /// result cache (hits answer with `"cached": true`), and `scheduler`
 /// picks the dispatch order (`priority` runs cheap algorithms ahead of
 /// expensive ones). The defaults keep all three features off.
-pub fn cmd_serve(a: &Args) -> CmdResult {
+pub fn cmd_serve(a: &ParamMap) -> CmdResult {
     let input = PathBuf::from(a.require("in")?);
     let mutable: bool = a.get_or("mutable", false)?;
-    // A mutable store is always the unweighted dynamic CSR; weighted
-    // therefore defaults off when mutable and asking for it is an error.
-    let weighted: bool = a.get_or("weighted", !mutable)?;
+    let weighted: Option<bool> = a.optional("weighted")?;
     let addr = a.string_or("addr", "127.0.0.1:0");
-    let open_buckets: usize = a.get_or("open_buckets", 0)?;
     let backend = backend_opt(a)?;
-    if mutable && weighted {
+    if mutable && weighted == Some(true) {
         return Err(usage_err(
             "mutable=true serves the unweighted dynamic store; drop weighted=true",
         ));
@@ -399,11 +389,18 @@ pub fn cmd_serve(a: &Args) -> CmdResult {
             "unknown scheduler {policy_name:?} (expected fifo|priority)"
         )));
     };
-    a.finish()?;
+    a.finish(None)?;
     let config = SchedulerConfig {
         batch_window: Duration::from_millis(batch_window_ms),
         cache_bytes,
         policy,
+    };
+    // A mutable store is always the unweighted dynamic CSR, and a container
+    // opens as what its header says it is; the other formats cannot say,
+    // and default to weighted.
+    let weighted = match weighted {
+        Some(w) => w,
+        None => !mutable && Format::detect(&input)? != Format::Container,
     };
     let store = if mutable {
         let g: Graph = load(&input)?;
@@ -414,12 +411,8 @@ pub fn cmd_serve(a: &Args) -> CmdResult {
     if store.num_vertices() == 0 {
         return Err(runtime_err("graph is empty (0 vertices); nothing to serve"));
     }
-    let mut builder = Engine::builder();
-    if open_buckets > 0 {
-        builder = builder.open_buckets(open_buckets);
-    }
-    let engine = builder.build();
-    let (n, m) = (store.num_vertices(), store.num_edges());
+    let engine = Engine::default();
+    let (n, m, weighted) = (store.num_vertices(), store.num_edges(), store.is_weighted());
     let server = Server::bind_with(&addr, &engine, store, config)
         .map_err(|e| runtime_err(format!("cannot bind {addr}: {e}")))?;
     let local = server
@@ -465,7 +458,7 @@ fn parse_edge_list(field: &str, spec: &str) -> Result<Vec<(u32, u32)>, CmdError>
 /// server and prints its `epoch=... applied=...` report. The local form
 /// applies the same batch semantics offline: load, mutate, write the
 /// resulting snapshot to `out=`.
-pub fn cmd_update(a: &Args) -> CmdResult {
+pub fn cmd_update(a: &ParamMap) -> CmdResult {
     let inserts = parse_edge_list("insert", &a.string_or("insert", ""))?;
     let deletes = parse_edge_list("delete", &a.string_or("delete", ""))?;
     if inserts.is_empty() && deletes.is_empty() {
@@ -475,7 +468,7 @@ pub fn cmd_update(a: &Args) -> CmdResult {
     let addr = a.string_or("addr", "");
     if !addr.is_empty() {
         let id = a.string_or("id", "m0");
-        a.finish()?;
+        a.finish(None)?;
         let to_json = |pairs: &[(u32, u32)]| {
             Json::Arr(
                 pairs
@@ -532,7 +525,7 @@ pub fn cmd_update(a: &Args) -> CmdResult {
     // semantics) → write the epoch-1 snapshot.
     let input = PathBuf::from(a.require("in")?);
     let out = PathBuf::from(a.require("out")?);
-    a.finish()?;
+    a.finish(None)?;
     let g: Graph = load(&input)?;
     let store = DynamicStore::from_graph(&g);
     let batch: Vec<EdgeUpdate> = inserts
@@ -560,14 +553,14 @@ pub fn cmd_update(a: &Args) -> CmdResult {
 /// One-shot client for `julienne serve`: sends a single request line and
 /// prints the response. Server-side errors keep their class — a usage
 /// error on the server is a usage error (exit 2) here.
-pub fn cmd_query(a: &Args) -> CmdResult {
+pub fn cmd_query(a: &ParamMap) -> CmdResult {
     let addr = a.require("addr")?;
     let connect =
         |addr: &str| Client::connect(addr).map_err(|e| runtime_err(format!("connect {addr}: {e}")));
     let wire = |e: std::io::Error| runtime_err(format!("query {addr}: {e}"));
 
     if a.get_or("shutdown", false)? {
-        a.finish()?;
+        a.finish(None)?;
         let resp = connect(&addr)?
             .roundtrip(&Json::Obj(vec![("shutdown".into(), Json::Bool(true))]))
             .map_err(wire)?;
@@ -583,7 +576,7 @@ pub fn cmd_query(a: &Args) -> CmdResult {
 
     let cancel = a.string_or("cancel", "");
     if !cancel.is_empty() {
-        a.finish()?;
+        a.finish(None)?;
         let resp = connect(&addr)?
             .roundtrip(&Json::Obj(vec![(
                 "cancel".into(),
@@ -677,10 +670,10 @@ COMMANDS:
   pagerank    in=<file> [damping=0.85] [iters=100]
   setcover    [sets=256] [elements=16384] [mult=4] [eps=0.01] [seed=1] [stats=none|json]
   serve       in=<file> [weighted=true] [mutable=false] [addr=127.0.0.1:0]
-              [open_buckets=128] [batch_window_ms=0] [cache_bytes=0]
-              [scheduler=fifo|priority]
+              [batch_window_ms=0] [cache_bytes=0] [scheduler=fifo|priority]
               loads the graph once and answers concurrent queries over a local
-              socket (line-delimited JSON; see `query`); batch_window_ms>0
+              socket (line-delimited JSON; see `query`); weighted defaults to
+              what a .jgr header states; batch_window_ms>0
               coalesces compatible queries into one fused run (multi-source
               sssp lanes, whole-graph fan-out; responses gain \"batched\":true),
               cache_bytes>0 arms an LRU result cache (hits answer with
@@ -729,13 +722,14 @@ stops at the next round boundary with a `deadline` error (exit 1).
 /// CSR, byte-compressed, or mmap'd container). Neither affects any
 /// output, only speed and space. Algorithm ids resolve through
 /// [`Registry::standard`], the same table `julienne serve` dispatches from.
-pub fn dispatch(a: &Args) -> CmdResult {
+pub fn dispatch(args: &Args) -> CmdResult {
+    let a = &args.opts;
     let threads: usize = a.get_or("threads", 0)?;
     if threads > 0 {
         rayon::set_num_threads(threads);
     }
     backend_opt(a)?;
-    match a.command.as_str() {
+    match args.command.as_str() {
         "gen" => cmd_gen(a),
         "stats" => cmd_stats(a),
         "convert" => cmd_convert(a),
@@ -743,7 +737,7 @@ pub fn dispatch(a: &Args) -> CmdResult {
         "query" => cmd_query(a),
         "update" => cmd_update(a),
         "help" | "--help" | "-h" => Ok(usage()),
-        id if Registry::standard().get(id).is_some() => cmd_algo(a),
+        id if Registry::standard().get(id).is_some() => cmd_algo(id, a),
         other => Err(usage_err(format!("unknown command {other:?}"))),
     }
 }

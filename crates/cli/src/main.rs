@@ -14,18 +14,14 @@ fn main() {
         print!("{}", commands::usage());
         std::process::exit(2);
     }
-    let parsed = match Args::parse(argv) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{}", commands::usage());
-            std::process::exit(2);
-        }
-    };
-    match commands::dispatch(&parsed) {
+    // Usage errors (exit 2) mean the invocation was wrong; runtime errors
+    // (exit 1) mean the work failed. Both append the usage text so a
+    // failing run always shows the correct invocation forms.
+    match Args::parse(argv)
+        .map_err(commands::CmdError::from)
+        .and_then(|parsed| commands::dispatch(&parsed))
+    {
         Ok(report) => print!("{report}"),
-        // Usage errors (exit 2) mean the invocation was wrong; runtime
-        // errors (exit 1) mean the work failed. Both append the usage text
-        // so a failing run always shows the correct invocation forms.
         Err(e) => {
             eprintln!("error: {e}\n\n{}", commands::usage());
             std::process::exit(e.exit_code());

@@ -396,11 +396,6 @@ impl<D: Fn(Identifier) -> BucketId + Sync> Buckets<D> {
         self.telemetry.incr(Counter::BucketsExtracted);
         Some(live)
     }
-
-    /// The number of open buckets (`nB`).
-    pub fn num_open_buckets(&self) -> usize {
-        self.num_open
-    }
 }
 
 impl<D: Fn(Identifier) -> BucketId + Sync> Bucketing for Buckets<D> {

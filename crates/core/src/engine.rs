@@ -1,12 +1,9 @@
 //! The unified framework entry point.
 //!
-//! Historically the framework surface was a pile of free functions
-//! (`edge_map`, `edge_map_data`, …) plus magic constants (the 128-bucket
-//! open window, the `m/20` dense threshold) that every algorithm re-spelled
-//! at each call site. [`Engine`] centralizes those knobs — edge-map options,
-//! the open-bucket window size, and the telemetry sink — behind one
-//! builder, and hands out pre-configured [`EdgeMap`] and [`Buckets`]
-//! instances that share the sink.
+//! [`Engine`] holds what a caller sets once per run — the open-bucket
+//! window size, the worker-thread count, and the telemetry sink — behind
+//! one builder, and hands out [`EdgeMap`] and [`Buckets`] instances that
+//! share the sink.
 //!
 //! ```
 //! use julienne::prelude::*;
@@ -31,7 +28,7 @@
 
 use crate::bucket::{BucketId, Buckets, BucketsBuilder, Identifier, Order, DEFAULT_OPEN_BUCKETS};
 use julienne_ligra::traits::OutEdges;
-use julienne_ligra::{EdgeMap, EdgeMapOptions, Mode};
+use julienne_ligra::EdgeMap;
 use julienne_primitives::error::Error;
 use julienne_primitives::telemetry::{Telemetry, TelemetrySnapshot};
 
@@ -95,10 +92,7 @@ impl std::fmt::Display for Backend {
 /// bucket structure. Construct with [`Engine::builder`].
 #[derive(Clone)]
 pub struct Engine {
-    edge_map_opts: EdgeMapOptions,
     open_buckets: usize,
-    num_threads: Option<usize>,
-    backend: Backend,
     telemetry: Telemetry,
 }
 
@@ -109,25 +103,19 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// Starts an [`EngineBuilder`] with the paper's defaults: `Mode::Auto`
-    /// edge maps with duplicate removal, a 128-bucket open window, and
-    /// telemetry disabled.
+    /// Starts an [`EngineBuilder`] with the paper's defaults: a 128-bucket
+    /// open window, the process-wide thread count, and telemetry disabled.
     pub fn builder() -> EngineBuilder {
         EngineBuilder {
-            edge_map_opts: EdgeMapOptions::default(),
             open_buckets: DEFAULT_OPEN_BUCKETS,
             num_threads: None,
-            backend: Backend::default(),
             telemetry: Telemetry::disabled(),
         }
     }
 
-    /// An [`EdgeMap`] over `g` pre-configured with this engine's options and
-    /// telemetry sink.
+    /// An [`EdgeMap`] over `g` recording into this engine's telemetry sink.
     pub fn edge_map<'g, G: OutEdges>(&self, g: &'g G) -> EdgeMap<'g, G> {
-        EdgeMap::new(g)
-            .options(self.edge_map_opts)
-            .telemetry(&self.telemetry)
+        EdgeMap::new(g).telemetry(&self.telemetry)
     }
 
     /// The parallel bucket structure over `n` identifiers, pre-configured
@@ -142,26 +130,9 @@ impl Engine {
             .build()
     }
 
-    /// The engine's edge-map options.
-    pub fn edge_map_options(&self) -> EdgeMapOptions {
-        self.edge_map_opts
-    }
-
     /// The engine's open-bucket window size.
     pub fn open_buckets(&self) -> usize {
         self.open_buckets
-    }
-
-    /// The worker-thread count requested at build time, if any. `None`
-    /// means the process-wide default (`JULIENNE_NUM_THREADS` or the
-    /// hardware parallelism) was left in place.
-    pub fn num_threads(&self) -> Option<usize> {
-        self.num_threads
-    }
-
-    /// The graph backend the driver should load/convert to.
-    pub fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// The shared telemetry sink (a no-op sink unless enabled via the
@@ -201,39 +172,12 @@ impl Engine {
 
 /// Builder for [`Engine`]; see the module docs for an example.
 pub struct EngineBuilder {
-    edge_map_opts: EdgeMapOptions,
     open_buckets: usize,
     num_threads: Option<usize>,
-    backend: Backend,
     telemetry: Telemetry,
 }
 
 impl EngineBuilder {
-    /// Replaces the whole edge-map option block.
-    pub fn edge_map_options(mut self, opts: EdgeMapOptions) -> Self {
-        self.edge_map_opts = opts;
-        self
-    }
-
-    /// Forces sparse/dense/auto traversal for all edge maps.
-    pub fn mode(mut self, mode: Mode) -> Self {
-        self.edge_map_opts.mode = mode;
-        self
-    }
-
-    /// Whether sparse edge maps deduplicate their output frontier.
-    pub fn remove_duplicates(mut self, yes: bool) -> Self {
-        self.edge_map_opts.remove_duplicates = yes;
-        self
-    }
-
-    /// Sets the dense-traversal threshold divisor `k` in the
-    /// `|frontier| + outDegrees > m/k` switching rule (Ligra uses 20).
-    pub fn dense_threshold_div(mut self, div: usize) -> Self {
-        self.edge_map_opts.dense_threshold_div = div;
-        self
-    }
-
     /// Sets the open-bucket window size `nB` (the paper's default is 128).
     pub fn open_buckets(mut self, num_open: usize) -> Self {
         self.open_buckets = num_open;
@@ -251,13 +195,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Shares an existing telemetry sink (e.g. one owned by a harness that
-    /// aggregates across engines).
-    pub fn telemetry_sink(mut self, sink: &Telemetry) -> Self {
-        self.telemetry = sink.clone();
-        self
-    }
-
     /// Sets the worker-thread count for all parallel primitives.
     ///
     /// This configures the *process-wide* runtime (the same knob as the
@@ -270,24 +207,13 @@ impl EngineBuilder {
         self
     }
 
-    /// Selects the graph backend drivers should load/convert to (default
-    /// [`Backend::Csr`]). Algorithms are backend-generic; this only steers
-    /// the load path.
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Finalizes the engine.
     pub fn build(self) -> Engine {
         if let Some(n) = self.num_threads {
             rayon::set_num_threads(n);
         }
         Engine {
-            edge_map_opts: self.edge_map_opts,
             open_buckets: self.open_buckets,
-            num_threads: self.num_threads,
-            backend: self.backend,
             telemetry: self.telemetry,
         }
     }
@@ -303,9 +229,8 @@ mod tests {
 
     #[test]
     fn engine_hands_out_configured_components() {
-        let engine = Engine::builder().mode(Mode::Sparse).open_buckets(4).build();
+        let engine = Engine::builder().open_buckets(4).build();
         assert_eq!(engine.open_buckets(), 4);
-        assert_eq!(engine.edge_map_options().mode, Mode::Sparse);
 
         let g = julienne_graph::builder::from_pairs(3, &[(0, 1), (0, 2)]);
         let frontier = VertexSubset::from_vertices(3, vec![0]);
@@ -352,10 +277,8 @@ mod tests {
     }
 
     #[test]
-    fn backend_selection_round_trips() {
-        assert_eq!(Engine::default().backend(), Backend::Csr);
-        let e = Engine::builder().backend(Backend::Compressed).build();
-        assert_eq!(e.backend(), Backend::Compressed);
+    fn backend_spelling_round_trips() {
+        assert_eq!(Backend::default(), Backend::Csr);
         assert_eq!(Backend::parse("csr").unwrap(), Backend::Csr);
         assert_eq!(Backend::parse("compressed").unwrap(), Backend::Compressed);
         assert_eq!(Backend::parse("mapped").unwrap(), Backend::Mapped);

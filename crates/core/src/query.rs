@@ -39,8 +39,9 @@
 //! let ctx = session.query();
 //! ctx.check().unwrap(); // not cancelled, no deadline: queries proceed
 //!
-//! let cancelled = session.query();
-//! cancelled.cancel_token().cancel();
+//! let token = CancelToken::new();
+//! let cancelled = session.query().with_cancel_token(token.clone());
+//! token.cancel();
 //! assert!(cancelled.check().is_err()); // this query is dead ...
 //! assert!(session.query().check().is_ok()); // ... the session is not
 //! ```
@@ -128,8 +129,8 @@ impl Default for CancelToken {
 }
 
 /// Everything one query carries through the round loops: engine
-/// configuration (edge-map options, bucket window, telemetry scope), an
-/// optional deadline, and a cancellation token.
+/// configuration (bucket window, telemetry scope), an optional deadline,
+/// and a cancellation token.
 ///
 /// Construct via [`Session::query`] for served traffic, or
 /// [`QueryCtx::from_engine`] / [`QueryCtx::default`] to run an algorithm
@@ -170,12 +171,6 @@ impl QueryCtx {
         self
     }
 
-    /// Sets an absolute deadline.
-    pub fn with_deadline_at(mut self, at: Instant) -> Self {
-        self.deadline = Some(at);
-        self
-    }
-
     /// Attaches a caller-held cancellation token (e.g. one registered in a
     /// server's in-flight table before the query thread starts).
     pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
@@ -199,20 +194,9 @@ impl QueryCtx {
         self.emit_stats
     }
 
-    /// A clone of this query's cancellation token, for the party that may
-    /// cancel it.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
     /// The engine configuration this query runs under.
     pub fn engine(&self) -> &Engine {
         &self.engine
-    }
-
-    /// This query's deadline, if any.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
     }
 
     /// The round-boundary poll: `Err(Cancelled)` if the token tripped,
@@ -260,9 +244,9 @@ pub struct Session<G> {
 
 impl Engine {
     /// Opens a [`Session`] serving queries over one shared immutable graph.
-    /// This engine becomes the per-query template (edge-map options,
-    /// bucket window, backend label); its telemetry *enablement* carries
-    /// over, but each query records into its own scope.
+    /// This engine becomes the per-query template (bucket window); its
+    /// telemetry *enablement* carries over, but each query records into
+    /// its own scope.
     pub fn session<G>(&self, graph: Arc<G>) -> Session<G> {
         Session {
             engine: self.clone(),
@@ -277,12 +261,6 @@ impl<G> Session<G> {
     /// The shared graph.
     pub fn graph(&self) -> &G {
         &self.graph
-    }
-
-    /// A new reference to the shared graph (e.g. to hand to a query
-    /// thread).
-    pub fn graph_arc(&self) -> Arc<G> {
-        Arc::clone(&self.graph)
     }
 
     /// The template engine.
@@ -362,8 +340,8 @@ mod tests {
 
     #[test]
     fn cancel_is_observed_and_sticky() {
-        let ctx = QueryCtx::default();
-        let token = ctx.cancel_token();
+        let token = CancelToken::new();
+        let ctx = QueryCtx::default().with_cancel_token(token.clone());
         ctx.check().unwrap();
         token.cancel();
         assert!(matches!(ctx.check(), Err(Error::Cancelled)));
@@ -396,8 +374,11 @@ mod tests {
 
     #[test]
     fn cancellation_wins_over_deadline() {
-        let ctx = QueryCtx::default().with_deadline(Duration::ZERO);
-        ctx.cancel_token().cancel();
+        let token = CancelToken::new();
+        let ctx = QueryCtx::default()
+            .with_deadline(Duration::ZERO)
+            .with_cancel_token(token.clone());
+        token.cancel();
         assert!(matches!(ctx.check(), Err(Error::Cancelled)));
     }
 
@@ -406,10 +387,11 @@ mod tests {
         let engine = Engine::builder().open_buckets(16).build();
         let session = engine.session(Arc::new(42u32));
         assert_eq!(*session.graph(), 42);
-        let a = session.query();
+        let token = CancelToken::new();
+        let a = session.query().with_cancel_token(token.clone());
         let b = session.query();
         assert_eq!(a.engine().open_buckets(), 16);
-        a.cancel_token().cancel();
+        token.cancel();
         assert!(a.check().is_err());
         b.check().unwrap(); // b's token is its own
         session.query().check().unwrap(); // session unaffected

@@ -278,6 +278,8 @@ struct Lines<'p> {
     inner: io::Lines<BufReader<File>>,
     path: &'p Path,
     lineno: usize,
+    /// Bytes of the lines read so far, counting one terminator each.
+    bytes: u64,
 }
 
 impl<'p> Lines<'p> {
@@ -287,6 +289,7 @@ impl<'p> Lines<'p> {
             inner: BufReader::new(file).lines(),
             path,
             lineno: 0,
+            bytes: 0,
         })
     }
 
@@ -300,7 +303,10 @@ impl<'p> Lines<'p> {
                 format!("unexpected end of file (expected {what})"),
             )),
             Some(Err(e)) => Err(Error::io_at(self.path, e)),
-            Some(Ok(s)) => Ok(s),
+            Some(Ok(s)) => {
+                self.bytes += s.len() as u64 + 1;
+                Ok(s)
+            }
         }
     }
 
@@ -362,6 +368,23 @@ fn read_adjacency_graph<W: Weight>(path: &Path) -> Result<Csr<W>, Error> {
             .parse()
             .map_err(|e| src.bad(format!("edge count: {e}")))?
     };
+    // Bound both counts by the bytes left before allocating for them: each
+    // offset, target and weight is a line of its own, so at least a digit
+    // and a newline (which the last line may go without).
+    let left = std::fs::metadata(path)
+        .map_err(|e| Error::io_at(path, e))?
+        .len()
+        .saturating_sub(src.bytes);
+    let per_edge = if weighted { 2 } else { 1 };
+    let need = m
+        .checked_mul(per_edge)
+        .and_then(|v| v.checked_add(n))
+        .and_then(|v| v.checked_mul(2));
+    if need.is_none_or(|need| need as u64 > left + 1) {
+        return Err(src.bad(format!(
+            "header claims {n} vertices and {m} edges, but only {left} bytes follow it"
+        )));
+    }
     let mut offsets = Vec::with_capacity(n + 1);
     for _ in 0..n {
         let s = src.next("offset")?;
@@ -880,6 +903,12 @@ mod tests {
             ("bad-header", "NotAGraph\n3\n0\n"),
             ("truncated-adj", "AdjacencyGraph\n3\n5\n0\n1\n"),
             ("garbage-counts", "AdjacencyGraph\nxyz\n0\n"),
+            // Header counts far beyond the file: refused before any
+            // allocation (2^60 would abort it, 2^64 - 1 overflows `n + 1`).
+            ("huge-n", "AdjacencyGraph\n1152921504606846976\n0\n"),
+            ("max-n", "AdjacencyGraph\n18446744073709551615\n0\n"),
+            ("huge-m", "AdjacencyGraph\n0\n1152921504606846976\n"),
+            ("max-m", "AdjacencyGraph\n0\n18446744073709551615\n"),
         ];
         for (name, body) in cases {
             let p = tmp(name);

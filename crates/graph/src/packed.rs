@@ -242,26 +242,6 @@ impl PackedGraph {
             .collect()
     }
 
-    /// Counts, for each vertex in `vs`, its neighbors satisfying `pred`
-    /// without mutating the graph (the non-`Pack` flavour of
-    /// `edgeMapFilter`).
-    pub fn count_neighbors<P>(&self, vs: &[VertexId], pred: P) -> Vec<u32>
-    where
-        P: Fn(VertexId, VertexId) -> bool + Send + Sync,
-    {
-        vs.par_iter()
-            .map(|&v| {
-                let mut count = 0u32;
-                self.for_each_neighbor(v, |u| {
-                    if pred(v, u) {
-                        count += 1;
-                    }
-                });
-                count
-            })
-            .collect()
-    }
-
     /// Merges an update batch into a fresh compact arena and returns it as
     /// a new [`PackedGraph`] one version up, together with the effective
     /// inserts/deletes. The receiver is left untouched, so readers holding
@@ -441,14 +421,6 @@ mod tests {
         g.pack(&[0], |_, _| false);
         assert_eq!(g.degree(0), 0);
         assert!(g.neighbors(0).is_empty());
-    }
-
-    #[test]
-    fn count_neighbors_matches_manual() {
-        let g = star();
-        let counts = g.count_neighbors(&[0, 1], |_, u| u > 2);
-        assert_eq!(counts[0], 3); // 3,4,5
-        assert_eq!(counts[1], 0); // neighbor of 1 is 0
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::subset::{VertexSubset, VertexSubsetData};
 use crate::traits::{GraphRef, OutEdges};
 use julienne_graph::VertexId;
 use julienne_primitives::bitset::AtomicBitSet;
-use julienne_primitives::filter::{filter_map, flatten};
+use julienne_primitives::filter::flatten;
 use julienne_primitives::scan::prefix_sums;
 use julienne_primitives::telemetry::{Counter, Telemetry};
 use rayon::prelude::*;
@@ -50,43 +50,9 @@ pub enum Mode {
     Auto,
 }
 
-/// Options for [`EdgeMap`] traversals.
-#[derive(Clone, Copy, Debug)]
-pub struct EdgeMapOptions {
-    /// Strategy selection.
-    pub mode: Mode,
-    /// Deduplicate the sparse output with an atomic bitset. Unnecessary when
-    /// the update function already guarantees at-most-one success per target
-    /// (e.g. via CAS), which all applications in this repo do.
-    pub remove_duplicates: bool,
-    /// Dense threshold denominator: go dense when
-    /// `|U| + Σ out-deg(U) > m / dense_threshold_div`.
-    pub dense_threshold_div: usize,
-}
-
-impl Default for EdgeMapOptions {
-    fn default() -> Self {
-        EdgeMapOptions {
-            mode: Mode::Auto,
-            remove_duplicates: false,
-            dense_threshold_div: 20,
-        }
-    }
-}
-
-fn choose_dense<G: GraphRef>(g: &G, frontier_ids: &[VertexId], opts: &EdgeMapOptions) -> bool {
-    match opts.mode {
-        Mode::Sparse => false,
-        Mode::Dense => true,
-        Mode::Auto => {
-            if !g.has_in_view() {
-                return false;
-            }
-            let out_sum = g.out_degrees_sum(frontier_ids);
-            frontier_ids.len() + out_sum > g.num_edges() / opts.dense_threshold_div.max(1)
-        }
-    }
-}
+/// Dense threshold denominator: `Mode::Auto` goes dense when
+/// `|U| + Σ out-deg(U) > m / 20` (Ligra's threshold).
+const DENSE_THRESHOLD_DIV: usize = 20;
 
 /// Builder-style `edgeMap`: configure once, traverse many times.
 ///
@@ -97,13 +63,12 @@ fn choose_dense<G: GraphRef>(g: &G, frontier_ids: &[VertexId], opts: &EdgeMapOpt
 /// ```
 /// use julienne_ligra::{EdgeMap, VertexSubset};
 /// use julienne_graph::builder::from_pairs_symmetric;
-/// use julienne_primitives::atomics::{atomic_u32_filled, cas_u32};
-/// use std::sync::atomic::Ordering;
+/// use julienne_primitives::atomics::cas_u32;
+/// use std::sync::atomic::{AtomicU32, Ordering};
 ///
 /// // One BFS step from {0} on a path 0-1-2.
 /// let g = from_pairs_symmetric(3, &[(0, 1), (1, 2)]);
-/// let parent = atomic_u32_filled(3, u32::MAX);
-/// parent[0].store(0, Ordering::SeqCst);
+/// let parent = [0, u32::MAX, u32::MAX].map(AtomicU32::new);
 /// let next = EdgeMap::new(&g).run(
 ///     &VertexSubset::single(3, 0),
 ///     |u, v, _| cas_u32(&parent[v as usize], u32::MAX, u),
@@ -113,7 +78,8 @@ fn choose_dense<G: GraphRef>(g: &G, frontier_ids: &[VertexId], opts: &EdgeMapOpt
 /// ```
 pub struct EdgeMap<'g, G> {
     g: &'g G,
-    opts: EdgeMapOptions,
+    mode: Mode,
+    remove_duplicates: bool,
     telemetry: Telemetry,
 }
 
@@ -122,32 +88,23 @@ impl<'g, G: OutEdges> EdgeMap<'g, G> {
     pub fn new(g: &'g G) -> Self {
         EdgeMap {
             g,
-            opts: EdgeMapOptions::default(),
+            mode: Mode::Auto,
+            remove_duplicates: false,
             telemetry: Telemetry::disabled(),
         }
     }
 
     /// Sets the traversal strategy.
     pub fn mode(mut self, mode: Mode) -> Self {
-        self.opts.mode = mode;
+        self.mode = mode;
         self
     }
 
-    /// Enables bitset-based deduplication of the sparse output.
+    /// Enables bitset-based deduplication of the sparse output. Unnecessary
+    /// when the update function already guarantees at-most-one success per
+    /// target (e.g. via CAS), which all applications in this repo do.
     pub fn remove_duplicates(mut self, yes: bool) -> Self {
-        self.opts.remove_duplicates = yes;
-        self
-    }
-
-    /// Sets the dense-threshold denominator (Ligra uses 20).
-    pub fn dense_threshold_div(mut self, div: usize) -> Self {
-        self.opts.dense_threshold_div = div;
-        self
-    }
-
-    /// Replaces the whole option block.
-    pub fn options(mut self, opts: EdgeMapOptions) -> Self {
-        self.opts = opts;
+        self.remove_duplicates = yes;
         self
     }
 
@@ -181,7 +138,7 @@ impl<'g, G: OutEdges> EdgeMap<'g, G> {
         Fc: Fn(VertexId) -> bool + Send + Sync,
     {
         let n = self.g.num_vertices();
-        let dedup = self.opts.remove_duplicates.then(|| AtomicBitSet::new(n));
+        let dedup = self.remove_duplicates.then(|| AtomicBitSet::new(n));
         let (hits, scanned) = sparse_blocked(self.g, frontier_ids, |u, v, w, hits| {
             if cond(v) && update(u, v, w) && dedup.as_ref().is_none_or(|bs| bs.set(v as usize)) {
                 hits.push(v);
@@ -226,6 +183,18 @@ impl<'g, G: OutEdges> EdgeMap<'g, G> {
 }
 
 impl<'g, G: GraphRef> EdgeMap<'g, G> {
+    fn choose_dense(&self, frontier_ids: &[VertexId]) -> bool {
+        match self.mode {
+            Mode::Sparse => false,
+            Mode::Dense => true,
+            Mode::Auto => {
+                self.g.has_in_view()
+                    && frontier_ids.len() + self.g.out_degrees_sum(frontier_ids)
+                        > self.g.num_edges() / DENSE_THRESHOLD_DIV
+            }
+        }
+    }
+
     /// Direction-optimized traversal: picks sparse or dense per the
     /// configured [`Mode`] and runs it. Works over any [`GraphRef`]
     /// backend; `Mode::Auto` only chooses dense when the backend currently
@@ -243,43 +212,12 @@ impl<'g, G: GraphRef> EdgeMap<'g, G> {
                 &owned
             }
         };
-        if choose_dense(self.g, ids, &self.opts) {
+        if self.choose_dense(ids) {
             let (out, scanned) = dense_counted(self.g, frontier, update, cond);
             self.note(Counter::DenseTraversals, ids.len(), scanned, out.len());
             out
         } else {
             self.run_sparse(ids, update, cond)
-        }
-    }
-
-    /// Direction-optimized data-carrying traversal: `update` yields
-    /// `Some(t)` for targets to include, at most once per target per call
-    /// (the flag-guarded Update of Algorithm 2).
-    pub fn run_data<T, Fu, Fc>(
-        &self,
-        frontier: &VertexSubset,
-        update: Fu,
-        cond: Fc,
-    ) -> VertexSubsetData<T>
-    where
-        T: Copy + Send + Sync,
-        Fu: Fn(VertexId, VertexId, G::W) -> Option<T> + Send + Sync,
-        Fc: Fn(VertexId) -> bool + Send + Sync,
-    {
-        let owned;
-        let ids: &[VertexId] = match frontier.as_sparse() {
-            Some(s) => s,
-            None => {
-                owned = frontier.to_vertices();
-                &owned
-            }
-        };
-        if choose_dense(self.g, ids, &self.opts) {
-            let (out, scanned) = dense_data_counted(self.g, frontier, update, cond);
-            self.note(Counter::DenseTraversals, ids.len(), scanned, out.len());
-            out
-        } else {
-            self.run_sparse_data(ids, update, cond)
         }
     }
 }
@@ -433,94 +371,17 @@ fn heavy_trigger(split: usize) -> usize {
     }
 }
 
-/// Dense pull data kernel; returns the data-subset and in-edges examined.
-fn dense_data_counted<G, T, Fu, Fc>(
-    g: &G,
-    frontier: &VertexSubset,
-    update: Fu,
-    cond: Fc,
-) -> (VertexSubsetData<T>, u64)
-where
-    G: GraphRef,
-    T: Copy + Send + Sync,
-    Fu: Fn(VertexId, VertexId, G::W) -> Option<T> + Send + Sync,
-    Fc: Fn(VertexId) -> bool + Send + Sync,
-{
-    let n = g.num_vertices();
-    let frontier_bits = frontier.to_bitset();
-    let trigger = heavy_trigger(g.in_chunk_edges());
-    let mut per_vertex: Vec<(Option<(VertexId, T)>, u64)> = (0..n as VertexId)
-        .into_par_iter()
-        .map(|v| {
-            if !cond(v) {
-                return (None, 0);
-            }
-            if trigger != usize::MAX && g.in_degree(v) > trigger {
-                return (None, 0); // handled by the heavy pass below
-            }
-            let mut got: Option<(VertexId, T)> = None;
-            let mut examined = 0u64;
-            g.for_each_in_until(v, |u, w| {
-                examined += 1;
-                if frontier_bits.get(u as usize) {
-                    if let Some(t) = update(u, v, w) {
-                        got = Some((v, t));
-                    }
-                }
-                cond(v)
-            });
-            (got, examined)
-        })
-        .collect();
-    if trigger != usize::MAX {
-        let split = g.in_chunk_edges();
-        let heavy: Vec<VertexId> = (0..n as VertexId)
-            .into_par_iter()
-            .filter(|&v| cond(v) && g.in_degree(v) > trigger)
-            .collect();
-        let tasks: Vec<(VertexId, usize)> = heavy
-            .iter()
-            .flat_map(|&v| (0..g.in_degree(v).div_ceil(split)).map(move |c| (v, c)))
-            .collect();
-        let chunk_got: Vec<Option<(VertexId, T)>> = tasks
-            .par_iter()
-            .map(|&(v, c)| {
-                let mut got: Option<(VertexId, T)> = None;
-                g.for_each_in_chunk(v, c, |u, w| {
-                    if frontier_bits.get(u as usize) && cond(v) {
-                        if let Some(t) = update(u, v, w) {
-                            got = Some((v, t));
-                        }
-                    }
-                });
-                got
-            })
-            .collect();
-        // Combine per-chunk results in ascending chunk order so the last
-        // `Some` wins — the serial "last successful update in neighbor
-        // order" rule. Writing into `per_vertex[v]` keeps the final entry
-        // list ordered by vertex id exactly as the unsplit scan emits it.
-        for (&(v, _), got) in tasks.iter().zip(chunk_got) {
-            if got.is_some() {
-                per_vertex[v as usize].0 = got;
-            }
-        }
-        for &v in &heavy {
-            per_vertex[v as usize].1 = g.in_degree(v) as u64;
-        }
-    }
-    let scanned = per_vertex.iter().map(|&(_, e)| e).sum();
-    let entries = filter_map(&per_vertex, |&(slot, _)| slot);
-    (VertexSubsetData::from_entries(n, entries), scanned)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use julienne_graph::builder::{from_pairs, from_pairs_symmetric};
     use julienne_graph::csr::Csr;
-    use julienne_primitives::atomics::{atomic_u32_filled, cas_u32};
-    use std::sync::atomic::Ordering;
+    use julienne_primitives::atomics::cas_u32;
+    use std::sync::atomic::{AtomicU32, Ordering};
+
+    fn atomic_u32_filled(n: usize, init: u32) -> Vec<AtomicU32> {
+        (0..n).map(|_| AtomicU32::new(init)).collect()
+    }
 
     /// One BFS step from {0} on a small graph, in each mode.
     fn bfs_step(mode: Mode) -> Vec<VertexId> {
@@ -582,41 +443,12 @@ mod tests {
             el.push(0, 2, 20);
             el.build(false)
         };
-        let frontier = VertexSubset::single(3, 0);
-        let out = EdgeMap::new(&g).mode(Mode::Sparse).run_data(
-            &frontier,
+        let out = EdgeMap::new(&g).run_sparse_data(
+            &[0],
             |_, _, w| if w >= 20 { Some(w * 2) } else { None },
             |_| true,
         );
         assert_eq!(out.entries(), &[(2, 40)]);
-    }
-
-    #[test]
-    fn dense_data_map_agrees_with_sparse() {
-        let g = from_pairs_symmetric(8, &[(0, 1), (0, 2), (1, 3), (2, 4), (4, 5), (5, 6)]);
-        let visited = atomic_u32_filled(8, 0);
-        let frontier = VertexSubset::from_vertices(8, vec![0, 4]);
-        let run = |mode: Mode| {
-            // reset
-            for a in &visited {
-                a.store(0, Ordering::Relaxed);
-            }
-            let out = EdgeMap::new(&g).mode(mode).run_data(
-                &frontier,
-                |u, v, _| {
-                    if cas_u32(&visited[v as usize], 0, 1) {
-                        Some(u)
-                    } else {
-                        None
-                    }
-                },
-                |v| visited[v as usize].load(Ordering::Relaxed) == 0,
-            );
-            let mut e: Vec<VertexId> = out.entries().iter().map(|&(v, _)| v).collect();
-            e.sort_unstable();
-            e
-        };
-        assert_eq!(run(Mode::Sparse), run(Mode::Dense));
     }
 
     #[test]
@@ -697,8 +529,8 @@ mod tests {
         let split = CompressedGraph::from_csr_with_chunk_size(&g, 4);
         let whole = CompressedGraph::from_csr_with_chunk_size(&g, 0);
         let run = |c: &CompressedGraph| {
-            let out = EdgeMap::new(c).mode(Mode::Sparse).run_data(
-                &VertexSubset::single(32, 0),
+            let out = EdgeMap::new(c).run_sparse_data(
+                &[0],
                 |_, v, _| if v % 3 == 0 { Some(v * 10) } else { None },
                 |_| true,
             );
@@ -731,36 +563,6 @@ mod tests {
         let whole = CompressedGraph::from_csr_with_chunk_size(&g, 0);
         assert_eq!(run(&split), run(&whole));
         assert_eq!(run(&split), vec![31]);
-    }
-
-    #[test]
-    fn dense_data_heavy_target_matches_unsplit() {
-        use julienne_graph::compress::CompressedGraph;
-        let pairs: Vec<(u32, u32)> = (0..25).map(|u| (u, 25)).collect();
-        let g = from_pairs_symmetric(26, &pairs);
-        let run = |c: &CompressedGraph| {
-            let flag = atomic_u32_filled(26, 0);
-            let frontier = VertexSubset::from_vertices(26, (0..25).collect());
-            let out = EdgeMap::new(c).mode(Mode::Dense).run_data(
-                &frontier,
-                |u, v, _| {
-                    if cas_u32(&flag[v as usize], 0, 1) {
-                        Some(u)
-                    } else {
-                        None
-                    }
-                },
-                |v| flag[v as usize].load(Ordering::Relaxed) == 0,
-            );
-            out.entries()
-                .iter()
-                .map(|&(v, _)| v)
-                .collect::<Vec<VertexId>>()
-        };
-        let split = CompressedGraph::from_csr_with_chunk_size(&g, 3);
-        let whole = CompressedGraph::from_csr_with_chunk_size(&g, 0);
-        assert_eq!(run(&split), run(&whole));
-        assert_eq!(run(&split), vec![25]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `edgeMapFilter` with the optional `Pack` (Section 2.1, used by set
 //! cover), plus a side-effect-only `edgeMap` over packable graphs.
 
-use crate::subset::{VertexSubset, VertexSubsetData};
+use crate::subset::VertexSubsetData;
 use crate::traits::OutEdges;
 use julienne_graph::packed::PackedGraph;
 use julienne_graph::VertexId;
@@ -74,16 +74,6 @@ where
     });
 }
 
-/// Projection helper: the id list of a data subset (order preserved).
-pub fn ids_of<T: Send + Sync>(d: &VertexSubsetData<T>) -> Vec<VertexId> {
-    d.entries().iter().map(|&(v, _)| v).collect()
-}
-
-/// Projection helper: a plain subset view of a data subset.
-pub fn subset_of<T: Send + Sync>(d: &VertexSubsetData<T>) -> VertexSubset {
-    d.to_subset()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,12 +117,5 @@ mod tests {
         assert_eq!(visits[2].load(Ordering::Relaxed), 0); // cond excluded
         assert_eq!(visits[3].load(Ordering::Relaxed), 2); // from 0 and 1
         assert_eq!(visits[4].load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn projections() {
-        let d = VertexSubsetData::from_entries(5, vec![(3, 9u32), (1, 2)]);
-        assert_eq!(ids_of(&d), vec![3, 1]);
-        assert!(subset_of(&d).contains(1));
     }
 }

@@ -24,10 +24,9 @@ pub enum Repr {
 
 /// A subset of `0..n` vertices.
 ///
-/// Membership is fixed at construction; [`VertexSubset::make_sparse`] /
-/// [`VertexSubset::make_dense`] change only the physical representation.
-/// That invariant lets [`VertexSubset::contains`] memoize a bitset for
-/// large sparse subsets without ever invalidating it.
+/// Membership and representation are fixed at construction, which lets
+/// [`VertexSubset::contains`] memoize a bitset for large sparse subsets
+/// without ever invalidating it.
 #[derive(Debug)]
 pub struct VertexSubset {
     n: usize,
@@ -107,18 +106,13 @@ impl VertexSubset {
         }
     }
 
-    /// Whether the physical representation is sparse.
-    pub fn is_sparse(&self) -> bool {
-        matches!(self.repr, Repr::Sparse(_))
-    }
-
     /// Membership test.
     ///
     /// Cost contract: O(1) when dense; when sparse, a linear scan for
     /// subsets of at most `CONTAINS_SCAN_MAX` (16) ids, otherwise O(1) after a
     /// one-time O(n) bitset memoization on the first query. The memo is
-    /// sound because membership never changes after construction (only the
-    /// representation does), and it is rebuilt lazily after `clone`.
+    /// sound because membership never changes after construction, and it
+    /// is rebuilt lazily after `clone`.
     /// Per-edge callers therefore pay amortized O(1), not O(|S|) per probe.
     pub fn contains(&self, v: VertexId) -> bool {
         match &self.repr {
@@ -164,25 +158,6 @@ impl VertexSubset {
         match &self.repr {
             Repr::Sparse(v) => BitSet::from_indices(self.n, v),
             Repr::Dense(b) => b.clone(),
-        }
-    }
-
-    /// Converts the representation in place to sparse.
-    pub fn make_sparse(&mut self) {
-        if let Repr::Dense(b) = &self.repr {
-            self.repr = Repr::Sparse(b.to_indices());
-        }
-    }
-
-    /// Converts the representation in place to dense, reusing the
-    /// membership memo from [`VertexSubset::contains`] if one was built.
-    pub fn make_dense(&mut self) {
-        if let Repr::Sparse(v) = &self.repr {
-            let bs = match self.memo.take() {
-                Some(b) => b,
-                None => BitSet::from_indices(self.n, v),
-            };
-            self.repr = Repr::Dense(bs);
         }
     }
 
@@ -275,41 +250,6 @@ impl<T: Send + Sync> VertexSubsetData<T> {
     pub fn into_entries(self) -> Vec<(VertexId, T)> {
         self.entries
     }
-
-    /// Drops the values, yielding a plain subset (a `vertexSubsetData` "can
-    /// be supplied to any function that accepts a vertexSubset").
-    pub fn to_subset(&self) -> VertexSubset {
-        VertexSubset::from_vertices(self.n, self.entries.iter().map(|&(v, _)| v).collect())
-    }
-}
-
-impl VertexSubset {
-    /// Union of two subsets over the same universe.
-    pub fn union(&self, other: &VertexSubset) -> VertexSubset {
-        assert_eq!(self.n, other.n);
-        let (a, b) = (self.to_bitset(), other.to_bitset());
-        subset_from_pred(self.n, |i| a.get(i) || b.get(i))
-    }
-
-    /// Intersection of two subsets over the same universe.
-    pub fn intersection(&self, other: &VertexSubset) -> VertexSubset {
-        assert_eq!(self.n, other.n);
-        let (a, b) = (self.to_bitset(), other.to_bitset());
-        subset_from_pred(self.n, |i| a.get(i) && b.get(i))
-    }
-
-    /// Members of `self` not in `other`.
-    pub fn difference(&self, other: &VertexSubset) -> VertexSubset {
-        assert_eq!(self.n, other.n);
-        let (a, b) = (self.to_bitset(), other.to_bitset());
-        subset_from_pred(self.n, |i| a.get(i) && !b.get(i))
-    }
-
-    /// The complement within the universe.
-    pub fn complement(&self) -> VertexSubset {
-        let a = self.to_bitset();
-        subset_from_pred(self.n, |i| !a.get(i))
-    }
 }
 
 /// Packs the indices of `0..n` satisfying `pred` into a sparse subset.
@@ -330,16 +270,11 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert!(s.contains(50));
         assert!(!s.contains(51));
-        let mut d = s.clone();
-        d.make_dense();
-        assert!(!d.is_sparse());
+        let d = VertexSubset::from_bitset(s.to_bitset());
+        assert!(d.as_sparse().is_none());
         assert_eq!(d.len(), 3);
         assert!(d.contains(99));
-        let mut back = d.clone();
-        back.make_sparse();
-        let mut ids = back.to_vertices();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![3, 50, 99]);
+        assert_eq!(d.to_vertices(), vec![3, 50, 99]);
     }
 
     #[test]
@@ -355,8 +290,6 @@ mod tests {
     fn data_subset_projects() {
         let d = VertexSubsetData::from_entries(10, vec![(1, "a"), (4, "b")]);
         assert_eq!(d.len(), 2);
-        let s = d.to_subset();
-        assert!(s.contains(1) && s.contains(4) && !s.contains(2));
         assert_eq!(d.into_entries(), vec![(1, "a"), (4, "b")]);
     }
 
@@ -365,8 +298,7 @@ mod tests {
         let sparse = VertexSubset::from_vertices(100, vec![9, 3, 77]);
         let got: Vec<u32> = sparse.iter().collect();
         assert_eq!(got, sparse.to_vertices());
-        let mut dense = sparse.clone();
-        dense.make_dense();
+        let dense = VertexSubset::from_bitset(sparse.to_bitset());
         let got: Vec<u32> = dense.iter().collect();
         assert_eq!(got, vec![3, 9, 77]);
         assert_eq!(VertexSubset::empty(5).iter().count(), 0);
@@ -381,7 +313,7 @@ mod tests {
     #[test]
     fn contains_memoizes_large_sparse_sets() {
         // Above CONTAINS_SCAN_MAX ids: first probe builds the bitset memo,
-        // later probes (and make_dense) reuse it.
+        // later probes reuse it.
         let ids: Vec<u32> = (0..40).map(|i| i * 3).collect();
         let s = VertexSubset::from_vertices(200, ids.clone());
         assert!(s.contains(117));
@@ -392,10 +324,6 @@ mod tests {
         // Clone drops the memo but keeps membership.
         let c = s.clone();
         assert!(c.contains(117) && !c.contains(1));
-        let mut d = s;
-        d.make_dense();
-        assert_eq!(d.len(), 40);
-        assert!(d.contains(117) && !d.contains(118));
     }
 
     #[test]
@@ -404,23 +332,6 @@ mod tests {
         let mut ids = s.to_vertices();
         ids.sort_unstable();
         assert_eq!(ids, vec![0, 5, 10, 15]);
-    }
-
-    #[test]
-    fn set_operations() {
-        let a = VertexSubset::from_vertices(10, vec![1, 2, 3, 4]);
-        let mut b = VertexSubset::from_vertices(10, vec![3, 4, 5]);
-        b.make_dense(); // exercise mixed representations
-        assert_eq!(a.union(&b).to_vertices(), vec![1, 2, 3, 4, 5]);
-        assert_eq!(a.intersection(&b).to_vertices(), vec![3, 4]);
-        assert_eq!(a.difference(&b).to_vertices(), vec![1, 2]);
-        assert_eq!(b.difference(&a).to_vertices(), vec![5]);
-        let comp = a.complement();
-        assert_eq!(comp.len(), 6);
-        assert!(comp.contains(0) && comp.contains(9) && !comp.contains(1));
-        // Universe identities.
-        assert_eq!(a.union(&a.complement()).len(), 10);
-        assert!(a.intersection(&a.complement()).is_empty());
     }
 
     #[test]

@@ -53,25 +53,6 @@ where
     vertex_map(subset, p)
 }
 
-/// `vertexFilter` over a value-carrying subset, keeping the values.
-pub fn vertex_filter_data<T, F>(subset: &VertexSubsetData<T>, p: F) -> VertexSubsetData<T>
-where
-    T: Copy + Send + Sync,
-    F: Fn(VertexId, T) -> bool + Send + Sync,
-{
-    let kept = filter_map(
-        subset.entries(),
-        |&(v, t)| {
-            if p(v, t) {
-                Some((v, t))
-            } else {
-                None
-            }
-        },
-    );
-    VertexSubsetData::from_entries(subset.universe(), kept)
-}
-
 /// `vertexMap` over a value-carrying subset: `f(v, value)` returns
 /// `Some(out)` to keep `v` with a new value, `None` to drop it.
 pub fn vertex_map_data<T, U, F>(subset: &VertexSubsetData<T>, f: F) -> VertexSubsetData<U>
@@ -87,6 +68,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use julienne_primitives::bitset::BitSet;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     #[test]
@@ -108,8 +90,8 @@ mod tests {
 
     #[test]
     fn vertex_map_on_dense_subset() {
-        let mut s = VertexSubset::from_vertices(100, (0..50).collect());
-        s.make_dense();
+        let ids: Vec<VertexId> = (0..50).collect();
+        let s = VertexSubset::from_bitset(BitSet::from_indices(100, &ids));
         let out = vertex_map(&s, |v| v < 10);
         assert_eq!(out.len(), 10);
     }
@@ -119,13 +101,6 @@ mod tests {
         let d = VertexSubsetData::from_entries(10, vec![(1, 10u32), (2, 20), (3, 30)]);
         let out = vertex_map_data(&d, |v, x| if v != 2 { Some(x * 2) } else { None });
         assert_eq!(out.entries(), &[(1, 20), (3, 60)]);
-    }
-
-    #[test]
-    fn vertex_filter_data_keeps_values() {
-        let d = VertexSubsetData::from_entries(10, vec![(1, 5u32), (6, 1)]);
-        let out = vertex_filter_data(&d, |_, x| x >= 5);
-        assert_eq!(out.entries(), &[(1, 5)]);
     }
 
     #[test]

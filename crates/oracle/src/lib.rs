@@ -144,7 +144,6 @@ mod tests {
         el.push_undirected(0, 2, 10);
         let g = el.build(true);
         assert_eq!(sssp::dijkstra_binheap(&g, 0), vec![0, 5, 6, INF]);
-        assert_eq!(sssp::unit_dists(&g, 0), vec![0, 1, 1, INF]);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Shortest-path oracles: textbook binary-heap Dijkstra over `u64`
-//! distances, for weighted and unit edges.
+//! distances.
 
 use crate::INF;
-use julienne_graph::csr::Weight;
 use julienne_graph::{Csr, VertexId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -32,13 +31,4 @@ pub fn dijkstra_binheap(g: &Csr<u32>, src: VertexId) -> Vec<u64> {
         }
     }
     dist
-}
-
-/// Shortest paths treating every edge as weight 1 (the wBFS / unit-weight
-/// special case), as `u64` distances with `INF` for unreachable vertices.
-pub fn unit_dists<W: Weight>(g: &Csr<W>, src: VertexId) -> Vec<u64> {
-    crate::traversal::bfs_levels(g, src)
-        .into_iter()
-        .map(|l| if l == u32::MAX { INF } else { l as u64 })
-        .collect()
 }

@@ -1,4 +1,4 @@
-//! Atomic primitives of Section 2: `CAS` and `writeMin`/`writeMax`.
+//! Atomic primitives of Section 2: `CAS` and `writeMin`.
 //!
 //! The paper assumes `CAS` and `writeMin` take O(1) work; on modern hardware
 //! both compile to a (possibly retried) `lock cmpxchg`. `writeMin` is the
@@ -13,7 +13,7 @@
 //! RMW instructions are full fences anyway, so this costs nothing on the
 //! paper's (and our) hardware.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Atomically sets `*loc = min(*loc, value)`. Returns `true` iff this call
 /// strictly lowered the stored value (i.e. this thread's write "won").
@@ -42,65 +42,11 @@ pub fn write_min_u64(loc: &AtomicU64, value: u64) -> bool {
     false
 }
 
-/// Atomically sets `*loc = max(*loc, value)`. Returns `true` iff this call
-/// strictly raised the stored value.
-#[inline]
-pub fn write_max_u32(loc: &AtomicU32, value: u32) -> bool {
-    let mut cur = loc.load(Ordering::SeqCst);
-    while value > cur {
-        match loc.compare_exchange_weak(cur, value, Ordering::SeqCst, Ordering::SeqCst) {
-            Ok(_) => return true,
-            Err(actual) => cur = actual,
-        }
-    }
-    false
-}
-
 /// One-shot compare-and-swap, the paper's `CAS(loc, oldV, newV)`.
 #[inline]
 pub fn cas_u32(loc: &AtomicU32, old: u32, new: u32) -> bool {
     loc.compare_exchange(old, new, Ordering::SeqCst, Ordering::SeqCst)
         .is_ok()
-}
-
-/// One-shot compare-and-swap on `usize`.
-#[inline]
-pub fn cas_usize(loc: &AtomicUsize, old: usize, new: usize) -> bool {
-    loc.compare_exchange(old, new, Ordering::SeqCst, Ordering::SeqCst)
-        .is_ok()
-}
-
-/// Converts an owned `Vec<u32>` into a `Vec<AtomicU32>` so parallel phases
-/// can mutate it, without copying element storage semantics (each element is
-/// moved once).
-pub fn into_atomic_u32(v: Vec<u32>) -> Vec<AtomicU32> {
-    v.into_iter().map(AtomicU32::new).collect()
-}
-
-/// Converts a `Vec<AtomicU32>` back into plain values once parallel phases
-/// are done.
-pub fn from_atomic_u32(v: Vec<AtomicU32>) -> Vec<u32> {
-    v.into_iter().map(AtomicU32::into_inner).collect()
-}
-
-/// Converts an owned `Vec<u64>` into a `Vec<AtomicU64>`.
-pub fn into_atomic_u64(v: Vec<u64>) -> Vec<AtomicU64> {
-    v.into_iter().map(AtomicU64::new).collect()
-}
-
-/// Converts a `Vec<AtomicU64>` back into plain values.
-pub fn from_atomic_u64(v: Vec<AtomicU64>) -> Vec<u64> {
-    v.into_iter().map(AtomicU64::into_inner).collect()
-}
-
-/// Allocates `n` atomics initialised to `init`.
-pub fn atomic_u32_filled(n: usize, init: u32) -> Vec<AtomicU32> {
-    (0..n).map(|_| AtomicU32::new(init)).collect()
-}
-
-/// Allocates `n` 64-bit atomics initialised to `init`.
-pub fn atomic_u64_filled(n: usize, init: u64) -> Vec<AtomicU64> {
-    (0..n).map(|_| AtomicU64::new(init)).collect()
 }
 
 #[cfg(test)]
@@ -115,15 +61,6 @@ mod tests {
         assert!(!write_min_u32(&a, 5)); // equal: no write
         assert!(!write_min_u32(&a, 7)); // larger: no write
         assert_eq!(a.load(Ordering::SeqCst), 5);
-    }
-
-    #[test]
-    fn write_max_sequential_semantics() {
-        let a = AtomicU32::new(10);
-        assert!(write_max_u32(&a, 15));
-        assert!(!write_max_u32(&a, 15));
-        assert!(!write_max_u32(&a, 3));
-        assert_eq!(a.load(Ordering::SeqCst), 15);
     }
 
     #[test]
@@ -150,24 +87,6 @@ mod tests {
             .sum();
         assert_eq!(successes, 1);
         assert_eq!(a.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn atomic_roundtrip() {
-        let v = vec![3u32, 1, 4, 1, 5];
-        let a = into_atomic_u32(v.clone());
-        assert_eq!(from_atomic_u32(a), v);
-        let v64 = vec![3u64, 1, 4];
-        let a64 = into_atomic_u64(v64.clone());
-        assert_eq!(from_atomic_u64(a64), v64);
-    }
-
-    #[test]
-    fn filled_constructors() {
-        let a = atomic_u32_filled(4, 9);
-        assert!(a.iter().all(|x| x.load(Ordering::SeqCst) == 9));
-        let b = atomic_u64_filled(3, u64::MAX);
-        assert!(b.iter().all(|x| x.load(Ordering::SeqCst) == u64::MAX));
     }
 
     #[test]

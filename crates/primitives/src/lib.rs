@@ -3,13 +3,13 @@
 //! This crate provides the PBBS/Ligra-style sequence primitives that the
 //! paper's bucketing structure and applications are built from:
 //!
-//! * [`scan`] — exclusive/inclusive prefix sums over arbitrary monoids,
+//! * [`scan`] — exclusive prefix sums over arbitrary monoids,
 //! * [`reduce`] — parallel reductions,
 //! * [`filter`] — parallel filter / pack,
 //! * [`sort`] — a parallel LSD radix sort for 32-bit keys,
 //! * [`semisort`] — key-grouping (the work-efficient semisort of Section 2),
 //! * [`histogram`] — the blocked-histogram kernel of Section 3.3,
-//! * [`atomics`] — `CAS` and `writeMin`/`writeMax` (Section 2),
+//! * [`atomics`] — `CAS` and `writeMin` (Section 2),
 //! * [`bitset`] — plain and atomic bitsets for dense vertex subsets,
 //! * [`rng`] — deterministic splittable randomness for parallel workloads,
 //! * [`unsafe_write`] — a scoped disjoint-write cell used by the scatter

@@ -15,16 +15,6 @@ where
     xs.par_iter().copied().reduce(|| identity, op)
 }
 
-/// Sum of `u64` values.
-pub fn sum_u64(xs: &[u64]) -> u64 {
-    reduce(xs, 0u64, |a, b| a + b)
-}
-
-/// Sum of `usize` values.
-pub fn sum_usize(xs: &[usize]) -> usize {
-    reduce(xs, 0usize, |a, b| a + b)
-}
-
 /// Maximum of `u32` values (0 for an empty slice).
 pub fn max_u32(xs: &[u32]) -> u32 {
     reduce(xs, 0u32, |a, b| a.max(b))
@@ -48,17 +38,6 @@ where
         .reduce(|| default, |a, b| a.max(b))
 }
 
-/// Count of indices in `0..n` satisfying `pred`.
-pub fn count_where<F>(n: usize, pred: F) -> usize
-where
-    F: Fn(usize) -> bool + Send + Sync,
-{
-    if n <= SEQ_THRESHOLD {
-        return (0..n).filter(|&i| pred(i)).count();
-    }
-    (0..n).into_par_iter().filter(|&i| pred(i)).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,7 +46,7 @@ mod tests {
     fn reduce_matches_fold() {
         for n in [0usize, 1, 100, 10_000] {
             let xs: Vec<u64> = (0..n as u64).collect();
-            assert_eq!(sum_u64(&xs), xs.iter().sum::<u64>());
+            assert_eq!(reduce(&xs, 0u64, |a, b| a + b), xs.iter().sum::<u64>());
         }
     }
 
@@ -82,18 +61,5 @@ mod tests {
         assert_eq!(max_mapped(0, 7, |_| 100), 7);
         assert_eq!(max_mapped(10, 0, |i| (i * i) as u32), 81);
         assert_eq!(max_mapped(100_000, 0, |i| (i % 977) as u32), 976);
-    }
-
-    #[test]
-    fn count_where_works() {
-        assert_eq!(count_where(10, |i| i % 2 == 0), 5);
-        assert_eq!(count_where(100_000, |i| i % 10 == 3), 10_000);
-        assert_eq!(count_where(0, |_| true), 0);
-    }
-
-    #[test]
-    fn sum_usize_works() {
-        let xs = vec![1usize, 2, 3];
-        assert_eq!(sum_usize(&xs), 6);
     }
 }

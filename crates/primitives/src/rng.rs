@@ -16,12 +16,6 @@ pub fn hash64(seed: u64, x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Stateless 32-bit hash of `(seed, x)`.
-#[inline]
-pub fn hash32(seed: u64, x: u64) -> u32 {
-    (hash64(seed, x) >> 32) as u32
-}
-
 /// Unbiased-enough mapping of a hash into `[0, bound)` via the widening
 /// multiply trick (Lemire). `bound` must be nonzero.
 #[inline]

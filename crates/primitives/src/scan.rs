@@ -7,7 +7,7 @@
 //! sums, then a chunk-local rescan with carried offsets. Because the chunks
 //! are contiguous, both passes use safe `par_chunks_mut` parallelism.
 
-use crate::{num_chunks, SEQ_THRESHOLD};
+use crate::num_chunks;
 use rayon::prelude::*;
 
 /// Exclusive scan in place: `x[i] <- ⊥ ⊕ x[0] ⊕ … ⊕ x[i-1]`. Returns the
@@ -76,29 +76,6 @@ pub fn prefix_sums(xs: &mut [usize]) -> usize {
     scan_exclusive_in_place(xs, 0usize, |a, b| a + b)
 }
 
-/// Inclusive scan producing a fresh output array.
-pub fn scan_inclusive<T, F>(xs: &[T], identity: T, op: F) -> Vec<T>
-where
-    T: Copy + Send + Sync,
-    F: Fn(T, T) -> T + Send + Sync,
-{
-    let n = xs.len();
-    if n <= SEQ_THRESHOLD {
-        let mut out = Vec::with_capacity(n);
-        let mut acc = identity;
-        for &x in xs {
-            acc = op(acc, x);
-            out.push(acc);
-        }
-        return out;
-    }
-    let (mut out, _) = scan_exclusive(xs, identity, &op);
-    out.par_iter_mut().enumerate().for_each(|(i, o)| {
-        *o = op(*o, xs[i]);
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,19 +100,6 @@ mod tests {
         let total = prefix_sums(&mut counts);
         assert_eq!(counts, vec![0, 3, 3, 8]);
         assert_eq!(total, 9);
-    }
-
-    #[test]
-    fn inclusive_scan_matches_reference_small_and_large() {
-        for n in [10usize, 10_000] {
-            let xs: Vec<u32> = (1..=n as u32).collect();
-            let inc = scan_inclusive(&xs, 0u32, |a, b| a.wrapping_add(b));
-            let mut acc = 0u32;
-            for i in 0..xs.len() {
-                acc = acc.wrapping_add(xs[i]);
-                assert_eq!(inc[i], acc);
-            }
-        }
     }
 
     #[test]

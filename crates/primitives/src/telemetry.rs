@@ -210,7 +210,7 @@ impl TelemetrySnapshot {
 
 #[cfg(feature = "telemetry")]
 mod imp {
-    use super::{Counter, RoundRecord, TelemetrySnapshot};
+    use super::{Counter, RoundRecord, TelemetrySnapshot, TraversalKind};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Arc, Mutex};
     use std::time::Instant;
@@ -273,6 +273,32 @@ mod imp {
         pub fn record_round(&self, record: RoundRecord) {
             if let Some(inner) = &self.inner {
                 inner.rounds.lock().unwrap().push(record);
+            }
+        }
+
+        /// Closes one round of a bucketed algorithm's loop: counts it and,
+        /// when recording, appends its trace record (a sparse traversal
+        /// timed by `span`, started at the top of the round).
+        pub fn finish_round(
+            &self,
+            span: Span,
+            round: u64,
+            bucket: u32,
+            frontier: usize,
+            edges_scanned: u64,
+            edges_relaxed: u64,
+        ) {
+            self.incr(Counter::Rounds);
+            if self.is_enabled() {
+                self.record_round(RoundRecord {
+                    round: round as u32,
+                    bucket,
+                    frontier,
+                    edges_scanned,
+                    edges_relaxed,
+                    mode: TraversalKind::Sparse,
+                    elapsed_us: span.elapsed_us(),
+                });
             }
         }
 
@@ -374,6 +400,19 @@ mod imp {
         /// No-op.
         #[inline(always)]
         pub fn record_round(&self, _record: RoundRecord) {}
+
+        /// No-op.
+        #[inline(always)]
+        pub fn finish_round(
+            &self,
+            _span: Span,
+            _round: u64,
+            _bucket: u32,
+            _frontier: usize,
+            _edges_scanned: u64,
+            _edges_relaxed: u64,
+        ) {
+        }
 
         /// Always empty.
         #[inline(always)]
