@@ -29,6 +29,21 @@ if grep -nE 'fetch_add|fetch_sub|swap\(|compare_exchange' crates/ligra/src/edge_
     echo "ci.sh: locked read-modify-write in edge_map_reduce.rs; count in the sequential pass instead"
     exit 1
 fi
+# Δ-stepping's visit protocol is one distance word per id with the round's
+# visited bit inside it (PR 25): no flag bitset, no SeqCst, and every atomic
+# access on the path says within three lines above why its ordering holds.
+for f in crates/algorithms/src/delta_stepping.rs crates/algorithms/src/multi_source.rs; do
+    if grep -nE 'SeqCst|AtomicBitSet' "$f"; then
+        echo "ci.sh: $f: the visit protocol is Relaxed and bitset-free; see DESIGN §6"
+        exit 1
+    fi
+    if ! awk -v f="$f" '/\/\/ ORDERING:/ { seen = NR }
+        /\.load\(|\.store\(|compare_exchange/ && (!seen || NR - seen > 3) {
+            printf "%s:%d: atomic access without an // ORDERING: line above\n", f, NR; bad = 1 }
+        END { exit bad }' "$f"; then
+        exit 1
+    fi
+done
 # The byte-compressed graph is one `Compressed<W>`; a weighted twin of the
 # struct, its decoder, its validator or its loader is the copy PR 19 removed.
 if grep -rnE 'struct CompressedWGraph|fn decode_wrun|fn validate_wrun|fn read_compressed_weighted' crates; then
@@ -315,6 +330,7 @@ run benchmark/run.sh --smoke
 # tools/ab_pairs.sh is how a perf claim is made (ten alternating
 # parent/change pairs of one workload); keep it parsing and running: one
 # smoke-sized pair of this checkout against itself.
+run bash -n ci.sh
 run bash -n tools/ab_pairs.sh
 run bash -n tools/uncalled.sh
 run tools/ab_pairs.sh . . sssp-rmat-z --pairs 1 --smoke

@@ -2,9 +2,10 @@
 //!
 //! Buckets partition vertices by distance annulus `[i·Δ, (i+1)·Δ)`. Each
 //! round extracts the closest unfinished annulus and relaxes its out-edges;
-//! the visit protocol (flag CAS, then `writeMin`) guarantees exactly one
-//! relaxer per target per round captures the round-start distance, which
-//! `Reset` uses to compute the bucket move via `getBucket`.
+//! the visit protocol (`Dists`: the round's visited bit lives in the
+//! distance word, as in GBBS) guarantees exactly one relaxer per target per
+//! round captures the round-start distance, which `Reset` uses to compute
+//! the bucket move via `getBucket`.
 //!
 //! * [`sssp`] — the plain Algorithm 2, parameterized by [`SsspParams`] and
 //!   a [`QueryCtx`] (deadline + cancellation polled at round boundaries).
@@ -25,8 +26,6 @@ use julienne_graph::VertexId;
 use julienne_ligra::traits::OutEdges;
 use julienne_ligra::vertex_ops::vertex_map_data;
 use julienne_ligra::EdgeMap;
-use julienne_primitives::atomics::write_min_u64;
-use julienne_primitives::bitset::AtomicBitSet;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -61,11 +60,130 @@ impl From<DeltaResult> for SsspResult {
 /// `next == current`), so processing that bucket converges to the exact
 /// distances Bellman-Ford-style — it merely loses priority ordering among
 /// those extreme vertices.
-pub(crate) const MAX_ANNULUS: u64 = NULL_BKT as u64 - 1;
+const MAX_ANNULUS: u64 = NULL_BKT as u64 - 1;
 
 #[inline]
-pub(crate) fn annulus(dist: u64, delta: u64) -> BucketId {
+fn annulus(dist: u64, delta: u64) -> BucketId {
     (dist / delta).min(MAX_ANNULUS) as BucketId
+}
+
+/// Bit 63 of a distance word: the id was lowered in the current round.
+const VISITED: u64 = 1 << 63;
+/// Bits 0–62 of a distance word; all set means unreached.
+const DIST: u64 = !VISITED;
+
+/// Most vertices whose distances provably fit [`DIST`]: a shortest path has
+/// at most n − 1 edges, each of weight below 2^32, so for n ≤ 2^31 every
+/// distance is below 2^63 − 1. A longer tentative distance merely fails
+/// `relax`'s comparison; it can never reach the visited bit.
+const MAX_VERTICES: usize = 1 << 31;
+
+/// Rejects graphs whose distances might not fit the 63 distance bits.
+pub(crate) fn check_vertex_count(n: usize) -> Result<(), Error> {
+    if n > MAX_VERTICES {
+        return Err(Error::input(format!(
+            "n = {n} exceeds the 2^31 vertices whose distances fit 63 bits"
+        )));
+    }
+    Ok(())
+}
+
+/// The visit protocol in one word per id (GBBS): bits 0–62 hold the
+/// tentative distance and bit 63 is the round's visited bit. The CAS that
+/// lowers a word first in a round is the one that finds the bit clear, so
+/// it alone learns the round-start distance and reports the id to Reset,
+/// which clears the bit with a plain store.
+///
+/// Happens-before, once for every access below: a round's phases — the
+/// frontier walk, edgeMap, Reset, the bucket calls — are each one parallel
+/// call, and the runtime's join at its end (`run_pieces`) orders all of its
+/// writes before the next phase's reads. Within edgeMap the words are only
+/// read and CAS'd, and the CAS's atomicity, not its ordering, elects the
+/// visitor. So every access is `Relaxed`.
+pub(crate) struct Dists {
+    words: Vec<AtomicU64>,
+    delta: u64,
+}
+
+impl Dists {
+    /// `len` unreached ids, bucketed by annuli of width `delta`.
+    pub(crate) fn new(len: usize, delta: u64) -> Self {
+        Dists {
+            words: (0..len).map(|_| AtomicU64::new(DIST)).collect(),
+            delta,
+        }
+    }
+
+    /// Makes `id` a source (distance 0) before the traversal starts.
+    pub(crate) fn start(&mut self, id: usize) {
+        *self.words[id].get_mut() = 0;
+    }
+
+    /// The distance of `id` ([`DIST`] while unreached), visited bit masked.
+    #[inline]
+    pub(crate) fn dist(&self, id: usize) -> u64 {
+        // ORDERING: Relaxed; a previous phase's writes are published by its
+        // join, and light/heavy's live read may see any tentative value.
+        self.words[id].load(Ordering::Relaxed) & DIST
+    }
+
+    /// Lowers `id` to `nd` if that improves it, setting the visited bit.
+    /// Returns the round-start distance to the one lowering this round that
+    /// found the bit clear, `None` to every other call.
+    #[inline]
+    pub(crate) fn relax(&self, id: usize, nd: u64) -> Option<u64> {
+        let word = &self.words[id];
+        // ORDERING: Relaxed; a stale value only costs the CAS a retry.
+        let mut cur = word.load(Ordering::Relaxed);
+        while nd < cur & DIST {
+            // ORDERING: Relaxed; atomicity alone elects the visitor.
+            match word.compare_exchange_weak(
+                cur,
+                nd | VISITED,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return (cur & VISITED == 0).then_some(cur),
+                Err(now) => cur = now,
+            }
+        }
+        None
+    }
+
+    /// Reset: clears `id`'s visited bit and returns its new distance.
+    #[inline]
+    pub(crate) fn settle(&self, id: usize) -> u64 {
+        let d = self.dist(id);
+        // ORDERING: Relaxed; Reset touches each id once, after edgeMap's join.
+        self.words[id].store(d, Ordering::Relaxed);
+        d
+    }
+
+    /// D: the annulus of `id`, `NULL_BKT` while unreached.
+    pub(crate) fn bucket(&self, id: usize) -> BucketId {
+        self.bucket_of(self.dist(id))
+    }
+
+    /// The annulus of distance `d`, `NULL_BKT` for [`DIST`].
+    #[inline]
+    pub(crate) fn bucket_of(&self, d: u64) -> BucketId {
+        if d == DIST {
+            NULL_BKT
+        } else {
+            annulus(d, self.delta)
+        }
+    }
+
+    /// The final distances, [`INF`] for unreached ids.
+    pub(crate) fn into_dists(self) -> Vec<u64> {
+        self.words
+            .into_iter()
+            .map(|w| match w.into_inner() & DIST {
+                DIST => INF,
+                d => d,
+            })
+            .collect()
+    }
 }
 
 /// Parameters for [`sssp`]: Δ-stepping from `src` with bucket width
@@ -105,31 +223,12 @@ pub fn sssp<G: OutEdges<W = u32>>(
     if delta == 0 {
         return Err(Error::usage("delta must be >= 1"));
     }
-    let engine = ctx.engine();
     let n = g.num_vertices();
-    let sp: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(INF)).collect();
-    sp[src as usize].store(0, Ordering::SeqCst);
-    let flags = AtomicBitSet::new(n);
-    // Round-start snapshot of the frontier's distances. Relaxing with the
-    // snapshot (instead of the live value) makes each round's outcome a
-    // pure function of the frontier *set*: an intra-annulus edge that
-    // improves a frontier member mid-round no longer changes what that
-    // member propagates this round (the improvement reinserts it and
-    // propagates next round instead). That order-independence is what lets
-    // the fused multi-source kernel reproduce solo results bit-for-bit,
-    // and what makes the round count invariant across thread counts.
-    let snap: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(INF)).collect();
-
-    // D: the current annulus of each vertex (nullbkt while unreached).
-    let d_fun = |v: u32| {
-        let s = sp[v as usize].load(Ordering::SeqCst);
-        if s == INF {
-            NULL_BKT
-        } else {
-            annulus(s, delta)
-        }
-    };
-    let mut buckets = engine.buckets(n, d_fun, Order::Increasing);
+    check_vertex_count(n)?;
+    let engine = ctx.engine();
+    let mut sp = Dists::new(n, delta);
+    sp.start(src as usize);
+    let mut buckets = engine.buckets(n, |v| sp.bucket(v as usize), Order::Increasing);
     let telemetry = engine.telemetry();
     let em = engine.edge_map(g);
 
@@ -137,55 +236,35 @@ pub fn sssp<G: OutEdges<W = u32>>(
     let mut relaxations = 0u64;
     loop {
         // Round boundary: a cancelled/expired query unwinds here, dropping
-        // the bucket structure and distance arrays with it.
+        // the bucket structure and distance array with it.
         ctx.check()?;
         let span = telemetry.span();
         let Some((bkt, ids)) = buckets.next_bucket() else {
             break;
         };
         rounds += 1;
-        // One pass over the frontier: store the round-start snapshot and
-        // sum the out-degrees.
-        let round_edges = ids
-            .par_iter()
-            .map(|&v| {
-                snap[v as usize].store(sp[v as usize].load(Ordering::SeqCst), Ordering::SeqCst);
-                g.out_degree(v) as u64
-            })
-            .sum::<u64>();
+        // Round-start distances, by frontier position. Relaxing from these
+        // (instead of the live values) makes each round's outcome a pure
+        // function of the frontier *set*: an intra-annulus edge that
+        // improves a frontier member mid-round no longer changes what that
+        // member propagates this round (the improvement reinserts it and
+        // propagates next round instead). That order-independence is what
+        // lets the fused multi-source kernel reproduce solo results
+        // bit-for-bit, and what makes the round count invariant across
+        // thread counts.
+        let starts: Vec<u64> = ids.par_iter().map(|&v| sp.dist(v as usize)).collect();
+
+        // Update (Algorithm 2, lines 4–10): the CAS that first lowers a
+        // target this round captures its round-start distance.
+        let (moved, round_edges) =
+            em.run_sparse_at(&ids, |i, v, w| sp.relax(v as usize, starts[i] + w as u64));
         relaxations += round_edges;
 
-        // Update (Algorithm 2, lines 4–10): relax from the round-start
-        // snapshot, with the flag CAS electing the unique visitor that
-        // captures the round-start distance.
-        let moved = em.run_sparse_data(
-            &ids,
-            |u, v, w| {
-                let nd = snap[u as usize].load(Ordering::SeqCst) + w as u64;
-                let od = sp[v as usize].load(Ordering::SeqCst);
-                if nd < od {
-                    if flags.set(v as usize) {
-                        write_min_u64(&sp[v as usize], nd);
-                        return Some(od);
-                    }
-                    write_min_u64(&sp[v as usize], nd);
-                }
-                None
-            },
-            |_| true,
-        );
-
-        // Reset (lines 11–13): clear the flag and compute the bucket move
-        // from the round-start annulus to the new one.
+        // Reset (lines 11–13): clear the visited bit and compute the bucket
+        // move from the round-start annulus to the new one.
         let new_buckets = vertex_map_data(&moved, |v, old_dist| {
-            flags.clear(v as usize);
-            let new_dist = sp[v as usize].load(Ordering::SeqCst);
-            let prev = if old_dist == INF {
-                NULL_BKT
-            } else {
-                annulus(old_dist, delta)
-            };
-            Some(buckets.get_bucket(v, prev, annulus(new_dist, delta)))
+            let new_dist = sp.settle(v as usize);
+            Some(buckets.get_bucket(v, sp.bucket_of(old_dist), sp.bucket_of(new_dist)))
         });
         buckets.update_buckets(new_buckets.entries());
         let relaxed = new_buckets.entries().len() as u64;
@@ -195,7 +274,7 @@ pub fn sssp<G: OutEdges<W = u32>>(
     let identifiers_moved = buckets.stats().identifiers_moved;
     drop(buckets); // releases the D closure's borrow of `sp`
     Ok(DeltaResult {
-        dist: sp.into_iter().map(AtomicU64::into_inner).collect(),
+        dist: sp.into_dists(),
         rounds,
         relaxations,
         identifiers_moved,
@@ -217,6 +296,7 @@ pub fn delta_stepping_light_heavy<G: OutEdges<W = u32>>(
 ) -> DeltaResult {
     assert!(delta >= 1);
     let n = g.num_vertices();
+    check_vertex_count(n).expect("graph too large for 63-bit distances");
 
     // Split into light/heavy subgraphs once (the paper: "two graphs, one
     // containing just the light edges and the other just the heavy edges").
@@ -236,54 +316,30 @@ pub fn delta_stepping_light_heavy<G: OutEdges<W = u32>>(
     let light = light.build(false);
     let heavy = heavy.build(false);
 
-    let sp: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(INF)).collect();
-    sp[src as usize].store(0, Ordering::SeqCst);
-    let flags = AtomicBitSet::new(n);
-    let d_fun = |v: u32| {
-        let s = sp[v as usize].load(Ordering::SeqCst);
-        if s == INF {
-            NULL_BKT
-        } else {
-            annulus(s, delta)
-        }
-    };
-    let mut buckets = julienne::bucket::BucketsBuilder::new(n, d_fun, Order::Increasing).build();
+    let mut sp = Dists::new(n, delta);
+    sp.start(src as usize);
+    let mut buckets =
+        julienne::bucket::BucketsBuilder::new(n, |v| sp.bucket(v as usize), Order::Increasing)
+            .build();
 
     let mut rounds = 0u64;
     let mut relaxations = 0u64;
 
     // One relaxation pass over `graph` from `ids`, returning bucket moves.
+    // Relaxes from the live distance (masked: the source may itself have
+    // been lowered this pass), not a round-start one.
     let relax = |graph: &Csr<u32>,
                  ids: &[VertexId],
                  buckets: &julienne::bucket::Buckets<_>,
                  relaxations: &mut u64|
      -> Vec<(u32, julienne::bucket::BucketDest)> {
-        *relaxations += ids.par_iter().map(|&v| graph.degree(v) as u64).sum::<u64>();
-        let moved = EdgeMap::new(graph).run_sparse_data(
-            ids,
-            |u, v, w| {
-                let nd = sp[u as usize].load(Ordering::SeqCst) + w as u64;
-                let od = sp[v as usize].load(Ordering::SeqCst);
-                if nd < od {
-                    if flags.set(v as usize) {
-                        write_min_u64(&sp[v as usize], nd);
-                        return Some(od);
-                    }
-                    write_min_u64(&sp[v as usize], nd);
-                }
-                None
-            },
-            |_| true,
-        );
+        let (moved, scanned) = EdgeMap::new(graph).run_sparse_at(ids, |i, v, w| {
+            sp.relax(v as usize, sp.dist(ids[i] as usize) + w as u64)
+        });
+        *relaxations += scanned;
         let dests = vertex_map_data(&moved, |v, old_dist| {
-            flags.clear(v as usize);
-            let new_dist = sp[v as usize].load(Ordering::SeqCst);
-            let prev = if old_dist == INF {
-                NULL_BKT
-            } else {
-                annulus(old_dist, delta)
-            };
-            Some(buckets.get_bucket(v, prev, annulus(new_dist, delta)))
+            let new_dist = sp.settle(v as usize);
+            Some(buckets.get_bucket(v, sp.bucket_of(old_dist), sp.bucket_of(new_dist)))
         });
         dests.into_entries()
     };
@@ -310,7 +366,7 @@ pub fn delta_stepping_light_heavy<G: OutEdges<W = u32>>(
     let identifiers_moved = buckets.stats().identifiers_moved;
     drop(buckets); // releases the D closure's borrow of `sp`
     DeltaResult {
-        dist: sp.into_iter().map(AtomicU64::into_inner).collect(),
+        dist: sp.into_dists(),
         rounds,
         relaxations,
         identifiers_moved,
@@ -439,6 +495,64 @@ mod tests {
         assert_eq!(annulus(NULL_BKT as u64, 1), MAX_ANNULUS as BucketId);
         assert_eq!(annulus(NULL_BKT as u64 - 1, 1), NULL_BKT - 1);
         assert_eq!(annulus(10, 3), 3);
+    }
+
+    #[test]
+    fn racing_relaxers_elect_one_visitor_with_the_round_start() {
+        const CALLERS: u64 = 1 << 16; // 32 runtime pieces: a real race
+        let prev = rayon::chaos_seed();
+        for threads in [2, 4] {
+            for seed in [1u64, 42, 0xDEAD_BEEF] {
+                let d = Dists::new(1, 8);
+                assert_eq!(d.relax(0, 1 << 20), Some(DIST));
+                assert_eq!(d.settle(0), 1 << 20);
+                // Every caller improves on the round start; the least offer
+                // is 1000.
+                rayon::set_chaos_seed(Some(seed));
+                let won: Vec<u64> = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap()
+                    .install(|| {
+                        (0..CALLERS)
+                            .into_par_iter()
+                            .filter_map(|k| d.relax(0, 1000 + (k * 7919) % CALLERS))
+                            .collect()
+                    });
+                rayon::set_chaos_seed(prev);
+                assert_eq!(won, vec![1 << 20], "threads {threads} seed {seed}");
+                assert_eq!(d.settle(0), 1000, "threads {threads} seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn settle_clears_the_visited_bit() {
+        let mut d = Dists::new(3, 4);
+        d.start(2);
+        assert_eq!(d.relax(2, 0), None, "an equal distance is no visit");
+        assert_eq!(d.relax(1, 9), Some(DIST));
+        assert_eq!(d.relax(1, 10), None, "a longer one neither");
+        assert_eq!(*d.words[1].get_mut(), 9 | VISITED);
+        assert_eq!(d.bucket(1), 2, "D masks the visited bit");
+        assert_eq!(d.settle(1), 9);
+        assert_eq!(*d.words[1].get_mut(), 9);
+        assert_eq!(d.relax(1, 7), Some(9), "the next round elects again");
+        assert_eq!(d.settle(1), 7);
+        assert_eq!(d.bucket(0), NULL_BKT);
+        assert_eq!(d.into_dists(), vec![INF, 7, 0]);
+    }
+
+    #[test]
+    fn distances_fit_63_bits_up_to_2_pow_31_vertices() {
+        // The longest shortest path on the largest accepted graph.
+        let worst = (MAX_VERTICES as u64 - 1) * u32::MAX as u64;
+        assert!(worst < DIST);
+        assert!(check_vertex_count(MAX_VERTICES).is_ok());
+        assert!(matches!(
+            check_vertex_count(MAX_VERTICES + 1),
+            Err(Error::Input(_))
+        ));
     }
 
     #[test]

@@ -34,17 +34,13 @@
 //! [`Buckets`]: julienne::bucket::Buckets
 //! [`sssp`]: crate::delta_stepping::sssp
 
-use crate::delta_stepping::{annulus, DeltaResult};
-use crate::INF;
-use julienne::bucket::{BucketDest, Bucketing, Order, NULL_BKT};
+use crate::delta_stepping::{check_vertex_count, DeltaResult, Dists};
+use julienne::bucket::{BucketDest, Bucketing, Order};
 use julienne::query::QueryCtx;
 use julienne::Error;
 use julienne_graph::VertexId;
 use julienne_ligra::traits::OutEdges;
-use julienne_primitives::atomics::write_min_u64;
-use julienne_primitives::bitset::AtomicBitSet;
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One source in a fused batch: where it starts and the per-query context
 /// that cancels or expires it independently of its siblings.
@@ -66,8 +62,9 @@ const MAX_IDS: usize = u32::MAX as usize;
 /// context tripped mid-run.
 ///
 /// The outer `Err` is structural misuse — `delta == 0`, a source out of
-/// range, or `lanes.len() · n` overflowing the `u32` identifier space (the
-/// caller is expected to fall back to solo runs in that case).
+/// range, more than 2^31 vertices, or `lanes.len() · n` overflowing the
+/// `u32` identifier space (the caller is expected to fall back to solo runs
+/// in that case).
 ///
 /// The bucket window and parallel substrate come from the **first** lane's
 /// engine; batches are formed within one session, so all lanes share it.
@@ -86,6 +83,7 @@ pub fn sssp_multi<G: OutEdges<W = u32>>(
         return Ok(Vec::new());
     }
     let n = g.num_vertices();
+    check_vertex_count(n)?;
     let total = lcount
         .checked_mul(n)
         .filter(|&t| t <= MAX_IDS)
@@ -103,27 +101,12 @@ pub fn sssp_multi<G: OutEdges<W = u32>>(
         }
     }
 
-    let sp: Vec<AtomicU64> = (0..total).map(|_| AtomicU64::new(INF)).collect();
+    let mut sp = Dists::new(total, delta);
     for (l, lane) in lanes.iter().enumerate() {
-        sp[lane.src as usize * lcount + l].store(0, Ordering::SeqCst);
+        sp.start(lane.src as usize * lcount + l);
     }
-    let flags = AtomicBitSet::new(total);
-    // Round-start snapshot, mirroring the solo kernel: every relaxation
-    // uses the frontier's distance as of extraction, so a round's outcome
-    // is a pure function of the frontier set — independent of the order
-    // lanes are interleaved in, which is what makes per-lane results
-    // bit-identical to solo runs.
-    let snap: Vec<AtomicU64> = (0..total).map(|_| AtomicU64::new(INF)).collect();
-    let d_fun = |id: u32| {
-        let s = sp[id as usize].load(Ordering::SeqCst);
-        if s == INF {
-            NULL_BKT
-        } else {
-            annulus(s, delta)
-        }
-    };
     let engine = lanes[0].ctx.engine();
-    let mut buckets = engine.buckets(total, d_fun, Order::Increasing);
+    let mut buckets = engine.buckets(total, |id| sp.bucket(id as usize), Order::Increasing);
 
     let mut dead: Vec<Option<Error>> = (0..lcount).map(|_| None).collect();
     let mut live = lcount;
@@ -159,9 +142,13 @@ pub fn sssp_multi<G: OutEdges<W = u32>>(
         // Vertex-major ids: sorting groups each vertex's lanes into one
         // contiguous run, decoded below with a single adjacency walk.
         ids.par_sort_unstable();
-        ids.par_iter().for_each(|&id| {
-            snap[id as usize].store(sp[id as usize].load(Ordering::SeqCst), Ordering::SeqCst)
-        });
+        // Round-start distances by sorted position, mirroring the solo
+        // kernel: every relaxation uses the frontier's distance as of
+        // extraction, so a round's outcome is a pure function of the
+        // frontier set — independent of the order lanes are interleaved
+        // in, which is what makes per-lane results bit-identical to solo
+        // runs.
+        let starts: Vec<u64> = ids.par_iter().map(|&id| sp.dist(id as usize)).collect();
         lane_hit.iter_mut().for_each(|h| *h = false);
         for &id in &ids {
             let l = id as usize % lcount;
@@ -183,8 +170,8 @@ pub fn sssp_multi<G: OutEdges<W = u32>>(
             s = e;
         }
 
-        // Update: the solo visit protocol per (edge, lane) — flag CAS
-        // electing the unique visitor that captures the round-start
+        // Update: the solo visit protocol per (edge, lane) — the CAS that
+        // first lowers a target this round captures its round-start
         // distance — against each lane's own stripe.
         let moved: Vec<(u32, u64)> = runs
             .par_iter()
@@ -194,17 +181,10 @@ pub fn sssp_multi<G: OutEdges<W = u32>>(
                 let mut local: Vec<(u32, u64)> = Vec::new();
                 g.for_each_out(v, |t, w| {
                     let t_base = t as usize * lcount;
-                    for &id in run {
-                        let nd = snap[id as usize].load(Ordering::SeqCst) + w as u64;
+                    for (&id, &start) in run.iter().zip(&starts[s..e]) {
                         let tid = t_base + id as usize % lcount;
-                        let od = sp[tid].load(Ordering::SeqCst);
-                        if nd < od {
-                            if flags.set(tid) {
-                                write_min_u64(&sp[tid], nd);
-                                local.push((tid as u32, od));
-                            } else {
-                                write_min_u64(&sp[tid], nd);
-                            }
+                        if let Some(od) = sp.relax(tid, start + w as u64) {
+                            local.push((tid as u32, od));
                         }
                     }
                 });
@@ -212,19 +192,16 @@ pub fn sssp_multi<G: OutEdges<W = u32>>(
             })
             .collect();
 
-        // Reset: clear flags and move each touched identifier from its
-        // round-start annulus to the new one.
+        // Reset: clear the visited bits and move each touched identifier
+        // from its round-start annulus to the new one.
         let entries: Vec<(u32, BucketDest)> = moved
             .par_iter()
             .map(|&(tid, od)| {
-                flags.clear(tid as usize);
-                let nd = sp[tid as usize].load(Ordering::SeqCst);
-                let prev = if od == INF {
-                    NULL_BKT
-                } else {
-                    annulus(od, delta)
-                };
-                (tid, buckets.get_bucket(tid, prev, annulus(nd, delta)))
+                let nd = sp.settle(tid as usize);
+                (
+                    tid,
+                    buckets.get_bucket(tid, sp.bucket_of(od), sp.bucket_of(nd)),
+                )
             })
             .collect();
         for &(tid, _) in &entries {
@@ -234,7 +211,7 @@ pub fn sssp_multi<G: OutEdges<W = u32>>(
     }
 
     drop(buckets); // releases the D closure's borrow of `sp`
-    let dist: Vec<u64> = sp.into_iter().map(AtomicU64::into_inner).collect();
+    let dist = sp.into_dists();
     Ok((0..lcount)
         .map(|l| match dead[l].take() {
             Some(e) => Err(e),

@@ -7,11 +7,26 @@ mod args;
 mod commands;
 
 use args::Args;
+use std::io::{ErrorKind, Write};
+
+/// Writes `text` to stdout. A reader that went away (`| head`) is not an
+/// error: exit 0 quietly. Any other write failure exits 1.
+fn emit(text: &str) {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => {}
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
+    }
+}
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.is_empty() {
-        print!("{}", commands::usage());
+        emit(&commands::usage());
         std::process::exit(2);
     }
     // Usage errors (exit 2) mean the invocation was wrong; runtime errors
@@ -21,7 +36,7 @@ fn main() {
         .map_err(commands::CmdError::from)
         .and_then(|parsed| commands::dispatch(&parsed))
     {
-        Ok(report) => print!("{report}"),
+        Ok(report) => emit(&report),
         Err(e) => {
             eprintln!("error: {e}\n\n{}", commands::usage());
             std::process::exit(e.exit_code());

@@ -2,7 +2,7 @@
 //! file's header claims is checked before it is believed, and what a
 //! `.jgr` header states is not asked for again on the command line.
 
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 
@@ -50,6 +50,32 @@ fn adjacency_header_counts_beyond_the_file_exit_1_not_101() {
         assert!(!err.contains("panicked"), "{name}: {err}");
         std::fs::remove_file(p).ok();
     }
+}
+
+#[test]
+fn a_reader_that_hangs_up_early_is_not_a_panic() {
+    // All 8192 coreness lines (~160 KiB) cannot fit the 64 KiB pipe
+    // buffer, so the write is still in flight when the pipe closes.
+    let g = tmp("pipe.bin");
+    ok_stdout(&[
+        "gen",
+        "kind=rmat",
+        "scale=13",
+        &format!("out={}", g.display()),
+    ]);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_julienne"))
+        .args(["kcore", &format!("in={}", g.display()), "top=1000000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("failed to spawn julienne binary");
+    let mut head = [0u8; 10];
+    child.stdout.take().unwrap().read_exact(&mut head).unwrap();
+    let out = child.wait_with_output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    std::fs::remove_file(g).ok();
 }
 
 #[test]

@@ -32,6 +32,7 @@ use super::{
 };
 use julienne_primitives::filter::filter_map;
 use julienne_primitives::histogram::{blocked_histogram, BLOCK_SIZE};
+use julienne_primitives::num_chunks;
 use julienne_primitives::semisort::semisort_by_key;
 use julienne_primitives::telemetry::{Counter, Telemetry};
 use julienne_primitives::unsafe_write::DisjointWriter;
@@ -382,10 +383,16 @@ impl<D: Fn(Identifier) -> BucketId + Sync> Buckets<D> {
         if self.cur_local >= self.num_open || self.open[self.cur_local].is_empty() {
             return None;
         }
-        let raw = std::mem::take(&mut self.open[self.cur_local]);
+        let mut live = std::mem::take(&mut self.open[self.cur_local]);
         let bkt = self.bucket_of_key(self.cur_key());
         let d = &self.d;
-        let live: Vec<Identifier> = filter_map(&raw, |&i| if d(i) == bkt { Some(i) } else { None });
+        // One chunk filters sequentially anyway: keep the taken buffer
+        // instead of allocating a second one (order is preserved either way).
+        if num_chunks(live.len()) <= 1 {
+            live.retain(|&i| d(i) == bkt);
+        } else {
+            live = filter_map(&live, |&i| if d(i) == bkt { Some(i) } else { None });
+        }
         if live.is_empty() {
             return None;
         }

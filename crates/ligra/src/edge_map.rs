@@ -139,7 +139,7 @@ impl<'g, G: OutEdges> EdgeMap<'g, G> {
     {
         let n = self.g.num_vertices();
         let dedup = self.remove_duplicates.then(|| AtomicBitSet::new(n));
-        let (hits, scanned) = sparse_blocked(self.g, frontier_ids, |u, v, w, hits| {
+        let (hits, scanned) = sparse_blocked(self.g, frontier_ids, |_, u, v, w, hits| {
             if cond(v) && update(u, v, w) && dedup.as_ref().is_none_or(|bs| bs.set(v as usize)) {
                 hits.push(v);
             }
@@ -165,11 +165,33 @@ impl<'g, G: OutEdges> EdgeMap<'g, G> {
         Fu: Fn(VertexId, VertexId, G::W) -> Option<T> + Send + Sync,
         Fc: Fn(VertexId) -> bool + Send + Sync,
     {
-        let (hits, scanned) = sparse_blocked(self.g, frontier_ids, |u, v, w, hits| {
+        let at = |i: usize, v, w| {
             if cond(v) {
-                if let Some(t) = update(u, v, w) {
-                    hits.push((v, t));
-                }
+                update(frontier_ids[i], v, w)
+            } else {
+                None
+            }
+        };
+        self.run_sparse_at(frontier_ids, at).0
+    }
+
+    /// Sparse (push) data-carrying traversal that hands `update(i, v, w)`
+    /// the frontier *position* `i` of the edge's source (`frontier_ids[i]`),
+    /// so per-source state can ride in an array beside the frontier.
+    /// Returns the hits and the edges scanned (the frontier's out-degree
+    /// sum).
+    pub fn run_sparse_at<T, Fu>(
+        &self,
+        frontier_ids: &[VertexId],
+        update: Fu,
+    ) -> (VertexSubsetData<T>, u64)
+    where
+        T: Copy + Send + Sync,
+        Fu: Fn(usize, VertexId, G::W) -> Option<T> + Send + Sync,
+    {
+        let (hits, scanned) = sparse_blocked(self.g, frontier_ids, |i, _, v, w, hits| {
+            if let Some(t) = update(i, v, w) {
+                hits.push((v, t));
             }
         });
         self.note(
@@ -178,7 +200,10 @@ impl<'g, G: OutEdges> EdgeMap<'g, G> {
             scanned,
             hits.len(),
         );
-        VertexSubsetData::from_entries(self.g.num_vertices(), hits)
+        (
+            VertexSubsetData::from_entries(self.g.num_vertices(), hits),
+            scanned,
+        )
     }
 }
 
@@ -229,10 +254,10 @@ impl<'g, G: GraphRef> EdgeMap<'g, G> {
 const BLOCK_EDGES: usize = 4096;
 
 /// The sparse (push) driver behind every frontier-out traversal in this
-/// crate: applies `visit(u, v, w, hits)` to each out-edge of `frontier_ids`,
-/// `hits` being the buffer `visit` appends its results to, and returns what
-/// was appended in (frontier position, edge position) order, plus the edges
-/// scanned. How a result is appended is the caller's: behind a branch when
+/// crate: applies `visit(i, u, v, w, hits)` to each out-edge of
+/// `u = frontier_ids[i]`, `hits` being the buffer `visit` appends its
+/// results to, and returns what was appended in (frontier position, edge
+/// position) order, plus the edges scanned. How a result is appended is the caller's: behind a branch when
 /// hits are rare, without one when they are a coin flip per edge.
 ///
 /// The frontier's degree prefix sums are cut into blocks of about
@@ -246,7 +271,7 @@ pub(crate) fn sparse_blocked<G, T, F>(g: &G, frontier_ids: &[VertexId], visit: F
 where
     G: OutEdges,
     T: Copy + Send + Sync,
-    F: Fn(VertexId, VertexId, G::W, &mut Vec<T>) + Send + Sync,
+    F: Fn(usize, VertexId, VertexId, G::W, &mut Vec<T>) + Send + Sync,
 {
     let mut offsets: Vec<usize> = frontier_ids.par_iter().map(|&u| g.out_degree(u)).collect();
     let total = prefix_sums(&mut offsets);
@@ -259,7 +284,7 @@ where
         while i < offsets.len() && offsets[i] < hi {
             let (u, base) = (frontier_ids[i], offsets[i]);
             let end = offsets.get(i + 1).copied().unwrap_or(total);
-            let mut push = |v, w| visit(u, v, w, &mut hits);
+            let mut push = |v, w| visit(i, u, v, w, &mut hits);
             if split != usize::MAX && end - base > split.saturating_mul(2) {
                 let first = lo.saturating_sub(base).div_ceil(split);
                 let last = (hi.min(end) - base).div_ceil(split);

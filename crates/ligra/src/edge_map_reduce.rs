@@ -47,7 +47,7 @@ where
     let n = g.num_vertices();
     // `(target, M(u,v,w))` for every edge out of the frontier whose target
     // satisfies `cond`.
-    let (mut pairs, _) = sparse_blocked(g, frontier_ids, |u, v, w, pairs| {
+    let (mut pairs, _) = sparse_blocked(g, frontier_ids, |_, u, v, w, pairs| {
         if cond(v) {
             pairs.push((v, map(u, v, w)));
         }
@@ -121,7 +121,7 @@ where
     debug_assert_eq!(scratch.counts.len(), n);
     // In a peel `cond` is a coin flip per edge, so the append must not branch
     // on it: write the slot, keep it iff live.
-    let (mut live, _) = sparse_blocked(g, frontier_ids, |_, v, _, live| {
+    let (mut live, _) = sparse_blocked(g, frontier_ids, |_, _, v, _, live| {
         live.push(v);
         live.truncate(live.len() - usize::from(!cond(v)));
     });

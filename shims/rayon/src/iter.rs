@@ -345,7 +345,10 @@ pub trait FromParallelIterator<T: Send> {
 
 impl<T: Send> FromParallelIterator<T> for Vec<T> {
     fn from_par_iter<P: ParallelIterator<Item = T>>(par: P) -> Self {
-        let parts = par.drive(&CollectConsumer);
+        let mut parts = par.drive(&CollectConsumer);
+        if parts.len() == 1 {
+            return parts.pop().unwrap_or_default();
+        }
         let total: usize = parts.iter().map(Vec::len).sum();
         let mut out = Vec::with_capacity(total);
         for p in parts {

@@ -14,8 +14,11 @@
 # the parent's quartiles; a *regression* is a median worse than the parent's
 # by more than the metric's bound in BENCHMARK.json. --out appends the rows
 # and the host fingerprint (from each side's benchmark/out/run-*.json) to a
-# JSON file, creating it if need be. --smoke passes through: seconds-long
-# runs that check the script, not the program.
+# JSON file, creating it if need be, with each side's `git describe
+# --always --dirty` under "commits" and, for a dirty side, the hash of its
+# working tree under "trees" (benchmark/run.sh's own `commit` names HEAD
+# even when the tree has uncommitted changes). --smoke passes through:
+# seconds-long runs that check the script, not the program.
 set -euo pipefail
 
 usage() { sed -n '2,7p' "$0" >&2; exit 2; }
@@ -33,7 +36,27 @@ while [ $# -gt 0 ]; do
 done
 
 rows="$(mktemp)"
-trap 'rm -f "$rows"' EXIT
+scratch="$(mktemp -d)"
+trap 'rm -rf "$rows" "$scratch"' EXIT
+
+# What a checkout actually is: `<describe>` for a clean tree, `<describe>
+# <tree hash>` for a dirty one, the tree written from a throwaway index so
+# the checkout's own index is left alone.
+identify() { # <checkout>
+    local desc index="$scratch/index"
+    desc="$(git -C "$1" describe --always --dirty)"
+    case "$desc" in
+        *-dirty)
+            rm -f "$index"
+            cp "$(git -C "$1" rev-parse --path-format=absolute --git-path index)" "$index" 2>/dev/null || true
+            echo "$desc $(cd "$1" && GIT_INDEX_FILE="$index" git add -A && GIT_INDEX_FILE="$index" git write-tree)"
+            ;;
+        *) echo "$desc" ;;
+    esac
+}
+parent_id="$(identify "$parent")"; change_id="$(identify "$change")"
+echo "parent: $parent_id" >&2
+echo "change: $change_id" >&2
 
 # One side's run: its result object (the last line of stdout) goes to $rows
 # tagged with the pair and the side. A failed output check (exit 1) still
@@ -56,12 +79,13 @@ for i in $(seq 1 "$pairs"); do
 done
 
 suffix="${smoke:+-smoke}"
-python3 - "$rows" "$workload" "$seed" "$out" "$change/BENCHMARK.json" \
+python3 - "$rows" "$workload" "$seed" "$out" "$change/BENCHMARK.json" "$parent_id" "$change_id" \
     "$parent/benchmark/out/run-$workload-seed$seed-trace0$suffix.json" \
     "$change/benchmark/out/run-$workload-seed$seed-trace0$suffix.json" <<'PY'
 import json, statistics, sys
 
-rows_path, workload, seed, out, spec_path, parent_run, change_run = sys.argv[1:8]
+rows_path, workload, seed, out, spec_path, parent_id, change_id, parent_run, change_run = sys.argv[1:10]
+ids = {"parent": parent_id.split(), "change": change_id.split()}
 rows = [json.loads(line) for line in open(rows_path)]
 spec = json.load(open(spec_path))
 metrics = [(m["name"], m["unit"], m["bound"]) for m in spec["end_to_end"]]
@@ -116,7 +140,8 @@ if out:
     entry = {
         "workload": workload, "seed": int(seed), "pairs": n,
         "smoke": runs["change"]["smoke"], "seconds": runs["change"]["seconds"],
-        "commits": {s: r["commit"] for s, r in runs.items()},
+        "commits": {s: i[0] for s, i in ids.items()},
+        "trees": {s: i[1] for s, i in ids.items() if len(i) > 1},
         "inputs": {s: r["run"]["inputs"] for s, r in runs.items()},
         "failed": failed, "attempted": attempted, "metrics": summary,
     }
