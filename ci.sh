@@ -367,6 +367,10 @@ run env JULIENNE_CHAOS_SEED=1 JULIENNE_NUM_THREADS=4 cargo test -q -p rayon
 for seed in 1 24301; do
     run env JULIENNE_CHAOS_SEED=$seed JULIENNE_NUM_THREADS=4 cargo test -q --test proptest_bucket --test alloc_bucket
 done
+# A steady-state Δ-stepping round allocates nothing (its buffers are kept
+# across rounds) on four workers and under the adversarial scheduler too.
+run env JULIENNE_NUM_THREADS=4 cargo test -q --test alloc_sssp_rounds
+run env JULIENNE_CHAOS_SEED=1 JULIENNE_NUM_THREADS=4 cargo test -q --test alloc_sssp_rounds
 # The chunked compressed backend's split traversal paths (per-chunk sparse
 # tasks, dense heavy-vertex scan) under the adversarial scheduler: results
 # must stay bit-identical to CSR.

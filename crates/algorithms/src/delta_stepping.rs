@@ -19,14 +19,14 @@ use crate::bellman_ford::SsspResult;
 use crate::INF;
 use julienne::bucket::{BucketId, Bucketing, Order, NULL_BKT};
 use julienne::query::QueryCtx;
+use julienne::telemetry::Phase;
 use julienne::Error;
 use julienne_graph::builder::EdgeList;
 use julienne_graph::csr::Csr;
 use julienne_graph::VertexId;
 use julienne_ligra::traits::OutEdges;
-use julienne_ligra::vertex_ops::vertex_map_data;
 use julienne_ligra::EdgeMap;
-use rayon::prelude::*;
+use julienne_primitives::filter::map_into;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Δ-stepping SSSP result with bucket-structure counters.
@@ -78,8 +78,12 @@ const DIST: u64 = !VISITED;
 /// `relax`'s comparison; it can never reach the visited bit.
 const MAX_VERTICES: usize = 1 << 31;
 
-/// Rejects graphs whose distances might not fit the 63 distance bits.
-pub(crate) fn check_vertex_count(n: usize) -> Result<(), Error> {
+/// Rejects a zero Δ, and graphs whose distances might not fit the 63
+/// distance bits.
+pub(crate) fn check_input(n: usize, delta: u64) -> Result<(), Error> {
+    if delta == 0 {
+        return Err(Error::usage("delta must be >= 1"));
+    }
     if n > MAX_VERTICES {
         return Err(Error::input(format!(
             "n = {n} exceeds the 2^31 vertices whose distances fit 63 bits"
@@ -150,13 +154,15 @@ impl Dists {
         None
     }
 
-    /// Reset: clears `id`'s visited bit and returns its new distance.
+    /// Reset: clears `id`'s visited bit and returns its annulus move, from
+    /// that of `round_start` (what [`relax`](Self::relax) reported) to that
+    /// of its new distance — `getBucket`'s `(prev, next)`.
     #[inline]
-    pub(crate) fn settle(&self, id: usize) -> u64 {
+    pub(crate) fn settle(&self, id: usize, round_start: u64) -> (BucketId, BucketId) {
         let d = self.dist(id);
         // ORDERING: Relaxed; Reset touches each id once, after edgeMap's join.
         self.words[id].store(d, Ordering::Relaxed);
-        d
+        (self.bucket_of(round_start), self.bucket_of(d))
     }
 
     /// D: the annulus of `id`, `NULL_BKT` while unreached.
@@ -166,7 +172,7 @@ impl Dists {
 
     /// The annulus of distance `d`, `NULL_BKT` for [`DIST`].
     #[inline]
-    pub(crate) fn bucket_of(&self, d: u64) -> BucketId {
+    fn bucket_of(&self, d: u64) -> BucketId {
         if d == DIST {
             NULL_BKT
         } else {
@@ -219,27 +225,26 @@ pub fn sssp<G: OutEdges<W = u32>>(
     params: &SsspParams,
     ctx: &QueryCtx,
 ) -> Result<DeltaResult, Error> {
-    let SsspParams { src, delta } = *params;
-    if delta == 0 {
-        return Err(Error::usage("delta must be >= 1"));
-    }
     let n = g.num_vertices();
-    check_vertex_count(n)?;
+    check_input(n, params.delta)?;
     let engine = ctx.engine();
-    let mut sp = Dists::new(n, delta);
-    sp.start(src as usize);
+    let mut sp = Dists::new(n, params.delta);
+    sp.start(params.src as usize);
     let mut buckets = engine.buckets(n, |v| sp.bucket(v as usize), Order::Increasing);
     let telemetry = engine.telemetry();
     let em = engine.edge_map(g);
 
     let mut rounds = 0u64;
     let mut relaxations = 0u64;
+    // Round buffers, refilled in place every round: the frontier, its
+    // round-start distances, edgeMap's hits and Reset's bucket moves.
+    let (mut ids, mut starts, mut hits, mut moves) = (vec![], vec![], vec![], vec![]);
     loop {
         // Round boundary: a cancelled/expired query unwinds here, dropping
         // the bucket structure and distance array with it.
         ctx.check()?;
-        let span = telemetry.span();
-        let Some((bkt, ids)) = buckets.next_bucket() else {
+        let mut span = telemetry.span();
+        let Some(bkt) = span.lap(Phase::NextBucket, buckets.next_bucket_into(&mut ids)) else {
             break;
         };
         rounds += 1;
@@ -252,32 +257,35 @@ pub fn sssp<G: OutEdges<W = u32>>(
         // lets the fused multi-source kernel reproduce solo results
         // bit-for-bit, and what makes the round count invariant across
         // thread counts.
-        let starts: Vec<u64> = ids.par_iter().map(|&v| sp.dist(v as usize)).collect();
+        map_into(&ids, &mut starts, |&v| sp.dist(v as usize));
+        span.lap(Phase::Walk, ());
 
         // Update (Algorithm 2, lines 4–10): the CAS that first lowers a
         // target this round captures its round-start distance.
-        let (moved, round_edges) =
-            em.run_sparse_at(&ids, |i, v, w| sp.relax(v as usize, starts[i] + w as u64));
-        relaxations += round_edges;
+        let round_edges = em.run_sparse_at(&ids, &mut hits, |i, v, w| {
+            sp.relax(v as usize, starts[i] + w as u64)
+        });
+        relaxations += span.lap(Phase::EdgeMap, round_edges);
 
         // Reset (lines 11–13): clear the visited bit and compute the bucket
         // move from the round-start annulus to the new one.
-        let new_buckets = vertex_map_data(&moved, |v, old_dist| {
-            let new_dist = sp.settle(v as usize);
-            Some(buckets.get_bucket(v, sp.bucket_of(old_dist), sp.bucket_of(new_dist)))
+        map_into(&hits, &mut moves, |&(v, round_start)| {
+            let (prev, next) = sp.settle(v as usize, round_start);
+            (v, buckets.get_bucket(v, prev, next))
         });
-        buckets.update_buckets(new_buckets.entries());
-        let relaxed = new_buckets.entries().len() as u64;
+        span.lap(Phase::Reset, ());
+        buckets.update_buckets(&moves);
+        span.lap(Phase::UpdateBuckets, ());
+        let relaxed = moves.len() as u64;
         telemetry.finish_round(span, rounds - 1, bkt, ids.len(), round_edges, relaxed);
     }
 
-    let identifiers_moved = buckets.stats().identifiers_moved;
-    drop(buckets); // releases the D closure's borrow of `sp`
     Ok(DeltaResult {
+        // Last use of `buckets`, whose D closure borrows `sp`.
+        identifiers_moved: buckets.stats().identifiers_moved,
         dist: sp.into_dists(),
         rounds,
         relaxations,
-        identifiers_moved,
     })
 }
 
@@ -294,9 +302,8 @@ pub fn delta_stepping_light_heavy<G: OutEdges<W = u32>>(
     src: VertexId,
     delta: u64,
 ) -> DeltaResult {
-    assert!(delta >= 1);
     let n = g.num_vertices();
-    check_vertex_count(n).expect("graph too large for 63-bit distances");
+    check_input(n, delta).expect("delta >= 1 and a graph whose distances fit 63 bits");
 
     // Split into light/heavy subgraphs once (the paper: "two graphs, one
     // containing just the light edges and the other just the heavy edges").
@@ -333,15 +340,16 @@ pub fn delta_stepping_light_heavy<G: OutEdges<W = u32>>(
                  buckets: &julienne::bucket::Buckets<_>,
                  relaxations: &mut u64|
      -> Vec<(u32, julienne::bucket::BucketDest)> {
-        let (moved, scanned) = EdgeMap::new(graph).run_sparse_at(ids, |i, v, w| {
+        let mut moved = Vec::new();
+        *relaxations += EdgeMap::new(graph).run_sparse_at(ids, &mut moved, |i, v, w| {
             sp.relax(v as usize, sp.dist(ids[i] as usize) + w as u64)
         });
-        *relaxations += scanned;
-        let dests = vertex_map_data(&moved, |v, old_dist| {
-            let new_dist = sp.settle(v as usize);
-            Some(buckets.get_bucket(v, sp.bucket_of(old_dist), sp.bucket_of(new_dist)))
+        let mut dests = Vec::new();
+        map_into(&moved, &mut dests, |&(v, round_start)| {
+            let (prev, next) = sp.settle(v as usize, round_start);
+            (v, buckets.get_bucket(v, prev, next))
         });
-        dests.into_entries()
+        dests
     };
 
     while let Some((_bkt, first)) = buckets.next_bucket() {
@@ -380,6 +388,7 @@ mod tests {
     use julienne::engine::Engine;
     use julienne_graph::generators::{erdos_renyi, grid2d, rmat, RmatParams};
     use julienne_graph::transform::{assign_weights, wbfs_weight_range};
+    use rayon::prelude::*;
 
     fn weighted_er(seed: u64, lo: u32, hi: u32) -> Csr<u32> {
         assign_weights(&erdos_renyi(400, 3200, seed, true), lo, hi, seed + 100)
@@ -505,7 +514,7 @@ mod tests {
             for seed in [1u64, 42, 0xDEAD_BEEF] {
                 let d = Dists::new(1, 8);
                 assert_eq!(d.relax(0, 1 << 20), Some(DIST));
-                assert_eq!(d.settle(0), 1 << 20);
+                assert_eq!(d.settle(0, DIST), (NULL_BKT, 1 << 17));
                 // Every caller improves on the round start; the least offer
                 // is 1000.
                 rayon::set_chaos_seed(Some(seed));
@@ -521,7 +530,8 @@ mod tests {
                     });
                 rayon::set_chaos_seed(prev);
                 assert_eq!(won, vec![1 << 20], "threads {threads} seed {seed}");
-                assert_eq!(d.settle(0), 1000, "threads {threads} seed {seed}");
+                assert_eq!(d.settle(0, 1 << 20), (1 << 17, 125), "seed {seed}");
+                assert_eq!(d.dist(0), 1000, "threads {threads} seed {seed}");
             }
         }
     }
@@ -535,10 +545,11 @@ mod tests {
         assert_eq!(d.relax(1, 10), None, "a longer one neither");
         assert_eq!(*d.words[1].get_mut(), 9 | VISITED);
         assert_eq!(d.bucket(1), 2, "D masks the visited bit");
-        assert_eq!(d.settle(1), 9);
+        assert_eq!(d.settle(1, DIST), (NULL_BKT, 2));
         assert_eq!(*d.words[1].get_mut(), 9);
         assert_eq!(d.relax(1, 7), Some(9), "the next round elects again");
-        assert_eq!(d.settle(1), 7);
+        assert_eq!(d.settle(1, 9), (2, 1));
+        assert_eq!(d.dist(1), 7);
         assert_eq!(d.bucket(0), NULL_BKT);
         assert_eq!(d.into_dists(), vec![INF, 7, 0]);
     }
@@ -548,11 +559,12 @@ mod tests {
         // The longest shortest path on the largest accepted graph.
         let worst = (MAX_VERTICES as u64 - 1) * u32::MAX as u64;
         assert!(worst < DIST);
-        assert!(check_vertex_count(MAX_VERTICES).is_ok());
+        assert!(check_input(MAX_VERTICES, 1).is_ok());
         assert!(matches!(
-            check_vertex_count(MAX_VERTICES + 1),
+            check_input(MAX_VERTICES + 1, 1),
             Err(Error::Input(_))
         ));
+        assert!(check_input(1, 0).unwrap_err().is_usage());
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! [`Buckets`]: julienne::bucket::Buckets
 //! [`sssp`]: crate::delta_stepping::sssp
 
-use crate::delta_stepping::{check_vertex_count, DeltaResult, Dists};
+use crate::delta_stepping::{check_input, DeltaResult, Dists};
 use julienne::bucket::{BucketDest, Bucketing, Order};
 use julienne::query::QueryCtx;
 use julienne::Error;
@@ -75,15 +75,12 @@ pub fn sssp_multi<G: OutEdges<W = u32>>(
     delta: u64,
     lanes: &[SsspLane<'_>],
 ) -> Result<Vec<Result<DeltaResult, Error>>, Error> {
-    if delta == 0 {
-        return Err(Error::usage("delta must be >= 1"));
-    }
+    let n = g.num_vertices();
+    check_input(n, delta)?;
     let lcount = lanes.len();
     if lcount == 0 {
         return Ok(Vec::new());
     }
-    let n = g.num_vertices();
-    check_vertex_count(n)?;
     let total = lcount
         .checked_mul(n)
         .filter(|&t| t <= MAX_IDS)
@@ -197,11 +194,8 @@ pub fn sssp_multi<G: OutEdges<W = u32>>(
         let entries: Vec<(u32, BucketDest)> = moved
             .par_iter()
             .map(|&(tid, od)| {
-                let nd = sp.settle(tid as usize);
-                (
-                    tid,
-                    buckets.get_bucket(tid, sp.bucket_of(od), sp.bucket_of(nd)),
-                )
+                let (prev, next) = sp.settle(tid as usize, od);
+                (tid, buckets.get_bucket(tid, prev, next))
             })
             .collect();
         for &(tid, _) in &entries {

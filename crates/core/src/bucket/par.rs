@@ -61,6 +61,9 @@ pub struct Buckets<D> {
     open: Vec<Vec<Identifier>>,
     /// The overflow bucket.
     overflow: Vec<Identifier>,
+    /// Empty buffers of open buckets the cursor has passed, kept with their
+    /// capacity for the next bucket that fills from nothing.
+    spare: Vec<Vec<Identifier>>,
     stats: BucketStats,
     telemetry: Telemetry,
 }
@@ -159,6 +162,7 @@ impl<D: Fn(Identifier) -> BucketId + Sync> BucketsBuilder<D> {
             cur_local: 0,
             open: (0..num_open).map(|_| Vec::new()).collect(),
             overflow: Vec::new(),
+            spare: Vec::new(),
             stats: BucketStats::default(),
             telemetry,
         };
@@ -246,7 +250,16 @@ impl<D: Fn(Identifier) -> BucketId + Sync> Buckets<D> {
             let mut inserted = 0;
             for &(i, dest) in moves {
                 if !dest.is_null() {
-                    self.slot_mut(dest.0 as usize).push(i);
+                    let slot = dest.0 as usize;
+                    let b = if slot == self.num_open {
+                        &mut self.overflow
+                    } else {
+                        &mut self.open[slot]
+                    };
+                    if b.capacity() == 0 {
+                        *b = self.spare.pop().unwrap_or_default();
+                    }
+                    b.push(i);
                     inserted += 1;
                 }
             }
@@ -296,7 +309,7 @@ impl<D: Fn(Identifier) -> BucketId + Sync> Buckets<D> {
         }
         self.stats.overflow_redistributions += 1;
         self.telemetry.incr(Counter::OverflowRedistributions);
-        let over = std::mem::take(&mut self.overflow);
+        let mut over = std::mem::take(&mut self.overflow);
         let window_end = (self.cur_range + 1) * self.num_open as u64;
         let d = &self.d;
         let order = self.order;
@@ -321,6 +334,9 @@ impl<D: Fn(Identifier) -> BucketId + Sync> Buckets<D> {
             }
             Some((i, key))
         });
+        // The overflow bucket keeps its buffer for the next window's arrivals.
+        over.clear();
+        self.overflow = over;
         if keyed.is_empty() {
             return false;
         }
@@ -374,34 +390,69 @@ impl<D: Fn(Identifier) -> BucketId + Sync> Buckets<D> {
     /// extracted), returns them without advancing the cursor; otherwise
     /// returns `None` (cursor unchanged).
     ///
-    /// `next_bucket` is built on this; the only outside caller is the
-    /// light/heavy edge optimization of Δ-stepping (Section 4.2), which
-    /// must finish relaxing light edges inside the current annulus before
-    /// the heavy relaxations may repopulate *earlier* open buckets than the
-    /// next non-empty one.
+    /// The only outside caller is the light/heavy edge optimization of
+    /// Δ-stepping (Section 4.2), which must finish relaxing light edges
+    /// inside the current annulus before the heavy relaxations may
+    /// repopulate *earlier* open buckets than the next non-empty one.
     pub fn try_next_in_current(&mut self) -> Option<Vec<Identifier>> {
-        if self.cur_local >= self.num_open || self.open[self.cur_local].is_empty() {
-            return None;
+        let mut ids = Vec::new();
+        self.take_current(&mut ids).then_some(ids)
+    }
+
+    /// [`next_bucket`](Bucketing::next_bucket) into a frontier buffer the
+    /// caller keeps across rounds: `ids` is refilled with the next
+    /// non-empty bucket's live identifiers (emptied when there is none) and
+    /// that bucket's slot keeps `ids`' previous buffer, so a steady-state
+    /// extraction allocates nothing and a reinsertion into the current
+    /// bucket lands in capacity that is already there.
+    pub fn next_bucket_into(&mut self, ids: &mut Vec<Identifier>) -> Option<BucketId> {
+        loop {
+            while self.cur_local < self.num_open {
+                if self.take_current(ids) {
+                    return Some(self.bucket_of_key(self.cur_key()));
+                }
+                // The cursor leaves this slot for the rest of the window.
+                let passed = std::mem::take(&mut self.open[self.cur_local]);
+                if passed.capacity() > 0 {
+                    self.spare.push(passed);
+                }
+                self.cur_local += 1;
+            }
+            if !self.redistribute_overflow() {
+                ids.clear();
+                return None;
+            }
         }
-        let mut live = std::mem::take(&mut self.open[self.cur_local]);
+    }
+
+    /// Swaps the current bucket's buffer with `ids` (whose contents are
+    /// dropped) and filters it down to the live identifiers. Returns
+    /// whether any are live; the cursor does not move.
+    fn take_current(&mut self, ids: &mut Vec<Identifier>) -> bool {
+        if self.cur_local >= self.num_open || self.open[self.cur_local].is_empty() {
+            return false;
+        }
+        ids.clear();
+        std::mem::swap(ids, &mut self.open[self.cur_local]);
         let bkt = self.bucket_of_key(self.cur_key());
         let d = &self.d;
-        // One chunk filters sequentially anyway: keep the taken buffer
-        // instead of allocating a second one (order is preserved either way).
-        if num_chunks(live.len()) <= 1 {
-            live.retain(|&i| d(i) == bkt);
+        // One chunk filters sequentially anyway: filter in place instead of
+        // allocating a second buffer (order is preserved either way).
+        if num_chunks(ids.len()) <= 1 {
+            ids.retain(|&i| d(i) == bkt);
         } else {
-            live = filter_map(&live, |&i| if d(i) == bkt { Some(i) } else { None });
+            let live = filter_map(ids, |&i| if d(i) == bkt { Some(i) } else { None });
+            *ids = live;
         }
-        if live.is_empty() {
-            return None;
+        if ids.is_empty() {
+            return false;
         }
-        self.stats.identifiers_extracted += live.len() as u64;
+        self.stats.identifiers_extracted += ids.len() as u64;
         self.stats.buckets_extracted += 1;
         self.telemetry
-            .add(Counter::IdentifiersExtracted, live.len() as u64);
+            .add(Counter::IdentifiersExtracted, ids.len() as u64);
         self.telemetry.incr(Counter::BucketsExtracted);
-        Some(live)
+        true
     }
 }
 
@@ -464,17 +515,9 @@ impl<D: Fn(Identifier) -> BucketId + Sync> Bucketing for Buckets<D> {
     /// same bucket id can be returned again if identifiers were reinserted
     /// into `cur`.
     fn next_bucket(&mut self) -> Option<(BucketId, Vec<Identifier>)> {
-        loop {
-            while self.cur_local < self.num_open {
-                if let Some(live) = self.try_next_in_current() {
-                    return Some((self.bucket_of_key(self.cur_key()), live));
-                }
-                self.cur_local += 1;
-            }
-            if !self.redistribute_overflow() {
-                return None;
-            }
-        }
+        let mut ids = Vec::new();
+        let bkt = self.next_bucket_into(&mut ids)?;
+        Some((bkt, ids))
     }
 
     /// The operation counters accumulated so far.
@@ -624,6 +667,43 @@ mod tests {
         // Bucket 5 is not the current one: only next_bucket reaches it.
         assert!(b.try_next_in_current().is_none());
         assert_eq!(b.next_bucket().unwrap(), (5, vec![2]));
+    }
+
+    #[test]
+    fn extraction_and_passed_buckets_keep_their_buffers() {
+        let d = atomic_d(&[0, 0, 1, NULL_BKT]);
+        let mut b = BucketsBuilder::new(
+            4,
+            |i| d[i as usize].load(Ordering::Relaxed),
+            Order::Increasing,
+        )
+        .open_buckets(4)
+        .build();
+        let reinsert = |b: &mut Buckets<_>, bkt| {
+            d[3].store(bkt, Ordering::Relaxed);
+            let dest = b.get_bucket(3, NULL_BKT, bkt);
+            b.update_buckets(&[(3, dest)]);
+        };
+        let mut ids = Vec::with_capacity(64);
+        assert_eq!(b.next_bucket_into(&mut ids), Some(0));
+        assert_eq!(ids, [0, 1]);
+        assert_eq!(b.open[0].capacity(), 64, "the slot holds the old frontier");
+        reinsert(&mut b, 0);
+        assert_eq!(b.next_bucket_into(&mut ids), Some(0));
+        assert_eq!((ids.as_slice(), ids.capacity()), (&[3][..], 64));
+        // Leaving bucket 0 makes its buffer a spare ...
+        assert_eq!(b.next_bucket_into(&mut ids), Some(1));
+        assert_eq!(ids, [2]);
+        assert_eq!((b.open[0].capacity(), b.spare.len()), (0, 1));
+        // ... which the next bucket to fill from nothing takes.
+        reinsert(&mut b, 3);
+        assert!(b.spare.is_empty());
+        assert!(b.open[3].capacity() > 0);
+        assert_eq!(b.next_bucket_into(&mut ids), Some(3));
+        assert_eq!(ids, [3]);
+        assert_eq!(b.next_bucket_into(&mut ids), None);
+        assert!(ids.is_empty());
+        assert_eq!(b.stats().identifiers_extracted, 5);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::subset::{VertexSubset, VertexSubsetData};
 use crate::traits::{GraphRef, OutEdges};
 use julienne_graph::VertexId;
 use julienne_primitives::bitset::AtomicBitSet;
-use julienne_primitives::filter::flatten;
+use julienne_primitives::filter::flatten_into;
 use julienne_primitives::scan::prefix_sums;
 use julienne_primitives::telemetry::{Counter, Telemetry};
 use rayon::prelude::*;
@@ -139,7 +139,8 @@ impl<'g, G: OutEdges> EdgeMap<'g, G> {
     {
         let n = self.g.num_vertices();
         let dedup = self.remove_duplicates.then(|| AtomicBitSet::new(n));
-        let (hits, scanned) = sparse_blocked(self.g, frontier_ids, |_, u, v, w, hits| {
+        let mut hits = Vec::new();
+        let scanned = sparse_blocked(self.g, frontier_ids, &mut hits, |_, u, v, w, hits| {
             if cond(v) && update(u, v, w) && dedup.as_ref().is_none_or(|bs| bs.set(v as usize)) {
                 hits.push(v);
             }
@@ -172,24 +173,28 @@ impl<'g, G: OutEdges> EdgeMap<'g, G> {
                 None
             }
         };
-        self.run_sparse_at(frontier_ids, at).0
+        let mut hits = Vec::new();
+        self.run_sparse_at(frontier_ids, &mut hits, at);
+        VertexSubsetData::from_entries(self.g.num_vertices(), hits)
     }
 
     /// Sparse (push) data-carrying traversal that hands `update(i, v, w)`
     /// the frontier *position* `i` of the edge's source (`frontier_ids[i]`),
     /// so per-source state can ride in an array beside the frontier.
-    /// Returns the hits and the edges scanned (the frontier's out-degree
-    /// sum).
+    /// Replaces `hits`' contents with the `(v, t)` hits, keeping its buffer
+    /// (a round loop passes the same one every round), and returns the edges
+    /// scanned (the frontier's out-degree sum).
     pub fn run_sparse_at<T, Fu>(
         &self,
         frontier_ids: &[VertexId],
+        hits: &mut Vec<(VertexId, T)>,
         update: Fu,
-    ) -> (VertexSubsetData<T>, u64)
+    ) -> u64
     where
         T: Copy + Send + Sync,
         Fu: Fn(usize, VertexId, G::W) -> Option<T> + Send + Sync,
     {
-        let (hits, scanned) = sparse_blocked(self.g, frontier_ids, |i, _, v, w, hits| {
+        let scanned = sparse_blocked(self.g, frontier_ids, hits, |i, _, v, w, hits| {
             if let Some(t) = update(i, v, w) {
                 hits.push((v, t));
             }
@@ -200,10 +205,7 @@ impl<'g, G: OutEdges> EdgeMap<'g, G> {
             scanned,
             hits.len(),
         );
-        (
-            VertexSubsetData::from_entries(self.g.num_vertices(), hits),
-            scanned,
-        )
+        scanned
     }
 }
 
@@ -256,23 +258,46 @@ const BLOCK_EDGES: usize = 4096;
 /// The sparse (push) driver behind every frontier-out traversal in this
 /// crate: applies `visit(i, u, v, w, hits)` to each out-edge of
 /// `u = frontier_ids[i]`, `hits` being the buffer `visit` appends its
-/// results to, and returns what was appended in (frontier position, edge
-/// position) order, plus the edges scanned. How a result is appended is the caller's: behind a branch when
-/// hits are rare, without one when they are a coin flip per edge.
+/// results to. On return `out` holds what was appended, in (frontier
+/// position, edge position) order, in `out`'s own buffer; the edges scanned
+/// are returned. How a result is appended is the caller's: behind a branch
+/// when hits are rare, without one when they are a coin flip per edge.
 ///
-/// The frontier's degree prefix sums are cut into blocks of about
-/// [`BLOCK_EDGES`] edges. A block owns every *unit* whose first edge falls
-/// in its range, a unit being a whole out-list or — for a list longer than
-/// twice the backend's [`OutEdges::out_chunk_edges`] — one chunk of it, so a
-/// hub spreads over many blocks. Each block appends its hits to its own
-/// buffer and the buffers are concatenated in block order: memory written
-/// is proportional to the hits, not to the edges scanned.
-pub(crate) fn sparse_blocked<G, T, F>(g: &G, frontier_ids: &[VertexId], visit: F) -> (Vec<T>, u64)
+/// A frontier of at most [`BLOCK_EDGES`] edges — every round of a
+/// many-small-rounds run — is one block: it is walked inline straight into
+/// `out`, and needs only its degree total. A larger one has its degree
+/// prefix sums cut into blocks of about [`BLOCK_EDGES`] edges. A block owns
+/// every *unit* whose first edge falls in its range, a unit being a whole
+/// out-list or — for a list longer than twice the backend's
+/// [`OutEdges::out_chunk_edges`] — one chunk of it, so a hub spreads over
+/// many blocks. Each block appends its hits to its own buffer and the
+/// buffers are concatenated into `out` in block order: memory written is
+/// proportional to the hits, not to the edges scanned.
+pub(crate) fn sparse_blocked<G, T, F>(
+    g: &G,
+    frontier_ids: &[VertexId],
+    out: &mut Vec<T>,
+    visit: F,
+) -> u64
 where
     G: OutEdges,
     T: Copy + Send + Sync,
     F: Fn(usize, VertexId, VertexId, G::W, &mut Vec<T>) + Send + Sync,
 {
+    let mut total = 0;
+    let one_block = frontier_ids.iter().all(|&u| {
+        total += g.out_degree(u);
+        total <= BLOCK_EDGES
+    });
+    if one_block {
+        // Whole lists in frontier order: the same edges, in the same order,
+        // as one block's walk over the units below.
+        out.clear();
+        for (i, &u) in frontier_ids.iter().enumerate() {
+            g.for_each_out(u, |v, w| visit(i, u, v, w, out));
+        }
+        return total as u64;
+    }
     let mut offsets: Vec<usize> = frontier_ids.par_iter().map(|&u| g.out_degree(u)).collect();
     let total = prefix_sums(&mut offsets);
     let split = g.out_chunk_edges();
@@ -298,16 +323,12 @@ where
         }
         hits
     };
-    let hits = if total <= BLOCK_EDGES {
-        scan_block(0, total)
-    } else {
-        let blocks: Vec<Vec<T>> = (0..total.div_ceil(BLOCK_EDGES))
-            .into_par_iter()
-            .map(|b| scan_block(b * BLOCK_EDGES, ((b + 1) * BLOCK_EDGES).min(total)))
-            .collect();
-        flatten(&blocks)
-    };
-    (hits, total as u64)
+    let blocks: Vec<Vec<T>> = (0..total.div_ceil(BLOCK_EDGES))
+        .into_par_iter()
+        .map(|b| scan_block(b * BLOCK_EDGES, ((b + 1) * BLOCK_EDGES).min(total)))
+        .collect();
+    flatten_into(&blocks, out);
+    total as u64
 }
 
 /// Dense pull kernel; returns the new frontier and the in-edges examined

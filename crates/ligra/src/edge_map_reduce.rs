@@ -47,7 +47,8 @@ where
     let n = g.num_vertices();
     // `(target, M(u,v,w))` for every edge out of the frontier whose target
     // satisfies `cond`.
-    let (mut pairs, _) = sparse_blocked(g, frontier_ids, |_, u, v, w, pairs| {
+    let mut pairs = Vec::new();
+    sparse_blocked(g, frontier_ids, &mut pairs, |_, u, v, w, pairs| {
         if cond(v) {
             pairs.push((v, map(u, v, w)));
         }
@@ -121,7 +122,8 @@ where
     debug_assert_eq!(scratch.counts.len(), n);
     // In a peel `cond` is a coin flip per edge, so the append must not branch
     // on it: write the slot, keep it iff live.
-    let (mut live, _) = sparse_blocked(g, frontier_ids, |_, _, v, _, live| {
+    let mut live = Vec::new();
+    sparse_blocked(g, frontier_ids, &mut live, |_, _, v, _, live| {
         live.push(v);
         live.truncate(live.len() - usize::from(!cond(v)));
     });

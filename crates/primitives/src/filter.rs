@@ -47,14 +47,45 @@ where
         })
         .collect();
 
-    flatten(&buffers)
+    let mut out = Vec::new();
+    flatten_into(&buffers, &mut out);
+    out
 }
 
-/// Concatenates per-chunk buffers, in chunk order, at scanned offsets.
-pub fn flatten<U: Copy + Send + Sync>(buffers: &[Vec<U>]) -> Vec<U> {
+/// Refills `out` with `f(x)` for every `x` of `xs`, in input order, keeping
+/// `out`'s buffer: a loop that calls this every round allocates only when
+/// `out` must grow. `f` is invoked exactly once per element; one chunk runs
+/// inline, more run in parallel.
+pub fn map_into<T, U, F>(xs: &[T], out: &mut Vec<U>, f: F)
+where
+    T: Sync,
+    U: Copy + Send + Sync,
+    F: Fn(&T) -> U + Send + Sync,
+{
+    out.clear();
+    if num_chunks(xs.len()) <= 1 {
+        out.extend(xs.iter().map(f));
+        return;
+    }
+    out.reserve_exact(xs.len());
+    {
+        let writer = DisjointWriter::new(out.spare_capacity_mut());
+        xs.par_iter().enumerate().for_each(|(k, x)| {
+            // SAFETY: each position of `xs` is written once, by its own item.
+            unsafe { writer.write(k, std::mem::MaybeUninit::new(f(x))) };
+        });
+    }
+    // SAFETY: exactly `xs.len()` slots were initialised above.
+    unsafe { out.set_len(xs.len()) };
+}
+
+/// Replaces `out`'s contents with the per-chunk buffers, in chunk order,
+/// scattered in parallel at scanned offsets; `out` keeps its buffer.
+pub fn flatten_into<U: Copy + Send + Sync>(buffers: &[Vec<U>], out: &mut Vec<U>) {
     let mut counts: Vec<usize> = buffers.iter().map(Vec::len).collect();
     let total = prefix_sums(&mut counts);
-    let mut out: Vec<U> = Vec::with_capacity(total);
+    out.clear();
+    out.reserve_exact(total);
     {
         let writer = DisjointWriter::new(out.spare_capacity_mut());
         buffers
@@ -70,7 +101,6 @@ pub fn flatten<U: Copy + Send + Sync>(buffers: &[Vec<U>]) -> Vec<U> {
     }
     // SAFETY: exactly `total` slots were initialised by the scatter.
     unsafe { out.set_len(total) };
-    out
 }
 
 /// Returns the indices `i in 0..n` for which `pred(i)` holds (the PBBS
@@ -165,6 +195,19 @@ mod tests {
         });
         assert_eq!(got.len(), n / 2);
         assert!(calls.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn map_into_refills_in_order_and_keeps_the_buffer() {
+        let mut out = vec![7u64; 3];
+        for n in [0usize, 5, 2048, 50_000, 10] {
+            let xs: Vec<u32> = (0..n as u32).collect();
+            let cap = out.capacity();
+            map_into(&xs, &mut out, |&x| x as u64 * 3);
+            let want: Vec<u64> = xs.iter().map(|&x| x as u64 * 3).collect();
+            assert_eq!(out, want, "n={n}");
+            assert!(out.capacity() >= cap, "n={n}: the buffer shrank");
+        }
     }
 
     #[test]

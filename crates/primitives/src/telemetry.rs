@@ -22,6 +22,8 @@
 //!
 //! [`Engine`]: https://docs.rs/julienne (re-exported as `julienne::telemetry`)
 
+use std::fmt::Write;
+
 /// Monotone event counters maintained by the framework.
 ///
 /// The discriminants index a fixed atomic array, so `add` is a single
@@ -113,6 +115,47 @@ impl TraversalKind {
     }
 }
 
+/// The phases of a bucketed round, in loop order, that [`Span::lap`] times.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(usize)]
+pub enum Phase {
+    /// `next_bucket`: extracting the round's frontier.
+    NextBucket = 0,
+    /// The walk over the frontier before the traversal.
+    Walk,
+    /// The edgeMap traversal.
+    EdgeMap,
+    /// The vertex map over the traversal's output (Δ-stepping's Reset).
+    Reset,
+    /// `update_buckets`.
+    UpdateBuckets,
+}
+
+impl Phase {
+    /// Number of phases (array size).
+    pub const COUNT: usize = 5;
+
+    /// All phases, in discriminant order.
+    pub const ALL: [Phase; Phase::COUNT] = [
+        Phase::NextBucket,
+        Phase::Walk,
+        Phase::EdgeMap,
+        Phase::Reset,
+        Phase::UpdateBuckets,
+    ];
+
+    /// snake_case name used as the JSON key.
+    pub fn name(self) -> &'static str {
+        match self {
+            Phase::NextBucket => "next_bucket",
+            Phase::Walk => "walk",
+            Phase::EdgeMap => "edge_map",
+            Phase::Reset => "reset",
+            Phase::UpdateBuckets => "update_buckets",
+        }
+    }
+}
+
 /// One row of a per-round trace: everything Figures 1–2 and Table 3 of the
 /// paper need to explain a run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -131,19 +174,23 @@ pub struct RoundRecord {
     pub mode: TraversalKind,
     /// Wall-clock time for the round, microseconds.
     pub elapsed_us: u64,
+    /// Wall-clock time per [`Phase`], nanoseconds, in [`Phase::ALL`] order;
+    /// `None` unless the loop timed its phases with [`Span::lap`].
+    pub phase_ns: Option<[u64; Phase::COUNT]>,
 }
 
 impl RoundRecord {
-    /// Renders the record as one JSON object.
+    /// Renders the record as one JSON object; `"phase_ns"` appears only on
+    /// a record that has phase times.
     pub fn to_json(&self) -> String {
         let bucket: i64 = if self.bucket == u32::MAX {
             -1
         } else {
             self.bucket as i64
         };
-        format!(
+        let mut out = format!(
             "{{\"round\":{},\"bucket\":{},\"frontier\":{},\"edges_scanned\":{},\
-             \"edges_relaxed\":{},\"mode\":\"{}\",\"elapsed_us\":{}}}",
+             \"edges_relaxed\":{},\"mode\":\"{}\",\"elapsed_us\":{}",
             self.round,
             bucket,
             self.frontier,
@@ -151,7 +198,16 @@ impl RoundRecord {
             self.edges_relaxed,
             self.mode.as_str(),
             self.elapsed_us
-        )
+        );
+        if let Some(ns) = &self.phase_ns {
+            for (k, p) in Phase::ALL.iter().enumerate() {
+                let open = if k == 0 { ",\"phase_ns\":{" } else { "," };
+                let _ = write!(out, "{open}\"{}\":{}", p.name(), ns[k]);
+            }
+            out.push('}');
+        }
+        out.push('}');
+        out
     }
 }
 
@@ -210,7 +266,7 @@ impl TelemetrySnapshot {
 
 #[cfg(feature = "telemetry")]
 mod imp {
-    use super::{Counter, RoundRecord, TelemetrySnapshot, TraversalKind};
+    use super::{Counter, Phase, RoundRecord, TelemetrySnapshot, TraversalKind};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Arc, Mutex};
     use std::time::Instant;
@@ -278,7 +334,8 @@ mod imp {
 
         /// Closes one round of a bucketed algorithm's loop: counts it and,
         /// when recording, appends its trace record (a sparse traversal
-        /// timed by `span`, started at the top of the round).
+        /// timed by `span`, started at the top of the round, with the phase
+        /// times `span` lapped).
         pub fn finish_round(
             &self,
             span: Span,
@@ -298,6 +355,7 @@ mod imp {
                     edges_relaxed,
                     mode: TraversalKind::Sparse,
                     elapsed_us: span.elapsed_us(),
+                    phase_ns: span.clock.and_then(|c| c.laps),
                 });
             }
         }
@@ -313,7 +371,14 @@ mod imp {
         #[inline]
         pub fn span(&self) -> Span {
             Span {
-                start: self.inner.as_ref().map(|_| Instant::now()),
+                clock: self.inner.as_ref().map(|_| {
+                    let now = Instant::now();
+                    Clock {
+                        start: now,
+                        mark: now,
+                        laps: None,
+                    }
+                }),
             }
         }
 
@@ -339,23 +404,48 @@ mod imp {
         }
     }
 
-    /// A started wall-clock measurement; query with [`Span::elapsed_us`].
+    /// A started wall-clock measurement; query with [`Span::elapsed_us`],
+    /// split into phases with [`Span::lap`].
     pub struct Span {
-        start: Option<Instant>,
+        clock: Option<Clock>,
+    }
+
+    #[derive(Clone, Copy)]
+    struct Clock {
+        start: Instant,
+        /// End of the last lap (the start until the first one).
+        mark: Instant,
+        laps: Option<[u64; Phase::COUNT]>,
     }
 
     impl Span {
         /// Microseconds since the span started (0 for disabled sinks).
         #[inline]
         pub fn elapsed_us(&self) -> u64 {
-            self.start.map_or(0, |s| s.elapsed().as_micros() as u64)
+            self.clock
+                .map_or(0, |c| c.start.elapsed().as_micros() as u64)
+        }
+
+        /// Charges the time since the previous lap (or the span's start) to
+        /// `phase` and passes `value` through, so a phase is timed by
+        /// wrapping the expression that runs it. Reads the clock only on a
+        /// recording sink.
+        #[inline]
+        pub fn lap<T>(&mut self, phase: Phase, value: T) -> T {
+            if let Some(c) = &mut self.clock {
+                let now = Instant::now();
+                let laps = c.laps.get_or_insert([0; Phase::COUNT]);
+                laps[phase as usize] += now.duration_since(c.mark).as_nanos() as u64;
+                c.mark = now;
+            }
+            value
         }
     }
 }
 
 #[cfg(not(feature = "telemetry"))]
 mod imp {
-    use super::{Counter, RoundRecord, TelemetrySnapshot};
+    use super::{Counter, Phase, RoundRecord, TelemetrySnapshot};
 
     /// Zero-sized no-op telemetry sink (the `telemetry` feature is off).
     ///
@@ -449,6 +539,12 @@ mod imp {
         pub fn elapsed_us(&self) -> u64 {
             0
         }
+
+        /// Passes `value` through; nothing is timed in this build.
+        #[inline(always)]
+        pub fn lap<T>(&mut self, _phase: Phase, value: T) -> T {
+            value
+        }
     }
 }
 
@@ -501,6 +597,7 @@ mod tests {
                 edges_relaxed: 7,
                 mode: TraversalKind::Sparse,
                 elapsed_us: 5,
+                phase_ns: None,
             });
         }
         let rounds = t.rounds();
@@ -522,6 +619,7 @@ mod tests {
             edges_relaxed: 2,
             mode: TraversalKind::Dense,
             elapsed_us: 11,
+            phase_ns: None,
         });
         let json = t.snapshot().to_json("k-core");
         assert!(json.starts_with("{\"algorithm\":\"k-core\""));
@@ -544,6 +642,32 @@ mod tests {
         // Not asserting a lower bound (clock granularity); just that the
         // call is well-formed in both feature shapes.
         let _ = span.elapsed_us();
+    }
+
+    #[test]
+    fn laps_pass_values_through_and_reach_only_lapped_records() {
+        let mut off = Telemetry::disabled().span();
+        assert_eq!(off.lap(Phase::Walk, 7), 7);
+
+        let t = Telemetry::enabled();
+        t.finish_round(t.span(), 0, 3, 1, 2, 1);
+        let mut span = t.span();
+        assert_eq!(span.lap(Phase::NextBucket, Some(4)), Some(4));
+        span.lap(Phase::EdgeMap, ());
+        span.lap(Phase::EdgeMap, ());
+        t.finish_round(span, 1, 4, 1, 2, 1);
+        let json = t.snapshot().to_json("sssp");
+        #[cfg(feature = "telemetry")]
+        {
+            let rounds = t.rounds();
+            assert_eq!(rounds[0].phase_ns, None, "no laps, no phase times");
+            assert!(rounds[1].phase_ns.is_some());
+            assert_eq!(json.matches("\"phase_ns\"").count(), 1, "{json}");
+            assert!(json.contains("\"phase_ns\":{\"next_bucket\":"));
+            assert!(json.contains(",\"update_buckets\":0}}"), "{json}");
+        }
+        #[cfg(not(feature = "telemetry"))]
+        assert!(!json.contains("phase_ns"));
     }
 
     #[test]

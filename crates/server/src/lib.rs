@@ -2,8 +2,10 @@
 //!
 //! The server owns a [`Session`] over an immutable [`GraphStore`] (either
 //! backend) and answers line-delimited JSON requests on a local TCP
-//! socket. Every request line is one JSON object; every response is one
-//! JSON object on one line. Three request shapes exist:
+//! socket. Every request line is one JSON object of at most
+//! [`MAX_REQUEST_BYTES`] (a longer line is refused with code `parse` and
+//! its connection closed); every response is one JSON object on one line.
+//! Three request shapes exist:
 //!
 //! * **Query** — `{"id": "q1", "algo": "kcore", "params": {"top": "5"},
 //!   "timeout_ms": 250, "stats": false}`. Runs the algorithm through the
@@ -48,10 +50,10 @@ use julienne_algorithms::registry::GraphStore;
 use scheduler::Scheduler;
 pub use scheduler::{SchedPolicy, SchedulerConfig};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 
 /// State every connection shares with the accept loop: the stop flag, a
@@ -196,19 +198,44 @@ impl Server {
     }
 }
 
+/// Longest request line the server reads, newline excluded. A longer line
+/// is answered with a `parse` error and its connection is closed, so no
+/// client can make a connection buffer more than this.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
+
 fn handle_connection(stream: TcpStream, scheduler: &Arc<Scheduler>, shared: &Arc<Shared>) {
-    let reader = match stream.try_clone() {
+    let mut reader = match stream.try_clone() {
         Ok(s) => BufReader::new(s),
         Err(_) => return,
     };
     let writer = Arc::new(Mutex::new(stream));
 
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // One byte past the cap tells an over-long line from one that fits.
+        let limit = MAX_REQUEST_BYTES as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+        } else if buf.len() > MAX_REQUEST_BYTES {
+            let message = format!("request line longer than {MAX_REQUEST_BYTES} bytes");
+            respond(&writer, error_response(None, "parse", &message));
+            // A poisoned lock still guards a usable socket.
+            let stream = writer.lock().unwrap_or_else(PoisonError::into_inner);
+            let _ = stream.shutdown(Shutdown::Both);
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            break;
+        };
         if line.trim().is_empty() {
             continue;
         }
-        let request = match Json::parse(&line) {
+        let request = match Json::parse(line) {
             Ok(v) => v,
             Err(msg) => {
                 respond(

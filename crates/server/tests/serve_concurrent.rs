@@ -8,7 +8,7 @@ use julienne_graph::generators::{rmat, RmatParams};
 use julienne_graph::transform::assign_weights;
 use julienne_server::json::Json;
 use julienne_server::{
-    query_request, Client, SchedPolicy, SchedulerConfig, Server, ShutdownHandle,
+    query_request, Client, SchedPolicy, SchedulerConfig, Server, ShutdownHandle, MAX_REQUEST_BYTES,
 };
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -374,6 +374,58 @@ fn reply_bytes_are_golden() {
         exchange(&[r#"{"id":"g5","algo":"kcore","params":{"top":"3"}}"#]),
         [format!(r#"{{"id":"g5","ok":true,"output":{kcore},"cached":true}}"#) + "\n"]
     );
+
+    handle.stop();
+    join.join().unwrap();
+}
+
+#[test]
+fn an_over_long_request_line_is_refused_and_the_server_keeps_serving() {
+    let (addr, join, handle) = start(Backend::Csr);
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    // A server that kept reading would never answer a line of blanks.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    // Twice the cap before the newline. The server stops reading one byte
+    // past the cap, so the tail of this write may fail once it has closed.
+    let sender = thread::spawn(move || {
+        let mut line = vec![b' '; 2 * MAX_REQUEST_BYTES];
+        line.push(b'\n');
+        let _ = stream.write_all(&line);
+    });
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    let resp = Json::parse(reply.trim()).unwrap();
+    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(
+        resp.get("error").unwrap().get("code").unwrap().as_str(),
+        Some("parse"),
+        "{reply}"
+    );
+    // The connection is closed after the refusal (reset, when the server's
+    // unread input was still queued), not left open.
+    let mut rest = String::new();
+    match reader.read_line(&mut rest) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("connection still open: {other:?} {rest:?}"),
+    }
+    sender.join().unwrap();
+
+    // A fresh connection is served as before.
+    let mut client = Client::connect(&addr).unwrap();
+    let resp = client
+        .roundtrip(&query_request(
+            "after",
+            "kcore",
+            &[("top", "3")],
+            None,
+            false,
+        ))
+        .unwrap();
+    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
 
     handle.stop();
     join.join().unwrap();

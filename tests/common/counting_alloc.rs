@@ -10,6 +10,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Bytes requested from the allocator so far, by every thread.
 static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
+/// Allocator calls (`alloc` and `realloc`) so far, by every thread.
+static CALLS: AtomicUsize = AtomicUsize::new(0);
 
 struct Counting;
 
@@ -18,6 +20,7 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATED.fetch_add(layout.size(), Ordering::Relaxed);
+        CALLS.fetch_add(1, Ordering::Relaxed);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -25,6 +28,7 @@ unsafe impl GlobalAlloc for Counting {
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATED.fetch_add(new_size, Ordering::Relaxed);
+        CALLS.fetch_add(1, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -34,8 +38,18 @@ static GLOBAL: Counting = Counting;
 
 /// Runs `f` and returns its result with the bytes allocated meanwhile by
 /// every thread of the process.
+#[allow(dead_code)] // each suite uses one of the two counts
 pub fn bytes_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let before = ALLOCATED.load(Ordering::Relaxed);
     let out = f();
     (out, ALLOCATED.load(Ordering::Relaxed) - before)
+}
+
+/// Runs `f` and returns its result with the allocator calls (`alloc` and
+/// `realloc`) made meanwhile by every thread of the process.
+#[allow(dead_code)] // each suite uses one of the two counts
+pub fn calls_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = CALLS.load(Ordering::Relaxed);
+    let out = f();
+    (out, CALLS.load(Ordering::Relaxed) - before)
 }
