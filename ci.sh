@@ -371,6 +371,11 @@ done
 # across rounds) on four workers and under the adversarial scheduler too.
 run env JULIENNE_NUM_THREADS=4 cargo test -q --test alloc_sssp_rounds
 run env JULIENNE_CHAOS_SEED=1 JULIENNE_NUM_THREADS=4 cargo test -q --test alloc_sssp_rounds
+# The sparse edgeMap driver: its inline and fanned-out walks keep the
+# sequential order, and its memory follows the hits, on four workers and
+# under the adversarial scheduler.
+run env JULIENNE_NUM_THREADS=4 cargo test -q --test proptest_sparse_blocked --test alloc_sparse_hub
+run env JULIENNE_CHAOS_SEED=1 JULIENNE_NUM_THREADS=4 cargo test -q --test proptest_sparse_blocked --test alloc_sparse_hub
 # The chunked compressed backend's split traversal paths (per-chunk sparse
 # tasks, dense heavy-vertex scan) under the adversarial scheduler: results
 # must stay bit-identical to CSR.

@@ -16,7 +16,7 @@
 
 use julienne::bucket::{Bucketing, Order};
 use julienne::query::QueryCtx;
-use julienne::telemetry::Counter;
+use julienne::telemetry::{Counter, Phase};
 use julienne::Error;
 use julienne_graph::VertexId;
 use julienne_ligra::edge_map_reduce::{edge_map_sum_with_scratch, SumScratch};
@@ -92,15 +92,16 @@ pub fn coreness<G: OutEdges>(
         // Round boundary: a cancelled/expired query unwinds here, dropping
         // the bucket structure and degree arrays with it.
         ctx.check()?;
-        let span = telemetry.span();
-        let (k, ids) = buckets
-            .next_bucket()
+        let mut span = telemetry.span();
+        let (k, ids) = span
+            .lap(Phase::NextBucket, buckets.next_bucket())
             .expect("bucket structure exhausted before all vertices finished");
         finished += ids.len();
         rounds += 1;
         vertices_scanned += ids.len() as u64;
         let round_edges = ids.par_iter().map(|&v| g.out_degree(v) as u64).sum::<u64>();
         edges_traversed += round_edges;
+        span.lap(Phase::Walk, ());
 
         // Update (Algorithm 1, lines 3–10): for each neighbor v of the
         // peeled set, subtract the number of removed edges, clamping at k,
@@ -114,11 +115,7 @@ pub fn coreness<G: OutEdges>(
                     let new_d = induced.saturating_sub(edges_removed).max(k);
                     degrees[v as usize].store(new_d, Ordering::Relaxed);
                     let dest = buckets.get_bucket(v, induced, new_d);
-                    if dest.is_null() {
-                        None
-                    } else {
-                        Some(dest)
-                    }
+                    (!dest.is_null()).then_some(dest)
                 } else {
                     None
                 }
@@ -126,8 +123,10 @@ pub fn coreness<G: OutEdges>(
             |v| degrees[v as usize].load(Ordering::Relaxed) > k,
             &scratch,
         );
+        span.lap(Phase::EdgeMap, ());
         let relaxed = moved.entries().len() as u64;
         buckets.update_buckets(moved.entries());
+        span.lap(Phase::UpdateBuckets, ());
         telemetry.add(Counter::VerticesScanned, ids.len() as u64);
         telemetry.add(Counter::EdgesScanned, round_edges);
         telemetry.add(Counter::EdgesRelaxed, relaxed);

@@ -53,6 +53,33 @@ fn adjacency_header_counts_beyond_the_file_exit_1_not_101() {
 }
 
 #[test]
+fn text_header_counts_and_ids_out_of_range_exit_1_not_101() {
+    // A vertex count beyond the 32-bit id space, and a DIMACS arc to a
+    // vertex the header does not have (it loaded, then panicked in BFS).
+    for (name, body, weighted) in [
+        ("huge-n.gr", "p sp 1152921504606846976 0\n", "true"),
+        ("oob.gr", "p sp 3 1\na 1 9 5\n", "true"),
+        ("huge-n.graph", "1152921504606846976 0\n", "false"),
+    ] {
+        let p = tmp(name);
+        std::fs::write(&p, body).unwrap();
+        let out = julienne(&[
+            "stats",
+            &format!("in={}", p.display()),
+            &format!("weighted={weighted}"),
+        ]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {err}");
+        assert!(
+            err.contains("error:") && err.contains(name),
+            "{name}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{name}: {err}");
+        std::fs::remove_file(p).ok();
+    }
+}
+
+#[test]
 fn a_reader_that_hangs_up_early_is_not_a_panic() {
     // All 8192 coreness lines (~160 KiB) cannot fit the 64 KiB pipe
     // buffer, so the write is still in flight when the pipe closes.

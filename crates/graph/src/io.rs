@@ -534,6 +534,9 @@ fn read_dimacs(path: &Path) -> Result<Csr<u32>, Error> {
                     .ok_or_else(|| bad("p line is missing the vertex count"))?
                     .parse()
                     .map_err(|_| bad("p line has a non-numeric vertex count"))?;
+                if n > VertexId::MAX as usize {
+                    return Err(bad("vertex count exceeds the 32-bit id space"));
+                }
             }
             Some("a") => {
                 let u: u32 = it
@@ -551,8 +554,8 @@ fn read_dimacs(path: &Path) -> Result<Csr<u32>, Error> {
                     .ok_or_else(|| bad("arc line is missing its weight"))?
                     .parse()
                     .map_err(|_| bad("arc weight is not a number"))?;
-                if u == 0 || v == 0 {
-                    return Err(bad("DIMACS ids are 1-indexed"));
+                if u == 0 || v == 0 || u as usize > n || v as usize > n {
+                    return Err(bad("DIMACS ids are 1-indexed and ≤ n"));
                 }
                 edges.push((u - 1, v - 1, w));
             }
@@ -621,6 +624,9 @@ fn read_metis<W: Weight>(path: &Path) -> Result<Csr<W>, Error> {
                 .ok_or_else(|| bad("header is missing the vertex count"))?
                 .parse()
                 .map_err(|_| bad("header vertex count is not a number"))?;
+            if n > VertexId::MAX as usize {
+                return Err(bad("vertex count exceeds the 32-bit id space"));
+            }
             let m_und: usize = hp
                 .next()
                 .ok_or_else(|| bad("header is missing the edge count"))?
@@ -920,11 +926,28 @@ mod tests {
             );
             std::fs::remove_file(p).ok();
         }
-        // DIMACS with 0-indexed ids must error.
-        let p = tmp("dimacs-zero");
-        std::fs::write(&p, "p sp 2 1\na 0 1 5\n").unwrap();
-        let err = read_dimacs(&p).unwrap_err();
-        assert!(matches!(err, Error::Parse { line: Some(2), .. }), "{err:?}");
+        // DIMACS ids outside `1..=n` and vertex counts beyond the id space
+        // must error on their own line.
+        let dimacs = [
+            ("dimacs-zero", "p sp 2 1\na 0 1 5\n", 2),
+            ("dimacs-oob", "p sp 3 1\na 1 9 5\n", 2),
+            ("dimacs-before-p", "a 1 2 5\np sp 3 1\n", 1),
+            ("dimacs-huge-n", "p sp 1152921504606846976 0\n", 1),
+        ];
+        for (name, body, line) in dimacs {
+            let p = tmp(name);
+            std::fs::write(&p, body).unwrap();
+            let err = read_dimacs(&p).unwrap_err();
+            assert!(
+                matches!(err, Error::Parse { line: Some(l), .. } if l == line),
+                "{name}: {err:?}"
+            );
+            std::fs::remove_file(p).ok();
+        }
+        let p = tmp("metis-huge-n");
+        std::fs::write(&p, "1152921504606846976 0\n").unwrap();
+        let err = read_metis::<()>(&p).unwrap_err();
+        assert!(matches!(err, Error::Parse { line: Some(1), .. }), "{err:?}");
         std::fs::remove_file(p).ok();
         // Edge list with a non-numeric token.
         let p = tmp("el-bad");

@@ -4,8 +4,9 @@
 //! `C(v) = true`, returning the vertices for which `F` returned `true`.
 //! Two traversal strategies:
 //!
-//! * **sparse (push)** — iterate the out-edges of the frontier in
-//!   edge-balanced blocks, each appending its hits to a block-local buffer
+//! * **sparse (push)** — iterate the out-edges of the frontier, appending
+//!   hits straight to the output when the round runs on one worker, and in
+//!   edge-balanced pieces with piece-local buffers when it fans out
 //!   (`sparse_blocked`, GBBS's `edgeMapBlocked`), so the traversal "only
 //!   writes to an amount of memory proportional to the size of the output
 //!   frontier" (the optimization the paper credits for its fast 1-thread
@@ -16,9 +17,10 @@
 //!
 //! Both directions split **giant adjacency lists** into parallel chunk
 //! tasks when the backend supports it (see [`OutEdges::out_chunk_edges`]):
-//! a hub vertex whose list spans more than two chunks no longer serializes
-//! a round on one worker. Chunk and block boundaries are a pure function of
-//! degrees, so results stay identical at every thread count.
+//! in a round that fans out, a hub vertex whose list spans more than two
+//! chunks no longer serializes the round on one worker. Chunk and piece
+//! boundaries are a pure function of degrees, so results stay identical at
+//! every thread count.
 //!
 //! The unified entry point is the [`EdgeMap`] builder, which owns the
 //! traversal options and an optional [`Telemetry`] sink recording the
@@ -37,6 +39,7 @@ use julienne_primitives::filter::flatten_into;
 use julienne_primitives::scan::prefix_sums;
 use julienne_primitives::telemetry::{Counter, Telemetry};
 use rayon::prelude::*;
+use std::sync::{Mutex, PoisonError};
 
 /// Traversal strategy selection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -250,9 +253,8 @@ impl<'g, G: GraphRef> EdgeMap<'g, G> {
 }
 
 /// Edges per block of [`sparse_blocked`] (GBBS's `edgeMapBlocked` size):
-/// enough work to pay for a block's buffer, few enough that a skewed
-/// frontier still yields many blocks. A constant, so block boundaries never
-/// depend on the thread count.
+/// the unit the runtime's fan-out rule counts. A constant, so block and
+/// piece boundaries never depend on the thread count.
 const BLOCK_EDGES: usize = 4096;
 
 /// The sparse (push) driver behind every frontier-out traversal in this
@@ -263,16 +265,12 @@ const BLOCK_EDGES: usize = 4096;
 /// are returned. How a result is appended is the caller's: behind a branch
 /// when hits are rare, without one when they are a coin flip per edge.
 ///
-/// A frontier of at most [`BLOCK_EDGES`] edges — every round of a
-/// many-small-rounds run — is one block: it is walked inline straight into
-/// `out`, and needs only its degree total. A larger one has its degree
-/// prefix sums cut into blocks of about [`BLOCK_EDGES`] edges. A block owns
-/// every *unit* whose first edge falls in its range, a unit being a whole
-/// out-list or — for a list longer than twice the backend's
-/// [`OutEdges::out_chunk_edges`] — one chunk of it, so a hub spreads over
-/// many blocks. Each block appends its hits to its own buffer and the
-/// buffers are concatenated into `out` in block order: memory written is
-/// proportional to the hits, not to the edges scanned.
+/// The frontier's edges count as blocks of [`BLOCK_EDGES`], and the round
+/// is cut into as many pieces as the runtime would cut that many blocks
+/// into ([`rayon::pool::piece_count`]). A round of one piece — every round
+/// below about 8.4 M edges — runs on one worker whatever the thread count,
+/// so it is walked inline, whole lists in frontier order, straight into
+/// `out`: no offsets, no per-piece buffers, no concatenating copy.
 pub(crate) fn sparse_blocked<G, T, F>(
     g: &G,
     frontier_ids: &[VertexId],
@@ -284,24 +282,75 @@ where
     T: Copy + Send + Sync,
     F: Fn(usize, VertexId, VertexId, G::W, &mut Vec<T>) + Send + Sync,
 {
-    let mut total = 0;
-    let one_block = frontier_ids.iter().all(|&u| {
-        total += g.out_degree(u);
-        total <= BLOCK_EDGES
-    });
-    if one_block {
+    walk_pieces(g, frontier_ids, out, visit, |total| {
+        rayon::pool::piece_count(total.div_ceil(BLOCK_EDGES))
+    })
+}
+
+/// [`sparse_blocked`] cut into exactly `pieces` pieces whatever the round's
+/// size, so tests can drive the fanned-out path on small graphs.
+#[doc(hidden)]
+pub fn sparse_blocked_in_pieces<G, T, F>(
+    g: &G,
+    frontier_ids: &[VertexId],
+    pieces: usize,
+    out: &mut Vec<T>,
+    visit: F,
+) -> u64
+where
+    G: OutEdges,
+    T: Copy + Send + Sync,
+    F: Fn(usize, VertexId, VertexId, G::W, &mut Vec<T>) + Send + Sync,
+{
+    walk_pieces(g, frontier_ids, out, visit, |_| pieces)
+}
+
+/// The walk behind [`sparse_blocked`]. More than one piece cuts the degree
+/// prefix sums at block boundaries, the blocks spread evenly over the
+/// pieces ([`rayon::pool::piece_bounds`]). A piece owns every *unit* whose
+/// first edge falls in its range, a unit being a whole out-list or — for a
+/// list longer than twice the backend's [`OutEdges::out_chunk_edges`] — one
+/// chunk of it, so a hub spreads over many pieces. Each piece appends its
+/// hits to its own buffer and the buffers are concatenated into `out` in
+/// piece order: memory written is proportional to the hits, not to the
+/// edges scanned. `pieces_for(Σdeg)` picks the piece count; the edges
+/// scanned are returned.
+fn walk_pieces<G, T, F>(
+    g: &G,
+    frontier_ids: &[VertexId],
+    out: &mut Vec<T>,
+    visit: F,
+    pieces_for: impl FnOnce(usize) -> usize,
+) -> u64
+where
+    G: OutEdges,
+    T: Copy + Send + Sync,
+    F: Fn(usize, VertexId, VertexId, G::W, &mut Vec<T>) + Send + Sync,
+{
+    let total: usize = frontier_ids.iter().map(|&u| g.out_degree(u)).sum();
+    let pieces = pieces_for(total);
+    if pieces <= 1 {
         // Whole lists in frontier order: the same edges, in the same order,
-        // as one block's walk over the units below.
+        // as the pieces' walk over the units below.
         out.clear();
+        let kept = out.capacity();
         for (i, &u) in frontier_ids.iter().enumerate() {
             g.for_each_out(u, |v, w| visit(i, u, v, w, out));
+        }
+        // A buffer this walk grew keeps at most a block's worth of spare
+        // capacity: the spare half that doubling leaves behind outlives the
+        // call in buffers a caller keeps or returns, and showed up as
+        // server RSS. Small rounds keep doubling's slack, so a kept buffer
+        // stops reallocating once it has grown.
+        if out.capacity() > kept && out.capacity() - out.len() > BLOCK_EDGES {
+            out.shrink_to_fit();
         }
         return total as u64;
     }
     let mut offsets: Vec<usize> = frontier_ids.par_iter().map(|&u| g.out_degree(u)).collect();
-    let total = prefix_sums(&mut offsets);
+    prefix_sums(&mut offsets);
     let split = g.out_chunk_edges();
-    let scan_block = |lo: usize, hi: usize| {
+    let scan = |lo: usize, hi: usize| {
         let mut hits = Vec::new();
         // Start at the list holding edge `lo`: the last one whose first
         // edge is at or before it.
@@ -323,11 +372,18 @@ where
         }
         hits
     };
-    let blocks: Vec<Vec<T>> = (0..total.div_ceil(BLOCK_EDGES))
-        .into_par_iter()
-        .map(|b| scan_block(b * BLOCK_EDGES, ((b + 1) * BLOCK_EDGES).min(total)))
+    let blocks = total.div_ceil(BLOCK_EDGES);
+    let bufs: Vec<Mutex<Vec<T>>> = (0..pieces).map(|_| Mutex::default()).collect();
+    rayon::pool::run_pieces(pieces, |p| {
+        let (first, last) = rayon::pool::piece_bounds(blocks, pieces, p);
+        let hits = scan(first * BLOCK_EDGES, (last * BLOCK_EDGES).min(total));
+        *bufs[p].lock().unwrap_or_else(PoisonError::into_inner) = hits;
+    });
+    let bufs: Vec<Vec<T>> = bufs
+        .into_iter()
+        .map(|b| b.into_inner().unwrap_or_else(PoisonError::into_inner))
         .collect();
-    flatten_into(&blocks, out);
+    flatten_into(&bufs, out);
     total as u64
 }
 

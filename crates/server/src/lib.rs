@@ -23,7 +23,9 @@
 //!   id that is not yet inflight pre-cancels it: a later query reusing the
 //!   id starts cancelled (this closes the submit/cancel race for clients
 //!   that pipeline both on one connection). Acknowledged with
-//!   `{"cancel": "q1", "ok": true}`.
+//!   `{"cancel": "q1", "ok": true}`. At most [`MAX_PRECANCELLED`] tokens
+//!   wait cancelled at once; past that, a cancel for an id that is not in
+//!   flight is refused with code `overloaded` instead of being stored.
 //! * **Shutdown** — `{"shutdown": true}`. Acknowledged, then the whole
 //!   server drains: in-flight queries finish (or cancel), connection
 //!   threads join, and [`Server::serve`] returns.
@@ -184,6 +186,7 @@ impl Server {
             }
             let scheduler = Arc::clone(&self.scheduler);
             let shared = Arc::clone(&self.shared);
+            connections.retain(|h: &thread::JoinHandle<()>| !h.is_finished());
             connections.push(thread::spawn(move || {
                 handle_connection(stream, &scheduler, &shared);
                 shared.conns.lock().unwrap().remove(&conn_id);
@@ -202,6 +205,13 @@ impl Server {
 /// is answered with a `parse` error and its connection is closed, so no
 /// client can make a connection buffer more than this.
 pub const MAX_REQUEST_BYTES: usize = 1 << 20;
+
+/// Most cancelled tokens the server holds at once. A cancel for an id that
+/// is not in flight stores a token for the query that may reuse the id;
+/// past this many, such a cancel is refused with code `overloaded`, so no
+/// client can grow the id map without bound. Cancels of ids in flight are
+/// never refused.
+pub const MAX_PRECANCELLED: usize = 1024;
 
 fn handle_connection(stream: TcpStream, scheduler: &Arc<Scheduler>, shared: &Arc<Shared>) {
     let mut reader = match stream.try_clone() {
@@ -261,16 +271,33 @@ fn handle_connection(stream: TcpStream, scheduler: &Arc<Scheduler>, shared: &Arc
         if let Some(id) = request.get("cancel").and_then(Json::as_str) {
             let token = {
                 let mut map = shared.inflight.lock().unwrap();
-                map.entry(id.to_string()).or_default().clone()
+                let full = || map.values().filter(|t| t.is_cancelled()).count() >= MAX_PRECANCELLED;
+                if map.contains_key(id) || !full() {
+                    Some(map.entry(id.to_string()).or_default().clone())
+                } else {
+                    None
+                }
             };
-            token.cancel();
-            respond(
-                &writer,
-                Json::Obj(vec![
-                    ("cancel".into(), Json::Str(id.to_string())),
-                    ("ok".into(), Json::Bool(true)),
-                ]),
-            );
+            let mut fields = vec![
+                ("cancel".into(), Json::Str(id.to_string())),
+                ("ok".into(), Json::Bool(token.is_some())),
+            ];
+            match token {
+                Some(token) => token.cancel(),
+                None => fields.push((
+                    "error".into(),
+                    Json::Obj(vec![
+                        ("code".into(), Json::Str("overloaded".into())),
+                        (
+                            "message".into(),
+                            Json::Str(format!(
+                                "{MAX_PRECANCELLED} cancelled ids already wait for a query"
+                            )),
+                        ),
+                    ]),
+                )),
+            }
+            respond(&writer, Json::Obj(fields));
             continue;
         }
         // Mutations enter the same queue as queries (so a single

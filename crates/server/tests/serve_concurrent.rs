@@ -8,7 +8,8 @@ use julienne_graph::generators::{rmat, RmatParams};
 use julienne_graph::transform::assign_weights;
 use julienne_server::json::Json;
 use julienne_server::{
-    query_request, Client, SchedPolicy, SchedulerConfig, Server, ShutdownHandle, MAX_REQUEST_BYTES,
+    query_request, Client, SchedPolicy, SchedulerConfig, Server, ShutdownHandle, MAX_PRECANCELLED,
+    MAX_REQUEST_BYTES,
 };
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -426,6 +427,112 @@ fn an_over_long_request_line_is_refused_and_the_server_keeps_serving() {
         ))
         .unwrap();
     assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
+
+    handle.stop();
+    join.join().unwrap();
+}
+
+#[test]
+fn pre_cancel_tokens_are_bounded_and_real_cancels_still_land() {
+    // A batch window holds each query in flight long enough to cancel it.
+    let config = SchedulerConfig {
+        batch_window: Duration::from_millis(300),
+        cache_bytes: 0,
+        policy: SchedPolicy::Fifo,
+    };
+    let (addr, join, handle) = start_with(Backend::Csr, config);
+    let mut client = Client::connect(&addr).unwrap();
+    let cancel = |id: &str| Json::Obj(vec![("cancel".into(), Json::Str(id.into()))]);
+    let code = |resp: &Json| {
+        resp.get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(Json::as_str)
+            .map(str::to_string)
+    };
+
+    for i in 0..MAX_PRECANCELLED {
+        let ack = client.roundtrip(&cancel(&format!("flood-{i}"))).unwrap();
+        assert_eq!(
+            ack.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{}",
+            ack.to_json()
+        );
+    }
+    // One past the cap is refused, not stored.
+    let refused = client.roundtrip(&cancel("flood-over")).unwrap();
+    assert_eq!(
+        refused.get("cancel").and_then(Json::as_str),
+        Some("flood-over")
+    );
+    assert_eq!(refused.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(
+        code(&refused).as_deref(),
+        Some("overloaded"),
+        "{}",
+        refused.to_json()
+    );
+
+    // A fresh query is still answered, and the refused id was not stored.
+    for id in ["fresh", "flood-over"] {
+        let resp = client
+            .roundtrip(&query_request(id, "sssp", &[("src", "0")], None, false))
+            .unwrap();
+        assert_eq!(
+            resp.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{}",
+            resp.to_json()
+        );
+    }
+
+    // A cancel for an id in flight lands at the cap: the connection admits
+    // the query before it reads the cancel pipelined behind it.
+    client
+        .send(&query_request("held", "sssp", &[("src", "1")], None, false))
+        .unwrap();
+    client.send(&cancel("held")).unwrap();
+    let ack = client.recv().unwrap();
+    assert_eq!(ack.get("cancel").and_then(Json::as_str), Some("held"));
+    assert_eq!(
+        ack.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{}",
+        ack.to_json()
+    );
+    let resp = client.recv().unwrap();
+    assert_eq!(resp.get("id").and_then(Json::as_str), Some("held"));
+    assert_eq!(
+        code(&resp).as_deref(),
+        Some("cancelled"),
+        "{}",
+        resp.to_json()
+    );
+
+    // A stored token is used up by the query that reuses its id, which
+    // makes room for one more pre-cancel.
+    let resp = client
+        .roundtrip(&query_request(
+            "flood-0",
+            "sssp",
+            &[("src", "0")],
+            None,
+            false,
+        ))
+        .unwrap();
+    assert_eq!(
+        code(&resp).as_deref(),
+        Some("cancelled"),
+        "{}",
+        resp.to_json()
+    );
+    let ack = client.roundtrip(&cancel("late")).unwrap();
+    assert_eq!(
+        ack.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{}",
+        ack.to_json()
+    );
 
     handle.stop();
     join.join().unwrap();

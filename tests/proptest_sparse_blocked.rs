@@ -1,7 +1,9 @@
-//! Property tests for the blocked sparse `edgeMap` driver: on every
-//! backend, for frontiers with and without split hubs, the ids, the
-//! payloads **and their order** equal a sequential frontier-order ×
-//! edge-order reference — at 1 and 2 threads and under schedule chaos.
+//! Property tests for the sparse `edgeMap` driver: on every backend, for
+//! frontiers with and without split hubs, the ids, the payloads **and their
+//! order** equal a sequential frontier-order × edge-order reference — at 1
+//! and 2 threads and under schedule chaos. These rounds are small enough to
+//! run as one piece, so the fanned-out walk is also driven directly at 2, 3
+//! and 7 pieces.
 
 mod common;
 
@@ -11,7 +13,7 @@ use julienne_repro::graph::compress::CompressedWGraph;
 use julienne_repro::graph::container::MappedGraph;
 use julienne_repro::graph::io::{GraphIo, IoOptions};
 use julienne_repro::graph::Csr;
-use julienne_repro::ligra::edge_map::EdgeMap;
+use julienne_repro::ligra::edge_map::{sparse_blocked_in_pieces, EdgeMap};
 use julienne_repro::ligra::traits::OutEdges;
 use proptest::prelude::*;
 
@@ -85,33 +87,48 @@ fn run<G: OutEdges<W = u32>>(g: &G, frontier: &[u32]) -> (Vec<(u32, u64)>, Vec<u
     (data.entries().to_vec(), ids.to_vertices())
 }
 
+/// The data traversal walked as exactly `pieces` pieces, in raw output
+/// order.
+fn run_in<G: OutEdges<W = u32>>(g: &G, frontier: &[u32], pieces: usize) -> Vec<(u32, u64)> {
+    let mut hits = Vec::new();
+    sparse_blocked_in_pieces(g, frontier, pieces, &mut hits, |_, u, v, w, hits| {
+        if cond(v) {
+            hits.extend(payload(u, v, w).map(|t| (v, t)));
+        }
+    });
+    hits
+}
+
 fn check<G: OutEdges<W = u32>>(
     what: &str,
     g: &G,
     frontier: &[u32],
     want: &(Vec<(u32, u64)>, Vec<u32>),
 ) -> Result<(), TestCaseError> {
-    for threads in [1, 2] {
-        prop_assert_eq!(
-            &at(threads, || run(g, frontier)),
-            want,
-            "{} threads={}",
-            what,
-            threads
-        );
-    }
-    for (seed, threads) in [(1u64, 2), (0xDEAD_BEEF, 4)] {
-        rayon::set_chaos_seed(Some(seed));
+    let schedules = [
+        (None, 1),
+        (None, 2),
+        (Some(1u64), 2),
+        (Some(0xDEAD_BEEF), 4),
+    ];
+    for (seed, threads) in schedules {
+        rayon::set_chaos_seed(seed);
         let got = at(threads, || run(g, frontier));
+        let fanned =
+            [1, 2, 3, 7].map(|pieces| (pieces, at(threads, || run_in(g, frontier, pieces))));
         rayon::set_chaos_seed(None);
-        prop_assert_eq!(
-            &got,
-            want,
-            "{} chaos seed={} threads={}",
-            what,
-            seed,
-            threads
-        );
+        prop_assert_eq!(&got, want, "{} chaos={:?} threads={}", what, seed, threads);
+        for (pieces, got) in fanned {
+            prop_assert_eq!(
+                &got,
+                &want.0,
+                "{} pieces={} chaos={:?} threads={}",
+                what,
+                pieces,
+                seed,
+                threads
+            );
+        }
     }
     Ok(())
 }

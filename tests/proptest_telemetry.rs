@@ -35,6 +35,11 @@ proptest! {
             prop_assert_eq!(records.len() as u64, traced.rounds);
             let frontier_sum: u64 = records.iter().map(|r| r.frontier as u64).sum();
             prop_assert_eq!(frontier_sum, g.num_vertices() as u64);
+            // Every peeling round times its phases; k-core has no Reset.
+            for r in &records {
+                let ns = r.phase_ns.expect("a recorded k-core round has phase times");
+                prop_assert_eq!(ns[julienne_repro::core::telemetry::Phase::Reset as usize], 0);
+            }
         }
         // The disabled sink must stay empty either way.
         let _ = Counter::Rounds; // used only under the feature gate above
