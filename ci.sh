@@ -30,9 +30,11 @@ if grep -nE 'fetch_add|fetch_sub|swap\(|compare_exchange' crates/ligra/src/edge_
     exit 1
 fi
 # Δ-stepping's visit protocol is one distance word per id with the round's
-# visited bit inside it (PR 25): no flag bitset, no SeqCst, and every atomic
-# access on the path says within three lines above why its ordering holds.
-for f in crates/algorithms/src/delta_stepping.rs crates/algorithms/src/multi_source.rs; do
+# visited bit inside it, and so is the peel's, with its touched bit:
+# no flag bitset, no SeqCst, and every atomic access on the path says within
+# three lines above why its ordering holds.
+for f in crates/algorithms/src/delta_stepping.rs crates/algorithms/src/multi_source.rs \
+    crates/ligra/src/edge_map_reduce.rs crates/algorithms/src/degeneracy.rs; do
     if grep -nE 'SeqCst|AtomicBitSet' "$f"; then
         echo "ci.sh: $f: the visit protocol is Relaxed and bitset-free; see DESIGN §6"
         exit 1
@@ -376,6 +378,10 @@ run env JULIENNE_CHAOS_SEED=1 JULIENNE_NUM_THREADS=4 cargo test -q --test alloc_
 # under the adversarial scheduler.
 run env JULIENNE_NUM_THREADS=4 cargo test -q --test proptest_sparse_blocked --test alloc_sparse_hub
 run env JULIENNE_CHAOS_SEED=1 JULIENNE_NUM_THREADS=4 cargo test -q --test proptest_sparse_blocked --test alloc_sparse_hub
+# The peel kernel: its inline walk and its fanned-out fallback leave the
+# same degrees and report the same targets in the same order.
+run env JULIENNE_NUM_THREADS=4 cargo test -q --test proptest_peel
+run env JULIENNE_CHAOS_SEED=1 JULIENNE_NUM_THREADS=4 cargo test -q --test proptest_peel
 # The chunked compressed backend's split traversal paths (per-chunk sparse
 # tasks, dense heavy-vertex scan) under the adversarial scheduler: results
 # must stay bit-identical to CSR.

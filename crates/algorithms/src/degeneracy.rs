@@ -7,9 +7,9 @@
 
 use julienne::bucket::{Bucketing, BucketsBuilder, Order};
 use julienne_graph::VertexId;
-use julienne_ligra::edge_map_reduce::{edge_map_sum_with_scratch, SumScratch};
+use julienne_ligra::edge_map_reduce::{edge_map_peel, peel_degrees, SumScratch};
 use julienne_ligra::traits::{GraphRef, OutEdges};
-use std::sync::atomic::{AtomicU32, Ordering as AtomicOrdering};
+use std::sync::atomic::Ordering as AtomicOrdering;
 
 /// A degeneracy ordering: vertices in the order the bucketed peel removes
 /// them. Every vertex has at most `degeneracy` neighbors *later* in the
@@ -23,43 +23,37 @@ pub struct DegeneracyOrder {
 }
 
 /// Computes a degeneracy ordering with the work-efficient peel.
+///
+/// # Panics
+///
+/// If a vertex has degree 2^31 or more ([`peel_degrees`]).
 pub fn degeneracy_order<G: OutEdges>(g: &G) -> DegeneracyOrder {
     let n = g.num_vertices();
-    let degrees: Vec<AtomicU32> = (0..n)
-        .map(|v| AtomicU32::new(g.out_degree(v as VertexId) as u32))
-        .collect();
-    // ORDERING: `Relaxed` throughout the peel, by the invariant stated in
-    // `kcore::coreness`: emit only reads degrees, update writes each from one
-    // task per round, and fork–join separates the phases and the buckets'
-    // `d` reads.
+    let degrees = peel_degrees(g).expect("degrees below 2^31");
+    // ORDERING: Relaxed, by `edge_map_peel`'s protocol (stated there once).
     let d = |i: u32| degrees[i as usize].load(AtomicOrdering::Relaxed);
     let mut buckets = BucketsBuilder::new(n, d, Order::Increasing).build();
-    let scratch = SumScratch::new(n);
+    let mut scratch = SumScratch::new(n);
+    let (mut ids, mut moves) = (vec![], vec![]);
 
     let mut order = Vec::with_capacity(n);
     let mut degeneracy = 0u32;
     while order.len() < n {
-        let (k, ids) = buckets.next_bucket().expect("peel exhausted early");
+        let k = buckets
+            .next_bucket_into(&mut ids)
+            .expect("peel exhausted early");
         degeneracy = degeneracy.max(k);
-        let moved = edge_map_sum_with_scratch(
+        edge_map_peel(
             g,
             &ids,
-            |v, removed| {
-                let induced = degrees[v as usize].load(AtomicOrdering::Relaxed);
-                if induced > k {
-                    let new_d = induced.saturating_sub(removed).max(k);
-                    degrees[v as usize].store(new_d, AtomicOrdering::Relaxed);
-                    let dest = buckets.get_bucket(v, induced, new_d);
-                    (!dest.is_null()).then_some(dest)
-                } else {
-                    None
-                }
-            },
-            |v| degrees[v as usize].load(AtomicOrdering::Relaxed) > k,
-            &scratch,
+            &degrees,
+            k,
+            &mut scratch,
+            &mut moves,
+            |v, prev, new| Some(buckets.get_bucket(v, prev, new)).filter(|dest| !dest.is_null()),
         );
-        buckets.update_buckets(moved.entries());
-        order.extend(ids);
+        buckets.update_buckets(&moves);
+        order.extend_from_slice(&ids);
     }
     DegeneracyOrder { order, degeneracy }
 }
@@ -163,9 +157,7 @@ pub fn densest_subgraph_approx<G: GraphRef>(g: &G, eps: f64) -> DensestSubgraph 
             density: 0.0,
         };
     }
-    let degrees: Vec<AtomicU32> = (0..n)
-        .map(|v| AtomicU32::new(g.out_degree(v as VertexId) as u32))
-        .collect();
+    let mut degrees: Vec<usize> = (0..n).map(|v| g.out_degree(v as VertexId)).collect();
     let mut alive: Vec<bool> = vec![true; n];
     let mut live_vertices = n;
     let mut live_edges = g.num_edges() as f64 / 2.0;
@@ -181,7 +173,7 @@ pub fn densest_subgraph_approx<G: GraphRef>(g: &G, eps: f64) -> DensestSubgraph 
         }
         let threshold = (2.0 * (1.0 + eps) * density).ceil() as u32;
         let peel: Vec<VertexId> = julienne_primitives::filter::pack_index(n, |v| {
-            alive[v] && degrees[v].load(AtomicOrdering::SeqCst) <= threshold
+            alive[v] && degrees[v] <= threshold as usize
         });
         if peel.is_empty() {
             // Cannot happen: average degree is 2·density ≤ threshold, so
@@ -200,7 +192,7 @@ pub fn densest_subgraph_approx<G: GraphRef>(g: &G, eps: f64) -> DensestSubgraph 
                 if in_peel[u as usize] {
                     internal_twice += 1;
                 } else if alive[u as usize] {
-                    degrees[u as usize].fetch_sub(1, AtomicOrdering::SeqCst);
+                    degrees[u as usize] -= 1;
                     cross += 1;
                 }
             });

@@ -19,7 +19,7 @@ use julienne::query::QueryCtx;
 use julienne::telemetry::{Counter, Phase};
 use julienne::Error;
 use julienne_graph::VertexId;
-use julienne_ligra::edge_map_reduce::{edge_map_sum_with_scratch, SumScratch};
+use julienne_ligra::edge_map_reduce::{edge_map_peel, peel_degrees, SumScratch};
 use julienne_ligra::traits::OutEdges;
 use julienne_primitives::filter::pack_index;
 use rayon::prelude::*;
@@ -67,65 +67,49 @@ pub fn coreness<G: OutEdges>(
     let n = g.num_vertices();
     // D holds the induced degree of live vertices and, once extracted, the
     // final coreness. It doubles as the bucket map.
-    let degrees: Vec<AtomicU32> = (0..n)
-        .map(|v| AtomicU32::new(g.out_degree(v as VertexId) as u32))
-        .collect();
-    // ORDERING: every access to `degrees` in this function is `Relaxed`.
-    // Within a round, edgeMapSum's emit phase only reads degrees (`cond`),
-    // its update phase writes each degree from exactly one task (one call
-    // per distinct target), and the bucket structure reads `d` only inside
-    // `next_bucket`/`update_buckets`; these are separated by fork–join, which
-    // orders them, so no access races with a write.
+    let degrees = peel_degrees(g)?;
+    // ORDERING: Relaxed, by `edge_map_peel`'s protocol: the buckets read D
+    // only inside `next_bucket`, after the last peel has cleared its bits.
     let d = |i: u32| degrees[i as usize].load(Ordering::Relaxed);
     let mut buckets = engine.buckets(n, d, Order::Increasing);
     let telemetry = engine.telemetry();
-    // Persistent per-neighbor counters for edgeMapSum (cleared per round in
-    // work proportional to the touched vertices, preserving O(m + n)).
-    let scratch = SumScratch::new(n);
+    let mut scratch = SumScratch::new(n);
 
     let mut finished = 0usize;
     let mut rounds = 0u64;
     let mut vertices_scanned = 0u64;
     let mut edges_traversed = 0u64;
+    // Round buffers, refilled in place every round: the frontier and the
+    // bucket moves.
+    let (mut ids, mut moves) = (vec![], vec![]);
 
     while finished < n {
         // Round boundary: a cancelled/expired query unwinds here, dropping
         // the bucket structure and degree arrays with it.
         ctx.check()?;
         let mut span = telemetry.span();
-        let (k, ids) = span
-            .lap(Phase::NextBucket, buckets.next_bucket())
+        let k = span
+            .lap(Phase::NextBucket, buckets.next_bucket_into(&mut ids))
             .expect("bucket structure exhausted before all vertices finished");
         finished += ids.len();
         rounds += 1;
         vertices_scanned += ids.len() as u64;
-        let round_edges = ids.par_iter().map(|&v| g.out_degree(v) as u64).sum::<u64>();
-        edges_traversed += round_edges;
-        span.lap(Phase::Walk, ());
 
-        // Update (Algorithm 1, lines 3–10): for each neighbor v of the
-        // peeled set, subtract the number of removed edges, clamping at k,
-        // and compute its bucket destination.
-        let moved = edge_map_sum_with_scratch(
+        // Update (Algorithm 1, lines 3–10): each live neighbor of the peeled
+        // set loses its removed edges, clamped at k, and moves bucket.
+        let round_edges = edge_map_peel(
             g,
             &ids,
-            |v, edges_removed| {
-                let induced = degrees[v as usize].load(Ordering::Relaxed);
-                if induced > k {
-                    let new_d = induced.saturating_sub(edges_removed).max(k);
-                    degrees[v as usize].store(new_d, Ordering::Relaxed);
-                    let dest = buckets.get_bucket(v, induced, new_d);
-                    (!dest.is_null()).then_some(dest)
-                } else {
-                    None
-                }
-            },
-            |v| degrees[v as usize].load(Ordering::Relaxed) > k,
-            &scratch,
+            &degrees,
+            k,
+            &mut scratch,
+            &mut moves,
+            |v, prev, new| Some(buckets.get_bucket(v, prev, new)).filter(|dest| !dest.is_null()),
         );
+        edges_traversed += round_edges;
         span.lap(Phase::EdgeMap, ());
-        let relaxed = moved.entries().len() as u64;
-        buckets.update_buckets(moved.entries());
+        let relaxed = moves.len() as u64;
+        buckets.update_buckets(&moves);
         span.lap(Phase::UpdateBuckets, ());
         telemetry.add(Counter::VerticesScanned, ids.len() as u64);
         telemetry.add(Counter::EdgesScanned, round_edges);

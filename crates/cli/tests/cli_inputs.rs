@@ -54,12 +54,17 @@ fn adjacency_header_counts_beyond_the_file_exit_1_not_101() {
 
 #[test]
 fn text_header_counts_and_ids_out_of_range_exit_1_not_101() {
-    // A vertex count beyond the 32-bit id space, and a DIMACS arc to a
-    // vertex the header does not have (it loaded, then panicked in BFS).
+    // A vertex count beyond the 32-bit id space, a DIMACS arc to a vertex
+    // the header does not have (it loaded, then panicked in BFS), and
+    // header counts the file does not bear out: fewer arcs, or fewer
+    // adjacency lines, than a header whose n would otherwise be allocated
+    // (the process aborted).
     for (name, body, weighted) in [
         ("huge-n.gr", "p sp 1152921504606846976 0\n", "true"),
         ("oob.gr", "p sp 3 1\na 1 9 5\n", "true"),
         ("huge-n.graph", "1152921504606846976 0\n", "false"),
+        ("few-arcs.gr", "p sp 4000000000 5\na 1 2 5\n", "true"),
+        ("few-lines.graph", "4000000000 1\n2\n1\n", "false"),
     ] {
         let p = tmp(name);
         std::fs::write(&p, body).unwrap();

@@ -520,6 +520,8 @@ fn write_dimacs(g: &Csr<u32>, path: &Path) -> Result<(), Error> {
 fn read_dimacs(path: &Path) -> Result<Csr<u32>, Error> {
     let reader = BufReader::new(File::open(path).map_err(|e| Error::io_at(path, e))?);
     let mut n = 0usize;
+    // The `p` line's arc count and its line number.
+    let mut header = (0usize, 0usize);
     let mut edges: Vec<(VertexId, VertexId, u32)> = Vec::new();
     for (lineno, line) in reader.lines().enumerate() {
         let line = line.map_err(|e| Error::io_at(path, e))?;
@@ -537,6 +539,12 @@ fn read_dimacs(path: &Path) -> Result<Csr<u32>, Error> {
                 if n > VertexId::MAX as usize {
                     return Err(bad("vertex count exceeds the 32-bit id space"));
                 }
+                let m = it
+                    .next()
+                    .ok_or_else(|| bad("p line is missing the arc count"))?
+                    .parse()
+                    .map_err(|_| bad("p line has a non-numeric arc count"))?;
+                header = (m, lineno + 1);
             }
             Some("a") => {
                 let u: u32 = it
@@ -557,10 +565,21 @@ fn read_dimacs(path: &Path) -> Result<Csr<u32>, Error> {
                 if u == 0 || v == 0 || u as usize > n || v as usize > n {
                     return Err(bad("DIMACS ids are 1-indexed and ≤ n"));
                 }
+                if edges.len() == header.0 {
+                    return Err(bad("more arcs than the p line promised"));
+                }
                 edges.push((u - 1, v - 1, w));
             }
             Some(_) => {}
         }
+    }
+    let (m, p_line) = header;
+    if edges.len() != m {
+        let msg = format!(
+            "the p line promised {m} arcs but the file has {}",
+            edges.len()
+        );
+        return Err(Error::parse_at(path, p_line, msg));
     }
     let mut el = EdgeList::new(n);
     el.edges = edges;
@@ -609,6 +628,7 @@ fn write_metis<W: Weight>(g: &Csr<W>, path: &Path) -> Result<(), Error> {
 fn read_metis<W: Weight>(path: &Path) -> Result<Csr<W>, Error> {
     let reader = BufReader::new(File::open(path).map_err(|e| Error::io_at(path, e))?);
     let mut header: Option<(usize, usize, bool)> = None;
+    let mut header_line = 0usize;
     let mut el = EdgeList::new(0);
     let mut v = 0usize;
     for (lineno, line) in reader.lines().enumerate() {
@@ -638,6 +658,7 @@ fn read_metis<W: Weight>(path: &Path) -> Result<Csr<W>, Error> {
                 return Err(bad("weightedness of METIS file does not match graph type"));
             }
             header = Some((n, m_und, weighted));
+            header_line = lineno + 1;
             el = EdgeList::new(n);
             continue;
         };
@@ -666,13 +687,17 @@ fn read_metis<W: Weight>(path: &Path) -> Result<Csr<W>, Error> {
         }
         v += 1;
     }
-    let Some((_n, m_und, _)) = header else {
+    let Some((n, m_und, _)) = header else {
         return Err(Error::Parse {
             path: Some(path.to_path_buf()),
             line: None,
             msg: "empty file".to_string(),
         });
     };
+    if v < n {
+        let msg = format!("the header promised {n} vertices but the file has {v} adjacency lines");
+        return Err(Error::parse_at(path, header_line, msg));
+    }
     let g = el.build(true);
     // Tolerate duplicate/self-loop cleanup shrinking the count.
     if g.num_edges() > 2 * m_und {
@@ -944,11 +969,36 @@ mod tests {
             );
             std::fs::remove_file(p).ok();
         }
-        let p = tmp("metis-huge-n");
-        std::fs::write(&p, "1152921504606846976 0\n").unwrap();
-        let err = read_metis::<()>(&p).unwrap_err();
-        assert!(matches!(err, Error::Parse { line: Some(1), .. }), "{err:?}");
-        std::fs::remove_file(p).ok();
+        // Header counts the lines that follow do not bear out: refused at
+        // the header, before `build` allocates for them.
+        let dimacs_counts = [
+            ("dimacs-few-arcs", "c x\np sp 4000000000 5\na 1 2 5\n", 2),
+            ("dimacs-many-arcs", "p sp 3 1\na 1 2 5\na 2 3 5\n", 3),
+            ("dimacs-no-m", "p sp 3\n", 1),
+        ];
+        for (name, body, line) in dimacs_counts {
+            let p = tmp(name);
+            std::fs::write(&p, body).unwrap();
+            let err = read_dimacs(&p).unwrap_err();
+            assert!(
+                matches!(err, Error::Parse { line: Some(l), .. } if l == line),
+                "{name}: {err:?}"
+            );
+            std::fs::remove_file(p).ok();
+        }
+        for (name, body) in [
+            ("metis-huge-n", "1152921504606846976 0\n"),
+            ("metis-few-lines", "4000000000 1\n2\n1\n"),
+        ] {
+            let p = tmp(name);
+            std::fs::write(&p, body).unwrap();
+            let err = read_metis::<()>(&p).unwrap_err();
+            assert!(
+                matches!(err, Error::Parse { line: Some(1), .. }),
+                "{name}: {err:?}"
+            );
+            std::fs::remove_file(p).ok();
+        }
         // Edge list with a non-numeric token.
         let p = tmp("el-bad");
         std::fs::write(&p, "0 1\nfoo bar\n").unwrap();

@@ -282,9 +282,14 @@ where
     T: Copy + Send + Sync,
     F: Fn(usize, VertexId, VertexId, G::W, &mut Vec<T>) + Send + Sync,
 {
-    walk_pieces(g, frontier_ids, out, visit, |total| {
-        rayon::pool::piece_count(total.div_ceil(BLOCK_EDGES))
-    })
+    walk_pieces(g, frontier_ids, out, visit, sparse_pieces)
+}
+
+/// The pieces a sparse round of `edges` edges is cut into: its blocks of
+/// [`BLOCK_EDGES`], cut as the runtime cuts that many items. One piece means
+/// the round runs on one worker whatever the thread count.
+pub(crate) fn sparse_pieces(edges: usize) -> usize {
+    rayon::pool::piece_count(edges.div_ceil(BLOCK_EDGES))
 }
 
 /// [`sparse_blocked`] cut into exactly `pieces` pieces whatever the round's
@@ -305,6 +310,18 @@ where
     walk_pieces(g, frontier_ids, out, visit, |_| pieces)
 }
 
+/// Trims `buf`, which had capacity `kept` before a walk appended to it, to
+/// its length if the walk grew it and left more than a block's worth of
+/// slots spare: the spare half that doubling leaves behind outlives the
+/// call in buffers a caller keeps or returns, and showed up as server RSS.
+/// Small rounds keep doubling's slack, so a kept buffer stops reallocating
+/// once it has grown.
+pub(crate) fn trim_grown<T>(buf: &mut Vec<T>, kept: usize) {
+    if buf.capacity() > kept && buf.capacity() - buf.len() > BLOCK_EDGES {
+        buf.shrink_to_fit();
+    }
+}
+
 /// The walk behind [`sparse_blocked`]. More than one piece cuts the degree
 /// prefix sums at block boundaries, the blocks spread evenly over the
 /// pieces ([`rayon::pool::piece_bounds`]). A piece owns every *unit* whose
@@ -315,7 +332,7 @@ where
 /// piece order: memory written is proportional to the hits, not to the
 /// edges scanned. `pieces_for(Σdeg)` picks the piece count; the edges
 /// scanned are returned.
-fn walk_pieces<G, T, F>(
+pub(crate) fn walk_pieces<G, T, F>(
     g: &G,
     frontier_ids: &[VertexId],
     out: &mut Vec<T>,
@@ -337,14 +354,7 @@ where
         for (i, &u) in frontier_ids.iter().enumerate() {
             g.for_each_out(u, |v, w| visit(i, u, v, w, out));
         }
-        // A buffer this walk grew keeps at most a block's worth of spare
-        // capacity: the spare half that doubling leaves behind outlives the
-        // call in buffers a caller keeps or returns, and showed up as
-        // server RSS. Small rounds keep doubling's slack, so a kept buffer
-        // stops reallocating once it has grown.
-        if out.capacity() > kept && out.capacity() - out.len() > BLOCK_EDGES {
-            out.shrink_to_fit();
-        }
+        trim_grown(out, kept);
         return total as u64;
     }
     let mut offsets: Vec<usize> = frontier_ids.par_iter().map(|&u| g.out_degree(u)).collect();

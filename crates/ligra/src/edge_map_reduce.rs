@@ -15,14 +15,21 @@
 //!   counters, trading O(n) one-time space for fewer passes (the A3
 //!   ablation compares the two). No phase needs a locked read-modify-write;
 //!   `ci.sh` keeps it that way.
+//!
+//! [`edge_map_peel`] is k-core's round with the count kept in the degree
+//! word itself: a round on one worker lowers each target's degree as it
+//! walks, and only a round that fans out counts through the histogram.
 
-use crate::edge_map::sparse_blocked;
+use crate::edge_map::{sparse_blocked, sparse_pieces, trim_grown, walk_pieces};
 use crate::subset::VertexSubsetData;
 use crate::traits::OutEdges;
 use julienne_graph::VertexId;
+use julienne_primitives::error::Error;
 use julienne_primitives::filter::filter_map;
 use julienne_primitives::semisort::semisort_by_key;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::OnceLock;
 
 /// `edgeMapReduce`: per-target reduction of mapped edge values.
 ///
@@ -84,17 +91,29 @@ where
     edge_map_reduce(g, frontier_ids, |_, _, _| 1u32, |a, b| a + b, update, cond)
 }
 
-/// Reusable counter array for [`edge_map_sum_with_scratch`].
+/// Reusable scratch for [`edge_map_sum_with_scratch`] and
+/// [`edge_map_peel`]: the per-vertex counters, allocated by the first call
+/// that counts (a peel counts only in a round that fans out), and the
+/// peel's owners buffer, kept across rounds.
 pub struct SumScratch {
-    counts: Vec<AtomicU32>,
+    n: usize,
+    counts: OnceLock<Box<[AtomicU32]>>,
+    owners: Vec<(VertexId, u32)>,
 }
 
 impl SumScratch {
-    /// Allocates counters for an `n`-vertex graph (all zero).
+    /// Scratch for an `n`-vertex graph; its counters start at zero.
     pub fn new(n: usize) -> Self {
         SumScratch {
-            counts: (0..n).map(|_| AtomicU32::new(0)).collect(),
+            n,
+            counts: OnceLock::new(),
+            owners: Vec::new(),
         }
+    }
+
+    fn counts(&self) -> &[AtomicU32] {
+        self.counts
+            .get_or_init(|| (0..self.n).map(|_| AtomicU32::new(0)).collect())
     }
 }
 
@@ -118,37 +137,195 @@ where
     U: Fn(VertexId, u32) -> Option<O> + Send + Sync,
     Fc: Fn(VertexId) -> bool + Send + Sync,
 {
+    sum_in_pieces(g, frontier_ids, update, cond, scratch, sparse_pieces)
+}
+
+/// [`edge_map_sum_with_scratch`] with its emit walked in
+/// `pieces_for(Σdeg)` pieces.
+fn sum_in_pieces<G, O, U, Fc>(
+    g: &G,
+    frontier_ids: &[VertexId],
+    update: U,
+    cond: Fc,
+    scratch: &SumScratch,
+    pieces_for: impl FnOnce(usize) -> usize,
+) -> VertexSubsetData<O>
+where
+    G: OutEdges,
+    O: Copy + Send + Sync,
+    U: Fn(VertexId, u32) -> Option<O> + Send + Sync,
+    Fc: Fn(VertexId) -> bool + Send + Sync,
+{
     let n = g.num_vertices();
-    debug_assert_eq!(scratch.counts.len(), n);
+    debug_assert_eq!(scratch.n, n);
+    let counts = scratch.counts();
     // In a peel `cond` is a coin flip per edge, so the append must not branch
     // on it: write the slot, keep it iff live.
     let mut live = Vec::new();
-    sparse_blocked(g, frontier_ids, &mut live, |_, _, v, _, live| {
+    let visit = |_, _, v: VertexId, _, live: &mut Vec<VertexId>| {
         live.push(v);
         live.truncate(live.len() - usize::from(!cond(v)));
-    });
-    // ORDERING: this pass is the only code touching the counters and it runs
-    // on the calling thread, so `Relaxed` load + store is a plain increment;
-    // the fork–join around it orders it against the other two phases.
+    };
+    walk_pieces(g, frontier_ids, &mut live, visit, pieces_for);
     // First occurrences are compacted into the front of `live` itself:
     // `owners <= i`, so the slot written was already read.
     let mut owners = 0;
     for i in 0..live.len() {
         let v = live[i];
-        let count = &scratch.counts[v as usize];
+        let count = &counts[v as usize];
+        // ORDERING: Relaxed; this pass is the only code touching the counters,
+        // on the calling thread, between the joins that end emit and begin update.
         let seen = count.load(Ordering::Relaxed);
+        // ORDERING: as the load above: a plain increment.
         count.store(seen + 1, Ordering::Relaxed);
         live[owners] = v;
         owners += usize::from(seen == 0);
     }
     live.truncate(owners);
-    // Each owner appears once, so exactly one task reads and clears a counter.
     let entries = filter_map(&live, |&v| {
-        let count = scratch.counts[v as usize].load(Ordering::Relaxed);
-        scratch.counts[v as usize].store(0, Ordering::Relaxed);
+        // ORDERING: Relaxed; each owner appears once, so exactly one task reads
+        // and clears a counter, and the join after count published it.
+        let count = counts[v as usize].load(Ordering::Relaxed);
+        // ORDERING: as the load above.
+        counts[v as usize].store(0, Ordering::Relaxed);
         update(v, count).map(|o| (v, o))
     });
     VertexSubsetData::from_entries(n, entries)
+}
+
+/// Bit 31 of a peel's degree word: the vertex was lowered this round.
+const TOUCHED: u32 = 1 << 31;
+
+/// The degree words of a peel over `g`: each vertex's out-degree. Refuses a
+/// degree of 2^31 or more, which would reach the round's touched bit
+/// (and beyond 2^32 would have been truncated).
+pub fn peel_degrees<G: OutEdges>(g: &G) -> Result<Vec<AtomicU32>, Error> {
+    (0..g.num_vertices())
+        .map(|v| match g.out_degree(v as VertexId) {
+            d if d < TOUCHED as usize => Ok(AtomicU32::new(d as u32)),
+            d => Err(Error::input(format!(
+                "vertex {v} has degree {d}; a peel needs degrees below 2^31"
+            ))),
+        })
+        .collect()
+}
+
+thread_local! {
+    /// The piece count [`peel_in_pieces`] forces on this thread.
+    static FORCED_PIECES: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// Runs `f` with every [`edge_map_peel`] it makes on this thread cut into
+/// exactly `pieces` pieces whatever the round's size, so tests can drive the
+/// fanned-out path on small graphs, through the loops that own the peel too.
+#[doc(hidden)]
+pub fn peel_in_pieces<R>(pieces: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            FORCED_PIECES.set(self.0);
+        }
+    }
+    let _restore = Restore(FORCED_PIECES.replace(Some(pieces)));
+    f()
+}
+
+/// One peeling round (Algorithm 1, lines 3–10): every *live* target of the
+/// frontier's edges — degree word above `floor` — loses one degree per edge
+/// from the frontier, clamped at `floor`. Then, in the order of each
+/// target's first live edge, `update(v, prev, new)` gets each changed
+/// target's round-start and new degree once, and `moves` is refilled with
+/// its `Some` results. Returns the edges scanned. Degrees must be below
+/// 2^31 ([`peel_degrees`]).
+///
+/// A round of one piece (the rule the sparse `edgeMap` uses) is one walk over
+/// the frontier's edges that lowers each target's word as it goes, the
+/// round's touched bit kept in bit 31 of the word, as Δ-stepping keeps its
+/// visited bit: per edge a load, a store of the lowered or unchanged word,
+/// and an owners slot written always and kept only on the first touch, with
+/// no branch on liveness. The slots are reserved a list at a time, so the
+/// owners count stays in a register. The owners pass then clears the bit
+/// and calls `update`. A round that fans out takes the same owners, in the
+/// same order, from [`edge_map_sum_with_scratch`]'s three phases, so the
+/// result is the same at every thread count.
+///
+/// Happens-before, once for every access to `degrees` below: in a round of
+/// one piece, one worker — the caller — owns every word during the walk,
+/// and the owners pass runs after it on the same thread; in a round that
+/// fans out, each phase is one parallel call whose join publishes its
+/// writes, emit only reads words and update writes each from one task. The
+/// caller's buckets read the words only inside `next_bucket`, after the
+/// owners pass has cleared bit 31. So every access is `Relaxed`.
+pub fn edge_map_peel<G, O, U>(
+    g: &G,
+    frontier_ids: &[VertexId],
+    degrees: &[AtomicU32],
+    floor: u32,
+    scratch: &mut SumScratch,
+    moves: &mut Vec<(VertexId, O)>,
+    update: U,
+) -> u64
+where
+    G: OutEdges,
+    U: Fn(VertexId, u32, u32) -> Option<O>,
+{
+    let edges: usize = frontier_ids.iter().map(|&u| g.out_degree(u)).sum();
+    let pieces = FORCED_PIECES.get().unwrap_or_else(|| sparse_pieces(edges));
+    let mut owners = std::mem::take(&mut scratch.owners);
+    owners.clear();
+    let capacity = (owners.capacity(), moves.capacity());
+    if pieces <= 1 {
+        for &u in frontier_ids {
+            owners.reserve(g.out_degree(u));
+            let slots = owners.spare_capacity_mut();
+            let mut kept = 0;
+            g.for_each_out(u, |v, _| {
+                let word = &degrees[v as usize];
+                // ORDERING: Relaxed; the caller owns every word during the walk.
+                let d = word.load(Ordering::Relaxed);
+                let live = d & !TOUCHED > floor;
+                // ORDERING: as the load above.
+                word.store(if live { (d - 1) | TOUCHED } else { d }, Ordering::Relaxed);
+                slots[kept].write((v, d));
+                kept += usize::from(live & (d < TOUCHED));
+            });
+            // SAFETY: every edge writes `slots[kept]` (bounds-checked) before
+            // `kept` can pass it, so `slots[..kept]` is initialised.
+            unsafe { owners.set_len(owners.len() + kept) };
+        }
+    } else {
+        let lowered = sum_in_pieces(
+            g,
+            frontier_ids,
+            |v, removed| {
+                let word = &degrees[v as usize];
+                // ORDERING: Relaxed; update writes each word from one task.
+                let d = word.load(Ordering::Relaxed);
+                // ORDERING: as the load above.
+                word.store(d.saturating_sub(removed).max(floor), Ordering::Relaxed);
+                Some(d)
+            },
+            // ORDERING: Relaxed; emit only reads the words.
+            |v| degrees[v as usize].load(Ordering::Relaxed) > floor,
+            scratch,
+            |_| pieces,
+        );
+        owners.extend_from_slice(lowered.entries());
+    }
+    moves.clear();
+    for &(v, prev) in &owners {
+        let word = &degrees[v as usize];
+        // ORDERING: Relaxed; the owners pass runs on the caller's thread after
+        // the walk or the update phase's join.
+        let new = word.load(Ordering::Relaxed) & !TOUCHED;
+        // ORDERING: as the load above.
+        word.store(new, Ordering::Relaxed);
+        moves.extend(update(v, prev, new).map(|o| (v, o)));
+    }
+    trim_grown(&mut owners, capacity.0);
+    trim_grown(moves, capacity.1);
+    scratch.owners = owners;
+    edges as u64
 }
 
 #[cfg(test)]
@@ -204,10 +381,68 @@ mod tests {
         eb.sort_unstable();
         assert_eq!(ea, eb);
         // Scratch must be fully cleared for reuse.
-        assert!(scratch
-            .counts
-            .iter()
-            .all(|c| c.load(Ordering::Relaxed) == 0));
+        let counts = scratch.counts();
+        // ORDERING: Relaxed; the call above has returned.
+        assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 0));
+    }
+
+    /// Two vertices claiming degrees `degree` and 0, with no edges.
+    struct ClaimedDegree(usize);
+
+    impl OutEdges for ClaimedDegree {
+        type W = ();
+        fn num_vertices(&self) -> usize {
+            2
+        }
+        fn num_edges(&self) -> usize {
+            self.0
+        }
+        fn out_degree(&self, v: VertexId) -> usize {
+            if v == 0 {
+                self.0
+            } else {
+                0
+            }
+        }
+        fn for_each_out<F: FnMut(VertexId, ())>(&self, _: VertexId, _: F) {}
+    }
+
+    #[test]
+    fn peel_degrees_refuse_what_reaches_the_touched_bit() {
+        let words = peel_degrees(&ClaimedDegree(TOUCHED as usize - 1)).unwrap();
+        assert_eq!(
+            words
+                .into_iter()
+                .map(AtomicU32::into_inner)
+                .collect::<Vec<_>>(),
+            [TOUCHED - 1, 0]
+        );
+        for degree in [TOUCHED as usize, 1 << 32, (1 << 32) + 3] {
+            let err = peel_degrees(&ClaimedDegree(degree)).unwrap_err();
+            assert!(matches!(err, Error::Input(_)), "{degree}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn peel_lowers_live_targets_once_and_clears_the_bit() {
+        let g = diamond();
+        // 2 is live above floor 1; 3 sits at the floor and stays.
+        let degrees: Vec<AtomicU32> = [5, 5, 4, 1].map(AtomicU32::new).into();
+        let mut scratch = SumScratch::new(4);
+        let mut moves = Vec::new();
+        let edges = edge_map_peel(
+            &g,
+            &[0, 1],
+            &degrees,
+            1,
+            &mut scratch,
+            &mut moves,
+            |v, p, n| Some((v, p, n)),
+        );
+        assert_eq!(edges, 4);
+        assert_eq!(moves, [(2, (2, 4, 2))]);
+        let words: Vec<u32> = degrees.into_iter().map(AtomicU32::into_inner).collect();
+        assert_eq!(words, [5, 5, 2, 1]);
     }
 
     #[test]
