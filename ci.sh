@@ -33,8 +33,8 @@ fi
 # visited bit inside it, and so is the peel's, with its touched bit:
 # no flag bitset, no SeqCst, and every atomic access on the path says within
 # three lines above why its ordering holds.
-for f in crates/algorithms/src/delta_stepping.rs crates/algorithms/src/multi_source.rs \
-    crates/ligra/src/edge_map_reduce.rs crates/algorithms/src/degeneracy.rs; do
+for f in crates/algorithms/src/delta_stepping.rs crates/ligra/src/edge_map_reduce.rs \
+    crates/algorithms/src/degeneracy.rs; do
     if grep -nE 'SeqCst|AtomicBitSet' "$f"; then
         echo "ci.sh: $f: the visit protocol is Relaxed and bitset-free; see DESIGN §6"
         exit 1
@@ -68,7 +68,7 @@ core_loop_code_lines() { # <module> <fn>
         on && $0 !~ /^[ \t]*(\/\/.*)?$/ { code++ }
         on && /^}/ { print code; exit }' "crates/algorithms/src/$1.rs"
 }
-for entry in kcore::coreness delta_stepping::sssp setcover::cover ktruss::ktruss; do
+for entry in kcore::coreness delta_stepping::sssp_multi setcover::cover ktruss::ktruss; do
     budget=$(awk -F'|' -v e="\`$entry\`" '$3 ~ e { print $5 + 0 }' DESIGN.md)
     code=$(core_loop_code_lines "${entry%%::*}" "${entry##*::}")
     echo "==> $entry: $code code lines (DESIGN §6 says $budget)"
@@ -369,8 +369,9 @@ run env JULIENNE_CHAOS_SEED=1 JULIENNE_NUM_THREADS=4 cargo test -q -p rayon
 for seed in 1 24301; do
     run env JULIENNE_CHAOS_SEED=$seed JULIENNE_NUM_THREADS=4 cargo test -q --test proptest_bucket --test alloc_bucket
 done
-# A steady-state Δ-stepping round allocates nothing (its buffers are kept
-# across rounds) on four workers and under the adversarial scheduler too.
+# A steady-state Δ-stepping round, solo or fused, allocates nothing (its
+# buffers are kept across rounds) on four workers and under the adversarial
+# scheduler too.
 run env JULIENNE_NUM_THREADS=4 cargo test -q --test alloc_sssp_rounds
 run env JULIENNE_CHAOS_SEED=1 JULIENNE_NUM_THREADS=4 cargo test -q --test alloc_sssp_rounds
 # The sparse edgeMap driver: its inline and fanned-out walks keep the
@@ -379,9 +380,10 @@ run env JULIENNE_CHAOS_SEED=1 JULIENNE_NUM_THREADS=4 cargo test -q --test alloc_
 run env JULIENNE_NUM_THREADS=4 cargo test -q --test proptest_sparse_blocked --test alloc_sparse_hub
 run env JULIENNE_CHAOS_SEED=1 JULIENNE_NUM_THREADS=4 cargo test -q --test proptest_sparse_blocked --test alloc_sparse_hub
 # The peel kernel: its inline walk and its fanned-out fallback leave the
-# same degrees and report the same targets in the same order.
-run env JULIENNE_NUM_THREADS=4 cargo test -q --test proptest_peel
-run env JULIENNE_CHAOS_SEED=1 JULIENNE_NUM_THREADS=4 cargo test -q --test proptest_peel
+# same degrees and report the same targets in the same order. Fused
+# Δ-stepping rounds forced to fan out keep every lane equal to its solo run.
+run env JULIENNE_NUM_THREADS=4 cargo test -q --test proptest_peel --test proptest_fused_pieces
+run env JULIENNE_CHAOS_SEED=1 JULIENNE_NUM_THREADS=4 cargo test -q --test proptest_peel --test proptest_fused_pieces
 # The chunked compressed backend's split traversal paths (per-chunk sparse
 # tasks, dense heavy-vertex scan) under the adversarial scheduler: results
 # must stay bit-identical to CSR.

@@ -2,20 +2,25 @@
 //!
 //! Buckets partition vertices by distance annulus `[i·Δ, (i+1)·Δ)`. Each
 //! round extracts the closest unfinished annulus and relaxes its out-edges;
-//! the visit protocol (`Dists`: the round's visited bit lives in the
-//! distance word, as in GBBS) guarantees exactly one relaxer per target per
-//! round captures the round-start distance, which `Reset` uses to compute
-//! the bucket move via `getBucket`.
+//! the visit protocol (`Dists`, GBBS's visited bit in the distance word)
+//! lets exactly one relaxer per target per round capture the round-start
+//! distance, from which `Reset` computes the bucket move (`getBucket`).
 //!
-//! * [`sssp`] — the plain Algorithm 2, parameterized by [`SsspParams`] and
-//!   a [`QueryCtx`] (deadline + cancellation polled at round boundaries).
+//! * [`sssp_multi`] — the round loop, from many sources at once, each in
+//!   its own **frontier lane** (how the serve path batches `sssp`);
+//!   [`sssp`] is that loop with one lane.
 //! * [`wbfs`] — Δ = 1 with integral weights: O(r_src + m) expected work and
 //!   O(r_src log n) depth w.h.p. (Theorem 4.2).
-//! * [`delta_stepping_light_heavy`] — the Meyer–Sanders light/heavy edge
-//!   split the paper implemented but found unhelpful on its inputs (kept
-//!   for the A2 ablation).
+//! * [`delta_stepping_light_heavy`] — the Meyer–Sanders light/heavy split
+//!   the paper found unhelpful on its inputs (kept for the A2 ablation).
+//!
+//! Lane `l` of `L` owns the identifiers `v·L + l`; one bucket structure over
+//! all `L·n` orders every lane's annuli. Lanes never interact and each round
+//! relaxes from round-start distances, so a lane's `dist`, `rounds` and
+//! `relaxations` are **bit-identical** to a one-lane run from its source
+//! (pinned by the scheduler-equivalence proptests). A lane whose
+//! [`QueryCtx`] trips **detaches**; its siblings run on untouched.
 
-use crate::bellman_ford::SsspResult;
 use crate::INF;
 use julienne::bucket::{BucketId, Bucketing, Order, NULL_BKT};
 use julienne::query::QueryCtx;
@@ -24,9 +29,11 @@ use julienne::Error;
 use julienne_graph::builder::EdgeList;
 use julienne_graph::csr::Csr;
 use julienne_graph::VertexId;
+use julienne_ligra::edge_map::sparse_in_pieces;
 use julienne_ligra::traits::OutEdges;
 use julienne_ligra::EdgeMap;
 use julienne_primitives::filter::map_into;
+use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Δ-stepping SSSP result with bucket-structure counters.
@@ -38,28 +45,15 @@ pub struct DeltaResult {
     pub rounds: u64,
     /// Edge relaxations attempted.
     pub relaxations: u64,
-    /// Identifiers physically moved inside the bucket structure.
+    /// Identifiers physically moved inside the bucket structure (shared
+    /// by every lane of a fused batch, so exact only for one lane).
     pub identifiers_moved: u64,
 }
 
-impl From<DeltaResult> for SsspResult {
-    fn from(d: DeltaResult) -> SsspResult {
-        SsspResult {
-            dist: d.dist,
-            rounds: d.rounds,
-            relaxations: d.relaxations,
-        }
-    }
-}
-
-/// Largest usable bucket id: `NULL_BKT` is reserved as the "no bucket"
-/// sentinel, so distances whose annulus index would reach it are clamped to
-/// the id just below. Clamping is *correct*, not just safe: all clamped
-/// vertices share the final bucket, and re-relaxations within a bucket
-/// reinsert into the current bucket (`get_bucket` handles
-/// `next == current`), so processing that bucket converges to the exact
-/// distances Bellman-Ford-style — it merely loses priority ordering among
-/// those extreme vertices.
+/// Largest usable bucket id (`NULL_BKT` means "no bucket"): later annuli
+/// are clamped to it. That is *correct*: re-relaxations in the current
+/// bucket reinsert into it (`get_bucket` handles `next == current`), so the
+/// shared last bucket converges Bellman-Ford-style, only without priority.
 const MAX_ANNULUS: u64 = NULL_BKT as u64 - 1;
 
 #[inline]
@@ -72,15 +66,18 @@ const VISITED: u64 = 1 << 63;
 /// Bits 0–62 of a distance word; all set means unreached.
 const DIST: u64 = !VISITED;
 
-/// Most vertices whose distances provably fit [`DIST`]: a shortest path has
-/// at most n − 1 edges, each of weight below 2^32, so for n ≤ 2^31 every
-/// distance is below 2^63 − 1. A longer tentative distance merely fails
-/// `relax`'s comparison; it can never reach the visited bit.
+/// Most vertices whose distances provably fit [`DIST`]: n − 1 edges below
+/// 2^32 each stay below 2^63 − 1 for n ≤ 2^31. A longer tentative distance
+/// just fails `relax`'s comparison; it never reaches the visited bit.
 const MAX_VERTICES: usize = 1 << 31;
 
-/// Rejects a zero Δ, and graphs whose distances might not fit the 63
-/// distance bits.
-pub(crate) fn check_input(n: usize, delta: u64) -> Result<(), Error> {
+/// Rejects a zero Δ, distances that might not fit 63 bits, sources out of
+/// range, and `L·n` ids beyond `u32` (`NULL_BKT` = `u32::MAX` is reserved).
+fn check_input(
+    n: usize,
+    delta: u64,
+    mut srcs: impl ExactSizeIterator<Item = VertexId>,
+) -> Result<(), Error> {
     if delta == 0 {
         return Err(Error::usage("delta must be >= 1"));
     }
@@ -89,29 +86,36 @@ pub(crate) fn check_input(n: usize, delta: u64) -> Result<(), Error> {
             "n = {n} exceeds the 2^31 vertices whose distances fit 63 bits"
         )));
     }
-    Ok(())
+    let lanes = srcs.len();
+    if lanes.saturating_mul(n) > u32::MAX as usize {
+        return Err(Error::input(format!(
+            "{lanes} lanes over n = {n} exceed the u32 identifier space"
+        )));
+    }
+    match srcs.find(|&src| src as usize >= n) {
+        Some(src) => Err(Error::input(format!("src {src} out of range (n = {n})"))),
+        None => Ok(()),
+    }
 }
 
 /// The visit protocol in one word per id (GBBS): bits 0–62 hold the
-/// tentative distance and bit 63 is the round's visited bit. The CAS that
-/// lowers a word first in a round is the one that finds the bit clear, so
-/// it alone learns the round-start distance and reports the id to Reset,
-/// which clears the bit with a plain store.
+/// tentative distance, bit 63 the round's visited bit. The CAS that first
+/// lowers a word in a round finds the bit clear, so it alone learns the
+/// round-start distance and reports the id to Reset, which clears the bit.
 ///
-/// Happens-before, once for every access below: a round's phases — the
-/// frontier walk, edgeMap, Reset, the bucket calls — are each one parallel
-/// call, and the runtime's join at its end (`run_pieces`) orders all of its
-/// writes before the next phase's reads. Within edgeMap the words are only
-/// read and CAS'd, and the CAS's atomicity, not its ordering, elects the
+/// Happens-before, once for every access below: each phase of a round (the
+/// frontier walk, edgeMap, Reset, the bucket calls) is one parallel call
+/// whose join (`run_pieces`) orders its writes before the next phase's
+/// reads, and in edgeMap the CAS's atomicity, not its ordering, elects the
 /// visitor. So every access is `Relaxed`.
-pub(crate) struct Dists {
+struct Dists {
     words: Vec<AtomicU64>,
     delta: u64,
 }
 
 impl Dists {
     /// `len` unreached ids, bucketed by annuli of width `delta`.
-    pub(crate) fn new(len: usize, delta: u64) -> Self {
+    fn new(len: usize, delta: u64) -> Self {
         Dists {
             words: (0..len).map(|_| AtomicU64::new(DIST)).collect(),
             delta,
@@ -119,13 +123,13 @@ impl Dists {
     }
 
     /// Makes `id` a source (distance 0) before the traversal starts.
-    pub(crate) fn start(&mut self, id: usize) {
+    fn start(&mut self, id: usize) {
         *self.words[id].get_mut() = 0;
     }
 
     /// The distance of `id` ([`DIST`] while unreached), visited bit masked.
     #[inline]
-    pub(crate) fn dist(&self, id: usize) -> u64 {
+    fn dist(&self, id: usize) -> u64 {
         // ORDERING: Relaxed; a previous phase's writes are published by its
         // join, and light/heavy's live read may see any tentative value.
         self.words[id].load(Ordering::Relaxed) & DIST
@@ -135,7 +139,7 @@ impl Dists {
     /// Returns the round-start distance to the one lowering this round that
     /// found the bit clear, `None` to every other call.
     #[inline]
-    pub(crate) fn relax(&self, id: usize, nd: u64) -> Option<u64> {
+    fn relax(&self, id: usize, nd: u64) -> Option<u64> {
         let word = &self.words[id];
         // ORDERING: Relaxed; a stale value only costs the CAS a retry.
         let mut cur = word.load(Ordering::Relaxed);
@@ -158,7 +162,7 @@ impl Dists {
     /// that of `round_start` (what [`relax`](Self::relax) reported) to that
     /// of its new distance — `getBucket`'s `(prev, next)`.
     #[inline]
-    pub(crate) fn settle(&self, id: usize, round_start: u64) -> (BucketId, BucketId) {
+    fn settle(&self, id: usize, round_start: u64) -> (BucketId, BucketId) {
         let d = self.dist(id);
         // ORDERING: Relaxed; Reset touches each id once, after edgeMap's join.
         self.words[id].store(d, Ordering::Relaxed);
@@ -166,7 +170,7 @@ impl Dists {
     }
 
     /// D: the annulus of `id`, `NULL_BKT` while unreached.
-    pub(crate) fn bucket(&self, id: usize) -> BucketId {
+    fn bucket(&self, id: usize) -> BucketId {
         self.bucket_of(self.dist(id))
     }
 
@@ -181,7 +185,7 @@ impl Dists {
     }
 
     /// The final distances, [`INF`] for unreached ids.
-    pub(crate) fn into_dists(self) -> Vec<u64> {
+    fn into_dists(self) -> Vec<u64> {
         self.words
             .into_iter()
             .map(|w| match w.into_inner() & DIST {
@@ -192,8 +196,7 @@ impl Dists {
     }
 }
 
-/// Parameters for [`sssp`]: Δ-stepping from `src` with bucket width
-/// `delta`.
+/// Parameters for [`sssp`]: Δ-stepping from `src` with bucket width `delta`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SsspParams {
     /// Source vertex.
@@ -211,82 +214,222 @@ impl Default for SsspParams {
     }
 }
 
-/// Δ-stepping SSSP (Algorithm 2): the single entry point behind the
-/// `sssp` registry id.
-///
-/// Generic over the out-edge backend, so it runs unmodified on plain CSR
-/// and on Ligra+-style byte-compressed weighted graphs. Bucket window and
-/// telemetry scope come from `ctx`'s engine; each annulus round emits a
-/// round record. The context is polled once per round: a cancelled or
-/// deadline-expired query returns `Err` with no partial output, dropping
-/// its buckets on the way out.
+/// One source of [`sssp_multi`]: where it starts and the per-query context
+/// that cancels or expires it independently of its siblings.
+pub struct SsspLane<'a> {
+    /// Source vertex (must be `< n`).
+    pub src: VertexId,
+    /// This lane's lifecycle context, polled at every round boundary.
+    pub ctx: &'a QueryCtx,
+}
+
+/// Δ-stepping SSSP (Algorithm 2) from one source, on any out-edge backend:
+/// [`sssp_multi`] with one lane, behind the `sssp` registry id. Bucket
+/// window and telemetry come from `ctx`'s engine; `ctx` is polled once per
+/// round, and a cancelled or expired query returns `Err` with no partial
+/// output.
 pub fn sssp<G: OutEdges<W = u32>>(
     g: &G,
     params: &SsspParams,
     ctx: &QueryCtx,
 ) -> Result<DeltaResult, Error> {
+    let SsspParams { src, delta } = *params;
+    let mut lanes = sssp_multi(g, delta, &[SsspLane { src, ctx }])?;
+    lanes.pop().expect("one result per lane")
+}
+
+/// Δ-stepping (Algorithm 2) from every lane's source in one bucketed
+/// traversal. Returns each lane's result, in lane order, or its own
+/// lifecycle `Err`; the outer `Err` is misuse (see `check_input`). The
+/// engine is the **first** lane's: batches form within one session. One
+/// lane walks the extracted bucket as the paper's loop does; a fused round
+/// walks one entry per vertex, relaxing every lane of its run (`Fused`).
+pub fn sssp_multi<G: OutEdges<W = u32>>(
+    g: &G,
+    delta: u64,
+    lanes: &[SsspLane<'_>],
+) -> Result<Vec<Result<DeltaResult, Error>>, Error> {
     let n = g.num_vertices();
-    check_input(n, params.delta)?;
-    let engine = ctx.engine();
-    let mut sp = Dists::new(n, params.delta);
-    sp.start(params.src as usize);
-    let mut buckets = engine.buckets(n, |v| sp.bucket(v as usize), Order::Increasing);
+    check_input(n, delta, lanes.iter().map(|lane| lane.src))?;
+    let Some(first) = lanes.first() else {
+        return Ok(Vec::new());
+    };
+    let width = lanes.len();
+    let mut sp = Dists::new(n * width, delta);
+    for (l, lane) in lanes.iter().enumerate() {
+        sp.start(lane.src as usize * width + l);
+    }
+    let engine = first.ctx.engine();
+    let mut buckets = engine.buckets(n * width, |id| sp.bucket(id as usize), Order::Increasing);
     let telemetry = engine.telemetry();
     let em = engine.edge_map(g);
 
-    let mut rounds = 0u64;
-    let mut relaxations = 0u64;
-    // Round buffers, refilled in place every round: the frontier, its
-    // round-start distances, edgeMap's hits and Reset's bucket moves.
-    let (mut ids, mut starts, mut hits, mut moves) = (vec![], vec![], vec![], vec![]);
+    let mut dead: Vec<Option<Error>> = lanes.iter().map(|_| None).collect();
+    let (mut round, mut relaxations) = (0u64, 0u64);
+    // Per lane of a fused batch: (rounds, relaxations, last round counted).
+    let mut tally = vec![(0u64, 0u64, 0u64); width];
+    // Round buffers, refilled in place: frontier, round-start distances, a
+    // fused round's grouping, edgeMap's hits and Reset's bucket moves.
+    let (mut ids, mut starts, mut fused) = (vec![], vec![], Fused::default());
+    let (mut hits, mut moves) = (vec![], vec![]);
     loop {
-        // Round boundary: a cancelled/expired query unwinds here, dropping
-        // the bucket structure and distance array with it.
-        ctx.check()?;
+        // Round boundary: poll every live lane. A tripped lane detaches;
+        // with none left the run returns at once, dropping its buckets and
+        // words unread.
+        for (dead, lane) in dead.iter_mut().zip(lanes) {
+            if dead.is_none() {
+                *dead = lane.ctx.check().err();
+            }
+        }
+        if dead.iter().all(Option::is_some) {
+            return Ok(dead.into_iter().flatten().map(Err).collect());
+        }
         let mut span = telemetry.span();
         let Some(bkt) = span.lap(Phase::NextBucket, buckets.next_bucket_into(&mut ids)) else {
             break;
         };
-        rounds += 1;
-        // Round-start distances, by frontier position. Relaxing from these
-        // (instead of the live values) makes each round's outcome a pure
-        // function of the frontier *set*: an intra-annulus edge that
-        // improves a frontier member mid-round no longer changes what that
-        // member propagates this round (the improvement reinserts it and
-        // propagates next round instead). That order-independence is what
-        // lets the fused multi-source kernel reproduce solo results
-        // bit-for-bit, and what makes the round count invariant across
-        // thread counts.
-        map_into(&ids, &mut starts, |&v| sp.dist(v as usize));
+        round += 1;
+        if width > 1 {
+            fused.group(g, round, &dead, &mut ids, &mut tally);
+        }
+        // Round-start distances, by frontier position: relaxing from these
+        // makes a round a pure function of the frontier *set*, so fused lanes
+        // equal one-lane runs and rounds do not depend on the thread count.
+        map_into(&ids, &mut starts, |&id| sp.dist(id as usize));
         span.lap(Phase::Walk, ());
 
         // Update (Algorithm 2, lines 4–10): the CAS that first lowers a
         // target this round captures its round-start distance.
-        let round_edges = em.run_sparse_at(&ids, &mut hits, |i, v, w| {
-            sp.relax(v as usize, starts[i] + w as u64)
-        });
+        let round_edges = if width == 1 {
+            em.run_sparse_at(&ids, &mut hits, |i, v, w, hits| {
+                if let Some(old) = sp.relax(v as usize, starts[i] + w as u64) {
+                    hits.push((v, old));
+                }
+            })
+        } else {
+            fused.relax(&em, &sp, width, &starts, &mut hits)
+        };
         relaxations += span.lap(Phase::EdgeMap, round_edges);
 
         // Reset (lines 11–13): clear the visited bit and compute the bucket
         // move from the round-start annulus to the new one.
-        map_into(&hits, &mut moves, |&(v, round_start)| {
-            let (prev, next) = sp.settle(v as usize, round_start);
-            (v, buckets.get_bucket(v, prev, next))
+        map_into(&hits, &mut moves, |&(id, round_start)| {
+            let (prev, next) = sp.settle(id as usize, round_start);
+            (id, buckets.get_bucket(id, prev, next))
         });
         span.lap(Phase::Reset, ());
         buckets.update_buckets(&moves);
         span.lap(Phase::UpdateBuckets, ());
         let relaxed = moves.len() as u64;
-        telemetry.finish_round(span, rounds - 1, bkt, ids.len(), round_edges, relaxed);
+        telemetry.finish_round(span, round - 1, bkt, ids.len(), round_edges, relaxed);
     }
 
-    Ok(DeltaResult {
-        // Last use of `buckets`, whose D closure borrows `sp`.
-        identifiers_moved: buckets.stats().identifiers_moved,
-        dist: sp.into_dists(),
-        rounds,
-        relaxations,
-    })
+    // Last use of `buckets`, whose D closure borrows `sp`.
+    let identifiers_moved = buckets.stats().identifiers_moved;
+    drop(buckets);
+    if width == 1 {
+        tally[0] = (round, relaxations, round);
+    }
+    // One lane's distance words are its distances, handed back in place.
+    let mut words = sp.into_dists();
+    let mut dist = |l| match width {
+        1 => std::mem::take(&mut words),
+        _ => (0..n).map(|v| words[v * width + l]).collect(),
+    };
+    Ok(dead
+        .into_iter()
+        .zip(tally)
+        .enumerate()
+        .map(|(l, (dead, (rounds, relaxations, _)))| match dead {
+            Some(e) => Err(e),
+            None => Ok(DeltaResult {
+                dist: dist(l),
+                rounds,
+                relaxations,
+                identifiers_moved,
+            }),
+        })
+        .collect())
+}
+
+/// A fused frontier by vertex, kept across rounds: each vertex once, where
+/// its run of lanes starts in the sorted frontier (closed by its length),
+/// and each position's lane, so a visit finds a lane with no division.
+#[derive(Default)]
+struct Fused {
+    verts: Vec<VertexId>,
+    runs: Vec<usize>,
+    lanes: Vec<u32>,
+}
+
+impl Fused {
+    /// Drops detached lanes' ids and sorts the rest into one run per vertex
+    /// (ids are vertex-major); tallies each lane's round and relaxations.
+    fn group<G: OutEdges>(
+        &mut self,
+        g: &G,
+        round: u64,
+        dead: &[Option<Error>],
+        ids: &mut Vec<VertexId>,
+        tally: &mut [(u64, u64, u64)],
+    ) {
+        let width = tally.len() as VertexId;
+        ids.retain(|&id| dead[(id % width) as usize].is_none());
+        ids.par_sort_unstable();
+        map_into(ids, &mut self.lanes, |&id| id % width);
+        self.verts.clear();
+        self.runs.clear();
+        let mut degree = 0;
+        for (k, &id) in ids.iter().enumerate() {
+            let v = id / width;
+            if self.verts.last() != Some(&v) {
+                self.verts.push(v);
+                self.runs.push(k);
+                degree = g.out_degree(v) as u64;
+            }
+            let lane = &mut tally[(id % width) as usize];
+            lane.0 += u64::from(lane.2 != round);
+            lane.1 += degree;
+            lane.2 = round;
+        }
+        self.runs.push(ids.len());
+    }
+
+    /// Relaxes each lane of a vertex's run along its out-edges from the lane's
+    /// round-start distance into `hits`; returns the edges scanned. A fused
+    /// edge costs a relaxation per lane, unseen by the sparse driver's edge
+    /// count, so the round is cut by vertices ([`rayon::pool::piece_count`]).
+    fn relax<G: OutEdges<W = u32>>(
+        &self,
+        em: &EdgeMap<'_, G>,
+        sp: &Dists,
+        width: usize,
+        starts: &[u64],
+        hits: &mut Vec<(VertexId, u64)>,
+    ) -> u64 {
+        let mut walk = || {
+            // Forced inline: left alone, this visit became a call per edge.
+            em.run_sparse_at(
+                &self.verts,
+                hits,
+                #[inline(always)]
+                |i, v, w, hits| {
+                    // Lane `l` of the run relaxes `v·L + l`.
+                    let (to, run) = (v as usize * width, self.runs[i]..self.runs[i + 1]);
+                    for (&l, &start) in self.lanes[run.clone()].iter().zip(&starts[run]) {
+                        let id = to + l as usize;
+                        if let Some(old) = sp.relax(id, start + w as u64) {
+                            hits.push((id as VertexId, old));
+                        }
+                    }
+                },
+            )
+        };
+        match rayon::pool::piece_count(self.verts.len()) {
+            1 => walk(),
+            pieces => sparse_in_pieces(pieces, walk),
+        }
+    }
 }
 
 /// Weighted BFS: Δ-stepping with Δ = 1 (Theorem 4.2).
@@ -303,12 +446,12 @@ pub fn delta_stepping_light_heavy<G: OutEdges<W = u32>>(
     delta: u64,
 ) -> DeltaResult {
     let n = g.num_vertices();
-    check_input(n, delta).expect("delta >= 1 and a graph whose distances fit 63 bits");
+    check_input(n, delta, [src].into_iter())
+        .expect("delta >= 1, src < n and a graph whose distances fit 63 bits");
 
-    // Split into light/heavy subgraphs once (the paper: "two graphs, one
-    // containing just the light edges and the other just the heavy edges").
-    // The split subgraphs are materialised as plain CSR regardless of the
-    // input backend.
+    // Split into light/heavy subgraphs once, as plain CSR whatever the
+    // backend (the paper: "two graphs, one containing just the light edges
+    // and the other just the heavy edges").
     let mut light: EdgeList<u32> = EdgeList::new(n);
     let mut heavy: EdgeList<u32> = EdgeList::new(n);
     for u in 0..n as VertexId {
@@ -320,8 +463,7 @@ pub fn delta_stepping_light_heavy<G: OutEdges<W = u32>>(
             }
         });
     }
-    let light = light.build(false);
-    let heavy = heavy.build(false);
+    let (light, heavy) = (light.build(false), heavy.build(false));
 
     let mut sp = Dists::new(n, delta);
     sp.start(src as usize);
@@ -329,20 +471,19 @@ pub fn delta_stepping_light_heavy<G: OutEdges<W = u32>>(
         julienne::bucket::BucketsBuilder::new(n, |v| sp.bucket(v as usize), Order::Increasing)
             .build();
 
-    let mut rounds = 0u64;
-    let mut relaxations = 0u64;
+    let (mut rounds, mut relaxations) = (0u64, 0u64);
 
-    // One relaxation pass over `graph` from `ids`, returning bucket moves.
-    // Relaxes from the live distance (masked: the source may itself have
-    // been lowered this pass), not a round-start one.
+    // One relaxation pass over `graph` from `ids`, returning bucket moves,
+    // from the live distance (the source may have been lowered this pass).
     let relax = |graph: &Csr<u32>,
                  ids: &[VertexId],
                  buckets: &julienne::bucket::Buckets<_>,
                  relaxations: &mut u64|
      -> Vec<(u32, julienne::bucket::BucketDest)> {
         let mut moved = Vec::new();
-        *relaxations += EdgeMap::new(graph).run_sparse_at(ids, &mut moved, |i, v, w| {
-            sp.relax(v as usize, sp.dist(ids[i] as usize) + w as u64)
+        *relaxations += EdgeMap::new(graph).run_sparse_at(ids, &mut moved, |i, v, w, moved| {
+            let nd = sp.dist(ids[i] as usize) + w as u64;
+            moved.extend(sp.relax(v as usize, nd).map(|old| (v, old)));
         });
         let mut dests = Vec::new();
         map_into(&moved, &mut dests, |&(v, round_start)| {
@@ -388,7 +529,6 @@ mod tests {
     use julienne::engine::Engine;
     use julienne_graph::generators::{erdos_renyi, grid2d, rmat, RmatParams};
     use julienne_graph::transform::{assign_weights, wbfs_weight_range};
-    use rayon::prelude::*;
 
     fn weighted_er(seed: u64, lo: u32, hi: u32) -> Csr<u32> {
         assign_weights(&erdos_renyi(400, 3200, seed, true), lo, hi, seed + 100)
@@ -559,12 +699,28 @@ mod tests {
         // The longest shortest path on the largest accepted graph.
         let worst = (MAX_VERTICES as u64 - 1) * u32::MAX as u64;
         assert!(worst < DIST);
-        assert!(check_input(MAX_VERTICES, 1).is_ok());
+        let none = || std::iter::empty();
+        assert!(check_input(MAX_VERTICES, 1, none()).is_ok());
         assert!(matches!(
-            check_input(MAX_VERTICES + 1, 1),
+            check_input(MAX_VERTICES + 1, 1, none()),
             Err(Error::Input(_))
         ));
-        assert!(check_input(1, 0).unwrap_err().is_usage());
+        assert!(check_input(1, 0, none()).unwrap_err().is_usage());
+        // Two lanes over 2^31 vertices overflow the u32 identifier space.
+        assert!(check_input(MAX_VERTICES, 1, [0].into_iter()).is_ok());
+        assert!(matches!(
+            check_input(MAX_VERTICES, 1, [0, 0].into_iter()),
+            Err(Error::Input(_))
+        ));
+    }
+
+    #[test]
+    fn a_source_out_of_range_is_an_input_error() {
+        let g = weighted_er(1, 1, 10);
+        for src in [400, u32::MAX] {
+            let r = sssp(&g, &SsspParams { src, delta: 4 }, &QueryCtx::default());
+            assert!(matches!(r, Err(Error::Input(_))), "src {src}: {r:?}");
+        }
     }
 
     #[test]
@@ -604,5 +760,123 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.dist, dijkstra(&g, 0));
+    }
+
+    fn assert_lane_identical(fused: &DeltaResult, solo: &DeltaResult, tag: &str) {
+        assert_eq!(fused.dist, solo.dist, "{tag}: dist");
+        assert_eq!(fused.rounds, solo.rounds, "{tag}: rounds");
+        assert_eq!(fused.relaxations, solo.relaxations, "{tag}: relaxations");
+    }
+
+    #[test]
+    fn fused_lanes_match_solo_runs() {
+        let g = weighted_er(3, 1, 1000);
+        let ctx = QueryCtx::default();
+        for delta in [1u64, 64, 32768] {
+            let srcs = [0u32, 7, 7, 399];
+            let lanes: Vec<SsspLane> = srcs
+                .iter()
+                .map(|&src| SsspLane { src, ctx: &ctx })
+                .collect();
+            let fused = sssp_multi(&g, delta, &lanes).unwrap();
+            for (i, &src) in srcs.iter().enumerate() {
+                let lane = fused[i].as_ref().unwrap();
+                assert_lane_identical(
+                    lane,
+                    &run(&g, src, delta),
+                    &format!("delta {delta} src {src}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fused_wbfs_on_compressed_backend_matches_solo() {
+        use julienne_graph::compress::CompressedWGraph;
+        let (lo, hi) = wbfs_weight_range(1 << 10);
+        let g = assign_weights(&rmat(10, 8, RmatParams::default(), 2, true), lo, hi, 3);
+        let cg = CompressedWGraph::from_csr(&g);
+        let ctx = QueryCtx::default();
+        let srcs = [0u32, 3, 11];
+        let lanes: Vec<SsspLane> = srcs
+            .iter()
+            .map(|&src| SsspLane { src, ctx: &ctx })
+            .collect();
+        let fused = sssp_multi(&cg, 1, &lanes).unwrap();
+        for (i, &src) in srcs.iter().enumerate() {
+            let lane = fused[i].as_ref().unwrap();
+            assert_lane_identical(lane, &run(&g, src, 1), &format!("src {src}"));
+        }
+    }
+
+    #[test]
+    fn cancelled_lane_detaches_without_poisoning_siblings() {
+        use julienne::query::CancelToken;
+        let g = weighted_er(7, 1, 1000);
+        let live_ctx = QueryCtx::default();
+        // Trip after a few round-boundary polls so the doomed lane has
+        // in-flight bucket entries when it detaches.
+        let engine = Engine::default();
+        let doomed_ctx =
+            QueryCtx::from_engine(&engine).with_cancel_token(CancelToken::cancel_after_polls(3));
+        let lanes = [
+            SsspLane {
+                src: 0,
+                ctx: &live_ctx,
+            },
+            SsspLane {
+                src: 5,
+                ctx: &doomed_ctx,
+            },
+            SsspLane {
+                src: 42,
+                ctx: &live_ctx,
+            },
+        ];
+        let fused = sssp_multi(&g, 64, &lanes).unwrap();
+        assert!(
+            matches!(fused[1], Err(Error::Cancelled)),
+            "{:?}",
+            fused[1].as_ref().err()
+        );
+        assert_lane_identical(fused[0].as_ref().unwrap(), &run(&g, 0, 64), "sibling 0");
+        assert_lane_identical(fused[2].as_ref().unwrap(), &run(&g, 42, 64), "sibling 2");
+    }
+
+    #[test]
+    fn all_lanes_cancelled_returns_all_errors() {
+        use julienne::query::CancelToken;
+        let g = weighted_er(9, 1, 100);
+        let token = CancelToken::new();
+        token.cancel();
+        let engine = Engine::default();
+        let ctx = QueryCtx::from_engine(&engine).with_cancel_token(token);
+        let lanes = [
+            SsspLane { src: 0, ctx: &ctx },
+            SsspLane { src: 1, ctx: &ctx },
+        ];
+        let fused = sssp_multi(&g, 16, &lanes).unwrap();
+        for r in &fused {
+            assert!(matches!(r, Err(Error::Cancelled)));
+        }
+        let solo = sssp(&g, &SsspParams { src: 0, delta: 16 }, &ctx);
+        assert!(matches!(solo, Err(Error::Cancelled)));
+    }
+
+    #[test]
+    fn structural_misuse_is_an_outer_error() {
+        let g = weighted_er(1, 1, 10);
+        let ctx = QueryCtx::default();
+        assert!(sssp_multi(&g, 0, &[SsspLane { src: 0, ctx: &ctx }]).is_err());
+        assert!(sssp_multi(
+            &g,
+            1,
+            &[SsspLane {
+                src: 400,
+                ctx: &ctx
+            }]
+        )
+        .is_err());
+        assert!(sssp_multi::<Csr<u32>>(&g, 1, &[]).unwrap().is_empty());
     }
 }

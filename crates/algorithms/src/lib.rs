@@ -31,7 +31,6 @@ pub mod gap_delta;
 pub mod kcore;
 pub mod ktruss;
 pub mod mis;
-pub mod multi_source;
 pub mod pagerank;
 pub mod registry;
 pub mod setcover;

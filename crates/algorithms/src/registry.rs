@@ -572,7 +572,7 @@ pub enum BatchKind {
     WholeGraph,
     /// `sssp` with `algo=delta|wbfs`: queries differing only in `src`
     /// fuse into one multi-source traversal with per-source frontier
-    /// lanes ([`crate::multi_source::sssp_multi`]). The `bellman` and
+    /// lanes ([`crate::delta_stepping::sssp_multi`]). The `bellman` and
     /// `dijkstra` variants are not lane-fusable and coalesce as
     /// [`BatchKind::WholeGraph`] does (identical params only).
     MultiSourceSssp,
@@ -879,7 +879,7 @@ fn run_sssp(store: &GraphStore, p: &ParamMap, ctx: &QueryCtx) -> Result<String, 
 }
 
 /// Runs a coalesced batch of `sssp` queries as **one fused multi-source
-/// traversal** ([`crate::multi_source::sssp_multi`]), one frontier lane per
+/// traversal** ([`crate::delta_stepping::sssp_multi`]), one frontier lane per
 /// member. Every member must be an `algo=delta|wbfs` query with the same
 /// effective Δ against the same store; members differ only in `src`.
 ///
@@ -898,7 +898,7 @@ pub fn run_sssp_batch(
     store: &GraphStore,
     members: &[(&ParamMap, &QueryCtx)],
 ) -> Result<Vec<Result<String, Error>>, Error> {
-    use crate::multi_source::{sssp_multi, SsspLane};
+    use crate::delta_stepping::{sssp_multi, SsspLane};
     if members.is_empty() {
         return Ok(Vec::new());
     }

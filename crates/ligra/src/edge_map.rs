@@ -39,6 +39,7 @@ use julienne_primitives::filter::flatten_into;
 use julienne_primitives::scan::prefix_sums;
 use julienne_primitives::telemetry::{Counter, Telemetry};
 use rayon::prelude::*;
+use std::cell::Cell;
 use std::sync::{Mutex, PoisonError};
 
 /// Traversal strategy selection.
@@ -169,39 +170,42 @@ impl<'g, G: OutEdges> EdgeMap<'g, G> {
         Fu: Fn(VertexId, VertexId, G::W) -> Option<T> + Send + Sync,
         Fc: Fn(VertexId) -> bool + Send + Sync,
     {
-        let at = |i: usize, v, w| {
-            if cond(v) {
-                update(frontier_ids[i], v, w)
-            } else {
-                None
-            }
-        };
         let mut hits = Vec::new();
-        self.run_sparse_at(frontier_ids, &mut hits, at);
+        self.run_sparse_at(frontier_ids, &mut hits, |i, v, w, hits| {
+            if cond(v) {
+                hits.extend(update(frontier_ids[i], v, w).map(|t| (v, t)));
+            }
+        });
         VertexSubsetData::from_entries(self.g.num_vertices(), hits)
     }
 
-    /// Sparse (push) data-carrying traversal that hands `update(i, v, w)`
-    /// the frontier *position* `i` of the edge's source (`frontier_ids[i]`),
-    /// so per-source state can ride in an array beside the frontier.
-    /// Replaces `hits`' contents with the `(v, t)` hits, keeping its buffer
-    /// (a round loop passes the same one every round), and returns the edges
-    /// scanned (the frontier's out-degree sum).
-    pub fn run_sparse_at<T, Fu>(
+    /// Sparse (push) traversal that hands `visit(i, v, w, hits)` the
+    /// frontier *position* `i` of the edge's source (`frontier_ids[i]`), so
+    /// per-source state can ride in arrays beside the frontier, and lets it
+    /// append any number of results to `hits` (one per lane of a fused
+    /// Δ-stepping batch). Replaces `hits`' contents with what the visits
+    /// appended, in (frontier position, edge position) order, keeping its
+    /// buffer (a round loop passes the same one every round), and returns
+    /// the edges scanned (the frontier's out-degree sum).
+    pub fn run_sparse_at<T, Fv>(
         &self,
         frontier_ids: &[VertexId],
-        hits: &mut Vec<(VertexId, T)>,
-        update: Fu,
+        hits: &mut Vec<T>,
+        visit: Fv,
     ) -> u64
     where
         T: Copy + Send + Sync,
-        Fu: Fn(usize, VertexId, G::W) -> Option<T> + Send + Sync,
+        Fv: Fn(usize, VertexId, G::W, &mut Vec<T>) + Send + Sync,
     {
-        let scanned = sparse_blocked(self.g, frontier_ids, hits, |i, _, v, w, hits| {
-            if let Some(t) = update(i, v, w) {
-                hits.push((v, t));
-            }
-        });
+        // Forced inline: left to the optimiser, a larger visit (fused
+        // Δ-stepping walks a run of lanes per edge) became a call per edge.
+        let scanned = sparse_blocked(
+            self.g,
+            frontier_ids,
+            hits,
+            #[inline(always)]
+            |i, _, v, w, hits| visit(i, v, w, hits),
+        );
         self.note(
             Counter::SparseTraversals,
             frontier_ids.len(),
@@ -257,57 +261,36 @@ impl<'g, G: GraphRef> EdgeMap<'g, G> {
 /// piece boundaries never depend on the thread count.
 const BLOCK_EDGES: usize = 4096;
 
-/// The sparse (push) driver behind every frontier-out traversal in this
-/// crate: applies `visit(i, u, v, w, hits)` to each out-edge of
-/// `u = frontier_ids[i]`, `hits` being the buffer `visit` appends its
-/// results to. On return `out` holds what was appended, in (frontier
-/// position, edge position) order, in `out`'s own buffer; the edges scanned
-/// are returned. How a result is appended is the caller's: behind a branch
-/// when hits are rare, without one when they are a coin flip per edge.
-///
-/// The frontier's edges count as blocks of [`BLOCK_EDGES`], and the round
-/// is cut into as many pieces as the runtime would cut that many blocks
-/// into ([`rayon::pool::piece_count`]). A round of one piece — every round
-/// below about 8.4 M edges — runs on one worker whatever the thread count,
-/// so it is walked inline, whole lists in frontier order, straight into
-/// `out`: no offsets, no per-piece buffers, no concatenating copy.
-pub(crate) fn sparse_blocked<G, T, F>(
-    g: &G,
-    frontier_ids: &[VertexId],
-    out: &mut Vec<T>,
-    visit: F,
-) -> u64
-where
-    G: OutEdges,
-    T: Copy + Send + Sync,
-    F: Fn(usize, VertexId, VertexId, G::W, &mut Vec<T>) + Send + Sync,
-{
-    walk_pieces(g, frontier_ids, out, visit, sparse_pieces)
+thread_local! {
+    /// The piece count [`sparse_in_pieces`] forces on this thread.
+    static FORCED_PIECES: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
 /// The pieces a sparse round of `edges` edges is cut into: its blocks of
-/// [`BLOCK_EDGES`], cut as the runtime cuts that many items. One piece means
-/// the round runs on one worker whatever the thread count.
+/// [`BLOCK_EDGES`], cut as the runtime cuts that many items
+/// ([`rayon::pool::piece_count`]), or what [`sparse_in_pieces`] forces. One
+/// piece means the round runs on one worker whatever the thread count.
 pub(crate) fn sparse_pieces(edges: usize) -> usize {
-    rayon::pool::piece_count(edges.div_ceil(BLOCK_EDGES))
+    FORCED_PIECES
+        .get()
+        .unwrap_or_else(|| rayon::pool::piece_count(edges.div_ceil(BLOCK_EDGES)))
 }
 
-/// [`sparse_blocked`] cut into exactly `pieces` pieces whatever the round's
-/// size, so tests can drive the fanned-out path on small graphs.
-#[doc(hidden)]
-pub fn sparse_blocked_in_pieces<G, T, F>(
-    g: &G,
-    frontier_ids: &[VertexId],
-    pieces: usize,
-    out: &mut Vec<T>,
-    visit: F,
-) -> u64
-where
-    G: OutEdges,
-    T: Copy + Send + Sync,
-    F: Fn(usize, VertexId, VertexId, G::W, &mut Vec<T>) + Send + Sync,
-{
-    walk_pieces(g, frontier_ids, out, visit, |_| pieces)
+/// Runs `f` with every sparse round walked on this thread — `edgeMap`'s,
+/// `edgeMapSum`'s and the peel's — cut into exactly `pieces` pieces
+/// whatever its size. A caller whose visit costs more than an edge sizes
+/// its rounds this way (fused Δ-stepping cuts by vertices), and tests drive
+/// the fanned-out walk on small graphs with it, through the loops that own
+/// it too.
+pub fn sparse_in_pieces<R>(pieces: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            FORCED_PIECES.set(self.0);
+        }
+    }
+    let _restore = Restore(FORCED_PIECES.replace(Some(pieces)));
+    f()
 }
 
 /// Trims `buf`, which had capacity `kept` before a walk appended to it, to
@@ -322,22 +305,34 @@ pub(crate) fn trim_grown<T>(buf: &mut Vec<T>, kept: usize) {
     }
 }
 
-/// The walk behind [`sparse_blocked`]. More than one piece cuts the degree
-/// prefix sums at block boundaries, the blocks spread evenly over the
-/// pieces ([`rayon::pool::piece_bounds`]). A piece owns every *unit* whose
-/// first edge falls in its range, a unit being a whole out-list or — for a
-/// list longer than twice the backend's [`OutEdges::out_chunk_edges`] — one
-/// chunk of it, so a hub spreads over many pieces. Each piece appends its
-/// hits to its own buffer and the buffers are concatenated into `out` in
-/// piece order: memory written is proportional to the hits, not to the
-/// edges scanned. `pieces_for(Σdeg)` picks the piece count; the edges
-/// scanned are returned.
-pub(crate) fn walk_pieces<G, T, F>(
+/// The sparse (push) driver behind every frontier-out traversal in this
+/// crate: applies `visit(i, u, v, w, hits)` to each out-edge of
+/// `u = frontier_ids[i]`, `hits` being the buffer `visit` appends its
+/// results to. On return `out` holds what was appended, in (frontier
+/// position, edge position) order, in `out`'s own buffer; the edges scanned
+/// are returned. How a result is appended is the caller's: behind a branch
+/// when hits are rare, without one when they are a coin flip per edge.
+///
+/// The frontier's edges count as blocks of [`BLOCK_EDGES`], and the round
+/// is cut into as many pieces as the runtime would cut that many blocks
+/// into ([`sparse_pieces`]). A round of one piece — every round below about
+/// 8.4 M edges — runs on one worker whatever the thread count, so it is
+/// walked inline, whole lists in frontier order, straight into `out`: no
+/// offsets, no per-piece buffers, no concatenating copy.
+///
+/// More than one piece cuts the degree prefix sums at block boundaries,
+/// the blocks spread evenly over the pieces ([`rayon::pool::piece_bounds`]).
+/// A piece owns every *unit* whose first edge falls in its range, a unit
+/// being a whole out-list or — for a list longer than twice the backend's
+/// [`OutEdges::out_chunk_edges`] — one chunk of it, so a hub spreads over
+/// many pieces. Each piece appends its hits to its own buffer and the
+/// buffers are concatenated into `out` in piece order: memory written is
+/// proportional to the hits, not to the edges scanned.
+pub(crate) fn sparse_blocked<G, T, F>(
     g: &G,
     frontier_ids: &[VertexId],
     out: &mut Vec<T>,
     visit: F,
-    pieces_for: impl FnOnce(usize) -> usize,
 ) -> u64
 where
     G: OutEdges,
@@ -345,7 +340,7 @@ where
     F: Fn(usize, VertexId, VertexId, G::W, &mut Vec<T>) + Send + Sync,
 {
     let total: usize = frontier_ids.iter().map(|&u| g.out_degree(u)).sum();
-    let pieces = pieces_for(total);
+    let pieces = sparse_pieces(total);
     if pieces <= 1 {
         // Whole lists in frontier order: the same edges, in the same order,
         // as the pieces' walk over the units below.
@@ -368,15 +363,24 @@ where
         while i < offsets.len() && offsets[i] < hi {
             let (u, base) = (frontier_ids[i], offsets[i]);
             let end = offsets.get(i + 1).copied().unwrap_or(total);
-            let mut push = |v, w| visit(i, u, v, w, &mut hits);
+            // Forced inline, as in `EdgeMap::run_sparse_at`.
             if split != usize::MAX && end - base > split.saturating_mul(2) {
                 let first = lo.saturating_sub(base).div_ceil(split);
                 let last = (hi.min(end) - base).div_ceil(split);
                 for c in first..last {
-                    g.for_each_out_chunk(u, c, &mut push);
+                    g.for_each_out_chunk(
+                        u,
+                        c,
+                        #[inline(always)]
+                        |v, w| visit(i, u, v, w, &mut hits),
+                    );
                 }
             } else if base >= lo {
-                g.for_each_out(u, push);
+                g.for_each_out(
+                    u,
+                    #[inline(always)]
+                    |v, w| visit(i, u, v, w, &mut hits),
+                );
             }
             i += 1;
         }

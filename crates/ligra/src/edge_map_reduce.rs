@@ -20,14 +20,13 @@
 //! word itself: a round on one worker lowers each target's degree as it
 //! walks, and only a round that fans out counts through the histogram.
 
-use crate::edge_map::{sparse_blocked, sparse_pieces, trim_grown, walk_pieces};
+use crate::edge_map::{sparse_blocked, sparse_pieces, trim_grown};
 use crate::subset::VertexSubsetData;
 use crate::traits::OutEdges;
 use julienne_graph::VertexId;
 use julienne_primitives::error::Error;
 use julienne_primitives::filter::filter_map;
 use julienne_primitives::semisort::semisort_by_key;
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 
@@ -137,25 +136,6 @@ where
     U: Fn(VertexId, u32) -> Option<O> + Send + Sync,
     Fc: Fn(VertexId) -> bool + Send + Sync,
 {
-    sum_in_pieces(g, frontier_ids, update, cond, scratch, sparse_pieces)
-}
-
-/// [`edge_map_sum_with_scratch`] with its emit walked in
-/// `pieces_for(Σdeg)` pieces.
-fn sum_in_pieces<G, O, U, Fc>(
-    g: &G,
-    frontier_ids: &[VertexId],
-    update: U,
-    cond: Fc,
-    scratch: &SumScratch,
-    pieces_for: impl FnOnce(usize) -> usize,
-) -> VertexSubsetData<O>
-where
-    G: OutEdges,
-    O: Copy + Send + Sync,
-    U: Fn(VertexId, u32) -> Option<O> + Send + Sync,
-    Fc: Fn(VertexId) -> bool + Send + Sync,
-{
     let n = g.num_vertices();
     debug_assert_eq!(scratch.n, n);
     let counts = scratch.counts();
@@ -166,7 +146,7 @@ where
         live.push(v);
         live.truncate(live.len() - usize::from(!cond(v)));
     };
-    walk_pieces(g, frontier_ids, &mut live, visit, pieces_for);
+    sparse_blocked(g, frontier_ids, &mut live, visit);
     // First occurrences are compacted into the front of `live` itself:
     // `owners <= i`, so the slot written was already read.
     let mut owners = 0;
@@ -210,26 +190,6 @@ pub fn peel_degrees<G: OutEdges>(g: &G) -> Result<Vec<AtomicU32>, Error> {
         .collect()
 }
 
-thread_local! {
-    /// The piece count [`peel_in_pieces`] forces on this thread.
-    static FORCED_PIECES: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// Runs `f` with every [`edge_map_peel`] it makes on this thread cut into
-/// exactly `pieces` pieces whatever the round's size, so tests can drive the
-/// fanned-out path on small graphs, through the loops that own the peel too.
-#[doc(hidden)]
-pub fn peel_in_pieces<R>(pieces: usize, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<usize>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            FORCED_PIECES.set(self.0);
-        }
-    }
-    let _restore = Restore(FORCED_PIECES.replace(Some(pieces)));
-    f()
-}
-
 /// One peeling round (Algorithm 1, lines 3–10): every *live* target of the
 /// frontier's edges — degree word above `floor` — loses one degree per edge
 /// from the frontier, clamped at `floor`. Then, in the order of each
@@ -270,7 +230,7 @@ where
     U: Fn(VertexId, u32, u32) -> Option<O>,
 {
     let edges: usize = frontier_ids.iter().map(|&u| g.out_degree(u)).sum();
-    let pieces = FORCED_PIECES.get().unwrap_or_else(|| sparse_pieces(edges));
+    let pieces = sparse_pieces(edges);
     let mut owners = std::mem::take(&mut scratch.owners);
     owners.clear();
     let capacity = (owners.capacity(), moves.capacity());
@@ -294,7 +254,7 @@ where
             unsafe { owners.set_len(owners.len() + kept) };
         }
     } else {
-        let lowered = sum_in_pieces(
+        let lowered = edge_map_sum_with_scratch(
             g,
             frontier_ids,
             |v, removed| {
@@ -308,7 +268,6 @@ where
             // ORDERING: Relaxed; emit only reads the words.
             |v| degrees[v as usize].load(Ordering::Relaxed) > floor,
             scratch,
-            |_| pieces,
         );
         owners.extend_from_slice(lowered.entries());
     }

@@ -19,9 +19,9 @@
 //!    arrive within the window coalesce with it:
 //!    * [`BatchKind::MultiSourceSssp`] — same-`delta` `sssp` queries fuse
 //!      into **one** multi-source traversal with a frontier lane per
-//!      member ([`julienne_algorithms::multi_source`]). Per-member
-//!      outputs are byte-identical to solo runs; a member cancelling
-//!      detaches its lane without disturbing siblings.
+//!      member ([`julienne_algorithms::delta_stepping::sssp_multi`]).
+//!      Per-member outputs are byte-identical to solo runs; a member
+//!      cancelling detaches its lane without disturbing siblings.
 //!    * [`BatchKind::WholeGraph`] — queries with identical canonical
 //!      parameters (k-core, PageRank, …) run **once** and fan the one
 //!      output out to every waiter.

@@ -8,8 +8,7 @@
 mod counting_alloc;
 
 use counting_alloc::bytes_of;
-use julienne_repro::algorithms::delta_stepping::{sssp, SsspParams};
-use julienne_repro::algorithms::multi_source::{sssp_multi, SsspLane};
+use julienne_repro::algorithms::delta_stepping::{sssp, sssp_multi, SsspLane, SsspParams};
 use julienne_repro::core::query::QueryCtx;
 use julienne_repro::graph::builder::EdgeList;
 use julienne_repro::graph::WGraph;

@@ -19,8 +19,9 @@ use julienne_repro::graph::compress::CompressedWGraph;
 use julienne_repro::graph::container::MappedGraph;
 use julienne_repro::graph::io::{GraphIo, IoOptions};
 use julienne_repro::graph::Csr;
+use julienne_repro::ligra::edge_map::sparse_in_pieces;
 use julienne_repro::ligra::edge_map_reduce::{
-    edge_map_peel, edge_map_sum_with_scratch, peel_in_pieces, SumScratch,
+    edge_map_peel, edge_map_sum_with_scratch, SumScratch,
 };
 use julienne_repro::ligra::traits::OutEdges;
 use proptest::prelude::*;
@@ -157,7 +158,7 @@ fn check<G: OutEdges>(
         let inline = at(threads, || peel(g, frontier, degrees, floor));
         let fanned = [1, 2, 3, 7].map(|pieces| {
             let got = at(threads, || {
-                peel_in_pieces(pieces, || peel(g, frontier, degrees, floor))
+                sparse_in_pieces(pieces, || peel(g, frontier, degrees, floor))
             });
             (pieces, got)
         });
@@ -227,7 +228,7 @@ proptest! {
         for pieces in [2, 3, 7] {
             for threads in [1, 2, 4] {
                 let (forced, forced_order) = at(threads, || {
-                    peel_in_pieces(pieces, || (run(), degeneracy_order(&g).order))
+                    sparse_in_pieces(pieces, || (run(), degeneracy_order(&g).order))
                 });
                 prop_assert_eq!(&forced.coreness, &oracle, "pieces={} threads={}", pieces, threads);
                 prop_assert_eq!(

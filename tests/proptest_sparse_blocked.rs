@@ -13,7 +13,7 @@ use julienne_repro::graph::compress::CompressedWGraph;
 use julienne_repro::graph::container::MappedGraph;
 use julienne_repro::graph::io::{GraphIo, IoOptions};
 use julienne_repro::graph::Csr;
-use julienne_repro::ligra::edge_map::{sparse_blocked_in_pieces, EdgeMap};
+use julienne_repro::ligra::edge_map::{sparse_in_pieces, EdgeMap};
 use julienne_repro::ligra::traits::OutEdges;
 use proptest::prelude::*;
 
@@ -87,16 +87,14 @@ fn run<G: OutEdges<W = u32>>(g: &G, frontier: &[u32]) -> (Vec<(u32, u64)>, Vec<u
     (data.entries().to_vec(), ids.to_vertices())
 }
 
-/// The data traversal walked as exactly `pieces` pieces, in raw output
-/// order.
-fn run_in<G: OutEdges<W = u32>>(g: &G, frontier: &[u32], pieces: usize) -> Vec<(u32, u64)> {
-    let mut hits = Vec::new();
-    sparse_blocked_in_pieces(g, frontier, pieces, &mut hits, |_, u, v, w, hits| {
-        if cond(v) {
-            hits.extend(payload(u, v, w).map(|t| (v, t)));
-        }
-    });
-    hits
+/// Both sparse entry points walked as exactly `pieces` pieces, in raw
+/// output order.
+fn run_in<G: OutEdges<W = u32>>(
+    g: &G,
+    frontier: &[u32],
+    pieces: usize,
+) -> (Vec<(u32, u64)>, Vec<u32>) {
+    sparse_in_pieces(pieces, || run(g, frontier))
 }
 
 fn check<G: OutEdges<W = u32>>(
@@ -121,7 +119,7 @@ fn check<G: OutEdges<W = u32>>(
         for (pieces, got) in fanned {
             prop_assert_eq!(
                 &got,
-                &want.0,
+                want,
                 "{} pieces={} chaos={:?} threads={}",
                 what,
                 pieces,

@@ -13,8 +13,7 @@
 mod common;
 
 use common::{arb_weighted_graph, at};
-use julienne_repro::algorithms::delta_stepping::{sssp, SsspParams};
-use julienne_repro::algorithms::multi_source::{sssp_multi, SsspLane};
+use julienne_repro::algorithms::delta_stepping::{sssp, sssp_multi, SsspLane, SsspParams};
 use julienne_repro::graph::compress::CompressedWGraph;
 use julienne_repro::graph::Csr;
 use julienne_repro::ligra::traits::OutEdges;
@@ -27,7 +26,7 @@ static CHAOS_LOCK: Mutex<()> = Mutex::new(());
 
 /// (dist, rounds, relaxations) — everything the wire report is rendered
 /// from. `identifiers_moved` is deliberately absent: a shared bucket
-/// structure cannot attribute moves to a lane (see the multi_source docs).
+/// structure cannot attribute moves to a lane (see the delta_stepping docs).
 type Fingerprint = (Vec<u64>, u64, u64);
 
 fn solo_fingerprints<G: OutEdges<W = u32>>(g: &G, srcs: &[u32], delta: u64) -> Vec<Fingerprint> {
