@@ -71,7 +71,7 @@ fn validate_ns_per_edge<W: Weight>(reps: usize, c: &Compressed<W>) -> f64 {
         let parts = (o.to_vec(), d.to_vec(), b.to_vec());
         let (back, secs) = time(|| {
             let (o, d, b) = black_box(parts);
-            Compressed::<W>::try_from_raw_parts(n, m, o, d, b, true, c.chunk_size(), None)
+            Compressed::<W>::try_from_raw_parts(n, m, o, d, b, true, c.chunk_size())
         });
         assert_eq!(back.expect("encoder output must validate").num_edges(), m);
         best = best.min(secs);

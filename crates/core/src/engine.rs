@@ -35,8 +35,8 @@ use julienne_primitives::telemetry::{Telemetry, TelemetrySnapshot};
 /// Which physical graph representation the driver should run on.
 ///
 /// Traversals themselves are generic over the
-/// [`julienne_ligra::OutEdges`] / [`julienne_ligra::InEdges`] /
-/// [`julienne_ligra::GraphRef`] hierarchy; this enum is the
+/// [`julienne_ligra::OutEdges`] / [`julienne_ligra::GraphRef`]
+/// hierarchy; this enum is the
 /// *selection* knob drivers (CLI, benches) thread from user input down to
 /// the load path that picks a concrete backend.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]

@@ -48,7 +48,7 @@ pub mod prelude {
     //! The framework surface is the builder trio: [`Engine`] (bucket
     //! window, thread count and telemetry sink), [`EdgeMap`] (traversal),
     //! and [`BucketsBuilder`] (bucket structure). Traversals are generic over
-    //! the [`OutEdges`] / [`InEdges`] / [`GraphRef`] backend hierarchy.
+    //! the [`OutEdges`] / [`GraphRef`] backend hierarchy.
     pub use crate::bucket::{
         BucketDest, BucketId, BucketStats, Bucketing, Buckets, BucketsBuilder, Identifier, Order,
         SeqBuckets, NULL_BKT,
@@ -61,7 +61,7 @@ pub mod prelude {
     pub use julienne_graph::{Csr, Graph, VertexId, WGraph, Weight};
     pub use julienne_ligra::{
         edge_map_filter_count, edge_map_filter_pack, edge_map_packed, edge_map_sum, vertex_filter,
-        vertex_map, vertex_map_data, EdgeMap, GraphRef, InEdges, Mode, OutEdges, VertexSubset,
+        vertex_map, vertex_map_data, EdgeMap, GraphRef, Mode, OutEdges, VertexSubset,
         VertexSubsetData,
     };
 }

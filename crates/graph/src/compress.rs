@@ -62,9 +62,6 @@ pub struct Compressed<W: Weight> {
     /// Edges per decode chunk; 0 = legacy unchunked blocks.
     chunk_size: u32,
     symmetric: bool,
-    /// Byte-compressed transpose for dense (pull) traversals of directed
-    /// graphs; symmetric graphs are their own in-view and leave this empty.
-    in_graph: Option<Box<Compressed<W>>>,
     _weight: PhantomData<W>,
 }
 
@@ -307,9 +304,7 @@ fn validate_run<W: Weight>(
 
 impl<W: Weight> Compressed<W> {
     /// Compresses `g` with the default chunked layout (edge lists are
-    /// sorted by target first if needed). If `g` is directed and carries an
-    /// attached transpose, the transpose is compressed too, so the dense
-    /// (pull) traversal path keeps working on the compressed form.
+    /// sorted by target first if needed).
     pub fn from_csr(g: &Csr<W>) -> Self {
         Self::from_csr_with_chunk_size(g, DEFAULT_CHUNK_SIZE)
     }
@@ -317,17 +312,6 @@ impl<W: Weight> Compressed<W> {
     /// Compresses `g` with an explicit decode-chunk size (`0` = legacy
     /// unchunked blocks, byte-identical to pre-chunking encodes).
     pub fn from_csr_with_chunk_size(g: &Csr<W>, chunk_size: u32) -> Self {
-        let mut this = Self::encode_out(g, chunk_size);
-        if !g.is_symmetric() {
-            if let Some(t) = g.in_view() {
-                this.in_graph = Some(Box::new(Self::encode_out(t, chunk_size)));
-            }
-        }
-        this
-    }
-
-    /// Compresses just the out-adjacency of `g` (no transpose handling).
-    fn encode_out(g: &Csr<W>, chunk_size: u32) -> Self {
         let n = g.num_vertices();
         // Encode every vertex block in parallel into per-vertex buffers.
         let blocks: Vec<Vec<u8>> = (0..n as VertexId)
@@ -356,35 +340,8 @@ impl<W: Weight> Compressed<W> {
             data,
             chunk_size,
             symmetric: g.is_symmetric(),
-            in_graph: None,
             _weight: PhantomData,
         }
-    }
-
-    /// Attaches a compressed transpose so dense traversals work on directed
-    /// compressed graphs (no-op when symmetric or already attached).
-    pub fn with_transpose(mut self) -> Self {
-        if !self.symmetric && self.in_graph.is_none() {
-            let t = crate::transform::transpose(&self.to_csr());
-            self.in_graph = Some(Box::new(Self::encode_out(&t, self.chunk_size)));
-        }
-        self
-    }
-
-    /// The in-adjacency view used by dense (pull) traversals: the graph
-    /// itself when symmetric, the compressed transpose when attached,
-    /// `None` otherwise.
-    pub fn in_view(&self) -> Option<&Compressed<W>> {
-        if self.symmetric {
-            Some(self)
-        } else {
-            self.in_graph.as_deref()
-        }
-    }
-
-    /// Whether a dense (pull) traversal is possible.
-    pub fn has_in_view(&self) -> bool {
-        self.symmetric || self.in_graph.is_some()
     }
 
     /// Number of vertices.
@@ -429,19 +386,14 @@ impl<W: Weight> Compressed<W> {
     }
 
     /// Total compressed adjacency bytes (for reporting compression ratios).
-    /// Excludes the optional transpose; see [`footprint_bytes`](Self::footprint_bytes).
     pub fn compressed_bytes(&self) -> usize {
         self.data.len()
     }
 
     /// Total in-memory footprint in bytes: byte-coded blocks plus the
-    /// offset/degree arrays, including an attached transpose.
+    /// offset/degree arrays.
     pub fn footprint_bytes(&self) -> usize {
-        let own = self.data.len() + self.offsets.len() * 8 + self.degrees.len() * 4;
-        own + self
-            .in_graph
-            .as_deref()
-            .map_or(0, Compressed::footprint_bytes)
+        self.data.len() + self.offsets.len() * 8 + self.degrees.len() * 4
     }
 
     /// The one chunk-header walk behind the whole-block traversals: skips
@@ -529,7 +481,6 @@ impl<W: Weight> Compressed<W> {
     /// parallel decode walk proving every block is well-formed, in-range,
     /// and consistent with its chunk header. After this, traversals cannot
     /// read out of bounds or decode garbage.
-    #[allow(clippy::too_many_arguments)]
     pub fn try_from_raw_parts(
         n: usize,
         m: usize,
@@ -538,7 +489,6 @@ impl<W: Weight> Compressed<W> {
         data: Vec<u8>,
         symmetric: bool,
         chunk_size: u32,
-        in_graph: Option<Box<Compressed<W>>>,
     ) -> Result<Self, String> {
         validate_parts(n, m, &offsets, &degrees, data.len())?;
         let check = |v: usize| {
@@ -551,14 +501,6 @@ impl<W: Weight> Compressed<W> {
         if let Some(v) = lowest.min() {
             return Err(format!("vertex {v}: {}", check(v).unwrap_err()));
         }
-        if let Some(ig) = &in_graph {
-            if ig.n != n || ig.m != m {
-                return Err(format!(
-                    "transpose shape ({}, {}) != graph shape ({n}, {m})",
-                    ig.n, ig.m
-                ));
-            }
-        }
         Ok(Compressed {
             n,
             m,
@@ -567,7 +509,6 @@ impl<W: Weight> Compressed<W> {
             data,
             chunk_size,
             symmetric,
-            in_graph,
             _weight: PhantomData,
         })
     }
@@ -607,7 +548,7 @@ mod tests {
     use super::*;
     use crate::builder::from_pairs;
     use crate::generators::{erdos_renyi, rmat, RmatParams};
-    use crate::transform::{assign_weights, transpose};
+    use crate::transform::assign_weights;
 
     /// Every behaviour below is asserted once, in a helper generic over the
     /// weight, and run at `()` and `u32` over the same edge structure.
@@ -737,30 +678,6 @@ mod tests {
         check_until_stops_early(&weighted(&g));
     }
 
-    fn check_transpose<W: Weight>(g: &Csr<W>) {
-        let c = Compressed::from_csr(g);
-        assert!(!c.has_in_view());
-        let c = c.with_transpose();
-        assert!(c.has_in_view());
-        let want = transpose(g);
-        let iv = c.in_view().unwrap();
-        for v in vertices(g) {
-            assert_eq!(out(iv, v), sorted_edges(&want, v), "in-edges of {v}");
-        }
-        // from_csr picks up an attached transpose automatically.
-        let c2 = Compressed::from_csr(&g.clone().with_transpose());
-        assert!(c2.has_in_view());
-        // Footprint accounts for the transpose.
-        assert!(c2.footprint_bytes() > Compressed::from_csr(g).footprint_bytes());
-    }
-
-    #[test]
-    fn transpose_views() {
-        let g = rmat(9, 6, RmatParams::default(), 4, false);
-        check_transpose(&g);
-        check_transpose(&weighted(&g));
-    }
-
     #[test]
     fn empty_and_isolated() {
         let g = from_pairs(5, &[(0, 4)]);
@@ -823,7 +740,6 @@ mod tests {
             data.unwrap_or_else(|| b.to_vec()),
             c.is_symmetric(),
             c.chunk_size(),
-            None,
         )
     }
 
@@ -876,7 +792,7 @@ mod tests {
         }
         offsets.resize(n + 1, data.len() as u64);
         let m = blocks.iter().map(|b| b.0 as usize).sum();
-        Compressed::try_from_raw_parts(n, m, offsets, degrees, data, false, 0, None)
+        Compressed::try_from_raw_parts(n, m, offsets, degrees, data, false, 0)
     }
 
     /// A two-vertex graph whose vertex 0 has `deg` edges coded as `data`.

@@ -7,7 +7,7 @@
 //! 0       8     magic  = "JGR!\r\n\x1a\n"   (PNG-style: detects text-mode mangling)
 //! 8       4     version = 1
 //! 12      4     endian check = 0x0A0B0C0D
-//! 16      8     flags   (bit 0 WEIGHTED, bit 1 SYMMETRIC, bit 2 HAS_IN,
+//! 16      8     flags   (bit 0 WEIGHTED, bit 1 SYMMETRIC, bit 2 reserved,
 //!                        bit 3 HAS_COMPRESSED, bit 4 COMP_CHUNKED)
 //! 24      8     n  (vertices)
 //! 32      8     m  (directed edges)
@@ -24,9 +24,10 @@
 //! targets and weights as `u32` — so a page-aligned map plus the 64-byte
 //! section alignment lets [`MappedGraph`] reinterpret the mapped bytes as
 //! typed slices directly: **no parse, no copy, no per-edge work at open**.
-//! Optional sections carry the transpose (dense pull on directed graphs)
-//! and the Ligra+ byte-compressed payload, so `backend=compressed` loads
-//! skip re-encoding too.
+//! An optional set of sections carries the Ligra+ byte-compressed payload,
+//! so `backend=compressed` loads skip re-encoding too. A graph is stored in
+//! one direction only: dense (pull) traversals read a symmetric graph's
+//! out-lists, and a directed graph is only ever pushed.
 //!
 //! # Compressed-payload versioning
 //!
@@ -73,6 +74,9 @@ const SECTION_ALIGN: usize = 64;
 
 const FLAG_WEIGHTED: u64 = 1 << 0;
 const FLAG_SYMMETRIC: u64 = 1 << 1;
+/// Earlier builds set this on directed graphs stored with a transpose
+/// (section kinds 4–6, 10–12 and 14). It is still accepted so those files
+/// open; their transpose sections are skipped like any unknown kind.
 const FLAG_HAS_IN: u64 = 1 << 2;
 const FLAG_HAS_COMPRESSED: u64 = 1 << 3;
 /// The compressed payload uses the chunked block layout (a `COMP_META`
@@ -85,40 +89,19 @@ const KNOWN_FLAGS: u64 =
     FLAG_WEIGHTED | FLAG_SYMMETRIC | FLAG_HAS_IN | FLAG_HAS_COMPRESSED | FLAG_COMP_CHUNKED;
 
 /// Section kinds. Unknown kinds are skipped by readers (forward compat).
+/// Kinds 4–6, 10–12 and 14 are reserved: earlier builds wrote a directed
+/// graph's transpose under them.
 mod kind {
     pub const OFFSETS: u32 = 1;
     pub const TARGETS: u32 = 2;
     pub const WEIGHTS: u32 = 3;
-    pub const IN_OFFSETS: u32 = 4;
-    pub const IN_TARGETS: u32 = 5;
-    pub const IN_WEIGHTS: u32 = 6;
     pub const COMP_OFFSETS: u32 = 7;
     pub const COMP_DEGREES: u32 = 8;
     pub const COMP_DATA: u32 = 9;
-    pub const COMP_IN_OFFSETS: u32 = 10;
-    pub const COMP_IN_DEGREES: u32 = 11;
-    pub const COMP_IN_DATA: u32 = 12;
-    /// Chunked-payload metadata for the out-direction: chunk size (u32 LE)
-    /// plus 4 reserved zero bytes. Absent for legacy unchunked payloads.
+    /// Chunked-payload metadata: chunk size (u32 LE) plus 4 reserved zero
+    /// bytes. Absent for legacy unchunked payloads.
     pub const COMP_META: u32 = 13;
-    /// Chunked-payload metadata for the transpose direction.
-    pub const COMP_IN_META: u32 = 14;
 }
-
-/// Section kinds of one compressed-payload direction: offsets, degrees,
-/// data, chunk meta.
-const COMP_OUT: [u32; 4] = [
-    kind::COMP_OFFSETS,
-    kind::COMP_DEGREES,
-    kind::COMP_DATA,
-    kind::COMP_META,
-];
-const COMP_IN: [u32; 4] = [
-    kind::COMP_IN_OFFSETS,
-    kind::COMP_IN_DEGREES,
-    kind::COMP_IN_DATA,
-    kind::COMP_IN_META,
-];
 
 /// FNV-1a 64 — the per-section checksum. Cheap, dependency-free, and good
 /// enough to catch torn writes and bit rot (not an integrity MAC).
@@ -148,8 +131,6 @@ pub struct ContainerInfo {
     pub weighted: bool,
     /// Whether the stored graph is symmetric.
     pub symmetric: bool,
-    /// Whether transpose (in-edge) sections are present.
-    pub has_in: bool,
     /// Whether a byte-compressed payload is present.
     pub has_compressed: bool,
     /// Whether the compressed payload uses the chunked block layout
@@ -201,7 +182,6 @@ fn parse_header(path: &Path, head: &[u8]) -> Result<(ContainerInfo, u32), Error>
             version,
             weighted: flags & FLAG_WEIGHTED != 0,
             symmetric: flags & FLAG_SYMMETRIC != 0,
-            has_in: flags & FLAG_HAS_IN != 0,
             has_compressed: flags & FLAG_HAS_COMPRESSED != 0,
             comp_chunked: flags & FLAG_COMP_CHUNKED != 0,
             n: u64_at(24),
@@ -349,8 +329,7 @@ fn weights_to_u32<W: Weight>(ws: &[W]) -> Result<Vec<u32>, Error> {
 }
 
 /// Writes `g` as a `.jgr` container. Sections always include the CSR
-/// arrays; a transpose is included when `g` is directed with an attached
-/// in-view, and the byte-compressed payload when
+/// arrays, and the byte-compressed payload when
 /// [`ContainerWriteOptions::compressed_payload`] is set.
 pub fn write<W: Weight>(
     g: &Csr<W>,
@@ -363,21 +342,10 @@ pub fn write<W: Weight>(
     } else {
         weights_to_u32(g.weights())?
     };
-    let in_view = if g.is_symmetric() { None } else { g.in_view() };
-    let in_weights_u32: Vec<u32> = match in_view {
-        Some(t) if !W::IS_UNIT => weights_to_u32(t.weights())?,
-        _ => Vec::new(),
-    };
     // Optional compressed payload: encode now so the sections can borrow.
-    // A directed graph's in-view is encoded with it, so pull traversals
-    // work on the compressed payload too.
     let comp = opts
         .compressed_payload
         .then(|| Compressed::<W>::from_csr(g));
-    let comp_in = comp
-        .as_ref()
-        .filter(|c| !c.is_symmetric())
-        .and_then(|c| c.in_view());
 
     let mut sections: Vec<(u32, Cow<'_, [u8]>)> = vec![
         (kind::OFFSETS, le_u64_bytes(g.offsets())),
@@ -386,27 +354,19 @@ pub fn write<W: Weight>(
     if !W::IS_UNIT {
         sections.push((kind::WEIGHTS, le_u32_bytes(&weights_u32)));
     }
-    if let Some(t) = in_view {
-        sections.push((kind::IN_OFFSETS, le_u64_bytes(t.offsets())));
-        sections.push((kind::IN_TARGETS, le_u32_bytes(t.targets())));
-        if !W::IS_UNIT {
-            sections.push((kind::IN_WEIGHTS, le_u32_bytes(&in_weights_u32)));
-        }
-    }
     // Chunked payloads advertise their chunk size in a META section (and
     // the COMP_CHUNKED flag below); chunk_size 0 writes the legacy layout
     // with no META, which pre-chunking readers accept.
     let mut comp_chunked = false;
-    for (c, kinds) in [(comp.as_ref(), COMP_OUT), (comp_in, COMP_IN)] {
-        let Some(c) = c else { continue };
+    if let Some(c) = &comp {
         let (offsets, degrees, data) = c.raw_parts();
-        sections.push((kinds[0], le_u64_bytes(offsets)));
-        sections.push((kinds[1], le_u32_bytes(degrees)));
-        sections.push((kinds[2], Cow::Borrowed(data)));
+        sections.push((kind::COMP_OFFSETS, le_u64_bytes(offsets)));
+        sections.push((kind::COMP_DEGREES, le_u32_bytes(degrees)));
+        sections.push((kind::COMP_DATA, Cow::Borrowed(data)));
         if c.chunk_size() != 0 {
             let mut payload = [0u8; 8];
             payload[..4].copy_from_slice(&c.chunk_size().to_le_bytes());
-            sections.push((kinds[3], Cow::Owned(payload.to_vec())));
+            sections.push((kind::COMP_META, Cow::Owned(payload.to_vec())));
             comp_chunked = true;
         }
     }
@@ -432,9 +392,6 @@ pub fn write<W: Weight>(
     }
     if g.is_symmetric() {
         flags |= FLAG_SYMMETRIC;
-    }
-    if in_view.is_some() {
-        flags |= FLAG_HAS_IN;
     }
     if comp.is_some() {
         flags |= FLAG_HAS_COMPRESSED;
@@ -481,15 +438,6 @@ pub fn write<W: Weight>(
 // MappedGraph
 // --------------------------------------------------------------------------
 
-/// One direction's raw section pointers into the mapping.
-#[derive(Clone, Copy)]
-struct RawAdj {
-    offsets: *const u64,
-    targets: *const VertexId,
-    /// Null when the file is unweighted.
-    weights: *const u32,
-}
-
 /// A graph served directly from a memory-mapped `.jgr` file.
 ///
 /// Implements the same access surface as [`Csr`] — degrees, neighbor
@@ -505,10 +453,10 @@ pub struct MappedGraph<W: Weight> {
     n: usize,
     m: usize,
     symmetric: bool,
-    out: RawAdj,
-    /// In-adjacency: `out` again for symmetric graphs, the transpose
-    /// sections for directed graphs that carry them, absent otherwise.
-    inn: Option<RawAdj>,
+    offsets: *const u64,
+    targets: *const VertexId,
+    /// Null when the file is unweighted.
+    weights: *const u32,
     sections: Vec<Section>,
     _weight: PhantomData<W>,
 }
@@ -550,41 +498,24 @@ impl<W: Weight> MappedGraph<W> {
         let expect = |k: u32, want_len: u64, what: &str| {
             section_payload(path, bytes, &sections, k, Some(want_len), what).map(<[u8]>::as_ptr)
         };
-        let offsets_len = (n as u64 + 1) * 8;
         let targets_len = (m as u64)
             .checked_mul(4)
             .ok_or_else(|| bad(path, "edge count overflows the section lengths"))?;
-        let out = RawAdj {
-            offsets: expect(kind::OFFSETS, offsets_len, "offsets")? as *const u64,
-            targets: expect(kind::TARGETS, targets_len, "targets")? as *const VertexId,
-            weights: if info.weighted {
-                expect(kind::WEIGHTS, targets_len, "weights")? as *const u32
-            } else {
-                std::ptr::null()
-            },
-        };
-        let inn = if info.symmetric {
-            Some(out)
-        } else if info.has_in {
-            Some(RawAdj {
-                offsets: expect(kind::IN_OFFSETS, offsets_len, "in-offsets")? as *const u64,
-                targets: expect(kind::IN_TARGETS, targets_len, "in-targets")? as *const VertexId,
-                weights: if info.weighted {
-                    expect(kind::IN_WEIGHTS, targets_len, "in-weights")? as *const u32
-                } else {
-                    std::ptr::null()
-                },
-            })
+        let offsets = expect(kind::OFFSETS, (n as u64 + 1) * 8, "offsets")? as *const u64;
+        let targets = expect(kind::TARGETS, targets_len, "targets")? as *const VertexId;
+        let weights = if info.weighted {
+            expect(kind::WEIGHTS, targets_len, "weights")? as *const u32
         } else {
-            None
+            std::ptr::null()
         };
         Ok(MappedGraph {
             buf,
             n,
             m,
             symmetric: info.symmetric,
-            out,
-            inn,
+            offsets,
+            targets,
+            weights,
             sections,
             _weight: PhantomData,
         })
@@ -608,55 +539,36 @@ impl<W: Weight> MappedGraph<W> {
         self.symmetric
     }
 
-    /// Whether a dense (pull) traversal is possible: symmetric, or the file
-    /// carries transpose sections.
-    #[inline]
-    pub fn has_in_view(&self) -> bool {
-        self.inn.is_some()
-    }
-
     /// Bytes of the mapping — the whole file. This is *address space*, not
     /// resident memory: untouched pages cost nothing.
     pub fn footprint_bytes(&self) -> usize {
         self.buf.len()
     }
 
-    /// One direction's mapped offsets array (length `n + 1`).
-    #[inline]
-    fn adj_offsets(&self, adj: &RawAdj) -> &[u64] {
-        // SAFETY: the section was validated to exactly (n+1)*8 bytes at
-        // open; buf is owned by self and immutable.
-        unsafe { std::slice::from_raw_parts(adj.offsets, self.n + 1) }
-    }
-
-    /// One direction's mapped flat targets array (length `m`).
-    #[inline]
-    fn adj_targets(&self, adj: &RawAdj) -> &[VertexId] {
-        // SAFETY: the section was validated to exactly m*4 bytes at open.
-        unsafe { std::slice::from_raw_parts(adj.targets, self.m) }
-    }
-
     /// The mapped offsets array (length `n + 1`).
     #[inline]
     pub fn offsets(&self) -> &[u64] {
-        self.adj_offsets(&self.out)
+        // SAFETY: the section was validated to exactly (n+1)*8 bytes at
+        // open; buf is owned by self and immutable.
+        unsafe { std::slice::from_raw_parts(self.offsets, self.n + 1) }
     }
 
     /// The mapped flat targets array.
     #[inline]
     pub fn targets(&self) -> &[VertexId] {
-        self.adj_targets(&self.out)
+        // SAFETY: the section was validated to exactly m*4 bytes at open.
+        unsafe { std::slice::from_raw_parts(self.targets, self.m) }
     }
 
     /// The mapped flat weights array as stored (`u32`); empty when
     /// unweighted.
     #[inline]
     pub fn weights_u32(&self) -> &[u32] {
-        if self.out.weights.is_null() {
+        if self.weights.is_null() {
             &[]
         } else {
             // SAFETY: as for `offsets`.
-            unsafe { std::slice::from_raw_parts(self.out.weights, self.m) }
+            unsafe { std::slice::from_raw_parts(self.weights, self.m) }
         }
     }
 
@@ -675,17 +587,17 @@ impl<W: Weight> MappedGraph<W> {
     }
 
     /// Weights for the edge range `lo..hi`. Callers must have established
-    /// `lo <= hi <= m` first (both traversal paths do, by slicing the
+    /// `lo <= hi <= m` first (every traversal path does, by slicing the
     /// targets section with safe bounds-checked indexing before this).
     #[inline]
-    fn adj_weights(&self, adj: &RawAdj, lo: usize, hi: usize) -> &[u32] {
-        if adj.weights.is_null() {
+    fn weights_in(&self, lo: usize, hi: usize) -> &[u32] {
+        if self.weights.is_null() {
             &[]
         } else {
             debug_assert!(lo <= hi && hi <= self.m);
             // SAFETY: the weights section was validated to m entries at
             // open, and lo..hi lies within 0..m per the contract above.
-            unsafe { std::slice::from_raw_parts(adj.weights.add(lo), hi - lo) }
+            unsafe { std::slice::from_raw_parts(self.weights.add(lo), hi - lo) }
         }
     }
 
@@ -700,7 +612,7 @@ impl<W: Weight> MappedGraph<W> {
                 f(t, W::default());
             }
         } else {
-            let ws = self.adj_weights(&self.out, lo, hi);
+            let ws = self.weights_in(lo, hi);
             for (&t, &w) in ts.iter().zip(ws) {
                 f(t, W::from_u64(w as u64));
             }
@@ -720,7 +632,7 @@ impl<W: Weight> MappedGraph<W> {
                 }
             }
         } else {
-            let ws = self.adj_weights(&self.out, lo, hi);
+            let ws = self.weights_in(lo, hi);
             for (&t, &w) in ts.iter().zip(ws) {
                 if !f(t, W::from_u64(w as u64)) {
                     return;
@@ -736,104 +648,31 @@ impl<W: Weight> MappedGraph<W> {
     pub fn for_each_out_range<F: FnMut(VertexId, W)>(
         &self,
         v: VertexId,
-        lo: usize,
-        hi: usize,
-        f: F,
-    ) {
-        let adj = self.out;
-        self.adj_range(&adj, v, lo, hi, f);
-    }
-
-    /// Visits in-edges of `v` in the **local** edge range `lo..hi`.
-    ///
-    /// # Panics
-    /// If [`has_in_view`](Self::has_in_view) is `false`.
-    #[inline]
-    pub fn for_each_in_range<F: FnMut(VertexId, W)>(
-        &self,
-        v: VertexId,
-        lo: usize,
-        hi: usize,
-        f: F,
-    ) {
-        let adj = *self.in_adj();
-        self.adj_range(&adj, v, lo, hi, f);
-    }
-
-    #[inline]
-    fn adj_range<F: FnMut(VertexId, W)>(
-        &self,
-        adj: &RawAdj,
-        v: VertexId,
         lo_local: usize,
         hi_local: usize,
         mut f: F,
     ) {
-        let o = self.adj_offsets(adj);
+        let o = self.offsets();
         let (base, end) = (o[v as usize] as usize, o[v as usize + 1] as usize);
         let lo = base.saturating_add(lo_local).min(end);
         let hi = base.saturating_add(hi_local).min(end).max(lo);
-        let ts = &self.adj_targets(adj)[lo..hi];
+        let ts = &self.targets()[lo..hi];
         if W::IS_UNIT {
             for &t in ts {
                 f(t, W::default());
             }
         } else {
-            let ws = self.adj_weights(adj, lo, hi);
+            let ws = self.weights_in(lo, hi);
             for (&t, &w) in ts.iter().zip(ws) {
                 f(t, W::from_u64(w as u64));
             }
         }
     }
 
-    fn in_adj(&self) -> &RawAdj {
-        self.inn
-            .as_ref()
-            .expect("dense edgeMap requires a symmetric graph or stored transpose sections")
-    }
-
-    /// In-degree of `v`.
-    ///
-    /// # Panics
-    /// If [`has_in_view`](Self::has_in_view) is `false`.
-    #[inline]
-    pub fn in_degree(&self, v: VertexId) -> usize {
-        let o = self.adj_offsets(self.in_adj());
-        (o[v as usize + 1] - o[v as usize]) as usize
-    }
-
-    /// Visits in-edges `(source, weight)` of `v` until `f` returns `false`.
-    ///
-    /// # Panics
-    /// If [`has_in_view`](Self::has_in_view) is `false`.
-    #[inline]
-    pub fn for_each_in_until<F: FnMut(VertexId, W) -> bool>(&self, v: VertexId, mut f: F) {
-        let adj = *self.in_adj();
-        let o = self.adj_offsets(&adj);
-        let (lo, hi) = (o[v as usize] as usize, o[v as usize + 1] as usize);
-        // Safe slicing, exactly as the out path: corrupt in-offsets (lo >
-        // hi, or beyond m) panic instead of reading out of bounds.
-        let ts = &self.adj_targets(&adj)[lo..hi];
-        if W::IS_UNIT {
-            for &t in ts {
-                if !f(t, W::default()) {
-                    return;
-                }
-            }
-        } else {
-            let ws = self.adj_weights(&adj, lo, hi);
-            for (&t, &w) in ts.iter().zip(ws) {
-                if !f(t, W::from_u64(w as u64)) {
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Full payload validation: every known section's stored FNV-1a
-    /// checksum, offsets monotonicity (out and in), and target ranges.
-    /// O(file size) — this is the deliberate opposite of [`MappedGraph::open`]'s
-    /// no-per-edge-work contract, for `convert verify=true` and tests.
+    /// Full payload validation: every section's stored FNV-1a checksum,
+    /// offsets monotonicity, and target ranges. O(file size) — this is the
+    /// deliberate opposite of [`MappedGraph::open`]'s no-per-edge-work
+    /// contract, for `convert verify=true` and tests.
     pub fn verify(&self, path: &Path) -> Result<(), Error> {
         let bytes = self.buf.bytes();
         for s in &self.sections {
@@ -845,30 +684,21 @@ impl<W: Weight> MappedGraph<W> {
                 ));
             }
         }
-        let check_adj = |offsets: &[u64], targets: &[VertexId], what: &str| -> Result<(), Error> {
-            if offsets[0] != 0 || offsets[self.n] != self.m as u64 {
-                return Err(bad(path, format!("{what} offsets do not span the edges")));
-            }
-            if offsets.windows(2).any(|w| w[0] > w[1]) {
-                return Err(bad(path, format!("{what} offsets are not monotone")));
-            }
-            if let Some(&t) = targets.iter().find(|&&t| t as usize >= self.n) {
-                return Err(bad(path, format!("{what} target {t} out of range")));
-            }
-            Ok(())
-        };
-        check_adj(self.offsets(), self.targets(), "out")?;
-        if !self.symmetric {
-            if let Some(adj) = self.inn {
-                check_adj(self.adj_offsets(&adj), self.adj_targets(&adj), "in")?;
-            }
+        let offsets = self.offsets();
+        if offsets[0] != 0 || offsets[self.n] != self.m as u64 {
+            return Err(bad(path, "out offsets do not span the edges"));
+        }
+        if offsets.windows(2).any(|w| w[0] > w[1]) {
+            return Err(bad(path, "out offsets are not monotone"));
+        }
+        if let Some(&t) = self.targets().iter().find(|&&t| t as usize >= self.n) {
+            return Err(bad(path, format!("out target {t} out of range")));
         }
         Ok(())
     }
 
     /// Materializes a heap [`Csr`] copy (used by `convert` when the
-    /// destination is another format). Attaches a transpose when the file
-    /// carried one, preserving the dense-traversal capability.
+    /// destination is another format).
     ///
     /// The payload is re-validated while materializing (checksums are only
     /// checked by [`MappedGraph::verify`]), so a corrupt body surfaces as a
@@ -882,18 +712,13 @@ impl<W: Weight> MappedGraph<W> {
                 .map(|&w| W::from_u64(w as u64))
                 .collect()
         };
-        let g = Csr::try_from_parts(
+        Csr::try_from_parts(
             self.offsets().to_vec(),
             self.targets().to_vec(),
             weights,
             self.symmetric,
         )
-        .map_err(|msg| Error::parse(format!("corrupt container payload: {msg}")))?;
-        Ok(if !self.symmetric && self.inn.is_some() {
-            g.with_transpose()
-        } else {
-            g
-        })
+        .map_err(|msg| Error::parse(format!("corrupt container payload: {msg}")))
     }
 }
 
@@ -934,46 +759,36 @@ pub fn read_compressed<W: Weight>(path: &Path) -> Result<Option<Compressed<W>>, 
             "weightedness of container does not match requested graph type",
         ));
     }
-    // One direction's arrays: offsets, degrees, data, and the chunk size
-    // from its META section (absent = 0, the legacy unchunked layout).
-    let direction = |kinds: [u32; 4], what: &str, symmetric, in_graph| {
-        let part = |k, want_len, name: &str| {
-            section_payload(
-                path,
-                bytes,
-                &sections,
-                k,
-                want_len,
-                &format!("{what} {name}"),
-            )
-        };
-        let offsets = part(kinds[0], Some((n as u64 + 1) * 8), "offsets")?
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let degrees = part(kinds[1], Some(n as u64 * 4), "degrees")?
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let data = part(kinds[2], None, "data")?.to_vec();
-        let chunk_size = if sections.iter().any(|s| s.kind == kinds[3]) {
-            let meta = part(kinds[3], Some(8), "meta")?;
-            u32::from_le_bytes(meta[..4].try_into().unwrap())
-        } else {
-            0
-        };
-        Compressed::try_from_raw_parts(
-            n, m, offsets, degrees, data, symmetric, chunk_size, in_graph,
+    let part = |k, want_len, name: &str| {
+        section_payload(
+            path,
+            bytes,
+            &sections,
+            k,
+            want_len,
+            &format!("compressed payload {name}"),
         )
-        .map_err(|e| bad(path, format!("corrupt {what}: {e}")))
     };
-    let in_graph = if !info.symmetric && sections.iter().any(|s| s.kind == kind::COMP_IN_DATA) {
-        let t = direction(COMP_IN, "compressed transpose payload", false, None)?;
-        Some(Box::new(t))
+    let offsets = part(kind::COMP_OFFSETS, Some((n as u64 + 1) * 8), "offsets")?
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+        .collect();
+    let degrees = part(kind::COMP_DEGREES, Some(n as u64 * 4), "degrees")?
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+        .collect();
+    let data = part(kind::COMP_DATA, None, "data")?.to_vec();
+    // The chunk size comes from the META section; absent = 0, the legacy
+    // unchunked layout.
+    let chunk_size = if sections.iter().any(|s| s.kind == kind::COMP_META) {
+        let meta = part(kind::COMP_META, Some(8), "meta")?;
+        u32::from_le_bytes(meta[..4].try_into().unwrap())
     } else {
-        None
+        0
     };
-    direction(COMP_OUT, "compressed payload", info.symmetric, in_graph).map(Some)
+    Compressed::try_from_raw_parts(n, m, offsets, degrees, data, info.symmetric, chunk_size)
+        .map(Some)
+        .map_err(|e| bad(path, format!("corrupt compressed payload: {e}")))
 }
 
 #[cfg(test)]
@@ -1012,44 +827,17 @@ mod tests {
         let mg: MappedGraph<()> = MappedGraph::open(&p).unwrap();
         mg.verify(&p).unwrap();
         same_as_csr(&g, &mg);
-        assert!(mg.has_in_view());
-        assert_eq!(mg.in_degree(0), mg.degree(0));
         std::fs::remove_file(&p).ok();
     }
 
     #[test]
-    fn roundtrip_weighted_directed_with_transpose() {
-        let g =
-            assign_weights(&rmat(8, 8, RmatParams::default(), 3, false), 1, 50, 5).with_transpose();
+    fn roundtrip_weighted_directed() {
+        let g = assign_weights(&rmat(8, 8, RmatParams::default(), 3, false), 1, 50, 5);
         let p = tmp("wdir");
         write(&g, &p, &ContainerWriteOptions::default()).unwrap();
         let mg: MappedGraph<u32> = MappedGraph::open(&p).unwrap();
         mg.verify(&p).unwrap();
         same_as_csr(&g, &mg);
-        assert!(mg.has_in_view());
-        // In-edges match the CSR transpose.
-        let t = g.in_view().unwrap();
-        for v in (0..g.num_vertices() as VertexId).step_by(17) {
-            let mut want: Vec<(VertexId, u32)> = t.edges_of(v).collect();
-            let mut got = Vec::new();
-            mg.for_each_in_until(v, |u, w| {
-                got.push((u, w));
-                true
-            });
-            want.sort_unstable();
-            got.sort_unstable();
-            assert_eq!(want, got, "in-edges of {v}");
-        }
-        std::fs::remove_file(&p).ok();
-    }
-
-    #[test]
-    fn directed_without_transpose_has_no_in_view() {
-        let g = rmat(7, 8, RmatParams::default(), 3, false);
-        let p = tmp("dir");
-        write(&g, &p, &ContainerWriteOptions::default()).unwrap();
-        let mg: MappedGraph<()> = MappedGraph::open(&p).unwrap();
-        assert!(!mg.has_in_view());
         std::fs::remove_file(&p).ok();
     }
 
@@ -1071,8 +859,8 @@ mod tests {
         compressed_payload: true,
     };
 
-    /// The embedded payload is the encoder's output verbatim, transpose
-    /// included; asserted once, run at both weights.
+    /// The embedded payload is the encoder's output verbatim; asserted
+    /// once, run at both weights.
     fn check_compressed_payload_round_trips<W: Weight>(g: &Csr<W>, name: &str) {
         let p = tmp(name);
         write(g, &p, &WITH_PAYLOAD).unwrap();
@@ -1083,10 +871,7 @@ mod tests {
         assert_eq!(c.num_edges(), g.num_edges());
         assert_eq!(c.chunk_size(), direct.chunk_size());
         assert_eq!(c.raw_parts(), direct.raw_parts());
-        assert_eq!(c.has_in_view(), direct.has_in_view());
-        if let (Some(a), Some(b)) = (c.in_view(), direct.in_view()) {
-            assert_eq!(a.raw_parts(), b.raw_parts(), "transpose payload");
-        }
+        assert_eq!(c.is_symmetric(), g.is_symmetric());
         std::fs::remove_file(&p).ok();
     }
 
@@ -1095,10 +880,9 @@ mod tests {
         let g = erdos_renyi(250, 1_800, 11, true);
         check_compressed_payload_round_trips(&g, "comp");
         check_compressed_payload_round_trips(&assign_weights(&g, 1, 60, 7), "wcomp");
-        let d = rmat(8, 8, RmatParams::default(), 3, false).with_transpose();
+        let d = rmat(8, 8, RmatParams::default(), 3, false);
         check_compressed_payload_round_trips(&d, "dcomp");
-        let dw = assign_weights(&d, 1, 60, 7).with_transpose();
-        check_compressed_payload_round_trips(&dw, "dwcomp");
+        check_compressed_payload_round_trips(&assign_weights(&d, 1, 60, 7), "dwcomp");
     }
 
     #[test]
@@ -1231,27 +1015,6 @@ mod tests {
             }
         }
         panic!("section {want_kind} not found");
-    }
-
-    #[test]
-    fn corrupt_in_offsets_panic_instead_of_reading_out_of_bounds() {
-        let g = rmat(7, 8, RmatParams::default(), 13, false).with_transpose();
-        let p = tmp("badin");
-        write(&g, &p, &ContainerWriteOptions::default()).unwrap();
-        let mut bytes = std::fs::read(&p).unwrap();
-        let r = section_range(&bytes, kind::IN_OFFSETS);
-        // First in-offset far beyond m. Open still succeeds (payload
-        // checksums are verify-on-demand); the pull traversal must hit a
-        // bounds-check panic, never an out-of-bounds read.
-        bytes[r.start..r.start + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        std::fs::write(&p, &bytes).unwrap();
-        let mg: MappedGraph<()> = MappedGraph::open(&p).unwrap();
-        assert!(mg.verify(&p).is_err());
-        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            mg.for_each_in_until(0, |_, _| true);
-        }));
-        assert!(res.is_err(), "corrupt in-offsets must panic, not read OOB");
-        std::fs::remove_file(&p).ok();
     }
 
     #[test]

@@ -46,10 +46,9 @@ impl Weight for u64 {
 
 /// An immutable CSR graph with edge weights of type `W`.
 ///
-/// For directed graphs, `offsets`/`targets` hold the **out**-adjacency, and
-/// an optional transpose (`in_csr`) enables Ligra's dense (pull) traversal.
-/// Symmetric graphs set [`Csr::is_symmetric`] and reuse the out-adjacency as the
-/// in-adjacency.
+/// `offsets`/`targets` hold the **out**-adjacency. Symmetric graphs set
+/// [`Csr::is_symmetric`]; their out-lists are also their in-lists, which is
+/// what Ligra's dense (pull) traversal reads.
 #[derive(Clone, Debug)]
 pub struct Csr<W: Weight> {
     n: usize,
@@ -58,7 +57,6 @@ pub struct Csr<W: Weight> {
     targets: Vec<VertexId>,
     weights: Vec<W>,
     symmetric: bool,
-    in_csr: Option<Box<Csr<W>>>,
 }
 
 /// Unweighted graph.
@@ -96,7 +94,6 @@ impl<W: Weight> Csr<W> {
             targets,
             weights,
             symmetric,
-            in_csr: None,
         }
     }
 
@@ -146,7 +143,6 @@ impl<W: Weight> Csr<W> {
             targets,
             weights,
             symmetric,
-            in_csr: None,
         })
     }
 
@@ -168,14 +164,13 @@ impl<W: Weight> Csr<W> {
         self.symmetric
     }
 
-    /// Total bytes of the adjacency arrays (offsets + targets + weights),
-    /// including an attached transpose. The denominator for the bytes/edge
-    /// comparison against the compressed backends.
+    /// Total bytes of the adjacency arrays (offsets + targets + weights).
+    /// The denominator for the bytes/edge comparison against the compressed
+    /// backends.
     pub fn footprint_bytes(&self) -> usize {
-        let own = self.offsets.len() * std::mem::size_of::<u64>()
+        self.offsets.len() * std::mem::size_of::<u64>()
             + self.targets.len() * std::mem::size_of::<VertexId>()
-            + self.weights.len() * std::mem::size_of::<W>();
-        own + self.in_csr.as_ref().map_or(0, |t| t.footprint_bytes())
+            + self.weights.len() * std::mem::size_of::<W>()
     }
 
     /// Out-degree of `v`.
@@ -229,31 +224,6 @@ impl<W: Weight> Csr<W> {
             .into_par_iter()
             .map(|v| self.degree(v as VertexId) as u32)
             .collect()
-    }
-
-    /// The in-adjacency view used by dense (pull) traversals: the transpose
-    /// for directed graphs, or the graph itself when symmetric. Returns
-    /// `None` for a directed graph whose transpose was not attached.
-    pub fn in_view(&self) -> Option<&Csr<W>> {
-        if self.symmetric {
-            Some(self)
-        } else {
-            self.in_csr.as_deref()
-        }
-    }
-
-    /// Attaches a transpose so dense traversals work on directed graphs.
-    pub fn with_transpose(mut self) -> Self {
-        if !self.symmetric && self.in_csr.is_none() {
-            let t = crate::transform::transpose(&self);
-            self.in_csr = Some(Box::new(t));
-        }
-        self
-    }
-
-    /// Whether a dense (pull) traversal is possible.
-    pub fn has_in_view(&self) -> bool {
-        self.symmetric || self.in_csr.is_some()
     }
 
     /// Sum of out-degrees over a set of vertices (used for the edgeMap
@@ -324,27 +294,6 @@ mod tests {
         let edges: Vec<_> = g.edges_of(0).collect();
         assert_eq!(edges, vec![(1, 10), (1, 20)]);
         assert_eq!(g.weights_of(0), &[10, 20]);
-    }
-
-    #[test]
-    fn transpose_attaches_in_view() {
-        let g = tiny();
-        assert!(!g.has_in_view());
-        let g = g.with_transpose();
-        assert!(g.has_in_view());
-        let t = g.in_view().unwrap();
-        // in-neighbors of 2 are {0, 1}
-        let mut inn = t.neighbors(2).to_vec();
-        inn.sort_unstable();
-        assert_eq!(inn, vec![0, 1]);
-    }
-
-    #[test]
-    fn symmetric_graph_is_its_own_in_view() {
-        let g: Graph = Csr::from_parts(vec![0, 1, 2], vec![1, 0], vec![], true);
-        assert!(g.has_in_view());
-        assert!(g.validate().is_ok());
-        assert_eq!(g.in_view().unwrap().neighbors(0), &[1]);
     }
 
     #[test]

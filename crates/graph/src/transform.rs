@@ -1,51 +1,10 @@
-//! Graph transforms: transpose, symmetrisation, weight assignment.
+//! Graph transforms: symmetrisation, weight assignment.
 
 use crate::builder::EdgeList;
 use crate::csr::{Csr, Weight};
 use crate::VertexId;
 use julienne_primitives::rng::hash64;
-use julienne_primitives::scan::prefix_sums;
-use julienne_primitives::unsafe_write::DisjointWriter;
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Builds the transpose (in-adjacency) of `g`. Work O(n + m).
-pub fn transpose<W: Weight>(g: &Csr<W>) -> Csr<W> {
-    let n = g.num_vertices();
-    let m = g.num_edges();
-
-    // Count in-degrees.
-    let in_deg: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-    (0..n as VertexId).into_par_iter().for_each(|u| {
-        for &v in g.neighbors(u) {
-            in_deg[v as usize].fetch_add(1, Ordering::Relaxed);
-        }
-    });
-    let mut counts: Vec<usize> = in_deg.into_iter().map(AtomicUsize::into_inner).collect();
-    counts.push(0);
-    prefix_sums(&mut counts);
-
-    let offsets: Vec<u64> = counts.iter().map(|&c| c as u64).collect();
-    let cursors: Vec<AtomicUsize> = counts[..n].iter().map(|&c| AtomicUsize::new(c)).collect();
-
-    let mut targets = vec![0 as VertexId; m];
-    let mut weights = vec![W::default(); m];
-    {
-        let tw = DisjointWriter::new(&mut targets);
-        let ww = DisjointWriter::new(&mut weights);
-        (0..n as VertexId).into_par_iter().for_each(|u| {
-            for (v, w) in g.edges_of(u) {
-                let pos = cursors[v as usize].fetch_add(1, Ordering::Relaxed);
-                // SAFETY: fetch_add hands every writer a unique slot.
-                unsafe {
-                    tw.write(pos, u);
-                    ww.write(pos, w);
-                }
-            }
-        });
-    }
-    Csr::from_parts(offsets, targets, weights, false)
-}
 
 /// Returns the symmetric closure of `g` (edges mirrored, duplicates removed).
 pub fn symmetrize<W: Weight>(g: &Csr<W>) -> Csr<W> {
@@ -141,31 +100,6 @@ pub fn wbfs_weight_range(n: usize) -> (u32, u32) {
 mod tests {
     use super::*;
     use crate::builder::from_pairs;
-
-    #[test]
-    fn transpose_reverses_edges() {
-        let g = from_pairs(4, &[(0, 1), (0, 2), (1, 2), (3, 0)]);
-        let t = transpose(&g);
-        assert_eq!(t.num_edges(), 4);
-        let mut in2 = t.neighbors(2).to_vec();
-        in2.sort_unstable();
-        assert_eq!(in2, vec![0, 1]);
-        assert_eq!(t.neighbors(0), &[3]);
-        assert!(t.validate().is_ok());
-    }
-
-    #[test]
-    fn transpose_of_transpose_is_identity() {
-        let g = from_pairs(6, &[(0, 1), (2, 3), (4, 5), (5, 0), (3, 1)]);
-        let tt = transpose(&transpose(&g));
-        for v in 0..6u32 {
-            let mut a = g.neighbors(v).to_vec();
-            let mut b = tt.neighbors(v).to_vec();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
-        }
-    }
 
     #[test]
     fn symmetrize_doubles_and_dedups() {

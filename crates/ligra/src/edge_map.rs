@@ -13,7 +13,9 @@
 //!   SSSP times);
 //! * **dense (pull)** — iterate in-edges of every vertex with `C(v)` true,
 //!   breaking early once `C(v)` flips; chosen when
-//!   `|U| + Σ out-deg(U) > m / 20` (Ligra's threshold).
+//!   `|U| + Σ out-deg(U) > m / 20` (Ligra's threshold). Graphs are stored
+//!   in one direction only, so pull runs on symmetric graphs and reads each
+//!   target's out-list as its in-list; a directed graph always pushes.
 //!
 //! Both directions split **giant adjacency lists** into parallel chunk
 //! tasks when the backend supports it (see [`OutEdges::out_chunk_edges`]):
@@ -27,9 +29,9 @@
 //! direction decision, edges scanned, and successful updates of every
 //! traversal. Both directions are generic over the trait hierarchy of
 //! [`crate::traits`]: the sparse path needs only [`OutEdges`], the
-//! direction-optimized path needs [`GraphRef`] (in-edge access for pull),
-//! so every backend — CSR, byte-compressed, packed — goes through the same
-//! code.
+//! direction-optimized path needs [`GraphRef`] (the symmetry flag that
+//! permits pull), so every backend — CSR, byte-compressed, mapped,
+//! packed — goes through the same code.
 
 use crate::subset::{VertexSubset, VertexSubsetData};
 use crate::traits::{GraphRef, OutEdges};
@@ -47,7 +49,8 @@ use std::sync::{Mutex, PoisonError};
 pub enum Mode {
     /// Always push from the frontier.
     Sparse,
-    /// Always pull over all vertices (requires an in-adjacency view).
+    /// Always pull over all vertices. A directed graph has no in-lists to
+    /// pull from, so it pushes instead.
     Dense,
     /// Ligra's threshold rule.
     #[default]
@@ -218,21 +221,20 @@ impl<'g, G: OutEdges> EdgeMap<'g, G> {
 
 impl<'g, G: GraphRef> EdgeMap<'g, G> {
     fn choose_dense(&self, frontier_ids: &[VertexId]) -> bool {
-        match self.mode {
-            Mode::Sparse => false,
-            Mode::Dense => true,
-            Mode::Auto => {
-                self.g.has_in_view()
-                    && frontier_ids.len() + self.g.out_degrees_sum(frontier_ids)
+        self.g.is_symmetric()
+            && match self.mode {
+                Mode::Sparse => false,
+                Mode::Dense => true,
+                Mode::Auto => {
+                    frontier_ids.len() + self.g.out_degrees_sum(frontier_ids)
                         > self.g.num_edges() / DENSE_THRESHOLD_DIV
+                }
             }
-        }
     }
 
     /// Direction-optimized traversal: picks sparse or dense per the
     /// configured [`Mode`] and runs it. Works over any [`GraphRef`]
-    /// backend; `Mode::Auto` only chooses dense when the backend currently
-    /// has an in-edge view.
+    /// backend; only a symmetric graph is ever pulled.
     pub fn run<Fu, Fc>(&self, frontier: &VertexSubset, update: Fu, cond: Fc) -> VertexSubset
     where
         Fu: Fn(VertexId, VertexId, G::W) -> bool + Send + Sync,
@@ -401,13 +403,14 @@ where
     total as u64
 }
 
-/// Dense pull kernel; returns the new frontier and the in-edges examined
-/// (the early exit makes this less than the full in-degree sum).
+/// Dense pull kernel over a symmetric graph, whose out-lists are its
+/// in-lists; returns the new frontier and the edges examined (the early
+/// exit makes this less than the full degree sum).
 ///
-/// Heavy targets — in-degree above twice the backend's
-/// [`InEdges::in_chunk_edges`] granularity — are pulled out of the main
+/// Heavy targets — degree above twice the backend's
+/// [`OutEdges::out_chunk_edges`] granularity — are pulled out of the main
 /// per-vertex loop and scanned as parallel chunk tasks, so one hub's
-/// in-list no longer serializes the round. Chunk tasks decode in full
+/// list no longer serializes the round. Chunk tasks decode in full
 /// (no early exit): the examined-edge count stays a pure function of the
 /// graph, the same trade Ligra+ makes to decode compressed lists in
 /// parallel. Extra `update` calls after `cond` flips are harmless for the
@@ -426,18 +429,18 @@ where
     let n = g.num_vertices();
     let frontier_bits = frontier.to_bitset();
     let out = AtomicBitSet::new(n);
-    let trigger = heavy_trigger(g.in_chunk_edges());
+    let trigger = heavy_trigger(g.out_chunk_edges());
     let scanned: u64 = (0..n as VertexId)
         .into_par_iter()
         .map(|v| {
             if !cond(v) {
                 return 0u64;
             }
-            if trigger != usize::MAX && g.in_degree(v) > trigger {
+            if trigger != usize::MAX && g.out_degree(v) > trigger {
                 return 0u64; // handled by the heavy pass below
             }
             let mut examined = 0u64;
-            g.for_each_in_until(v, |u, w| {
+            g.for_each_out_until(v, |u, w| {
                 examined += 1;
                 if frontier_bits.get(u as usize) && update(u, v, w) {
                     out.set(v as usize);
@@ -451,23 +454,23 @@ where
         .sum();
     let mut heavy_scanned = 0u64;
     if trigger != usize::MAX {
-        let split = g.in_chunk_edges();
+        let split = g.out_chunk_edges();
         let heavy: Vec<VertexId> = (0..n as VertexId)
             .into_par_iter()
-            .filter(|&v| cond(v) && g.in_degree(v) > trigger)
+            .filter(|&v| cond(v) && g.out_degree(v) > trigger)
             .collect();
         let tasks: Vec<(VertexId, usize)> = heavy
             .iter()
-            .flat_map(|&v| (0..g.in_degree(v).div_ceil(split)).map(move |c| (v, c)))
+            .flat_map(|&v| (0..g.out_degree(v).div_ceil(split)).map(move |c| (v, c)))
             .collect();
         tasks.par_iter().for_each(|&(v, c)| {
-            g.for_each_in_chunk(v, c, |u, w| {
+            g.for_each_out_chunk(v, c, |u, w| {
                 if frontier_bits.get(u as usize) && cond(v) && update(u, v, w) {
                     out.set(v as usize);
                 }
             });
         });
-        heavy_scanned = heavy.iter().map(|&v| g.in_degree(v) as u64).sum();
+        heavy_scanned = heavy.iter().map(|&v| g.out_degree(v) as u64).sum();
     }
     (
         VertexSubset::from_bitset(out.into_bitset()),
@@ -475,7 +478,7 @@ where
     )
 }
 
-/// In-degree above which a dense target's in-list is scanned as chunk
+/// Degree above which a dense target's list is scanned as chunk
 /// tasks: twice the chunk granularity, so splitting only kicks in when it
 /// buys at least two-way parallelism. `usize::MAX` (unsplittable backend)
 /// disables the heavy pass entirely.
@@ -575,9 +578,9 @@ mod tests {
     }
 
     #[test]
-    fn auto_stays_sparse_without_in_view() {
-        // Directed graph with no transpose: Auto must not panic even with a
-        // full frontier.
+    fn auto_pushes_on_directed_graph() {
+        // A directed graph has no in-lists: Auto must push even with a full
+        // frontier.
         let g = from_pairs(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
         let out = EdgeMap::new(&g).run(&VertexSubset::all(4), |_, _, _| true, |_| true);
         assert_eq!(out.len(), 4);
@@ -601,20 +604,43 @@ mod tests {
     }
 
     #[test]
-    fn auto_on_directed_compressed_with_transpose_goes_dense() {
-        use julienne_graph::compress::CompressedGraph;
-        let g = from_pairs(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
-        let c = CompressedGraph::from_csr(&g).with_transpose();
-        // Full frontier exceeds the m/20 threshold, so Auto picks dense —
-        // which must agree with sparse.
+    fn dense_on_directed_graph_pushes() {
+        // Pulling a directed graph's out-lists would walk its edges
+        // backwards (round 1 would claim 2 through 2 -> 0), so a forced
+        // `Mode::Dense` pushes and every level matches a sequential BFS;
+        // 5 only points into the graph and stays unreached.
+        let g = from_pairs(6, &[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (5, 4)]);
         let sink = Telemetry::enabled();
-        let out =
-            EdgeMap::new(&c)
-                .telemetry(&sink)
-                .run(&VertexSubset::all(4), |_, _, _| true, |_| true);
-        assert_eq!(out.len(), 4);
+        let level = atomic_u32_filled(6, u32::MAX);
+        level[0].store(0, Ordering::Relaxed);
+        let mut frontier = VertexSubset::single(6, 0);
+        let mut rounds = 0;
+        while !frontier.is_empty() {
+            rounds += 1;
+            frontier = EdgeMap::new(&g).mode(Mode::Dense).telemetry(&sink).run(
+                &frontier,
+                |_, v, _| cas_u32(&level[v as usize], u32::MAX, rounds),
+                |v| level[v as usize].load(Ordering::Relaxed) == u32::MAX,
+            );
+        }
+        let mut want = vec![u32::MAX; 6];
+        want[0] = 0;
+        let mut queue = std::collections::VecDeque::from([0 as VertexId]);
+        while let Some(u) = queue.pop_front() {
+            for &v in g.neighbors(u) {
+                if want[v as usize] == u32::MAX {
+                    want[v as usize] = want[u as usize] + 1;
+                    queue.push_back(v);
+                }
+            }
+        }
+        let got: Vec<u32> = level.iter().map(|l| l.load(Ordering::Relaxed)).collect();
+        assert_eq!(got, want);
         #[cfg(feature = "telemetry")]
-        assert_eq!(sink.get(Counter::DenseTraversals), 1);
+        {
+            assert_eq!(sink.get(Counter::DenseTraversals), 0);
+            assert_eq!(sink.get(Counter::SparseTraversals), u64::from(rounds));
+        }
     }
 
     #[test]

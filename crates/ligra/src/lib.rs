@@ -6,9 +6,8 @@
 //! * [`subset`] — `vertexSubset` with sparse/dense dual representation and
 //!   the value-carrying `vertexSubsetData<T>`,
 //! * [`vertex_ops`] — `vertexMap` / `vertexFilter`,
-//! * [`traits`] — the graph-trait hierarchy ([`OutEdges`] / [`InEdges`] /
-//!   [`GraphRef`]) shared by plain CSR, byte-compressed, and packable
-//!   graphs,
+//! * [`traits`] — the graph-trait hierarchy ([`OutEdges`] / [`GraphRef`])
+//!   shared by plain CSR, byte-compressed, mapped and packable graphs,
 //! * [`edge_map`] — direction-optimized `edgeMap` (sparse push / dense pull
 //!   with the |frontier| + outDegrees > m/20 switching rule),
 //! * [`edge_map_reduce`] — `edgeMapReduce` / `edgeMapSum` (per-neighbor
@@ -27,5 +26,5 @@ pub use edge_map::{EdgeMap, Mode};
 pub use edge_map_filter::{edge_map_filter_count, edge_map_filter_pack, edge_map_packed};
 pub use edge_map_reduce::{edge_map_sum, edge_map_sum_with_scratch, SumScratch};
 pub use subset::{VertexSubset, VertexSubsetData};
-pub use traits::{GraphRef, InEdges, OutEdges};
+pub use traits::{GraphRef, OutEdges};
 pub use vertex_ops::{vertex_filter, vertex_map, vertex_map_data};

@@ -1,35 +1,30 @@
 //! The graph-access trait hierarchy — the canonical backend abstraction.
 //!
-//! Every traversal in the framework is written against one of three traits,
+//! Every traversal in the framework is written against one of two traits,
 //! so the same algorithm runs unmodified over plain CSR graphs, Ligra+
 //! byte-compressed graphs, and packable graphs — mirroring how Julienne
 //! runs unmodified on compressed inputs:
 //!
-//! * [`OutEdges`] — per-vertex **out**-edge iteration. Sufficient for
-//!   sparse (push) traversals, sequential oracles, and anything that only
-//!   walks forward edges.
-//! * [`InEdges`] — adds **in**-edge access with the early-exit iteration
-//!   the dense (pull) path needs: a pull traversal stops scanning a
-//!   target's in-edges the moment its `cond` flips, so the iteration
-//!   primitive must support breaking mid-list (including mid-decode for
-//!   byte-compressed adjacency).
+//! * [`OutEdges`] — per-vertex **out**-edge iteration, with the early-exit
+//!   and chunked forms. Sufficient for sparse (push) traversals, sequential
+//!   oracles, and anything that only walks forward edges.
 //! * [`GraphRef`] — the umbrella bound for direction-optimized `edgeMap`:
 //!   symmetry metadata plus the frontier out-degree sum used by the
 //!   `|U| + Σ out-deg(U) > m/20` switching rule.
 //!
-//! Who implements what:
+//! The dense (pull) direction needs a target's in-edges. A graph is stored
+//! in one direction only, so pull runs on symmetric graphs, whose out-lists
+//! are their in-lists — as GBBS runs its pull traversals:
 //!
-//! | backend            | `OutEdges` | `InEdges` (dense pull)                  |
-//! |--------------------|------------|-----------------------------------------|
-//! | `Csr<W>`           | yes        | when symmetric or transpose attached     |
-//! | `Compressed<W>`    | yes        | when symmetric or transpose attached     |
-//! | `MappedGraph<W>`   | yes        | when symmetric or the `.jgr` file        |
-//! |                    |            | carries transpose sections               |
-//! | `PackedGraph`      | yes        | never (`has_in_view` is `false`; packing |
-//! |                    |            | mutates out-lists asymmetrically)        |
+//! | backend            | `OutEdges` | dense pull                          |
+//! |--------------------|------------|-------------------------------------|
+//! | `Csr<W>`           | yes        | when symmetric                      |
+//! | `Compressed<W>`    | yes        | when symmetric                      |
+//! | `MappedGraph<W>`   | yes        | when symmetric                      |
+//! | `PackedGraph`      | yes        | never (`is_symmetric` is `false`:   |
+//! |                    |            | packing shrinks each out-list alone)|
 //!
-//! All four implement `GraphRef`; `has_in_view()` gates whether the dense
-//! path may actually be chosen. A `SnapshotGraph` is read through its
+//! All four implement `GraphRef`. A `SnapshotGraph` is read through its
 //! materialized `csr()`.
 
 use julienne_graph::compress::Compressed;
@@ -91,62 +86,12 @@ pub trait OutEdges: Sync {
     }
 }
 
-/// In-edge access for the dense (pull) traversal direction.
-///
-/// A backend *implements* this trait whenever it can sometimes answer pull
-/// queries; whether it can right now is a runtime property exposed by
-/// [`has_in_view`](InEdges::has_in_view) (e.g. a directed CSR only has an
-/// in-view once a transpose is attached). Direction-optimized `edgeMap`
-/// consults `has_in_view()` before choosing dense, so `Mode::Auto` is always
-/// safe; forcing `Mode::Dense` without an in-view panics.
-pub trait InEdges: OutEdges {
-    /// Whether in-edge queries are currently answerable (symmetric graph or
-    /// attached transpose).
-    fn has_in_view(&self) -> bool;
-
-    /// In-degree of `v`.
-    ///
-    /// # Panics
-    /// If [`has_in_view`](InEdges::has_in_view) is `false`.
-    fn in_degree(&self, v: VertexId) -> usize;
-
-    /// Visits in-edges `(source, weight)` of `v` until `f` returns `false` —
-    /// the early exit Ligra's pull direction relies on ("once the target no
-    /// longer wants updates, stop scanning its in-edges").
-    ///
-    /// # Panics
-    /// If [`has_in_view`](InEdges::has_in_view) is `false`.
-    fn for_each_in_until<F: FnMut(VertexId, Self::W) -> bool>(&self, v: VertexId, f: F);
-
-    /// Split granularity for in-lists — the pull-side twin of
-    /// [`OutEdges::out_chunk_edges`].
-    fn in_chunk_edges(&self) -> usize {
-        usize::MAX
-    }
-
-    /// Visits chunk `c` of `v`'s in-edges — the local edge range
-    /// `[c·sz, min((c+1)·sz, deg))` with `sz = in_chunk_edges()`. Unlike
-    /// [`for_each_in_until`](InEdges::for_each_in_until) there is no early
-    /// exit: chunk tasks of one vertex run concurrently, and decoding each
-    /// chunk in full keeps the scanned-edge count a pure function of the
-    /// graph (Ligra+ makes the same trade for parallel decode).
-    ///
-    /// # Panics
-    /// If [`has_in_view`](InEdges::has_in_view) is `false`.
-    fn for_each_in_chunk<F: FnMut(VertexId, Self::W)>(&self, v: VertexId, c: usize, mut f: F) {
-        debug_assert_eq!(c, 0, "unsplittable backend asked for in-chunk {c}");
-        self.for_each_in_until(v, |u, w| {
-            f(u, w);
-            true
-        });
-    }
-}
-
-/// The umbrella bound for direction-optimized traversal: out-edges,
-/// (potential) in-edges, and the metadata the sparse/dense switching rule
-/// needs.
-pub trait GraphRef: InEdges {
-    /// Whether the graph is symmetric (undirected).
+/// The umbrella bound for direction-optimized traversal: out-edges and
+/// the metadata the sparse/dense switching rule needs.
+pub trait GraphRef: OutEdges {
+    /// Whether the graph is symmetric (undirected) — the condition for a
+    /// dense (pull) traversal, which reads a target's out-list as its
+    /// in-list.
     fn is_symmetric(&self) -> bool;
 
     /// Sum of out-degrees over a set of vertices (the `Σ out-deg(U)` term
@@ -159,8 +104,6 @@ pub trait GraphRef: InEdges {
         }
     }
 }
-
-const NO_IN_VIEW: &str = "dense edgeMap requires a symmetric graph or attached transpose";
 
 /// Chunk granularity for the CSR-family backends (`Csr`, `MappedGraph`).
 /// Contiguous slices split at any boundary, so the choice only balances
@@ -222,37 +165,6 @@ impl<W: Weight> OutEdges for Csr<W> {
     }
 }
 
-impl<W: Weight> InEdges for Csr<W> {
-    #[inline]
-    fn has_in_view(&self) -> bool {
-        Csr::has_in_view(self)
-    }
-
-    #[inline]
-    fn in_degree(&self, v: VertexId) -> usize {
-        self.in_view().expect(NO_IN_VIEW).degree(v)
-    }
-
-    #[inline]
-    fn for_each_in_until<F: FnMut(VertexId, W) -> bool>(&self, v: VertexId, mut f: F) {
-        let iv = self.in_view().expect(NO_IN_VIEW);
-        for (u, w) in iv.edges_of(v) {
-            if !f(u, w) {
-                break;
-            }
-        }
-    }
-
-    fn in_chunk_edges(&self) -> usize {
-        CSR_CHUNK_EDGES
-    }
-
-    #[inline]
-    fn for_each_in_chunk<F: FnMut(VertexId, W)>(&self, v: VertexId, c: usize, f: F) {
-        OutEdges::for_each_out_chunk(self.in_view().expect(NO_IN_VIEW), v, c, f);
-    }
-}
-
 impl<W: Weight> GraphRef for Csr<W> {
     #[inline]
     fn is_symmetric(&self) -> bool {
@@ -305,34 +217,6 @@ impl<W: Weight> OutEdges for Compressed<W> {
     }
 }
 
-impl<W: Weight> InEdges for Compressed<W> {
-    #[inline]
-    fn has_in_view(&self) -> bool {
-        Compressed::has_in_view(self)
-    }
-
-    #[inline]
-    fn in_degree(&self, v: VertexId) -> usize {
-        self.in_view().expect(NO_IN_VIEW).degree(v)
-    }
-
-    #[inline]
-    fn for_each_in_until<F: FnMut(VertexId, W) -> bool>(&self, v: VertexId, f: F) {
-        self.in_view().expect(NO_IN_VIEW).for_each_out_until(v, f);
-    }
-
-    fn in_chunk_edges(&self) -> usize {
-        self.in_view().map_or(usize::MAX, Compressed::chunk_edges)
-    }
-
-    #[inline]
-    fn for_each_in_chunk<F: FnMut(VertexId, W)>(&self, v: VertexId, c: usize, f: F) {
-        self.in_view()
-            .expect(NO_IN_VIEW)
-            .for_each_out_chunk(v, c, f);
-    }
-}
-
 impl<W: Weight> GraphRef for Compressed<W> {
     #[inline]
     fn is_symmetric(&self) -> bool {
@@ -381,33 +265,6 @@ impl<W: Weight> OutEdges for MappedGraph<W> {
     }
 }
 
-impl<W: Weight> InEdges for MappedGraph<W> {
-    #[inline]
-    fn has_in_view(&self) -> bool {
-        MappedGraph::has_in_view(self)
-    }
-
-    #[inline]
-    fn in_degree(&self, v: VertexId) -> usize {
-        MappedGraph::in_degree(self, v)
-    }
-
-    #[inline]
-    fn for_each_in_until<F: FnMut(VertexId, W) -> bool>(&self, v: VertexId, f: F) {
-        MappedGraph::for_each_in_until(self, v, f);
-    }
-
-    fn in_chunk_edges(&self) -> usize {
-        CSR_CHUNK_EDGES
-    }
-
-    #[inline]
-    fn for_each_in_chunk<F: FnMut(VertexId, W)>(&self, v: VertexId, c: usize, f: F) {
-        let lo = c.saturating_mul(CSR_CHUNK_EDGES);
-        MappedGraph::for_each_in_range(self, v, lo, lo.saturating_add(CSR_CHUNK_EDGES), f);
-    }
-}
-
 impl<W: Weight> GraphRef for MappedGraph<W> {
     #[inline]
     fn is_symmetric(&self) -> bool {
@@ -451,25 +308,10 @@ impl OutEdges for PackedGraph {
     }
 }
 
-impl InEdges for PackedGraph {
-    /// Always `false`: packing shrinks out-lists independently, so even a
-    /// symmetric source graph stops being its own transpose after the first
-    /// `pack`. The dense path is therefore never chosen for packed graphs.
-    #[inline]
-    fn has_in_view(&self) -> bool {
-        false
-    }
-
-    fn in_degree(&self, _v: VertexId) -> usize {
-        panic!("PackedGraph has no in-edge view (packing mutates out-lists asymmetrically)")
-    }
-
-    fn for_each_in_until<F: FnMut(VertexId, ()) -> bool>(&self, _v: VertexId, _f: F) {
-        panic!("PackedGraph has no in-edge view (packing mutates out-lists asymmetrically)")
-    }
-}
-
 impl GraphRef for PackedGraph {
+    /// Always `false`: packing shrinks out-lists independently, so even a
+    /// symmetric source graph stops being symmetric after the first `pack`.
+    /// The dense path is therefore never chosen for packed graphs.
     #[inline]
     fn is_symmetric(&self) -> bool {
         false
@@ -524,60 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn in_edges_on_symmetric_backends() {
-        let g = from_pairs_symmetric(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (1, 4)]);
-        let c = CompressedGraph::from_csr(&g);
-        for v in 0..5u32 {
-            assert!(g.has_in_view());
-            assert!(c.has_in_view());
-            assert_eq!(InEdges::in_degree(&g, v), g.degree(v));
-            assert_eq!(InEdges::in_degree(&c, v), c.degree(v));
-            let mut a = Vec::new();
-            g.for_each_in_until(v, |u, _| {
-                a.push(u);
-                true
-            });
-            let mut b = Vec::new();
-            c.for_each_in_until(v, |u, _| {
-                b.push(u);
-                true
-            });
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "in-edges of {v}");
-        }
-    }
-
-    #[test]
-    fn directed_transpose_gives_in_view() {
-        let g = from_pairs(4, &[(0, 2), (1, 2), (2, 3)]).with_transpose();
-        let c = CompressedGraph::from_csr(&g);
-        assert!(g.has_in_view() && c.has_in_view());
-        for back in [
-            {
-                let mut a = Vec::new();
-                g.for_each_in_until(2, |u, _| {
-                    a.push(u);
-                    true
-                });
-                a
-            },
-            {
-                let mut a = Vec::new();
-                c.for_each_in_until(2, |u, _| {
-                    a.push(u);
-                    true
-                });
-                a
-            },
-        ] {
-            let mut b = back;
-            b.sort_unstable();
-            assert_eq!(b, vec![0, 1]);
-        }
-    }
-
-    #[test]
     fn mapped_backend_agrees_with_csr() {
         use julienne_graph::container::{self, ContainerWriteOptions};
         let g = from_pairs_symmetric(6, &[(0, 1), (0, 3), (0, 5), (2, 4), (1, 5)]);
@@ -588,45 +376,17 @@ mod tests {
         for v in 0..6u32 {
             assert_eq!(collect(&mg, v), collect(&g, v), "vertex {v}");
             assert_eq!(mg.out_degree(v), g.out_degree(v));
-            assert_eq!(InEdges::in_degree(&mg, v), InEdges::in_degree(&g, v));
-            let mut a = Vec::new();
-            mg.for_each_in_until(v, |u, _| {
-                a.push(u);
-                true
-            });
-            let mut b = Vec::new();
-            g.for_each_in_until(v, |u, _| {
-                b.push(u);
-                true
-            });
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "in-edges of {v}");
         }
         assert!(GraphRef::is_symmetric(&mg));
-        assert!(InEdges::has_in_view(&mg));
         assert_eq!(GraphRef::out_degrees_sum(&mg, &[0, 2]), 4);
         std::fs::remove_file(&p).ok();
     }
 
     #[test]
-    fn packed_never_has_in_view() {
+    fn packed_is_never_symmetric() {
         let g = from_pairs_symmetric(3, &[(0, 1), (1, 2)]);
         let p = PackedGraph::from_csr(&g);
-        assert!(!InEdges::has_in_view(&p));
         assert!(!GraphRef::is_symmetric(&p));
-    }
-
-    #[test]
-    fn in_until_early_exit_stops_decode() {
-        let g = from_pairs_symmetric(5, &[(0, 4), (1, 4), (2, 4), (3, 4)]);
-        let c = CompressedGraph::from_csr(&g);
-        let mut seen = 0;
-        c.for_each_in_until(4, |_, _| {
-            seen += 1;
-            seen < 2
-        });
-        assert_eq!(seen, 2);
     }
 
     #[test]
@@ -659,30 +419,6 @@ mod tests {
     }
 
     #[test]
-    fn in_chunks_cover_in_list_symmetric() {
-        let pairs: Vec<(u32, u32)> = (0..9).map(|u| (u, 9)).collect();
-        let g = from_pairs_symmetric(10, &pairs);
-        let c = CompressedGraph::from_csr_with_chunk_size(&g, 2);
-        assert_eq!(InEdges::in_chunk_edges(&c), 2);
-        let deg = InEdges::in_degree(&c, 9);
-        let nc = deg.div_ceil(InEdges::in_chunk_edges(&c));
-        let mut got = Vec::new();
-        for ch in 0..nc {
-            c.for_each_in_chunk(9, ch, |u, ()| got.push(u));
-        }
-        let mut want = Vec::new();
-        c.for_each_in_until(9, |u, ()| {
-            want.push(u);
-            true
-        });
-        assert_eq!(got, want);
-        // CSR in-chunks route through the in-view's out-chunks.
-        let mut csr_got = Vec::new();
-        g.for_each_in_chunk(9, 0, |u, _| csr_got.push(u));
-        assert_eq!(csr_got.len(), InEdges::in_degree(&g, 9));
-    }
-
-    #[test]
     fn mapped_chunks_match_unchunked() {
         use julienne_graph::container::{self, ContainerWriteOptions};
         let pairs: Vec<(u32, u32)> = (1..=7).map(|u| (0, u)).collect();
@@ -694,9 +430,6 @@ mod tests {
         let mut got = Vec::new();
         mg.for_each_out_chunk(0, 0, |u, _| got.push(u));
         assert_eq!(got, collect(&mg, 0));
-        let mut ins = Vec::new();
-        mg.for_each_in_chunk(0, 0, |u, _| ins.push(u));
-        assert_eq!(ins.len(), InEdges::in_degree(&mg, 0));
         std::fs::remove_file(&p).ok();
     }
 

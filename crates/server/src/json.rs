@@ -108,6 +108,7 @@ impl Json {
     /// Parses one JSON document; trailing non-whitespace is an error.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -140,6 +141,7 @@ fn write_escaped(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -279,11 +281,10 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // continuation bytes are well-formed).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().unwrap();
+                    // Consume one UTF-8 scalar. Every token before it is
+                    // ASCII, so `pos` sits on a char boundary; were it ever
+                    // not, slicing panics instead of misreading bytes.
+                    let c = self.text[self.pos..].chars().next().unwrap();
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -365,5 +366,20 @@ mod tests {
     #[test]
     fn unicode_escapes_decode() {
         assert_eq!(Json::parse(r#""λ x""#).unwrap(), Json::Str("λ x".into()));
+    }
+
+    #[test]
+    fn multibyte_scalars_decode_like_str_chars() {
+        // 2-, 3- and 4-byte scalars, next to ASCII and to each other.
+        let body = "aé€😀z😀€é";
+        let widths: Vec<usize> = body.chars().map(char::len_utf8).collect();
+        assert_eq!(widths, [1, 2, 3, 4, 1, 4, 3, 2]);
+        let parsed = Json::parse(&format!("[\"{body}\",\"€\"]")).unwrap();
+        let Json::Arr(items) = parsed else {
+            panic!("not an array")
+        };
+        let got: Vec<char> = items[0].as_str().unwrap().chars().collect();
+        assert_eq!(got, body.chars().collect::<Vec<_>>());
+        assert_eq!(items[1].as_str(), Some("€"));
     }
 }

@@ -3,7 +3,7 @@
 //! (`CompressedGraph` / `CompressedWGraph`), at 1 and 4 worker threads.
 //!
 //! The traversal stack is generic over the graph-trait hierarchy
-//! (`OutEdges` / `InEdges` / `GraphRef`), so the same algorithm code runs
+//! (`OutEdges` / `GraphRef`), so the same algorithm code runs
 //! against both representations; these tests pin that the representation
 //! is invisible to results, on the paper's graph families (skewed R-MAT
 //! and power-law Chung-Lu).

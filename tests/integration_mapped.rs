@@ -305,3 +305,86 @@ fn all_three_backends_agree_from_one_container() {
             .coreness
     );
 }
+
+/// `bytes` as an earlier build wrote a directed graph with a transpose:
+/// header flag bit 2 set and, if `sections`, table entries of kinds 4–6
+/// (in-offsets, in-targets, in-weights; here they alias the out-arrays,
+/// a well-formed shape). Payloads then move 128 bytes down to make room
+/// for the three entries, which keeps them 64-byte aligned.
+fn with_retired_transpose(bytes: &[u8], sections: bool) -> Vec<u8> {
+    use julienne_repro::graph::container::fnv1a64;
+    let table_end = 64 + 32 * u32::from_le_bytes(bytes[40..44].try_into().unwrap()) as usize;
+    let shift = if sections { 128 } else { 0 };
+    let mut entries: Vec<Vec<u8>> = bytes[64..table_end]
+        .chunks_exact(32)
+        .map(|e| {
+            let mut e = e.to_vec();
+            let moved = u64::from_le_bytes(e[8..16].try_into().unwrap()) + shift;
+            e[8..16].copy_from_slice(&moved.to_le_bytes());
+            e
+        })
+        .collect();
+    if sections {
+        let aliases: Vec<Vec<u8>> = entries
+            .iter()
+            .filter(|e| (1..=3).contains(&e[0]))
+            .map(|e| [&[e[0] + 3], &e[1..]].concat())
+            .collect();
+        entries.extend(aliases);
+    }
+    let mut out = bytes[..64].to_vec();
+    let flags = u64::from_le_bytes(out[16..24].try_into().unwrap()) | 1 << 2;
+    out[16..24].copy_from_slice(&flags.to_le_bytes());
+    out[40..44].copy_from_slice(&(entries.len() as u32).to_le_bytes());
+    let sum = fnv1a64(&out[0..44]) as u32;
+    out[44..48].copy_from_slice(&sum.to_le_bytes());
+    out.extend(entries.concat());
+    out.resize(table_end + shift as usize, 0);
+    out.extend_from_slice(&bytes[table_end..]);
+    out
+}
+
+/// A `.jgr` written by an earlier build for a directed graph with a
+/// transpose still opens: flag bit 2 is accepted, its sections are
+/// skipped, and BFS over it equals BFS over the file as written today.
+#[test]
+fn container_with_the_retired_transpose_still_opens() {
+    use julienne_repro::graph::generators::{rmat, RmatParams};
+    use julienne_repro::graph::transform::assign_weights;
+    let g = rmat(9, 8, RmatParams::default(), 5, false);
+    let (plain, plain_file) = mapped("old-plain", &g);
+    let (wplain, wplain_file) = mapped("old-wplain", &assign_weights(&g, 1, 50, 3));
+    let bytes = std::fs::read(&plain_file.0).unwrap();
+    let wbytes = std::fs::read(&wplain_file.0).unwrap();
+    for sections in [false, true] {
+        let path = |w: &str| {
+            std::env::temp_dir().join(format!(
+                "julienne-mapped-it-{}-old{w}-{sections}.jgr",
+                std::process::id()
+            ))
+        };
+        let (p, wp) = (path(""), path("w"));
+        std::fs::write(&p, with_retired_transpose(&bytes, sections)).unwrap();
+        std::fs::write(&wp, with_retired_transpose(&wbytes, sections)).unwrap();
+        let _files = (TempJgr(p.clone()), TempJgr(wp.clone()));
+        let old: MappedGraph<()> = MappedGraph::open(&p).unwrap();
+        let wold: MappedGraph<u32> = MappedGraph::open(&wp).unwrap();
+        old.verify(&p).unwrap();
+        wold.verify(&wp).unwrap();
+        assert!(!old.is_symmetric());
+        assert_eq!(wold.weights_u32(), wplain.weights_u32());
+        for src in [0, 7] {
+            let (want, got) = (bfs(&plain, src), bfs(&old, src));
+            assert_eq!(
+                got.level, want.level,
+                "levels from {src}, sections={sections}"
+            );
+            assert_eq!(
+                got.parent, want.parent,
+                "parents from {src}, sections={sections}"
+            );
+            assert_eq!(got.level, bfs_seq(&g, src), "oracle from {src}");
+            assert_eq!(bfs(&wold, src).parent, want.parent, "weighted from {src}");
+        }
+    }
+}

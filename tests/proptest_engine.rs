@@ -13,7 +13,7 @@ use julienne_repro::graph::Csr;
 use julienne_repro::ligra::edge_map::{EdgeMap, Mode};
 use julienne_repro::ligra::edge_map_reduce::{edge_map_sum, edge_map_sum_with_scratch, SumScratch};
 use julienne_repro::ligra::subset::VertexSubset;
-use julienne_repro::ligra::traits::OutEdges;
+use julienne_repro::ligra::traits::{GraphRef, OutEdges};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -30,6 +30,23 @@ fn one_hop_oracle(g: &Csr<()>, frontier: &[u32], cond: impl Fn(u32) -> bool) -> 
     }
     out.sort_unstable();
     out
+}
+
+/// One first-touch hop from `frontier` over `g` in `mode`, sorted.
+fn one_hop<G: GraphRef>(
+    g: &G,
+    frontier: &VertexSubset,
+    mode: Mode,
+    cond: impl Fn(u32) -> bool + Send + Sync,
+) -> Vec<u32> {
+    let out =
+        EdgeMap::new(g)
+            .mode(mode)
+            .remove_duplicates(true)
+            .run(frontier, |_, _, _| true, cond);
+    let mut ids = out.to_vertices();
+    ids.sort_unstable();
+    ids
 }
 
 // Pure functions of the target and its count, so the reference is well
@@ -128,19 +145,25 @@ proptest! {
         let frontier_ids = seedbits;
         let frontier = VertexSubset::from_vertices(n, frontier_ids.clone());
         let cond = |v: u32| v % 3 != 1;
-        let run = |mode: Mode| {
-            let out = EdgeMap::new(&g)
-                .mode(mode)
-                .remove_duplicates(true)
-                .run(&frontier, |_, _, _| true, cond);
-            let mut ids = out.to_vertices();
-            ids.sort_unstable();
-            ids
-        };
         let want = one_hop_oracle(&g, &frontier_ids, cond);
-        prop_assert_eq!(run(Mode::Sparse), want.clone());
-        prop_assert_eq!(run(Mode::Dense), want.clone());
-        prop_assert_eq!(run(Mode::Auto), want);
+        // Chunk size 3 sends every target of degree above 6 through the
+        // dense pass's chunk tasks.
+        let compressed = CompressedGraph::from_csr_with_chunk_size(&g, 3);
+        // Unique per test thread: the harness may run cases side by side.
+        let path = std::env::temp_dir().join(format!(
+            "julienne-one-hop-{}-{:?}.jgr",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        GraphIo::write(&g, &path, &IoOptions::default()).unwrap();
+        let mapped = MappedGraph::<()>::open(&path);
+        std::fs::remove_file(&path).ok();
+        let mapped = mapped.unwrap();
+        for mode in [Mode::Sparse, Mode::Dense, Mode::Auto] {
+            prop_assert_eq!(&one_hop(&g, &frontier, mode, cond), &want, "csr {:?}", mode);
+            prop_assert_eq!(&one_hop(&compressed, &frontier, mode, cond), &want, "compressed {:?}", mode);
+            prop_assert_eq!(&one_hop(&mapped, &frontier, mode, cond), &want, "mapped {:?}", mode);
+        }
     }
 
     #[test]
