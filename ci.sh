@@ -56,9 +56,19 @@ fi
 # (PR 22): the sweep lists nothing, and the pull-direction data edgeMap, the
 # option block and the CLI's own option map do not come back. Nor does a
 # second adjacency direction: pull reads a symmetric graph's own out-lists.
+# Nor does an edgeMap dedup option (every update is a CAS or writeMin), nor
+# a second, writer-side copy of the mutable graph (a batch merges into the
+# next snapshot's CSR).
 run tools/uncalled.sh
-if grep -rnE 'EdgeMapOptions|dense_threshold_div|fn run_data|fn dense_data_counted|telemetry_sink|enum ArgError|InEdges|with_transpose|fn in_view|for_each_in_|in_csr|in_graph' crates; then
+if grep -rnE 'EdgeMapOptions|dense_threshold_div|fn run_data|fn dense_data_counted|telemetry_sink|enum ArgError|InEdges|with_transpose|fn in_view|for_each_in_|in_csr|in_graph|remove_duplicates|BatchResult' crates; then
     echo "ci.sh: an option nobody sets or an entry point nobody calls is back; see CHANGES.md PR 22"
+    exit 1
+fi
+# The dynamic path outlives a panic: its locks guard nothing a panic can
+# leave half-written, so a poisoned one is recovered, never unwrapped.
+if grep -nE '\.(lock|read|write)\(\)\.unwrap\(\)' crates/graph/src/snapshot.rs \
+    crates/algorithms/src/dynamic.rs; then
+    echo "ci.sh: recover a poisoned lock with unwrap_or_else(PoisonError::into_inner)"
     exit 1
 fi
 # The paper's "under 100 lines each": the code lines (not blank, not

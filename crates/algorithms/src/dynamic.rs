@@ -1,7 +1,7 @@
 //! The serve-path dynamic graph: a [`DynamicGraph`] plus incrementally
 //! maintained algorithm state, the first consumer being k-core.
 //!
-//! [`DynamicStore`] owns the writer side of the MVCC pair. Queries pin a
+//! [`DynamicStore`] owns the [`DynamicGraph`]. Queries pin a
 //! [`SnapshotGraph`] and never see a half-applied batch; the writer applies
 //! batches serially and, when the damage is small enough, repairs the
 //! maintained coreness vector with [`coreness_incremental`] instead of
@@ -13,10 +13,9 @@
 use crate::kcore::{coreness, coreness_incremental, KcoreParams};
 use julienne::query::QueryCtx;
 use julienne::Error;
-use julienne_graph::packed::EdgeUpdate;
-use julienne_graph::snapshot::{AppliedBatch, DynamicGraph, SnapshotGraph};
+use julienne_graph::snapshot::{AppliedBatch, DynamicGraph, EdgeUpdate, SnapshotGraph};
 use julienne_graph::{Graph, VertexId};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Maintained-state damage threshold: batches whose effective change count
 /// exceeds this drop the incremental state instead of repairing it (the
@@ -35,14 +34,21 @@ pub struct DynamicStore {
 }
 
 impl DynamicStore {
-    /// Wraps an unweighted CSR as epoch 0. The graph must be symmetric for
-    /// k-core maintenance to engage (asymmetric graphs still mutate and
-    /// serve, they just never answer `kcore`).
-    pub fn from_graph(g: &Graph) -> Self {
+    /// Publishes an unweighted CSR itself as epoch 0. The graph must be
+    /// symmetric for k-core maintenance to engage (asymmetric graphs still
+    /// mutate and serve, they just never answer `kcore`).
+    pub fn from_graph(g: Graph) -> Self {
         DynamicStore {
             graph: DynamicGraph::from_csr(g),
             kcore: Mutex::new(None),
         }
+    }
+
+    /// The maintained k-core state. A panic while it is held leaves it
+    /// `None` or whole (the repair `take`s it first), so a poisoned lock is
+    /// recovered.
+    fn kcore_state(&self) -> MutexGuard<'_, Option<(u64, Arc<Vec<u32>>)>> {
+        self.kcore.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The underlying MVCC graph.
@@ -72,10 +78,10 @@ impl DynamicStore {
         // Subcore repair is an undirected-graph theorem; directed stores
         // never maintain state and re-peel on every epoch.
         if !self.graph.is_symmetric() {
-            self.kcore.lock().unwrap().take();
+            self.kcore_state().take();
             return;
         }
-        let mut state = self.kcore.lock().unwrap();
+        let mut state = self.kcore_state();
         let Some((epoch, old)) = state.take() else {
             return;
         };
@@ -109,7 +115,7 @@ impl DynamicStore {
         ctx: &QueryCtx,
     ) -> Result<Arc<Vec<u32>>, Error> {
         {
-            let state = self.kcore.lock().unwrap();
+            let state = self.kcore_state();
             if let Some((epoch, cores)) = &*state {
                 if *epoch == snap.epoch() {
                     return Ok(Arc::clone(cores));
@@ -118,7 +124,7 @@ impl DynamicStore {
         }
         let result = coreness(snap.csr(), &KcoreParams::default(), ctx)?;
         let cores = Arc::new(result.coreness);
-        let mut state = self.kcore.lock().unwrap();
+        let mut state = self.kcore_state();
         // Seed maintained state only if this snapshot is still the live one
         // and nothing newer was recorded meanwhile.
         if snap.epoch() == self.graph.epoch()
@@ -132,9 +138,7 @@ impl DynamicStore {
     /// Whether maintained k-core state exists for the given epoch (test and
     /// bench introspection).
     pub fn has_kcore_state_for(&self, epoch: u64) -> bool {
-        self.kcore
-            .lock()
-            .unwrap()
+        self.kcore_state()
             .as_ref()
             .is_some_and(|(e, _)| *e == epoch)
     }
@@ -153,7 +157,7 @@ mod tests {
     #[test]
     fn coreness_is_maintained_across_small_batches() {
         let g = from_pairs_symmetric(6, &[(0, 1), (0, 2), (1, 2), (3, 4)]);
-        let store = DynamicStore::from_graph(&g);
+        let store = DynamicStore::from_graph(g.clone());
         let snap0 = store.snapshot();
         let c0 = store.coreness_for(&snap0, &ctx()).unwrap();
         assert_eq!(*c0, coreness_bz_seq(&g).coreness);
@@ -180,7 +184,7 @@ mod tests {
         // it, so the maintained state must be dropped, then rebuilt by the
         // next query's full peel.
         let g = from_pairs_symmetric(80, &[(0, 1)]);
-        let store = DynamicStore::from_graph(&g);
+        let store = DynamicStore::from_graph(g);
         store.coreness_for(&store.snapshot(), &ctx()).unwrap();
         let batch: Vec<EdgeUpdate> = (0..40)
             .map(|i| EdgeUpdate::insert(2 * i, 2 * i + 1))
@@ -209,12 +213,33 @@ mod tests {
                 (4, 5),
             ],
         );
-        let store = DynamicStore::from_graph(&g);
+        let store = DynamicStore::from_graph(g);
         store.coreness_for(&store.snapshot(), &ctx()).unwrap();
         store.apply_batch(&[EdgeUpdate::delete(2, 3)]).unwrap();
         assert!(store.has_kcore_state_for(1));
         let snap = store.snapshot();
         let c = store.coreness_for(&snap, &ctx()).unwrap();
         assert_eq!(*c, vec![2, 2, 2, 2, 1, 1]);
+    }
+
+    #[test]
+    fn a_panic_holding_the_kcore_lock_poisons_nothing() {
+        let g = from_pairs_symmetric(4, &[(0, 1), (1, 2), (2, 0)]);
+        let store = DynamicStore::from_graph(g);
+        store.coreness_for(&store.snapshot(), &ctx()).unwrap();
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _held = store.kcore.lock();
+                panic!("a thread panics holding the k-core lock");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(store.kcore.is_poisoned());
+        store.apply_batch(&[EdgeUpdate::insert(2, 3)]).unwrap();
+        assert!(store.has_kcore_state_for(1), "the repair still runs");
+        let snap = store.snapshot();
+        assert_eq!(snap.epoch(), 1);
+        let c = store.coreness_for(&snap, &ctx()).unwrap();
+        assert_eq!(*c, vec![2, 2, 2, 1]);
     }
 }

@@ -2,14 +2,14 @@
 //!
 //! 1. **Batch apply** — throughput of [`DynamicGraph::apply_batch`] at
 //!    several batch sizes. Every batch pays the full MVCC publication
-//!    cost (versioned arena merge + fresh snapshot CSR), so small batches
-//!    amortize worse per update: the numbers quantify that trade.
+//!    cost (one merge of the batch into the next snapshot's CSR), so small
+//!    batches amortize worse per update: the numbers quantify that trade.
+//!    Each timed repetition also clones the graph into a fresh epoch 0.
 //! 2. **Snapshot-read overhead** — a degree-weighted full edge scan via
-//!    the plain CSR, the atomic [`PackedGraph`] arena, and a published
-//!    [`SnapshotGraph`](julienne_graph::snapshot::SnapshotGraph);
-//!    checksums must agree and the snapshot scan must
-//!    sit within ~10% of the packed-arena scan (it is a plain CSR
-//!    underneath, so in practice it matches the CSR).
+//!    the loaded CSR and a published
+//!    [`SnapshotGraph`](julienne_graph::snapshot::SnapshotGraph); the
+//!    snapshot scan must sit within ~10% of the loaded-CSR scan (it is a
+//!    plain CSR underneath, so in practice it matches).
 //! 3. **Incremental vs rebuild k-core** — time to answer coreness after a
 //!    small batch via the maintained-state path
 //!    ([`DynamicStore::apply_batch`]'s eager h-index repair, then a state
@@ -26,8 +26,7 @@ use julienne_algorithms::kcore::{coreness, KcoreParams};
 use julienne_bench::report::Table;
 use julienne_bench::timing::{scale_arg, time_best};
 use julienne_graph::generators::{rmat, RmatParams};
-use julienne_graph::packed::{EdgeUpdate, PackedGraph};
-use julienne_graph::snapshot::DynamicGraph;
+use julienne_graph::snapshot::{DynamicGraph, EdgeUpdate};
 use julienne_graph::Graph;
 use rayon::prelude::*;
 
@@ -56,23 +55,11 @@ fn updates(n: usize, count: usize, seed: u64) -> Vec<EdgeUpdate> {
         .collect()
 }
 
-/// Degree-weighted full scan: sum of neighbor ids over every vertex, the
-/// same traversal through three representations.
+/// Degree-weighted full scan: sum of neighbor ids over every vertex.
 fn scan_csr(g: &Graph) -> u64 {
     (0..g.num_vertices() as u32)
         .into_par_iter()
         .map(|v| g.neighbors(v).iter().map(|&t| u64::from(t)).sum::<u64>())
-        .sum()
-}
-
-fn scan_packed(p: &PackedGraph) -> u64 {
-    (0..p.num_vertices() as u32)
-        .into_par_iter()
-        .map(|v| {
-            let mut s = 0u64;
-            p.for_each_neighbor(v, |t| s += u64::from(t));
-            s
-        })
         .sum()
 }
 
@@ -94,7 +81,7 @@ fn main() {
     );
     for &size in &APPLY_SIZES {
         let (_, secs) = time_best(REPS, || {
-            let dg = DynamicGraph::from_csr(&g);
+            let dg = DynamicGraph::from_csr(g.clone());
             dg.apply_batch(&updates(n, size, 0x5EED ^ size as u64))
                 .unwrap()
         });
@@ -111,26 +98,17 @@ fn main() {
     }
 
     // ---- Section 2: snapshot-read overhead -------------------------------
-    let packed = PackedGraph::from_csr(&g);
-    let dg = DynamicGraph::from_csr(&g);
+    let dg = DynamicGraph::from_csr(g.clone());
     dg.apply_batch(&updates(n, 64, 0xBEEF)).unwrap();
     let snap = dg.snapshot();
-    // The snapshot has 64 updates' worth of different edges; scan it and
-    // an identically mutated CSR so the checksums are comparable.
-    let (csr_sum, csr_secs) = time_best(REPS, || scan_csr(&g));
-    let (packed_sum, packed_secs) = time_best(REPS, || scan_packed(&packed));
+    let (_, csr_secs) = time_best(REPS, || scan_csr(&g));
     let (snap_sum, snap_secs) = time_best(REPS, || scan_csr(snap.csr()));
-    assert_eq!(csr_sum, packed_sum, "csr and packed scans must agree");
-    // The snapshot holds a *mutated* graph; compare its checksum against
-    // its own CSR identity instead (scan twice, and against edge parity).
+    // The snapshot holds a *mutated* graph, so its checksum differs from
+    // the loaded CSR's; check it against a second scan of itself.
     assert_eq!(snap_sum, scan_csr(snap.csr()));
-    let overhead = |secs: f64| (secs / packed_secs - 1.0) * 100.0;
-    println!("\n{:<20} {:>10} {:>16}", "scan", "ms", "vs packed");
-    for (name, secs) in [
-        ("scan-csr", csr_secs),
-        ("scan-packed", packed_secs),
-        ("scan-snapshot", snap_secs),
-    ] {
+    let overhead = |secs: f64| (secs / csr_secs - 1.0) * 100.0;
+    println!("\n{:<20} {:>10} {:>16}", "scan", "ms", "vs csr");
+    for (name, secs) in [("scan-csr", csr_secs), ("scan-snapshot", snap_secs)] {
         let pct = overhead(secs);
         println!("{name:<20} {:>10.3} {pct:>+15.1}%", secs * 1e3);
         table.rowf(&[
@@ -142,11 +120,11 @@ fn main() {
         ]);
     }
     assert!(
-        snap_secs <= packed_secs * 1.10,
-        "snapshot scans must stay within ~10% of packed-arena scans \
-         (snapshot {:.3}ms vs packed {:.3}ms)",
+        snap_secs <= csr_secs * 1.10,
+        "snapshot scans must stay within ~10% of loaded-CSR scans \
+         (snapshot {:.3}ms vs csr {:.3}ms)",
         snap_secs * 1e3,
-        packed_secs * 1e3
+        csr_secs * 1e3
     );
 
     // ---- Section 3: incremental vs rebuild k-core ------------------------
@@ -159,7 +137,7 @@ fn main() {
         // Incremental: maintained state (seeded before timing) repaired
         // eagerly inside apply_batch, then answered from the state hit.
         let incr = inner_time(REPS, || {
-            let store = DynamicStore::from_graph(&g);
+            let store = DynamicStore::from_graph(g.clone());
             store
                 .coreness_for(&store.snapshot(), &QueryCtx::default())
                 .unwrap();
@@ -172,7 +150,7 @@ fn main() {
         });
         // Rebuild: same batch application, then a from-scratch peel.
         let rebuild = inner_time(REPS, || {
-            let dg = DynamicGraph::from_csr(&g);
+            let dg = DynamicGraph::from_csr(g.clone());
             let t = std::time::Instant::now();
             dg.apply_batch(&batch).unwrap();
             let snap = dg.snapshot();

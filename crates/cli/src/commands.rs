@@ -19,7 +19,7 @@ use julienne_graph::compress::{CompressedGraph, CompressedWGraph};
 use julienne_graph::container::MappedGraph;
 use julienne_graph::generators::{chung_lu, erdos_renyi, grid2d, random_regular, rmat, RmatParams};
 use julienne_graph::io::{Format, GraphIo, IoOptions};
-use julienne_graph::packed::EdgeUpdate;
+use julienne_graph::snapshot::EdgeUpdate;
 use julienne_graph::transform::{assign_weights, symmetrize, wbfs_weight_range};
 use julienne_graph::{Csr, Graph};
 use julienne_server::json::Json;
@@ -403,8 +403,7 @@ pub fn cmd_serve(a: &ParamMap) -> CmdResult {
         None => !mutable && Format::detect(&input)? != Format::Container,
     };
     let store = if mutable {
-        let g: Graph = load(&input)?;
-        GraphStore::dynamic(std::sync::Arc::new(DynamicStore::from_graph(&g)))
+        GraphStore::dynamic(std::sync::Arc::new(DynamicStore::from_graph(load(&input)?)))
     } else {
         GraphStore::open(&input, weighted, backend)?
     };
@@ -526,8 +525,7 @@ pub fn cmd_update(a: &ParamMap) -> CmdResult {
     let input = PathBuf::from(a.require("in")?);
     let out = PathBuf::from(a.require("out")?);
     a.finish(None)?;
-    let g: Graph = load(&input)?;
-    let store = DynamicStore::from_graph(&g);
+    let store = DynamicStore::from_graph(load(&input)?);
     let batch: Vec<EdgeUpdate> = inserts
         .iter()
         .map(|&(u, v)| EdgeUpdate::insert(u, v))
@@ -1230,7 +1228,7 @@ mod tests {
         use julienne_graph::builder::from_pairs_symmetric;
         // Path 0-1-2-3-4 has k_max=1; closing the cycle raises it to 2.
         let g = from_pairs_symmetric(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        let store = GraphStore::dynamic(std::sync::Arc::new(DynamicStore::from_graph(&g)));
+        let store = GraphStore::dynamic(std::sync::Arc::new(DynamicStore::from_graph(g)));
         let server = Server::bind("127.0.0.1:0", &Engine::default(), store).unwrap();
         let addr = server.local_addr().unwrap().to_string();
         let join = std::thread::spawn(move || server.serve().unwrap());

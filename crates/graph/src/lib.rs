@@ -20,13 +20,12 @@
 //! * [`decode`] — the table-driven, fail-closed varint decoder under the
 //!   compressed backend (first-byte code table + word-at-a-time
 //!   continuation scan),
-//! * [`packed`] — mutable-adjacency graphs supporting `edgeMapFilter`'s
-//!   `Pack` option (needed by approximate set cover) and batch edge
-//!   updates ([`packed::PackedGraph::apply_batch`]),
-//! * [`snapshot`] — MVCC snapshot isolation over a packed graph: an
-//!   epoch-stamped immutable [`snapshot::SnapshotGraph`] published by a
-//!   serialized writer ([`snapshot::DynamicGraph`]) with an atomic `Arc`
-//!   swap.
+//! * [`packed`] — shrinkable-adjacency graphs supporting `edgeMapFilter`'s
+//!   `Pack` option (needed by approximate set cover),
+//! * [`snapshot`] — batch edge updates with MVCC snapshot isolation: each
+//!   batch merges into the next epoch-stamped immutable CSR
+//!   ([`snapshot::SnapshotGraph`]), which a serialized writer
+//!   ([`snapshot::DynamicGraph`]) publishes with an atomic `Arc` swap.
 
 pub mod builder;
 pub mod compress;

@@ -64,8 +64,9 @@ const DENSE_THRESHOLD_DIV: usize = 20;
 /// Builder-style `edgeMap`: configure once, traverse many times.
 ///
 /// `update(u, v, w)` is applied to live edges and must return `true` at most
-/// once per target `v` per call (use CAS/writeMin), unless
-/// `remove_duplicates` is set. `cond(v)` gates targets.
+/// once per target `v` per call (use CAS/writeMin); a sparse traversal keeps
+/// every success, so duplicates would reach the output. `cond(v)` gates
+/// targets.
 ///
 /// ```
 /// use julienne_ligra::{EdgeMap, VertexSubset};
@@ -86,7 +87,6 @@ const DENSE_THRESHOLD_DIV: usize = 20;
 pub struct EdgeMap<'g, G> {
     g: &'g G,
     mode: Mode,
-    remove_duplicates: bool,
     telemetry: Telemetry,
 }
 
@@ -96,7 +96,6 @@ impl<'g, G: OutEdges> EdgeMap<'g, G> {
         EdgeMap {
             g,
             mode: Mode::Auto,
-            remove_duplicates: false,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -104,14 +103,6 @@ impl<'g, G: OutEdges> EdgeMap<'g, G> {
     /// Sets the traversal strategy.
     pub fn mode(mut self, mode: Mode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Enables bitset-based deduplication of the sparse output. Unnecessary
-    /// when the update function already guarantees at-most-one success per
-    /// target (e.g. via CAS), which all applications in this repo do.
-    pub fn remove_duplicates(mut self, yes: bool) -> Self {
-        self.remove_duplicates = yes;
         self
     }
 
@@ -145,10 +136,9 @@ impl<'g, G: OutEdges> EdgeMap<'g, G> {
         Fc: Fn(VertexId) -> bool + Send + Sync,
     {
         let n = self.g.num_vertices();
-        let dedup = self.remove_duplicates.then(|| AtomicBitSet::new(n));
         let mut hits = Vec::new();
         let scanned = sparse_blocked(self.g, frontier_ids, &mut hits, |_, u, v, w, hits| {
-            if cond(v) && update(u, v, w) && dedup.as_ref().is_none_or(|bs| bs.set(v as usize)) {
+            if cond(v) && update(u, v, w) {
                 hits.push(v);
             }
         });
@@ -542,11 +532,6 @@ mod tests {
         // Both 0 and 1 point at 2; update always true would emit 2 twice.
         let g = from_pairs(3, &[(0, 2), (1, 2)]);
         let frontier = VertexSubset::from_vertices(3, vec![0, 1]);
-        let with = EdgeMap::new(&g)
-            .mode(Mode::Sparse)
-            .remove_duplicates(true)
-            .run(&frontier, |_, _, _| true, |_| true);
-        assert_eq!(with.to_vertices(), vec![2]);
         let without = EdgeMap::new(&g)
             .mode(Mode::Sparse)
             .run(&frontier, |_, _, _| true, |_| true);

@@ -49,7 +49,7 @@ use julienne::prelude::{CacheKey, CancelToken, QueryCtx, Session};
 use julienne_algorithms::registry::{
     run_sssp_batch, BatchKind, CostClass, GraphStore, ParamMap, Registry,
 };
-use julienne_graph::packed::EdgeUpdate;
+use julienne_graph::snapshot::EdgeUpdate;
 use std::net::TcpStream;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;

@@ -20,7 +20,7 @@ use julienne_repro::algorithms::registry::{GraphStore, ParamMap, Registry};
 use julienne_repro::core::query::QueryCtx;
 use julienne_repro::graph::builder::from_pairs_symmetric;
 use julienne_repro::graph::generators::erdos_renyi;
-use julienne_repro::graph::packed::EdgeUpdate;
+use julienne_repro::graph::snapshot::EdgeUpdate;
 use julienne_repro::graph::Graph;
 use julienne_repro::prelude::Backend;
 use proptest::prelude::*;
@@ -74,7 +74,7 @@ fn to_updates(
 /// the published snapshot, byte-identical registry outputs on both rebuild
 /// backends, and the coreness vector against the peeling oracle.
 fn check_mutate_equals_rebuild(g: &Graph, ups: &[EdgeUpdate], oups: &[oracle::updates::Update]) {
-    let store = Arc::new(DynamicStore::from_graph(g));
+    let store = Arc::new(DynamicStore::from_graph(g.clone()));
     store.apply_batch(ups).unwrap();
     let snap = store.snapshot();
     let rebuilt = oracle::updates::apply_updates(g, oups);
@@ -105,7 +105,8 @@ fn check_mutate_equals_rebuild(g: &Graph, ups: &[EdgeUpdate], oups: &[oracle::up
     // kcore: the dynamic render must match a fresh dynamic store built
     // from the rebuilt graph (same fast path), and the vector itself must
     // match the peeling oracle.
-    let rebuilt_dynamic = GraphStore::dynamic(Arc::new(DynamicStore::from_graph(&rebuilt))).pin();
+    let rebuilt_dynamic =
+        GraphStore::dynamic(Arc::new(DynamicStore::from_graph(rebuilt.clone()))).pin();
     assert_eq!(
         run_algo("kcore", &dynamic),
         run_algo("kcore", &rebuilt_dynamic),
@@ -179,7 +180,7 @@ fn empty_and_noop_batches_change_nothing_observable() {
 #[test]
 fn incremental_kcore_tracks_the_oracle_across_batches() {
     let g = erdos_renyi(300, 1_200, 77, true);
-    let store = DynamicStore::from_graph(&g);
+    let store = DynamicStore::from_graph(g.clone());
     // Seed the maintained state so later batches repair incrementally.
     store
         .coreness_for(&store.snapshot(), &QueryCtx::default())

@@ -36,19 +36,16 @@ fn sparse_edge_map_identical_across_backends() {
     };
     let on_csr = run(&|| {
         EdgeMap::new(&g)
-            .remove_duplicates(true)
             .run_sparse(&frontier, |_, _, _| true, |v| v % 2 == 0)
             .to_vertices()
     });
     let on_compressed = run(&|| {
         EdgeMap::new(&cg)
-            .remove_duplicates(true)
             .run_sparse(&frontier, |_, _, _| true, |v| v % 2 == 0)
             .to_vertices()
     });
     let on_packed = run(&|| {
         EdgeMap::new(&pg)
-            .remove_duplicates(true)
             .run_sparse(&frontier, |_, _, _| true, |v| v % 2 == 0)
             .to_vertices()
     });

@@ -32,20 +32,32 @@ fn one_hop_oracle(g: &Csr<()>, frontier: &[u32], cond: impl Fn(u32) -> bool) -> 
     out
 }
 
-/// One first-touch hop from `frontier` over `g` in `mode`, sorted.
+/// One hop from `frontier` over `g` in `mode` with an update that always
+/// succeeds: every target it reports, sorted, duplicates kept.
+fn hop_targets<G: GraphRef>(
+    g: &G,
+    frontier: &VertexSubset,
+    mode: Mode,
+    cond: impl Fn(u32) -> bool + Send + Sync,
+) -> Vec<u32> {
+    let out = EdgeMap::new(g)
+        .mode(mode)
+        .run(frontier, |_, _, _| true, cond);
+    let mut ids = out.to_vertices();
+    ids.sort_unstable();
+    ids
+}
+
+/// One hop from `frontier` over `g` in `mode`: its targets, sorted and
+/// deduplicated.
 fn one_hop<G: GraphRef>(
     g: &G,
     frontier: &VertexSubset,
     mode: Mode,
     cond: impl Fn(u32) -> bool + Send + Sync,
 ) -> Vec<u32> {
-    let out =
-        EdgeMap::new(g)
-            .mode(mode)
-            .remove_duplicates(true)
-            .run(frontier, |_, _, _| true, cond);
-    let mut ids = out.to_vertices();
-    ids.sort_unstable();
+    let mut ids = hop_targets(g, frontier, mode, cond);
+    ids.dedup();
     ids
 }
 
@@ -213,19 +225,25 @@ proptest! {
     }
 
     #[test]
-    fn remove_duplicates_yields_set_semantics((g, frontier) in arb_graph().prop_flat_map(|g| {
+    fn sparse_push_reports_every_successful_update((g, frontier) in arb_graph().prop_flat_map(|g| {
         let n = g.num_vertices();
         (Just(g), arb_frontier(n))
     })) {
+        // The engine never filters its output: a target reached by k edges
+        // whose update succeeds appears k times.
+        let cond = |v: u32| v % 3 != 1;
+        let mut want: Vec<u32> = frontier
+            .iter()
+            .flat_map(|&u| g.neighbors(u).iter().copied().filter(|&v| cond(v)))
+            .collect();
+        want.sort_unstable();
         let fs = VertexSubset::from_vertices(g.num_vertices(), frontier);
-        let out = EdgeMap::new(&g)
-            .mode(Mode::Sparse)
-            .remove_duplicates(true)
-            .run(&fs, |_, _, _| true, |_| true);
-        let mut ids = out.to_vertices();
-        let before = ids.len();
-        ids.sort_unstable();
-        ids.dedup();
-        prop_assert_eq!(ids.len(), before, "duplicates leaked");
+        let compressed = CompressedGraph::from_csr_with_chunk_size(&g, 3);
+        for threads in [1, 4] {
+            let on_csr = at(threads, || hop_targets(&g, &fs, Mode::Sparse, cond));
+            let on_compressed = at(threads, || hop_targets(&compressed, &fs, Mode::Sparse, cond));
+            prop_assert_eq!(&on_csr, &want, "csr threads={}", threads);
+            prop_assert_eq!(&on_compressed, &want, "compressed threads={}", threads);
+        }
     }
 }

@@ -22,7 +22,7 @@ use julienne_repro::core::cache::{CacheKey, ResultCache};
 use julienne_repro::core::query::QueryCtx;
 use julienne_repro::graph::builder::EdgeList;
 use julienne_repro::graph::generators::erdos_renyi;
-use julienne_repro::graph::packed::EdgeUpdate;
+use julienne_repro::graph::snapshot::EdgeUpdate;
 use julienne_repro::graph::Graph;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -92,7 +92,7 @@ fn run_solo(algo: &str, store: &GraphStore) -> String {
 /// Solo ground truth: `(algo, epoch) → output`, via replay into a fresh
 /// store with no concurrency.
 fn solo_outputs(g: &Graph, batches: &[Vec<EdgeUpdate>]) -> HashMap<(String, u64), String> {
-    let store = Arc::new(DynamicStore::from_graph(g));
+    let store = Arc::new(DynamicStore::from_graph(g.clone()));
     let mut out = HashMap::new();
     for epoch in 0..=batches.len() as u64 {
         if epoch > 0 {
@@ -114,7 +114,7 @@ type Observation = (String, u64, String, bool);
 /// One chaos scenario: writer vs `READERS` concurrent reader threads, all
 /// sharing one epoch-keyed result cache. Returns every observation.
 fn run_scenario(g: &Graph, batches: &[Vec<EdgeUpdate>]) -> Vec<Observation> {
-    let store = Arc::new(DynamicStore::from_graph(g));
+    let store = Arc::new(DynamicStore::from_graph(g.clone()));
     let cache = Arc::new(ResultCache::new(1 << 20));
     let observations: Arc<Mutex<Vec<Observation>>> = Arc::new(Mutex::new(Vec::new()));
     thread::scope(|scope| {
@@ -209,7 +209,7 @@ fn concurrent_queries_match_solo_runs_under_chaos() {
 #[test]
 fn pinned_queries_ignore_later_mutations() {
     let g = base_graph();
-    let store = Arc::new(DynamicStore::from_graph(&g));
+    let store = Arc::new(DynamicStore::from_graph(g));
     let before = GraphStore::dynamic(Arc::clone(&store)).pin();
     let solo_before: Vec<String> = ALGOS.iter().map(|a| run_solo(a, &before)).collect();
 
@@ -234,7 +234,7 @@ fn pinned_queries_ignore_later_mutations() {
 #[test]
 fn cache_entries_never_cross_epochs() {
     let g = base_graph();
-    let store = Arc::new(DynamicStore::from_graph(&g));
+    let store = Arc::new(DynamicStore::from_graph(g));
     let cache = ResultCache::new(1 << 20);
 
     let pin0 = GraphStore::dynamic(Arc::clone(&store)).pin();
