@@ -64,10 +64,13 @@ if grep -rnE 'EdgeMapOptions|dense_threshold_div|fn run_data|fn dense_data_count
     echo "ci.sh: an option nobody sets or an entry point nobody calls is back; see CHANGES.md PR 22"
     exit 1
 fi
-# The dynamic path outlives a panic: its locks guard nothing a panic can
-# leave half-written, so a poisoned one is recovered, never unwrapped.
-if grep -nE '\.(lock|read|write)\(\)\.unwrap\(\)' crates/graph/src/snapshot.rs \
-    crates/algorithms/src/dynamic.rs; then
+# The dynamic path and the server outlive a panic (a panicking query answers
+# `internal`): their locks guard nothing a panic can leave half-written, so a
+# poisoned one is recovered, never unwrapped. That covers the scheduler's
+# condvar waits and the result cache too.
+if grep -rnE '\.(lock|read|write)\(\)\.unwrap\(\)|\.wait(_timeout)?\(.*\)\.unwrap\(\)' \
+    crates/graph/src/snapshot.rs crates/algorithms/src/dynamic.rs crates/server/src \
+    crates/core/src/cache.rs; then
     echo "ci.sh: recover a poisoned lock with unwrap_or_else(PoisonError::into_inner)"
     exit 1
 fi

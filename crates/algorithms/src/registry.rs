@@ -1070,6 +1070,9 @@ fn run_setcover(store: &GraphStore, p: &ParamMap, ctx: &QueryCtx) -> Result<Stri
     let eps: f64 = p.get_or("eps", 0.01)?;
     let seed: u64 = p.get_or("seed", 1)?;
     p.finish(Some("setcover"))?;
+    if sets == 0 || elements == 0 {
+        return Err(Error::usage("setcover needs sets >= 1 and elements >= 1"));
+    }
     let mut inst = julienne_graph::generators::set_cover_instance(sets, elements, mult, seed);
     if store.backend() == Backend::Compressed {
         // Set cover peels a packed (mutable) copy of the membership graph,
@@ -1080,7 +1083,7 @@ fn run_setcover(store: &GraphStore, p: &ParamMap, ctx: &QueryCtx) -> Result<Stri
     }
     let r = cover(&inst, &SetCoverParams { eps }, ctx)?;
     if !verify_cover(&inst, &r.cover) {
-        return Err(Error::input("internal error: produced cover is invalid"));
+        return Err(Error::Internal("produced cover is invalid".into()));
     }
     let mut out = format!(
         "cover: {}/{sets} sets over {elements} elements, rounds={}, valid=yes\n",
@@ -1315,6 +1318,20 @@ mod tests {
             )
             .unwrap();
         assert!(out.contains("valid=yes"), "{out}");
+    }
+
+    #[test]
+    fn setcover_refuses_an_empty_instance_as_usage() {
+        let empty = GraphStore::Empty {
+            backend: Backend::Csr,
+        };
+        for (sets, elements) in [("0", "1000"), ("32", "0")] {
+            let p = ParamMap::from_pairs([("sets", sets), ("elements", elements)]);
+            let err = Registry::standard()
+                .run("setcover", &empty, &p, &QueryCtx::default())
+                .unwrap_err();
+            assert!(err.is_usage(), "sets={sets} elements={elements}: {err:?}");
+        }
     }
 
     #[test]

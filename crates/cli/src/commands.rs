@@ -61,7 +61,7 @@ impl std::fmt::Display for CmdError {
 impl From<Error> for CmdError {
     /// The workspace error enum maps onto the CLI's two exit classes by
     /// its wire code: `usage` → exit 2, everything else (io, parse, input,
-    /// cancelled, deadline) → exit 1.
+    /// cancelled, deadline, internal) → exit 1.
     fn from(e: Error) -> Self {
         if e.is_usage() {
             CmdError::Usage(e.to_string())

@@ -28,7 +28,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Free-slot / list-end sentinel for the intrusive LRU links.
 const NIL: usize = usize::MAX;
@@ -131,6 +131,13 @@ impl ResultCache {
         }
     }
 
+    /// The LRU state, recovered if poisoned: no code outside this module
+    /// runs under the lock, and a body is only ever stored beside its own
+    /// key, so a panic under it cannot make the cache serve a wrong body.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The configured byte budget.
     pub fn capacity_bytes(&self) -> usize {
         self.capacity_bytes
@@ -140,7 +147,7 @@ impl ResultCache {
     /// back behind an `Arc` so serving it never copies the body under the
     /// lock.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<String>> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         let Some(&slot) = inner.map.get(key) else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -160,7 +167,7 @@ impl ResultCache {
             return;
         }
         let value = Arc::new(value);
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         if let Some(&slot) = inner.map.get(&key) {
             // Refresh: replace the body and re-front the entry.
             inner.bytes = inner.bytes - inner.slots[slot].bytes + bytes;
@@ -187,7 +194,7 @@ impl ResultCache {
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.lock();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),

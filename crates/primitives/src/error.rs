@@ -22,6 +22,9 @@
 //!   source vertex out of range).
 //! * [`Error::Cancelled`] / [`Error::DeadlineExceeded`] — the query
 //!   lifecycle ended the run at a round boundary; no partial output exists.
+//! * [`Error::Internal`] — the program broke its own contract (a check on
+//!   its own output failed, or a served run panicked). Not the caller's
+//!   fault; the message says what broke.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -56,6 +59,8 @@ pub enum Error {
     /// The query's deadline passed; the run stopped at a round boundary and
     /// produced no output.
     DeadlineExceeded,
+    /// A bug: the program broke its own contract (wire code `"internal"`).
+    Internal(String),
 }
 
 impl Error {
@@ -102,7 +107,8 @@ impl Error {
     }
 
     /// The stable machine-readable class used by the server wire protocol:
-    /// `io`, `parse`, `usage`, `input`, `cancelled`, or `deadline`.
+    /// `io`, `parse`, `usage`, `input`, `cancelled`, `deadline`, or
+    /// `internal`.
     pub fn code(&self) -> &'static str {
         match self {
             Error::Io { .. } => "io",
@@ -111,6 +117,7 @@ impl Error {
             Error::Input(_) => "input",
             Error::Cancelled => "cancelled",
             Error::DeadlineExceeded => "deadline",
+            Error::Internal(_) => "internal",
         }
     }
 
@@ -146,7 +153,7 @@ impl fmt::Display for Error {
                 (None, Some(l)) => write!(f, "line {l}: {msg}"),
                 (None, None) => f.write_str(msg),
             },
-            Error::Usage(msg) | Error::Input(msg) => f.write_str(msg),
+            Error::Usage(msg) | Error::Input(msg) | Error::Internal(msg) => f.write_str(msg),
             Error::Cancelled => f.write_str("query cancelled"),
             Error::DeadlineExceeded => f.write_str("query deadline exceeded"),
         }
@@ -194,6 +201,7 @@ mod tests {
         assert_eq!(Error::input("x").code(), "input");
         assert_eq!(Error::Cancelled.code(), "cancelled");
         assert_eq!(Error::DeadlineExceeded.code(), "deadline");
+        assert_eq!(Error::Internal("x".into()).code(), "internal");
         assert!(Error::usage("x").is_usage());
         assert!(!Error::input("x").is_usage());
     }

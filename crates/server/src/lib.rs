@@ -15,7 +15,10 @@
 //!   `{"id": "q1", "ok": true, "output": "..."}` or
 //!   `{"id": "q1", "ok": false, "error": {"code": "...", "message": "..."}}`
 //!   where `code` is the wire class of the workspace error enum
-//!   (`usage`, `input`, `io`, `parse`, `cancelled`, `deadline`).
+//!   (`usage`, `input`, `io`, `parse`, `cancelled`, `deadline`,
+//!   `internal`), or `overloaded` for a refused cancel (below). A query
+//!   whose run panics answers `internal` with the panic message; the
+//!   server keeps serving.
 //! * **Cancel** — `{"cancel": "q1"}`. Trips q1's token; the query returns
 //!   at its next round boundary with code `cancelled`. Query ids live in
 //!   one server-wide namespace, so a cancel works from any connection —
@@ -55,7 +58,7 @@ use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
 /// State every connection shares with the accept loop: the stop flag, a
@@ -75,7 +78,7 @@ impl Shared {
     /// threads wake with EOF and drain), and pokes the accept loop.
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        for stream in self.conns.lock().unwrap().values() {
+        for stream in lock(&self.conns).values() {
             let _ = stream.shutdown(Shutdown::Both);
         }
         // A throwaway connection unblocks the blocking accept.
@@ -178,18 +181,14 @@ impl Server {
             let _ = stream.set_nodelay(true);
             let conn_id = self.shared.next_conn.fetch_add(1, Ordering::Relaxed);
             if let Ok(registered) = stream.try_clone() {
-                self.shared
-                    .conns
-                    .lock()
-                    .unwrap()
-                    .insert(conn_id, registered);
+                lock(&self.shared.conns).insert(conn_id, registered);
             }
             let scheduler = Arc::clone(&self.scheduler);
             let shared = Arc::clone(&self.shared);
             connections.retain(|h: &thread::JoinHandle<()>| !h.is_finished());
             connections.push(thread::spawn(move || {
                 handle_connection(stream, &scheduler, &shared);
-                shared.conns.lock().unwrap().remove(&conn_id);
+                lock(&shared.conns).remove(&conn_id);
             }));
         }
         for handle in connections {
@@ -234,8 +233,7 @@ fn handle_connection(stream: TcpStream, scheduler: &Arc<Scheduler>, shared: &Arc
         } else if buf.len() > MAX_REQUEST_BYTES {
             let message = format!("request line longer than {MAX_REQUEST_BYTES} bytes");
             respond(&writer, error_response(None, "parse", &message));
-            // A poisoned lock still guards a usable socket.
-            let stream = writer.lock().unwrap_or_else(PoisonError::into_inner);
+            let stream = lock(&writer);
             let _ = stream.shutdown(Shutdown::Both);
             break;
         }
@@ -270,7 +268,7 @@ fn handle_connection(stream: TcpStream, scheduler: &Arc<Scheduler>, shared: &Arc
         }
         if let Some(id) = request.get("cancel").and_then(Json::as_str) {
             let token = {
-                let mut map = shared.inflight.lock().unwrap();
+                let mut map = lock(&shared.inflight);
                 let full = || map.values().filter(|t| t.is_cancelled()).count() >= MAX_PRECANCELLED;
                 if map.contains_key(id) || !full() {
                     Some(map.entry(id.to_string()).or_default().clone())
@@ -315,6 +313,13 @@ fn handle_connection(stream: TcpStream, scheduler: &Arc<Scheduler>, shared: &Arc
     }
 }
 
+/// Every server lock, recovered if poisoned: each guards a socket, a map
+/// or the job queue, none of which a panicking holder leaves half-written,
+/// so one failed query never takes the server down with it.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 pub(crate) fn error_for(id: Option<&str>, err: &Error) -> Json {
     error_response(id, err.code(), &err.to_string())
 }
@@ -347,7 +352,7 @@ fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
 }
 
 pub(crate) fn respond(writer: &Arc<Mutex<TcpStream>>, response: Json) {
-    let mut w = writer.lock().unwrap();
+    let mut w = lock(writer);
     let _ = write_line(&mut w, &response.to_json());
 }
 

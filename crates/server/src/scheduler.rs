@@ -16,42 +16,50 @@
 //!    arrival order within a class), so a burst of expensive queries
 //!    cannot starve cheap ones. A batchable job is held for the
 //!    configured *batch window* after arrival; compatible jobs that
-//!    arrive within the window coalesce with it:
-//!    * [`BatchKind::MultiSourceSssp`] — same-`delta` `sssp` queries fuse
-//!      into **one** multi-source traversal with a frontier lane per
-//!      member ([`julienne_algorithms::delta_stepping::sssp_multi`]).
-//!      Per-member outputs are byte-identical to solo runs; a member
-//!      cancelling detaches its lane without disturbing siblings.
-//!    * [`BatchKind::WholeGraph`] — queries with identical canonical
-//!      parameters (k-core, PageRank, …) run **once** and fan the one
-//!      output out to every waiter.
-//!
-//!    Members answered from a fused run carry `"batched": true`; the
-//!    `output` payload itself stays byte-identical to a solo run.
-//! 3. **Completion** (executor thread). Successful, stats-free results
-//!    are written into the session's
-//!    [`ResultCache`](julienne::cache::ResultCache) before the response
-//!    goes out.
+//!    arrive within the window join its batch: same-epoch `sssp` queries
+//!    ([`BatchKind::MultiSourceSssp`]), or whole-graph queries with
+//!    identical canonical parameters ([`BatchKind::WholeGraph`]).
+//! 3. **Execution** (one executor thread per batch). The batch splits
+//!    into *groups* that share a run: jobs without a deadline whose
+//!    canonical query is identical share one; every other job is a group
+//!    of one. A group of one runs under the job's own [`QueryCtx`]; a
+//!    shared group runs under a fresh one, and each member's own
+//!    cancellation and deadline are checked when it is answered, so no
+//!    member can stop its siblings' run. An `sssp` batch of two or more
+//!    runs its groups as the lanes of **one** multi-source traversal
+//!    ([`run_sssp_batch`]; a lane's output is byte-identical to a solo
+//!    run); if the members cannot fuse, the groups run one by one. Every
+//!    other group is one registry run. That run step is the only code a
+//!    query runs, behind one `catch_unwind`: a panic answers every job of
+//!    the batch `internal`, and the executor, the session and the cache
+//!    carry on. Members answered from a fused or fan-out run carry
+//!    `"batched": true`; the `output` payload itself stays byte-identical
+//!    to a solo run. Each job then leaves through `Scheduler::reply`,
+//!    which caches a stats-free success, releases the id and writes the
+//!    line.
 //!
 //! `stats=true` queries bypass both the cache and every batch shape: a
 //! telemetry trace describes one query's own run, so sharing it would
-//! lie. Deadline-carrying whole-graph queries also run solo (a fused run
-//! has no single deadline to honour); `sssp` lanes keep their own
-//! deadline and cancellation through their per-lane [`QueryCtx`].
+//! lie. Deadline-carrying whole-graph queries also run solo (a shared run
+//! has no single deadline to honour).
 //!
 //! The default configuration (no window, no cache, fifo) makes the
 //! pipeline invisible: every job dispatches solo immediately, preserving
 //! the protocol behaviour documented in [`crate`].
 
 use crate::json::Json;
-use crate::{error_for, error_response, respond, Shared};
+use crate::{error_for, error_response, lock, respond, Shared};
 use julienne::prelude::{CacheKey, CancelToken, QueryCtx, Session};
+use julienne::Error;
 use julienne_algorithms::registry::{
     run_sssp_batch, BatchKind, CostClass, GraphStore, ParamMap, Registry,
 };
 use julienne_graph::snapshot::EdgeUpdate;
+use std::any::Any;
+use std::collections::HashMap;
 use std::net::TcpStream;
-use std::sync::{Arc, Condvar, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -102,7 +110,6 @@ struct Job {
     cache_key: Option<CacheKey>,
     cost: CostClass,
     batch: BatchKind,
-    stats: bool,
     has_deadline: bool,
     /// Decided at admission: may this job lead or join a fused batch?
     coalesce: bool,
@@ -114,6 +121,37 @@ struct Job {
     mutation: Option<Vec<EdgeUpdate>>,
     writer: Arc<Mutex<TcpStream>>,
 }
+
+/// A run's error already in wire form, so one failed shared run can be
+/// cloned to every member.
+#[derive(Clone)]
+struct Failure {
+    code: &'static str,
+    message: String,
+}
+
+impl From<Error> for Failure {
+    fn from(err: Error) -> Failure {
+        Failure {
+            code: err.code(),
+            message: err.to_string(),
+        }
+    }
+}
+
+/// Where a successful reply's body came from; only a shared run or the
+/// cache shows on the wire.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Via {
+    Solo,
+    Batch,
+    Cache,
+}
+
+/// An algorithm name that panics in the run step, so tests can reach the
+/// panic path; it exists only in this crate's test build.
+#[cfg(test)]
+const PANIC_PROBE: &str = "panic-probe";
 
 struct State {
     queue: Vec<Job>,
@@ -192,20 +230,7 @@ impl Scheduler {
             }
         };
 
-        // Register (or adopt a pre-cancelled) token under the query id.
-        let token = match &id {
-            Some(id) => self
-                .shared
-                .inflight
-                .lock()
-                .unwrap()
-                .entry(id.clone())
-                .or_default()
-                .clone(),
-            None => CancelToken::new(),
-        };
-
-        let mut ctx: QueryCtx = self.session.query().with_cancel_token(token.clone());
+        let mut ctx: QueryCtx = self.session.query();
         let mut has_deadline = false;
         if let Some(ms) = request.get("timeout_ms").and_then(Json::as_u64) {
             ctx = ctx.with_deadline(Duration::from_millis(ms));
@@ -226,20 +251,6 @@ impl Scheduler {
             _ => None,
         };
 
-        // Cache consult happens before admission; a pre-cancelled query
-        // must still answer `cancelled`, so it skips the lookup.
-        if !token.is_cancelled() {
-            if let (Some(cache), Some(key)) = (self.session.cache(), &cache_key) {
-                if let Some(hit) = cache.get(key) {
-                    if let Some(id) = &id {
-                        self.shared.inflight.lock().unwrap().remove(id);
-                    }
-                    respond(writer, ok_response(id.as_deref(), &hit, false, true));
-                    return;
-                }
-            }
-        }
-
         let (cost, batch) = match spec {
             Some(s) => (s.cost, s.batch),
             None => (CostClass::Moderate, BatchKind::None),
@@ -254,11 +265,8 @@ impl Scheduler {
         } else {
             now
         };
-        let mut st = self.state.lock().unwrap();
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        st.queue.push(Job {
-            seq,
+        self.enqueue(Job {
+            seq: 0,
             ready_at,
             id,
             algo: algo.to_string(),
@@ -267,15 +275,12 @@ impl Scheduler {
             cache_key,
             cost,
             batch,
-            stats,
             has_deadline,
             coalesce: batchable,
             store,
             mutation: None,
             writer: Arc::clone(writer),
         });
-        drop(st);
-        self.cv.notify_all();
     }
 
     /// Admits one `mutate` request: parses the update batch and enqueues a
@@ -294,39 +299,50 @@ impl Scheduler {
                 return;
             }
         };
-        let token = match &id {
-            Some(id) => self
-                .shared
-                .inflight
-                .lock()
-                .unwrap()
-                .entry(id.clone())
-                .or_default()
-                .clone(),
-            None => CancelToken::new(),
-        };
-        let ctx: QueryCtx = self.session.query().with_cancel_token(token);
-        let now = Instant::now();
-        let mut st = self.state.lock().unwrap();
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        st.queue.push(Job {
-            seq,
-            ready_at: now,
+        self.enqueue(Job {
+            seq: 0,
+            ready_at: Instant::now(),
             id,
             algo: "mutate".to_string(),
             params: ParamMap::default(),
-            ctx,
+            ctx: self.session.query(),
             cache_key: None,
             cost: CostClass::Moderate,
             batch: BatchKind::None,
-            stats: false,
             has_deadline: false,
             coalesce: false,
             store: self.session.graph().pin(),
             mutation: Some(updates),
             writer: Arc::clone(writer),
         });
+    }
+
+    /// The admission tail every job shares: registers (or adopts a
+    /// pre-cancelled) token under the query id, answers a cache hit on the
+    /// spot, and otherwise stamps the arrival order, queues the job and
+    /// wakes the dispatcher.
+    fn enqueue(&self, mut job: Job) {
+        let token = match &job.id {
+            Some(id) => lock(&self.shared.inflight)
+                .entry(id.clone())
+                .or_default()
+                .clone(),
+            None => CancelToken::new(),
+        };
+        // A pre-cancelled query must still answer `cancelled`, so it skips
+        // the lookup.
+        let hit = match (&job.cache_key, self.session.cache()) {
+            (Some(key), Some(cache)) if !token.is_cancelled() => cache.get(key),
+            _ => None,
+        };
+        job.ctx = job.ctx.with_cancel_token(token);
+        if let Some(hit) = hit {
+            return self.reply(job, Ok(&hit), Via::Cache);
+        }
+        let mut st = lock(&self.state);
+        job.seq = st.next_seq;
+        st.next_seq += 1;
+        st.queue.push(job);
         drop(st);
         self.cv.notify_all();
     }
@@ -334,7 +350,7 @@ impl Scheduler {
     /// Tells the dispatcher no further jobs will arrive; it finishes the
     /// queue and returns.
     pub(crate) fn begin_drain(&self) {
-        self.state.lock().unwrap().draining = true;
+        lock(&self.state).draining = true;
         self.cv.notify_all();
     }
 
@@ -345,7 +361,7 @@ impl Scheduler {
         let mut executors: Vec<thread::JoinHandle<()>> = Vec::new();
         loop {
             let batch = {
-                let mut st = self.state.lock().unwrap();
+                let mut st = lock(&self.state);
                 loop {
                     let now = Instant::now();
                     if let Some(pos) = pick_ready(&st.queue, self.config.policy, now) {
@@ -363,9 +379,10 @@ impl Scheduler {
                     st = match st.queue.iter().map(|j| j.ready_at).min() {
                         Some(at) => {
                             let wait = at.saturating_duration_since(now);
-                            self.cv.wait_timeout(st, wait).unwrap().0
+                            let woke = self.cv.wait_timeout(st, wait);
+                            woke.unwrap_or_else(PoisonError::into_inner).0
                         }
-                        None => self.cv.wait(st).unwrap(),
+                        None => self.cv.wait(st).unwrap_or_else(PoisonError::into_inner),
                     };
                 }
             };
@@ -375,109 +392,74 @@ impl Scheduler {
         }
     }
 
-    /// Runs one dispatched batch to its responses.
-    fn execute(&self, mut batch: Vec<Job>) {
-        if batch.len() >= 2 && batch[0].batch == BatchKind::MultiSourceSssp {
-            // Deduplicate before fusing: members with identical canonical
-            // parameters share ONE frontier lane (a homogeneous burst of a
-            // popular query costs one lane, not N), distinct parameter
-            // sets become distinct lanes of one traversal. A shared lane
-            // runs under a fresh context so no single member's
-            // cancellation can starve the others — duplicates are checked
-            // at respond time, exactly like whole-graph fan-out. Members
-            // with a deadline keep a private lane (their own context), so
-            // their deadline still trips mid-run.
-            let mut groups: Vec<Vec<usize>> = Vec::new();
-            let mut by_params: std::collections::HashMap<&str, usize> =
-                std::collections::HashMap::new();
-            for (i, job) in batch.iter().enumerate() {
-                match (&job.cache_key, job.has_deadline) {
-                    (Some(key), false) => match by_params.get(key.params.as_str()) {
-                        Some(&g) => groups[g].push(i),
-                        None => {
-                            by_params.insert(&key.params, groups.len());
-                            groups.push(vec![i]);
-                        }
-                    },
-                    _ => groups.push(vec![i]),
+    /// Runs one dispatched batch to its replies: the run step, then one
+    /// reply per member.
+    fn execute(&self, batch: Vec<Job>) {
+        let groups = share_groups(&batch);
+        // UNWIND: `AssertUnwindSafe` holds because a run reads the store
+        // pinned at admission and owns all of its per-query state, the
+        // cache is written only after the run (in `reply`), and the
+        // dynamic store's locks recover from poisoning. A panic leaves
+        // nothing half-written that a later query reads.
+        let (outcomes, via) = catch_unwind(AssertUnwindSafe(|| self.run(&batch, &groups)))
+            .unwrap_or_else(|payload| {
+                let failed = Failure::from(Error::Internal(panic_message(&*payload)));
+                (vec![Err(failed); groups.len()], Via::Solo)
+            });
+        let mut jobs: Vec<Option<Job>> = batch.into_iter().map(Some).collect();
+        for (group, outcome) in groups.iter().zip(&outcomes) {
+            for &i in group {
+                let job = jobs[i].take().expect("a job sits in one group");
+                let own = match group.len() {
+                    1 => Ok(()),
+                    _ => job.ctx.check().map_err(Failure::from),
+                };
+                match own {
+                    Ok(()) => self.reply(job, outcome.as_deref(), via),
+                    Err(failure) => self.reply(job, Err(&failure), via),
                 }
             }
-            let fresh: Vec<Option<QueryCtx>> = groups
-                .iter()
-                .map(|g| (g.len() >= 2).then(|| self.session.query()))
-                .collect();
-            let members: Vec<(&ParamMap, &QueryCtx)> = groups
-                .iter()
-                .zip(&fresh)
-                .map(|(g, f)| {
-                    let rep = &batch[g[0]];
-                    (&rep.params, f.as_ref().unwrap_or(&rep.ctx))
-                })
-                .collect();
-            // On Err (mixed delta/algo or an unfusable variant) fall
-            // through to the solo loop: correctness first, throughput
-            // second.
-            if let Ok(slots) = run_sssp_batch(&batch[0].store, &members) {
-                let slots: Vec<Result<String, (String, String)>> = slots
-                    .into_iter()
-                    .map(|r| r.map_err(|e| (e.code().to_string(), e.to_string())))
-                    .collect();
-                let mut jobs: Vec<Option<Job>> = batch.into_iter().map(Some).collect();
-                for (group, slot) in groups.iter().zip(&slots) {
-                    for &i in group {
-                        let job = jobs[i].take().expect("job fanned out twice");
-                        if group.len() >= 2 {
-                            if let Err(e) = job.ctx.check() {
-                                self.finish(job, Err(e), true);
-                                continue;
-                            }
-                        }
-                        match slot {
-                            Ok(output) => self.finish(job, Ok(output.clone()), true),
-                            Err((code, msg)) => {
-                                if let Some(id) = &job.id {
-                                    self.shared.inflight.lock().unwrap().remove(id);
-                                }
-                                respond(&job.writer, error_response(job.id.as_deref(), code, msg));
-                            }
-                        }
-                    }
-                }
-                return;
-            }
-        } else if batch.len() >= 2 && batch[0].batch == BatchKind::WholeGraph {
-            // One run under a fresh context fans out to every waiter.
-            // Members keep their own cancellation: a cancelled member is
-            // answered `cancelled` at respond time and never sees (or
-            // poisons) the shared result.
-            let leader = &batch[0];
-            let ctx = self.session.query();
-            let result = Registry::standard()
-                .run(&leader.algo, &leader.store, &leader.params, &ctx)
-                .map_err(|e| (e.code().to_string(), e.to_string()));
-            for job in batch {
-                if let Err(e) = job.ctx.check() {
-                    self.finish(job, Err(e), true);
-                    continue;
-                }
-                match &result {
-                    Ok(output) => self.finish(job, Ok(output.clone()), true),
-                    Err((code, msg)) => {
-                        if let Some(id) = &job.id {
-                            self.shared.inflight.lock().unwrap().remove(id);
-                        }
-                        respond(&job.writer, error_response(job.id.as_deref(), code, msg));
-                    }
-                }
-            }
-            return;
         }
-        for job in batch.drain(..) {
-            let result = match job.mutation.as_deref() {
-                Some(updates) => self.run_mutation(&job, updates),
-                None => Registry::standard().run(&job.algo, &job.store, &job.params, &job.ctx),
+    }
+
+    /// The run step: one outcome per group of `batch`, and whether the
+    /// successes came from a fused or fan-out run.
+    fn run(&self, batch: &[Job], groups: &[Vec<usize>]) -> (Vec<Result<String, Failure>>, Via) {
+        let fresh: Vec<Option<QueryCtx>> = groups
+            .iter()
+            .map(|g| (g.len() >= 2).then(|| self.session.query()))
+            .collect();
+        let runs: Vec<(&Job, &QueryCtx)> = groups
+            .iter()
+            .zip(&fresh)
+            .map(|(g, f)| (&batch[g[0]], f.as_ref().unwrap_or(&batch[g[0]].ctx)))
+            .collect();
+        let shared = batch.len() >= 2;
+        if shared && batch[0].batch == BatchKind::MultiSourceSssp {
+            let lanes: Vec<(&ParamMap, &QueryCtx)> =
+                runs.iter().map(|&(job, ctx)| (&job.params, ctx)).collect();
+            // On Err (mixed delta/algo or an unfusable variant) the groups
+            // run one by one: correctness first, throughput second.
+            if let Ok(slots) = run_sssp_batch(&batch[0].store, &lanes) {
+                let outcomes = slots.into_iter().map(|r| r.map_err(Failure::from));
+                return (outcomes.collect(), Via::Batch);
+            }
+        }
+        let outcomes = runs.iter().map(|&(job, ctx)| {
+            #[cfg(test)]
+            if job.algo == PANIC_PROBE {
+                panic!("{PANIC_PROBE} reached the run step");
+            }
+            let result = match &job.mutation {
+                Some(updates) => self.run_mutation(ctx, updates),
+                None => Registry::standard().run(&job.algo, &job.store, &job.params, ctx),
             };
-            self.finish(job, result, false);
+            result.map_err(Failure::from)
+        });
+        if shared && batch[0].batch == BatchKind::WholeGraph {
+            (outcomes.collect(), Via::Batch)
+        } else {
+            (outcomes.collect(), Via::Solo)
         }
     }
 
@@ -485,10 +467,10 @@ impl Scheduler {
     /// (serializing on its writer lock), bumps the session epoch so the
     /// result cache leaves the old epoch's entries behind, and reports the
     /// published epoch.
-    fn run_mutation(&self, job: &Job, updates: &[EdgeUpdate]) -> Result<String, julienne::Error> {
-        job.ctx.check()?;
+    fn run_mutation(&self, ctx: &QueryCtx, updates: &[EdgeUpdate]) -> Result<String, Error> {
+        ctx.check()?;
         let GraphStore::Dynamic { store, .. } = self.session.graph() else {
-            return Err(julienne::Error::input(
+            return Err(Error::input(
                 "graph backend is not mutable (serve with mutable=true)",
             ));
         };
@@ -503,23 +485,51 @@ impl Scheduler {
         ))
     }
 
-    /// Caches a successful result, releases the query id, and writes the
-    /// wire response.
-    fn finish(&self, job: Job, result: Result<String, julienne::Error>, batched: bool) {
-        if let (Ok(output), Some(key), Some(cache)) =
-            (&result, &job.cache_key, self.session.cache())
+    /// The one way a job leaves the scheduler: caches a freshly run,
+    /// stats-free success, releases the query id, and writes the reply.
+    fn reply(&self, job: Job, result: Result<&str, &Failure>, via: Via) {
+        if let (Ok(output), Some(key), Some(cache)) = (result, &job.cache_key, self.session.cache())
         {
-            cache.put(key.clone(), output.clone());
+            if via != Via::Cache {
+                cache.put(key.clone(), output.to_string());
+            }
         }
         if let Some(id) = &job.id {
-            self.shared.inflight.lock().unwrap().remove(id);
+            lock(&self.shared.inflight).remove(id);
         }
         let response = match result {
-            Ok(output) => ok_response(job.id.as_deref(), &output, batched, false),
-            Err(err) => error_for(job.id.as_deref(), &err),
+            Ok(output) => ok_response(job.id.as_deref(), output, via),
+            Err(failure) => error_response(job.id.as_deref(), failure.code, &failure.message),
         };
         respond(&job.writer, response);
     }
+}
+
+/// Splits a batch into the groups that share one run: jobs without a
+/// deadline whose canonical query (algorithm, params, epoch) is identical
+/// share one; every other job is a group of one.
+fn share_groups(batch: &[Job]) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut by_key: HashMap<&CacheKey, usize> = HashMap::new();
+    for (i, job) in batch.iter().enumerate() {
+        let g = match &job.cache_key {
+            Some(key) if !job.has_deadline => *by_key.entry(key).or_insert(groups.len()),
+            _ => groups.len(),
+        };
+        if g == groups.len() {
+            groups.push(Vec::new());
+        }
+        groups[g].push(i);
+    }
+    groups
+}
+
+/// A panic payload as text: the message of `panic!("...")`, or a
+/// placeholder for a payload of another type.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    let text = payload.downcast_ref::<&str>().copied();
+    let text = text.or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+    text.unwrap_or("query panicked").to_string()
 }
 
 /// The index of the best dispatchable job, honouring each job's batch
@@ -549,26 +559,17 @@ fn collect_batch(queue: &mut Vec<Job>, pos: usize) -> Vec<Job> {
     while i < queue.len() {
         let j = &queue[i];
         let lead = &batch[0];
-        let compatible = j.algo == lead.algo
-            && !j.stats
-            && match lead.batch {
-                // Jobs pinned at different epochs read different graphs and
-                // must never share one run; the epoch lives in the cache key.
-                BatchKind::MultiSourceSssp => match (&j.cache_key, &lead.cache_key) {
-                    (Some(a), Some(b)) => a.epoch == b.epoch,
-                    _ => false,
-                },
-                BatchKind::WholeGraph => {
-                    !j.has_deadline
-                        && match (&j.cache_key, &lead.cache_key) {
-                            (Some(a), Some(b)) => a.params == b.params && a.epoch == b.epoch,
-                            // Without canonical params there is no sound
-                            // notion of "same query".
-                            _ => false,
-                        }
-                }
-                BatchKind::None => false,
-            };
+        // Jobs pinned at different epochs read different graphs and must
+        // never share one run; the epoch lives in the cache key. A job
+        // without a key (stats on, or no canonical params) has no sound
+        // notion of "same query" and never joins.
+        let compatible = match (&j.cache_key, &lead.cache_key, lead.batch) {
+            (Some(a), Some(b), BatchKind::MultiSourceSssp) => {
+                a.algo == b.algo && a.epoch == b.epoch
+            }
+            (Some(a), Some(b), BatchKind::WholeGraph) => a == b && !j.has_deadline,
+            _ => false,
+        };
         if compatible {
             batch.push(queue.remove(i));
         } else {
@@ -623,18 +624,108 @@ fn parse_updates(spec: &Json) -> Result<Vec<EdgeUpdate>, String> {
 /// A success response; `batched` / `cached` appear only when true, so
 /// unbatched responses are byte-identical to the pre-pipeline wire
 /// format.
-fn ok_response(id: Option<&str>, output: &str, batched: bool, cached: bool) -> Json {
+fn ok_response(id: Option<&str>, output: &str, via: Via) -> Json {
     let mut fields = Vec::new();
     if let Some(id) = id {
         fields.push(("id".to_string(), Json::Str(id.to_string())));
     }
     fields.push(("ok".to_string(), Json::Bool(true)));
     fields.push(("output".to_string(), Json::Str(output.to_string())));
-    if batched {
-        fields.push(("batched".to_string(), Json::Bool(true)));
-    }
-    if cached {
-        fields.push(("cached".to_string(), Json::Bool(true)));
+    match via {
+        Via::Solo => {}
+        Via::Batch => fields.push(("batched".to_string(), Json::Bool(true))),
+        Via::Cache => fields.push(("cached".to_string(), Json::Bool(true))),
     }
     Json::Obj(fields)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::PANIC_PROBE;
+    use crate::json::Json;
+    use crate::{lock, query_request, Client, Server};
+    use julienne::prelude::{Backend, Engine};
+    use julienne_algorithms::registry::{GraphStore, ParamMap, Registry};
+    use julienne_graph::generators::{rmat, RmatParams};
+    use julienne_graph::transform::assign_weights;
+    use std::sync::Arc;
+    use std::thread;
+    use std::time::Duration;
+
+    fn store() -> GraphStore {
+        let g = assign_weights(&rmat(7, 8, RmatParams::default(), 5, true), 1, 64, 9);
+        GraphStore::from_weighted(g, Backend::Csr)
+    }
+
+    fn code(reply: &Json) -> Option<&str> {
+        reply.get("error")?.get("code")?.as_str()
+    }
+
+    #[test]
+    fn a_panicking_query_answers_internal_and_the_server_carries_on() {
+        let server = Server::bind("127.0.0.1:0", &Engine::default(), store()).unwrap();
+        let addr = server.local_addr().unwrap().to_string();
+        let stop = server.shutdown_handle();
+        let join = thread::spawn(move || server.serve().unwrap());
+        let mut client = Client::connect(&addr).unwrap();
+        // A query that never answers fails the test instead of hanging it.
+        let timeout = Some(Duration::from_secs(30));
+        client.stream.set_read_timeout(timeout).unwrap();
+
+        let probe = query_request("p", PANIC_PROBE, &[], None, false);
+        let reply = client.roundtrip(&probe).unwrap();
+        assert_eq!(code(&reply), Some("internal"), "{}", reply.to_json());
+        assert!(
+            lock(&stop.shared.inflight).is_empty(),
+            "the probe's id leaked"
+        );
+
+        // The id is free again: a query reusing it runs normally.
+        let reuse = query_request("p", "kcore", &[("top", "3")], None, false);
+        let reply = client.roundtrip(&reuse).unwrap();
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
+
+        // An empty set-cover instance is the caller's mistake, not a crash.
+        let empty = query_request("e", "setcover", &[("sets", "0")], None, false);
+        let reply = client.roundtrip(&empty).unwrap();
+        assert_eq!(code(&reply), Some("usage"), "{}", reply.to_json());
+
+        // The session still answers exactly as a fresh engine does.
+        let fresh = Engine::default().session(Arc::new(store()));
+        let mix: [(&str, &[(&str, &str)]); 3] = [
+            ("kcore", &[("top", "3")]),
+            ("sssp", &[("algo", "wbfs"), ("src", "2")]),
+            (
+                "setcover",
+                &[
+                    ("sets", "48"),
+                    ("elements", "1024"),
+                    ("mult", "2"),
+                    ("seed", "3"),
+                ],
+            ),
+        ];
+        for (algo, params) in mix {
+            let pairs = params.iter().map(|&(k, v)| (k.to_string(), v.to_string()));
+            let expect = Registry::standard()
+                .run(
+                    algo,
+                    fresh.graph(),
+                    &ParamMap::from_pairs(pairs),
+                    &fresh.query(),
+                )
+                .unwrap();
+            let reply = client
+                .roundtrip(&query_request(algo, algo, params, None, false))
+                .unwrap();
+            assert_eq!(
+                reply.get("output").and_then(Json::as_str),
+                Some(expect.as_str()),
+                "{algo}: {}",
+                reply.to_json()
+            );
+        }
+        stop.stop();
+        join.join().unwrap();
+    }
 }

@@ -352,3 +352,115 @@ fn priority_policy_serves_the_standard_contract() {
     stop.stop();
     join.join().unwrap();
 }
+
+/// Serves `store` under `config` (for graphs other than [`store`]'s).
+fn start_on(
+    store: GraphStore,
+    config: SchedulerConfig,
+) -> (String, thread::JoinHandle<()>, ShutdownHandle) {
+    let server = Server::bind_with("127.0.0.1:0", &Engine::default(), store, config).unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let handle = server.shutdown_handle();
+    let join = thread::spawn(move || server.serve().unwrap());
+    (addr, join, handle)
+}
+
+/// Sends every request in one pipelined burst and returns each reply's
+/// full wire line by id.
+fn burst(addr: &str, requests: &[Json]) -> HashMap<String, String> {
+    let mut client = Client::connect(addr).unwrap();
+    for r in requests {
+        client.send(r).unwrap();
+    }
+    (0..requests.len())
+        .map(|_| {
+            let resp = client.recv().unwrap();
+            let id = resp.get("id").unwrap().as_str().unwrap().to_string();
+            (id, resp.to_json())
+        })
+        .collect()
+}
+
+/// Each request on its own, one roundtrip at a time, on a default server.
+fn solo_replies(store: GraphStore, requests: &[Json]) -> HashMap<String, String> {
+    let (addr, join, stop) = start_on(store, SchedulerConfig::default());
+    let mut client = Client::connect(&addr).unwrap();
+    let replies = requests
+        .iter()
+        .map(|r| {
+            let resp = client.roundtrip(r).unwrap();
+            let id = resp.get("id").unwrap().as_str().unwrap().to_string();
+            (id, resp.to_json())
+        })
+        .collect();
+    stop.stop();
+    join.join().unwrap();
+    replies
+}
+
+#[test]
+fn fused_burst_member_with_bad_source_gets_its_solo_error() {
+    // Sources 0..3 are in range; 100000 is not (the graph has 256 vertices).
+    let requests: Vec<Json> = ["0", "7", "100000", "31"]
+        .iter()
+        .enumerate()
+        .map(|(q, src)| {
+            query_request(
+                &format!("w{q}"),
+                "sssp",
+                &[("algo", "wbfs"), ("src", src)],
+                None,
+                false,
+            )
+        })
+        .collect();
+    let solo = solo_replies(store(Backend::Csr), &requests);
+    let (addr, join, stop) = start_with(Backend::Csr, batching());
+    let fused = burst(&addr, &requests);
+    stop.stop();
+    join.join().unwrap();
+
+    assert!(solo["w2"].contains("\"code\":\"input\""), "{}", solo["w2"]);
+    assert_eq!(
+        fused["w2"], solo["w2"],
+        "a bad lane must answer as it would solo"
+    );
+    for id in ["w0", "w1", "w3"] {
+        let (f, s) = (
+            Json::parse(&fused[id]).unwrap(),
+            Json::parse(&solo[id]).unwrap(),
+        );
+        assert_eq!(
+            f.get("batched").and_then(Json::as_bool),
+            Some(true),
+            "{}",
+            fused[id]
+        );
+        assert_eq!(
+            f.get("output"),
+            s.get("output"),
+            "{id} diverged from its solo body"
+        );
+    }
+}
+
+#[test]
+fn failed_fan_out_run_answers_every_member_with_the_solo_error() {
+    // kcore needs a symmetric graph; on a directed one its one shared run
+    // fails, and every waiter gets the error a solo run would give.
+    let directed =
+        || GraphStore::from_graph(rmat(8, 8, RmatParams::default(), 5, false), Backend::Csr);
+    let requests: Vec<Json> = (0..3)
+        .map(|q| query_request(&format!("k{q}"), "kcore", &[("top", "3")], None, false))
+        .collect();
+    let solo = solo_replies(directed(), &requests);
+    let (addr, join, stop) = start_on(directed(), batching());
+    let fanned = burst(&addr, &requests);
+    stop.stop();
+    join.join().unwrap();
+
+    for id in ["k0", "k1", "k2"] {
+        assert!(solo[id].contains("\"ok\":false"), "{}", solo[id]);
+        assert_eq!(fanned[id], solo[id], "{id} must get the solo error reply");
+    }
+}
