@@ -1,11 +1,9 @@
 //! Clustering coefficients — exact local and global (transitivity),
-//! computed on the triangle substrate of [`crate::triangles`], plus
-//! closeness/harmonic centrality via multi-BFS.
+//! computed on the triangle substrate of [`crate::triangles`].
 
-use crate::bfs::bfs_seq;
 use crate::triangles::{edge_support, EdgeIndex};
 use julienne_graph::VertexId;
-use julienne_ligra::traits::{GraphRef, OutEdges};
+use julienne_ligra::traits::GraphRef;
 use rayon::prelude::*;
 
 /// Per-vertex local clustering coefficient:
@@ -52,46 +50,6 @@ pub fn transitivity<G: GraphRef>(g: &G) -> f64 {
     } else {
         3.0 * triangles as f64 / wedges as f64
     }
-}
-
-/// Closeness centrality of `sources` (normalised by reachable count):
-/// `C(v) = (r−1) / Σ_u dist(v,u)` over the r reachable vertices.
-pub fn closeness<G: OutEdges>(g: &G, sources: &[VertexId]) -> Vec<f64> {
-    sources
-        .par_iter()
-        .map(|&s| {
-            let levels = bfs_seq(g, s);
-            let mut sum = 0u64;
-            let mut reached = 0u64;
-            for &l in &levels {
-                if l != u32::MAX && l > 0 {
-                    sum += l as u64;
-                    reached += 1;
-                }
-            }
-            if sum == 0 {
-                0.0
-            } else {
-                reached as f64 / sum as f64
-            }
-        })
-        .collect()
-}
-
-/// Harmonic centrality of `sources`: `H(v) = Σ_{u≠v} 1/dist(v,u)` —
-/// well-defined on disconnected graphs.
-pub fn harmonic<G: OutEdges>(g: &G, sources: &[VertexId]) -> Vec<f64> {
-    sources
-        .par_iter()
-        .map(|&s| {
-            let levels = bfs_seq(g, s);
-            levels
-                .iter()
-                .filter(|&&l| l != u32::MAX && l > 0)
-                .map(|&l| 1.0 / l as f64)
-                .sum()
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -147,26 +105,5 @@ mod tests {
     fn grid_is_triangle_free() {
         let g = grid2d(10, 10);
         assert!(local_clustering(&g).iter().all(|&c| c == 0.0));
-    }
-
-    #[test]
-    fn path_centralities() {
-        // Path 0-1-2: center is closest to everything.
-        let g = from_pairs_symmetric(3, &[(0, 1), (1, 2)]);
-        let all = vec![0, 1, 2];
-        let close = closeness(&g, &all);
-        assert!(close[1] > close[0]);
-        assert!((close[1] - 2.0 / 2.0).abs() < 1e-12); // (3−1)/… = 2/2
-        let h = harmonic(&g, &all);
-        assert!((h[1] - 2.0).abs() < 1e-12); // 1/1 + 1/1
-        assert!((h[0] - 1.5).abs() < 1e-12); // 1/1 + 1/2
-    }
-
-    #[test]
-    fn harmonic_handles_disconnection() {
-        let g = from_pairs_symmetric(4, &[(0, 1), (2, 3)]);
-        let h = harmonic(&g, &[0, 2]);
-        assert!((h[0] - 1.0).abs() < 1e-12);
-        assert!((h[1] - 1.0).abs() < 1e-12);
     }
 }

@@ -111,105 +111,6 @@ pub fn densest_subgraph<G: GraphRef>(g: &G) -> DensestSubgraph {
     }
 }
 
-/// Greedy graph coloring along the *reverse* degeneracy order: each vertex
-/// sees at most `degeneracy` already-colored neighbors, so at most
-/// `degeneracy + 1` colors are used — the classic corollary the bucketed
-/// peel makes cheap.
-pub fn greedy_coloring<G: GraphRef>(g: &G) -> Vec<u32> {
-    assert!(g.is_symmetric());
-    let n = g.num_vertices();
-    let order = degeneracy_order(g);
-    let mut color = vec![u32::MAX; n];
-    let mut forbidden: Vec<u32> = Vec::new();
-    for &v in order.order.iter().rev() {
-        forbidden.clear();
-        g.for_each_out(v, |u, _| {
-            if color[u as usize] != u32::MAX {
-                forbidden.push(color[u as usize]);
-            }
-        });
-        forbidden.sort_unstable();
-        forbidden.dedup();
-        let mut c = 0u32;
-        for &f in &forbidden {
-            if f == c {
-                c += 1;
-            } else if f > c {
-                break;
-            }
-        }
-        color[v as usize] = c;
-    }
-    color
-}
-
-/// Bahmani–Kumar–Vassilvitskii (2+ε)-approximate densest subgraph:
-/// repeatedly remove *all* vertices with degree ≤ 2(1+ε)·(current density),
-/// keeping the best suffix. O(log_{1+ε} n) rounds — the low-depth
-/// alternative to the exact Charikar peel above.
-pub fn densest_subgraph_approx<G: GraphRef>(g: &G, eps: f64) -> DensestSubgraph {
-    assert!(g.is_symmetric());
-    assert!(eps > 0.0);
-    let n = g.num_vertices();
-    if n == 0 {
-        return DensestSubgraph {
-            vertices: vec![],
-            density: 0.0,
-        };
-    }
-    let mut degrees: Vec<usize> = (0..n).map(|v| g.out_degree(v as VertexId)).collect();
-    let mut alive: Vec<bool> = vec![true; n];
-    let mut live_vertices = n;
-    let mut live_edges = g.num_edges() as f64 / 2.0;
-
-    let mut best_density = live_edges / n as f64;
-    let mut best: Vec<VertexId> = (0..n as VertexId).collect();
-
-    while live_vertices > 0 {
-        let density = live_edges / live_vertices as f64;
-        if density > best_density {
-            best_density = density;
-            best = (0..n as VertexId).filter(|&v| alive[v as usize]).collect();
-        }
-        let threshold = (2.0 * (1.0 + eps) * density).ceil() as u32;
-        let peel: Vec<VertexId> = julienne_primitives::filter::pack_index(n, |v| {
-            alive[v] && degrees[v] <= threshold as usize
-        });
-        if peel.is_empty() {
-            // Cannot happen: average degree is 2·density ≤ threshold, so
-            // some vertex is always at or below it. Guard regardless.
-            break;
-        }
-        let mut in_peel = vec![false; n];
-        for &v in &peel {
-            in_peel[v as usize] = true;
-        }
-        // Removed edges = peel→survivor crossings + peel-internal edges.
-        let mut cross = 0u64;
-        let mut internal_twice = 0u64;
-        for &v in &peel {
-            g.for_each_out(v, |u, _| {
-                if in_peel[u as usize] {
-                    internal_twice += 1;
-                } else if alive[u as usize] {
-                    degrees[u as usize] -= 1;
-                    cross += 1;
-                }
-            });
-        }
-        for &v in &peel {
-            alive[v as usize] = false;
-        }
-        live_vertices -= peel.len();
-        live_edges -= cross as f64 + (internal_twice / 2) as f64;
-    }
-
-    DensestSubgraph {
-        vertices: best,
-        density: best_density,
-    }
-}
-
 /// Exact density of an induced subgraph (test helper; O(sum of degrees)).
 pub fn induced_density<G: OutEdges>(g: &G, vs: &[VertexId]) -> f64 {
     if vs.is_empty() {
@@ -328,82 +229,6 @@ mod tests {
         );
         // Reported density must equal the actual induced density.
         assert!((induced_density(&g, &ds.vertices) - ds.density).abs() < 1e-6);
-    }
-
-    #[test]
-    fn coloring_is_proper_and_bounded_by_degeneracy() {
-        for seed in 0..3 {
-            let g = erdos_renyi(400, 3_000, seed, true);
-            let colors = greedy_coloring(&g);
-            let degeneracy = degeneracy_order(&g).degeneracy;
-            for v in 0..400u32 {
-                assert_ne!(colors[v as usize], u32::MAX);
-                for &u in g.neighbors(v) {
-                    assert_ne!(colors[v as usize], colors[u as usize], "edge ({v},{u})");
-                }
-            }
-            let used = colors.iter().copied().max().unwrap() + 1;
-            assert!(
-                used <= degeneracy + 1,
-                "{used} colors > degeneracy {degeneracy} + 1 (seed {seed})"
-            );
-        }
-    }
-
-    #[test]
-    fn bipartite_graph_two_colors() {
-        use julienne_graph::generators::grid2d;
-        let g = grid2d(15, 15);
-        let colors = greedy_coloring(&g);
-        assert!(colors.iter().copied().max().unwrap() < 3); // degeneracy 2 ⇒ ≤ 3
-        for v in 0..g.num_vertices() as u32 {
-            for &u in g.neighbors(v) {
-                assert_ne!(colors[v as usize], colors[u as usize]);
-            }
-        }
-    }
-
-    #[test]
-    fn approx_densest_within_factor_of_exact() {
-        for seed in 0..3 {
-            let g = rmat(10, 10, RmatParams::default(), seed, true);
-            let exact = densest_subgraph(&g);
-            let approx = densest_subgraph_approx(&g, 0.1);
-            // 2(1+ε)-approximation.
-            assert!(
-                approx.density * 2.0 * 1.1 + 1e-9 >= exact.density,
-                "approx {} vs exact {} (seed {seed})",
-                approx.density,
-                exact.density
-            );
-            // Reported density must match the actual induced density.
-            assert!(
-                (induced_density(&g, &approx.vertices) - approx.density).abs() < 1e-6,
-                "density accounting broken (seed {seed})"
-            );
-        }
-    }
-
-    #[test]
-    fn approx_on_clique_with_tail_finds_clique_region() {
-        let mut pairs = Vec::new();
-        for i in 0..8u32 {
-            for j in (i + 1)..8 {
-                pairs.push((i, j));
-            }
-        }
-        for i in 8..40u32 {
-            pairs.push((i - 1, i));
-        }
-        let g = from_pairs_symmetric(40, &pairs);
-        let a = densest_subgraph_approx(&g, 0.05);
-        // Exact densest density is 3.5 (the 8-clique); the approximation
-        // must find something with at least half that.
-        assert!(
-            a.density >= 3.5 / (2.0 * 1.05) - 1e-9,
-            "density {}",
-            a.density
-        );
     }
 
     #[test]

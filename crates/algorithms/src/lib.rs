@@ -12,13 +12,17 @@
 //!
 //! [`bfs`] provides the plain frontier-based BFS (the one-bucket special
 //! case) and [`stats`] the workload statistics (peeling complexity ρ,
-//! eccentricity estimates) reported in Table 2.
+//! the eccentricity of vertex 0) reported in Table 2.
 //!
 //! [`registry`] is the single dispatch table (algorithm id → typed params
-//! → report) that both the CLI and the query server route through.
+//! → report) that both the CLI and the query server route through. Beyond
+//! the table above, the crate holds only what a registered query runs
+//! ([`components`], [`degeneracy`]'s densest subgraph, [`triangles`],
+//! [`ktruss`], [`clustering`], [`pagerank`]), the dynamic path
+//! ([`dynamic`]), Dial's bucket queue ([`dial`], a Table 3 row), and the
+//! sequential references the tests compare against.
 
 pub mod bellman_ford;
-pub mod betweenness;
 pub mod bfs;
 pub mod clustering;
 pub mod components;
@@ -30,12 +34,10 @@ pub mod dynamic;
 pub mod gap_delta;
 pub mod kcore;
 pub mod ktruss;
-pub mod mis;
 pub mod pagerank;
 pub mod registry;
 pub mod setcover;
 pub mod setcover_baselines;
-pub mod setcover_weighted;
 pub mod stats;
 pub mod triangles;
 

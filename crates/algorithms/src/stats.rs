@@ -5,7 +5,7 @@ use crate::bfs::bfs_seq;
 use crate::kcore::{coreness, KcoreParams};
 use julienne::query::QueryCtx;
 use julienne_graph::VertexId;
-use julienne_ligra::traits::{GraphRef, OutEdges};
+use julienne_ligra::traits::GraphRef;
 
 /// Table 2-style statistics of an input graph.
 #[derive(Clone, Debug)]
@@ -59,37 +59,6 @@ pub fn graph_stats<G: GraphRef>(g: &G) -> GraphStats {
     }
 }
 
-/// Lower-bounds the diameter by running BFS from `samples` pseudo-random
-/// start vertices (restricted to non-isolated ones) and taking the largest
-/// finite eccentricity seen — the standard multi-BFS estimator.
-pub fn estimate_diameter<G: OutEdges>(g: &G, samples: usize, seed: u64) -> u32 {
-    use julienne_primitives::rng::hash_range;
-    let n = g.num_vertices();
-    if n == 0 {
-        return 0;
-    }
-    let mut best = 0u32;
-    let mut tried = 0usize;
-    let mut i = 0u64;
-    while tried < samples && (i as usize) < 8 * samples + n {
-        let v = hash_range(seed, i, n as u64) as VertexId;
-        i += 1;
-        if g.out_degree(v) == 0 {
-            continue;
-        }
-        tried += 1;
-        let levels = bfs_seq(g, v);
-        let ecc = levels
-            .iter()
-            .copied()
-            .filter(|&l| l != u32::MAX)
-            .max()
-            .unwrap_or(0);
-        best = best.max(ecc);
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,20 +85,6 @@ mod tests {
         assert!(s.rho.is_none());
         assert!(s.k_max.is_none());
         assert_eq!(s.eccentricity_from_zero, 2);
-    }
-
-    #[test]
-    fn diameter_estimate_bounds() {
-        // Grid diameter = rows + cols - 2; the estimate is a lower bound
-        // that reaches at least the eccentricity of some sampled vertex,
-        // which on a path-like graph is ≥ half the diameter.
-        let g = grid2d(1, 50); // a path: diameter 49
-        let est = estimate_diameter(&g, 8, 3);
-        assert!((25..=49).contains(&est), "estimate {est}");
-        // On a star, every eccentricity is ≤ 2.
-        let pairs: Vec<(u32, u32)> = (1..20).map(|i| (0, i)).collect();
-        let star = from_pairs_symmetric(20, &pairs);
-        assert!(estimate_diameter(&star, 5, 1) <= 2);
     }
 
     #[test]

@@ -273,6 +273,41 @@ impl GraphIo {
     }
 }
 
+/// Vertices a text file may declare (DIMACS `p sp n m`) or imply (an edge
+/// list's largest id + 1) regardless of its length.
+pub const VERTEX_ALLOWANCE: u64 = 1 << 20;
+
+/// Vertices a text file may declare or imply per byte of its length, on
+/// top of [`VERTEX_ALLOWANCE`].
+///
+/// A vertex costs the CSR build a few machine words even when no edge names
+/// it, so a count the file never pays for in bytes (`p sp 4000000000 0` is
+/// 18 bytes) would allocate tens of gigabytes. With this bound a file of `L`
+/// bytes loads into at most a constant times
+/// `VERTEX_ALLOWANCE + VERTICES_PER_FILE_BYTE · L` words. Isolated vertices
+/// beyond the ids the edges name are allowed up to the bound. A vertex count
+/// the caller gives explicitly ([`IoOptions::vertices`]) is not limited.
+pub const VERTICES_PER_FILE_BYTE: u64 = 16;
+
+/// Refuses a vertex count `n` that a file of `file_len` bytes declares or
+/// implies beyond `VERTEX_ALLOWANCE + VERTICES_PER_FILE_BYTE · file_len`.
+fn check_vertex_count(n: usize, file_len: u64) -> Result<(), String> {
+    let bound = VERTEX_ALLOWANCE.saturating_add(VERTICES_PER_FILE_BYTE.saturating_mul(file_len));
+    if n as u64 > bound {
+        return Err(format!(
+            "{n} vertices is more than a {file_len}-byte file may claim ({bound}); \
+             pass an explicit vertex count to load it"
+        ));
+    }
+    Ok(())
+}
+
+fn file_len(path: &Path) -> Result<u64, Error> {
+    Ok(std::fs::metadata(path)
+        .map_err(|e| Error::io_at(path, e))?
+        .len())
+}
+
 /// A line source that tracks the 1-based line number for error positioning.
 struct Lines<'p> {
     inner: io::Lines<BufReader<File>>,
@@ -371,10 +406,7 @@ fn read_adjacency_graph<W: Weight>(path: &Path) -> Result<Csr<W>, Error> {
     // Bound both counts by the bytes left before allocating for them: each
     // offset, target and weight is a line of its own, so at least a digit
     // and a newline (which the last line may go without).
-    let left = std::fs::metadata(path)
-        .map_err(|e| Error::io_at(path, e))?
-        .len()
-        .saturating_sub(src.bytes);
+    let left = file_len(path)?.saturating_sub(src.bytes);
     let per_edge = if weighted { 2 } else { 1 };
     let need = m
         .checked_mul(per_edge)
@@ -490,7 +522,15 @@ fn read_edge_list<W: Weight>(
                 .to_string(),
         });
     }
-    let n = n.unwrap_or(max_id as usize + 1);
+    let n = match n {
+        Some(n) => n,
+        None => {
+            let implied = max_id as usize + 1;
+            check_vertex_count(implied, file_len(path)?)
+                .map_err(|msg| Error::parse(msg).with_path(path))?;
+            implied
+        }
+    };
     let mut el = EdgeList::new(n);
     el.edges = edges;
     Ok(if symmetric {
@@ -539,6 +579,7 @@ fn read_dimacs(path: &Path) -> Result<Csr<u32>, Error> {
                 if n > VertexId::MAX as usize {
                     return Err(bad("vertex count exceeds the 32-bit id space"));
                 }
+                check_vertex_count(n, file_len(path)?).map_err(|msg| bad(&msg))?;
                 let m = it
                     .next()
                     .ok_or_else(|| bad("p line is missing the arc count"))?

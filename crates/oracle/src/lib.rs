@@ -21,7 +21,6 @@
 //!
 //! [`Csr`]: julienne_graph::Csr
 
-pub mod centrality;
 pub mod kcore;
 pub mod pagerank;
 pub mod setcover;
@@ -158,26 +157,6 @@ mod tests {
         assert_eq!(c[0], 1.0); // deg 2, one triangle
         assert_eq!(c[2], 2.0 / 6.0); // deg 4, two of six pairs closed
         assert_eq!(c[6], 0.0);
-    }
-
-    #[test]
-    fn mis_checkers() {
-        let g = bowtie();
-        assert!(triangles::is_independent_set(&g, &[0, 3, 5]));
-        assert!(!triangles::is_independent_set(&g, &[0, 1]));
-        // {0, 3, 5} dominates everything except 6; with 6 it is maximal.
-        assert!(!triangles::is_maximal_independent_set(&g, &[0, 3, 5]));
-        assert!(triangles::is_maximal_independent_set(&g, &[0, 3, 5, 6]));
-    }
-
-    #[test]
-    fn betweenness_path_hand_checked() {
-        // Path 0–1–2: from all sources, only vertex 1 carries a dependency
-        // (one unit per direction).
-        let g = from_pairs_symmetric(3, &[(0, 1), (1, 2)]);
-        let sources: Vec<u32> = vec![0, 1, 2];
-        let bc = centrality::betweenness_naive(&g, &sources);
-        assert_eq!(bc, vec![0.0, 2.0, 0.0]);
     }
 
     #[test]

@@ -68,22 +68,3 @@ pub fn transitivity_naive<W: Weight>(g: &Csr<W>) -> f64 {
         3.0 * triangles as f64 / wedges as f64
     }
 }
-
-/// Whether `members` is an independent set: no two members adjacent.
-pub fn is_independent_set<W: Weight>(g: &Csr<W>, members: &[VertexId]) -> bool {
-    let member: HashSet<VertexId> = members.iter().copied().collect();
-    members
-        .iter()
-        .all(|&v| g.neighbors(v).iter().all(|u| !member.contains(u)))
-}
-
-/// Whether `members` is a *maximal* independent set: independent, and
-/// every non-member has a member neighbor.
-pub fn is_maximal_independent_set<W: Weight>(g: &Csr<W>, members: &[VertexId]) -> bool {
-    if !is_independent_set(g, members) {
-        return false;
-    }
-    let member: HashSet<VertexId> = members.iter().copied().collect();
-    (0..g.num_vertices() as VertexId)
-        .all(|v| member.contains(&v) || g.neighbors(v).iter().any(|u| member.contains(u)))
-}

@@ -1,17 +1,14 @@
-//! A full network-analysis pass over one social graph: centrality,
-//! communities, independent sets, coloring, and ranking — the broader
-//! Ligra-style application suite running on the same substrate as the
-//! paper's four bucketing algorithms.
+//! A network-analysis pass over one social graph: connectivity, ranking,
+//! coreness and the densest region — the registered queries beyond the
+//! paper's four bucketing algorithms, on the same substrate.
 //!
 //! ```sh
 //! cargo run --release --example network_analysis [scale]
 //! ```
 
-use julienne_repro::algorithms::betweenness::betweenness;
 use julienne_repro::algorithms::components::{connected_components, num_components};
-use julienne_repro::algorithms::degeneracy::{degeneracy_order, greedy_coloring};
+use julienne_repro::algorithms::degeneracy::{degeneracy_order, densest_subgraph};
 use julienne_repro::algorithms::kcore::{coreness, KcoreParams};
-use julienne_repro::algorithms::mis::{maximal_independent_set, verify_mis};
 use julienne_repro::algorithms::pagerank::pagerank;
 use julienne_repro::core::query::QueryCtx;
 use julienne_repro::graph::generators::{rmat, RmatParams};
@@ -32,41 +29,24 @@ fn main() {
         cc.rounds
     );
 
-    // Influence: PageRank vs coreness vs (sampled) betweenness.
+    // Influence: PageRank vs coreness.
     let pr = pagerank(&g, 0.85, 1e-9, 100);
     let core = coreness(&g, &KcoreParams::default(), &QueryCtx::default()).unwrap();
-    let sources: Vec<u32> = (0..64.min(g.num_vertices() as u32)).collect();
-    let bc = betweenness(&g, &sources);
-    let top_by = |scores: &[f64]| {
-        let mut idx: Vec<usize> = (0..scores.len()).collect();
-        idx.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap());
-        idx[0]
-    };
-    let pr_top = top_by(&pr.rank);
-    let bc_top = top_by(&bc);
+    let pr_top = (0..pr.rank.len())
+        .max_by(|&a, &b| pr.rank[a].partial_cmp(&pr.rank[b]).unwrap())
+        .unwrap();
     println!(
         "top pagerank vertex: v{pr_top} (rank {:.5}, coreness {})",
         pr.rank[pr_top], core.coreness[pr_top]
     );
-    println!(
-        "top betweenness vertex (64-source sample): v{bc_top} (coreness {})",
-        core.coreness[bc_top]
-    );
 
-    // Structure: degeneracy, coloring, independent set.
+    // Structure: degeneracy and the densest region it bounds.
     let degen = degeneracy_order(&g);
-    let colors = greedy_coloring(&g);
-    let palette = colors.iter().copied().max().unwrap() + 1;
+    let ds = densest_subgraph(&g);
     println!(
-        "degeneracy: {} -> proper coloring with {palette} colors (bound {})",
+        "degeneracy: {} -> densest subgraph: {} vertices, density {:.3} (at least degeneracy / 2)",
         degen.degeneracy,
-        degen.degeneracy + 1
-    );
-    let mis = maximal_independent_set(&g, 7);
-    assert!(verify_mis(&g, &mis.members));
-    println!(
-        "maximal independent set: {} vertices in {} rounds (verified)",
-        mis.members.len(),
-        mis.rounds
+        ds.vertices.len(),
+        ds.density
     );
 }

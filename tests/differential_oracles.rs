@@ -12,9 +12,8 @@ mod common;
 use common::{arb_any_graph, arb_weighted_graph, tiny_graphs};
 use julienne_oracle as oracle;
 use julienne_repro::algorithms::bellman_ford::bellman_ford;
-use julienne_repro::algorithms::betweenness::betweenness;
 use julienne_repro::algorithms::bfs::{bfs, bfs_seq};
-use julienne_repro::algorithms::clustering::{closeness, harmonic, local_clustering, transitivity};
+use julienne_repro::algorithms::clustering::{local_clustering, transitivity};
 use julienne_repro::algorithms::components::{connected_components, connected_components_seq};
 use julienne_repro::algorithms::degeneracy::degeneracy_order;
 use julienne_repro::algorithms::delta_stepping::{sssp, wbfs, SsspParams};
@@ -23,10 +22,9 @@ use julienne_repro::algorithms::dijkstra::dijkstra;
 use julienne_repro::algorithms::gap_delta::gap_delta_stepping;
 use julienne_repro::algorithms::kcore::{coreness, coreness_ligra, KcoreParams};
 use julienne_repro::algorithms::ktruss::{ktruss, KtrussParams};
-use julienne_repro::algorithms::mis::maximal_independent_set;
 use julienne_repro::algorithms::pagerank::pagerank;
 use julienne_repro::algorithms::setcover::{cover, SetCoverParams};
-use julienne_repro::algorithms::stats::{estimate_diameter, graph_stats};
+use julienne_repro::algorithms::stats::graph_stats;
 use julienne_repro::algorithms::triangles::{triangle_count, EdgeIndex};
 use julienne_repro::core::query::QueryCtx;
 use julienne_repro::graph::compress::{CompressedGraph, CompressedWGraph};
@@ -56,11 +54,6 @@ fn approx(name: &str, got: &[f64], want: &[f64], tol: f64) {
 /// Runs every unweighted algorithm on `g` (any backend) and compares the
 /// results against the oracles evaluated on the plain CSR `plain`.
 fn check_unweighted_on<G: GraphRef<W = ()>>(name: &str, plain: &Graph, g: &G) {
-    let n = plain.num_vertices();
-    // All-source centralities are the dominant cost; cap the source set
-    // (identical for implementation and oracle, so still differential).
-    let all: Vec<u32> = (0..(n.min(64)) as u32).collect();
-
     // Traversals.
     let levels = oracle::traversal::bfs_levels(plain, 0);
     assert_eq!(bfs(g, 0).level, levels, "{name}: bfs");
@@ -127,33 +120,7 @@ fn check_unweighted_on<G: GraphRef<W = ()>>(name: &str, plain: &Graph, g: &G) {
         "{name}: transitivity {t} vs {t_oracle}"
     );
 
-    // MIS: any valid maximal independent set passes; validity is judged by
-    // the oracle, not by the implementation's own bookkeeping.
-    let mis = maximal_independent_set(g, 3).members;
-    assert!(
-        oracle::triangles::is_maximal_independent_set(plain, &mis),
-        "{name}: MIS not maximal-independent"
-    );
-
-    // Centrality (float: oracle accumulates in a different order).
-    approx(
-        &format!("{name}: betweenness"),
-        &betweenness(g, &all),
-        &oracle::centrality::betweenness_naive(plain, &all),
-        1e-6,
-    );
-    approx(
-        &format!("{name}: closeness"),
-        &closeness(g, &all),
-        &oracle::centrality::closeness_naive(plain, &all),
-        1e-9,
-    );
-    approx(
-        &format!("{name}: harmonic"),
-        &harmonic(g, &all),
-        &oracle::centrality::harmonic_naive(plain, &all),
-        1e-9,
-    );
+    // Ranking (float: oracle accumulates in a different order).
     approx(
         &format!("{name}: pagerank"),
         &pagerank(g, 0.85, 1e-10, 100).rank,
@@ -172,14 +139,6 @@ fn check_unweighted_on<G: GraphRef<W = ()>>(name: &str, plain: &Graph, g: &G) {
         s.eccentricity_from_zero,
         oracle::traversal::eccentricity(plain, 0),
         "{name}: stats eccentricity"
-    );
-    let true_diameter = (0..n as u32)
-        .map(|v| oracle::traversal::eccentricity(plain, v))
-        .max()
-        .unwrap_or(0);
-    assert!(
-        estimate_diameter(g, 4, 9) <= true_diameter,
-        "{name}: diameter estimate exceeds true diameter"
     );
 }
 

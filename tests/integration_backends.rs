@@ -9,23 +9,19 @@
 //! and power-law Chung-Lu).
 
 use julienne_repro::algorithms::bellman_ford::bellman_ford;
-use julienne_repro::algorithms::betweenness::betweenness;
 use julienne_repro::algorithms::bfs::{bfs, bfs_seq};
-use julienne_repro::algorithms::clustering::{closeness, harmonic, local_clustering, transitivity};
+use julienne_repro::algorithms::clustering::{local_clustering, transitivity};
 use julienne_repro::algorithms::components::{connected_components, connected_components_seq};
-use julienne_repro::algorithms::degeneracy::{
-    degeneracy_order, densest_subgraph, densest_subgraph_approx, greedy_coloring,
-};
+use julienne_repro::algorithms::degeneracy::{degeneracy_order, densest_subgraph};
 use julienne_repro::algorithms::delta_stepping::{sssp, wbfs, SsspParams};
 use julienne_repro::algorithms::dial::dial;
 use julienne_repro::algorithms::dijkstra::dijkstra;
 use julienne_repro::algorithms::gap_delta::gap_delta_stepping;
 use julienne_repro::algorithms::kcore::{coreness, coreness_ligra, KcoreParams};
 use julienne_repro::algorithms::ktruss::{ktruss, KtrussParams};
-use julienne_repro::algorithms::mis::maximal_independent_set;
 use julienne_repro::algorithms::pagerank::pagerank;
 use julienne_repro::algorithms::setcover::{cover, SetCoverParams};
-use julienne_repro::algorithms::stats::{estimate_diameter, graph_stats};
+use julienne_repro::algorithms::stats::graph_stats;
 use julienne_repro::algorithms::triangles::triangle_count;
 use julienne_repro::graph::compress::{CompressedGraph, CompressedWGraph};
 use julienne_repro::graph::generators::set_cover_instance;
@@ -79,11 +75,6 @@ fn frontier_algorithms_match_on_compressed_backend() {
             || pagerank(&g, 0.85, 1e-9, 50).rank,
             || pagerank(&cg, 0.85, 1e-9, 50).rank,
         );
-        eq_backends(
-            &format!("mis/{name}"),
-            || maximal_independent_set(&g, 3).members,
-            || maximal_independent_set(&cg, 3).members,
-        );
     }
 }
 
@@ -117,16 +108,6 @@ fn peeling_algorithms_match_on_compressed_backend() {
             || densest_subgraph(&g).vertices,
             || densest_subgraph(&cg).vertices,
         );
-        eq_backends(
-            &format!("densest_approx/{name}"),
-            || densest_subgraph_approx(&g, 0.1).vertices,
-            || densest_subgraph_approx(&cg, 0.1).vertices,
-        );
-        eq_backends(
-            &format!("coloring/{name}"),
-            || greedy_coloring(&g),
-            || greedy_coloring(&cg),
-        );
     }
 }
 
@@ -159,25 +140,9 @@ fn triangle_family_matches_on_compressed_backend() {
 }
 
 #[test]
-fn centrality_and_stats_match_on_compressed_backend() {
-    let sources: Vec<u32> = (0..16).collect();
+fn stats_match_on_compressed_backend() {
     for (name, g) in small_graphs() {
         let cg = CompressedGraph::from_csr(&g);
-        eq_backends(
-            &format!("betweenness/{name}"),
-            || betweenness(&g, &sources),
-            || betweenness(&cg, &sources),
-        );
-        eq_backends(
-            &format!("closeness/{name}"),
-            || closeness(&g, &sources),
-            || closeness(&cg, &sources),
-        );
-        eq_backends(
-            &format!("harmonic/{name}"),
-            || harmonic(&g, &sources),
-            || harmonic(&cg, &sources),
-        );
         eq_backends(
             &format!("graph_stats/{name}"),
             || {
@@ -188,11 +153,6 @@ fn centrality_and_stats_match_on_compressed_backend() {
                 let s = graph_stats(&cg);
                 (s.rho, s.k_max, s.max_degree, s.eccentricity_from_zero)
             },
-        );
-        eq_backends(
-            &format!("diameter/{name}"),
-            || estimate_diameter(&g, 4, 9),
-            || estimate_diameter(&cg, 4, 9),
         );
     }
 }

@@ -1,12 +1,15 @@
 //! Property tests for the unified `GraphIo` surface: every format
 //! round-trips arbitrary graphs losslessly (up to each format's documented
 //! scope), and converting text through the `.jgr` container and back is the
-//! byte-level identity.
+//! byte-level identity. Plain tests pin the text loaders' vertex-count bound.
 
 use julienne_repro::graph::container::MappedGraph;
 use julienne_repro::graph::csr::Weight;
-use julienne_repro::graph::io::{Format, GraphIo, IoOptions};
-use julienne_repro::graph::{Csr, Graph};
+use julienne_repro::graph::io::{
+    Format, GraphIo, IoOptions, VERTEX_ALLOWANCE, VERTICES_PER_FILE_BYTE,
+};
+use julienne_repro::graph::{Csr, Graph, WGraph};
+use julienne_repro::primitives::error::Error;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -124,6 +127,98 @@ proptest! {
             let mut got = Vec::new();
             cg.for_each_out(v, |u, ()| got.push(u));
             prop_assert_eq!(got, want, "compressed payload vertex {}", v);
+        }
+    }
+}
+
+// The vertex-count bound on text loaders: a DIMACS `p sp` line or an edge
+// list's largest id may claim at most `VERTEX_ALLOWANCE +
+// VERTICES_PER_FILE_BYTE · file length` vertices, so a short file cannot make
+// the CSR build allocate tens of gigabytes. Files are written to a temp dir
+// and loaded in-process, on either side of the bound.
+
+/// The most vertices a file of `len` bytes may claim.
+fn vertex_bound(len: usize) -> usize {
+    (VERTEX_ALLOWANCE + VERTICES_PER_FILE_BYTE * len as u64) as usize
+}
+
+fn write_text(ext: &str, text: &str) -> Scratch {
+    let file = Scratch::new(ext);
+    std::fs::write(&file.0, text).unwrap();
+    file
+}
+
+#[test]
+fn dimacs_vertex_count_beyond_the_file_bound_is_a_parse_error() {
+    let huge = write_text("gr", "p sp 4000000000 0\n");
+    let err = GraphIo::read::<u32>(&huge.0, &IoOptions::default()).unwrap_err();
+    assert!(matches!(err, Error::Parse { line: Some(1), .. }), "{err:?}");
+
+    // At the bound the file loads; one vertex more is refused. Both counts
+    // have seven digits, so both files are 15 bytes long.
+    let at = vertex_bound("p sp 1048816 0\n".len());
+    let ok: WGraph = GraphIo::read(
+        &write_text("gr", &format!("p sp {at} 0\n")).0,
+        &IoOptions::default(),
+    )
+    .unwrap();
+    assert_eq!(ok.num_vertices(), at);
+    let over = write_text("gr", &format!("p sp {} 0\n", at + 1));
+    let err = GraphIo::read::<u32>(&over.0, &IoOptions::default()).unwrap_err();
+    assert!(matches!(err, Error::Parse { line: Some(1), .. }), "{err:?}");
+}
+
+#[test]
+fn edge_list_implied_vertex_count_beyond_the_file_bound_is_a_parse_error() {
+    let huge = write_text("el", "0 4000000000\n");
+    let err = GraphIo::read::<()>(&huge.0, &IoOptions::default()).unwrap_err();
+    assert!(matches!(err, Error::Parse { .. }), "{err:?}");
+
+    // The largest id implies `id + 1` vertices: at the bound the file loads,
+    // one id more is refused (both lines are 10 bytes).
+    let at = vertex_bound("0 1048735\n".len());
+    let ok: Graph = GraphIo::read(
+        &write_text("el", &format!("0 {}\n", at - 1)).0,
+        &IoOptions::default(),
+    )
+    .unwrap();
+    assert_eq!(ok.num_vertices(), at);
+    let over = write_text("el", &format!("0 {at}\n"));
+    let err = GraphIo::read::<()>(&over.0, &IoOptions::default()).unwrap_err();
+    assert!(matches!(err, Error::Parse { .. }), "{err:?}");
+
+    // A vertex count the caller gives is not limited by the file's length.
+    let opts = IoOptions {
+        vertices: Some(at + 1),
+        ..Default::default()
+    };
+    let g: Graph = GraphIo::read(&over.0, &opts).unwrap();
+    assert_eq!(g.num_vertices(), at + 1);
+}
+
+#[test]
+fn every_fixture_loads_under_the_vertex_bound() {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data");
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        let loaded: Result<Graph, Error> = GraphIo::read(&path, &IoOptions::default());
+        match loaded {
+            Ok(g) => assert!(g.num_edges() > 0, "{}", path.display()),
+            // An edgeless fixture names its vertex count in a comment, not
+            // in an edge, so it loads only with an explicit count.
+            Err(e) => {
+                assert!(
+                    e.to_string().contains("no edges"),
+                    "{}: {e}",
+                    path.display()
+                );
+                let opts = IoOptions {
+                    vertices: Some(1),
+                    ..Default::default()
+                };
+                let g: Graph = GraphIo::read(&path, &opts).unwrap();
+                assert_eq!(g.num_edges(), 0, "{}", path.display());
+            }
         }
     }
 }

@@ -131,7 +131,10 @@ fn run_scenario(g: &Graph, batches: &[Vec<EdgeUpdate>]) -> Vec<Observation> {
             let observations = Arc::clone(&observations);
             scope.spawn(move || {
                 let mut i = r; // stagger which algorithm each reader starts on
-                while store.epoch() < BATCHES as u64 {
+
+                // Run one query before looking at the epoch, so a reader
+                // that starts after the last batch still records one.
+                loop {
                     let algo = ALGOS[i % ALGOS.len()];
                     i += 1;
                     // Pin first, exactly like scheduler admission: the
@@ -151,6 +154,9 @@ fn run_scenario(g: &Graph, batches: &[Vec<EdgeUpdate>]) -> Vec<Observation> {
                         .lock()
                         .unwrap()
                         .push((algo.to_string(), epoch, output, hit));
+                    if store.epoch() >= BATCHES as u64 {
+                        break;
+                    }
                 }
             });
         }
