@@ -32,10 +32,14 @@ fi
 # Δ-stepping's visit protocol is one distance word per id with the round's
 # visited bit inside it, and so is the peel's, with its touched bit:
 # no flag bitset, no SeqCst, and every atomic access on the path says within
-# three lines above why its ordering holds.
+# three lines above why its ordering holds. Set cover keeps its covered-element
+# bitset but holds to the rest: each of its phases is a call whose join
+# publishes its writes.
 for f in crates/algorithms/src/delta_stepping.rs crates/ligra/src/edge_map_reduce.rs \
-    crates/algorithms/src/degeneracy.rs; do
-    if grep -nE 'SeqCst|AtomicBitSet' "$f"; then
+    crates/algorithms/src/degeneracy.rs crates/algorithms/src/setcover.rs; do
+    refused='SeqCst|AtomicBitSet'
+    [ "$f" = crates/algorithms/src/setcover.rs ] && refused='SeqCst'
+    if grep -nE "$refused" "$f"; then
         echo "ci.sh: $f: the visit protocol is Relaxed and bitset-free; see DESIGN §6"
         exit 1
     fi
@@ -61,17 +65,20 @@ fi
 # next snapshot's CSR). Nor does an algorithm that no command, query, paper
 # table or benchmark runs (betweenness, MIS, weighted set cover,
 # closeness/harmonic, greedy coloring, the approximate densest subgraph and
-# the diameter estimator were deleted for that).
+# the diameter estimator were deleted for that). Nor does a push walk beside
+# the one sparse driver (set cover's count and side-effect edgeMaps are
+# visits of it).
 run tools/uncalled.sh
-if grep -rnE 'EdgeMapOptions|dense_threshold_div|fn run_data|fn dense_data_counted|telemetry_sink|enum ArgError|InEdges|with_transpose|fn in_view|for_each_in_|in_csr|in_graph|remove_duplicates|BatchResult|mod betweenness|mod mis|setcover_weighted|fn closeness|fn harmonic|greedy_coloring|densest_subgraph_approx|estimate_diameter' crates; then
+if grep -rnE 'EdgeMapOptions|dense_threshold_div|fn run_data|fn dense_data_counted|telemetry_sink|enum ArgError|InEdges|with_transpose|fn in_view|for_each_in_|in_csr|in_graph|remove_duplicates|BatchResult|mod betweenness|mod mis|setcover_weighted|fn closeness|fn harmonic|greedy_coloring|densest_subgraph_approx|estimate_diameter|fn edge_map_filter_count|fn edge_map_packed' crates; then
     echo "ci.sh: an option nobody sets or an entry point nobody calls is back; see CHANGES.md PR 22"
     exit 1
 fi
 # The SeqCst lines left for the ordering audit (ROADMAP item 10) only go
-# down: 101 once the library-only algorithms above, which held 29, went.
+# down: 101 once the library-only algorithms above, which held 29, went; 90
+# once set cover and Bellman-Ford stated their orderings.
 seqcst=$(grep -rn 'SeqCst' crates shims | wc -l)
-if [ "$seqcst" -gt 101 ]; then
-    echo "ci.sh: $seqcst SeqCst lines under crates/ and shims/, above the 101 ratchet;"
+if [ "$seqcst" -gt 90 ]; then
+    echo "ci.sh: $seqcst SeqCst lines under crates/ and shims/, above the 90 ratchet;"
     echo "       give the new atomic the weakest ordering that holds, with an // ORDERING: line"
     exit 1
 fi

@@ -3,7 +3,9 @@
 //! Work-inefficient for nonnegative weights (a vertex can be relaxed and
 //! re-expanded once per distance improvement, O(d·m) worst case where d is
 //! the longest shortest-path hop count), but trivially parallel: each round
-//! relaxes all out-edges of the vertices whose distance changed.
+//! relaxes all out-edges of the vertices whose distance changed, from
+//! their round-start distances (as Δ-stepping does), so the rounds and
+//! relaxations do not depend on the thread count.
 
 use crate::INF;
 use julienne_graph::VertexId;
@@ -29,8 +31,10 @@ pub struct SsspResult {
 /// any [`GraphRef`] backend with `u32` weights.
 pub fn bellman_ford<G: GraphRef<W = u32>>(g: &G, src: VertexId) -> SsspResult {
     let n = g.num_vertices();
-    let dist: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(INF)).collect();
-    dist[src as usize].store(0, Ordering::SeqCst);
+    let mut dist: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(INF)).collect();
+    *dist[src as usize].get_mut() = 0;
+    // Round-start distances, written for the frontier's members only.
+    let mut start = vec![INF; n];
     let flags = AtomicBitSet::new(n);
 
     let mut frontier = VertexSubset::single(n, src);
@@ -44,10 +48,15 @@ pub fn bellman_ford<G: GraphRef<W = u32>>(g: &G, src: VertexId) -> SsspResult {
             "negative cycle or bug: more rounds than vertices"
         );
         relaxations += frontier.iter().map(|v| g.out_degree(v) as u64).sum::<u64>();
+        for v in &frontier {
+            // ORDERING: Relaxed; the caller copies between edgeMaps, whose
+            // joins order the copy and the rounds' writes.
+            start[v as usize] = dist[v as usize].load(Ordering::Relaxed);
+        }
         let next = EdgeMap::new(g).run(
             &frontier,
             |u, v, w| {
-                let nd = dist[u as usize].load(Ordering::SeqCst) + w as u64;
+                let nd = start[u as usize] + w as u64;
                 if write_min_u64(&dist[v as usize], nd) {
                     // First improver this round claims v for the frontier.
                     return flags.set(v as usize);

@@ -158,6 +158,26 @@ impl Dists {
         None
     }
 
+    /// A one-lane round's edgeMap: relaxes the out-list of each `ids[i]`
+    /// from its round-start distance `starts[i]`, read once per list, into
+    /// `hits`; returns the edges scanned.
+    fn relax_frontier<G: OutEdges<W = u32>>(
+        &self,
+        em: &EdgeMap<'_, G>,
+        ids: &[VertexId],
+        starts: &[u64],
+        hits: &mut Vec<(VertexId, u64)>,
+    ) -> u64 {
+        em.run_sparse_at(ids, hits, |i, list, hits| {
+            let start = starts[i];
+            list.for_each(|v, w| {
+                if let Some(old) = self.relax(v as usize, start + w as u64) {
+                    hits.push((v, old));
+                }
+            });
+        })
+    }
+
     /// Reset: clears `id`'s visited bit and returns its annulus move, from
     /// that of `round_start` (what [`relax`](Self::relax) reported) to that
     /// of its new distance — `getBucket`'s `(prev, next)`.
@@ -300,14 +320,9 @@ pub fn sssp_multi<G: OutEdges<W = u32>>(
 
         // Update (Algorithm 2, lines 4–10): the CAS that first lowers a
         // target this round captures its round-start distance.
-        let round_edges = if width == 1 {
-            em.run_sparse_at(&ids, &mut hits, |i, v, w, hits| {
-                if let Some(old) = sp.relax(v as usize, starts[i] + w as u64) {
-                    hits.push((v, old));
-                }
-            })
-        } else {
-            fused.relax(&em, &sp, width, &starts, &mut hits)
+        let round_edges = match width {
+            1 => sp.relax_frontier(&em, &ids, &starts, &mut hits),
+            _ => fused.relax(&em, &sp, width, &starts, &mut hits),
         };
         relaxations += span.lap(Phase::EdgeMap, round_edges);
 
@@ -396,7 +411,8 @@ impl Fused {
     }
 
     /// Relaxes each lane of a vertex's run along its out-edges from the lane's
-    /// round-start distance into `hits`; returns the edges scanned. A fused
+    /// round-start distance into `hits`; returns the edges scanned. The run
+    /// and its start distances are sliced once per list. A fused
     /// edge costs a relaxation per lane, unseen by the sparse driver's edge
     /// count, so the round is cut by vertices ([`rayon::pool::piece_count`]).
     fn relax<G: OutEdges<W = u32>>(
@@ -408,22 +424,20 @@ impl Fused {
         hits: &mut Vec<(VertexId, u64)>,
     ) -> u64 {
         let mut walk = || {
-            // Forced inline: left alone, this visit became a call per edge.
-            em.run_sparse_at(
-                &self.verts,
-                hits,
-                #[inline(always)]
-                |i, v, w, hits| {
+            em.run_sparse_at(&self.verts, hits, |i, list, hits| {
+                let run = self.runs[i]..self.runs[i + 1];
+                let (lanes, starts) = (&self.lanes[run.clone()], &starts[run]);
+                list.for_each(|v, w| {
                     // Lane `l` of the run relaxes `v·L + l`.
-                    let (to, run) = (v as usize * width, self.runs[i]..self.runs[i + 1]);
-                    for (&l, &start) in self.lanes[run.clone()].iter().zip(&starts[run]) {
+                    let to = v as usize * width;
+                    for (&l, &start) in lanes.iter().zip(starts) {
                         let id = to + l as usize;
                         if let Some(old) = sp.relax(id, start + w as u64) {
                             hits.push((id as VertexId, old));
                         }
                     }
-                },
-            )
+                });
+            })
         };
         match rayon::pool::piece_count(self.verts.len()) {
             1 => walk(),
@@ -481,9 +495,11 @@ pub fn delta_stepping_light_heavy<G: OutEdges<W = u32>>(
                  relaxations: &mut u64|
      -> Vec<(u32, julienne::bucket::BucketDest)> {
         let mut moved = Vec::new();
-        *relaxations += EdgeMap::new(graph).run_sparse_at(ids, &mut moved, |i, v, w, moved| {
-            let nd = sp.dist(ids[i] as usize) + w as u64;
-            moved.extend(sp.relax(v as usize, nd).map(|old| (v, old)));
+        *relaxations += EdgeMap::new(graph).run_sparse_at(ids, &mut moved, |_, list, moved| {
+            list.for_each(|v, w| {
+                let nd = sp.dist(list.source as usize) + w as u64;
+                moved.extend(sp.relax(v as usize, nd).map(|old| (v, old)));
+            });
         });
         let mut dests = Vec::new();
         map_into(&moved, &mut dests, |&(v, round_start)| {

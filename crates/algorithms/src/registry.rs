@@ -1063,7 +1063,7 @@ fn run_pagerank(store: &GraphStore, p: &ParamMap, ctx: &QueryCtx) -> Result<Stri
     Ok(out)
 }
 
-fn run_setcover(store: &GraphStore, p: &ParamMap, ctx: &QueryCtx) -> Result<String, Error> {
+fn run_setcover(_: &GraphStore, p: &ParamMap, ctx: &QueryCtx) -> Result<String, Error> {
     let sets: usize = p.get_or("sets", 256)?;
     let elements: usize = p.get_or("elements", 16_384)?;
     let mult: usize = p.get_or("mult", 4)?;
@@ -1073,14 +1073,7 @@ fn run_setcover(store: &GraphStore, p: &ParamMap, ctx: &QueryCtx) -> Result<Stri
     if sets == 0 || elements == 0 {
         return Err(Error::usage("setcover needs sets >= 1 and elements >= 1"));
     }
-    let mut inst = julienne_graph::generators::set_cover_instance(sets, elements, mult, seed);
-    if store.backend() == Backend::Compressed {
-        // Set cover peels a packed (mutable) copy of the membership graph,
-        // so the compressed backend routes the instance through a
-        // compress/decompress round trip — same adjacency, proving the
-        // byte-coded form carries the full structure.
-        inst.graph = CompressedGraph::from_csr(&inst.graph).to_csr();
-    }
+    let inst = julienne_graph::generators::set_cover_instance(sets, elements, mult, seed);
     let r = cover(&inst, &SetCoverParams { eps }, ctx)?;
     if !verify_cover(&inst, &r.cover) {
         return Err(Error::Internal("produced cover is invalid".into()));

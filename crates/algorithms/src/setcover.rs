@@ -15,6 +15,11 @@
 //! algorithm livelocks; with the float threshold the smallest-id active set
 //! always wins all of its elements and is chosen, so every round makes
 //! progress while the per-bucket (1+ε) approximation factor is preserved.
+//!
+//! Every atomic access is `Relaxed`: each phase of a round (pack, reserve,
+//! count wins, commit/release, rebucket) is one parallel call whose join
+//! publishes its writes before the next phase reads them (DESIGN §6), and
+//! within a phase only `writeMin`'s atomicity, not its ordering, matters.
 
 use julienne::bucket::{BucketDest, BucketId, Bucketing, Order, NULL_BKT};
 use julienne::query::QueryCtx;
@@ -23,9 +28,8 @@ use julienne::Error;
 use julienne_graph::generators::SetCoverInstance;
 use julienne_graph::packed::PackedGraph;
 use julienne_graph::VertexId;
-use julienne_ligra::edge_map_filter::{
-    edge_map_filter_count, edge_map_filter_pack, edge_map_packed,
-};
+use julienne_ligra::edge_map_filter::edge_map_filter_pack;
+use julienne_ligra::EdgeMap;
 use julienne_primitives::atomics::write_min_u32;
 use julienne_primitives::bitset::AtomicBitSet;
 use julienne_primitives::filter::filter_map;
@@ -95,7 +99,6 @@ pub fn cover(
     let engine = ctx.engine();
     let num_sets = inst.num_sets;
     let num_elements = inst.num_elements;
-    let _n = num_sets + num_elements;
     let inv_log1p_eps = 1.0 / (1.0 + eps).ln();
 
     let packed = PackedGraph::from_csr(&inst.graph);
@@ -110,9 +113,12 @@ pub fn cover(
         .collect();
 
     let elem_idx = |e: VertexId| (e as usize) - num_sets;
-    let d_fun = |s: u32| bucket_num(d[s as usize].load(Ordering::SeqCst), inv_log1p_eps);
+    // ORDERING: Relaxed; the buckets read D between phases, after a join.
+    let d_fun = |s: u32| bucket_num(d[s as usize].load(Ordering::Relaxed), inv_log1p_eps);
     let mut buckets = engine.buckets(num_sets, d_fun, Order::Decreasing);
     let telemetry = engine.telemetry();
+    // Untraced walks: each round records its own counters below.
+    let em = EdgeMap::new(&packed);
 
     let mut rounds = 0u64;
     let mut edges_examined = 0u64;
@@ -126,72 +132,79 @@ pub fn cover(
             break;
         };
         rounds += 1;
-        let round_edges = sets
-            .par_iter()
-            .map(|&s| packed.degree(s) as u64)
-            .sum::<u64>();
+        let round_edges: u64 = sets.par_iter().map(|&s| packed.degree(s) as u64).sum();
         edges_examined += round_edges;
 
         // Phase 1 (lines 25–27): pack out covered elements, refresh D, and
         // keep the sets still above this bucket's threshold active.
         let sets_d = edge_map_filter_pack(&packed, &sets, |_s, e| !covered.get(elem_idx(e)));
         sets_d.entries().par_iter().for_each(|&(s, new_deg)| {
-            d[s as usize].store(new_deg, Ordering::SeqCst);
+            // ORDERING: Relaxed; one task writes each set's word, and the
+            // join publishes it.
+            d[s as usize].store(new_deg, Ordering::Relaxed);
         });
         let threshold_active = (1.0 + eps).powi(b as i32).ceil() as u32;
-        let active: Vec<VertexId> = filter_map(sets_d.entries(), |&(s, deg)| {
-            if deg >= threshold_active {
-                Some(s)
-            } else {
-                None
-            }
+        let active = filter_map(sets_d.entries(), |&(s, deg)| {
+            (deg >= threshold_active).then_some(s)
         });
 
         if !active.is_empty() {
             // Phase 2 (lines 28–30): one MaNIS step. Active sets reserve
             // uncovered elements (smallest id wins), then sets that won
             // more than (1+ε)^(b−1) elements join the cover.
-            edge_map_packed(
-                &packed,
-                &active,
-                |s, e| {
-                    write_min_u32(&el[elem_idx(e)], s);
-                },
-                |e| !covered.get(elem_idx(e)),
-            );
-            let active_counts = edge_map_filter_count(&packed, &active, |s, e| {
-                el[elem_idx(e)].load(Ordering::SeqCst) == s
+            // The walks append nothing; a packed list is never split, so
+            // each visit sees a set's whole list.
+            let none = &mut Vec::<()>::new();
+            em.run_sparse_at(&active, none, |_, list, _| {
+                list.for_each(|e, ()| {
+                    if !covered.get(elem_idx(e)) {
+                        write_min_u32(&el[elem_idx(e)], list.source);
+                    }
+                });
             });
             let threshold_win = (1.0 + eps).powi(b as i32 - 1);
-            active_counts.entries().par_iter().for_each(|&(s, won)| {
+            em.run_sparse_at(&active, none, |_, list, _| {
+                let s = list.source;
+                let mut won = 0u32;
+                // ORDERING: Relaxed; the reservations were published by the
+                // join that ended the reserve walk.
+                list.for_each(|e, ()| {
+                    won += u32::from(el[elem_idx(e)].load(Ordering::Relaxed) == s)
+                });
                 if won as f64 > threshold_win {
-                    d[s as usize].store(IN_COVER, Ordering::SeqCst);
+                    // ORDERING: Relaxed; only this visit writes `s`'s word.
+                    d[s as usize].store(IN_COVER, Ordering::Relaxed);
                 }
             });
 
             // Phase 3 (line 31): mark elements of chosen sets covered;
             // release reservations of the rest.
-            edge_map_packed(
-                &packed,
-                &active,
-                |s, e| {
+            em.run_sparse_at(&active, none, |_, list, _| {
+                let s = list.source;
+                // ORDERING: Relaxed; the count walk's join published D.
+                let chosen = d[s as usize].load(Ordering::Relaxed) == IN_COVER;
+                list.for_each(|e, ()| {
                     let ei = elem_idx(e);
-                    if el[ei].load(Ordering::SeqCst) == s {
-                        if d[s as usize].load(Ordering::SeqCst) == IN_COVER {
+                    // ORDERING: Relaxed; only the set holding `ei`'s
+                    // reservation writes it, and no other set matches either
+                    // value the others may read.
+                    if el[ei].load(Ordering::Relaxed) == s {
+                        if chosen {
                             covered.set(ei);
                         } else {
-                            el[ei].store(UNRESERVED, Ordering::SeqCst);
+                            // ORDERING: as the load above.
+                            el[ei].store(UNRESERVED, Ordering::Relaxed);
                         }
                     }
-                },
-                |_| true,
-            );
+                });
+            });
         }
 
         // Phase 4 (lines 32–33): rebucket every extracted set that did not
         // join the cover.
         let rebucket: Vec<(u32, BucketDest)> = filter_map(&sets, |&s| {
-            let deg = d[s as usize].load(Ordering::SeqCst);
+            // ORDERING: Relaxed; the commit walk's join published D.
+            let deg = d[s as usize].load(Ordering::Relaxed);
             if deg == IN_COVER {
                 return None;
             }
@@ -206,11 +219,8 @@ pub fn cover(
     }
 
     let cover: Vec<VertexId> = filter_map(&(0..num_sets as u32).collect::<Vec<_>>(), |&s| {
-        if d[s as usize].load(Ordering::SeqCst) == IN_COVER {
-            Some(s)
-        } else {
-            None
-        }
+        // ORDERING: Relaxed; the last round's joins published D.
+        (d[s as usize].load(Ordering::Relaxed) == IN_COVER).then_some(s)
     });
     let assignment: Vec<u32> = el.into_iter().map(AtomicU32::into_inner).collect();
 

@@ -124,7 +124,8 @@ impl<'g, G: OutEdges> EdgeMap<'g, G> {
     }
 
     /// Sparse (push) traversal over an explicit id list; works with any
-    /// out-edge backend (CSR, compressed, packed, edge partitions).
+    /// out-edge backend (CSR, compressed, packed, edge partitions). It is
+    /// [`run_sparse_data`](Self::run_sparse_data) with a unit payload.
     pub fn run_sparse<Fu, Fc>(
         &self,
         frontier_ids: &[VertexId],
@@ -135,20 +136,10 @@ impl<'g, G: OutEdges> EdgeMap<'g, G> {
         Fu: Fn(VertexId, VertexId, G::W) -> bool + Send + Sync,
         Fc: Fn(VertexId) -> bool + Send + Sync,
     {
-        let n = self.g.num_vertices();
-        let mut hits = Vec::new();
-        let scanned = sparse_blocked(self.g, frontier_ids, &mut hits, |_, u, v, w, hits| {
-            if cond(v) && update(u, v, w) {
-                hits.push(v);
-            }
-        });
-        self.note(
-            Counter::SparseTraversals,
-            frontier_ids.len(),
-            scanned,
-            hits.len(),
-        );
-        VertexSubset::from_vertices(n, hits)
+        let hits =
+            self.run_sparse_data(frontier_ids, |u, v, w| update(u, v, w).then_some(()), cond);
+        let ids = hits.into_entries().into_iter().map(|(v, ())| v).collect();
+        VertexSubset::from_vertices(self.g.num_vertices(), ids)
     }
 
     /// Sparse (push) data-carrying traversal over an explicit id list.
@@ -164,22 +155,25 @@ impl<'g, G: OutEdges> EdgeMap<'g, G> {
         Fc: Fn(VertexId) -> bool + Send + Sync,
     {
         let mut hits = Vec::new();
-        self.run_sparse_at(frontier_ids, &mut hits, |i, v, w, hits| {
-            if cond(v) {
-                hits.extend(update(frontier_ids[i], v, w).map(|t| (v, t)));
-            }
+        self.run_sparse_at(frontier_ids, &mut hits, |_, list, hits| {
+            let u = list.source;
+            list.for_each(|v, w| {
+                if cond(v) {
+                    hits.extend(update(u, v, w).map(|t| (v, t)));
+                }
+            });
         });
         VertexSubsetData::from_entries(self.g.num_vertices(), hits)
     }
 
-    /// Sparse (push) traversal that hands `visit(i, v, w, hits)` the
-    /// frontier *position* `i` of the edge's source (`frontier_ids[i]`), so
-    /// per-source state can ride in arrays beside the frontier, and lets it
-    /// append any number of results to `hits` (one per lane of a fused
-    /// Δ-stepping batch). Replaces `hits`' contents with what the visits
-    /// appended, in (frontier position, edge position) order, keeping its
-    /// buffer (a round loop passes the same one every round), and returns
-    /// the edges scanned (the frontier's out-degree sum).
+    /// Sparse (push) traversal that hands `visit(i, list, hits)` each
+    /// [`OutList`] of the frontier with its source's frontier *position* `i`,
+    /// so per-source state can ride in arrays beside the frontier, read once
+    /// per list, and lets it append any number of results to `hits` (one per
+    /// lane of a fused Δ-stepping batch). Replaces `hits`' contents with
+    /// what the visits appended, in (frontier position, edge position)
+    /// order, keeping its buffer (a round loop passes the same one every
+    /// round), and returns the edges scanned (the frontier's out-degree sum).
     pub fn run_sparse_at<T, Fv>(
         &self,
         frontier_ids: &[VertexId],
@@ -188,17 +182,9 @@ impl<'g, G: OutEdges> EdgeMap<'g, G> {
     ) -> u64
     where
         T: Copy + Send + Sync,
-        Fv: Fn(usize, VertexId, G::W, &mut Vec<T>) + Send + Sync,
+        Fv: Fn(usize, OutList<'_, G>, &mut Vec<T>) + Send + Sync,
     {
-        // Forced inline: left to the optimiser, a larger visit (fused
-        // Δ-stepping walks a run of lanes per edge) became a call per edge.
-        let scanned = sparse_blocked(
-            self.g,
-            frontier_ids,
-            hits,
-            #[inline(always)]
-            |i, _, v, w, hits| visit(i, v, w, hits),
-        );
+        let scanned = sparse_blocked(self.g, frontier_ids, hits, visit);
         self.note(
             Counter::SparseTraversals,
             frontier_ids.len(),
@@ -297,9 +283,33 @@ pub(crate) fn trim_grown<T>(buf: &mut Vec<T>, kept: usize) {
     }
 }
 
+/// One unit of a sparse round as the push driver hands it to a visitor:
+/// `len` edges out of `source`. A round of one piece (below about 8.4 M
+/// edges) visits whole lists; in a round that fans out, a list longer than
+/// twice the backend's [`OutEdges::out_chunk_edges`] arrives one chunk at a
+/// time, each chunk its own visit, maybe on different workers.
+pub struct OutList<'g, G> {
+    g: &'g G,
+    pub source: VertexId,
+    pub len: usize,
+    /// `None` for the whole list.
+    chunk: Option<usize>,
+}
+
+impl<G: OutEdges> OutList<'_, G> {
+    /// Visits the unit's edges `(target, weight)` in list order.
+    #[inline(always)]
+    pub fn for_each(&self, f: impl FnMut(VertexId, G::W)) {
+        match self.chunk {
+            None => self.g.for_each_out(self.source, f),
+            Some(c) => self.g.for_each_out_chunk(self.source, c, f),
+        }
+    }
+}
+
 /// The sparse (push) driver behind every frontier-out traversal in this
-/// crate: applies `visit(i, u, v, w, hits)` to each out-edge of
-/// `u = frontier_ids[i]`, `hits` being the buffer `visit` appends its
+/// crate and its callers: applies `visit(i, list, hits)` to the out-list of
+/// each `frontier_ids[i]`, `hits` being the buffer `visit` appends its
 /// results to. On return `out` holds what was appended, in (frontier
 /// position, edge position) order, in `out`'s own buffer; the edges scanned
 /// are returned. How a result is appended is the caller's: behind a branch
@@ -309,14 +319,15 @@ pub(crate) fn trim_grown<T>(buf: &mut Vec<T>, kept: usize) {
 /// is cut into as many pieces as the runtime would cut that many blocks
 /// into ([`sparse_pieces`]). A round of one piece — every round below about
 /// 8.4 M edges — runs on one worker whatever the thread count, so it is
-/// walked inline, whole lists in frontier order, straight into `out`: no
-/// offsets, no per-piece buffers, no concatenating copy.
+/// walked inline, one visit per whole list in frontier order, straight into
+/// `out`: no offsets, no per-piece buffers, no concatenating copy.
 ///
 /// More than one piece cuts the degree prefix sums at block boundaries,
 /// the blocks spread evenly over the pieces ([`rayon::pool::piece_bounds`]).
-/// A piece owns every *unit* whose first edge falls in its range, a unit
+/// A piece visits every *unit* whose first edge falls in its range, a unit
 /// being a whole out-list or — for a list longer than twice the backend's
-/// [`OutEdges::out_chunk_edges`] — one chunk of it, so a hub spreads over
+/// [`OutEdges::out_chunk_edges`] — one chunk of it, so **in a round that
+/// fans out, a hub's list arrives one chunk at a time** and spreads over
 /// many pieces. Each piece appends its hits to its own buffer and the
 /// buffers are concatenated into `out` in piece order: memory written is
 /// proportional to the hits, not to the edges scanned.
@@ -329,8 +340,14 @@ pub(crate) fn sparse_blocked<G, T, F>(
 where
     G: OutEdges,
     T: Copy + Send + Sync,
-    F: Fn(usize, VertexId, VertexId, G::W, &mut Vec<T>) + Send + Sync,
+    F: Fn(usize, OutList<'_, G>, &mut Vec<T>) + Send + Sync,
 {
+    let list = |source, len, chunk| OutList {
+        g,
+        source,
+        len,
+        chunk,
+    };
     let total: usize = frontier_ids.iter().map(|&u| g.out_degree(u)).sum();
     let pieces = sparse_pieces(total);
     if pieces <= 1 {
@@ -339,7 +356,7 @@ where
         out.clear();
         let kept = out.capacity();
         for (i, &u) in frontier_ids.iter().enumerate() {
-            g.for_each_out(u, |v, w| visit(i, u, v, w, out));
+            visit(i, list(u, g.out_degree(u), None), out);
         }
         trim_grown(out, kept);
         return total as u64;
@@ -355,24 +372,15 @@ where
         while i < offsets.len() && offsets[i] < hi {
             let (u, base) = (frontier_ids[i], offsets[i]);
             let end = offsets.get(i + 1).copied().unwrap_or(total);
-            // Forced inline, as in `EdgeMap::run_sparse_at`.
             if split != usize::MAX && end - base > split.saturating_mul(2) {
                 let first = lo.saturating_sub(base).div_ceil(split);
                 let last = (hi.min(end) - base).div_ceil(split);
                 for c in first..last {
-                    g.for_each_out_chunk(
-                        u,
-                        c,
-                        #[inline(always)]
-                        |v, w| visit(i, u, v, w, &mut hits),
-                    );
+                    let len = split.min(end - base - c * split);
+                    visit(i, list(u, len, Some(c)), &mut hits);
                 }
             } else if base >= lo {
-                g.for_each_out(
-                    u,
-                    #[inline(always)]
-                    |v, w| visit(i, u, v, w, &mut hits),
-                );
+                visit(i, list(u, end - base, None), &mut hits);
             }
             i += 1;
         }

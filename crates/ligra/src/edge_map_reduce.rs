@@ -54,10 +54,13 @@ where
     // `(target, M(u,v,w))` for every edge out of the frontier whose target
     // satisfies `cond`.
     let mut pairs = Vec::new();
-    sparse_blocked(g, frontier_ids, &mut pairs, |_, u, v, w, pairs| {
-        if cond(v) {
-            pairs.push((v, map(u, v, w)));
-        }
+    sparse_blocked(g, frontier_ids, &mut pairs, |_, list, pairs| {
+        let u = list.source;
+        list.for_each(|v, w| {
+            if cond(v) {
+                pairs.push((v, map(u, v, w)));
+            }
+        });
     });
     if pairs.is_empty() {
         return VertexSubsetData::empty(n);
@@ -142,11 +145,12 @@ where
     // In a peel `cond` is a coin flip per edge, so the append must not branch
     // on it: write the slot, keep it iff live.
     let mut live = Vec::new();
-    let visit = |_, _, v: VertexId, _, live: &mut Vec<VertexId>| {
-        live.push(v);
-        live.truncate(live.len() - usize::from(!cond(v)));
-    };
-    sparse_blocked(g, frontier_ids, &mut live, visit);
+    sparse_blocked(g, frontier_ids, &mut live, |_, list, live| {
+        list.for_each(|v, _| {
+            live.push(v);
+            live.truncate(live.len() - usize::from(!cond(v)));
+        });
+    });
     // First occurrences are compacted into the front of `live` itself:
     // `owners <= i`, so the slot written was already read.
     let mut owners = 0;
@@ -198,8 +202,8 @@ pub fn peel_degrees<G: OutEdges>(g: &G) -> Result<Vec<AtomicU32>, Error> {
 /// its `Some` results. Returns the edges scanned. Degrees must be below
 /// 2^31 ([`peel_degrees`]).
 ///
-/// A round of one piece (the rule the sparse `edgeMap` uses) is one walk over
-/// the frontier's edges that lowers each target's word as it goes, the
+/// A round of one piece (the rule the sparse `edgeMap` uses) is one list
+/// visitor of the sparse driver that lowers each target's word as it goes, the
 /// round's touched bit kept in bit 31 of the word, as Δ-stepping keeps its
 /// visited bit: per edge a load, a store of the lowered or unchanged word,
 /// and an owners slot written always and kept only on the first touch, with
@@ -235,11 +239,12 @@ where
     owners.clear();
     let capacity = (owners.capacity(), moves.capacity());
     if pieces <= 1 {
-        for &u in frontier_ids {
-            owners.reserve(g.out_degree(u));
+        // One worker walks the round, in whole lists.
+        sparse_blocked(g, frontier_ids, &mut owners, |_, list, owners| {
+            owners.reserve(list.len);
             let slots = owners.spare_capacity_mut();
             let mut kept = 0;
-            g.for_each_out(u, |v, _| {
+            list.for_each(|v, _| {
                 let word = &degrees[v as usize];
                 // ORDERING: Relaxed; the caller owns every word during the walk.
                 let d = word.load(Ordering::Relaxed);
@@ -252,7 +257,7 @@ where
             // SAFETY: every edge writes `slots[kept]` (bounds-checked) before
             // `kept` can pass it, so `slots[..kept]` is initialised.
             unsafe { owners.set_len(owners.len() + kept) };
-        }
+        });
     } else {
         let lowered = edge_map_sum_with_scratch(
             g,

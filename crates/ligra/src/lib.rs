@@ -23,7 +23,7 @@ pub mod traits;
 pub mod vertex_ops;
 
 pub use edge_map::{EdgeMap, Mode};
-pub use edge_map_filter::{edge_map_filter_count, edge_map_filter_pack, edge_map_packed};
+pub use edge_map_filter::edge_map_filter_pack;
 pub use edge_map_reduce::{edge_map_sum, edge_map_sum_with_scratch, SumScratch};
 pub use subset::{VertexSubset, VertexSubsetData};
 pub use traits::{GraphRef, OutEdges};

@@ -10,12 +10,14 @@
 mod common;
 
 use common::{at, graphs, weighted};
+use julienne_repro::algorithms::bellman_ford::bellman_ford;
 use julienne_repro::algorithms::components::connected_components;
 use julienne_repro::algorithms::delta_stepping::{sssp, wbfs, SsspParams};
 use julienne_repro::algorithms::kcore::{coreness, KcoreParams};
 use julienne_repro::algorithms::setcover::{cover, verify_cover, SetCoverParams};
 use julienne_repro::core::query::QueryCtx;
-use julienne_repro::graph::generators::set_cover_instance;
+use julienne_repro::graph::generators::{rmat, set_cover_instance, RmatParams};
+use julienne_repro::graph::transform::assign_weights;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -102,5 +104,29 @@ fn setcover_identical_across_thread_counts() {
         });
         assert_eq!(r.cover, reference.cover, "setcover at {t} threads");
         assert_eq!(r.rounds, reference.rounds, "setcover rounds at {t} threads");
+    }
+}
+
+#[test]
+fn bellman_ford_rounds_identical_across_thread_counts() {
+    // A symmetric R-MAT graph with wBFS weights: its middle rounds cover
+    // most of the graph, so the direction rule pulls them, and a distance
+    // read inside the round would let the schedule change what a round
+    // relaxes.
+    let g = assign_weights(&rmat(12, 16, RmatParams::default(), 1, true), 1, 13, 7);
+    for src in [0, 3, 5, 17] {
+        let reference = at(1, || bellman_ford(&g, src));
+        for t in THREADS {
+            let r = at(t, || bellman_ford(&g, src));
+            assert_eq!(r.dist, reference.dist, "src {src} at {t} threads");
+            assert_eq!(
+                r.rounds, reference.rounds,
+                "src {src} rounds at {t} threads"
+            );
+            assert_eq!(
+                r.relaxations, reference.relaxations,
+                "src {src} relaxations at {t} threads"
+            );
+        }
     }
 }

@@ -1,9 +1,12 @@
 //! Property tests for the sparse `edgeMap` driver: on every backend, for
 //! frontiers with and without split hubs, the ids, the payloads **and their
 //! order** equal a sequential frontier-order × edge-order reference — at 1
-//! and 2 threads and under schedule chaos. These rounds are small enough to
-//! run as one piece, so the fanned-out walk is also driven directly at 2, 3
-//! and 7 pieces.
+//! and 2 threads and under schedule chaos. The list visitor of
+//! `run_sparse_at` sees every (frontier position, edge) exactly once and in
+//! that order, each list or chunk yields as many edges as its `len`, and
+//! the lengths add up to the edges scanned. These rounds are small enough
+//! to run as one piece, so the fanned-out walk is also driven directly at
+//! 2, 3 and 7 pieces.
 
 mod common;
 
@@ -16,6 +19,7 @@ use julienne_repro::graph::Csr;
 use julienne_repro::ligra::edge_map::{sparse_in_pieces, EdgeMap};
 use julienne_repro::ligra::traits::OutEdges;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A directed weighted graph whose vertex 0 points at `hub_degree` others
 /// (0 for no hub), plus `raw` random edges. The CSR and mapped backends
@@ -67,33 +71,48 @@ fn payload(u: u32, v: u32, w: u32) -> Option<u64> {
     (h >> 61 != 0).then_some(h)
 }
 
-fn reference(g: &Csr<u32>, frontier: &[u32]) -> Vec<(u32, u64)> {
-    let mut out = Vec::new();
-    for &u in frontier {
+/// What one backend's sparse traversals return: `run_sparse_data`'s entries,
+/// `run_sparse`'s ids, and the list visitor's (frontier position, target,
+/// weight) per edge with the edges scanned, the sum of the units' `len`s
+/// and the units whose `for_each` disagreed with their `len`.
+type Runs = (Vec<(u32, u64)>, Vec<u32>, Vec<(usize, u32, u32)>, [u64; 3]);
+
+fn reference(g: &Csr<u32>, frontier: &[u32]) -> Runs {
+    let (mut entries, mut edges) = (Vec::new(), Vec::new());
+    for (i, &u) in frontier.iter().enumerate() {
         for (v, w) in g.edges_of(u) {
             if cond(v) {
-                out.extend(payload(u, v, w).map(|t| (v, t)));
+                entries.extend(payload(u, v, w).map(|t| (v, t)));
             }
+            edges.push((i, v, w));
         }
     }
-    out
+    let ids = entries.iter().map(|&(v, _)| v).collect();
+    let scanned = edges.len() as u64;
+    (entries, ids, edges, [scanned, scanned, 0])
 }
 
-/// Both sparse entry points on one backend, in raw output order.
-fn run<G: OutEdges<W = u32>>(g: &G, frontier: &[u32]) -> (Vec<(u32, u64)>, Vec<u32>) {
+/// The sparse entry points on one backend, in raw output order.
+fn run<G: OutEdges<W = u32>>(g: &G, frontier: &[u32]) -> Runs {
     let em = EdgeMap::new(g);
     let data = em.run_sparse_data(frontier, payload, cond);
     let ids = em.run_sparse(frontier, |u, v, w| payload(u, v, w).is_some(), cond);
-    (data.entries().to_vec(), ids.to_vertices())
+    let (lens, bad) = (AtomicU64::new(0), AtomicU64::new(0));
+    let mut edges = Vec::new();
+    let scanned = em.run_sparse_at(frontier, &mut edges, |i, list, edges| {
+        let before = edges.len();
+        list.for_each(|v, w| edges.push((i, v, w)));
+        let wrong = edges.len() - before != list.len || list.source != frontier[i];
+        lens.fetch_add(list.len as u64, Ordering::Relaxed);
+        bad.fetch_add(u64::from(wrong), Ordering::Relaxed);
+    });
+    let counts = [scanned, lens.into_inner(), bad.into_inner()];
+    (data.entries().to_vec(), ids.to_vertices(), edges, counts)
 }
 
-/// Both sparse entry points walked as exactly `pieces` pieces, in raw
+/// The sparse entry points walked as exactly `pieces` pieces, in raw
 /// output order.
-fn run_in<G: OutEdges<W = u32>>(
-    g: &G,
-    frontier: &[u32],
-    pieces: usize,
-) -> (Vec<(u32, u64)>, Vec<u32>) {
+fn run_in<G: OutEdges<W = u32>>(g: &G, frontier: &[u32], pieces: usize) -> Runs {
     sparse_in_pieces(pieces, || run(g, frontier))
 }
 
@@ -101,7 +120,7 @@ fn check<G: OutEdges<W = u32>>(
     what: &str,
     g: &G,
     frontier: &[u32],
-    want: &(Vec<(u32, u64)>, Vec<u32>),
+    want: &Runs,
 ) -> Result<(), TestCaseError> {
     let schedules = [
         (None, 1),
@@ -136,14 +155,12 @@ proptest! {
 
     #[test]
     fn blocked_driver_matches_sequential_reference((g, frontier) in arb_case()) {
-        let entries = reference(&g, &frontier);
-        let ids = entries.iter().map(|&(v, _)| v).collect();
-        let want = (entries, ids);
+        let want = reference(&g, &frontier);
 
         check("csr", &g, &frontier, &want)?;
-        // Chunk size 0 never splits a list; 7 splits anything above 14 edges.
+        // Chunk size 0 never splits a list; 3 splits anything above 6 edges.
         check("compressed/unsplit", &CompressedWGraph::from_csr_with_chunk_size(&g, 0), &frontier, &want)?;
-        check("compressed/split", &CompressedWGraph::from_csr_with_chunk_size(&g, 7), &frontier, &want)?;
+        check("compressed/split", &CompressedWGraph::from_csr_with_chunk_size(&g, 3), &frontier, &want)?;
 
         // Unique per test thread: the harness may run cases side by side.
         let path = std::env::temp_dir().join(format!(
