@@ -32,13 +32,14 @@ fi
 # Δ-stepping's visit protocol is one distance word per id with the round's
 # visited bit inside it, and so is the peel's, with its touched bit:
 # no flag bitset, no SeqCst, and every atomic access on the path says within
-# three lines above why its ordering holds. Set cover keeps its covered-element
-# bitset but holds to the rest: each of its phases is a call whose join
-# publishes its writes.
+# three lines above why its ordering holds. Set cover and its PBBS-style
+# baseline keep their covered-element bitsets but hold to the rest: each of
+# their phases is a call whose join publishes its writes.
 for f in crates/algorithms/src/delta_stepping.rs crates/ligra/src/edge_map_reduce.rs \
-    crates/algorithms/src/degeneracy.rs crates/algorithms/src/setcover.rs; do
+    crates/algorithms/src/degeneracy.rs crates/algorithms/src/setcover.rs \
+    crates/algorithms/src/setcover_baselines.rs; do
     refused='SeqCst|AtomicBitSet'
-    [ "$f" = crates/algorithms/src/setcover.rs ] && refused='SeqCst'
+    case "$f" in */setcover.rs | */setcover_baselines.rs) refused='SeqCst' ;; esac
     if grep -nE "$refused" "$f"; then
         echo "ci.sh: $f: the visit protocol is Relaxed and bitset-free; see DESIGN §6"
         exit 1
@@ -66,19 +67,20 @@ fi
 # table or benchmark runs (betweenness, MIS, weighted set cover,
 # closeness/harmonic, greedy coloring, the approximate densest subgraph and
 # the diameter estimator were deleted for that). Nor does a push walk beside
-# the one sparse driver (set cover's count and side-effect edgeMaps are
-# visits of it).
+# the one sparse driver (set cover's pack, count and side-effect edgeMaps
+# are visits of it). Nor does a second graph epoch beside the store's own.
 run tools/uncalled.sh
-if grep -rnE 'EdgeMapOptions|dense_threshold_div|fn run_data|fn dense_data_counted|telemetry_sink|enum ArgError|InEdges|with_transpose|fn in_view|for_each_in_|in_csr|in_graph|remove_duplicates|BatchResult|mod betweenness|mod mis|setcover_weighted|fn closeness|fn harmonic|greedy_coloring|densest_subgraph_approx|estimate_diameter|fn edge_map_filter_count|fn edge_map_packed' crates; then
+if grep -rnE 'EdgeMapOptions|dense_threshold_div|fn run_data|fn dense_data_counted|telemetry_sink|enum ArgError|InEdges|with_transpose|fn in_view|for_each_in_|in_csr|in_graph|remove_duplicates|BatchResult|mod betweenness|mod mis|setcover_weighted|fn closeness|fn harmonic|greedy_coloring|densest_subgraph_approx|estimate_diameter|fn edge_map_filter_count|fn edge_map_packed|fn edge_map_filter_pack|fn advance_epoch' crates; then
     echo "ci.sh: an option nobody sets or an entry point nobody calls is back; see CHANGES.md PR 22"
     exit 1
 fi
 # The SeqCst lines left for the ordering audit (ROADMAP item 10) only go
 # down: 101 once the library-only algorithms above, which held 29, went; 90
-# once set cover and Bellman-Ford stated their orderings.
+# once set cover and Bellman-Ford stated their orderings; 82 once the set
+# cover baseline did.
 seqcst=$(grep -rn 'SeqCst' crates shims | wc -l)
-if [ "$seqcst" -gt 90 ]; then
-    echo "ci.sh: $seqcst SeqCst lines under crates/ and shims/, above the 90 ratchet;"
+if [ "$seqcst" -gt 82 ]; then
+    echo "ci.sh: $seqcst SeqCst lines under crates/ and shims/, above the 82 ratchet;"
     echo "       give the new atomic the weakest ordering that holds, with an // ORDERING: line"
     exit 1
 fi
@@ -401,11 +403,11 @@ run env JULIENNE_CHAOS_SEED=1 JULIENNE_NUM_THREADS=4 cargo test -q -p rayon
 for seed in 1 24301; do
     run env JULIENNE_CHAOS_SEED=$seed JULIENNE_NUM_THREADS=4 cargo test -q --test proptest_bucket --test alloc_bucket
 done
-# A steady-state Δ-stepping round, solo or fused, allocates nothing (its
-# buffers are kept across rounds) on four workers and under the adversarial
-# scheduler too.
-run env JULIENNE_NUM_THREADS=4 cargo test -q --test alloc_sssp_rounds
-run env JULIENNE_CHAOS_SEED=1 JULIENNE_NUM_THREADS=4 cargo test -q --test alloc_sssp_rounds
+# A steady-state Δ-stepping round, solo or fused, and a set-cover round
+# allocate nothing (their buffers are kept across rounds) on four workers
+# and under the adversarial scheduler too.
+run env JULIENNE_NUM_THREADS=4 cargo test -q --test alloc_sssp_rounds --test alloc_setcover_rounds
+run env JULIENNE_CHAOS_SEED=1 JULIENNE_NUM_THREADS=4 cargo test -q --test alloc_sssp_rounds --test alloc_setcover_rounds
 # The sparse edgeMap driver: its inline and fanned-out walks keep the
 # sequential order, and its memory follows the hits, on four workers and
 # under the adversarial scheduler.

@@ -51,8 +51,7 @@ use std::sync::{Arc, OnceLock};
 /// memory-mapped graph, weighted or not, behind an [`Arc`] so many
 /// concurrent queries can share one immutable copy. [`GraphStore::Empty`]
 /// serves algorithms that build their own input (set cover generates its
-/// instance from parameters); it still records the requested backend so the
-/// instance can be routed through the compressed representation.
+/// instance from parameters).
 #[derive(Clone)]
 pub enum GraphStore {
     /// Unweighted CSR.
@@ -77,11 +76,8 @@ pub enum GraphStore {
         /// The epoch-pinned snapshot this clone reads, if pinned.
         pinned: Option<Arc<SnapshotGraph>>,
     },
-    /// No graph loaded; `backend` still routes generated instances.
-    Empty {
-        /// Requested representation for generated inputs.
-        backend: Backend,
-    },
+    /// No graph loaded.
+    Empty,
 }
 
 /// Binds `$g` to whatever graph `$store` holds and evaluates `$body`, or
@@ -120,7 +116,7 @@ macro_rules! any_graph_or {
                 let $g = snap.csr();
                 $body
             }
-            GraphStore::Empty { .. } => $empty,
+            GraphStore::Empty => $empty,
         }
     };
 }
@@ -211,13 +207,14 @@ impl GraphStore {
         }
     }
 
-    /// The epoch this store reads, when it has one (dynamic stores only).
-    pub fn epoch_hint(&self) -> Option<u64> {
+    /// The epoch of the graph version this store reads: the pinned or
+    /// published snapshot's for a dynamic store, 0 for an immutable one.
+    pub fn epoch(&self) -> u64 {
         match self {
             GraphStore::Dynamic { store, pinned } => {
-                Some(pinned.as_ref().map_or_else(|| store.epoch(), |s| s.epoch()))
+                pinned.as_ref().map_or_else(|| store.epoch(), |s| s.epoch())
             }
-            _ => None,
+            _ => 0,
         }
     }
 
@@ -281,14 +278,15 @@ impl GraphStore {
         }
     }
 
-    /// Which in-memory representation this store holds.
-    pub fn backend(&self) -> Backend {
+    /// Which in-memory representation this store holds; `None` when it
+    /// holds no graph.
+    pub fn backend(&self) -> Option<Backend> {
         match self {
-            GraphStore::Csr(_) | GraphStore::WCsr(_) => Backend::Csr,
-            GraphStore::Compressed(_) | GraphStore::WCompressed(_) => Backend::Compressed,
-            GraphStore::Mapped(_) | GraphStore::WMapped(_) => Backend::Mapped,
-            GraphStore::Dynamic { .. } => Backend::Csr,
-            GraphStore::Empty { backend } => *backend,
+            GraphStore::Csr(_) | GraphStore::WCsr(_) => Some(Backend::Csr),
+            GraphStore::Compressed(_) | GraphStore::WCompressed(_) => Some(Backend::Compressed),
+            GraphStore::Mapped(_) | GraphStore::WMapped(_) => Some(Backend::Mapped),
+            GraphStore::Dynamic { .. } => Some(Backend::Csr),
+            GraphStore::Empty => None,
         }
     }
 
@@ -362,10 +360,12 @@ fn open_compressed<W: Weight>(path: &Path, fmt: Format) -> Result<Compressed<W>,
 
 impl std::fmt::Debug for GraphStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let Some(backend) = self.backend() else {
+            return write!(f, "GraphStore(Empty)");
+        };
         write!(
             f,
-            "GraphStore({:?}, weighted={}, n={}, m={})",
-            self.backend(),
+            "GraphStore({backend:?}, weighted={}, n={}, m={})",
             self.is_weighted(),
             self.num_vertices(),
             self.num_edges()
@@ -1133,9 +1133,7 @@ mod tests {
         let err = Registry::standard()
             .run(
                 "frobnicate",
-                &GraphStore::Empty {
-                    backend: Backend::Csr,
-                },
+                &GraphStore::Empty,
                 &ParamMap::default(),
                 &QueryCtx::default(),
             )
@@ -1301,23 +1299,14 @@ mod tests {
     fn setcover_runs_without_a_graph() {
         let p = ParamMap::from_pairs([("sets", "32"), ("elements", "1000"), ("seed", "3")]);
         let out = Registry::standard()
-            .run(
-                "setcover",
-                &GraphStore::Empty {
-                    backend: Backend::Csr,
-                },
-                &p,
-                &QueryCtx::default(),
-            )
+            .run("setcover", &GraphStore::Empty, &p, &QueryCtx::default())
             .unwrap();
         assert!(out.contains("valid=yes"), "{out}");
     }
 
     #[test]
     fn setcover_refuses_an_empty_instance_as_usage() {
-        let empty = GraphStore::Empty {
-            backend: Backend::Csr,
-        };
+        let empty = GraphStore::Empty;
         for (sets, elements) in [("0", "1000"), ("32", "0")] {
             let p = ParamMap::from_pairs([("sets", sets), ("elements", elements)]);
             let err = Registry::standard()

@@ -16,24 +16,23 @@
 //! always wins all of its elements and is chosen, so every round makes
 //! progress while the per-bucket (1+ε) approximation factor is preserved.
 //!
-//! Every atomic access is `Relaxed`: each phase of a round (pack, reserve,
-//! count wins, commit/release, rebucket) is one parallel call whose join
-//! publishes its writes before the next phase reads them (DESIGN §6), and
-//! within a phase only `writeMin`'s atomicity, not its ordering, matters.
+//! Every phase of a round that walks lists (pack, reserve, count and
+//! commit) is a visit of the one sparse edgeMap driver, and every atomic
+//! access is `Relaxed`: each phase is one call whose join publishes its
+//! writes before the next phase reads them (DESIGN §6), and within a phase
+//! only `writeMin`'s atomicity, not its ordering, matters.
 
-use julienne::bucket::{BucketDest, BucketId, Bucketing, Order, NULL_BKT};
+use julienne::bucket::{BucketId, Bucketing, Order, NULL_BKT};
 use julienne::query::QueryCtx;
-use julienne::telemetry::Counter;
+use julienne::telemetry::{Counter, Phase};
 use julienne::Error;
 use julienne_graph::generators::SetCoverInstance;
 use julienne_graph::packed::PackedGraph;
 use julienne_graph::VertexId;
-use julienne_ligra::edge_map_filter::edge_map_filter_pack;
 use julienne_ligra::EdgeMap;
 use julienne_primitives::atomics::write_min_u32;
 use julienne_primitives::bitset::AtomicBitSet;
-use julienne_primitives::filter::filter_map;
-use rayon::prelude::*;
+use julienne_primitives::filter::pack_index;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Marker for sets that joined the cover (the pseudocode's `D[s] = ∞`).
@@ -122,95 +121,95 @@ pub fn cover(
 
     let mut rounds = 0u64;
     let mut edges_examined = 0u64;
+    // Round buffers, refilled in place every round: the extracted sets, the
+    // active ones and the bucket moves. The reserve and commit walks append
+    // nothing.
+    let (mut sets, mut active, mut rebucket) = (vec![], vec![], vec![]);
+    let none = &mut Vec::<()>::new();
 
     loop {
         // Round boundary: a cancelled/expired query unwinds here, dropping
         // the bucket structure and reservation arrays with it.
         ctx.check()?;
-        let span = telemetry.span();
-        let Some((b, sets)) = buckets.next_bucket() else {
+        let mut span = telemetry.span();
+        let Some(b) = span.lap(Phase::NextBucket, buckets.next_bucket_into(&mut sets)) else {
             break;
         };
         rounds += 1;
-        let round_edges: u64 = sets.par_iter().map(|&s| packed.degree(s) as u64).sum();
-        edges_examined += round_edges;
 
         // Phase 1 (lines 25–27): pack out covered elements, refresh D, and
-        // keep the sets still above this bucket's threshold active.
-        let sets_d = edge_map_filter_pack(&packed, &sets, |_s, e| !covered.get(elem_idx(e)));
-        sets_d.entries().par_iter().for_each(|&(s, new_deg)| {
-            // ORDERING: Relaxed; one task writes each set's word, and the
-            // join publishes it.
-            d[s as usize].store(new_deg, Ordering::Relaxed);
-        });
+        // keep the sets still above this bucket's threshold active, in
+        // frontier order. The walk returns the pre-pack degree sum: the
+        // round's edges examined.
         let threshold_active = (1.0 + eps).powi(b as i32).ceil() as u32;
-        let active = filter_map(sets_d.entries(), |&(s, deg)| {
-            (deg >= threshold_active).then_some(s)
+        let round_edges = em.run_sparse_at(&sets, &mut active, |_, list, active| {
+            let s = list.source;
+            // Packing during the visit is safe: a packed list is never
+            // chunked, so this is the one visit of `s`'s list.
+            debug_assert_eq!(list.len, packed.degree(s), "a packed list is visited whole");
+            let deg = packed.pack_list(s, |e| !covered.get(elem_idx(e)));
+            // ORDERING: Relaxed; only this visit writes `s`'s word, and the
+            // walk's join publishes it.
+            d[s as usize].store(deg, Ordering::Relaxed);
+            if deg >= threshold_active {
+                active.push(s);
+            }
         });
+        span.lap(Phase::Walk, ());
+        edges_examined += round_edges;
 
-        if !active.is_empty() {
-            // Phase 2 (lines 28–30): one MaNIS step. Active sets reserve
-            // uncovered elements (smallest id wins), then sets that won
-            // more than (1+ε)^(b−1) elements join the cover.
-            // The walks append nothing; a packed list is never split, so
-            // each visit sees a set's whole list.
-            let none = &mut Vec::<()>::new();
-            em.run_sparse_at(&active, none, |_, list, _| {
-                list.for_each(|e, ()| {
-                    if !covered.get(elem_idx(e)) {
-                        write_min_u32(&el[elem_idx(e)], list.source);
-                    }
-                });
+        // Phase 2 (lines 28–30): one MaNIS step. Active sets reserve their
+        // elements (smallest id wins): every element left in an active
+        // set's list after this round's pack is uncovered, and nothing is
+        // covered before the commit.
+        em.run_sparse_at(&active, none, |_, list, _| {
+            list.for_each(|e, ()| {
+                write_min_u32(&el[elem_idx(e)], list.source);
             });
-            let threshold_win = (1.0 + eps).powi(b as i32 - 1);
-            em.run_sparse_at(&active, none, |_, list, _| {
-                let s = list.source;
-                let mut won = 0u32;
-                // ORDERING: Relaxed; the reservations were published by the
-                // join that ended the reserve walk.
-                list.for_each(|e, ()| {
-                    won += u32::from(el[elem_idx(e)].load(Ordering::Relaxed) == s)
-                });
-                if won as f64 > threshold_win {
-                    // ORDERING: Relaxed; only this visit writes `s`'s word.
-                    d[s as usize].store(IN_COVER, Ordering::Relaxed);
+        });
+        // Phase 3 (lines 30–31): a set that won more than (1+ε)^(b−1)
+        // elements joins the cover and marks them covered; the rest release
+        // their reservations. Counting and committing in one visit is
+        // race-free: a visit writes `el[e]` only where `el[e] == s`, and no
+        // other visit compares `el[e]` against `s`, so a concurrent release
+        // (another set's id turning UNRESERVED) never changes this count.
+        let threshold_win = (1.0 + eps).powi(b as i32 - 1);
+        em.run_sparse_at(&active, none, |_, list, _| {
+            let s = list.source;
+            // ORDERING: Relaxed; the reserve walk's join published every
+            // reservation, and only `s` writes an element that holds `s`.
+            let mine = |e: VertexId| el[elem_idx(e)].load(Ordering::Relaxed) == s;
+            let mut won = 0u32;
+            list.for_each(|e, ()| won += u32::from(mine(e)));
+            let chosen = won as f64 > threshold_win;
+            if chosen {
+                // ORDERING: Relaxed; only this visit writes `s`'s word.
+                d[s as usize].store(IN_COVER, Ordering::Relaxed);
+            }
+            list.for_each(|e, ()| {
+                if mine(e) {
+                    if chosen {
+                        covered.set(elem_idx(e));
+                    } else {
+                        // ORDERING: Relaxed; as the load in `mine`.
+                        el[elem_idx(e)].store(UNRESERVED, Ordering::Relaxed);
+                    }
                 }
             });
-
-            // Phase 3 (line 31): mark elements of chosen sets covered;
-            // release reservations of the rest.
-            em.run_sparse_at(&active, none, |_, list, _| {
-                let s = list.source;
-                // ORDERING: Relaxed; the count walk's join published D.
-                let chosen = d[s as usize].load(Ordering::Relaxed) == IN_COVER;
-                list.for_each(|e, ()| {
-                    let ei = elem_idx(e);
-                    // ORDERING: Relaxed; only the set holding `ei`'s
-                    // reservation writes it, and no other set matches either
-                    // value the others may read.
-                    if el[ei].load(Ordering::Relaxed) == s {
-                        if chosen {
-                            covered.set(ei);
-                        } else {
-                            // ORDERING: as the load above.
-                            el[ei].store(UNRESERVED, Ordering::Relaxed);
-                        }
-                    }
-                });
-            });
-        }
+        });
+        span.lap(Phase::EdgeMap, ());
 
         // Phase 4 (lines 32–33): rebucket every extracted set that did not
         // join the cover.
-        let rebucket: Vec<(u32, BucketDest)> = filter_map(&sets, |&s| {
+        rebucket.clear();
+        rebucket.extend(sets.iter().filter_map(|&s| {
             // ORDERING: Relaxed; the commit walk's join published D.
             let deg = d[s as usize].load(Ordering::Relaxed);
-            if deg == IN_COVER {
-                return None;
-            }
-            Some((s, buckets.get_bucket(s, b, bucket_num(deg, inv_log1p_eps))))
-        });
+            (deg != IN_COVER).then(|| (s, buckets.get_bucket(s, b, bucket_num(deg, inv_log1p_eps))))
+        }));
+        span.lap(Phase::Reset, ());
         buckets.update_buckets(&rebucket);
+        span.lap(Phase::UpdateBuckets, ());
         telemetry.add(Counter::VerticesScanned, sets.len() as u64);
         telemetry.add(Counter::EdgesScanned, round_edges);
         // "Relaxed" here: the sets that joined the cover this round.
@@ -218,10 +217,8 @@ pub fn cover(
         telemetry.finish_round(span, rounds - 1, b, sets.len(), round_edges, joined);
     }
 
-    let cover: Vec<VertexId> = filter_map(&(0..num_sets as u32).collect::<Vec<_>>(), |&s| {
-        // ORDERING: Relaxed; the last round's joins published D.
-        (d[s as usize].load(Ordering::Relaxed) == IN_COVER).then_some(s)
-    });
+    // ORDERING: Relaxed; the last round's joins published D.
+    let cover = pack_index(num_sets, |s| d[s].load(Ordering::Relaxed) == IN_COVER);
     let assignment: Vec<u32> = el.into_iter().map(AtomicU32::into_inner).collect();
 
     Ok(SetCoverResult {
@@ -232,18 +229,17 @@ pub fn cover(
     })
 }
 
-/// Checks that `cover` covers every element of the instance.
+/// Checks that `cover` covers every element of the instance: a visit of
+/// each chosen set's list marks its elements, so a list that arrives in
+/// chunks marks the same elements.
 pub fn verify_cover(inst: &SetCoverInstance, cover: &[VertexId]) -> bool {
-    let mut in_cover = vec![false; inst.num_sets];
-    for &s in cover {
-        in_cover[s as usize] = true;
-    }
-    (0..inst.num_elements).into_par_iter().all(|e| {
-        inst.graph
-            .neighbors(inst.element_vertex(e))
-            .iter()
-            .any(|&s| in_cover[s as usize])
-    })
+    let covered = AtomicBitSet::new(inst.num_elements);
+    EdgeMap::new(&inst.graph).run_sparse_at(cover, &mut Vec::<()>::new(), |_, list, _| {
+        list.for_each(|e, _| {
+            covered.set(e as usize - inst.num_sets);
+        });
+    });
+    covered.into_bitset().count_ones() == inst.num_elements
 }
 
 #[cfg(test)]
@@ -263,6 +259,7 @@ mod tests {
             let inst = set_cover_instance(20, 200, 3, seed);
             let r = run(&inst, 0.01);
             assert!(verify_cover(&inst, &r.cover), "seed {seed}");
+            assert!(!verify_cover(&inst, &[]), "seed {seed}");
             assert!(!r.cover.is_empty());
         }
     }

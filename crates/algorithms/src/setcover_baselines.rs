@@ -1,5 +1,9 @@
 //! Set-cover baselines: the sequential greedy algorithm and the PBBS-style
 //! work-inefficient parallel comparator of Table 3 / Figure 5.
+//!
+//! The comparator's atomics are `Relaxed`, as in `setcover.rs`: each phase
+//! of a round is one parallel call whose join publishes its writes before
+//! the next phase reads them.
 
 use crate::setcover::SetCoverResult;
 use julienne_graph::generators::SetCoverInstance;
@@ -7,7 +11,7 @@ use julienne_graph::packed::PackedGraph;
 use julienne_graph::VertexId;
 use julienne_primitives::atomics::write_min_u32;
 use julienne_primitives::bitset::AtomicBitSet;
-use julienne_primitives::filter::{filter_map, pack_index};
+use julienne_primitives::filter::pack_index;
 use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -99,8 +103,8 @@ pub fn set_cover_pbbs_style(inst: &SetCoverInstance, eps: f64) -> SetCoverResult
 
     while b >= 0 {
         // Work-inefficiency: scan ALL undecided sets every round.
-        let undecided: Vec<VertexId> =
-            pack_index(num_sets, |s| decided[s].load(Ordering::SeqCst) == 0);
+        // ORDERING: Relaxed; the last round's joins published `decided`.
+        let undecided = pack_index(num_sets, |s| decided[s].load(Ordering::Relaxed) == 0);
         if undecided.is_empty() {
             break;
         }
@@ -110,29 +114,21 @@ pub fn set_cover_pbbs_style(inst: &SetCoverInstance, eps: f64) -> SetCoverResult
             .map(|&s| packed.degree(s) as u64)
             .sum::<u64>();
 
-        // Pack covered elements out of every undecided set.
-        let new_degs = packed.pack(&undecided, |_s, e| !covered.get(elem_idx(e)));
+        // Pack covered elements out of every undecided set; sets with no
+        // uncovered elements left are decided (not in cover).
         let threshold_active = (1.0 + eps).powi(b as i32).ceil() as u32;
-        let active: Vec<VertexId> = filter_map(
-            &undecided
-                .iter()
-                .copied()
-                .zip(new_degs.iter().copied())
-                .collect::<Vec<_>>(),
-            |&(s, deg)| {
-                if deg >= threshold_active {
-                    Some(s)
-                } else {
-                    None
+        let active: Vec<VertexId> = undecided
+            .par_iter()
+            .filter_map(|&s| {
+                let deg = packed.pack_list(s, |e| !covered.get(elem_idx(e)));
+                if deg == 0 {
+                    // ORDERING: Relaxed; one task writes each set's word,
+                    // and the join publishes it.
+                    decided[s as usize].store(2, Ordering::Relaxed);
                 }
-            },
-        );
-        // Sets with no uncovered elements left are decided (not in cover).
-        undecided.par_iter().for_each(|&s| {
-            if packed.degree(s) == 0 {
-                decided[s as usize].store(2, Ordering::SeqCst);
-            }
-        });
+                (deg >= threshold_active).then_some(s)
+            })
+            .collect();
         if active.is_empty() {
             b -= 1;
             continue;
@@ -152,27 +148,36 @@ pub fn set_cover_pbbs_style(inst: &SetCoverInstance, eps: f64) -> SetCoverResult
             let won = packed
                 .neighbors(s)
                 .iter()
-                .filter(|&&e| el[elem_idx(e)].load(Ordering::SeqCst) == s)
+                .filter(|&&e| {
+                    // ORDERING: Relaxed; the reserve pass's join published `el`.
+                    el[elem_idx(e)].load(Ordering::Relaxed) == s
+                })
                 .count();
             if won as f64 > threshold_win {
-                decided[s as usize].store(1, Ordering::SeqCst); // in cover
+                // ORDERING: Relaxed; only this task writes `s`'s word.
+                decided[s as usize].store(1, Ordering::Relaxed); // in cover
             }
         });
         active.par_iter().for_each(|&s| {
             for e in packed.neighbors(s) {
                 let ei = elem_idx(e);
-                if el[ei].load(Ordering::SeqCst) == s {
-                    if decided[s as usize].load(Ordering::SeqCst) == 1 {
+                // ORDERING: Relaxed; the count pass's join published `el` and
+                // `decided`, and only `s` writes an element that holds `s`.
+                if el[ei].load(Ordering::Relaxed) == s {
+                    // ORDERING: as above.
+                    if decided[s as usize].load(Ordering::Relaxed) == 1 {
                         covered.set(ei);
                     } else {
-                        el[ei].store(u32::MAX, Ordering::SeqCst);
+                        // ORDERING: as above.
+                        el[ei].store(u32::MAX, Ordering::Relaxed);
                     }
                 }
             }
         });
     }
 
-    let cover: Vec<VertexId> = pack_index(num_sets, |s| decided[s].load(Ordering::SeqCst) == 1);
+    // ORDERING: Relaxed; the last round's joins published `decided`.
+    let cover = pack_index(num_sets, |s| decided[s].load(Ordering::Relaxed) == 1);
     SetCoverResult {
         cover,
         assignment: el.into_iter().map(AtomicU32::into_inner).collect(),

@@ -143,7 +143,7 @@ fn cmd_algo(id: &str, a: &ParamMap) -> CmdResult {
     let backend = backend_opt(a)?;
     let ctx = query_ctx(a)?;
     let loaded: Result<GraphStore, Error> = match spec.needs {
-        GraphNeeds::None => Ok(GraphStore::Empty { backend }),
+        GraphNeeds::None => Ok(GraphStore::Empty),
         GraphNeeds::Unweighted => {
             let input = PathBuf::from(a.require("in")?);
             GraphStore::open(&input, false, backend)
@@ -161,7 +161,7 @@ fn cmd_algo(id: &str, a: &ParamMap) -> CmdResult {
             // ahead of filesystem failures by probing against an empty
             // store (the registry validates params before touching the
             // graph, so nothing actually runs).
-            let probe = Registry::standard().run(id, &GraphStore::Empty { backend }, &params, &ctx);
+            let probe = Registry::standard().run(id, &GraphStore::Empty, &params, &ctx);
             return match probe {
                 Err(e) if e.is_usage() => Err(e.into()),
                 _ => Err(load_err.into()),

@@ -10,12 +10,11 @@
 //! * **Canonical keys.** The params component is the canonical rendering
 //!   produced by the registry (floats parsed and re-rendered, keys sorted),
 //!   so `damping=0.85` and `damping=0.850` share one entry.
-//! * **Epoch stamping.** Every key embeds the [`Session`] graph epoch at
-//!   admission time. Mutating the graph bumps the epoch
-//!   ([`Session::advance_epoch`](crate::query::Session::advance_epoch)),
-//!   which makes every cached entry
-//!   unreachable without a stop-the-world flush; stale entries age out of
-//!   the LRU under insert pressure.
+//! * **Epoch stamping.** Every key embeds the epoch of the graph version
+//!   the query was pinned to at admission (always 0 for an immutable
+//!   graph). Mutating a dynamic graph publishes a new epoch, which makes
+//!   every cached entry of the old one unreachable without a stop-the-world
+//!   flush; stale entries age out of the LRU under insert pressure.
 //! * **Determinism.** Outputs are bit-identical across runs (the workspace
 //!   determinism contract), so serving a cached body is indistinguishable
 //!   from re-running the traversal — modulo the wire-visible `cached` flag.
@@ -23,8 +22,6 @@
 //! Only successful, stats-free outputs are cached: error responses are
 //! cheap to recompute and per-query stats traces embed timings that are not
 //! reproducible.
-//!
-//! [`Session`]: crate::query::Session
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,7 +43,7 @@ pub struct CacheKey {
     /// Canonical `key=value` rendering of the full parameter map (sorted
     /// keys, floats re-rendered), as produced by the registry.
     pub params: String,
-    /// The session graph epoch at admission time.
+    /// The epoch of the graph version the query was pinned to at admission.
     pub epoch: u64,
 }
 

@@ -60,7 +60,7 @@ pub mod prelude {
     pub use crate::Error;
     pub use julienne_graph::{Csr, Graph, VertexId, WGraph, Weight};
     pub use julienne_ligra::{
-        edge_map_filter_pack, edge_map_sum, vertex_filter, vertex_map, vertex_map_data, EdgeMap,
-        GraphRef, Mode, OutEdges, VertexSubset, VertexSubsetData,
+        edge_map_sum, vertex_filter, vertex_map, vertex_map_data, EdgeMap, GraphRef, Mode,
+        OutEdges, VertexSubset, VertexSubsetData,
     };
 }

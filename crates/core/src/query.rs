@@ -50,7 +50,7 @@ use crate::cache::ResultCache;
 use crate::engine::Engine;
 use julienne_primitives::error::Error;
 use julienne_primitives::telemetry::TelemetrySnapshot;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -233,10 +233,6 @@ impl QueryCtx {
 pub struct Session<G> {
     engine: Engine,
     graph: Arc<G>,
-    /// Graph-version stamp: bumped by [`advance_epoch`](Session::advance_epoch)
-    /// whenever the graph logically changes. Cache keys embed it, so a bump
-    /// invalidates every cached result without a flush.
-    epoch: Arc<AtomicU64>,
     /// Optional shared result cache (see [`crate::cache`]); attached via
     /// [`with_cache`](Session::with_cache).
     cache: Option<Arc<ResultCache>>,
@@ -251,7 +247,6 @@ impl Engine {
         Session {
             engine: self.clone(),
             graph,
-            epoch: Arc::new(AtomicU64::new(0)),
             cache: None,
         }
     }
@@ -269,7 +264,7 @@ impl<G> Session<G> {
     }
 
     /// Attaches a result cache with a `capacity_bytes` budget (0 detaches).
-    /// Clones of this session share the cache and the epoch counter.
+    /// Clones of this session share the cache.
     pub fn with_cache(mut self, capacity_bytes: usize) -> Self {
         self.cache = if capacity_bytes == 0 {
             None
@@ -282,20 +277,6 @@ impl<G> Session<G> {
     /// The attached result cache, if any.
     pub fn cache(&self) -> Option<&Arc<ResultCache>> {
         self.cache.as_ref()
-    }
-
-    /// The current graph epoch. Cache keys embed this value; results
-    /// computed under different epochs never alias.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Bumps the graph epoch (returns the new value). Call after any
-    /// logical graph mutation: queries admitted afterwards key their cache
-    /// entries under the new epoch, so every pre-bump entry becomes
-    /// unreachable and ages out of the LRU — no stop-the-world flush.
-    pub fn advance_epoch(&self) -> u64 {
-        self.epoch.fetch_add(1, Ordering::AcqRel) + 1
     }
 
     /// Mints the context for one query: template configuration, no
@@ -320,7 +301,6 @@ impl<G> Clone for Session<G> {
         Session {
             engine: self.engine.clone(),
             graph: Arc::clone(&self.graph),
-            epoch: Arc::clone(&self.epoch),
             cache: self.cache.clone(),
         }
     }
@@ -417,14 +397,10 @@ mod tests {
     }
 
     #[test]
-    fn session_epoch_and_cache_are_shared_across_clones() {
+    fn session_cache_is_shared_across_clones() {
         use crate::cache::CacheKey;
         let session = Engine::default().session(Arc::new(())).with_cache(1 << 16);
         let clone = session.clone();
-        assert_eq!(session.epoch(), 0);
-        assert_eq!(session.advance_epoch(), 1);
-        assert_eq!(clone.epoch(), 1, "clones share the epoch counter");
-
         let cache = session.cache().expect("cache attached");
         cache.put(CacheKey::new("kcore", "top=3", 1), "out".into());
         assert_eq!(
@@ -437,13 +413,6 @@ mod tests {
             "out",
             "clones share the cache"
         );
-        // A bumped epoch makes the entry unreachable under the new key.
-        session.advance_epoch();
-        assert!(clone
-            .cache()
-            .unwrap()
-            .get(&CacheKey::new("kcore", "top=3", session.epoch()))
-            .is_none());
         // with_cache(0) detaches.
         assert!(Engine::default()
             .session(Arc::new(()))

@@ -1,5 +1,5 @@
 //! Packable adjacency: a graph whose per-vertex neighbor lists can be
-//! compacted ("packed") in parallel.
+//! compacted ("packed") in place, one list at a time.
 //!
 //! `edgeMapFilter(…, Pack)` in Section 4.3 removes edges to covered
 //! elements from each set's adjacency list and updates its degree. The
@@ -7,8 +7,8 @@
 //! original CSR slice, so packing never allocates; the live length is
 //! tracked per vertex.
 //!
-//! The arena stays atomic because [`PackedGraph::pack`] takes `&self`: the
-//! per-vertex packs write through a shared reference from parallel tasks,
+//! The arena stays atomic because [`PackedGraph::pack_list`] takes `&self`:
+//! the per-vertex packs write through a shared reference from parallel tasks,
 //! and any reader holding the same reference may race them. So `targets`
 //! and the live lengths are `AtomicU32`s; readers read *values* (never
 //! tear, never go out of bounds), and each read pins the live length
@@ -17,7 +17,6 @@
 
 use crate::csr::{Csr, Weight};
 use crate::VertexId;
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// A graph with shrinkable adjacency lists.
@@ -61,7 +60,7 @@ impl PackedGraph {
 
     /// The live neighbors of `v`, with the live length pinned **once**.
     ///
-    /// A concurrent [`pack`](Self::pack) may shrink the list while we copy;
+    /// A concurrent [`pack_list`](Self::pack_list) may shrink the list while we copy;
     /// pinning the length up front (with the matching acquire on the pack's
     /// release store) guarantees the returned slice never exceeds the
     /// vertex's arena slice and every element is a value some pack wrote —
@@ -89,44 +88,35 @@ impl PackedGraph {
         }
     }
 
-    /// Packs the adjacency lists of every vertex in `vs`: keeps only
-    /// neighbors satisfying `pred`, compacts them to the front of the
-    /// vertex's slice, and updates the live degree. Returns the new degree
-    /// of each vertex, parallel to `vs`.
+    /// Packs `v`'s list in place: keeps only the neighbors satisfying
+    /// `pred`, compacted in one pass to the front of `v`'s own slice, and
+    /// publishes the new live degree, which it returns. Allocates nothing.
     ///
-    /// Different vertices pack concurrently; `vs` must not name the same
-    /// vertex twice, so each vertex's slice is touched by exactly one task.
-    /// `pred` must not read the adjacency lists being packed. Concurrent
-    /// *readers* are safe: survivors are stored before the shrunken degree
-    /// is released, so a reader that pins the new length sees only packed
-    /// elements.
-    pub fn pack<P>(&self, vs: &[VertexId], pred: P) -> Vec<u32>
-    where
-        P: Fn(VertexId, VertexId) -> bool + Send + Sync,
-    {
-        vs.par_iter()
-            .map(|&v| {
-                let start = self.offsets[v as usize] as usize;
-                let deg = self.live[v as usize].load(Ordering::Relaxed) as usize;
-                // Collect survivors locally, then write back to the front of
-                // the slice (each vertex owns its slice exclusively).
-                let mut kept: Vec<VertexId> = Vec::with_capacity(deg);
-                for k in 0..deg {
-                    let u = self.targets[start + k].load(Ordering::Relaxed);
-                    if pred(v, u) {
-                        kept.push(u);
-                    }
-                }
-                for (k, &u) in kept.iter().enumerate() {
-                    self.targets[start + k].store(u, Ordering::Relaxed);
-                }
-                let new_deg = kept.len() as u32;
-                // Release-publish the new length after the elements, pairing
-                // with the acquire load in `degree`/`neighbors`.
-                self.live[v as usize].store(new_deg, Ordering::Release);
-                new_deg
-            })
-            .collect()
+    /// Lists of different vertices may pack concurrently; one list must not
+    /// be packed by two tasks at once, and `pred` must not read it.
+    /// Concurrent *readers* are safe: survivors are stored before the
+    /// shrunken degree is released, so a reader that pins the new length
+    /// sees only packed elements.
+    ///
+    /// Set cover packs each list as a visit of the sparse edgeMap driver.
+    /// That is safe because a `PackedGraph` list is never chunked (its
+    /// `out_chunk_edges` is `usize::MAX`), so each list gets exactly one
+    /// visit.
+    pub fn pack_list(&self, v: VertexId, mut pred: impl FnMut(VertexId) -> bool) -> u32 {
+        let start = self.offsets[v as usize] as usize;
+        let deg = self.live[v as usize].load(Ordering::Relaxed) as usize;
+        let mut kept = 0;
+        for k in start..start + deg {
+            let u = self.targets[k].load(Ordering::Relaxed);
+            if pred(u) {
+                self.targets[start + kept].store(u, Ordering::Relaxed);
+                kept += 1;
+            }
+        }
+        // Release-publish the new length after the elements, pairing with
+        // the acquire load in `degree`/`neighbors`.
+        self.live[v as usize].store(kept as u32, Ordering::Release);
+        kept as u32
     }
 }
 
@@ -145,11 +135,9 @@ mod tests {
     fn pack_removes_filtered_neighbors() {
         let g = star();
         assert_eq!(g.degree(0), 5);
-        let new_degs = g.pack(&[0], |_, u| u % 2 == 1); // keep odd
-        assert_eq!(new_degs, vec![3]);
-        let mut nbrs = g.neighbors(0);
-        nbrs.sort_unstable();
-        assert_eq!(nbrs, vec![1, 3, 5]);
+        // Keep the odd ones; survivors keep their list order.
+        assert_eq!(g.pack_list(0, |u| u % 2 == 1), 3);
+        assert_eq!(g.neighbors(0), vec![1, 3, 5]);
         // Other vertices untouched.
         assert_eq!(g.degree(3), 1);
     }
@@ -158,29 +146,32 @@ mod tests {
     fn pack_is_idempotent_under_true() {
         let g = star();
         let before = g.neighbors(0);
-        g.pack(&[0], |_, _| true);
+        g.pack_list(0, |_| true);
         assert_eq!(g.neighbors(0), before);
     }
 
     #[test]
     fn repeated_packs_shrink_monotonically() {
         let g = star();
-        g.pack(&[0], |_, u| u <= 4);
+        g.pack_list(0, |u| u <= 4);
         assert_eq!(g.degree(0), 4);
-        g.pack(&[0], |_, u| u <= 2);
+        g.pack_list(0, |u| u <= 2);
         assert_eq!(g.degree(0), 2);
-        g.pack(&[0], |_, _| false);
+        g.pack_list(0, |_| false);
         assert_eq!(g.degree(0), 0);
         assert!(g.neighbors(0).is_empty());
     }
 
     #[test]
     fn parallel_pack_many_vertices() {
+        use rayon::prelude::*;
         // Each vertex i in a cycle of 1000 keeps neighbors < 500.
         let pairs: Vec<(u32, u32)> = (0..1000).map(|i| (i, (i + 1) % 1000)).collect();
         let g = PackedGraph::from_csr(&from_pairs_symmetric(1000, &pairs));
-        let vs: Vec<u32> = (0..1000).collect();
-        let degs = g.pack(&vs, |_, u| u < 500);
+        let degs: Vec<u32> = (0..1000u32)
+            .into_par_iter()
+            .map(|v| g.pack_list(v, |u| u < 500))
+            .collect();
         for v in 0..1000u32 {
             assert!(g.neighbors(v).iter().all(|&u| u < 500));
             assert_eq!(degs[v as usize] as usize, g.degree(v));
@@ -219,7 +210,7 @@ mod tests {
         };
         // Pack vertex 0 down one threshold at a time.
         for cut in (0..=64u32).rev() {
-            g.pack(&[0], |_, u| u <= cut);
+            g.pack_list(0, |u| u <= cut);
         }
         done.store(true, Ordering::Release);
         reader.join().unwrap();

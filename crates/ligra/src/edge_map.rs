@@ -328,7 +328,10 @@ impl<G: OutEdges> OutList<'_, G> {
 /// being a whole out-list or — for a list longer than twice the backend's
 /// [`OutEdges::out_chunk_edges`] — one chunk of it, so **in a round that
 /// fans out, a hub's list arrives one chunk at a time** and spreads over
-/// many pieces. Each piece appends its hits to its own buffer and the
+/// many pieces. An empty list counts as starting at the edge after its
+/// predecessor's last, and the empty lists at the frontier's end, which
+/// start past every range, are visited last, so every list gets its visit
+/// in either walk. Each piece appends its hits to its own buffer and the
 /// buffers are concatenated into `out` in piece order: memory written is
 /// proportional to the hits, not to the edges scanned.
 pub(crate) fn sparse_blocked<G, T, F>(
@@ -366,9 +369,12 @@ where
     let split = g.out_chunk_edges();
     let scan = |lo: usize, hi: usize| {
         let mut hits = Vec::new();
-        // Start at the list holding edge `lo`: the last one whose first
-        // edge is at or before it.
-        let mut i = offsets.partition_point(|&o| o <= lo).saturating_sub(1);
+        // Start at the first list that starts at edge `lo`, empty ones
+        // included, or else at the one holding edge `lo`.
+        let mut i = offsets.partition_point(|&o| o < lo);
+        if offsets.get(i).is_none_or(|&o| o > lo) {
+            i = i.saturating_sub(1);
+        }
         while i < offsets.len() && offsets[i] < hi {
             let (u, base) = (frontier_ids[i], offsets[i]);
             let end = offsets.get(i + 1).copied().unwrap_or(total);
@@ -398,6 +404,12 @@ where
         .map(|b| b.into_inner().unwrap_or_else(PoisonError::into_inner))
         .collect();
     flatten_into(&bufs, out);
+    // Empty lists at the end of the frontier start at edge `total`, in no
+    // piece's range: visit them last, in order.
+    let trailing = offsets.partition_point(|&o| o < total);
+    for (i, &u) in frontier_ids.iter().enumerate().skip(trailing) {
+        visit(i, list(u, 0, None), out);
+    }
     total as u64
 }
 
@@ -654,6 +666,29 @@ mod tests {
             out.to_vertices() // scatter slots fix the order — compare raw
         };
         assert_eq!(run(&split), run(&whole));
+    }
+
+    #[test]
+    fn fanned_out_walk_visits_every_empty_list_once() {
+        // Vertex 0 has exactly one block of out-edges, so with two pieces
+        // the second starts at edge 4096, where the empty lists of 2 and 3
+        // start too; 4 and 5 are empty and last.
+        let pairs: Vec<(u32, u32)> = (0..BLOCK_EDGES as u32)
+            .map(|k| (0, 6 + k))
+            .chain((0..10).map(|k| (1, 6 + k)))
+            .collect();
+        let g = from_pairs(BLOCK_EDGES + 6, &pairs);
+        assert_eq!(g.out_degree(0), BLOCK_EDGES);
+        let frontier = [0, 2, 3, 1, 4, 5];
+        let visits = || {
+            let mut seen = Vec::new();
+            EdgeMap::new(&g).run_sparse_at(&frontier, &mut seen, |i, _, seen| seen.push(i));
+            seen
+        };
+        assert_eq!(visits(), [0, 1, 2, 3, 4, 5]);
+        for pieces in [2, 3] {
+            assert_eq!(sparse_in_pieces(pieces, visits), [0, 1, 2, 3, 4, 5]);
+        }
     }
 
     #[test]

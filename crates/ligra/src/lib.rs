@@ -11,19 +11,19 @@
 //! * [`edge_map`] — direction-optimized `edgeMap` (sparse push / dense pull
 //!   with the |frontier| + outDegrees > m/20 switching rule),
 //! * [`edge_map_reduce`] — `edgeMapReduce` / `edgeMapSum` (per-neighbor
-//!   aggregation, used by k-core),
-//! * [`edge_map_filter`] — `edgeMapFilter` with the `Pack` option (used by
-//!   approximate set cover).
+//!   aggregation, used by k-core).
+//!
+//! `edgeMapFilter` with the `Pack` option, which approximate set cover
+//! uses, is a visit of the sparse driver that calls
+//! `PackedGraph::pack_list` on each list.
 
 pub mod edge_map;
-pub mod edge_map_filter;
 pub mod edge_map_reduce;
 pub mod subset;
 pub mod traits;
 pub mod vertex_ops;
 
 pub use edge_map::{EdgeMap, Mode};
-pub use edge_map_filter::edge_map_filter_pack;
 pub use edge_map_reduce::{edge_map_sum, edge_map_sum_with_scratch, SumScratch};
 pub use subset::{VertexSubset, VertexSubsetData};
 pub use traits::{GraphRef, OutEdges};

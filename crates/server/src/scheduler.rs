@@ -241,13 +241,12 @@ impl Scheduler {
         }
 
         // Pin the graph this query reads *now*: mutations published after
-        // this line do not affect it. For dynamic stores the cache-key
-        // epoch is the pinned snapshot's — never a later one — so a cached
-        // body can only ever be served to queries of the same epoch.
+        // this line do not affect it. The cache-key epoch is the pinned
+        // snapshot's — never a later one — so a cached body can only ever
+        // be served to queries of the same epoch.
         let store = self.session.graph().pin();
-        let epoch = store.epoch_hint().unwrap_or_else(|| self.session.epoch());
         let cache_key = match (&canonical, stats) {
-            (Some(c), false) => Some(CacheKey::new(algo, c, epoch)),
+            (Some(c), false) => Some(CacheKey::new(algo, c, store.epoch())),
             _ => None,
         };
 
@@ -464,9 +463,9 @@ impl Scheduler {
     }
 
     /// The writer lane: applies one update batch to the dynamic store
-    /// (serializing on its writer lock), bumps the session epoch so the
-    /// result cache leaves the old epoch's entries behind, and reports the
-    /// published epoch.
+    /// (serializing on its writer lock), which publishes the next epoch, so
+    /// the result cache leaves the old epoch's entries behind, and reports
+    /// the published epoch.
     fn run_mutation(&self, ctx: &QueryCtx, updates: &[EdgeUpdate]) -> Result<String, Error> {
         ctx.check()?;
         let GraphStore::Dynamic { store, .. } = self.session.graph() else {
@@ -475,7 +474,6 @@ impl Scheduler {
             ));
         };
         let applied = store.apply_batch(updates)?;
-        self.session.advance_epoch();
         Ok(format!(
             "epoch={} applied={} n={} m={}\n",
             applied.epoch,

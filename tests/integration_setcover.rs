@@ -1,10 +1,14 @@
 //! Cross-crate integration: set cover validity, approximation quality, and
 //! the work-efficiency separation against the PBBS-style baseline.
 
-use julienne_repro::algorithms::setcover::{cover, verify_cover, SetCoverParams};
+mod common;
+
+use common::at;
+use julienne_repro::algorithms::setcover::{cover, verify_cover, SetCoverParams, SetCoverResult};
 use julienne_repro::algorithms::setcover_baselines::{set_cover_greedy_seq, set_cover_pbbs_style};
 use julienne_repro::core::query::QueryCtx;
 use julienne_repro::graph::generators::set_cover_instance;
+use julienne_repro::ligra::edge_map::sparse_in_pieces;
 
 #[test]
 fn all_implementations_cover_all_families() {
@@ -83,4 +87,36 @@ fn tiny_degenerate_instances() {
     let r = cover(&inst, &SetCoverParams { eps: 0.01 }, &QueryCtx::default()).unwrap();
     assert!(verify_cover(&inst, &r.cover));
     assert!(r.cover.len() <= 10);
+}
+
+#[test]
+fn forced_pieces_match_the_one_piece_run() {
+    // No served set-cover round reaches the sparse driver's fan-out
+    // threshold, so force it: the pack, reserve and count/commit visits
+    // that run concurrently, packing lists in place, must leave what the
+    // one-piece walk leaves, on one worker and on four.
+    let inst = set_cover_instance(500, 40_000, 4, 31);
+    let outcome = |r: SetCoverResult| (r.cover, r.assignment, r.rounds, r.edges_examined);
+    for eps in [0.1, 1.0] {
+        let params = SetCoverParams { eps };
+        let run = || {
+            let jul = cover(&inst, &params, &QueryCtx::default()).unwrap();
+            (outcome(jul), outcome(set_cover_pbbs_style(&inst, eps)))
+        };
+        let (jul, pbbs) = run();
+        assert!(verify_cover(&inst, &jul.0), "eps {eps}");
+        for threads in [1, 4] {
+            for pieces in [2, 3, 7] {
+                let (j, p) = at(threads, || sparse_in_pieces(pieces, run));
+                assert!(
+                    j == jul,
+                    "cover: eps={eps} pieces={pieces} threads={threads}"
+                );
+                assert!(
+                    p == pbbs,
+                    "pbbs: eps={eps} pieces={pieces} threads={threads}"
+                );
+            }
+        }
+    }
 }

@@ -3,8 +3,9 @@
 //! order** equal a sequential frontier-order × edge-order reference — at 1
 //! and 2 threads and under schedule chaos. The list visitor of
 //! `run_sparse_at` sees every (frontier position, edge) exactly once and in
-//! that order, each list or chunk yields as many edges as its `len`, and
-//! the lengths add up to the edges scanned. These rounds are small enough
+//! that order, and every empty list once in its place, each list or chunk
+//! yields as many edges as its `len`, and the lengths add up to the edges
+//! scanned. These rounds are small enough
 //! to run as one piece, so the fanned-out walk is also driven directly at
 //! 2, 3 and 7 pieces.
 
@@ -73,22 +74,29 @@ fn payload(u: u32, v: u32, w: u32) -> Option<u64> {
 
 /// What one backend's sparse traversals return: `run_sparse_data`'s entries,
 /// `run_sparse`'s ids, and the list visitor's (frontier position, target,
-/// weight) per edge with the edges scanned, the sum of the units' `len`s
-/// and the units whose `for_each` disagreed with their `len`.
+/// weight) per edge, or (frontier position, [`EMPTY`], 0) per empty list,
+/// with the edges scanned, the sum of the units' `len`s and the units whose
+/// `for_each` disagreed with their `len`.
 type Runs = (Vec<(u32, u64)>, Vec<u32>, Vec<(usize, u32, u32)>, [u64; 3]);
 
+/// The target the list visitor records for a visit of an empty list.
+const EMPTY: u32 = u32::MAX;
+
 fn reference(g: &Csr<u32>, frontier: &[u32]) -> Runs {
-    let (mut entries, mut edges) = (Vec::new(), Vec::new());
+    let (mut entries, mut edges, mut scanned) = (Vec::new(), Vec::new(), 0);
     for (i, &u) in frontier.iter().enumerate() {
         for (v, w) in g.edges_of(u) {
             if cond(v) {
                 entries.extend(payload(u, v, w).map(|t| (v, t)));
             }
             edges.push((i, v, w));
+            scanned += 1;
+        }
+        if g.out_degree(u) == 0 {
+            edges.push((i, EMPTY, 0));
         }
     }
     let ids = entries.iter().map(|&(v, _)| v).collect();
-    let scanned = edges.len() as u64;
     (entries, ids, edges, [scanned, scanned, 0])
 }
 
@@ -103,6 +111,9 @@ fn run<G: OutEdges<W = u32>>(g: &G, frontier: &[u32]) -> Runs {
         let before = edges.len();
         list.for_each(|v, w| edges.push((i, v, w)));
         let wrong = edges.len() - before != list.len || list.source != frontier[i];
+        if list.len == 0 {
+            edges.push((i, EMPTY, 0));
+        }
         lens.fetch_add(list.len as u64, Ordering::Relaxed);
         bad.fetch_add(u64::from(wrong), Ordering::Relaxed);
     });

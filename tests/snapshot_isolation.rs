@@ -100,7 +100,7 @@ fn solo_outputs(g: &Graph, batches: &[Vec<EdgeUpdate>]) -> HashMap<(String, u64)
             assert_eq!(applied.epoch, epoch);
         }
         let pinned = GraphStore::dynamic(Arc::clone(&store)).pin();
-        assert_eq!(pinned.epoch_hint(), Some(epoch));
+        assert_eq!(pinned.epoch(), epoch);
         for algo in ALGOS {
             out.insert((algo.to_string(), epoch), run_solo(algo, &pinned));
         }
@@ -140,7 +140,7 @@ fn run_scenario(g: &Graph, batches: &[Vec<EdgeUpdate>]) -> Vec<Observation> {
                     // Pin first, exactly like scheduler admission: the
                     // epoch in the cache key is the pinned snapshot's.
                     let pinned = GraphStore::dynamic(Arc::clone(&store)).pin();
-                    let epoch = pinned.epoch_hint().unwrap();
+                    let epoch = pinned.epoch();
                     let key = CacheKey::new(algo, "", epoch);
                     let (output, hit) = match cache.get(&key) {
                         Some(cached) => ((*cached).clone(), true),
@@ -223,8 +223,8 @@ fn pinned_queries_ignore_later_mutations() {
         store.apply_batch(&b).unwrap();
     }
     let after = GraphStore::dynamic(Arc::clone(&store)).pin();
-    assert_eq!(before.epoch_hint(), Some(0));
-    assert_eq!(after.epoch_hint(), Some(BATCHES as u64));
+    assert_eq!(before.epoch(), 0);
+    assert_eq!(after.epoch(), BATCHES as u64);
 
     for (algo, want) in ALGOS.iter().zip(&solo_before) {
         // The stale pin still answers exactly as it did before the writes…

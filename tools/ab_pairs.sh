@@ -12,7 +12,11 @@
 # needs the change to win at least nine tenths of the pairs (ties count for
 # neither side) and the medians to differ by more than the distance between
 # the parent's quartiles; a *regression* is a median worse than the parent's
-# by more than the metric's bound in BENCHMARK.json. --out appends the rows
+# by more than the metric's bound in BENCHMARK.json. A pair either of whose
+# runs the benchmark marks invalid (`"valid": false` in its run file, as
+# serve-hot does when its load generator runs late) is printed but kept out
+# of the medians, wins and verdicts; when fewer than half the pairs are
+# left, the verdict is "too few pairs". --out appends the rows
 # and the host fingerprint (from each side's benchmark/out/run-*.json) to a
 # JSON file, creating it if need be, with each side's `git describe
 # --always --dirty` under "commits" and, for a dirty side, the hash of its
@@ -58,15 +62,21 @@ parent_id="$(identify "$parent")"; change_id="$(identify "$change")"
 echo "parent: $parent_id" >&2
 echo "change: $change_id" >&2
 
+suffix="${smoke:+-smoke}"
+
 # One side's run: its result object (the last line of stdout) goes to $rows
-# tagged with the pair and the side. A failed output check (exit 1) still
-# prints a result and is counted below; anything else stops the script.
+# tagged with the pair, the side and whether the run file calls the run
+# valid (a run file without the flag is valid). A failed output check
+# (exit 1) still prints a result and is counted below; anything else stops
+# the script.
 run_side() { # <pair> <side> <checkout>
-    local result status=0
+    local result valid status=0
     result="$(cd "$3" && env -u CARGO_TARGET_DIR benchmark/run.sh \
         --workload "$workload" --seed "$seed" --trace 0 $smoke | tail -n 1)" || status=$?
     [ "$status" -le 1 ] || { echo "ab_pairs: $2 run failed (exit $status)" >&2; exit 2; }
-    printf '{"pair":%d,"side":"%s","result":%s}\n' "$1" "$2" "$result" >>"$rows"
+    valid="$(python3 -c 'import json, sys; print(json.dumps(json.load(open(sys.argv[1]))["run"].get("valid", True)))' \
+        "$3/benchmark/out/run-$workload-seed$seed-trace0$suffix.json")"
+    printf '{"pair":%d,"side":"%s","valid":%s,"result":%s}\n' "$1" "$2" "$valid" "$result" >>"$rows"
 }
 
 for i in $(seq 1 "$pairs"); do
@@ -78,7 +88,6 @@ for i in $(seq 1 "$pairs"); do
     echo "pair $i/$pairs done" >&2
 done
 
-suffix="${smoke:+-smoke}"
 python3 - "$rows" "$workload" "$seed" "$out" "$change/BENCHMARK.json" "$parent_id" "$change_id" \
     "$parent/benchmark/out/run-$workload-seed$seed-trace0$suffix.json" \
     "$change/benchmark/out/run-$workload-seed$seed-trace0$suffix.json" <<'PY'
@@ -90,7 +99,10 @@ rows = [json.loads(line) for line in open(rows_path)]
 spec = json.load(open(spec_path))
 metrics = [(m["name"], m["unit"], m["bound"]) for m in spec["end_to_end"]]
 sides = {s: [r["result"] for r in rows if r["side"] == s] for s in ("parent", "change")}
-n = len(sides["parent"])
+pairs = len(sides["parent"])
+valid = [all(r["valid"] for r in rows if r["pair"] == i) for i in range(1, pairs + 1)]
+n = sum(valid)
+too_few = n == 0 or 2 * n < pairs
 
 def quartiles(xs):
     if len(xs) < 2:
@@ -103,19 +115,25 @@ for name, unit, bound in metrics:
     p = [r["metrics"][name]["value"] for r in sides["parent"]]
     c = [r["metrics"][name]["value"] for r in sides["change"]]
     print(f"\n{name} ({unit}, lower is better) on {workload} seed {seed}")
-    for i, (a, b) in enumerate(zip(p, c), 1):
+    for i, (a, b, ok) in enumerate(zip(p, c, valid), 1):
         first = "parent" if i % 2 else "change"
-        print(f"  pair {i:2}: parent {a:10.4f}  change {b:10.4f}  ({first} first)")
-    pq1, pmed, pq3 = quartiles(p)
-    cq1, cmed, cq3 = quartiles(c)
-    wins = sum(b < a for a, b in zip(p, c))
-    losses = sum(b > a for a, b in zip(p, c))
+        note = "" if ok else "  invalid run: dropped"
+        print(f"  pair {i:2}: parent {a:10.4f}  change {b:10.4f}  ({first} first){note}")
+    # The valid pairs; all of them, for the printout only, when none is.
+    kept = [(a, b) for a, b, ok in zip(p, c, valid) if ok] or list(zip(p, c))
+    kp, kc = [a for a, _ in kept], [b for _, b in kept]
+    pq1, pmed, pq3 = quartiles(kp)
+    cq1, cmed, cq3 = quartiles(kc)
+    wins = sum(b < a for a, b in kept)
+    losses = sum(b > a for a, b in kept)
     iqr = pq3 - pq1
-    if wins >= 0.9 * n and pmed - cmed > iqr:
+    if too_few:
+        verdict = "too few pairs"
+    elif wins >= 0.9 * n and pmed - cmed > iqr:
         verdict = "gain" if n >= 10 else "too few pairs to call a gain"
     elif cmed > pmed * (1 + bound):
         verdict = "regression"
-    elif max(iqr, cq3 - cq1) > bound * pmed and not (max(c) < min(p)):
+    elif max(iqr, cq3 - cq1) > bound * pmed and not (max(kc) < min(kp)):
         verdict = "unresolved"
     else:
         verdict = "within bound"
@@ -129,6 +147,7 @@ for name, unit, bound in metrics:
         "wins": wins, "losses": losses, "verdict": verdict,
     }
 
+print(f"\npairs: {pairs}, dropped as invalid: {pairs - n}")
 failed = {s: sum(r["failed"] for r in rs) for s, rs in sides.items()}
 attempted = {s: sum(r["attempted"] for r in rs) for s, rs in sides.items()}
 print(f"\nfailed ops: parent {failed['parent']}/{attempted['parent']}, "
@@ -138,7 +157,8 @@ if out:
     runs = {"parent": json.load(open(parent_run)), "change": json.load(open(change_run))}
     host = {k: runs["change"][k] for k in ("nproc", "threads", "rustc", "cpu_model")}
     entry = {
-        "workload": workload, "seed": int(seed), "pairs": n,
+        "workload": workload, "seed": int(seed), "pairs": n, "dropped": pairs - n,
+        "valid": valid,
         "smoke": runs["change"]["smoke"], "seconds": runs["change"]["seconds"],
         "commits": {s: i[0] for s, i in ids.items()},
         "trees": {s: i[1] for s, i in ids.items() if len(i) > 1},
