@@ -111,6 +111,18 @@ for entry in kcore::coreness delta_stepping::sssp_multi setcover::cover ktruss::
         exit 1
     fi
 done
+# The four text formats read through one line reader and `Format`'s facts
+# live in one table (DESIGN §2): the code lines of graph/src/io.rs, counted
+# as above from the top of the file to its first `#[cfg(test)]`, only go
+# down. 700 before the line reader; 594 after it.
+io_code=$(awk '/^#\[cfg\(test\)\]/ { exit }
+    $0 !~ /^[ \t]*(\/\/.*)?$/ { code++ }
+    END { print code + 0 }' crates/graph/src/io.rs)
+echo "==> graph/src/io.rs: $io_code code lines (ratchet 594)"
+if [ "$io_code" -gt 594 ]; then
+    echo "ci.sh: graph/src/io.rs grew past 594 code lines; read a new text format through LineReader"
+    exit 1
+fi
 
 # --- serve smoke test -------------------------------------------------------
 # End-to-end over a real socket: start `julienne serve`, fire concurrent

@@ -282,12 +282,7 @@ pub fn cmd_convert(a: &ParamMap) -> CmdResult {
     let compressed_payload: bool = a.get_or("compressed_payload", false)?;
     let verify: bool = a.get_or("verify", false)?;
     a.finish(None)?;
-    let out_fmt = Format::from_extension(&out).ok_or_else(|| {
-        usage_err(format!(
-            "cannot infer output format from {:?} (use .adj/.el/.gr/.bin/.metis/.jgr)",
-            out.display()
-        ))
-    })?;
+    let out_fmt = Format::for_output(&out)?;
     if compressed_payload && out_fmt != Format::Container {
         return Err(usage_err(
             "compressed_payload=true only applies to .jgr container output",

@@ -3,30 +3,29 @@
 //!
 //! The supported formats are Ligra adjacency text, whitespace edge lists,
 //! DIMACS `.gr`, METIS, a legacy length-prefixed binary format, and the
-//! zero-copy [`crate::container`] (`.jgr`). Format selection is explicit
-//! via [`IoOptions::format`] or automatic: extension first, then magic
-//! bytes for extensionless/unknown paths (reads only — a write with an
-//! unrecognized extension is a usage error, since there is nothing to
-//! sniff).
+//! zero-copy [`crate::container`] (`.jgr`). One table holds each format's
+//! names, extensions and magic bytes. Format selection is explicit via
+//! [`IoOptions::format`] or automatic: extension first, then magic bytes
+//! (reads only — a write with an unrecognized extension is a usage error).
 //!
-//! Every reader and writer returns the workspace [`Error`] enum: OS-level
-//! failures surface as [`Error::Io`] with the path attached, malformed
-//! content as [`Error::Parse`] with the path and (for line-oriented
-//! formats) the 1-based line of the offending record. Callers — the CLI,
-//! the query server — render or classify these without re-parsing strings.
-//!
-//! Until PR 6 this module exported ten loose `read_*`/`write_*` free
-//! functions; they survive as private helpers behind [`GraphIo`], which is
-//! the only public entry point.
+//! The four text formats are each one loop over one line reader. Every
+//! failure is a workspace [`Error`]: an OS-level one (bytes that are not
+//! UTF-8 among them) an [`Error::Io`] with the path, malformed content an
+//! [`Error::Parse`] with the path and, for text, the 1-based line. A weight
+//! that does not fit `W` is refused, never truncated; so is a METIS list
+//! that its neighbour's list does not return.
 
 use crate::builder::EdgeList;
 use crate::csr::{Csr, Weight};
 use crate::VertexId;
 use bytes::{Buf, BufMut};
 use julienne_primitives::error::Error;
+use std::cell::Cell;
+use std::fmt::Display;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write as _};
 use std::path::Path;
+use std::str::FromStr;
 
 /// On-disk graph formats [`GraphIo`] can read and write.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,45 +44,64 @@ pub enum Format {
     Container,
 }
 
+/// Each format's facts, in [`Format`] order: its names (the canonical one
+/// first; `format=` takes these and the extensions), the extensions that
+/// select it, and the leading bytes that identify a file of it.
+type Facts = (Format, Names, Names, &'static [&'static [u8]]);
+type Names = &'static [&'static str];
+
+const FORMATS: [Facts; 6] = [
+    (
+        Format::Adjacency,
+        &["adj", "adjacency"],
+        &["adj"],
+        &[b"AdjacencyGraph", b"WeightedAdjacencyGraph"],
+    ),
+    (Format::EdgeList, &["el", "edgelist"], &["el", "txt"], &[]),
+    (Format::Dimacs, &["dimacs"], &["gr"], &[b"p sp "]),
+    (Format::Metis, &["metis"], &["metis", "graph"], &[]),
+    (
+        Format::Binary,
+        &["bin", "binary"],
+        &["bin"],
+        &[&BINARY_MAGIC.to_le_bytes()],
+    ),
+    (
+        Format::Container,
+        &["jgr", "container"],
+        &["jgr"],
+        &[&crate::container::MAGIC],
+    ),
+];
+
 impl Format {
     /// The canonical CLI spelling.
     pub fn name(&self) -> &'static str {
-        match self {
-            Format::Adjacency => "adj",
-            Format::EdgeList => "el",
-            Format::Dimacs => "dimacs",
-            Format::Metis => "metis",
-            Format::Binary => "bin",
-            Format::Container => "jgr",
-        }
+        FORMATS[*self as usize].1[0]
     }
 
-    /// Parses a user-supplied format name (CLI `format=` values).
+    /// Parses a user-supplied format name (CLI `format=` values): a
+    /// canonical name, an alias, or an extension.
     pub fn parse(s: &str) -> Result<Format, Error> {
-        match s {
-            "adj" | "adjacency" => Ok(Format::Adjacency),
-            "el" | "edgelist" | "txt" => Ok(Format::EdgeList),
-            "gr" | "dimacs" => Ok(Format::Dimacs),
-            "metis" | "graph" => Ok(Format::Metis),
-            "bin" | "binary" => Ok(Format::Binary),
-            "jgr" | "container" => Ok(Format::Container),
-            other => Err(Error::usage(format!(
-                "unknown graph format {other:?} (expected adj, el, dimacs, metis, bin, or jgr)"
-            ))),
-        }
+        let named = |f: &&Facts| f.1.contains(&s) || f.2.contains(&s);
+        FORMATS.iter().find(named).map(|f| f.0).ok_or_else(|| {
+            let names = FORMATS.map(|f| f.1[0]).join(", ");
+            Error::usage(format!(
+                "unknown graph format {s:?} (expected one of {names})"
+            ))
+        })
     }
 
     /// Maps a file extension to a format, if recognized.
     pub fn from_extension(path: &Path) -> Option<Format> {
-        match path.extension().and_then(|e| e.to_str()) {
-            Some("adj") => Some(Format::Adjacency),
-            Some("el") | Some("txt") => Some(Format::EdgeList),
-            Some("gr") => Some(Format::Dimacs),
-            Some("metis") | Some("graph") => Some(Format::Metis),
-            Some("bin") => Some(Format::Binary),
-            Some("jgr") => Some(Format::Container),
-            _ => None,
-        }
+        let ext = path.extension()?.to_str()?;
+        FORMATS.iter().find(|f| f.2.contains(&ext)).map(|f| f.0)
+    }
+
+    /// The format a write to `path` takes from its extension; a usage error
+    /// when the extension names none, since there is nothing to sniff.
+    pub fn for_output(path: &Path) -> Result<Format, Error> {
+        Format::from_extension(path).ok_or_else(|| undetermined("output", path))
     }
 
     /// Identifies an existing file by its leading bytes: the `.jgr` and
@@ -93,30 +111,12 @@ impl Format {
     /// `Ok(None)` when nothing matches (edge lists and METIS have no
     /// reliable signature).
     pub fn sniff(path: &Path) -> Result<Option<Format>, Error> {
-        let mut head = [0u8; 24];
-        let mut f = File::open(path).map_err(|e| Error::io_at(path, e))?;
-        let got = {
-            let mut filled = 0;
-            loop {
-                match f.read(&mut head[filled..]) {
-                    Ok(0) => break filled,
-                    Ok(k) => filled += k,
-                    Err(e) => return Err(Error::io_at(path, e)),
-                }
-            }
-        };
-        let head = &head[..got];
-        if head.starts_with(&crate::container::MAGIC) {
-            return Ok(Some(Format::Container));
-        }
-        if head.len() >= 8 && head[0..8] == BINARY_MAGIC.to_le_bytes() {
-            return Ok(Some(Format::Binary));
-        }
-        if head.starts_with(b"AdjacencyGraph") || head.starts_with(b"WeightedAdjacencyGraph") {
-            return Ok(Some(Format::Adjacency));
-        }
-        if head.starts_with(b"p sp ") {
-            return Ok(Some(Format::Dimacs));
+        let at = |e| Error::io_at(path, e);
+        let mut f = File::open(path).map_err(at)?;
+        let mut head = Vec::with_capacity(24);
+        (&mut f).take(24).read_to_end(&mut head).map_err(at)?;
+        if let Some(fmt) = Format::by_magic(&head) {
+            return Ok(Some(fmt));
         }
         if head.starts_with(b"c ") || head.starts_with(b"c\n") || head.starts_with(b"c\r\n") {
             return Ok(Self::sniff_dimacs_past_comments(f));
@@ -124,14 +124,18 @@ impl Format {
         Ok(None)
     }
 
+    /// The format whose magic `head` starts with.
+    fn by_magic(head: &[u8]) -> Option<Format> {
+        let opens = |f: &&Facts| f.3.iter().any(|magic| head.starts_with(magic));
+        FORMATS.iter().find(opens).map(|f| f.0)
+    }
+
     /// The file opens like a DIMACS comment; it only *is* DIMACS if a
     /// `p sp` problem line follows the comment block. The scan is bounded
     /// so a large non-DIMACS text file stays cheap to reject.
     fn sniff_dimacs_past_comments(mut f: File) -> Option<Format> {
         use std::io::Seek as _;
-        if f.rewind().is_err() {
-            return None;
-        }
+        f.rewind().ok()?;
         let mut lines = BufReader::new(f).lines();
         for _ in 0..1024 {
             // Read errors (including non-UTF-8 bytes) mean "not DIMACS",
@@ -152,18 +156,21 @@ impl Format {
     /// Detects the format of an existing file: extension first, then magic
     /// bytes. A usage error when neither recognizes the file.
     pub fn detect(path: &Path) -> Result<Format, Error> {
-        if let Some(fmt) = Format::from_extension(path) {
-            return Ok(fmt);
+        match Format::from_extension(path) {
+            Some(fmt) => Ok(fmt),
+            None => Format::sniff(path)?.ok_or_else(|| undetermined("graph", path)),
         }
-        if let Some(fmt) = Format::sniff(path)? {
-            return Ok(fmt);
-        }
-        Err(Error::usage(format!(
-            "cannot determine the graph format of {} (use a .adj/.el/.gr/.metis/.bin/.jgr \
-             extension or pass format= explicitly)",
-            path.display()
-        )))
     }
+}
+
+/// The usage error for a path whose `what` format cannot be determined.
+fn undetermined(what: &str, path: &Path) -> Error {
+    let exts = FORMATS.map(|f| f.2.join("/.")).join("/.");
+    Error::usage(format!(
+        "cannot determine the {what} format of {} (use a .{exts} extension or pass format= \
+         explicitly)",
+        path.display()
+    ))
 }
 
 impl std::fmt::Display for Format {
@@ -198,36 +205,15 @@ impl GraphIo {
     /// `W` for formats that record it; DIMACS is inherently weighted and
     /// rejects `W = ()` as a usage error.
     pub fn read<W: Weight>(path: &Path, opts: &IoOptions) -> Result<Csr<W>, Error> {
-        let fmt = match opts.format {
-            Some(f) => f,
-            None => Format::detect(path)?,
-        };
-        match fmt {
+        match opts.format.map_or_else(|| Format::detect(path), Ok)? {
             Format::Adjacency => read_adjacency_graph(path),
             Format::EdgeList => read_edge_list(path, opts.vertices, opts.symmetric),
+            Format::Dimacs => read_dimacs(path),
             Format::Metis => read_metis(path),
             Format::Binary => read_binary(path),
-            Format::Container => {
-                let mg: crate::container::MappedGraph<W> =
-                    crate::container::MappedGraph::open(path)?;
-                mg.to_csr().map_err(|e| e.with_path(path))
-            }
-            Format::Dimacs => {
-                if W::IS_UNIT {
-                    return Err(Error::usage(
-                        "DIMACS files are weighted; use a weighted command",
-                    ));
-                }
-                // Round-trip through u64 encoding to reuse the typed reader.
-                read_dimacs(path).map(|g| {
-                    Csr::from_parts(
-                        g.offsets().to_vec(),
-                        g.targets().to_vec(),
-                        g.weights().iter().map(|&w| W::from_u64(w as u64)).collect(),
-                        g.is_symmetric(),
-                    )
-                })
-            }
+            Format::Container => crate::container::MappedGraph::<W>::open(path)?
+                .to_csr()
+                .map_err(|e| e.with_path(path)),
         }
     }
 
@@ -235,19 +221,10 @@ impl GraphIo {
     /// the extension; sniffing does not apply to writes, so an unknown
     /// extension without an explicit format is a usage error.
     pub fn write<W: Weight>(g: &Csr<W>, path: &Path, opts: &IoOptions) -> Result<(), Error> {
-        let fmt = match opts.format.or_else(|| Format::from_extension(path)) {
-            Some(f) => f,
-            None => {
-                return Err(Error::usage(format!(
-                    "cannot determine the output format of {} (use a .adj/.el/.gr/.metis/.bin/\
-                     .jgr extension or pass format= explicitly)",
-                    path.display()
-                )))
-            }
-        };
-        match fmt {
+        match opts.format.map_or_else(|| Format::for_output(path), Ok)? {
             Format::Adjacency => write_adjacency_graph(g, path),
             Format::EdgeList => write_edge_list(g, path),
+            Format::Dimacs => write_dimacs(g, path),
             Format::Metis => write_metis(g, path),
             Format::Binary => write_binary(g, path),
             Format::Container => crate::container::write(
@@ -257,18 +234,6 @@ impl GraphIo {
                     compressed_payload: opts.compressed_payload,
                 },
             ),
-            Format::Dimacs => {
-                if W::IS_UNIT {
-                    return Err(Error::usage("DIMACS output requires a weighted graph"));
-                }
-                let wg: Csr<u32> = Csr::from_parts(
-                    g.offsets().to_vec(),
-                    g.targets().to_vec(),
-                    g.weights().iter().map(|w| w.to_u64() as u32).collect(),
-                    g.is_symmetric(),
-                );
-                write_dimacs(&wg, path)
-            }
         }
     }
 }
@@ -303,87 +268,164 @@ fn check_vertex_count(n: usize, file_len: u64) -> Result<(), String> {
 }
 
 fn file_len(path: &Path) -> Result<u64, Error> {
-    Ok(std::fs::metadata(path)
-        .map_err(|e| Error::io_at(path, e))?
-        .len())
+    std::fs::metadata(path)
+        .map(|m| m.len())
+        .map_err(|e| Error::io_at(path, e))
 }
 
-/// A line source that tracks the 1-based line number for error positioning.
-struct Lines<'p> {
-    inner: io::Lines<BufReader<File>>,
+/// `raw` as a weight of type `W`, or why it is not one.
+fn fit<W: Weight>(raw: u64) -> Result<W, String> {
+    let (w, name) = (W::from_u64(raw), std::any::type_name::<W>());
+    if w.to_u64() == raw {
+        return Ok(w);
+    }
+    Err(format!("weight {raw} does not fit in {name}"))
+}
+
+/// The one line reader of the text formats. It moves through the lines its
+/// format does not skip, numbering every line from 1, and parses the
+/// current line's whitespace-separated tokens. Every refusal it makes is an
+/// [`Error::Parse`] at the current line; a failed read, bytes that are not
+/// UTF-8 included, is an [`Error::Io`].
+struct LineReader<'p> {
+    input: BufReader<File>,
     path: &'p Path,
+    /// Whether the format skips a line, given the line trimmed.
+    skip: fn(&str) -> bool,
+    /// The current line, without its terminator.
+    line: String,
+    /// Where the current line's next token starts.
+    at: Cell<usize>,
+    /// The current line's 1-based number; one past the last line at the end.
     lineno: usize,
     /// Bytes of the lines read so far, counting one terminator each.
     bytes: u64,
 }
 
-impl<'p> Lines<'p> {
-    fn open(path: &'p Path) -> Result<Self, Error> {
+impl<'p> LineReader<'p> {
+    fn open(path: &'p Path, skip: fn(&str) -> bool) -> Result<Self, Error> {
         let file = File::open(path).map_err(|e| Error::io_at(path, e))?;
-        Ok(Lines {
-            inner: BufReader::new(file).lines(),
+        Ok(LineReader {
+            input: BufReader::new(file),
             path,
+            skip,
+            line: String::new(),
+            at: Cell::new(0),
             lineno: 0,
             bytes: 0,
         })
     }
 
-    /// The next line, or a positioned parse error naming `what` was missing.
-    fn next(&mut self, what: &str) -> Result<String, Error> {
-        self.lineno += 1;
-        match self.inner.next() {
-            None => Err(Error::parse_at(
-                self.path,
-                self.lineno,
-                format!("unexpected end of file (expected {what})"),
-            )),
-            Some(Err(e)) => Err(Error::io_at(self.path, e)),
-            Some(Ok(s)) => {
-                self.bytes += s.len() as u64 + 1;
-                Ok(s)
+    /// Moves to the next line the format does not skip; `false` at the end
+    /// of the file.
+    fn next(&mut self) -> Result<bool, Error> {
+        loop {
+            self.line.clear();
+            self.at.set(0);
+            self.lineno += 1;
+            let read = self.input.read_line(&mut self.line);
+            if read.map_err(|e| Error::io_at(self.path, e))? == 0 {
+                return Ok(false);
+            }
+            // The terminator is "\n" or "\r\n", as `BufRead::lines` has it.
+            if self.line.ends_with('\n') {
+                self.line.pop();
+                if self.line.ends_with('\r') {
+                    self.line.pop();
+                }
+            }
+            self.bytes += self.line.len() as u64 + 1;
+            if !(self.skip)(self.line.trim()) {
+                return Ok(true);
             }
         }
     }
 
-    /// A parse error positioned at the line most recently read.
+    /// The current line's next token, if any is left.
+    fn token(&self) -> Option<&str> {
+        let rest = self.line[self.at.get()..].trim_start();
+        let tok = &rest[..rest.find(char::is_whitespace).unwrap_or(rest.len())];
+        self.at.set(self.line.len() - rest.len() + tok.len());
+        (!tok.is_empty()).then_some(tok)
+    }
+
+    /// `tok` parsed as `T`, the `what` of the current line.
+    fn parse<T: FromStr<Err: Display>>(&self, tok: &str, what: &str) -> Result<T, Error> {
+        tok.parse()
+            .map_err(|e| self.bad(format!("{what} {tok:?}: {e}")))
+    }
+
+    /// The current line's next token parsed as `T`, which must be there.
+    fn num<T: FromStr<Err: Display>>(&self, what: &str) -> Result<T, Error> {
+        match self.token() {
+            Some(tok) => self.parse(tok, what),
+            None => Err(self.bad(format!("missing {what}"))),
+        }
+    }
+
+    /// The current line's next token as an edge weight, which must fit `W`;
+    /// an unweighted `W` takes none.
+    fn weight<W: Weight>(&self) -> Result<W, Error> {
+        if W::IS_UNIT {
+            return Ok(W::default());
+        }
+        fit(self.num("edge weight")?).map_err(|msg| self.bad(msg))
+    }
+
+    /// The next line, which must hold exactly one `T`: Ligra's adjacency
+    /// format puts its header and every count, offset, target and weight on
+    /// a line of its own.
+    fn sole<T: FromStr<Err: Display>>(&mut self, what: &str) -> Result<T, Error> {
+        if !self.next()? {
+            return Err(self.bad(format!("unexpected end of file (expected {what})")));
+        }
+        self.parse(self.line.trim(), what)
+    }
+
+    /// A parse error positioned at the current line.
     fn bad(&self, msg: impl Into<String>) -> Error {
         Error::parse_at(self.path, self.lineno, msg)
     }
 }
 
-/// Writes `g` in Ligra's `AdjacencyGraph` / `WeightedAdjacencyGraph` text
-/// format.
-fn write_adjacency_graph<W: Weight>(g: &Csr<W>, path: &Path) -> Result<(), Error> {
-    let write = || -> io::Result<()> {
+/// Creates `path` and writes it through a buffer; a failure is an
+/// [`Error::Io`] naming the path.
+fn write_file(
+    path: &Path,
+    body: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) -> Result<(), Error> {
+    let write = || {
         let mut out = BufWriter::new(File::create(path)?);
-        if W::IS_UNIT {
-            writeln!(out, "AdjacencyGraph")?;
-        } else {
-            writeln!(out, "WeightedAdjacencyGraph")?;
-        }
-        writeln!(out, "{}", g.num_vertices())?;
-        writeln!(out, "{}", g.num_edges())?;
-        for v in 0..g.num_vertices() {
-            writeln!(out, "{}", g.offsets()[v])?;
-        }
-        for &t in g.targets() {
-            writeln!(out, "{t}")?;
-        }
-        if !W::IS_UNIT {
-            for &w in g.weights() {
-                writeln!(out, "{}", w.to_u64())?;
-            }
-        }
+        body(&mut out)?;
         out.flush()
     };
     write().map_err(|e| Error::io_at(path, e))
 }
 
+/// Writes `g` in Ligra's `AdjacencyGraph` / `WeightedAdjacencyGraph` text
+/// format.
+fn write_adjacency_graph<W: Weight>(g: &Csr<W>, path: &Path) -> Result<(), Error> {
+    write_file(path, |out| {
+        let weighted = if W::IS_UNIT { "" } else { "Weighted" };
+        writeln!(out, "{weighted}AdjacencyGraph")?;
+        writeln!(out, "{}\n{}", g.num_vertices(), g.num_edges())?;
+        for o in &g.offsets()[..g.num_vertices()] {
+            writeln!(out, "{o}")?;
+        }
+        for t in g.targets() {
+            writeln!(out, "{t}")?;
+        }
+        for w in g.weights().iter().filter(|_| !W::IS_UNIT) {
+            writeln!(out, "{}", w.to_u64())?;
+        }
+        Ok(())
+    })
+}
+
 /// Reads a Ligra `AdjacencyGraph` / `WeightedAdjacencyGraph` text file.
 fn read_adjacency_graph<W: Weight>(path: &Path) -> Result<Csr<W>, Error> {
-    let mut src = Lines::open(path)?;
-    let header = src.next("header")?;
-    let weighted = match header.trim() {
+    let mut src = LineReader::open(path, |_| false)?;
+    let weighted = match src.sole::<String>("header")?.as_str() {
         "AdjacencyGraph" => false,
         "WeightedAdjacencyGraph" => true,
         other => return Err(src.bad(format!("unknown header {other:?}"))),
@@ -391,18 +433,8 @@ fn read_adjacency_graph<W: Weight>(path: &Path) -> Result<Csr<W>, Error> {
     if weighted == W::IS_UNIT {
         return Err(src.bad("weightedness of file does not match requested graph type"));
     }
-    let n: usize = {
-        let s = src.next("vertex count")?;
-        s.trim()
-            .parse()
-            .map_err(|e| src.bad(format!("vertex count: {e}")))?
-    };
-    let m: usize = {
-        let s = src.next("edge count")?;
-        s.trim()
-            .parse()
-            .map_err(|e| src.bad(format!("edge count: {e}")))?
-    };
+    let n: usize = src.sole("vertex count")?;
+    let m: usize = src.sole("edge count")?;
     // Bound both counts by the bytes left before allocating for them: each
     // offset, target and weight is a line of its own, so at least a digit
     // and a newline (which the last line may go without).
@@ -419,33 +451,17 @@ fn read_adjacency_graph<W: Weight>(path: &Path) -> Result<Csr<W>, Error> {
     }
     let mut offsets = Vec::with_capacity(n + 1);
     for _ in 0..n {
-        let s = src.next("offset")?;
-        offsets.push(
-            s.trim()
-                .parse::<u64>()
-                .map_err(|e| src.bad(format!("offset: {e}")))?,
-        );
+        offsets.push(src.sole("offset")?);
     }
     offsets.push(m as u64);
     let mut targets = Vec::with_capacity(m);
     for _ in 0..m {
-        let s = src.next("edge")?;
-        targets.push(
-            s.trim()
-                .parse::<VertexId>()
-                .map_err(|e| src.bad(format!("edge target: {e}")))?,
-        );
+        targets.push(src.sole("edge target")?);
     }
-    let mut weights = Vec::with_capacity(if weighted { m } else { 0 });
-    if weighted {
-        for _ in 0..m {
-            let s = src.next("weight")?;
-            let w: u64 = s
-                .trim()
-                .parse()
-                .map_err(|e| src.bad(format!("weight: {e}")))?;
-            weights.push(W::from_u64(w));
-        }
+    let weight_lines = if weighted { m } else { 0 };
+    let mut weights = Vec::with_capacity(weight_lines);
+    for _ in 0..weight_lines {
+        weights.push(fit(src.sole("edge weight")?).map_err(|msg| src.bad(msg))?);
     }
     Csr::try_from_parts(offsets, targets, weights, false)
         .map_err(|msg| Error::parse(format!("inconsistent adjacency data: {msg}")).with_path(path))
@@ -453,8 +469,7 @@ fn read_adjacency_graph<W: Weight>(path: &Path) -> Result<Csr<W>, Error> {
 
 /// Writes a whitespace edge list (`u v` or `u v w` per line).
 fn write_edge_list<W: Weight>(g: &Csr<W>, path: &Path) -> Result<(), Error> {
-    let write = || -> io::Result<()> {
-        let mut out = BufWriter::new(File::create(path)?);
+    write_file(path, |out| {
         for u in 0..g.num_vertices() as VertexId {
             for (v, w) in g.edges_of(u) {
                 if W::IS_UNIT {
@@ -464,74 +479,45 @@ fn write_edge_list<W: Weight>(g: &Csr<W>, path: &Path) -> Result<(), Error> {
                 }
             }
         }
-        out.flush()
-    };
-    write().map_err(|e| Error::io_at(path, e))
+        Ok(())
+    })
 }
 
 /// Reads a whitespace edge list; lines starting with `#` or `%` are
 /// comments. `n` is inferred as `1 + max id` unless given.
 ///
 /// Errors with [`Error::Parse`] if the file contains no edges and `n` was
-/// not supplied (there is no defensible vertex count to infer — the old
-/// behaviour silently produced a bogus 1-vertex graph), or if any endpoint
-/// is `>= n` for a user-supplied `n` (those edges previously survived until
-/// an out-of-bounds index deep inside CSR construction).
+/// not supplied (there is no defensible vertex count to infer), or if any
+/// endpoint is `>= n` for a user-supplied `n`.
 fn read_edge_list<W: Weight>(
     path: &Path,
     n: Option<usize>,
     symmetric: bool,
 ) -> Result<Csr<W>, Error> {
-    let reader = BufReader::new(File::open(path).map_err(|e| Error::io_at(path, e))?);
+    let mut src = LineReader::open(path, |l| l.is_empty() || l.starts_with(['#', '%']))?;
     let mut edges: Vec<(VertexId, VertexId, W)> = Vec::new();
     let mut max_id = 0u32;
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line.map_err(|e| Error::io_at(path, e))?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') || line.starts_with('%') {
-            continue;
-        }
-        let mut it = line.split_whitespace();
-        let bad = || Error::parse_at(path, lineno + 1, format!("bad edge line: {line:?}"));
-        let u: VertexId = it.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
-        let v: VertexId = it.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
-        let w = if W::IS_UNIT {
-            W::default()
-        } else {
-            let raw: u64 = it.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
-            W::from_u64(raw)
-        };
-        if let Some(n) = n {
-            if u as usize >= n || v as usize >= n {
-                return Err(Error::parse_at(
-                    path,
-                    lineno + 1,
-                    format!("edge ({u}, {v}) references a vertex >= n = {n}"),
-                ));
-            }
+    while src.next()? {
+        let (u, v): (VertexId, VertexId) = (src.num("source")?, src.num("target")?);
+        let w = src.weight()?;
+        if let Some(n) = n.filter(|&n| u.max(v) as usize >= n) {
+            return Err(src.bad(format!("edge ({u}, {v}) references a vertex >= n = {n}")));
         }
         max_id = max_id.max(u).max(v);
         edges.push((u, v, w));
     }
     if edges.is_empty() && n.is_none() {
-        return Err(Error::Parse {
-            path: Some(path.to_path_buf()),
-            line: None,
-            msg: "file contains no edges; pass an explicit vertex count to load an \
-                  edgeless graph"
-                .to_string(),
-        });
+        return Err(Error::parse(
+            "file contains no edges; pass an explicit vertex count to load an edgeless graph",
+        )
+        .with_path(path));
     }
-    let n = match n {
-        Some(n) => n,
-        None => {
-            let implied = max_id as usize + 1;
-            check_vertex_count(implied, file_len(path)?)
-                .map_err(|msg| Error::parse(msg).with_path(path))?;
-            implied
-        }
-    };
-    let mut el = EdgeList::new(n);
+    let implied = max_id as usize + 1;
+    if n.is_none() {
+        check_vertex_count(implied, file_len(path)?)
+            .map_err(|msg| Error::parse(msg).with_path(path))?;
+    }
+    let mut el = EdgeList::new(n.unwrap_or(implied));
     el.edges = edges;
     Ok(if symmetric {
         el.build_symmetric()
@@ -541,85 +527,70 @@ fn read_edge_list<W: Weight>(
 }
 
 /// Writes a DIMACS shortest-path challenge `.gr` file (1-indexed, weighted).
-fn write_dimacs(g: &Csr<u32>, path: &Path) -> Result<(), Error> {
-    let write = || -> io::Result<()> {
-        let mut out = BufWriter::new(File::create(path)?);
-        writeln!(out, "c generated by julienne-graph")?;
-        writeln!(out, "p sp {} {}", g.num_vertices(), g.num_edges())?;
+fn write_dimacs<W: Weight>(g: &Csr<W>, path: &Path) -> Result<(), Error> {
+    if W::IS_UNIT {
+        return Err(Error::usage("DIMACS output requires a weighted graph"));
+    }
+    write_file(path, |out| {
+        let (n, m) = (g.num_vertices(), g.num_edges());
+        writeln!(out, "c generated by julienne-graph\np sp {n} {m}")?;
         for u in 0..g.num_vertices() as VertexId {
             for (v, w) in g.edges_of(u) {
-                writeln!(out, "a {} {} {w}", u + 1, v + 1)?;
+                writeln!(out, "a {} {} {}", u + 1, v + 1, w.to_u64())?;
             }
         }
-        out.flush()
-    };
-    write().map_err(|e| Error::io_at(path, e))
+        Ok(())
+    })
 }
 
-/// Reads a DIMACS `.gr` file.
-fn read_dimacs(path: &Path) -> Result<Csr<u32>, Error> {
-    let reader = BufReader::new(File::open(path).map_err(|e| Error::io_at(path, e))?);
+/// Reads a DIMACS `.gr` file; lines other than the `p` line and `a` arcs
+/// (comments among them) are skipped.
+fn read_dimacs<W: Weight>(path: &Path) -> Result<Csr<W>, Error> {
+    if W::IS_UNIT {
+        return Err(Error::usage(
+            "DIMACS files are weighted; use a weighted command",
+        ));
+    }
+    let mut src = LineReader::open(path, str::is_empty)?;
     let mut n = 0usize;
     // The `p` line's arc count and its line number.
     let mut header = (0usize, 0usize);
-    let mut edges: Vec<(VertexId, VertexId, u32)> = Vec::new();
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line.map_err(|e| Error::io_at(path, e))?;
-        let bad = |msg: &str| Error::parse_at(path, lineno + 1, msg);
-        let mut it = line.split_whitespace();
-        match it.next() {
-            Some("c") | None => {}
+    // The largest 1-based id an arc has named, so a later `p` line that
+    // strands it is refused in O(1).
+    let mut max_id = 0usize;
+    let mut edges: Vec<(VertexId, VertexId, W)> = Vec::new();
+    while src.next()? {
+        match src.token() {
             Some("p") => {
-                let _sp = it.next();
-                n = it
-                    .next()
-                    .ok_or_else(|| bad("p line is missing the vertex count"))?
-                    .parse()
-                    .map_err(|_| bad("p line has a non-numeric vertex count"))?;
+                src.token(); // The problem kind, `sp`.
+                n = src.num("vertex count")?;
                 if n > VertexId::MAX as usize {
-                    return Err(bad("vertex count exceeds the 32-bit id space"));
+                    return Err(src.bad("vertex count exceeds the 32-bit id space"));
                 }
-                check_vertex_count(n, file_len(path)?).map_err(|msg| bad(&msg))?;
-                let m = it
-                    .next()
-                    .ok_or_else(|| bad("p line is missing the arc count"))?
-                    .parse()
-                    .map_err(|_| bad("p line has a non-numeric arc count"))?;
-                header = (m, lineno + 1);
+                check_vertex_count(n, file_len(path)?).map_err(|msg| src.bad(msg))?;
+                if max_id > n {
+                    return Err(src.bad("p line leaves arcs read before it out of range"));
+                }
+                header = (src.num("arc count")?, src.lineno);
             }
             Some("a") => {
-                let u: u32 = it
-                    .next()
-                    .ok_or_else(|| bad("arc line is missing its tail"))?
-                    .parse()
-                    .map_err(|_| bad("arc tail is not a number"))?;
-                let v: u32 = it
-                    .next()
-                    .ok_or_else(|| bad("arc line is missing its head"))?
-                    .parse()
-                    .map_err(|_| bad("arc head is not a number"))?;
-                let w: u32 = it
-                    .next()
-                    .ok_or_else(|| bad("arc line is missing its weight"))?
-                    .parse()
-                    .map_err(|_| bad("arc weight is not a number"))?;
+                let (u, v): (u32, u32) = (src.num("arc tail")?, src.num("arc head")?);
+                let w = src.weight()?;
                 if u == 0 || v == 0 || u as usize > n || v as usize > n {
-                    return Err(bad("DIMACS ids are 1-indexed and ≤ n"));
+                    return Err(src.bad("DIMACS ids are 1-indexed and ≤ n"));
                 }
                 if edges.len() == header.0 {
-                    return Err(bad("more arcs than the p line promised"));
+                    return Err(src.bad("more arcs than the p line promised"));
                 }
+                max_id = max_id.max(u.max(v) as usize);
                 edges.push((u - 1, v - 1, w));
             }
-            Some(_) => {}
+            _ => {}
         }
     }
-    let (m, p_line) = header;
-    if edges.len() != m {
-        let msg = format!(
-            "the p line promised {m} arcs but the file has {}",
-            edges.len()
-        );
+    let ((m, p_line), got) = (header, edges.len());
+    if got != m {
+        let msg = format!("the p line promised {m} arcs but the file has {got}");
         return Err(Error::parse_at(path, p_line, msg));
     }
     let mut el = EdgeList::new(n);
@@ -637,112 +608,81 @@ fn write_metis<W: Weight>(g: &Csr<W>, path: &Path) -> Result<(), Error> {
             "METIS files describe undirected graphs; symmetrize first",
         ));
     }
-    let write = || -> io::Result<()> {
-        let mut out = BufWriter::new(File::create(path)?);
-        let m_und = g.num_edges() / 2;
-        if W::IS_UNIT {
-            writeln!(out, "{} {}", g.num_vertices(), m_und)?;
-        } else {
-            writeln!(out, "{} {} 001", g.num_vertices(), m_und)?;
-        }
+    write_file(path, |out| {
+        let fmt = if W::IS_UNIT { "" } else { " 001" };
+        writeln!(out, "{} {}{fmt}", g.num_vertices(), g.num_edges() / 2)?;
         for v in 0..g.num_vertices() as VertexId {
-            let mut first = true;
-            for (u, w) in g.edges_of(v) {
-                if !first {
-                    write!(out, " ")?;
-                }
-                first = false;
-                if W::IS_UNIT {
-                    write!(out, "{}", u + 1)?;
-                } else {
-                    write!(out, "{} {}", u + 1, w.to_u64())?;
+            for (i, (u, w)) in g.edges_of(v).enumerate() {
+                write!(out, "{}{}", if i == 0 { "" } else { " " }, u + 1)?;
+                if !W::IS_UNIT {
+                    write!(out, " {}", w.to_u64())?;
                 }
             }
             writeln!(out)?;
         }
-        out.flush()
-    };
-    write().map_err(|e| Error::io_at(path, e))
+        Ok(())
+    })
 }
 
-/// Reads a METIS graph file (plain or `001` edge-weighted).
+/// Reads a METIS graph file, plain or with edge weights (fmt `001`); lines
+/// starting with `%` are comments. A fmt that declares vertex sizes or
+/// weights is refused, and so is a list that names a neighbour whose own
+/// list does not name it back with the same weight.
 fn read_metis<W: Weight>(path: &Path) -> Result<Csr<W>, Error> {
-    let reader = BufReader::new(File::open(path).map_err(|e| Error::io_at(path, e))?);
-    let mut header: Option<(usize, usize, bool)> = None;
-    let mut header_line = 0usize;
-    let mut el = EdgeList::new(0);
-    let mut v = 0usize;
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line.map_err(|e| Error::io_at(path, e))?;
-        if line.trim_start().starts_with('%') {
-            continue; // Comment lines start with '%'.
-        }
-        let bad = |msg: &str| Error::parse_at(path, lineno + 1, msg);
-        let Some((n, _m_und, weighted)) = header else {
-            let mut hp = line.split_whitespace();
-            let n: usize = hp
-                .next()
-                .ok_or_else(|| bad("header is missing the vertex count"))?
-                .parse()
-                .map_err(|_| bad("header vertex count is not a number"))?;
-            if n > VertexId::MAX as usize {
-                return Err(bad("vertex count exceeds the 32-bit id space"));
-            }
-            let m_und: usize = hp
-                .next()
-                .ok_or_else(|| bad("header is missing the edge count"))?
-                .parse()
-                .map_err(|_| bad("header edge count is not a number"))?;
-            let fmt = hp.next().unwrap_or("0");
-            let weighted = fmt.ends_with('1');
-            if weighted == W::IS_UNIT {
-                return Err(bad("weightedness of METIS file does not match graph type"));
-            }
-            header = Some((n, m_und, weighted));
-            header_line = lineno + 1;
-            el = EdgeList::new(n);
-            continue;
-        };
-        if v >= n {
+    let mut src = LineReader::open(path, |l| l.starts_with('%'))?;
+    if !src.next()? {
+        return Err(Error::parse("empty file").with_path(path));
+    }
+    let n: usize = src.num("vertex count")?;
+    if n > VertexId::MAX as usize {
+        return Err(src.bad("vertex count exceeds the 32-bit id space"));
+    }
+    let m_und: usize = src.num("edge count")?;
+    let weighted = match src.token().unwrap_or("0") {
+        "0" | "00" | "000" => false,
+        "1" | "01" | "001" => true,
+        fmt => return Err(src.bad(format!("fmt {fmt:?} declares vertex sizes or weights"))),
+    };
+    if weighted == W::IS_UNIT {
+        return Err(src.bad("weightedness of METIS file does not match graph type"));
+    }
+    let header_line = src.lineno;
+    let mut el = EdgeList::new(n);
+    // The line of each vertex's list, to place a refusal of the list.
+    let mut list_line = Vec::new();
+    while src.next()? {
+        if list_line.len() >= n {
             break;
         }
-        let mut it = line.split_whitespace();
-        while let Some(tok) = it.next() {
-            let u: usize = tok
-                .parse()
-                .map_err(|_| bad("neighbor id is not a number"))?;
+        let v = list_line.len() as VertexId;
+        while let Some(tok) = src.token() {
+            let u: usize = src.parse(tok, "neighbor id")?;
             if u == 0 || u > n {
-                return Err(bad("METIS ids are 1-indexed and ≤ n"));
+                return Err(src.bad("METIS ids are 1-indexed and ≤ n"));
             }
-            let w = if weighted {
-                let raw: u64 = it
-                    .next()
-                    .ok_or_else(|| bad("missing edge weight"))?
-                    .parse()
-                    .map_err(|_| bad("edge weight is not a number"))?;
-                W::from_u64(raw)
-            } else {
-                W::default()
-            };
-            el.push(v as VertexId, (u - 1) as VertexId, w);
+            el.push(v, (u - 1) as VertexId, src.weight()?);
         }
-        v += 1;
+        list_line.push(src.lineno);
     }
-    let Some((n, m_und, _)) = header else {
-        return Err(Error::Parse {
-            path: Some(path.to_path_buf()),
-            line: None,
-            msg: "empty file".to_string(),
-        });
-    };
-    if v < n {
-        let msg = format!("the header promised {n} vertices but the file has {v} adjacency lines");
+    let got = list_line.len();
+    if got < n {
+        let msg = format!("the header promised {n} vertices but the file has {got} lists");
         return Err(Error::parse_at(path, header_line, msg));
     }
     let g = el.build(true);
     // Tolerate duplicate/self-loop cleanup shrinking the count.
-    if g.num_edges() > 2 * m_und {
+    if g.num_edges().div_ceil(2) > m_und {
         return Err(Error::parse("more edges than the header promised").with_path(path));
+    }
+    for v in 0..n as VertexId {
+        for (u, w) in g.edges_of(v) {
+            let back = g.neighbors(u).binary_search(&v).map(|i| g.weights_of(u)[i]);
+            if back != Ok(w) {
+                let (v1, u1) = (v + 1, u + 1);
+                let msg = format!("vertex {v1} lists {u1}, which does not list it alike");
+                return Err(Error::parse_at(path, list_line[v as usize], msg));
+            }
+        }
     }
     Ok(g)
 }
@@ -774,12 +714,7 @@ fn write_binary<W: Weight>(g: &Csr<W>, path: &Path) -> Result<(), Error> {
             buf.put_u64_le(w.to_u64());
         }
     }
-    let write = || -> io::Result<()> {
-        let mut out = BufWriter::new(File::create(path)?);
-        out.write_all(&buf)?;
-        out.flush()
-    };
-    write().map_err(|e| Error::io_at(path, e))
+    write_file(path, |out| out.write_all(&buf))
 }
 
 /// Reads the fast binary format.
@@ -834,7 +769,7 @@ fn read_binary<W: Weight>(path: &Path) -> Result<Csr<W>, Error> {
     let mut weights = Vec::with_capacity(if weighted { m } else { 0 });
     if weighted {
         for _ in 0..m {
-            weights.push(W::from_u64(buf.get_u64_le()));
+            weights.push(fit(buf.get_u64_le()).map_err(&bad)?);
         }
     }
     // Corrupt bodies (non-monotone offsets, out-of-range targets) must be
@@ -861,6 +796,24 @@ mod tests {
         assert_eq!(a.offsets(), b.offsets());
         assert_eq!(a.targets(), b.targets());
         assert_eq!(a.weights(), b.weights());
+    }
+
+    /// Writes `body` to a scratch file and reads it with `read`, which must
+    /// refuse it as a parse error at `line`.
+    fn refused_at<T: std::fmt::Debug>(
+        name: &str,
+        body: &str,
+        line: Option<usize>,
+        read: impl Fn(&Path) -> Result<T, Error>,
+    ) {
+        let p = tmp(name);
+        std::fs::write(&p, body).unwrap();
+        let got = read(&p);
+        std::fs::remove_file(&p).ok();
+        assert!(
+            matches!(&got, Err(Error::Parse { line: l, .. }) if *l == line),
+            "{name}: {got:?}"
+        );
     }
 
     #[test]
@@ -993,59 +946,31 @@ mod tests {
             std::fs::remove_file(p).ok();
         }
         // DIMACS ids outside `1..=n` and vertex counts beyond the id space
-        // must error on their own line.
-        let dimacs = [
+        // must error on their own line. Header counts the lines that follow
+        // do not bear out are refused at the header, before `build`
+        // allocates for them.
+        for (name, body, line) in [
             ("dimacs-zero", "p sp 2 1\na 0 1 5\n", 2),
             ("dimacs-oob", "p sp 3 1\na 1 9 5\n", 2),
             ("dimacs-before-p", "a 1 2 5\np sp 3 1\n", 1),
             ("dimacs-huge-n", "p sp 1152921504606846976 0\n", 1),
-        ];
-        for (name, body, line) in dimacs {
-            let p = tmp(name);
-            std::fs::write(&p, body).unwrap();
-            let err = read_dimacs(&p).unwrap_err();
-            assert!(
-                matches!(err, Error::Parse { line: Some(l), .. } if l == line),
-                "{name}: {err:?}"
-            );
-            std::fs::remove_file(p).ok();
-        }
-        // Header counts the lines that follow do not bear out: refused at
-        // the header, before `build` allocates for them.
-        let dimacs_counts = [
             ("dimacs-few-arcs", "c x\np sp 4000000000 5\na 1 2 5\n", 2),
             ("dimacs-many-arcs", "p sp 3 1\na 1 2 5\na 2 3 5\n", 3),
             ("dimacs-no-m", "p sp 3\n", 1),
-        ];
-        for (name, body, line) in dimacs_counts {
-            let p = tmp(name);
-            std::fs::write(&p, body).unwrap();
-            let err = read_dimacs(&p).unwrap_err();
-            assert!(
-                matches!(err, Error::Parse { line: Some(l), .. } if l == line),
-                "{name}: {err:?}"
-            );
-            std::fs::remove_file(p).ok();
+            ("dimacs-second-p", "p sp 5 1\na 1 5 3\np sp 2 1\n", 3),
+        ] {
+            refused_at(name, body, Some(line), read_dimacs::<u32>);
         }
         for (name, body) in [
             ("metis-huge-n", "1152921504606846976 0\n"),
             ("metis-few-lines", "4000000000 1\n2\n1\n"),
         ] {
-            let p = tmp(name);
-            std::fs::write(&p, body).unwrap();
-            let err = read_metis::<()>(&p).unwrap_err();
-            assert!(
-                matches!(err, Error::Parse { line: Some(1), .. }),
-                "{name}: {err:?}"
-            );
-            std::fs::remove_file(p).ok();
+            refused_at(name, body, Some(1), read_metis::<()>);
         }
         // Edge list with a non-numeric token.
-        let p = tmp("el-bad");
-        std::fs::write(&p, "0 1\nfoo bar\n").unwrap();
-        let err = read_edge_list::<()>(&p, None, false).unwrap_err();
-        assert!(matches!(err, Error::Parse { line: Some(2), .. }), "{err:?}");
-        std::fs::remove_file(p).ok();
+        refused_at("el-bad", "0 1\nfoo bar\n", Some(2), |p| {
+            read_edge_list::<()>(p, None, false)
+        });
     }
 
     #[test]
@@ -1226,6 +1151,87 @@ mod tests {
         let g = erdos_renyi(10, 30, 1, false);
         let err = GraphIo::write(&g, Path::new("/tmp/x.zip"), &IoOptions::default()).unwrap_err();
         assert!(err.is_usage(), "{err:?}");
+        // The message names every extension `from_extension` takes.
+        for ext in [
+            ".adj", ".el", ".txt", ".gr", ".metis", ".graph", ".bin", ".jgr",
+        ] {
+            assert!(err.to_string().contains(ext), "{ext}: {err}");
+        }
+    }
+
+    #[test]
+    fn weights_that_do_not_fit_w_are_refused_at_their_line() {
+        // 2^32 + 5 used to load into a u32 graph as 5.
+        let big = (1u64 << 32) + 5;
+        refused_at("fit-el", &format!("0 1 {big}\n1 2 3\n"), Some(1), |p| {
+            read_edge_list::<u32>(p, None, false)
+        });
+        let adj = format!("WeightedAdjacencyGraph\n2\n1\n0\n1\n1\n{big}\n");
+        refused_at("fit-adj", &adj, Some(7), read_adjacency_graph::<u32>);
+        let metis = format!("2 1 001\n2 {big}\n1 {big}\n");
+        refused_at("fit-metis", &metis, Some(2), read_metis::<u32>);
+        refused_at(
+            "fit-gr",
+            &format!("p sp 2 1\na 1 2 {big}\n"),
+            Some(2),
+            read_dimacs::<u32>,
+        );
+
+        // The binary format stores u64 weights: a u64 graph loads as u64,
+        // and as u32 only when every weight fits.
+        let wide: Csr<u64> = Csr::from_parts(vec![0, 1, 1], vec![1], vec![big], false);
+        let p = tmp("fit-bin");
+        write_binary(&wide, &p).unwrap();
+        same_graph(&wide, &read_binary::<u64>(&p).unwrap());
+        let err = read_binary::<u32>(&p).unwrap_err();
+        assert!(matches!(err, Error::Parse { .. }), "{err:?}");
+        std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn dimacs_is_generic_over_the_weight() {
+        // A u64 weight past u32 survives a DIMACS round trip; it used to be
+        // truncated on the way out.
+        let wide: Csr<u64> = Csr::from_parts(vec![0, 1, 2], vec![1, 0], vec![1 << 40, 7], false);
+        let p = tmp("wide-gr");
+        let opts = IoOptions {
+            format: Some(Format::Dimacs),
+            ..Default::default()
+        };
+        GraphIo::write(&wide, &p, &opts).unwrap();
+        same_graph(&wide, &GraphIo::read::<u64>(&p, &opts).unwrap());
+        assert!(GraphIo::read::<()>(&p, &opts).unwrap_err().is_usage());
+        std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn metis_fmt_with_vertex_sizes_or_weights_is_refused_at_the_header() {
+        // fmt digits are (vertex sizes, vertex weights, edge weights); the
+        // first two used to be read as neighbour ids.
+        for fmt in ["10", "100", "110", "x"] {
+            let body = format!("2 1 {fmt}\n1 2\n1 1\n");
+            refused_at("metis-fmt", &body, Some(1), read_metis::<()>);
+        }
+        for fmt in ["11", "011", "101", "111"] {
+            let body = format!("2 1 {fmt}\n1 2 7\n1 1 7\n");
+            refused_at("metis-wfmt", &body, Some(1), read_metis::<u32>);
+        }
+    }
+
+    #[test]
+    fn metis_lists_that_are_not_mutual_are_refused() {
+        // Vertex 1 names 2 and 3, neither of which names it back; this used
+        // to load flagged symmetric with only 0->1 and 0->2.
+        refused_at("metis-oneway", "3 2\n2 3\n\n\n", Some(2), read_metis::<()>);
+        refused_at(
+            "metis-late",
+            "% c\n3 2\n2\n1\n1\n",
+            Some(5),
+            read_metis::<()>,
+        );
+        // Mutual ids but w(1,2) = 3 while w(2,1) = 9.
+        let unalike = "2 1 001\n2 3\n1 9\n";
+        refused_at("metis-unalike", unalike, Some(2), read_metis::<u32>);
     }
 
     #[test]

@@ -214,6 +214,13 @@ impl RoundRecord {
 /// Escapes a string for inclusion in a JSON document.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    write_json_escaped(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out` escaped for the inside of a JSON string: the one
+/// escaper of the workspace's JSON writers.
+pub fn write_json_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -221,11 +228,12 @@ pub fn json_escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
 }
 
 /// An immutable copy of a telemetry session, for reporting.
@@ -244,7 +252,7 @@ impl TelemetrySnapshot {
     pub fn to_json(&self, algorithm: &str) -> String {
         let mut out = String::with_capacity(128 + 96 * self.rounds.len());
         out.push_str("{\"algorithm\":\"");
-        out.push_str(&json_escape(algorithm));
+        write_json_escaped(&mut out, algorithm);
         out.push_str("\",\"counters\":{");
         for (i, (name, value)) in self.counters.iter().enumerate() {
             if i > 0 {

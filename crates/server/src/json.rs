@@ -6,6 +6,7 @@
 //! timeouts, all exact in a double); object keys keep insertion order so
 //! responses serialize deterministically.
 
+use julienne_primitives::telemetry::write_json_escaped;
 use std::fmt::Write as _;
 
 /// A parsed JSON value.
@@ -124,19 +125,7 @@ impl Json {
 
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    write_json_escaped(out, s);
     out.push('"');
 }
 
