@@ -148,8 +148,10 @@ pub fn coreness_ligra<G: OutEdges>(g: &G) -> KcoreResult {
         // Scan all remaining vertices — the work-inefficiency.
         vertices_scanned += (n - finished) as u64;
         rounds += 1;
+        // ORDERING: Relaxed throughout: each phase below is a `par_iter`
+        // (or this pack), whose join publishes its writes to the next.
         let peel: Vec<VertexId> = pack_index(n, |v| {
-            alive[v].load(Ordering::SeqCst) == 1 && degrees[v].load(Ordering::SeqCst) <= k
+            alive[v].load(Ordering::Relaxed) == 1 && degrees[v].load(Ordering::Relaxed) <= k
         });
         if peel.is_empty() {
             k += 1;
@@ -157,8 +159,10 @@ pub fn coreness_ligra<G: OutEdges>(g: &G) -> KcoreResult {
         }
         finished += peel.len();
         peel.par_iter().for_each(|&v| {
-            alive[v as usize].store(0, Ordering::SeqCst);
-            coreness[v as usize].store(k, Ordering::SeqCst);
+            // ORDERING: Relaxed; the join before the decrement phase
+            // publishes these.
+            alive[v as usize].store(0, Ordering::Relaxed);
+            coreness[v as usize].store(k, Ordering::Relaxed);
         });
         edges_traversed += peel
             .par_iter()
@@ -166,8 +170,10 @@ pub fn coreness_ligra<G: OutEdges>(g: &G) -> KcoreResult {
             .sum::<u64>();
         peel.par_iter().for_each(|&v| {
             g.for_each_out(v, |u, _| {
-                if alive[u as usize].load(Ordering::SeqCst) == 1 {
-                    degrees[u as usize].fetch_sub(1, Ordering::SeqCst);
+                // ORDERING: Relaxed; `alive` was last written a phase ago,
+                // and `fetch_sub` needs atomicity only, not order.
+                if alive[u as usize].load(Ordering::Relaxed) == 1 {
+                    degrees[u as usize].fetch_sub(1, Ordering::Relaxed);
                 }
             });
         });

@@ -37,8 +37,8 @@ use crate::{delta_stepping, delta_stepping::SsspParams};
 use julienne::prelude::{Backend, QueryCtx};
 use julienne::Error;
 use julienne_graph::compress::{Compressed, CompressedGraph, CompressedWGraph};
-use julienne_graph::container::{self, MappedGraph};
-use julienne_graph::io::{Format, GraphIo, IoOptions};
+use julienne_graph::container;
+use julienne_graph::io::{stated_weighted, Format, GraphIo, IoOptions};
 use julienne_graph::snapshot::SnapshotGraph;
 use julienne_graph::{Graph, WGraph, Weight};
 use std::cell::RefCell;
@@ -62,10 +62,12 @@ pub enum GraphStore {
     Compressed(Arc<CompressedGraph>),
     /// Weighted byte-compressed graph.
     WCompressed(Arc<CompressedWGraph>),
-    /// Unweighted graph served zero-copy from a mapped `.jgr` file.
-    Mapped(Arc<MappedGraph<()>>),
+    /// Unweighted graph served zero-copy from a mapped `.jgr` file: a CSR
+    /// over the file's sections, apart from [`GraphStore::Csr`] only to
+    /// name its backend.
+    Mapped(Arc<Graph>),
     /// Weighted graph served zero-copy from a mapped `.jgr` file.
-    WMapped(Arc<MappedGraph<u32>>),
+    WMapped(Arc<WGraph>),
     /// A mutable graph behind MVCC snapshot isolation. `pinned` is the
     /// snapshot a query was admitted against ([`GraphStore::pin`]); when
     /// `None`, reads go to the currently published epoch.
@@ -87,11 +89,11 @@ pub enum GraphStore {
 macro_rules! any_graph_or {
     ($store:expr, |$g:ident| $body:expr, $empty:expr) => {
         match $store {
-            GraphStore::Csr(g) => {
+            GraphStore::Csr(g) | GraphStore::Mapped(g) => {
                 let $g = g.as_ref();
                 $body
             }
-            GraphStore::WCsr(g) => {
+            GraphStore::WCsr(g) | GraphStore::WMapped(g) => {
                 let $g = g.as_ref();
                 $body
             }
@@ -100,14 +102,6 @@ macro_rules! any_graph_or {
                 $body
             }
             GraphStore::WCompressed(g) => {
-                let $g = g.as_ref();
-                $body
-            }
-            GraphStore::Mapped(g) => {
-                let $g = g.as_ref();
-                $body
-            }
-            GraphStore::WMapped(g) => {
                 let $g = g.as_ref();
                 $body
             }
@@ -137,15 +131,11 @@ macro_rules! any_graph {
 macro_rules! weighted_graph {
     ($store:expr, $id:expr, |$g:ident| $body:expr) => {
         match $store {
-            GraphStore::WCsr(g) => {
+            GraphStore::WCsr(g) | GraphStore::WMapped(g) => {
                 let $g = g.as_ref();
                 $body
             }
             GraphStore::WCompressed(g) => {
-                let $g = g.as_ref();
-                $body
-            }
-            GraphStore::WMapped(g) => {
                 let $g = g.as_ref();
                 $body
             }
@@ -238,12 +228,12 @@ impl GraphStore {
     ///   mapping is meaningless for formats that need parsing — and is
     ///   served zero-copy with no per-edge work before the first query.
     ///
-    /// `weighted = false` asks for topology only: a `.jgr` container whose
-    /// header says it carries weights opens as its weighted variant, and
-    /// the algorithms that need none ignore them.
+    /// `weighted = false` asks for topology only: a `.bin` or `.jgr` file
+    /// whose header says it carries weights opens as its weighted variant,
+    /// and the algorithms that need none ignore them.
     pub fn open(path: &Path, weighted: bool, backend: Backend) -> Result<GraphStore, Error> {
         let fmt = Format::detect(path)?;
-        let weighted = weighted || (fmt == Format::Container && container::peek(path)?.weighted);
+        let weighted = weighted || stated_weighted(path, fmt)? == Some(true);
         match backend {
             Backend::Mapped => {
                 if fmt != Format::Container {
@@ -254,9 +244,9 @@ impl GraphStore {
                     )));
                 }
                 if weighted {
-                    Ok(GraphStore::WMapped(Arc::new(MappedGraph::open(path)?)))
+                    Ok(GraphStore::WMapped(Arc::new(WGraph::open(path)?)))
                 } else {
-                    Ok(GraphStore::Mapped(Arc::new(MappedGraph::open(path)?)))
+                    Ok(GraphStore::Mapped(Arc::new(Graph::open(path)?)))
                 }
             }
             Backend::Compressed => Ok(if weighted {

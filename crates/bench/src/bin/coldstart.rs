@@ -2,7 +2,7 @@
 //! start to a queryable graph, per on-disk format.
 //!
 //! The text loaders and the legacy binary format pay O(m) parse/copy work
-//! before the first query can run; `MappedGraph::open` validates only the
+//! before the first query can run; `Csr::open` validates only the
 //! 64-byte header and section table, so its cost is independent of graph
 //! size. This harness times all three on the Table 3 stand-in suite and
 //! writes `results/coldstart.{txt,csv}`.
@@ -14,7 +14,6 @@
 use julienne_bench::report::Table;
 use julienne_bench::suite::symmetric_suite;
 use julienne_bench::timing::{scale_arg, time_best};
-use julienne_graph::container::MappedGraph;
 use julienne_graph::io::{Format, GraphIo, IoOptions};
 use julienne_graph::Graph;
 use std::path::PathBuf;
@@ -75,7 +74,7 @@ fn main() {
             touch(&g)
         });
         let (_, jgr_s) = time_best(REPS, || {
-            let mg: MappedGraph<()> = MappedGraph::open(&jgr).unwrap();
+            let mg = Graph::open(&jgr).unwrap();
             mg.neighbors(0).first().copied().unwrap_or(0)
         });
 

@@ -16,9 +16,9 @@ use julienne_algorithms::dynamic::DynamicStore;
 use julienne_algorithms::registry::{GraphNeeds, GraphStore, ParamMap, Registry};
 use julienne_algorithms::stats::graph_stats;
 use julienne_graph::compress::{CompressedGraph, CompressedWGraph};
-use julienne_graph::container::MappedGraph;
+use julienne_graph::container;
 use julienne_graph::generators::{chung_lu, erdos_renyi, grid2d, random_regular, rmat, RmatParams};
-use julienne_graph::io::{Format, GraphIo, IoOptions};
+use julienne_graph::io::{stated_weighted, Format, GraphIo, IoOptions};
 use julienne_graph::snapshot::EdgeUpdate;
 use julienne_graph::transform::{assign_weights, symmetrize, wbfs_weight_range};
 use julienne_graph::{Csr, Graph};
@@ -96,6 +96,15 @@ fn load<W: julienne_graph::csr::Weight>(path: &Path) -> Result<Csr<W>, Error> {
 /// Saves in the extension-selected format.
 fn save<W: julienne_graph::csr::Weight>(g: &Csr<W>, path: &Path) -> Result<(), Error> {
     GraphIo::write(g, path, &IoOptions::default())
+}
+
+/// The `weighted=` option given, or, when absent, what a `.bin` or `.jgr`
+/// header says (a text file is read unweighted).
+fn weighted_or_stated(weighted: Option<bool>, input: &Path) -> Result<bool, CmdError> {
+    match weighted {
+        Some(w) => Ok(w),
+        None => Ok(stated_weighted(input, Format::detect(input)?)? == Some(true)),
+    }
 }
 
 /// Rejects 0-vertex graphs before computing statistics on them.
@@ -224,16 +233,16 @@ pub fn cmd_gen(a: &ParamMap) -> CmdResult {
     Ok(report)
 }
 
-/// `julienne stats in=<file> [weighted=false]`
+/// `julienne stats in=<file> [weighted=<what the header says>]`
 ///
 /// Besides the Table 2 statistics, reports the memory footprint of both
 /// backends: raw CSR bytes and byte-compressed bytes, each per edge, plus
 /// the compression ratio.
 pub fn cmd_stats(a: &ParamMap) -> CmdResult {
     let input = PathBuf::from(a.require("in")?);
-    let weighted: bool = a.get_or("weighted", false)?;
+    let weighted = a.optional("weighted")?;
     a.finish(None)?;
-    let (s, csr_bytes, compressed_bytes) = if weighted {
+    let (s, csr_bytes, compressed_bytes) = if weighted_or_stated(weighted, &input)? {
         let g: Csr<u32> = load(&input)?;
         require_nonempty(&g)?;
         let c = CompressedWGraph::from_csr(&g);
@@ -264,8 +273,8 @@ pub fn cmd_stats(a: &ParamMap) -> CmdResult {
     Ok(out)
 }
 
-/// `julienne convert in=<file> out=<file> [weighted=false] [symmetrize=false]
-/// [compressed_payload=false] [verify=false]`
+/// `julienne convert in=<file> out=<file> [weighted=<what the header says>]
+/// [symmetrize=false] [compressed_payload=false] [verify=false]`
 ///
 /// Converts between any two supported formats (the output format comes
 /// from the output extension). Writing a `.jgr` container with
@@ -277,7 +286,7 @@ pub fn cmd_stats(a: &ParamMap) -> CmdResult {
 pub fn cmd_convert(a: &ParamMap) -> CmdResult {
     let input = PathBuf::from(a.require("in")?);
     let out = PathBuf::from(a.require("out")?);
-    let weighted: bool = a.get_or("weighted", false)?;
+    let weighted = a.optional("weighted")?;
     let make_sym: bool = a.get_or("symmetrize", false)?;
     let compressed_payload: bool = a.get_or("compressed_payload", false)?;
     let verify: bool = a.get_or("verify", false)?;
@@ -293,7 +302,7 @@ pub fn cmd_convert(a: &ParamMap) -> CmdResult {
         compressed_payload,
         ..Default::default()
     };
-    let (m, kind) = if weighted {
+    let (m, kind) = if weighted_or_stated(weighted, &input)? {
         let mut g: Csr<u32> = load(&input)?;
         if make_sym {
             g = symmetrize(&g);
@@ -335,7 +344,7 @@ fn verify_written<W: julienne_graph::csr::Weight>(
     out_fmt: Format,
 ) -> Result<(), Error> {
     if out_fmt == Format::Container {
-        MappedGraph::<W>::open(out)?.verify(out)
+        container::verify(out)
     } else {
         load::<W>(out).map(|_| ())
     }
@@ -345,7 +354,7 @@ fn verify_written<W: julienne_graph::csr::Weight>(
 /// [addr=127.0.0.1:0] [backend=csr|compressed|mapped]
 /// [batch_window_ms=0] [cache_bytes=0] [scheduler=fifo|priority]`
 ///
-/// Loads the graph once (`weighted` defaults to what a `.jgr` header
+/// Loads the graph once (`weighted` defaults to what a `.bin` or `.jgr` header
 /// states), prints `listening on <addr>`, and answers
 /// line-delimited JSON queries until a `{"shutdown": true}` request
 /// arrives (see `julienne query`). All queries share the one immutable
@@ -390,12 +399,12 @@ pub fn cmd_serve(a: &ParamMap) -> CmdResult {
         cache_bytes,
         policy,
     };
-    // A mutable store is always the unweighted dynamic CSR, and a container
-    // opens as what its header says it is; the other formats cannot say,
-    // and default to weighted.
+    // A mutable store is always the unweighted dynamic CSR, and a `.bin` or
+    // `.jgr` opens as what its header says it is; the text formats cannot
+    // say, and default to weighted.
     let weighted = match weighted {
         Some(w) => w,
-        None => !mutable && Format::detect(&input)? != Format::Container,
+        None => !mutable && stated_weighted(&input, Format::detect(&input)?)?.unwrap_or(true),
     };
     let store = if mutable {
         GraphStore::dynamic(std::sync::Arc::new(DynamicStore::from_graph(load(&input)?)))
@@ -648,7 +657,8 @@ COMMANDS:
   stats       in=<file> [weighted=false]
   convert     in=<file> out=<file> [weighted=false] [symmetrize=false]
               [compressed_payload=false] [verify=false]
-              output format follows the output extension; out=<file.jgr>
+              weighted (stats, convert) defaults to what a .bin or .jgr
+              header states; output format follows the output extension; out=<file.jgr>
               writes the mmap-ready container (compressed_payload=true
               embeds the byte-compressed adjacency; verify=true re-reads
               the output and checks every section checksum)
@@ -666,7 +676,7 @@ COMMANDS:
               [batch_window_ms=0] [cache_bytes=0] [scheduler=fifo|priority]
               loads the graph once and answers concurrent queries over a local
               socket (line-delimited JSON; see `query`); weighted defaults to
-              what a .jgr header states; batch_window_ms>0
+              what a .bin or .jgr header states; batch_window_ms>0
               coalesces compatible queries into one fused run (multi-source
               sssp lanes, whole-graph fan-out; responses gain \"batched\":true),
               cache_bytes>0 arms an LRU result cache (hits answer with

@@ -17,10 +17,16 @@ fn emit(text: &str) {
         Ok(()) => {}
         Err(e) if e.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
         Err(e) => {
-            eprintln!("error: {e}");
+            report(&mut std::io::stderr().lock(), &format!("error: {e}\n"));
             std::process::exit(1);
         }
     }
+}
+
+/// Writes an error report to `err`. A failed write is ignored, so a closed
+/// stderr cannot turn the exit code that says what failed into a panic's.
+fn report(err: &mut impl Write, text: &str) {
+    let _ = err.write_all(text.as_bytes()).and_then(|()| err.flush());
 }
 
 fn main() {
@@ -36,10 +42,33 @@ fn main() {
         .map_err(commands::CmdError::from)
         .and_then(|parsed| commands::dispatch(&parsed))
     {
-        Ok(report) => emit(&report),
+        Ok(out) => emit(&out),
         Err(e) => {
-            eprintln!("error: {e}\n\n{}", commands::usage());
+            let text = format!("error: {e}\n\n{}\n", commands::usage());
+            report(&mut std::io::stderr().lock(), &text);
             std::process::exit(e.exit_code());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A stderr whose reader went away.
+    struct Closed;
+
+    impl Write for Closed {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(ErrorKind::BrokenPipe.into())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Err(ErrorKind::BrokenPipe.into())
+        }
+    }
+
+    #[test]
+    fn an_error_report_to_a_closed_stderr_does_not_panic() {
+        report(&mut Closed, "error: no such file\n");
     }
 }

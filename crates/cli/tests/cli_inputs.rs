@@ -1,6 +1,7 @@
 //! End-to-end input handling against the real `julienne` binary: what a
 //! file's header claims is checked before it is believed, and what a
-//! `.jgr` header states is not asked for again on the command line.
+//! `.bin` or `.jgr` header states is not asked for again on the command
+//! line.
 
 use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
@@ -142,14 +143,12 @@ fn unweighted_algorithms_ignore_a_containers_weights() {
     }
 }
 
-#[test]
-fn serve_reads_weightedness_from_a_container_header() {
-    let (bin, jgr) = (tmp("s.bin"), tmp("s.jgr"));
-    let arg = |k: &str, p: &PathBuf| format!("{k}={}", p.display());
-    ok_stdout(&["gen", "kind=rmat", "scale=8", &arg("out", &bin)]);
-    ok_stdout(&["convert", &arg("in", &bin), &arg("out", &jgr)]);
+/// Starts `julienne serve` with `args`, returns its listening line and
+/// address, and leaves the server to the caller to shut down.
+fn serve(args: &[&str]) -> (std::process::Child, String, String) {
     let mut server = Command::new(env!("CARGO_BIN_EXE_julienne"))
-        .args(["serve", &arg("in", &jgr), "backend=mapped"])
+        .arg("serve")
+        .args(args)
         .stdout(Stdio::piped())
         .spawn()
         .expect("failed to spawn julienne serve");
@@ -157,11 +156,60 @@ fn serve_reads_weightedness_from_a_container_header() {
     BufReader::new(server.stdout.as_mut().unwrap())
         .read_line(&mut line)
         .unwrap();
-    assert!(line.contains("weighted=false backend=mapped"), "{line:?}");
     let addr = line
         .strip_prefix("listening on ")
         .and_then(|rest| rest.split(' ').next())
-        .unwrap_or_else(|| panic!("no listening line: {line:?}"));
+        .unwrap_or_else(|| panic!("no listening line: {line:?}"))
+        .to_string();
+    (server, line, addr)
+}
+
+#[test]
+fn a_binary_file_opens_as_what_its_header_says() {
+    let (wbin, wjgr, ubin) = (tmp("h-w.bin"), tmp("h-w.jgr"), tmp("h-u.bin"));
+    let (header_el, explicit_el) = (tmp("h-header.el"), tmp("h-explicit.el"));
+    let arg = |k: &str, p: &PathBuf| format!("{k}={}", p.display());
+    let gen = |extra: &[&str], out: &PathBuf| {
+        let mut args = vec!["gen", "kind=rmat", "scale=8"];
+        args.extend_from_slice(extra);
+        ok_stdout(&[&args[..], &[arg("out", out).as_str()]].concat());
+    };
+    gen(&["weights=log"], &wbin);
+    gen(&[], &ubin);
+    let (win, jin) = (arg("in", &wbin), arg("in", &wjgr));
+    ok_stdout(&["convert", &win, &arg("out", &wjgr), "weighted=true"]);
+    // An unweighted algorithm runs on a weighted `.bin`, as on its `.jgr`.
+    assert_eq!(ok_stdout(&["kcore", &win]), ok_stdout(&["kcore", &jin]));
+    // `stats` and `convert` read a weighted `.jgr` without `weighted=true`.
+    let stats = ok_stdout(&["stats", &jin]);
+    assert_eq!(stats, ok_stdout(&["stats", &jin, "weighted=true"]));
+    let report = ok_stdout(&["convert", &jin, &arg("out", &header_el)]);
+    assert!(report.contains("(weighted, "), "{report}");
+    ok_stdout(&["convert", &jin, &arg("out", &explicit_el), "weighted=true"]);
+    assert_eq!(
+        std::fs::read(&header_el).unwrap(),
+        std::fs::read(&explicit_el).unwrap()
+    );
+    // `serve` opens an unweighted `.bin` unweighted.
+    let (mut server, line, addr) = serve(&[&arg("in", &ubin)]);
+    assert!(line.contains("weighted=false backend=csr"), "{line:?}");
+    let served = ok_stdout(&["query", &format!("addr={addr}"), "algo=kcore"]);
+    assert_eq!(served, ok_stdout(&["kcore", &arg("in", &ubin)]));
+    ok_stdout(&["query", &format!("addr={addr}"), "shutdown=true"]);
+    assert!(server.wait().unwrap().success());
+    for p in [wbin, wjgr, ubin, header_el, explicit_el] {
+        std::fs::remove_file(p).ok();
+    }
+}
+
+#[test]
+fn serve_reads_weightedness_from_a_container_header() {
+    let (bin, jgr) = (tmp("s.bin"), tmp("s.jgr"));
+    let arg = |k: &str, p: &PathBuf| format!("{k}={}", p.display());
+    ok_stdout(&["gen", "kind=rmat", "scale=8", &arg("out", &bin)]);
+    ok_stdout(&["convert", &arg("in", &bin), &arg("out", &jgr)]);
+    let (mut server, line, addr) = serve(&[&arg("in", &jgr), "backend=mapped"]);
+    assert!(line.contains("weighted=false backend=mapped"), "{line:?}");
     let served = ok_stdout(&["query", &format!("addr={addr}"), "algo=kcore"]);
     assert_eq!(served, ok_stdout(&["kcore", &arg("in", &bin)]));
     ok_stdout(&["query", &format!("addr={addr}"), "shutdown=true"]);

@@ -48,7 +48,7 @@ pub enum Backend {
     /// container's embedded payload adopted verbatim, or any other input
     /// compressed from its CSR after load.
     Compressed,
-    /// Zero-copy memory-mapped `.jgr` container (`MappedGraph<W>`): the
+    /// Zero-copy memory-mapped `.jgr` container (a `Csr` over its sections): the
     /// graph is served straight from the mapped file, so opening does no
     /// per-edge work. Requires the input to be a `.jgr` container; graphs
     /// from other sources (generators, text files) fall back to CSR.

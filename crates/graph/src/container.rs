@@ -1,4 +1,5 @@
-//! The `.jgr` zero-copy graph container and its memory-mapped reader.
+//! The `.jgr` zero-copy graph container: its writer, and the reader that
+//! opens it as a [`Csr`] over the mapped file's sections.
 //!
 //! # Layout (version 1, all integers little-endian)
 //!
@@ -22,8 +23,8 @@
 //!
 //! Sections are raw copies of the in-memory arrays — offsets as `u64`,
 //! targets and weights as `u32` — so a page-aligned map plus the 64-byte
-//! section alignment lets [`MappedGraph`] reinterpret the mapped bytes as
-//! typed slices directly: **no parse, no copy, no per-edge work at open**.
+//! section alignment lets [`Csr::open`] view the mapped bytes as the
+//! graph's own arrays: **no parse, no copy, no per-edge work at open**.
 //! An optional set of sections carries the Ligra+ byte-compressed payload,
 //! so `backend=compressed` loads skip re-encoding too. A graph is stored in
 //! one direction only: dense (pull) traversals read a symmetric graph's
@@ -42,25 +43,29 @@
 //!
 //! # Integrity and forward compatibility
 //!
-//! Opening validates the header, the endianness marker, the header
-//! checksum, and every section-table entry (alignment, bounds, expected
-//! lengths) — O(sections), independent of graph size. Per-section payload
-//! checksums are *stored* at write time but verified only on demand
-//! ([`MappedGraph::verify`]), keeping the open path free of per-edge work;
-//! `julienne convert verify=true` and the test suites run the full check.
+//! [`Csr::open`] (`backend=mapped`) validates the header, the endianness
+//! marker, the header checksum, and every section-table entry (alignment,
+//! bounds, expected lengths) — O(sections), independent of graph size.
+//! Reading through [`crate::io::GraphIo::read`] maps the file the same way,
+//! then checks the CSR sections' stored FNV-1a checksums and the structure
+//! [`Csr::try_from_parts`] checks: one pass, nothing copied. [`verify`]
+//! checks every section's checksum (`julienne convert verify=true`). The
+//! checksums catch accidents — torn writes, bit rot — not an attacker, who
+//! can recompute them.
 //! Readers reject `version != 1` and unknown *flags*, but skip unknown
 //! section kinds, so future writers can add sections without breaking old
 //! readers.
 
 use crate::compress::Compressed;
 use crate::csr::{Csr, Weight};
-use crate::mmap::MmapBuf;
+use crate::mmap::{Array, MmapBuf, Plain};
 use crate::VertexId;
 use julienne_primitives::error::Error;
 use std::borrow::Cow;
 use std::io::Write as _;
-use std::marker::PhantomData;
+use std::ops::Range;
 use std::path::Path;
+use std::sync::Arc;
 
 /// File magic: "JGR!" plus the PNG-style CRLF/EOF/LF tail that catches
 /// line-ending translation and truncation-at-EOF corruption.
@@ -200,76 +205,6 @@ pub fn peek(path: &Path) -> Result<ContainerInfo, Error> {
     f.read_exact(&mut head)
         .map_err(|_| bad(path, "truncated container (shorter than the header)"))?;
     parse_header(path, &head).map(|(info, _)| info)
-}
-
-/// Parses a whole container's header and section table — the one copy both
-/// loaders use. Bounds everything later arithmetic leans on: `n` fits the
-/// 32-bit id space (so `(n + 1) * 8` cannot overflow), `n` and `m` fit
-/// `usize`, and every section is 64-byte aligned and lies inside `bytes`.
-fn parse_table(
-    path: &Path,
-    bytes: &[u8],
-) -> Result<(ContainerInfo, usize, usize, Vec<Section>), Error> {
-    let (info, count) = parse_header(path, bytes)?;
-    let n = usize::try_from(info.n).map_err(|_| bad(path, "vertex count overflows usize"))?;
-    let m = usize::try_from(info.m).map_err(|_| bad(path, "edge count overflows usize"))?;
-    if n > VertexId::MAX as usize {
-        return Err(bad(path, "vertex count exceeds the 32-bit id space"));
-    }
-    let table_end = HEADER_LEN.saturating_add((count as usize).saturating_mul(SECTION_ENTRY_LEN));
-    if table_end > bytes.len() {
-        return Err(bad(path, "truncated container (section table cut short)"));
-    }
-    let mut sections = Vec::with_capacity(count as usize);
-    for e in bytes[HEADER_LEN..table_end].chunks_exact(SECTION_ENTRY_LEN) {
-        let s = Section {
-            kind: u32::from_le_bytes(e[0..4].try_into().unwrap()),
-            offset: u64::from_le_bytes(e[8..16].try_into().unwrap()),
-            len: u64::from_le_bytes(e[16..24].try_into().unwrap()),
-            checksum: u64::from_le_bytes(e[24..32].try_into().unwrap()),
-        };
-        if !s.offset.is_multiple_of(SECTION_ALIGN as u64) {
-            return Err(bad(path, format!("section {} is misaligned", s.kind)));
-        }
-        if s.offset
-            .checked_add(s.len)
-            .is_none_or(|end| end > bytes.len() as u64)
-        {
-            return Err(bad(
-                path,
-                format!("truncated container (section {} cut short)", s.kind),
-            ));
-        }
-        sections.push(s);
-    }
-    Ok((info, n, m, sections))
-}
-
-/// The payload of the section of kind `k`, which must be exactly
-/// `want_len` bytes when a length is given.
-fn section_payload<'a>(
-    path: &Path,
-    bytes: &'a [u8],
-    sections: &[Section],
-    k: u32,
-    want_len: Option<u64>,
-    what: &str,
-) -> Result<&'a [u8], Error> {
-    let s = sections
-        .iter()
-        .find(|s| s.kind == k)
-        .ok_or_else(|| bad(path, format!("missing {what} section")))?;
-    if let Some(want) = want_len.filter(|&l| l != s.len) {
-        return Err(bad(
-            path,
-            format!(
-                "{what} section has {} bytes, expected {want} (corrupt header?)",
-                s.len
-            ),
-        ));
-    }
-    // `parse_table` checked offset + len against the file.
-    Ok(&bytes[s.offset as usize..(s.offset + s.len) as usize])
 }
 
 // --------------------------------------------------------------------------
@@ -412,6 +347,13 @@ pub fn write<W: Weight>(
     head[44..48].copy_from_slice(&hsum.to_le_bytes());
 
     let write_all = || -> std::io::Result<()> {
+        // A reader may have `path` mapped (a `.jgr` read maps, not copies):
+        // unlink it first, so that mapping keeps the old file's bytes while
+        // this write makes a new file.
+        match std::fs::remove_file(path) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
+            _ => {}
+        }
         let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
         out.write_all(&head)?;
         for e in &entries {
@@ -435,248 +377,158 @@ pub fn write<W: Weight>(
 }
 
 // --------------------------------------------------------------------------
-// MappedGraph
+// Reading
 // --------------------------------------------------------------------------
 
-/// A graph served directly from a memory-mapped `.jgr` file.
-///
-/// Implements the same access surface as [`Csr`] — degrees, neighbor
-/// slices, weights — by reinterpreting the mapped sections in place, so
-/// `open` does no per-edge work: a multi-GB graph opens in milliseconds and
-/// pages fault in on first touch, which also makes graphs larger than RAM
-/// usable via demand paging.
-///
-/// `W` must match the file: opening a weighted file as `MappedGraph<()>`
-/// (or vice versa) is rejected, mirroring the text loaders' contract.
-pub struct MappedGraph<W: Weight> {
-    buf: MmapBuf,
+/// The name `benchmark/layers` imports for a graph served from a mapped
+/// `.jgr`. A [`Csr`] views the file's sections in place, so it is that
+/// `Csr`; the alias goes when the benchmark stops naming it.
+pub type MappedGraph<W> = Csr<W>;
+
+/// A mapped container whose header and section table are checked:
+/// O(sections), no payload byte read.
+struct MappedFile {
+    buf: Arc<MmapBuf>,
+    info: ContainerInfo,
     n: usize,
     m: usize,
-    symmetric: bool,
-    offsets: *const u64,
-    targets: *const VertexId,
-    /// Null when the file is unweighted.
-    weights: *const u32,
     sections: Vec<Section>,
-    _weight: PhantomData<W>,
 }
 
-// SAFETY: all pointers target the immutable `buf` owned by the struct.
-unsafe impl<W: Weight> Send for MappedGraph<W> {}
-unsafe impl<W: Weight> Sync for MappedGraph<W> {}
+impl MappedFile {
+    /// Maps `path` and parses its header and section table — the one copy
+    /// every reader uses. Bounds everything later arithmetic leans on: `n`
+    /// fits the 32-bit id space (so `(n + 1) * 8` cannot overflow), `n` and
+    /// `m` fit `usize`, and every section is 64-byte aligned and lies
+    /// inside the file.
+    fn open(path: &Path) -> Result<Self, Error> {
+        let buf = Arc::new(MmapBuf::open(path)?);
+        let bytes = buf.bytes();
+        let (info, count) = parse_header(path, bytes)?;
+        let n = usize::try_from(info.n).map_err(|_| bad(path, "vertex count overflows usize"))?;
+        let m = usize::try_from(info.m).map_err(|_| bad(path, "edge count overflows usize"))?;
+        if n > VertexId::MAX as usize {
+            return Err(bad(path, "vertex count exceeds the 32-bit id space"));
+        }
+        let table_end =
+            HEADER_LEN.saturating_add((count as usize).saturating_mul(SECTION_ENTRY_LEN));
+        if table_end > bytes.len() {
+            return Err(bad(path, "truncated container (section table cut short)"));
+        }
+        let mut sections = Vec::with_capacity(count as usize);
+        for e in bytes[HEADER_LEN..table_end].chunks_exact(SECTION_ENTRY_LEN) {
+            let s = Section {
+                kind: u32::from_le_bytes(e[0..4].try_into().unwrap()),
+                offset: u64::from_le_bytes(e[8..16].try_into().unwrap()),
+                len: u64::from_le_bytes(e[16..24].try_into().unwrap()),
+                checksum: u64::from_le_bytes(e[24..32].try_into().unwrap()),
+            };
+            if !s.offset.is_multiple_of(SECTION_ALIGN as u64) {
+                return Err(bad(path, format!("section {} is misaligned", s.kind)));
+            }
+            if s.offset
+                .checked_add(s.len)
+                .is_none_or(|end| end > bytes.len() as u64)
+            {
+                return Err(bad(
+                    path,
+                    format!("truncated container (section {} cut short)", s.kind),
+                ));
+            }
+            sections.push(s);
+        }
+        Ok(MappedFile {
+            buf,
+            info,
+            n,
+            m,
+            sections,
+        })
+    }
 
-impl<W: Weight> MappedGraph<W> {
-    /// Maps `path` and validates the header and section table — O(sections),
-    /// no per-edge work. See [`MappedGraph::verify`] for the full payload
-    /// check.
-    pub fn open(path: &Path) -> Result<Self, Error> {
-        #[cfg(target_endian = "big")]
-        {
+    /// Refuses a file whose weightedness is not `W`'s.
+    fn weights_match<W: Weight>(&self, path: &Path) -> Result<(), Error> {
+        if self.info.weighted == W::IS_UNIT {
+            return Err(bad(
+                path,
+                "weightedness of container does not match requested graph type",
+            ));
+        }
+        Ok(())
+    }
+
+    /// The byte range of the section of kind `k`, which must be exactly
+    /// `want_len` bytes when a length is given.
+    fn find(
+        &self,
+        path: &Path,
+        k: u32,
+        want_len: Option<u64>,
+        what: &str,
+    ) -> Result<Range<usize>, Error> {
+        let s = self
+            .sections
+            .iter()
+            .find(|s| s.kind == k)
+            .ok_or_else(|| bad(path, format!("missing {what} section")))?;
+        if let Some(want) = want_len.filter(|&l| l != s.len) {
+            return Err(bad(
+                path,
+                format!(
+                    "{what} section has {} bytes, expected {want} (corrupt header?)",
+                    s.len
+                ),
+            ));
+        }
+        // `open` checked offset + len against the file.
+        Ok(s.offset as usize..(s.offset + s.len) as usize)
+    }
+
+    /// The section of kind `k`, exactly `want_len` bytes, as an array.
+    fn array<T: Plain>(
+        &self,
+        path: &Path,
+        k: u32,
+        want_len: u64,
+        what: &str,
+    ) -> Result<Array<T>, Error> {
+        let at = self.find(path, k, Some(want_len), what)?;
+        Array::mapped(&self.buf, at).ok_or_else(|| bad(path, format!("{what} is misaligned")))
+    }
+
+    /// The graph over the CSR sections, with no per-edge work.
+    fn csr<W: Weight>(&self, path: &Path) -> Result<Csr<W>, Error> {
+        if cfg!(target_endian = "big") {
             return Err(bad(
                 path,
                 "zero-copy containers are little-endian; this host is big-endian \
                  (convert to a text format instead)",
             ));
         }
-        #[cfg(target_endian = "little")]
-        {
-            let buf = MmapBuf::open(path)?;
-            Self::from_buf(buf, path)
-        }
-    }
-
-    #[cfg(target_endian = "little")]
-    fn from_buf(buf: MmapBuf, path: &Path) -> Result<Self, Error> {
-        let bytes = buf.bytes();
-        let (info, n, m, sections) = parse_table(path, bytes)?;
-        if info.weighted == W::IS_UNIT {
-            return Err(bad(
-                path,
-                "weightedness of container does not match requested graph type",
-            ));
-        }
-        let expect = |k: u32, want_len: u64, what: &str| {
-            section_payload(path, bytes, &sections, k, Some(want_len), what).map(<[u8]>::as_ptr)
-        };
-        let targets_len = (m as u64)
+        self.weights_match::<W>(path)?;
+        let targets_len = (self.m as u64)
             .checked_mul(4)
             .ok_or_else(|| bad(path, "edge count overflows the section lengths"))?;
-        let offsets = expect(kind::OFFSETS, (n as u64 + 1) * 8, "offsets")? as *const u64;
-        let targets = expect(kind::TARGETS, targets_len, "targets")? as *const VertexId;
-        let weights = if info.weighted {
-            expect(kind::WEIGHTS, targets_len, "weights")? as *const u32
+        let offsets = self.array(path, kind::OFFSETS, (self.n as u64 + 1) * 8, "offsets")?;
+        let targets = self.array(path, kind::TARGETS, targets_len, "targets")?;
+        let weights = if self.info.weighted {
+            W::from_stored(self.array(path, kind::WEIGHTS, targets_len, "weights")?)
         } else {
-            std::ptr::null()
+            vec![W::default(); self.m].into()
         };
-        Ok(MappedGraph {
-            buf,
-            n,
-            m,
-            symmetric: info.symmetric,
+        Ok(Csr::from_arrays(
             offsets,
             targets,
             weights,
-            sections,
-            _weight: PhantomData,
-        })
+            self.info.symmetric,
+        ))
     }
 
-    /// Number of vertices.
-    #[inline]
-    pub fn num_vertices(&self) -> usize {
-        self.n
-    }
-
-    /// Number of (directed) edges.
-    #[inline]
-    pub fn num_edges(&self) -> usize {
-        self.m
-    }
-
-    /// Whether the stored graph is symmetric.
-    #[inline]
-    pub fn is_symmetric(&self) -> bool {
-        self.symmetric
-    }
-
-    /// Bytes of the mapping — the whole file. This is *address space*, not
-    /// resident memory: untouched pages cost nothing.
-    pub fn footprint_bytes(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// The mapped offsets array (length `n + 1`).
-    #[inline]
-    pub fn offsets(&self) -> &[u64] {
-        // SAFETY: the section was validated to exactly (n+1)*8 bytes at
-        // open; buf is owned by self and immutable.
-        unsafe { std::slice::from_raw_parts(self.offsets, self.n + 1) }
-    }
-
-    /// The mapped flat targets array.
-    #[inline]
-    pub fn targets(&self) -> &[VertexId] {
-        // SAFETY: the section was validated to exactly m*4 bytes at open.
-        unsafe { std::slice::from_raw_parts(self.targets, self.m) }
-    }
-
-    /// The mapped flat weights array as stored (`u32`); empty when
-    /// unweighted.
-    #[inline]
-    pub fn weights_u32(&self) -> &[u32] {
-        if self.weights.is_null() {
-            &[]
-        } else {
-            // SAFETY: as for `offsets`.
-            unsafe { std::slice::from_raw_parts(self.weights, self.m) }
-        }
-    }
-
-    /// Out-degree of `v`.
-    #[inline]
-    pub fn degree(&self, v: VertexId) -> usize {
-        let o = self.offsets();
-        (o[v as usize + 1] - o[v as usize]) as usize
-    }
-
-    /// Out-neighbors of `v`, as a borrowed slice of the mapping.
-    #[inline]
-    pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        let o = self.offsets();
-        &self.targets()[o[v as usize] as usize..o[v as usize + 1] as usize]
-    }
-
-    /// Weights for the edge range `lo..hi`. Callers must have established
-    /// `lo <= hi <= m` first (every traversal path does, by slicing the
-    /// targets section with safe bounds-checked indexing before this).
-    #[inline]
-    fn weights_in(&self, lo: usize, hi: usize) -> &[u32] {
-        if self.weights.is_null() {
-            &[]
-        } else {
-            debug_assert!(lo <= hi && hi <= self.m);
-            // SAFETY: the weights section was validated to m entries at
-            // open, and lo..hi lies within 0..m per the contract above.
-            unsafe { std::slice::from_raw_parts(self.weights.add(lo), hi - lo) }
-        }
-    }
-
-    /// Visits each out-edge `(target, weight)` of `v`.
-    #[inline]
-    pub fn for_each_out<F: FnMut(VertexId, W)>(&self, v: VertexId, mut f: F) {
-        let o = self.offsets();
-        let (lo, hi) = (o[v as usize] as usize, o[v as usize + 1] as usize);
-        let ts = &self.targets()[lo..hi];
-        if W::IS_UNIT {
-            for &t in ts {
-                f(t, W::default());
-            }
-        } else {
-            let ws = self.weights_in(lo, hi);
-            for (&t, &w) in ts.iter().zip(ws) {
-                f(t, W::from_u64(w as u64));
-            }
-        }
-    }
-
-    /// Visits out-edges of `v` until `f` returns `false`.
-    #[inline]
-    pub fn for_each_out_until<F: FnMut(VertexId, W) -> bool>(&self, v: VertexId, mut f: F) {
-        let o = self.offsets();
-        let (lo, hi) = (o[v as usize] as usize, o[v as usize + 1] as usize);
-        let ts = &self.targets()[lo..hi];
-        if W::IS_UNIT {
-            for &t in ts {
-                if !f(t, W::default()) {
-                    return;
-                }
-            }
-        } else {
-            let ws = self.weights_in(lo, hi);
-            for (&t, &w) in ts.iter().zip(ws) {
-                if !f(t, W::from_u64(w as u64)) {
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Visits out-edges of `v` in the **local** edge range `lo..hi`
-    /// (clamped to the degree) — the ranged access edgeMap uses to split a
-    /// giant adjacency list across parallel chunk tasks.
-    #[inline]
-    pub fn for_each_out_range<F: FnMut(VertexId, W)>(
-        &self,
-        v: VertexId,
-        lo_local: usize,
-        hi_local: usize,
-        mut f: F,
-    ) {
-        let o = self.offsets();
-        let (base, end) = (o[v as usize] as usize, o[v as usize + 1] as usize);
-        let lo = base.saturating_add(lo_local).min(end);
-        let hi = base.saturating_add(hi_local).min(end).max(lo);
-        let ts = &self.targets()[lo..hi];
-        if W::IS_UNIT {
-            for &t in ts {
-                f(t, W::default());
-            }
-        } else {
-            let ws = self.weights_in(lo, hi);
-            for (&t, &w) in ts.iter().zip(ws) {
-                f(t, W::from_u64(w as u64));
-            }
-        }
-    }
-
-    /// Full payload validation: every section's stored FNV-1a checksum,
-    /// offsets monotonicity, and target ranges. O(file size) — this is the
-    /// deliberate opposite of [`MappedGraph::open`]'s no-per-edge-work
-    /// contract, for `convert verify=true` and tests.
-    pub fn verify(&self, path: &Path) -> Result<(), Error> {
-        let bytes = self.buf.bytes();
-        for s in &self.sections {
-            let payload = &bytes[s.offset as usize..(s.offset + s.len) as usize];
+    /// Checks the stored FNV-1a checksum of every section `pick` selects by
+    /// kind.
+    fn check_sums(&self, path: &Path, pick: impl Fn(u32) -> bool) -> Result<(), Error> {
+        for s in self.sections.iter().filter(|s| pick(s.kind)) {
+            let payload = &self.buf.bytes()[s.offset as usize..(s.offset + s.len) as usize];
             if fnv1a64(payload) != s.checksum {
                 return Err(bad(
                     path,
@@ -684,55 +536,54 @@ impl<W: Weight> MappedGraph<W> {
                 ));
             }
         }
-        let offsets = self.offsets();
-        if offsets[0] != 0 || offsets[self.n] != self.m as u64 {
-            return Err(bad(path, "out offsets do not span the edges"));
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(bad(path, "out offsets are not monotone"));
-        }
-        if let Some(&t) = self.targets().iter().find(|&&t| t as usize >= self.n) {
-            return Err(bad(path, format!("out target {t} out of range")));
-        }
         Ok(())
-    }
-
-    /// Materializes a heap [`Csr`] copy (used by `convert` when the
-    /// destination is another format).
-    ///
-    /// The payload is re-validated while materializing (checksums are only
-    /// checked by [`MappedGraph::verify`]), so a corrupt body surfaces as a
-    /// typed parse error here, never a garbage graph.
-    pub fn to_csr(&self) -> Result<Csr<W>, Error> {
-        let weights: Vec<W> = if W::IS_UNIT {
-            Vec::new()
-        } else {
-            self.weights_u32()
-                .iter()
-                .map(|&w| W::from_u64(w as u64))
-                .collect()
-        };
-        Csr::try_from_parts(
-            self.offsets().to_vec(),
-            self.targets().to_vec(),
-            weights,
-            self.symmetric,
-        )
-        .map_err(|msg| Error::parse(format!("corrupt container payload: {msg}")))
     }
 }
 
-impl<W: Weight> std::fmt::Debug for MappedGraph<W> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "MappedGraph(n={}, m={}, symmetric={}, weighted={}, mapped={}B)",
-            self.n,
-            self.m,
-            self.symmetric,
-            !W::IS_UNIT,
-            self.buf.len()
-        )
+impl<W: Weight> Csr<W> {
+    /// Opens a `.jgr` container as a graph over its mapped sections — the
+    /// `backend=mapped` open. It checks the header and section table
+    /// (O(sections)) and reads no edge: a multi-GB graph opens in
+    /// milliseconds, and pages fault in on first touch, so graphs larger
+    /// than RAM open too. Until [`verify`] or [`crate::io::GraphIo::read`]
+    /// has checked the payload, a corrupt one panics at the slice it cuts.
+    ///
+    /// `W` must match the file: opening a weighted file as `Csr<()>` (or
+    /// vice versa) is refused, as by the text loaders. `u64` widens the
+    /// stored `u32` weights into an owned array.
+    pub fn open(path: &Path) -> Result<Self, Error> {
+        MappedFile::open(path)?.csr(path)
+    }
+}
+
+/// Refuses `g` unless it passes the structure check.
+fn checked<W: Weight>(path: &Path, g: Csr<W>) -> Result<Csr<W>, Error> {
+    g.check_structure()
+        .map_err(|msg| bad(path, format!("corrupt container payload: {msg}")))?;
+    Ok(g)
+}
+
+/// Reads a container for [`crate::io::GraphIo::read`]: the mapped graph of
+/// [`Csr::open`], once its CSR sections match their checksums and pass the
+/// structure check. One pass over the arrays; nothing is copied.
+pub(crate) fn read<W: Weight>(path: &Path) -> Result<Csr<W>, Error> {
+    let file = MappedFile::open(path)?;
+    file.check_sums(path, |k| {
+        matches!(k, kind::OFFSETS | kind::TARGETS | kind::WEIGHTS)
+    })?;
+    checked(path, file.csr(path)?)
+}
+
+/// Full validation of a container file: every section's stored checksum,
+/// then the structure check of its graph. O(file size) — the deliberate
+/// opposite of [`Csr::open`], for `convert verify=true` and tests.
+pub fn verify(path: &Path) -> Result<(), Error> {
+    let file = MappedFile::open(path)?;
+    file.check_sums(path, |_| true)?;
+    if file.info.weighted {
+        checked(path, file.csr::<u32>(path)?).map(drop)
+    } else {
+        checked(path, file.csr::<()>(path)?).map(drop)
     }
 }
 
@@ -747,27 +598,15 @@ impl<W: Weight> std::fmt::Debug for MappedGraph<W> {
 /// embeds no payload is `Ok(None)`, so a caller with a fallback (compress
 /// the CSR sections in memory) opens and parses the file once.
 pub fn read_compressed<W: Weight>(path: &Path) -> Result<Option<Compressed<W>>, Error> {
-    let buf = MmapBuf::open(path)?;
-    let bytes = buf.bytes();
-    let (info, n, m, sections) = parse_table(path, bytes)?;
-    if !info.has_compressed {
+    let file = MappedFile::open(path)?;
+    if !file.info.has_compressed {
         return Ok(None);
     }
-    if info.weighted == W::IS_UNIT {
-        return Err(bad(
-            path,
-            "weightedness of container does not match requested graph type",
-        ));
-    }
+    file.weights_match::<W>(path)?;
+    let n = file.n;
     let part = |k, want_len, name: &str| {
-        section_payload(
-            path,
-            bytes,
-            &sections,
-            k,
-            want_len,
-            &format!("compressed payload {name}"),
-        )
+        let at = file.find(path, k, want_len, &format!("compressed payload {name}"))?;
+        Ok::<_, Error>(&file.buf.bytes()[at])
     };
     let offsets = part(kind::COMP_OFFSETS, Some((n as u64 + 1) * 8), "offsets")?
         .chunks_exact(8)
@@ -780,13 +619,14 @@ pub fn read_compressed<W: Weight>(path: &Path) -> Result<Option<Compressed<W>>, 
     let data = part(kind::COMP_DATA, None, "data")?.to_vec();
     // The chunk size comes from the META section; absent = 0, the legacy
     // unchunked layout.
-    let chunk_size = if sections.iter().any(|s| s.kind == kind::COMP_META) {
+    let chunk_size = if file.sections.iter().any(|s| s.kind == kind::COMP_META) {
         let meta = part(kind::COMP_META, Some(8), "meta")?;
         u32::from_le_bytes(meta[..4].try_into().unwrap())
     } else {
         0
     };
-    Compressed::try_from_raw_parts(n, m, offsets, degrees, data, info.symmetric, chunk_size)
+    let symmetric = file.info.symmetric;
+    Compressed::try_from_raw_parts(n, file.m, offsets, degrees, data, symmetric, chunk_size)
         .map(Some)
         .map_err(|e| bad(path, format!("corrupt compressed payload: {e}")))
 }
@@ -801,22 +641,13 @@ mod tests {
         std::env::temp_dir().join(format!("julienne-jgr-{name}-{}.jgr", std::process::id()))
     }
 
-    fn same_as_csr<W: Weight>(g: &Csr<W>, mg: &MappedGraph<W>) {
+    fn same_as_csr<W: Weight>(g: &Csr<W>, mg: &Csr<W>) {
         assert_eq!(g.num_vertices(), mg.num_vertices());
         assert_eq!(g.num_edges(), mg.num_edges());
         assert_eq!(g.is_symmetric(), mg.is_symmetric());
         assert_eq!(g.offsets(), mg.offsets());
         assert_eq!(g.targets(), mg.targets());
-        for v in 0..g.num_vertices() as VertexId {
-            assert_eq!(g.neighbors(v), mg.neighbors(v));
-            let mut want = Vec::new();
-            for (u, w) in g.edges_of(v) {
-                want.push((u, w));
-            }
-            let mut got = Vec::new();
-            mg.for_each_out(v, |u, w| got.push((u, w)));
-            assert_eq!(want, got, "edges of {v}");
-        }
+        assert_eq!(g.weights(), mg.weights());
     }
 
     #[test]
@@ -824,8 +655,8 @@ mod tests {
         let g = erdos_renyi(300, 2_000, 7, true);
         let p = tmp("sym");
         write(&g, &p, &ContainerWriteOptions::default()).unwrap();
-        let mg: MappedGraph<()> = MappedGraph::open(&p).unwrap();
-        mg.verify(&p).unwrap();
+        let mg: Csr<()> = Csr::open(&p).unwrap();
+        verify(&p).unwrap();
         same_as_csr(&g, &mg);
         std::fs::remove_file(&p).ok();
     }
@@ -835,23 +666,36 @@ mod tests {
         let g = assign_weights(&rmat(8, 8, RmatParams::default(), 3, false), 1, 50, 5);
         let p = tmp("wdir");
         write(&g, &p, &ContainerWriteOptions::default()).unwrap();
-        let mg: MappedGraph<u32> = MappedGraph::open(&p).unwrap();
-        mg.verify(&p).unwrap();
+        let mg: Csr<u32> = Csr::open(&p).unwrap();
+        verify(&p).unwrap();
         same_as_csr(&g, &mg);
         std::fs::remove_file(&p).ok();
     }
 
     #[test]
-    fn materialize_round_trips() {
+    fn read_checks_and_widens() {
         let g = assign_weights(&erdos_renyi(200, 1_500, 2, true), 1, 9, 3);
         let p = tmp("mat");
         write(&g, &p, &ContainerWriteOptions::default()).unwrap();
-        let mg: MappedGraph<u32> = MappedGraph::open(&p).unwrap();
-        let h = mg.to_csr().unwrap();
-        assert_eq!(g.offsets(), h.offsets());
-        assert_eq!(g.targets(), h.targets());
-        assert_eq!(g.weights(), h.weights());
-        assert_eq!(g.is_symmetric(), h.is_symmetric());
+        same_as_csr(&g, &read::<u32>(&p).unwrap());
+        let wide = read::<u64>(&p).unwrap();
+        let want: Vec<u64> = g.weights().iter().map(|&w| w.into()).collect();
+        assert_eq!(wide.weights(), &want[..]);
+        assert_eq!(wide.targets(), g.targets());
+        std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn rewriting_a_mapped_file_leaves_the_mapping_intact() {
+        let g = erdos_renyi(150, 900, 4, true);
+        let p = tmp("rewrite");
+        write(&g, &p, &ContainerWriteOptions::default()).unwrap();
+        let mg: Csr<()> = read(&p).unwrap();
+        let other = crate::builder::from_pairs(3, &[(0, 1)]);
+        write(&other, &p, &ContainerWriteOptions::default()).unwrap();
+        same_as_csr(&g, &mg);
+        write(&mg, &p, &ContainerWriteOptions::default()).unwrap();
+        same_as_csr(&g, &read(&p).unwrap());
         std::fs::remove_file(&p).ok();
     }
 
@@ -907,8 +751,8 @@ mod tests {
             let errs = [
                 read_compressed::<()>(&pu).err(),
                 read_compressed::<u32>(&pw).err(),
-                MappedGraph::<()>::open(&pu).err(),
-                MappedGraph::<u32>::open(&pw).err(),
+                Csr::<()>::open(&pu).err(),
+                Csr::<u32>::open(&pw).err(),
             ];
             for e in errs {
                 let e = e.unwrap_or_else(|| panic!("count {count:#x} at byte {at} was accepted"));
@@ -929,8 +773,8 @@ mod tests {
             let g = crate::builder::from_pairs(n, &edges);
             let p = tmp(name);
             write(&g, &p, &ContainerWriteOptions::default()).unwrap();
-            let mg: MappedGraph<()> = MappedGraph::open(&p).unwrap();
-            mg.verify(&p).unwrap();
+            let mg: Csr<()> = Csr::open(&p).unwrap();
+            verify(&p).unwrap();
             same_as_csr(&g, &mg);
             std::fs::remove_file(&p).ok();
         }
@@ -941,12 +785,12 @@ mod tests {
         let g = erdos_renyi(50, 300, 1, true);
         let p = tmp("mismatch");
         write(&g, &p, &ContainerWriteOptions::default()).unwrap();
-        let err = MappedGraph::<u32>::open(&p).unwrap_err();
+        let err = Csr::<u32>::open(&p).unwrap_err();
         assert_eq!(err.code(), "parse");
         assert!(err.to_string().contains("weightedness"), "{err}");
         let wg = assign_weights(&g, 1, 5, 2);
         write(&wg, &p, &ContainerWriteOptions::default()).unwrap();
-        let err = MappedGraph::<()>::open(&p).unwrap_err();
+        let err = Csr::<()>::open(&p).unwrap_err();
         assert!(err.to_string().contains("weightedness"), "{err}");
         std::fs::remove_file(&p).ok();
     }
@@ -962,7 +806,7 @@ mod tests {
         let mut bytes = pristine.clone();
         bytes[0] = b'X';
         std::fs::write(&p, &bytes).unwrap();
-        let err = MappedGraph::<()>::open(&p).unwrap_err();
+        let err = Csr::<()>::open(&p).unwrap_err();
         assert_eq!(err.code(), "parse");
         assert!(err.to_string().contains("magic"), "{err}");
 
@@ -974,30 +818,31 @@ mod tests {
         let sum = fnv1a64(&bytes[0..44]) as u32;
         bytes[44..48].copy_from_slice(&sum.to_le_bytes());
         std::fs::write(&p, &bytes).unwrap();
-        let err = MappedGraph::<()>::open(&p).unwrap_err();
+        let err = Csr::<()>::open(&p).unwrap_err();
         assert!(err.to_string().contains("version 99"), "{err}");
 
         // Flipped header byte without fixing the checksum.
         let mut bytes = pristine.clone();
         bytes[25] ^= 0xFF;
         std::fs::write(&p, &bytes).unwrap();
-        let err = MappedGraph::<()>::open(&p).unwrap_err();
+        let err = Csr::<()>::open(&p).unwrap_err();
         assert!(err.to_string().contains("checksum"), "{err}");
 
         // Truncation mid-section.
         std::fs::write(&p, &pristine[..pristine.len() / 2]).unwrap();
-        let err = MappedGraph::<()>::open(&p).unwrap_err();
+        let err = Csr::<()>::open(&p).unwrap_err();
         assert!(err.to_string().contains("truncated"), "{err}");
 
         // A flipped payload byte opens fine (open is O(sections)) but fails
-        // verify() via the section checksum.
+        // verify() and the checked read via the section checksum.
         let mut bytes = pristine.clone();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         std::fs::write(&p, &bytes).unwrap();
-        let mg = MappedGraph::<()>::open(&p).unwrap();
-        let err = mg.verify(&p).unwrap_err();
-        assert!(err.to_string().contains("checksum"), "{err}");
+        Csr::<()>::open(&p).unwrap();
+        for err in [verify(&p).unwrap_err(), read::<()>(&p).unwrap_err()] {
+            assert!(err.to_string().contains("checksum"), "{err}");
+        }
 
         std::fs::remove_file(&p).ok();
     }
@@ -1018,26 +863,28 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_payload_makes_to_csr_a_parse_error() {
+    fn corrupt_payload_with_a_fixed_checksum_makes_read_a_parse_error() {
         let g = erdos_renyi(120, 800, 21, true);
         let p = tmp("badcsr");
         write(&g, &p, &ContainerWriteOptions::default()).unwrap();
         let mut bytes = std::fs::read(&p).unwrap();
         let r = section_range(&bytes, kind::OFFSETS);
-        for b in &mut bytes[r] {
+        for b in &mut bytes[r.clone()] {
             *b = 0xEE;
         }
+        // Restore the section checksum, as a writer that got the arrays
+        // wrong would have stored it, so only the structure check is left.
+        let sum = fnv1a64(&bytes[r]);
+        bytes[HEADER_LEN + 24..HEADER_LEN + 32].copy_from_slice(&sum.to_le_bytes());
         std::fs::write(&p, &bytes).unwrap();
-        // Header is intact, so open (O(sections)) succeeds; materializing
-        // must surface a typed error, not a garbage graph or debug-only
-        // assert.
-        let mg: MappedGraph<()> = MappedGraph::open(&p).unwrap();
-        let err = mg.to_csr().unwrap_err();
-        assert_eq!(err.code(), "parse");
-        assert!(
-            err.to_string().contains("corrupt container payload"),
-            "{err}"
-        );
+        // Header is intact, so open (O(sections)) succeeds; the checked
+        // read and verify must surface a typed error, not a garbage graph.
+        Csr::<()>::open(&p).unwrap();
+        for err in [read::<()>(&p).unwrap_err(), verify(&p).unwrap_err()] {
+            assert_eq!(err.code(), "parse");
+            let msg = err.to_string();
+            assert!(msg.contains("corrupt container payload: offsets"), "{msg}");
+        }
         std::fs::remove_file(&p).ok();
     }
 

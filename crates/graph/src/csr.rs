@@ -1,5 +1,6 @@
 //! Compressed-sparse-row graphs, generic over the edge-weight type.
 
+use crate::mmap::Array;
 use crate::VertexId;
 use rayon::prelude::*;
 
@@ -14,6 +15,14 @@ pub trait Weight: Copy + Send + Sync + Default + PartialEq + std::fmt::Debug + '
     fn to_u64(self) -> u64;
     /// Deserialises from binary I/O.
     fn from_u64(x: u64) -> Self;
+    /// Adopts a container's stored `u32` weights: `u32` keeps the view
+    /// where it lies, other types widen into an array of their own.
+    fn from_stored(ws: Array<u32>) -> Array<Self> {
+        ws.iter()
+            .map(|&w| Self::from_u64(w.into()))
+            .collect::<Vec<_>>()
+            .into()
+    }
 }
 
 impl Weight for () {
@@ -32,6 +41,9 @@ impl Weight for u32 {
     fn from_u64(x: u64) -> Self {
         x as u32
     }
+    fn from_stored(ws: Array<u32>) -> Array<u32> {
+        ws
+    }
 }
 
 impl Weight for u64 {
@@ -48,14 +60,14 @@ impl Weight for u64 {
 ///
 /// `offsets`/`targets` hold the **out**-adjacency. Symmetric graphs set
 /// [`Csr::is_symmetric`]; their out-lists are also their in-lists, which is
-/// what Ligra's dense (pull) traversal reads.
+/// what Ligra's dense (pull) traversal reads. The three arrays are owned,
+/// or views of a mapped `.jgr` file's sections ([`Csr::open`]); nothing
+/// that reads the graph can tell which.
 #[derive(Clone, Debug)]
 pub struct Csr<W: Weight> {
-    n: usize,
-    m: usize,
-    offsets: Vec<u64>,
-    targets: Vec<VertexId>,
-    weights: Vec<W>,
+    offsets: Array<u64>,
+    targets: Array<VertexId>,
+    weights: Array<W>,
     symmetric: bool,
 }
 
@@ -67,41 +79,22 @@ pub type WGraph = Csr<u32>;
 impl<W: Weight> Csr<W> {
     /// Builds a CSR directly from components. `offsets` must have length
     /// `n + 1`, be nondecreasing, start at 0 and end at `targets.len()`;
-    /// `weights` must be empty (unweighted) or parallel to `targets`.
+    /// every target must be below `n`; `weights` must be empty
+    /// (unweighted) or parallel to `targets`. Panics otherwise.
     pub fn from_parts(
         offsets: Vec<u64>,
         targets: Vec<VertexId>,
         weights: Vec<W>,
         symmetric: bool,
     ) -> Self {
-        assert!(!offsets.is_empty(), "offsets must have length n+1");
-        let n = offsets.len() - 1;
-        let m = targets.len();
-        assert_eq!(offsets[0], 0);
-        assert_eq!(offsets[n] as usize, m);
-        debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
-        assert!(weights.len() == m || (W::IS_UNIT && weights.is_empty()));
-        let weights = if W::IS_UNIT && weights.is_empty() {
-            vec![W::default(); m]
-        } else {
-            weights
-        };
-        debug_assert!(targets.iter().all(|&t| (t as usize) < n));
-        Csr {
-            n,
-            m,
-            offsets,
-            targets,
-            weights,
-            symmetric,
-        }
+        Self::try_from_parts(offsets, targets, weights, symmetric)
+            .unwrap_or_else(|msg| panic!("invalid CSR parts: {msg}"))
     }
 
     /// Fallible [`Csr::from_parts`]: returns a description of the first
-    /// violated invariant instead of panicking. The binary and container
-    /// loaders use this so corrupt files surface as typed parse errors
-    /// rather than asserts (or, worse, silently garbage graphs when
-    /// `debug_assert`s are compiled out).
+    /// violated invariant instead of panicking. The binary loader uses this
+    /// so corrupt files surface as typed parse errors rather than asserts
+    /// or silently garbage graphs.
     pub fn try_from_parts(
         offsets: Vec<u64>,
         targets: Vec<VertexId>,
@@ -111,8 +104,40 @@ impl<W: Weight> Csr<W> {
         if offsets.is_empty() {
             return Err("offsets array is empty (must have length n+1)".into());
         }
-        let n = offsets.len() - 1;
-        let m = targets.len();
+        let weights = if W::IS_UNIT && weights.is_empty() {
+            vec![W::default(); targets.len()]
+        } else {
+            weights
+        };
+        let g = Self::from_arrays(offsets.into(), targets.into(), weights.into(), symmetric);
+        g.check_structure()?;
+        Ok(g)
+    }
+
+    /// Assembles a CSR without looking at a single edge; `offsets` must not
+    /// be empty (it holds `n + 1` entries). Until [`Csr::check_structure`]
+    /// passes, a malformed graph is only safe: a bad offset panics at the
+    /// slice it cuts.
+    pub(crate) fn from_arrays(
+        offsets: Array<u64>,
+        targets: Array<VertexId>,
+        weights: Array<W>,
+        symmetric: bool,
+    ) -> Self {
+        Csr {
+            offsets,
+            targets,
+            weights,
+            symmetric,
+        }
+    }
+
+    /// The structure every CSR read from outside holds, or the first
+    /// violation: the offsets start at 0, never decrease and end at `m`,
+    /// every target is below `n`, and the weights are parallel to the
+    /// targets. One pass over the arrays.
+    pub(crate) fn check_structure(&self) -> Result<(), String> {
+        let (offsets, n, m) = (&self.offsets, self.num_vertices(), self.num_edges());
         if offsets[0] != 0 {
             return Err(format!("offsets must start at 0, found {}", offsets[0]));
         }
@@ -125,37 +150,25 @@ impl<W: Weight> Csr<W> {
         if let Some(w) = offsets.windows(2).find(|w| w[0] > w[1]) {
             return Err(format!("offsets not monotone ({} > {})", w[0], w[1]));
         }
-        if !(weights.len() == m || (W::IS_UNIT && weights.is_empty())) {
-            return Err(format!("{} weights for {m} edges", weights.len()));
+        if self.weights.len() != m {
+            return Err(format!("{} weights for {m} edges", self.weights.len()));
         }
-        if let Some(&t) = targets.iter().find(|&&t| t as usize >= n) {
+        if let Some(&t) = self.targets.iter().find(|&&t| t as usize >= n) {
             return Err(format!("target {t} out of range for {n} vertices"));
         }
-        let weights = if W::IS_UNIT && weights.is_empty() {
-            vec![W::default(); m]
-        } else {
-            weights
-        };
-        Ok(Csr {
-            n,
-            m,
-            offsets,
-            targets,
-            weights,
-            symmetric,
-        })
+        Ok(())
     }
 
     /// Number of vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.n
+        self.offsets.len() - 1
     }
 
     /// Number of (directed) edges.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.m
+        self.targets.len()
     }
 
     /// Whether the graph is symmetric (undirected).
@@ -220,41 +233,21 @@ impl<W: Weight> Csr<W> {
 
     /// All out-degrees as a vector.
     pub fn degrees(&self) -> Vec<u32> {
-        (0..self.n)
+        (0..self.num_vertices())
             .into_par_iter()
             .map(|v| self.degree(v as VertexId) as u32)
             .collect()
     }
 
-    /// Sum of out-degrees over a set of vertices (used for the edgeMap
-    /// sparse/dense threshold).
-    pub fn out_degrees_sum(&self, vs: &[VertexId]) -> usize {
-        if vs.len() < 4096 {
-            vs.iter().map(|&v| self.degree(v)).sum()
-        } else {
-            vs.par_iter().map(|&v| self.degree(v)).sum()
-        }
-    }
-
-    /// Checks structural invariants; used by tests and after I/O.
+    /// Checks the structure ([`Csr::try_from_parts`]'s invariants) and, on
+    /// a sample of vertices, the symmetry a symmetric graph claims; used by
+    /// tests and after I/O.
     pub fn validate(&self) -> Result<(), String> {
-        if self.offsets.len() != self.n + 1 {
-            return Err("offsets length".into());
-        }
-        if self.offsets[self.n] as usize != self.m || self.targets.len() != self.m {
-            return Err("edge count mismatch".into());
-        }
-        for w in self.offsets.windows(2) {
-            if w[0] > w[1] {
-                return Err("offsets not monotone".into());
-            }
-        }
-        if let Some(&bad) = self.targets.iter().find(|&&t| t as usize >= self.n) {
-            return Err(format!("target {bad} out of range"));
-        }
+        self.check_structure()?;
         if self.symmetric {
             // Spot-check symmetry on a sample of edges.
-            for v in (0..self.n as VertexId).step_by((self.n / 64).max(1)) {
+            let n = self.num_vertices();
+            for v in (0..n as VertexId).step_by((n / 64).max(1)) {
                 for &u in self.neighbors(v) {
                     if !self.neighbors(u).contains(&v) {
                         return Err(format!("edge ({v},{u}) not symmetric"));
@@ -303,9 +296,22 @@ mod tests {
     }
 
     #[test]
-    fn out_degrees_sum() {
-        let g = tiny();
-        assert_eq!(g.out_degrees_sum(&[0, 3]), 3);
-        assert_eq!(g.out_degrees_sum(&[]), 0);
+    fn malformed_parts_are_refused() {
+        let refuse = |o: Vec<u64>, t: Vec<u32>| Graph::try_from_parts(o, t, vec![], false);
+        assert!(refuse(vec![], vec![]).unwrap_err().contains("empty"));
+        assert!(refuse(vec![1, 1], vec![0])
+            .unwrap_err()
+            .contains("start at 0"));
+        assert!(refuse(vec![0, 2], vec![0])
+            .unwrap_err()
+            .contains("end at 2"));
+        assert!(refuse(vec![0, 2, 1, 2], vec![0, 0])
+            .unwrap_err()
+            .contains("monotone"));
+        assert!(refuse(vec![0, 1], vec![1])
+            .unwrap_err()
+            .contains("out of range"));
+        let short = WGraph::try_from_parts(vec![0, 1, 1], vec![1], vec![], false);
+        assert!(short.unwrap_err().contains("0 weights for 1 edges"));
     }
 }

@@ -203,7 +203,8 @@ impl GraphIo {
     /// Reads a graph with weight type `W` from `path`, auto-detecting the
     /// format unless [`IoOptions::format`] is set. Weightedness must match
     /// `W` for formats that record it; DIMACS is inherently weighted and
-    /// rejects `W = ()` as a usage error.
+    /// rejects `W = ()` as a usage error. A `.jgr` is mapped, not copied:
+    /// its sections' checksums and structure are checked in one pass.
     pub fn read<W: Weight>(path: &Path, opts: &IoOptions) -> Result<Csr<W>, Error> {
         match opts.format.map_or_else(|| Format::detect(path), Ok)? {
             Format::Adjacency => read_adjacency_graph(path),
@@ -211,9 +212,7 @@ impl GraphIo {
             Format::Dimacs => read_dimacs(path),
             Format::Metis => read_metis(path),
             Format::Binary => read_binary(path),
-            Format::Container => crate::container::MappedGraph::<W>::open(path)?
-                .to_csr()
-                .map_err(|e| e.with_path(path)),
+            Format::Container => crate::container::read(path),
         }
     }
 
@@ -235,6 +234,22 @@ impl GraphIo {
                 },
             ),
         }
+    }
+}
+
+/// The weightedness the header of a `.bin` or `.jgr` file of format `fmt`
+/// states; `None` for the text formats, which state none, and for a `.bin`
+/// that cannot be read or has no header (its read says why).
+pub fn stated_weighted(path: &Path, fmt: Format) -> Result<Option<bool>, Error> {
+    match fmt {
+        Format::Container => Ok(Some(crate::container::peek(path)?.weighted)),
+        Format::Binary => {
+            // magic u64, version u32, n u64, m u64, symmetric u8, weighted u8
+            let mut head = [0u8; 30];
+            let read = File::open(path).and_then(|mut f| f.read_exact(&mut head));
+            Ok((read.is_ok() && head[..8] == BINARY_MAGIC.to_le_bytes()).then_some(head[29] != 0))
+        }
+        _ => Ok(None),
     }
 }
 
@@ -758,20 +773,11 @@ fn read_binary<W: Weight>(path: &Path) -> Result<Csr<W>, Error> {
     if buf.remaining() < need {
         return Err(bad("truncated file".into()));
     }
-    let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        offsets.push(buf.get_u64_le());
-    }
-    let mut targets = Vec::with_capacity(m);
-    for _ in 0..m {
-        targets.push(buf.get_u32_le());
-    }
-    let mut weights = Vec::with_capacity(if weighted { m } else { 0 });
-    if weighted {
-        for _ in 0..m {
-            weights.push(fit(buf.get_u64_le()).map_err(&bad)?);
-        }
-    }
+    let offsets = (0..=n).map(|_| buf.get_u64_le()).collect();
+    let targets = (0..m).map(|_| buf.get_u32_le()).collect();
+    let weights = (0..if weighted { m } else { 0 })
+        .map(|_| fit(buf.get_u64_le()).map_err(&bad))
+        .collect::<Result<_, _>>()?;
     // Corrupt bodies (non-monotone offsets, out-of-range targets) must be
     // typed parse errors, not asserts or silently-garbage graphs.
     Csr::try_from_parts(offsets, targets, weights, symmetric)

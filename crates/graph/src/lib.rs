@@ -3,7 +3,8 @@
 //! Provides the Ligra/Ligra+-equivalent graph layer the paper builds on:
 //!
 //! * [`csr`] — compressed-sparse-row graphs, generic over edge weights
-//!   (`()` for unweighted, `u32` for the paper's integral weights),
+//!   (`()` for unweighted, `u32` for the paper's integral weights), whose
+//!   arrays are owned or views of a mapped `.jgr` file,
 //! * [`builder`] — edge-list ingestion (sort, dedup, self-loop removal),
 //! * [`transform`] — symmetrisation, transposition, weight assignment,
 //! * [`generators`] — the synthetic workloads standing in for the paper's
@@ -11,10 +12,10 @@
 //! * [`io`] — the unified [`io::GraphIo`] loading surface: Ligra adjacency
 //!   text, edge lists, DIMACS `.gr`, METIS, a legacy binary format, and the
 //!   `.jgr` container, with format auto-detection,
-//! * [`container`] — the versioned zero-copy `.jgr` container and the
-//!   memory-mapped [`container::MappedGraph`] that serves graphs straight
-//!   from the mapped file,
-//! * [`mmap`] — the read-only file-mapping primitive under the container,
+//! * [`container`] — the versioned zero-copy `.jgr` container, which
+//!   [`Csr::open`] serves straight from the mapped file,
+//! * [`mmap`] — the read-only file mapping, and the [`mmap::Array`] a
+//!   [`Csr`] keeps its arrays in,
 //! * [`compress`] — Ligra+-style byte-code delta compression of adjacency
 //!   lists,
 //! * [`decode`] — the table-driven, fail-closed varint decoder under the
@@ -39,6 +40,7 @@ pub mod packed;
 pub mod snapshot;
 pub mod transform;
 
+/// The name `benchmark/layers` imports; see [`container::MappedGraph`].
 pub use container::MappedGraph;
 pub use csr::{Csr, Graph, WGraph, Weight};
 

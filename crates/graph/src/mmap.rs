@@ -1,19 +1,21 @@
-//! Read-only memory mapping of graph container files.
+//! Read-only memory mapping of graph container files, and the array type
+//! a [`crate::Csr`] keeps its offsets, targets and weights in.
 //!
-//! [`MmapBuf`] is the ownership primitive under [`crate::container::MappedGraph`]:
-//! it maps a file `PROT_READ`/`MAP_PRIVATE` on unix targets (no external
-//! mmap crate — the two syscalls are declared directly against libc) and
-//! falls back to an 8-byte-aligned heap read elsewhere, so the container
-//! layer is portable while the fast path stays zero-copy.
+//! [`MmapBuf`] maps a file `PROT_READ`/`MAP_PRIVATE` on unix targets (no
+//! external mmap crate — the two syscalls are declared directly against
+//! libc) and falls back to an 8-byte-aligned heap read elsewhere, so the
+//! container layer is portable while the fast path stays zero-copy.
 //!
 //! The mapping is immutable and page-aligned; since every container section
 //! starts on a 64-byte boundary *within* the file, a section's absolute
-//! address is at least 8-byte aligned and may be reinterpreted as `&[u64]`
-//! or `&[u32]` without copying.
+//! address is at least 8-byte aligned, and an [`Array`] views it as
+//! `&[u64]` or `&[u32]` without copying.
 
 use julienne_primitives::error::Error;
 use std::fs::File;
+use std::ops::Range;
 use std::path::Path;
+use std::sync::Arc;
 
 /// An immutable byte buffer backed by a memory-mapped file (unix) or an
 /// aligned heap copy (other targets / explicit fallback).
@@ -151,29 +153,6 @@ impl MmapBuf {
         // by `backing` for as long as `self` exists.
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
-
-    /// Length in bytes.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the buffer is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-impl std::fmt::Debug for MmapBuf {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let kind = match self.backing {
-            #[cfg(unix)]
-            Backing::Mapped => "mapped",
-            Backing::Heap(_) => "heap",
-        };
-        write!(f, "MmapBuf({} bytes, {kind})", self.len)
-    }
 }
 
 impl Drop for MmapBuf {
@@ -186,6 +165,79 @@ impl Drop for MmapBuf {
                 sys::munmap(self.ptr as *mut std::os::raw::c_void, self.len);
             }
         }
+    }
+}
+
+/// A read-only array over a `Vec<T>` of its own or a section of a shared
+/// mapping. It keeps a pointer and a length beside its owner, so reading it
+/// never asks which owner it has, and a clone shares the elements.
+#[derive(Clone)]
+pub struct Array<T> {
+    ptr: *const T,
+    len: usize,
+    /// What keeps `ptr` valid: the array's Vec, or the mapping.
+    _owner: Arc<dyn Send + Sync>,
+}
+
+/// The element types an [`Array`] may view in mapped bytes: every bit
+/// pattern is a value, and the alignment is at most the mapping's 8 bytes.
+pub(crate) trait Plain: Copy {}
+impl Plain for u32 {}
+impl Plain for u64 {}
+
+// SAFETY: an Array hands out only `&[T]`, and nothing writes what it points
+// at — its Vec is never handed out again and the mapping is read-only — so
+// it may move and be shared across threads whenever `T` may.
+unsafe impl<T: Send + Sync> Send for Array<T> {}
+unsafe impl<T: Send + Sync> Sync for Array<T> {}
+
+impl<T: Send + Sync + 'static> From<Vec<T>> for Array<T> {
+    fn from(v: Vec<T>) -> Self {
+        let v = Arc::new(v);
+        Array {
+            ptr: v.as_ptr(),
+            len: v.len(),
+            _owner: v,
+        }
+    }
+}
+
+impl<T> Array<T> {
+    /// Views bytes `at` of `buf` as `T`s, or `None` when the range is out
+    /// of bounds, misaligned for `T`, or not a whole number of `T`s.
+    pub(crate) fn mapped(buf: &Arc<MmapBuf>, at: Range<usize>) -> Option<Self>
+    where
+        T: Plain,
+    {
+        let bytes = buf.bytes().get(at)?;
+        let (ptr, size) = (bytes.as_ptr().cast::<T>(), std::mem::size_of::<T>());
+        if !bytes.len().is_multiple_of(size) || !ptr.is_aligned() {
+            return None;
+        }
+        Some(Array {
+            ptr,
+            len: bytes.len() / size,
+            _owner: buf.clone(),
+        })
+    }
+}
+
+impl<T> std::ops::Deref for Array<T> {
+    type Target = [T];
+
+    #[inline]
+    fn deref(&self) -> &[T] {
+        // SAFETY: `ptr` and `len` describe `len` initialized, aligned `T`s
+        // that `_owner` keeps alive and unwritten: the buffer of its Vec, or
+        // mapped bytes that `mapped` checked for bounds and alignment and
+        // that any bit pattern of a `Plain` type may hold.
+        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
+    }
+}
+
+impl<T: std::fmt::Debug> std::fmt::Debug for Array<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
     }
 }
 
@@ -203,7 +255,6 @@ mod tests {
         std::fs::write(&p, b"hello mapped world").unwrap();
         let m = MmapBuf::open(&p).unwrap();
         assert_eq!(m.bytes(), b"hello mapped world");
-        assert_eq!(m.len(), 18);
         std::fs::remove_file(&p).ok();
     }
 
@@ -212,7 +263,6 @@ mod tests {
         let p = tmp("empty");
         std::fs::write(&p, b"").unwrap();
         let m = MmapBuf::open(&p).unwrap();
-        assert!(m.is_empty());
         assert_eq!(m.bytes(), b"");
         std::fs::remove_file(&p).ok();
     }
@@ -220,7 +270,7 @@ mod tests {
     #[test]
     fn missing_file_is_io_error_with_path() {
         let p = tmp("nope-does-not-exist");
-        let err = MmapBuf::open(&p).unwrap_err();
+        let err = MmapBuf::open(&p).err().expect("a missing file");
         assert_eq!(err.code(), "io");
         assert!(err.to_string().contains("nope-does-not-exist"));
     }
@@ -235,6 +285,24 @@ mod tests {
         assert_eq!(a.bytes(), b.bytes());
         // The fallback base pointer is 8-byte aligned, like a page-aligned map.
         assert_eq!(b.bytes().as_ptr() as usize % 8, 0);
+        std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn arrays_view_mapped_words_and_refuse_misaligned_ones() {
+        let p = tmp("array");
+        let words: Vec<u8> = (1..=4u64).flat_map(u64::to_le_bytes).collect();
+        std::fs::write(&p, &words).unwrap();
+        let buf = Arc::new(MmapBuf::open(&p).unwrap());
+        let a = Array::<u64>::mapped(&buf, 8..32).unwrap();
+        assert_eq!(&*a, &[2, 3, 4]);
+        assert_eq!(&*a.clone(), &*a);
+        assert!(Array::<u64>::mapped(&buf, 4..12).is_none(), "misaligned");
+        assert!(Array::<u32>::mapped(&buf, 0..6).is_none(), "a partial word");
+        assert!(Array::<u32>::mapped(&buf, 0..40).is_none(), "past the end");
+        drop(buf);
+        // The array keeps the mapping alive on its own.
+        assert_eq!(a.iter().sum::<u64>(), 9);
         std::fs::remove_file(&p).ok();
     }
 }

@@ -1,9 +1,9 @@
 //! The graph-access trait hierarchy — the canonical backend abstraction.
 //!
 //! Every traversal in the framework is written against one of two traits,
-//! so the same algorithm runs unmodified over plain CSR graphs, Ligra+
-//! byte-compressed graphs, and packable graphs — mirroring how Julienne
-//! runs unmodified on compressed inputs:
+//! so the same algorithm runs unmodified over CSR graphs (owned, or mapped
+//! from a `.jgr` file), Ligra+ byte-compressed graphs, and packable graphs
+//! — mirroring how Julienne runs unmodified on compressed inputs:
 //!
 //! * [`OutEdges`] — per-vertex **out**-edge iteration, with the early-exit
 //!   and chunked forms. Sufficient for sparse (push) traversals, sequential
@@ -20,15 +20,14 @@
 //! |--------------------|------------|-------------------------------------|
 //! | `Csr<W>`           | yes        | when symmetric                      |
 //! | `Compressed<W>`    | yes        | when symmetric                      |
-//! | `MappedGraph<W>`   | yes        | when symmetric                      |
 //! | `PackedGraph`      | yes        | never (`is_symmetric` is `false`:   |
 //! |                    |            | packing shrinks each out-list alone)|
 //!
-//! All four implement `GraphRef`. A `SnapshotGraph` is read through its
-//! materialized `csr()`.
+//! All three implement `GraphRef`. A mapped `.jgr` is a `Csr` whose arrays
+//! view the file, and a `SnapshotGraph` is read through its materialized
+//! `csr()`.
 
 use julienne_graph::compress::Compressed;
-use julienne_graph::container::MappedGraph;
 use julienne_graph::csr::{Csr, Weight};
 use julienne_graph::packed::PackedGraph;
 use julienne_graph::VertexId;
@@ -105,7 +104,7 @@ pub trait GraphRef: OutEdges {
     }
 }
 
-/// Chunk granularity for the CSR-family backends (`Csr`, `MappedGraph`).
+/// Chunk granularity for `Csr`, owned or mapped.
 /// Contiguous slices split at any boundary, so the choice only balances
 /// scheduling overhead against load balance; 4096 edges ≈ one L1-resident
 /// slice per task and mirrors the compressed backend's default of
@@ -170,11 +169,6 @@ impl<W: Weight> GraphRef for Csr<W> {
     fn is_symmetric(&self) -> bool {
         Csr::is_symmetric(self)
     }
-
-    #[inline]
-    fn out_degrees_sum(&self, vs: &[VertexId]) -> usize {
-        Csr::out_degrees_sum(self, vs)
-    }
 }
 
 // --------------------------------------------------------------------------
@@ -221,54 +215,6 @@ impl<W: Weight> GraphRef for Compressed<W> {
     #[inline]
     fn is_symmetric(&self) -> bool {
         Compressed::is_symmetric(self)
-    }
-}
-
-// --------------------------------------------------------------------------
-// MappedGraph<W> — traversal directly over the mmap'd .jgr sections
-// --------------------------------------------------------------------------
-
-impl<W: Weight> OutEdges for MappedGraph<W> {
-    type W = W;
-
-    fn num_vertices(&self) -> usize {
-        MappedGraph::num_vertices(self)
-    }
-
-    fn num_edges(&self) -> usize {
-        MappedGraph::num_edges(self)
-    }
-
-    #[inline]
-    fn out_degree(&self, v: VertexId) -> usize {
-        self.degree(v)
-    }
-
-    #[inline]
-    fn for_each_out<F: FnMut(VertexId, W)>(&self, v: VertexId, f: F) {
-        MappedGraph::for_each_out(self, v, f);
-    }
-
-    #[inline]
-    fn for_each_out_until<F: FnMut(VertexId, W) -> bool>(&self, v: VertexId, f: F) {
-        MappedGraph::for_each_out_until(self, v, f);
-    }
-
-    fn out_chunk_edges(&self) -> usize {
-        CSR_CHUNK_EDGES
-    }
-
-    #[inline]
-    fn for_each_out_chunk<F: FnMut(VertexId, W)>(&self, v: VertexId, c: usize, f: F) {
-        let lo = c.saturating_mul(CSR_CHUNK_EDGES);
-        MappedGraph::for_each_out_range(self, v, lo, lo.saturating_add(CSR_CHUNK_EDGES), f);
-    }
-}
-
-impl<W: Weight> GraphRef for MappedGraph<W> {
-    #[inline]
-    fn is_symmetric(&self) -> bool {
-        MappedGraph::is_symmetric(self)
     }
 }
 
@@ -366,23 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn mapped_backend_agrees_with_csr() {
-        use julienne_graph::container::{self, ContainerWriteOptions};
-        let g = from_pairs_symmetric(6, &[(0, 1), (0, 3), (0, 5), (2, 4), (1, 5)]);
-        let p =
-            std::env::temp_dir().join(format!("julienne-traits-mapped-{}.jgr", std::process::id()));
-        container::write(&g, &p, &ContainerWriteOptions::default()).unwrap();
-        let mg: MappedGraph<()> = MappedGraph::open(&p).unwrap();
-        for v in 0..6u32 {
-            assert_eq!(collect(&mg, v), collect(&g, v), "vertex {v}");
-            assert_eq!(mg.out_degree(v), g.out_degree(v));
-        }
-        assert!(GraphRef::is_symmetric(&mg));
-        assert_eq!(GraphRef::out_degrees_sum(&mg, &[0, 2]), 4);
-        std::fs::remove_file(&p).ok();
-    }
-
-    #[test]
     fn packed_is_never_symmetric() {
         let g = from_pairs_symmetric(3, &[(0, 1), (1, 2)]);
         let p = PackedGraph::from_csr(&g);
@@ -416,21 +345,6 @@ mod tests {
         let mut csr_whole = Vec::new();
         g.for_each_out_chunk(0, 0, |u, w: ()| csr_whole.push((u, w)));
         assert_eq!(csr_whole.len(), deg);
-    }
-
-    #[test]
-    fn mapped_chunks_match_unchunked() {
-        use julienne_graph::container::{self, ContainerWriteOptions};
-        let pairs: Vec<(u32, u32)> = (1..=7).map(|u| (0, u)).collect();
-        let g = from_pairs_symmetric(8, &pairs);
-        let p =
-            std::env::temp_dir().join(format!("julienne-traits-chunk-{}.jgr", std::process::id()));
-        container::write(&g, &p, &ContainerWriteOptions::default()).unwrap();
-        let mg: MappedGraph<()> = MappedGraph::open(&p).unwrap();
-        let mut got = Vec::new();
-        mg.for_each_out_chunk(0, 0, |u, _| got.push(u));
-        assert_eq!(got, collect(&mg, 0));
-        std::fs::remove_file(&p).ok();
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use julienne_repro::algorithms::stats::graph_stats;
 use julienne_repro::graph::compress::CompressedGraph;
-use julienne_repro::graph::container::MappedGraph;
+use julienne_repro::graph::container;
 use julienne_repro::graph::generators::{chung_lu, erdos_renyi, grid2d, rmat, RmatParams};
 use julienne_repro::graph::io::{GraphIo, IoOptions};
 use julienne_repro::graph::transform::assign_weights;
@@ -91,14 +91,12 @@ fn main() {
     println!("\n# .jgr container: write once, mmap forever");
     let jgr = dir.join("graph.jgr");
     GraphIo::write(g, &jgr, &opts).unwrap();
-    let mapped: MappedGraph<()> = MappedGraph::open(&jgr).unwrap();
-    mapped.verify(&jgr).unwrap();
+    let mapped = Graph::open(&jgr).unwrap();
+    container::verify(&jgr).unwrap();
     assert_eq!(mapped.num_edges(), g.num_edges());
-    let mut deg0 = Vec::new();
-    mapped.for_each_out(0, |u, ()| deg0.push(u));
-    assert_eq!(deg0, g.neighbors(0));
+    assert_eq!(mapped.neighbors(0), g.neighbors(0));
     println!(
-        "  container:      {} bytes, open() maps {} bytes with no per-edge work",
+        "  container:      {} bytes, open() views {} bytes of arrays with no per-edge work",
         std::fs::metadata(&jgr).unwrap().len(),
         mapped.footprint_bytes()
     );

@@ -146,7 +146,7 @@ fn check_unweighted_on<G: GraphRef<W = ()>>(name: &str, plain: &Graph, g: &G) {
 /// removes the file — the third backend for the differential checks.
 fn with_mapped<W: julienne_repro::graph::csr::Weight>(
     g: &julienne_repro::graph::Csr<W>,
-    f: impl FnOnce(&julienne_repro::graph::container::MappedGraph<W>),
+    f: impl FnOnce(&julienne_repro::graph::Csr<W>),
 ) {
     use std::sync::atomic::{AtomicU64, Ordering};
     static UNIQ: AtomicU64 = AtomicU64::new(0);
@@ -156,7 +156,7 @@ fn with_mapped<W: julienne_repro::graph::csr::Weight>(
         UNIQ.fetch_add(1, Ordering::Relaxed)
     ));
     GraphIo::write(g, &path, &IoOptions::default()).unwrap();
-    let mg = julienne_repro::graph::container::MappedGraph::open(&path).unwrap();
+    let mg = julienne_repro::graph::Csr::open(&path).unwrap();
     f(&mg);
     drop(mg);
     std::fs::remove_file(&path).ok();

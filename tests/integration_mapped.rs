@@ -1,9 +1,9 @@
 //! Mapped-backend equivalence: every algorithm produces identical output
-//! on the raw CSR backend and the zero-copy memory-mapped `.jgr` backend
-//! (`MappedGraph`), at 1 and 4 worker threads.
+//! on an owned CSR and on the zero-copy memory-mapped `.jgr` backend (a
+//! `Csr` over the file's sections), at 1 and 4 worker threads.
 //!
 //! Each family is written to a `.jgr` container once and reopened via
-//! `MappedGraph::open` — the same no-per-edge-work path `julienne serve
+//! `Csr::open` — the same no-per-edge-work path `julienne serve
 //! backend=mapped` takes — so these tests pin that serving straight from
 //! the file is invisible to results, and that the container round-trip
 //! (CSR -> sections -> mmap) loses nothing.
@@ -22,7 +22,7 @@ use julienne_repro::algorithms::ktruss::{ktruss, KtrussParams};
 use julienne_repro::algorithms::pagerank::pagerank;
 use julienne_repro::algorithms::stats::graph_stats;
 use julienne_repro::algorithms::triangles::triangle_count;
-use julienne_repro::graph::container::MappedGraph;
+use julienne_repro::graph::container;
 use julienne_repro::graph::csr::Weight;
 use julienne_repro::graph::io::{GraphIo, IoOptions};
 use julienne_repro::graph::Csr;
@@ -44,13 +44,13 @@ impl Drop for TempJgr {
 }
 
 /// Writes `g` to a container and reopens it memory-mapped.
-fn mapped<W: Weight>(name: &str, g: &Csr<W>) -> (MappedGraph<W>, TempJgr) {
+fn mapped<W: Weight>(name: &str, g: &Csr<W>) -> (Csr<W>, TempJgr) {
     let path = std::env::temp_dir().join(format!(
         "julienne-mapped-it-{}-{name}.jgr",
         std::process::id()
     ));
     GraphIo::write(g, &path, &IoOptions::default()).unwrap();
-    let m = MappedGraph::open(&path).unwrap();
+    let m = Csr::open(&path).unwrap();
     (m, TempJgr(path))
 }
 
@@ -242,7 +242,7 @@ fn all_three_backends_agree_from_one_container() {
     };
     GraphIo::write(&g, &path, &opts).unwrap();
     let _file = TempJgr(path.clone());
-    let mg: MappedGraph<()> = MappedGraph::open(&path).unwrap();
+    let mg: Csr<()> = Csr::open(&path).unwrap();
     let cg = read_compressed::<()>(&path).unwrap().expect("payload");
     let csr: julienne_repro::graph::Graph = GraphIo::read(&path, &IoOptions::default()).unwrap();
 
@@ -327,12 +327,12 @@ fn container_with_the_retired_transpose_still_opens() {
         std::fs::write(&p, with_retired_transpose(&bytes, sections)).unwrap();
         std::fs::write(&wp, with_retired_transpose(&wbytes, sections)).unwrap();
         let _files = (TempJgr(p.clone()), TempJgr(wp.clone()));
-        let old: MappedGraph<()> = MappedGraph::open(&p).unwrap();
-        let wold: MappedGraph<u32> = MappedGraph::open(&wp).unwrap();
-        old.verify(&p).unwrap();
-        wold.verify(&wp).unwrap();
+        let old: Csr<()> = Csr::open(&p).unwrap();
+        let wold: Csr<u32> = Csr::open(&wp).unwrap();
+        container::verify(&p).unwrap();
+        container::verify(&wp).unwrap();
         assert!(!old.is_symmetric());
-        assert_eq!(wold.weights_u32(), wplain.weights_u32());
+        assert_eq!(wold.weights(), wplain.weights());
         for src in [0, 7] {
             let (want, got) = (bfs(&plain, src), bfs(&old, src));
             assert_eq!(

@@ -7,7 +7,6 @@ mod common;
 use common::{arb_frontier, arb_graph, at};
 use julienne_repro::graph::builder::from_pairs;
 use julienne_repro::graph::compress::CompressedGraph;
-use julienne_repro::graph::container::MappedGraph;
 use julienne_repro::graph::io::{GraphIo, IoOptions};
 use julienne_repro::graph::Csr;
 use julienne_repro::ligra::edge_map::{EdgeMap, Mode};
@@ -168,7 +167,7 @@ proptest! {
             std::thread::current().id()
         ));
         GraphIo::write(&g, &path, &IoOptions::default()).unwrap();
-        let mapped = MappedGraph::<()>::open(&path);
+        let mapped = Csr::<()>::open(&path);
         std::fs::remove_file(&path).ok();
         let mapped = mapped.unwrap();
         for mode in [Mode::Sparse, Mode::Dense, Mode::Auto] {
@@ -219,7 +218,7 @@ proptest! {
             std::thread::current().id()
         ));
         GraphIo::write(&g, &path, &IoOptions::default()).unwrap();
-        let mapped = MappedGraph::<()>::open(&path);
+        let mapped = Csr::<()>::open(&path);
         std::fs::remove_file(&path).ok();
         check_sum("mapped", &mapped.unwrap(), &frontier, &want)?;
     }

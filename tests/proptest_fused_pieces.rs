@@ -18,7 +18,6 @@ use julienne_repro::algorithms::delta_stepping::{sssp, sssp_multi, SsspLane, Sss
 use julienne_repro::core::query::QueryCtx;
 use julienne_repro::graph::builder::EdgeList;
 use julienne_repro::graph::compress::CompressedWGraph;
-use julienne_repro::graph::container::MappedGraph;
 use julienne_repro::graph::io::{GraphIo, IoOptions};
 use julienne_repro::graph::Csr;
 use julienne_repro::ligra::edge_map::sparse_in_pieces;
@@ -138,7 +137,7 @@ proptest! {
             std::thread::current().id()
         ));
         GraphIo::write(&g, &path, &IoOptions::default()).unwrap();
-        let mapped = MappedGraph::<u32>::open(&path);
+        let mapped = Csr::<u32>::open(&path);
         std::fs::remove_file(&path).ok();
         check("mapped", &mapped.unwrap(), &srcs, delta, &want)?;
     }

@@ -3,7 +3,7 @@
 //! scope), and converting text through the `.jgr` container and back is the
 //! byte-level identity. Plain tests pin the text loaders' vertex-count bound.
 
-use julienne_repro::graph::container::MappedGraph;
+use julienne_repro::graph::container;
 use julienne_repro::graph::csr::Weight;
 use julienne_repro::graph::io::{
     Format, GraphIo, IoOptions, VERTEX_ALLOWANCE, VERTICES_PER_FILE_BYTE,
@@ -116,9 +116,8 @@ proptest! {
         let jgr = Scratch::new("jgr");
         let opts = IoOptions { compressed_payload: true, ..Default::default() };
         GraphIo::write(&g, &jgr.0, &opts).unwrap();
-        let mg: MappedGraph<()> = MappedGraph::open(&jgr.0).unwrap();
-        mg.verify(&jgr.0).unwrap();
-        assert_same("mapped->csr", &g, &mg.to_csr().unwrap());
+        container::verify(&jgr.0).unwrap();
+        assert_same("mapped", &g, &Csr::<()>::open(&jgr.0).unwrap());
         let cg = julienne_repro::graph::container::read_compressed::<()>(&jgr.0).unwrap().expect("payload");
         prop_assert_eq!(cg.num_edges(), g.num_edges());
         for v in 0..g.num_vertices() as u32 {

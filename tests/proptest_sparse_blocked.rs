@@ -14,7 +14,6 @@ mod common;
 use common::at;
 use julienne_repro::graph::builder::EdgeList;
 use julienne_repro::graph::compress::CompressedWGraph;
-use julienne_repro::graph::container::MappedGraph;
 use julienne_repro::graph::io::{GraphIo, IoOptions};
 use julienne_repro::graph::Csr;
 use julienne_repro::ligra::edge_map::{sparse_in_pieces, EdgeMap};
@@ -180,7 +179,7 @@ proptest! {
             std::thread::current().id()
         ));
         GraphIo::write(&g, &path, &IoOptions::default()).unwrap();
-        let mapped = MappedGraph::<u32>::open(&path);
+        let mapped = Csr::<u32>::open(&path);
         std::fs::remove_file(&path).ok();
         check("mapped", &mapped.unwrap(), &frontier, &want)?;
     }
