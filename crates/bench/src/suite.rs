@@ -10,7 +10,7 @@ use julienne_graph::generators::{
     chung_lu, grid2d, rmat, set_cover_instance, RmatParams, SetCoverInstance,
 };
 use julienne_graph::transform::{assign_weights, symmetrize, wbfs_weight_range};
-use julienne_graph::{Csr, Graph, WGraph};
+use julienne_graph::{Graph, WGraph};
 
 /// A named unweighted benchmark graph.
 pub struct NamedGraph {
@@ -103,12 +103,8 @@ pub fn setcover_suite(scale: u32) -> Vec<(&'static str, SetCoverInstance)> {
 
 /// Unweighted view helper for stats over weighted graphs.
 pub fn strip_weights(g: &WGraph) -> Graph {
-    Csr::from_parts(
-        g.offsets().to_vec(),
-        g.targets().to_vec(),
-        vec![],
-        g.is_symmetric(),
-    )
+    g.with_weights(vec![(); g.num_edges()])
+        .expect("one weight per edge")
 }
 
 #[cfg(test)]

@@ -221,3 +221,31 @@ fn serve_reads_weightedness_from_a_container_header() {
         std::fs::remove_file(p).ok();
     }
 }
+
+#[test]
+fn a_directed_bin_flagged_symmetric_is_refused_not_peeled() {
+    // A directed file whose symmetric byte (28) was set: k-core used to run
+    // on it; the read now finds a list its neighbour does not return.
+    let p = tmp("flagged.bin");
+    let out = format!("out={}", p.display());
+    ok_stdout(&[
+        "gen",
+        "kind=er",
+        "scale=6",
+        "edge_factor=2",
+        "symmetric=false",
+        &out,
+    ]);
+    let mut bytes = std::fs::read(&p).unwrap();
+    assert_eq!(bytes[28], 0);
+    bytes[28] = 1;
+    std::fs::write(&p, &bytes).unwrap();
+    let run = julienne(&["kcore", &format!("in={}", p.display())]);
+    let err = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains("error:") && err.contains("flagged symmetric"),
+        "{err}"
+    );
+    std::fs::remove_file(p).ok();
+}

@@ -1,9 +1,17 @@
-//! Edge-list ingestion: sort, dedup, self-loop removal, CSR construction.
+//! Edge-list ingestion: a counting-sort CSR build, linear work apart from
+//! sorting each adjacency list on its own.
+//!
+//! The build counts each source's out-degree, places every edge in its
+//! source's slot range by a prefix sum and a scatter, sorts and dedups each
+//! list on its own, and compacts the lists into the final arrays. No step
+//! sorts the whole edge list; the one comparison sort is per list.
 
 use crate::csr::{Csr, Weight};
 use crate::VertexId;
-use julienne_primitives::scan::prefix_sums;
-use rayon::prelude::*;
+use julienne_primitives::scan::scan_exclusive_in_place;
+
+/// Slots a list-sorting task takes on before it splits in two.
+const SPLIT_SLOTS: usize = 1 << 15;
 
 /// A raw edge list; the staging representation all generators and readers
 /// produce before CSR construction.
@@ -36,52 +44,119 @@ impl<W: Weight> EdgeList<W> {
         self.push(v, u, w);
     }
 
-    /// Mirrors every edge, making the list symmetric.
-    pub fn symmetrize(&mut self) {
-        let mirrored: Vec<_> = self.edges.par_iter().map(|&(u, v, w)| (v, u, w)).collect();
-        self.edges.extend(mirrored);
-    }
-
-    /// Builds a CSR: sorts by `(src, dst, weight)`, removes self-loops and
-    /// duplicate edges (keeping the **minimum** weight), per the paper's
-    /// no-self-edge / no-duplicate assumption.
+    /// Builds a CSR: rows by source, each list sorted by target, no
+    /// self-loops, and of parallel edges only the one of **minimum** weight,
+    /// per the paper's no-self-edge / no-duplicate assumption.
     ///
-    /// The weight participates in the sort key on purpose: with parallel
-    /// edges of differing weights, keeping "the first after an unstable
-    /// sort by endpoints" would pick an arbitrary survivor — and could keep
-    /// different weights for the two directions of a mirrored edge, so a
-    /// graph marked symmetric would have `w(u,v) ≠ w(v,u)` and push- vs
+    /// The weight decides which parallel edge survives on purpose: keeping
+    /// "the first one seen" would pick an arbitrary survivor — and could
+    /// keep different weights for the two directions of a mirrored edge, so
+    /// a graph marked symmetric would have `w(u,v) ≠ w(v,u)` and push- vs
     /// pull-based traversals would compute different shortest paths.
     /// Minimum weight is deterministic and direction-symmetric.
-    pub fn build(mut self, symmetric: bool) -> Csr<W> {
-        let n = self.n;
-        self.edges
-            .par_sort_unstable_by_key(|&(u, v, w)| (((u as u64) << 32) | v as u64, w.to_u64()));
-        self.edges.dedup_by_key(|&mut (u, v, _)| (u, v));
-        self.edges.retain(|&(u, v, _)| u != v);
-
-        let mut counts = vec![0usize; n + 1];
-        for &(u, _, _) in &self.edges {
-            counts[u as usize] += 1;
-        }
-        counts[n] = 0;
-        let m = prefix_sums(&mut counts[..]);
-        debug_assert_eq!(m, self.edges.len());
-        let mut offsets = vec![0u64; n + 1];
-        for i in 0..n {
-            offsets[i] = counts[i] as u64;
-        }
-        offsets[n] = m as u64;
-
-        let targets: Vec<VertexId> = self.edges.par_iter().map(|&(_, v, _)| v).collect();
-        let weights: Vec<W> = self.edges.par_iter().map(|&(_, _, w)| w).collect();
-        Csr::from_parts(offsets, targets, weights, symmetric)
+    pub fn build(self, symmetric: bool) -> Csr<W> {
+        self.count_sort(false, symmetric)
     }
 
-    /// Builds a symmetric CSR by first mirroring all edges.
-    pub fn build_symmetric(mut self) -> Csr<W> {
-        self.symmetrize();
-        self.build(true)
+    /// Builds a symmetric CSR of every edge and its mirror; the mirrors are
+    /// counted and placed, never listed.
+    pub fn build_symmetric(self) -> Csr<W> {
+        self.count_sort(true, true)
+    }
+
+    /// [`EdgeList::build_symmetric`] when `symmetric`, else the directed
+    /// [`EdgeList::build`]: what a generator or reader asked for either
+    /// shape calls.
+    pub fn build_as(self, symmetric: bool) -> Csr<W> {
+        self.count_sort(symmetric, symmetric)
+    }
+
+    /// The build, in five steps: count each source's edges (and each
+    /// target's, when `mirror`), prefix-sum the counts into slot ranges,
+    /// scatter every edge into its source's range, sort and dedup each list
+    /// by `(target, weight)`, and compact the lists.
+    fn count_sort(self, mirror: bool, symmetric: bool) -> Csr<W> {
+        let (n, edges) = (self.n, self.edges);
+        // The slots an edge takes: `(u, v)` in `u`'s list and, mirrored,
+        // `(v, u)` in `v`'s; a self-loop takes none.
+        let placed = |&(u, v, w): &(VertexId, VertexId, W)| {
+            let takes = if u == v { 0 } else { 1 + usize::from(mirror) };
+            [(u, v, w), (v, u, w)].into_iter().take(takes)
+        };
+        // Out-degrees, then their exclusive prefix sums: each list's first
+        // slot, and the slot count at `n`.
+        let mut cursors = vec![0u64; n + 1];
+        for (s, _, _) in edges.iter().flat_map(placed) {
+            cursors[s as usize] += 1;
+        }
+        let slots = scan_exclusive_in_place(&mut cursors, 0, |a, b| a + b) as usize;
+        // Scatter: each edge takes the next free slot of its list, after
+        // which each cursor sits where its list ends.
+        let mut lists = vec![(0 as VertexId, W::default()); slots];
+        for (s, t, w) in edges.iter().flat_map(placed) {
+            let at = &mut cursors[s as usize];
+            lists[*at as usize] = (t, w);
+            *at += 1;
+        }
+        drop(edges);
+        let ends = cursors;
+
+        // Sort and dedup each list in place; `offsets` takes the kept counts,
+        // then their prefix sums.
+        let mut offsets = vec![0u64; n + 1];
+        sort_lists(&ends[..n], &mut offsets[..n], &mut lists, 0);
+        let m = scan_exclusive_in_place(&mut offsets, 0, |a, b| a + b) as usize;
+
+        // Compact: move each kept prefix down to its offset, in order, so
+        // that no move overwrites a list still to come; then split the
+        // slots into targets and weights.
+        let mut start = 0;
+        for v in 0..n {
+            let at = offsets[v] as usize;
+            lists.copy_within(start..start + (offsets[v + 1] as usize - at), at);
+            start = ends[v] as usize;
+        }
+        lists.truncate(m);
+        let weights = lists.iter().map(|&(_, w)| w).collect();
+        let targets = lists.into_iter().map(|(t, _)| t).collect();
+        Csr::from_parts(offsets, targets, weights, symmetric)
+    }
+}
+
+/// Sorts each list of `lists` by `(target, weight)` and keeps the first of
+/// each target's run at the front of its slots, writing the kept count to
+/// `kept`. List `i` ends at slot `ends[i] - base`, and starts where list
+/// `i - 1` ends (list 0 at slot 0). Halves that still hold more than
+/// [`SPLIT_SLOTS`] slots run in parallel.
+fn sort_lists<W: Weight>(ends: &[u64], kept: &mut [u64], lists: &mut [(VertexId, W)], base: u64) {
+    if lists.len() > SPLIT_SLOTS && ends.len() > 1 {
+        let half = base + lists.len() as u64 / 2;
+        let mid = ends
+            .partition_point(|&e| e <= half)
+            .clamp(1, ends.len() - 1);
+        let cut = ends[mid - 1] - base;
+        let (ends_l, ends_r) = ends.split_at(mid);
+        let (kept_l, kept_r) = kept.split_at_mut(mid);
+        let (lists_l, lists_r) = lists.split_at_mut(cut as usize);
+        rayon::join(
+            || sort_lists(ends_l, kept_l, lists_l, base),
+            || sort_lists(ends_r, kept_r, lists_r, base + cut),
+        );
+        return;
+    }
+    let mut start = 0;
+    for (&end, kept) in ends.iter().zip(kept) {
+        let list = &mut lists[start..(end - base) as usize];
+        list.sort_unstable_by_key(|&(t, w)| (t, w.to_u64()));
+        let mut len = 0;
+        for i in 0..list.len() {
+            if len == 0 || list[len - 1].0 != list[i].0 {
+                list[len] = list[i];
+                len += 1;
+            }
+        }
+        *kept = len as u64;
+        start = (end - base) as usize;
     }
 }
 

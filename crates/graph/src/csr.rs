@@ -114,6 +114,15 @@ impl<W: Weight> Csr<W> {
         Ok(g)
     }
 
+    /// This graph's structure with `weights` in place of its own: the
+    /// offsets and targets are shared, not copied, and the structure check
+    /// holds the weights to the targets.
+    pub fn with_weights<V: Weight>(&self, weights: Vec<V>) -> Result<Csr<V>, String> {
+        let (offsets, targets) = (self.offsets.clone(), self.targets.clone());
+        let g = Csr::from_arrays(offsets, targets, weights.into(), self.symmetric);
+        g.check_structure().map(|()| g)
+    }
+
     /// Assembles a CSR without looking at a single edge; `offsets` must not
     /// be empty (it holds `n + 1` entries). Until [`Csr::check_structure`]
     /// passes, a malformed graph is only safe: a bad offset panics at the

@@ -64,9 +64,7 @@ pub fn set_cover_instance(
             })
         })
         .collect();
-    let mut el = EdgeList::new(n);
-    el.edges = edges;
-    let graph = el.build_symmetric();
+    let graph = EdgeList { n, edges }.build_symmetric();
     SetCoverInstance {
         graph,
         num_sets,

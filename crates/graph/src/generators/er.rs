@@ -19,13 +19,7 @@ pub fn erdos_renyi(n: usize, m: usize, seed: u64, symmetric: bool) -> Csr<()> {
             (u, v, ())
         })
         .collect();
-    let mut el = EdgeList::new(n);
-    el.edges = edges;
-    if symmetric {
-        el.build_symmetric()
-    } else {
-        el.build(false)
-    }
+    EdgeList { n, edges }.build_as(symmetric)
 }
 
 #[cfg(test)]

@@ -35,13 +35,7 @@ pub fn chung_lu(n: usize, m_target: usize, alpha: f64, seed: u64, symmetric: boo
             (u, v, ())
         })
         .collect();
-    let mut el = EdgeList::new(n);
-    el.edges = edges;
-    if symmetric {
-        el.build_symmetric()
-    } else {
-        el.build(false)
-    }
+    EdgeList { n, edges }.build_as(symmetric)
 }
 
 #[cfg(test)]

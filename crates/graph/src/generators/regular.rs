@@ -22,13 +22,7 @@ pub fn random_regular(n: usize, degree: usize, seed: u64, symmetric: bool) -> Cs
             })
         })
         .collect();
-    let mut el = EdgeList::new(n);
-    el.edges = edges;
-    if symmetric {
-        el.build_symmetric()
-    } else {
-        el.build(false)
-    }
+    EdgeList { n, edges }.build_as(symmetric)
 }
 
 #[cfg(test)]

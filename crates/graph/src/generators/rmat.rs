@@ -51,19 +51,19 @@ pub fn rmat(
             (u, v, ())
         })
         .collect();
-    let mut el = EdgeList::new(n);
-    el.edges = edges;
-    if symmetric {
-        el.build_symmetric()
-    } else {
-        el.build(false)
-    }
+    EdgeList { n, edges }.build_as(symmetric)
 }
 
 /// Samples one edge by descending `scale` levels of the recursive matrix,
 /// consuming one hash per level (SKG with per-level noise, which avoids the
 /// R-MAT artefact of exactly repeated quadrant choices).
+///
+/// A level draws `r` in `[0, 1)` and takes quadrant (0,0) below `a`, (0,1)
+/// below `a + b`, (1,0) below `a + b + c` and (1,1) above. The two bits are
+/// compared out, not branched on: the row bit is `r ≥ a + b`, and the column
+/// bit is `a ≤ r < a + b` or `r ≥ a + b + c`.
 fn sample_edge(scale: u32, p: RmatParams, seed: u64, index: u64) -> (VertexId, VertexId) {
+    let (ab, abc) = (p.a + p.b, p.a + p.b + p.c);
     let mut u = 0u64;
     let mut v = 0u64;
     for level in 0..scale {
@@ -73,15 +73,8 @@ fn sample_edge(scale: u32, p: RmatParams, seed: u64, index: u64) -> (VertexId, V
         );
         // Map to [0,1) with 53-bit precision.
         let r = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        let (du, dv) = if r < p.a {
-            (0, 0)
-        } else if r < p.a + p.b {
-            (0, 1)
-        } else if r < p.a + p.b + p.c {
-            (1, 0)
-        } else {
-            (1, 1)
-        };
+        let du = u64::from(r >= ab);
+        let dv = u64::from((r >= p.a) & (r < ab)) | u64::from(r >= abc);
         u = (u << 1) | du;
         v = (v << 1) | dv;
     }

@@ -532,13 +532,8 @@ fn read_edge_list<W: Weight>(
         check_vertex_count(implied, file_len(path)?)
             .map_err(|msg| Error::parse(msg).with_path(path))?;
     }
-    let mut el = EdgeList::new(n.unwrap_or(implied));
-    el.edges = edges;
-    Ok(if symmetric {
-        el.build_symmetric()
-    } else {
-        el.build(false)
-    })
+    let n = n.unwrap_or(implied);
+    Ok(EdgeList { n, edges }.build_as(symmetric))
 }
 
 /// Writes a DIMACS shortest-path challenge `.gr` file (1-indexed, weighted).
@@ -608,9 +603,7 @@ fn read_dimacs<W: Weight>(path: &Path) -> Result<Csr<W>, Error> {
         let msg = format!("the p line promised {m} arcs but the file has {got}");
         return Err(Error::parse_at(path, p_line, msg));
     }
-    let mut el = EdgeList::new(n);
-    el.edges = edges;
-    Ok(el.build(false))
+    Ok(EdgeList { n, edges }.build(false))
 }
 
 /// Writes a METIS graph file (1-indexed adjacency lines; header
@@ -689,17 +682,35 @@ fn read_metis<W: Weight>(path: &Path) -> Result<Csr<W>, Error> {
     if g.num_edges().div_ceil(2) > m_und {
         return Err(Error::parse("more edges than the header promised").with_path(path));
     }
-    for v in 0..n as VertexId {
-        for (u, w) in g.edges_of(v) {
-            let back = g.neighbors(u).binary_search(&v).map(|i| g.weights_of(u)[i]);
-            if back != Ok(w) {
-                let (v1, u1) = (v + 1, u + 1);
-                let msg = format!("vertex {v1} lists {u1}, which does not list it alike");
-                return Err(Error::parse_at(path, list_line[v as usize], msg));
-            }
-        }
+    if let Some((v, u)) = unreturned(&g) {
+        let (v1, u1) = (v + 1, u + 1);
+        let msg = format!("vertex {v1} lists {u1}, which does not list it alike");
+        return Err(Error::parse_at(path, list_line[v as usize], msg));
     }
     Ok(g)
+}
+
+/// The first edge `(u, v)` of `g` whose reverse `(v, u)` is missing or
+/// weighs differently. One O(n + m) walk: taking the sources in order, each
+/// edge `(u, v, w)` must meet `(u, w)` at the head of what is left of `v`'s
+/// list, so the lists must also be sorted, as every CSR this crate builds is.
+fn unreturned<W: Weight>(g: &Csr<W>) -> Option<(VertexId, VertexId)> {
+    let (offsets, targets, weights) = (g.offsets(), g.targets(), g.weights());
+    let mut head = offsets.to_vec();
+    for u in 0..g.num_vertices() as VertexId {
+        for (&v, &w) in g.neighbors(u).iter().zip(g.weights_of(u)) {
+            let (h, end) = (head[v as usize] as usize, offsets[v as usize + 1] as usize);
+            if h == end || targets[h] != u || weights[h] != w {
+                // Either `v`'s head is an edge that its target never
+                // returned, or `v` does not return this one.
+                let stranded = h < end && (targets[h], weights[h].to_u64()) < (u, w.to_u64());
+                return Some(if stranded { (v, targets[h]) } else { (u, v) });
+            }
+            head[v as usize] += 1;
+        }
+    }
+    let v = (0..head.len() - 1).find(|&v| head[v] < offsets[v + 1])?;
+    Some((v as VertexId, targets[head[v] as usize]))
 }
 
 const BINARY_MAGIC: u64 = 0x4A55_4C49_454E_4E45; // "JULIENNE"
@@ -718,26 +729,16 @@ fn write_binary<W: Weight>(g: &Csr<W>, path: &Path) -> Result<(), Error> {
     buf.put_u64_le(g.num_edges() as u64);
     buf.put_u8(u8::from(g.is_symmetric()));
     buf.put_u8(u8::from(!W::IS_UNIT));
-    for &o in g.offsets() {
-        buf.put_u64_le(o);
-    }
-    for &t in g.targets() {
-        buf.put_u32_le(t);
-    }
-    if !W::IS_UNIT {
-        for &w in g.weights() {
-            buf.put_u64_le(w.to_u64());
-        }
-    }
+    g.offsets().iter().for_each(|&o| buf.put_u64_le(o));
+    g.targets().iter().for_each(|&t| buf.put_u32_le(t));
+    let weights = g.weights().iter().filter(|_| !W::IS_UNIT);
+    weights.for_each(|w| buf.put_u64_le(w.to_u64()));
     write_file(path, |out| out.write_all(&buf))
 }
 
 /// Reads the fast binary format.
 fn read_binary<W: Weight>(path: &Path) -> Result<Csr<W>, Error> {
-    let mut raw = Vec::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut raw))
-        .map_err(|e| Error::io_at(path, e))?;
+    let raw = std::fs::read(path).map_err(|e| Error::io_at(path, e))?;
     let mut buf: &[u8] = &raw;
     let bad = |msg: String| Error::parse(msg).with_path(path);
     if buf.remaining() < 8 || buf.get_u64_le() != BINARY_MAGIC {
@@ -778,10 +779,17 @@ fn read_binary<W: Weight>(path: &Path) -> Result<Csr<W>, Error> {
     let weights = (0..if weighted { m } else { 0 })
         .map(|_| fit(buf.get_u64_le()).map_err(&bad))
         .collect::<Result<_, _>>()?;
-    // Corrupt bodies (non-monotone offsets, out-of-range targets) must be
-    // typed parse errors, not asserts or silently-garbage graphs.
-    Csr::try_from_parts(offsets, targets, weights, symmetric)
-        .map_err(|msg| bad(format!("corrupt graph body: {msg}")))
+    // Corrupt bodies (non-monotone offsets, out-of-range targets, lists
+    // that a graph flagged symmetric does not return) must be typed parse
+    // errors, not asserts or silently-garbage graphs.
+    let g = Csr::try_from_parts(offsets, targets, weights, symmetric)
+        .map_err(|msg| bad(format!("corrupt graph body: {msg}")))?;
+    match symmetric.then(|| unreturned(&g)).flatten() {
+        Some((v, u)) => Err(bad(format!(
+            "flagged symmetric, but vertex {v} lists {u}, which does not list it alike"
+        ))),
+        None => Ok(g),
+    }
 }
 
 #[cfg(test)]

@@ -10,14 +10,13 @@ use rayon::prelude::*;
 pub fn symmetrize<W: Weight>(g: &Csr<W>) -> Csr<W> {
     let n = g.num_vertices();
     let mut el = EdgeList::new(n);
-    el.edges.reserve(2 * g.num_edges());
+    el.edges.reserve(g.num_edges());
     for u in 0..n as VertexId {
         for (v, w) in g.edges_of(u) {
             el.push(u, v, w);
-            el.push(v, u, w);
         }
     }
-    el.build(true)
+    el.build_symmetric()
 }
 
 /// Assigns each edge a deterministic pseudo-random weight in `[lo, hi)`.
@@ -43,12 +42,7 @@ pub fn assign_weights(g: &Csr<()>, lo: u32, hi: u32, seed: u64) -> Csr<u32> {
             })
         })
         .collect();
-    Csr::from_parts(
-        g.offsets().to_vec(),
-        g.targets().to_vec(),
-        weights,
-        g.is_symmetric(),
-    )
+    g.with_weights(weights).expect("one weight per edge")
 }
 
 /// Relabels vertices by a permutation: vertex `v` becomes `perm[v]`.

@@ -242,16 +242,6 @@ impl OutEdges for PackedGraph {
     fn for_each_out<F: FnMut(VertexId, ())>(&self, v: VertexId, mut f: F) {
         self.for_each_neighbor(v, |u| f(u, ()));
     }
-
-    #[inline]
-    fn for_each_out_until<F: FnMut(VertexId, ()) -> bool>(&self, v: VertexId, mut f: F) {
-        let mut go = true;
-        self.for_each_neighbor(v, |u| {
-            if go {
-                go = f(u, ());
-            }
-        });
-    }
 }
 
 impl GraphRef for PackedGraph {

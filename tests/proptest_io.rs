@@ -221,3 +221,33 @@ fn every_fixture_loads_under_the_vertex_bound() {
         }
     }
 }
+
+/// `g` written as `.bin` with byte `at` replaced by `set`, then read back.
+fn read_bin_with<W: Weight>(g: &Csr<W>, at: usize, set: u8) -> Result<Csr<W>, Error> {
+    let file = Scratch::new("bin");
+    GraphIo::write(g, &file.0, &IoOptions::default()).unwrap();
+    let mut bytes = std::fs::read(&file.0).unwrap();
+    bytes[at] = set;
+    std::fs::write(&file.0, &bytes).unwrap();
+    GraphIo::read(&file.0, &IoOptions::default())
+}
+
+#[test]
+fn a_bin_flagged_symmetric_must_return_every_list() {
+    use julienne_repro::graph::generators::erdos_renyi;
+    use julienne_repro::graph::transform::assign_weights;
+    // `gen kind=er scale=6 edge_factor=2 symmetric=false` with its symmetric
+    // byte (28) set: it used to load, and k-core ran on it.
+    let directed = erdos_renyi(64, 128, 1, false);
+    let err = read_bin_with(&directed, 28, 1).unwrap_err();
+    assert!(matches!(err, Error::Parse { .. }), "{err:?}");
+    assert!(err.to_string().contains("flagged symmetric"), "{err}");
+    assert!(read_bin_with(&directed, 28, 0).is_ok());
+
+    // The symmetric graph loads; with one weight changed it does not.
+    let g = assign_weights(&erdos_renyi(64, 128, 1, true), 1, 100, 7);
+    assert!(read_bin_with(&g, 28, 1).is_ok());
+    let first_weight = 30 + 8 * (g.num_vertices() + 1) + 4 * g.num_edges();
+    let err = read_bin_with(&g, first_weight, 200).unwrap_err();
+    assert!(err.to_string().contains("does not list it alike"), "{err}");
+}
