@@ -35,10 +35,12 @@ fi
 # three lines above why its ordering holds. Set cover and its PBBS-style
 # baseline keep their covered-element bitsets but hold to the rest: each of
 # their phases is a call whose join publishes its writes. So do the phases
-# of k-core's Ligra-style baseline.
+# of k-core's Ligra-style baseline, and the edge peel's support words, whose
+# round marks are plain bitsets written between walks.
 for f in crates/algorithms/src/delta_stepping.rs crates/ligra/src/edge_map_reduce.rs \
     crates/algorithms/src/degeneracy.rs crates/algorithms/src/setcover.rs \
-    crates/algorithms/src/setcover_baselines.rs crates/algorithms/src/kcore.rs; do
+    crates/algorithms/src/setcover_baselines.rs crates/algorithms/src/kcore.rs \
+    crates/algorithms/src/ktruss.rs; do
     refused='SeqCst|AtomicBitSet'
     case "$f" in */setcover.rs | */setcover_baselines.rs) refused='SeqCst' ;; esac
     if grep -nE "$refused" "$f"; then
@@ -69,20 +71,23 @@ fi
 # closeness/harmonic, greedy coloring, the approximate densest subgraph and
 # the diameter estimator were deleted for that). Nor does a push walk beside
 # the one sparse driver (set cover's pack, count and side-effect edgeMaps
-# are visits of it). Nor does a second graph epoch beside the store's own.
+# are visits of it, and so is the edge peel's triangle walk over an
+# `EdgeIndex`, a `Csr` whose weights are edge ids, with no arc accessor of
+# its own). Nor does a second graph epoch beside the store's own.
 # Nor does a second CSR type over a mapped `.jgr`: a `Csr` views the file.
 run tools/uncalled.sh
-if grep -rnE 'EdgeMapOptions|dense_threshold_div|fn run_data|fn dense_data_counted|telemetry_sink|enum ArgError|InEdges|with_transpose|fn in_view|for_each_in_|in_csr|in_graph|remove_duplicates|BatchResult|mod betweenness|mod mis|setcover_weighted|fn closeness|fn harmonic|greedy_coloring|densest_subgraph_approx|estimate_diameter|fn edge_map_filter_count|fn edge_map_packed|fn edge_map_filter_pack|fn advance_epoch|struct MappedGraph|OutEdges for MappedGraph' crates; then
+if grep -rnE 'EdgeMapOptions|dense_threshold_div|fn run_data|fn dense_data_counted|telemetry_sink|enum ArgError|InEdges|with_transpose|fn in_view|for_each_in_|in_csr|in_graph|remove_duplicates|BatchResult|mod betweenness|mod mis|setcover_weighted|fn closeness|fn harmonic|greedy_coloring|densest_subgraph_approx|estimate_diameter|fn edge_map_filter_count|fn edge_map_packed|fn edge_map_filter_pack|fn advance_epoch|struct MappedGraph|OutEdges for MappedGraph|fn arcs_of' crates; then
     echo "ci.sh: an option nobody sets or an entry point nobody calls is back; see CHANGES.md PR 22"
     exit 1
 fi
 # The SeqCst lines left for the ordering audit (ROADMAP item 12) only go
 # down: 101 once the library-only algorithms above, which held 29, went; 90
 # once set cover and Bellman-Ford stated their orderings; 82 once the set
-# cover baseline did; 77 once k-core's Ligra-style baseline did.
+# cover baseline did; 77 once k-core's Ligra-style baseline did; 73 once
+# the edge peel did.
 seqcst=$(grep -rn 'SeqCst' crates shims | wc -l)
-if [ "$seqcst" -gt 77 ]; then
-    echo "ci.sh: $seqcst SeqCst lines under crates/ and shims/, above the 77 ratchet;"
+if [ "$seqcst" -gt 73 ]; then
+    echo "ci.sh: $seqcst SeqCst lines under crates/ and shims/, above the 73 ratchet;"
     echo "       give the new atomic the weakest ordering that holds, with an // ORDERING: line"
     exit 1
 fi
@@ -450,11 +455,11 @@ run env JULIENNE_CHAOS_SEED=1 JULIENNE_NUM_THREADS=4 cargo test -q -p rayon
 for seed in 1 24301; do
     run env JULIENNE_CHAOS_SEED=$seed JULIENNE_NUM_THREADS=4 cargo test -q --test proptest_bucket --test alloc_bucket
 done
-# A steady-state Δ-stepping round, solo or fused, and a set-cover round
-# allocate nothing (their buffers are kept across rounds) on four workers
-# and under the adversarial scheduler too.
-run env JULIENNE_NUM_THREADS=4 cargo test -q --test alloc_sssp_rounds --test alloc_setcover_rounds
-run env JULIENNE_CHAOS_SEED=1 JULIENNE_NUM_THREADS=4 cargo test -q --test alloc_sssp_rounds --test alloc_setcover_rounds
+# A steady-state Δ-stepping round, solo or fused, a set-cover round and a
+# k-truss round allocate nothing (their buffers are kept across rounds) on
+# four workers and under the adversarial scheduler too.
+run env JULIENNE_NUM_THREADS=4 cargo test -q --test alloc_sssp_rounds --test alloc_setcover_rounds --test alloc_ktruss_rounds
+run env JULIENNE_CHAOS_SEED=1 JULIENNE_NUM_THREADS=4 cargo test -q --test alloc_sssp_rounds --test alloc_setcover_rounds --test alloc_ktruss_rounds
 # The sparse edgeMap driver: its inline and fanned-out walks keep the
 # sequential order, and its memory follows the hits, on four workers and
 # under the adversarial scheduler.
@@ -462,9 +467,10 @@ run env JULIENNE_NUM_THREADS=4 cargo test -q --test proptest_sparse_blocked --te
 run env JULIENNE_CHAOS_SEED=1 JULIENNE_NUM_THREADS=4 cargo test -q --test proptest_sparse_blocked --test alloc_sparse_hub
 # The peel kernel: its inline walk and its fanned-out fallback leave the
 # same degrees and report the same targets in the same order. Fused
-# Δ-stepping rounds forced to fan out keep every lane equal to its solo run.
-run env JULIENNE_NUM_THREADS=4 cargo test -q --test proptest_peel --test proptest_fused_pieces
-run env JULIENNE_CHAOS_SEED=1 JULIENNE_NUM_THREADS=4 cargo test -q --test proptest_peel --test proptest_fused_pieces
+# Δ-stepping rounds forced to fan out keep every lane equal to its solo run,
+# and k-truss rounds forced to fan out keep the oracle's trussness.
+run env JULIENNE_NUM_THREADS=4 cargo test -q --test proptest_peel --test proptest_fused_pieces --test proptest_ktruss_pieces
+run env JULIENNE_CHAOS_SEED=1 JULIENNE_NUM_THREADS=4 cargo test -q --test proptest_peel --test proptest_fused_pieces --test proptest_ktruss_pieces
 # The chunked compressed backend's split traversal paths (per-chunk sparse
 # tasks, dense heavy-vertex scan) under the adversarial scheduler: results
 # must stay bit-identical to CSR.

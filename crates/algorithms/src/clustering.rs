@@ -2,17 +2,19 @@
 //! computed on the triangle substrate of [`crate::triangles`].
 
 use crate::triangles::{edge_support, EdgeIndex};
+use julienne::Error;
 use julienne_graph::VertexId;
 use julienne_ligra::traits::GraphRef;
 use rayon::prelude::*;
 
 /// Per-vertex local clustering coefficient:
 /// `C(v) = 2·T(v) / (deg(v)·(deg(v)−1))`, where `T(v)` counts triangles
-/// through `v` (0 for degree < 2).
-pub fn local_clustering<G: GraphRef>(g: &G) -> Vec<f64> {
+/// through `v` (0 for degree < 2). Lists that are not mutual are an
+/// [`Error::Input`].
+pub fn local_clustering<G: GraphRef>(g: &G) -> Result<Vec<f64>, Error> {
     assert!(g.is_symmetric());
-    let idx = EdgeIndex::new(g);
-    let support = edge_support(g, &idx);
+    let idx = EdgeIndex::new(g)?;
+    let support = edge_support(&idx);
     // T(v) = ½ Σ_{e ∋ v} support(e): each triangle through v contributes to
     // exactly two of v's incident edges.
     let n = g.num_vertices();
@@ -21,7 +23,7 @@ pub fn local_clustering<G: GraphRef>(g: &G) -> Vec<f64> {
         tri_twice[u as usize] += support[e] as u64;
         tri_twice[v as usize] += support[e] as u64;
     }
-    (0..n)
+    Ok((0..n)
         .into_par_iter()
         .map(|v| {
             let d = g.out_degree(v as VertexId) as u64;
@@ -31,7 +33,7 @@ pub fn local_clustering<G: GraphRef>(g: &G) -> Vec<f64> {
                 (tri_twice[v] / 2) as f64 / ((d * (d - 1) / 2) as f64)
             }
         })
-        .collect()
+        .collect())
 }
 
 /// Global transitivity: `3·triangles / wedges`.
@@ -61,7 +63,7 @@ mod tests {
     #[test]
     fn triangle_has_full_clustering() {
         let g = from_pairs_symmetric(3, &[(0, 1), (1, 2), (0, 2)]);
-        assert_eq!(local_clustering(&g), vec![1.0, 1.0, 1.0]);
+        assert_eq!(local_clustering(&g).unwrap(), vec![1.0, 1.0, 1.0]);
         assert!((transitivity(&g) - 1.0).abs() < 1e-12);
     }
 
@@ -69,14 +71,14 @@ mod tests {
     fn star_has_zero_clustering() {
         let pairs: Vec<(u32, u32)> = (1..8).map(|i| (0, i)).collect();
         let g = from_pairs_symmetric(8, &pairs);
-        assert!(local_clustering(&g).iter().all(|&c| c == 0.0));
+        assert!(local_clustering(&g).unwrap().iter().all(|&c| c == 0.0));
         assert_eq!(transitivity(&g), 0.0);
     }
 
     #[test]
     fn local_matches_brute_force() {
         let g = erdos_renyi(150, 1_800, 5, true);
-        let got = local_clustering(&g);
+        let got = local_clustering(&g).unwrap();
         for v in 0..150u32 {
             let nbrs = g.neighbors(v);
             let d = nbrs.len();
@@ -104,6 +106,6 @@ mod tests {
     #[test]
     fn grid_is_triangle_free() {
         let g = grid2d(10, 10);
-        assert!(local_clustering(&g).iter().all(|&c| c == 0.0));
+        assert!(local_clustering(&g).unwrap().iter().all(|&c| c == 0.0));
     }
 }

@@ -12,14 +12,22 @@
 //! Simultaneous removal needs care: when several edges of one triangle peel
 //! in the same round, the triangle must be destroyed exactly once — the
 //! minimum-id peeled edge is the designated owner of the decrements.
+//!
+//! A round is one visit of the sparse edgeMap driver over the
+//! [`EdgeIndex`]'s arcs: each peeled edge walks the list of its endpoint of
+//! smaller degree, merging it by a cursor against the other endpoint's
+//! list, and every support word is `Relaxed` (DESIGN §6).
 
 use crate::triangles::{edge_support, EdgeIndex};
-use julienne::bucket::{BucketDest, Bucketing, Order};
+use julienne::bucket::{Bucketing, Order};
 use julienne::query::QueryCtx;
+use julienne::telemetry::Phase;
 use julienne::Error;
+use julienne_graph::Csr;
+use julienne_ligra::edge_map::{sparse_in_pieces, OutList};
 use julienne_ligra::traits::GraphRef;
-use julienne_primitives::bitset::AtomicBitSet;
-use rayon::prelude::*;
+use julienne_ligra::EdgeMap;
+use julienne_primitives::bitset::BitSet;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Result of a truss decomposition.
@@ -42,12 +50,12 @@ pub struct KtrussParams {}
 
 /// Work-efficient parallel truss decomposition over the bucket structure:
 /// the single entry point behind the `truss` registry id. The graph must be
-/// symmetric.
+/// symmetric; lists that are not mutual are an [`Error::Input`].
 ///
-/// Bucket window and telemetry scope come from `ctx`'s
-/// engine. The context is polled once per peeling round: a cancelled or
-/// deadline-expired query returns `Err` with no partial output, dropping
-/// its buckets on the way out.
+/// Bucket window and telemetry scope come from `ctx`'s engine; each peeling
+/// round emits a round record. The context is polled once per round: a
+/// cancelled or deadline-expired query returns `Err` with no partial
+/// output, dropping its buckets on the way out.
 pub fn ktruss<G: GraphRef>(
     g: &G,
     _params: &KtrussParams,
@@ -55,132 +63,105 @@ pub fn ktruss<G: GraphRef>(
 ) -> Result<KtrussResult, Error> {
     assert!(g.is_symmetric());
     let engine = ctx.engine();
-    let idx = EdgeIndex::new(g);
-    let m = idx.num_edges();
-    if m == 0 {
-        return Ok(KtrussResult {
-            trussness: vec![],
-            rounds: 0,
-            max_truss: 0,
-        });
-    }
-    let support: Vec<AtomicU32> = edge_support(g, &idx)
-        .into_iter()
-        .map(AtomicU32::new)
-        .collect();
-    let alive = AtomicBitSet::new(m);
-    for e in 0..m {
-        alive.set(e);
-    }
-    let round_peel = AtomicBitSet::new(m);
-
-    let d = |e: u32| support[e as usize].load(Ordering::SeqCst);
+    let idx = EdgeIndex::new(g)?;
+    let (m, arcs) = (idx.num_edges(), &idx.arcs);
+    let support: Vec<AtomicU32> = edge_support(&idx).into_iter().map(AtomicU32::new).collect();
+    // ORDERING: Relaxed; the buckets read the support words only between
+    // walks, after the driver's join.
+    let d = |e: u32| support[e as usize].load(Ordering::Relaxed);
     let mut buckets = engine.buckets(m, d, Order::Increasing);
     let telemetry = engine.telemetry();
+    let em = EdgeMap::new(arcs).telemetry(telemetry);
+    // The edges peeled in earlier rounds and in this one, written between
+    // walks.
+    let (mut gone, mut peeling) = (BitSet::new(m), BitSet::new(m));
 
     let mut finished = 0usize;
     let mut rounds = 0u64;
+    // Round buffers, refilled in place every round: the peeled edges, the
+    // endpoint each one walks, and the bucket moves.
+    let (mut peeled, mut sources, mut moves) = (vec![], vec![], vec![]);
     while finished < m {
         // Round boundary: a cancelled/expired query unwinds here, dropping
         // the bucket structure and support array with it.
         ctx.check()?;
-        let span = telemetry.span();
-        let (k, peeled) = buckets.next_bucket().expect("peel exhausted early");
+        let mut span = telemetry.span();
+        let k = span
+            .lap(Phase::NextBucket, buckets.next_bucket_into(&mut peeled))
+            .expect("peel exhausted early");
         finished += peeled.len();
         rounds += 1;
 
-        // Mark this round's peel set; the edges leave the graph now.
-        peeled.par_iter().for_each(|&e| {
-            round_peel.set(e as usize);
-            alive.clear(e as usize);
-        });
+        // The peeled edges leave the graph now; each walks the list of its
+        // endpoint of smaller degree.
+        sources.clear();
+        sources.extend(peeled.iter().map(|&e| {
+            peeling.set(e as usize);
+            let (u, v) = idx.endpoints[e as usize];
+            std::cmp::min_by_key(u, v, |&x| arcs.degree(x))
+        }));
+        span.lap(Phase::Walk, ());
 
         // Destroy each triangle exactly once and emit bucket moves for the
         // decremented survivor edges.
-        let moves: Vec<(u32, BucketDest)> = {
-            let per_edge: Vec<Vec<(u32, BucketDest)>> = peeled
-                .par_iter()
-                .map(|&e| {
-                    let (u, v) = idx.endpoints[e as usize];
-                    let (nu, eu) = idx.arcs_of(u);
-                    let (nv, ev) = idx.arcs_of(v);
-                    let mut local: Vec<(u32, BucketDest)> = Vec::new();
-                    // Merge-intersect the full sorted neighborhoods; resolve
-                    // per-arc edge ids positionally.
-                    let (mut i, mut j) = (0usize, 0usize);
-                    while i < nu.len() && j < nv.len() {
-                        match nu[i].cmp(&nv[j]) {
-                            std::cmp::Ordering::Less => i += 1,
-                            std::cmp::Ordering::Greater => j += 1,
-                            std::cmp::Ordering::Equal => {
-                                let e1 = eu[i];
-                                let e2 = ev[j];
-                                i += 1;
-                                j += 1;
-                                let p1 = round_peel.get(e1 as usize);
-                                let p2 = round_peel.get(e2 as usize);
-                                let a1 = alive.get(e1 as usize);
-                                let a2 = alive.get(e2 as usize);
-                                // Triangle must exist at round start: both
-                                // other edges alive-then (= alive now or
-                                // peeled this round).
-                                if !((a1 || p1) && (a2 || p2)) {
-                                    continue;
-                                }
-                                // Ownership: the minimum-id peeled edge of
-                                // the triangle performs the decrements.
-                                if (p1 && e1 < e) || (p2 && e2 < e) {
-                                    continue;
-                                }
-                                for (other, is_peeled) in [(e1, p1), (e2, p2)] {
-                                    if is_peeled {
-                                        continue;
-                                    }
-                                    // CAS-decrement with clamping at k.
-                                    loop {
-                                        let s = support[other as usize].load(Ordering::SeqCst);
-                                        if s <= k {
-                                            break;
-                                        }
-                                        let new = (s - 1).max(k);
-                                        if support[other as usize]
-                                            .compare_exchange(
-                                                s,
-                                                new,
-                                                Ordering::SeqCst,
-                                                Ordering::SeqCst,
-                                            )
-                                            .is_ok()
-                                        {
-                                            let dest = buckets.get_bucket(other, s, new);
-                                            if !dest.is_null() {
-                                                local.push((other, dest));
-                                            }
-                                            break;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    local
-                })
-                .collect();
-            per_edge.into_iter().flatten().collect()
+        let stood = |f: u32| !gone.get(f as usize);
+        let peels = |f: u32| peeling.get(f as usize);
+        // ORDERING: Relaxed; a decrement needs atomicity only, and the
+        // driver's join publishes it to the buckets.
+        let decrement = |f: u32| {
+            support[f as usize].fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
+                (s > k).then(|| s - 1)
+            })
         };
+        let visit = |i: usize, list: OutList<'_, Csr<u32>>, moves: &mut Vec<_>| {
+            let e = peeled[i];
+            let (u, v) = idx.endpoints[e as usize];
+            let other = if list.source == u { v } else { u };
+            let (targets, ids) = (arcs.neighbors(other), arcs.weights_of(other));
+            // A chunk of a hub's list starts its cursor at its first target.
+            let mut cursor = None;
+            list.for_each(|x, e1| {
+                let j = cursor.get_or_insert_with(|| targets.partition_point(|&y| y < x));
+                while *j < targets.len() && targets[*j] < x {
+                    *j += 1;
+                }
+                if *j == targets.len() || targets[*j] != x {
+                    return;
+                }
+                let e2 = ids[*j];
+                // The triangle stood at round start, and `e` is its
+                // minimum-id peeled edge.
+                if !(stood(e1) && stood(e2)) || (peels(e1) && e1 < e) || (peels(e2) && e2 < e) {
+                    return;
+                }
+                for f in [e1, e2].into_iter().filter(|&f| !peels(f)) {
+                    if let Ok(s) = decrement(f) {
+                        let dest = buckets.get_bucket(f, s, s - 1);
+                        moves.extend((!dest.is_null()).then_some((f, dest)));
+                    }
+                }
+            });
+        };
+        let mut walk = || em.run_sparse_at(&sources, &mut moves, visit);
+        // A walked arc costs a merge against the other endpoint's list,
+        // unseen by the driver's edge count: cut the round by edges peeled.
+        let scanned = match rayon::pool::piece_count(peeled.len()) {
+            1 => walk(),
+            pieces => sparse_in_pieces(pieces, walk),
+        };
+        for &e in &peeled {
+            peeling.clear(e as usize);
+            gone.set(e as usize);
+        }
+        span.lap(Phase::EdgeMap, ());
         buckets.update_buckets(&moves);
-        // The peel walks triangles, not an edgeMap: no scanned-edge count.
-        telemetry.finish_round(span, rounds - 1, k, peeled.len(), 0, moves.len() as u64);
-
-        // Clear the round marks.
-        peeled.par_iter().for_each(|&e| {
-            round_peel.clear(e as usize);
-        });
+        span.lap(Phase::UpdateBuckets, ());
+        let relaxed = moves.len() as u64;
+        telemetry.finish_round(span, rounds - 1, k, peeled.len(), scanned, relaxed);
     }
 
-    let peel: Vec<u32> = support.into_iter().map(AtomicU32::into_inner).collect();
-    let trussness: Vec<u32> = peel.par_iter().map(|&s| s + 2).collect();
-    let max_truss = trussness.iter().copied().max().unwrap_or(2);
+    let trussness: Vec<u32> = support.into_iter().map(|s| s.into_inner() + 2).collect();
+    let max_truss = trussness.iter().copied().max().unwrap_or(0);
     Ok(KtrussResult {
         trussness,
         rounds,
@@ -192,7 +173,7 @@ pub fn ktruss<G: GraphRef>(
 /// bucket queue.
 pub fn ktruss_seq<G: GraphRef>(g: &G) -> KtrussResult {
     assert!(g.is_symmetric());
-    let idx = EdgeIndex::new(g);
+    let idx = EdgeIndex::new(g).expect("ktruss_seq needs mutual lists");
     let m = idx.num_edges();
     if m == 0 {
         return KtrussResult {
@@ -201,7 +182,7 @@ pub fn ktruss_seq<G: GraphRef>(g: &G) -> KtrussResult {
             max_truss: 0,
         };
     }
-    let mut support = edge_support(g, &idx);
+    let mut support = edge_support(&idx);
     let mut alive = vec![true; m];
     let max_s = support.iter().copied().max().unwrap_or(0) as usize;
     let mut queue: Vec<Vec<u32>> = vec![Vec::new(); max_s + 1];
@@ -221,8 +202,8 @@ pub fn ktruss_seq<G: GraphRef>(g: &G) -> KtrussResult {
         alive[e as usize] = false;
         removed += 1;
         let (u, v) = idx.endpoints[e as usize];
-        let (nu, eu) = idx.arcs_of(u);
-        let (nv, ev) = idx.arcs_of(v);
+        let (nu, eu) = (idx.arcs.neighbors(u), idx.arcs.weights_of(u));
+        let (nv, ev) = (idx.arcs.neighbors(v), idx.arcs.weights_of(v));
         let (mut i, mut j) = (0usize, 0usize);
         while i < nu.len() && j < nv.len() {
             match nu[i].cmp(&nv[j]) {
@@ -278,7 +259,7 @@ mod tests {
     fn triangle_with_tail() {
         // Triangle {0,1,2} (trussness 3) + pendant edge 2-3 (trussness 2).
         let g = from_pairs_symmetric(4, &[(0, 1), (1, 2), (0, 2), (2, 3)]);
-        let idx = EdgeIndex::new(&g);
+        let idx = EdgeIndex::new(&g).unwrap();
         let r = run(&g);
         for (e, &(u, v)) in idx.endpoints.iter().enumerate() {
             let want = if (u, v) == (2, 3) { 2 } else { 3 };
@@ -310,7 +291,7 @@ mod tests {
         // Every edge with trussness ≥ t must close ≥ t-2 triangles within
         // the subgraph of edges with trussness ≥ t (the defining property).
         let g = erdos_renyi(120, 1_800, 9, true);
-        let idx = EdgeIndex::new(&g);
+        let idx = EdgeIndex::new(&g).unwrap();
         let r = run(&g);
         let t = r.max_truss;
         if t < 3 {
@@ -321,8 +302,8 @@ mod tests {
             if !member[e] {
                 continue;
             }
-            let (nu, eu) = idx.arcs_of(u);
-            let (nv, ev) = idx.arcs_of(v);
+            let (nu, eu) = (idx.arcs.neighbors(u), idx.arcs.weights_of(u));
+            let (nv, ev) = (idx.arcs.neighbors(v), idx.arcs.weights_of(v));
             let mut tri = 0u32;
             let (mut i, mut j) = (0usize, 0usize);
             while i < nu.len() && j < nv.len() {

@@ -1013,6 +1013,9 @@ fn run_truss(store: &GraphStore, p: &ParamMap, ctx: &QueryCtx) -> Result<String,
     for (t, c) in by_truss.into_iter().take(top) {
         let _ = writeln!(out, "  trussness {t}: {c} edges");
     }
+    if ctx.emit_stats() {
+        let _ = writeln!(out, "{}", ctx.snapshot().to_json("truss"));
+    }
     Ok(out)
 }
 
@@ -1022,7 +1025,7 @@ fn run_clustering(store: &GraphStore, p: &ParamMap, ctx: &QueryCtx) -> Result<St
     store.require_symmetric("clustering requires a symmetric graph")?;
     ctx.check()?;
     let (local, trans) = any_graph!(store, "clustering", |g| (
-        local_clustering(g),
+        local_clustering(g)?,
         transitivity(g)
     ));
     let avg = local.iter().sum::<f64>() / local.len().max(1) as f64;
@@ -1181,6 +1184,22 @@ mod tests {
             .unwrap_err();
         assert!(!err.is_usage());
         assert!(err.to_string().contains("weighted"), "{err}");
+    }
+
+    #[test]
+    fn truss_and_clustering_refuse_lists_that_are_not_mutual() {
+        // Flagged symmetric, but 1 lists 0 and 0 lists nothing.
+        let g = Graph::from_parts(vec![0, 0, 1], vec![0], vec![], true);
+        for backend in [Backend::Csr, Backend::Compressed] {
+            let store = GraphStore::from_graph(g.clone(), backend);
+            for id in ["truss", "clustering"] {
+                let err = Registry::standard()
+                    .run(id, &store, &ParamMap::default(), &QueryCtx::default())
+                    .unwrap_err();
+                assert!(matches!(err, Error::Input(_)), "{id}: {err:?}");
+                assert!(err.to_string().contains("edge (1, 0)"), "{id}: {err}");
+            }
+        }
     }
 
     #[test]

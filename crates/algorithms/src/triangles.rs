@@ -6,9 +6,9 @@
 //! out-neighborhoods; every triangle is counted exactly once at its lowest
 //! -rank vertex. O(m^{3/2}) work on arbitrary graphs.
 
-use julienne_graph::VertexId;
+use julienne::Error;
+use julienne_graph::{Csr, VertexId};
 use julienne_ligra::traits::{GraphRef, OutEdges};
-use julienne_primitives::scan::prefix_sums;
 use rayon::prelude::*;
 
 /// Intersects two sorted ascending slices, invoking `f` on every common
@@ -70,114 +70,90 @@ pub fn triangle_count<G: GraphRef>(g: &G) -> u64 {
 }
 
 /// The undirected edge set of a symmetric graph, as `(u, v)` with `u < v`,
-/// plus a CSR-shaped index that maps each directed arc to its undirected
-/// edge id — the identifier space k-truss buckets over.
+/// plus the graph's arcs as a CSR whose weights are their undirected edge
+/// ids — the identifier space k-truss buckets over.
 pub struct EdgeIndex {
-    /// Endpoints of undirected edge `e` (`endpoints[e].0 < endpoints[e].1`).
+    /// Endpoints of undirected edge `e` (`endpoints[e].0 < endpoints[e].1`),
+    /// in CSR order of the lower endpoint.
     pub endpoints: Vec<(VertexId, VertexId)>,
-    /// CSR offsets over directed arcs (same shape as the graph).
-    pub arc_offsets: Vec<u64>,
-    /// Neighbor of each arc (sorted per vertex).
-    pub arc_target: Vec<VertexId>,
-    /// Undirected edge id of each arc.
-    pub arc_eid: Vec<u32>,
+    /// The graph's arcs, each list sorted; an arc's weight is the id of its
+    /// undirected edge, so both arcs of an edge carry the same id.
+    pub arcs: Csr<u32>,
 }
 
 impl EdgeIndex {
-    /// Builds the index. Requires a symmetric graph; neighbor lists need
-    /// not be pre-sorted.
-    pub fn new<G: GraphRef>(g: &G) -> EdgeIndex {
+    /// Builds the index of a symmetric graph whose neighbor lists need not
+    /// be sorted. Ids are handed out by one pass over the vertices in
+    /// order: `u`'s arc to each higher neighbor `v` takes the next id, and
+    /// so does the arc at `v`'s cursor, which must be `v`'s arc back to
+    /// `u`. A list that is not mutual, or lists its own vertex, is an
+    /// [`Error::Input`] naming the pair.
+    pub fn new<G: GraphRef>(g: &G) -> Result<EdgeIndex, Error> {
         assert!(g.is_symmetric());
         let n = g.num_vertices();
-        // Sorted adjacency copy.
-        let sorted: Vec<Vec<VertexId>> = (0..n as VertexId)
-            .into_par_iter()
-            .map(|v| {
-                let mut a = Vec::with_capacity(g.out_degree(v));
-                g.for_each_out(v, |u, _| a.push(u));
-                a.sort_unstable();
-                a
-            })
-            .collect();
-        // Assign ids to (u < v) edges in CSR order of u.
-        let mut counts: Vec<usize> = sorted
-            .iter()
-            .enumerate()
-            .map(|(v, a)| a.iter().filter(|&&u| u > v as VertexId).count())
-            .collect();
-        counts.push(0);
-        let num_edges = prefix_sums(&mut counts);
-        let mut endpoints = vec![(0, 0); num_edges];
-        for (v, a) in sorted.iter().enumerate() {
-            let mut k = counts[v];
-            for &u in a {
-                if u > v as VertexId {
-                    endpoints[k] = (v as VertexId, u);
-                    k += 1;
-                }
-            }
-        }
-        // Arc arrays with edge-id resolution: for arc (v, u), the edge id
-        // is found by position within the lower endpoint's higher-neighbor
-        // run.
-        let mut arc_offsets = vec![0u64; n + 1];
-        for v in 0..n {
-            arc_offsets[v + 1] = arc_offsets[v] + sorted[v].len() as u64;
-        }
-        let mut arc_target = Vec::with_capacity(arc_offsets[n] as usize);
-        let mut arc_eid = vec![0u32; arc_offsets[n] as usize];
-        for a in &sorted {
-            arc_target.extend_from_slice(a);
-        }
-        let eid_of = |a: VertexId, b: VertexId| -> u32 {
-            // a < b required; edge id = counts[a] + rank of b among a's
-            // higher neighbors.
-            let higher_start = sorted[a as usize].partition_point(|&x| x <= a);
-            let pos = sorted[a as usize][higher_start..]
-                .binary_search(&b)
-                .expect("edge must exist");
-            (counts[a as usize] + pos) as u32
-        };
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut targets = Vec::with_capacity(g.num_edges());
+        offsets.push(0u64);
         for v in 0..n as VertexId {
-            let base = arc_offsets[v as usize] as usize;
-            for (k, &u) in sorted[v as usize].iter().enumerate() {
-                let (a, b) = (v.min(u), v.max(u));
-                arc_eid[base + k] = eid_of(a, b);
+            let start = targets.len();
+            g.for_each_out(v, |u, _| targets.push(u));
+            targets[start..].sort_unstable();
+            offsets.push(targets.len() as u64);
+        }
+        // `cursor[v]`: `v`'s first arc to a lower vertex not yet given an id.
+        let mut cursor: Vec<usize> = offsets[..n].iter().map(|&o| o as usize).collect();
+        let mut ids = vec![0u32; targets.len()];
+        let mut endpoints = Vec::with_capacity(targets.len() / 2);
+        let one_sided = |a: VertexId, b: VertexId| {
+            let why = if a == b {
+                "lists itself"
+            } else {
+                "is not listed back"
+            };
+            Error::input(format!(
+                "edge ({a}, {b}) {why}: a graph flagged symmetric needs mutual, loop-free lists"
+            ))
+        };
+        for u in 0..n as VertexId {
+            let (c, end) = (cursor[u as usize], offsets[u as usize + 1] as usize);
+            // Every lower neighbor listing `u` back has taken its id by now.
+            if c < end && targets[c] <= u {
+                return Err(one_sided(u, targets[c]));
+            }
+            for p in c..end {
+                let v = targets[p];
+                let back = cursor[v as usize];
+                match targets[back..offsets[v as usize + 1] as usize].first() {
+                    Some(&w) if w == u => {}
+                    Some(&w) if w < u => return Err(one_sided(v, w)),
+                    _ => return Err(one_sided(u, v)),
+                }
+                let id = endpoints.len() as u32;
+                (ids[p], ids[back]) = (id, id);
+                cursor[v as usize] += 1;
+                endpoints.push((u, v));
             }
         }
-        EdgeIndex {
+        Ok(EdgeIndex {
             endpoints,
-            arc_offsets,
-            arc_target,
-            arc_eid,
-        }
+            arcs: Csr::from_parts(offsets, targets, ids, true),
+        })
     }
 
     /// Number of undirected edges.
     pub fn num_edges(&self) -> usize {
         self.endpoints.len()
     }
-
-    /// The sorted neighbor slice of `v` with parallel edge ids.
-    pub fn arcs_of(&self, v: VertexId) -> (&[VertexId], &[u32]) {
-        let s = self.arc_offsets[v as usize] as usize;
-        let e = self.arc_offsets[v as usize + 1] as usize;
-        (&self.arc_target[s..e], &self.arc_eid[s..e])
-    }
 }
 
 /// Per-edge triangle support: `support[e]` = number of triangles through
 /// undirected edge `e`. The sum over edges equals 3 × triangle count.
-/// (Everything needed lives in the index; the graph argument is retained
-/// for signature symmetry with the other support primitives.)
-pub fn edge_support<G: OutEdges>(_g: &G, idx: &EdgeIndex) -> Vec<u32> {
+pub fn edge_support(idx: &EdgeIndex) -> Vec<u32> {
     idx.endpoints
         .par_iter()
         .map(|&(u, v)| {
-            let (nu, _) = idx.arcs_of(u);
-            let (nv, _) = idx.arcs_of(v);
             let mut s = 0u32;
-            intersect_sorted(nu, nv, |_| s += 1);
+            intersect_sorted(idx.arcs.neighbors(u), idx.arcs.neighbors(v), |_| s += 1);
             s
         })
         .collect()
@@ -235,8 +211,8 @@ mod tests {
     #[test]
     fn support_sums_to_three_times_triangles() {
         let g = rmat(9, 8, RmatParams::default(), 4, true);
-        let idx = EdgeIndex::new(&g);
-        let support = edge_support(&g, &idx);
+        let idx = EdgeIndex::new(&g).unwrap();
+        let support = edge_support(&idx);
         let sum: u64 = support.iter().map(|&s| s as u64).sum();
         assert_eq!(sum, 3 * triangle_count(&g));
         assert_eq!(idx.num_edges(), g.num_edges() / 2);
@@ -245,9 +221,9 @@ mod tests {
     #[test]
     fn edge_index_lookup_consistent() {
         let g = erdos_renyi(200, 1_600, 7, true);
-        let idx = EdgeIndex::new(&g);
+        let idx = EdgeIndex::new(&g).unwrap();
         let edge_id = |a: VertexId, b: VertexId| {
-            let (nbrs, eids) = idx.arcs_of(a);
+            let (nbrs, eids) = (idx.arcs.neighbors(a), idx.arcs.weights_of(a));
             nbrs.binary_search(&b).ok().map(|i| eids[i])
         };
         for (e, &(u, v)) in idx.endpoints.iter().enumerate() {
@@ -272,8 +248,28 @@ mod tests {
     #[test]
     fn k4_edge_support_all_two() {
         let k4 = from_pairs_symmetric(4, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
-        let idx = EdgeIndex::new(&k4);
-        let support = edge_support(&k4, &idx);
+        let idx = EdgeIndex::new(&k4).unwrap();
+        let support = edge_support(&idx);
         assert_eq!(support, vec![2; 6]);
+    }
+
+    #[test]
+    fn lists_that_are_not_mutual_are_refused_by_pair() {
+        let refusal = |offsets: Vec<u64>, targets: Vec<VertexId>| match EdgeIndex::new(
+            &Csr::<()>::from_parts(offsets, targets, vec![], true),
+        ) {
+            Err(Error::Input(msg)) => msg,
+            Err(e) => panic!("expected an input error, got {e:?}"),
+            Ok(_) => panic!("a one-sided list was indexed"),
+        };
+        // 1 lists 0, 0 lists nothing; then the other way round.
+        assert!(refusal(vec![0, 0, 1], vec![0]).contains("edge (1, 0) is not listed back"));
+        assert!(refusal(vec![0, 1, 1], vec![1]).contains("edge (0, 1) is not listed back"));
+        // 2 lists 0 and 1, which list only each other: 2's lowest arc is
+        // the one found one-sided.
+        let m = refusal(vec![0, 1, 2, 4], vec![1, 0, 0, 1]);
+        assert!(m.contains("edge (2, 0) is not listed back"), "{m}");
+        // A self-loop has no second arc to share its id with.
+        assert!(refusal(vec![0, 1], vec![0]).contains("edge (0, 0) lists itself"));
     }
 }

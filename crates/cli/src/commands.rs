@@ -497,31 +497,7 @@ pub fn cmd_update(a: &ParamMap) -> CmdResult {
             .map_err(|e| runtime_err(format!("connect {addr}: {e}")))?
             .roundtrip(&request)
             .map_err(|e| runtime_err(format!("update {addr}: {e}")))?;
-        return match resp.get("ok").and_then(Json::as_bool) {
-            Some(true) => Ok(resp
-                .get("output")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string()),
-            _ => {
-                let code = resp
-                    .get("error")
-                    .and_then(|e| e.get("code"))
-                    .and_then(Json::as_str)
-                    .unwrap_or("unknown");
-                let message = resp
-                    .get("error")
-                    .and_then(|e| e.get("message"))
-                    .and_then(Json::as_str)
-                    .unwrap_or("unrecognized server response");
-                let text = format!("server error ({code}): {message}");
-                if code == "usage" {
-                    Err(usage_err(text))
-                } else {
-                    Err(runtime_err(text))
-                }
-            }
-        };
+        return wire_reply(&resp);
     }
 
     // Local form: load → apply one batch (inserts before deletes, the wire
@@ -618,31 +594,30 @@ pub fn cmd_query(a: &ParamMap) -> CmdResult {
     let request = query_request(&id, &algo, &param_refs, timeout, stats);
 
     let resp = connect(&addr)?.roundtrip(&request).map_err(wire)?;
-    match resp.get("ok").and_then(Json::as_bool) {
-        Some(true) => Ok(resp
-            .get("output")
-            .and_then(Json::as_str)
-            .unwrap_or_default()
-            .to_string()),
-        _ => {
-            let code = resp
-                .get("error")
-                .and_then(|e| e.get("code"))
-                .and_then(Json::as_str)
-                .unwrap_or("unknown");
-            let message = resp
-                .get("error")
-                .and_then(|e| e.get("message"))
-                .and_then(Json::as_str)
-                .unwrap_or("unrecognized server response");
-            let text = format!("server error ({code}): {message}");
-            if code == "usage" {
-                Err(usage_err(text))
-            } else {
-                Err(runtime_err(text))
-            }
-        }
+    wire_reply(&resp)
+}
+
+/// A served query's or update's reply as this command's result: its
+/// `output` when `ok`, else a `server error (<code>): <message>` that keeps
+/// the error's class — `usage` on the server is a usage error (exit 2) here.
+fn wire_reply(resp: &Json) -> CmdResult {
+    if resp.get("ok").and_then(Json::as_bool) == Some(true) {
+        let output = resp.get("output").and_then(Json::as_str);
+        return Ok(output.unwrap_or_default().to_string());
     }
+    let error = |key| {
+        resp.get("error")
+            .and_then(|e| e.get(key))
+            .and_then(Json::as_str)
+    };
+    let code = error("code").unwrap_or("unknown");
+    let message = error("message").unwrap_or("unrecognized server response");
+    let text = format!("server error ({code}): {message}");
+    Err(if code == "usage" {
+        usage_err(text)
+    } else {
+        runtime_err(text)
+    })
 }
 
 /// Usage text.
@@ -668,7 +643,7 @@ COMMANDS:
   components  in=<file>
   densest     in=<file>
   triangles   in=<file>
-  truss       in=<file> [top=5]
+  truss       in=<file> [top=5] [stats=none|json]
   clustering  in=<file>
   pagerank    in=<file> [damping=0.85] [iters=100]
   setcover    [sets=256] [elements=16384] [mult=4] [eps=0.01] [seed=1] [stats=none|json]
@@ -838,6 +813,33 @@ mod tests {
         assert!(!plain.contains("\"algorithm\""));
         std::fs::remove_file(f).ok();
         std::fs::remove_file(fw).ok();
+    }
+
+    #[test]
+    fn truss_stats_json_traces_every_round() {
+        let f = tmp("tj.bin");
+        run(&format!("gen kind=rmat scale=9 edge_factor=12 out={f}")).unwrap();
+        let out = run(&format!("truss in={f} stats=json")).unwrap();
+        let rounds: usize = out
+            .split("rounds=")
+            .nth(1)
+            .and_then(|rest| rest.split_whitespace().next())
+            .and_then(|r| r.parse().ok())
+            .unwrap_or_else(|| panic!("no rounds= in {out}"));
+        let trace = Json::parse(out.lines().last().unwrap()).unwrap();
+        assert_eq!(trace.get("algorithm").and_then(Json::as_str), Some("truss"));
+        // Round records exist only when telemetry is compiled in.
+        #[cfg(feature = "telemetry")]
+        {
+            let Some(Json::Arr(records)) = trace.get("rounds") else {
+                panic!("no round records in {out}");
+            };
+            assert_eq!(records.len(), rounds, "{out}");
+            assert!(records.iter().all(|r| r.get("phase_ns").is_some()), "{out}");
+        }
+        #[cfg(not(feature = "telemetry"))]
+        assert!(rounds > 0);
+        std::fs::remove_file(f).ok();
     }
 
     #[test]

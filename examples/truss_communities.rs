@@ -21,7 +21,7 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(12);
     let g = rmat(scale, 12, RmatParams::default(), 0x7455, true);
-    let idx = EdgeIndex::new(&g);
+    let idx = EdgeIndex::new(&g).unwrap();
     println!(
         "graph: n = {}, undirected edges = {}, triangles = {}",
         g.num_vertices(),

@@ -91,7 +91,7 @@ fn check_unweighted_on<G: GraphRef<W = ()>>(name: &str, plain: &Graph, g: &G) {
     // Edge peeling: the parallel edge ids (CSR order) must line up with the
     // oracle's sorted-(u < v) enumeration, then trussness must match.
     let (endpoints, truss) = oracle::kcore::trussness_peel(plain);
-    let idx = EdgeIndex::new(g);
+    let idx = EdgeIndex::new(g).unwrap();
     assert_eq!(idx.endpoints, endpoints, "{name}: edge enumeration");
     let kt = ktruss(g, &KtrussParams::default(), &QueryCtx::default()).unwrap();
     assert_eq!(kt.trussness, truss, "{name}: ktruss");
@@ -109,7 +109,7 @@ fn check_unweighted_on<G: GraphRef<W = ()>>(name: &str, plain: &Graph, g: &G) {
     );
     approx(
         &format!("{name}: local_clustering"),
-        &local_clustering(g),
+        &local_clustering(g).unwrap(),
         &oracle::triangles::local_clustering_naive(plain),
         1e-9,
     );

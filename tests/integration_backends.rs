@@ -133,8 +133,8 @@ fn triangle_family_matches_on_compressed_backend() {
         );
         eq_backends(
             &format!("clustering/{name}"),
-            || (local_clustering(&g), transitivity(&g).to_bits()),
-            || (local_clustering(&cg), transitivity(&cg).to_bits()),
+            || (local_clustering(&g).unwrap(), transitivity(&g).to_bits()),
+            || (local_clustering(&cg).unwrap(), transitivity(&cg).to_bits()),
         );
     }
 }

@@ -154,8 +154,8 @@ fn triangle_family_matches_on_mapped_backend() {
         );
         eq_mapped(
             &format!("clustering/{name}"),
-            || (local_clustering(&g), transitivity(&g).to_bits()),
-            || (local_clustering(&mg), transitivity(&mg).to_bits()),
+            || (local_clustering(&g).unwrap(), transitivity(&g).to_bits()),
+            || (local_clustering(&mg).unwrap(), transitivity(&mg).to_bits()),
         );
     }
 }
