@@ -34,8 +34,10 @@ pub fn bfs_with_mode<G: GraphRef>(g: &G, src: VertexId, mode: Mode) -> BfsResult
     let n = g.num_vertices();
     let parent: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(NO_PARENT)).collect();
     let level: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(u32::MAX)).collect();
-    parent[src as usize].store(src, Ordering::SeqCst);
-    level[src as usize].store(0, Ordering::SeqCst);
+    // ORDERING: Relaxed here and below; every round is an `EdgeMap::run`
+    // whose join publishes its writes to the next round and to the caller.
+    parent[src as usize].store(src, Ordering::Relaxed);
+    level[src as usize].store(0, Ordering::Relaxed);
 
     let mut frontier = VertexSubset::single(n, src);
     let mut rounds = 0u64;
@@ -47,13 +49,17 @@ pub fn bfs_with_mode<G: GraphRef>(g: &G, src: VertexId, mode: Mode) -> BfsResult
             &frontier,
             |u, v, _| {
                 if cas_u32(&parent[v as usize], NO_PARENT, u) {
-                    level[v as usize].store(depth, Ordering::SeqCst);
+                    // ORDERING: Relaxed; the CAS alone elects the writer,
+                    // and only the caller reads `level`, after the join.
+                    level[v as usize].store(depth, Ordering::Relaxed);
                     true
                 } else {
                     false
                 }
             },
-            |v| parent[v as usize].load(Ordering::SeqCst) == NO_PARENT,
+            // ORDERING: Relaxed; a stale NO_PARENT only offers `v` to the
+            // CAS, which refuses it.
+            |v| parent[v as usize].load(Ordering::Relaxed) == NO_PARENT,
         );
     }
 

@@ -47,7 +47,9 @@ pub fn connected_components<G: GraphRef>(g: &G) -> ComponentsResult {
         let next = EdgeMap::new(g).run(
             &frontier,
             |u, v, _| {
-                let lu = snap[u as usize].load(Ordering::SeqCst);
+                // ORDERING: Relaxed; `snap` was written by the previous
+                // round's `vertex_for_each`, whose join published it.
+                let lu = snap[u as usize].load(Ordering::Relaxed);
                 if write_min_u32(&label[v as usize], lu) {
                     return flags.set(v as usize);
                 }
@@ -57,7 +59,9 @@ pub fn connected_components<G: GraphRef>(g: &G) -> ComponentsResult {
         );
         vertex_for_each(&next, |v| {
             flags.clear(v as usize);
-            snap[v as usize].store(label[v as usize].load(Ordering::SeqCst), Ordering::SeqCst);
+            // ORDERING: Relaxed; the `EdgeMap::run` join published every
+            // label, and this round's join publishes the snapshot.
+            snap[v as usize].store(label[v as usize].load(Ordering::Relaxed), Ordering::Relaxed);
         });
         frontier = next;
     }

@@ -23,7 +23,7 @@
 //! ```
 
 use crate::bellman_ford::bellman_ford;
-use crate::clustering::{local_clustering, transitivity};
+use crate::clustering::clustering;
 use crate::components::{connected_components, num_components};
 use crate::degeneracy::densest_subgraph;
 use crate::dijkstra::dijkstra;
@@ -980,7 +980,7 @@ fn run_triangles(store: &GraphStore, p: &ParamMap, ctx: &QueryCtx) -> Result<Str
     store.require_nonempty()?;
     store.require_symmetric("triangle counting requires a symmetric graph")?;
     ctx.check()?;
-    let t = any_graph!(store, "triangles", |g| triangle_count(g));
+    let t = any_graph!(store, "triangles", |g| triangle_count(g))?;
     Ok(format!("triangles={t}\n"))
 }
 
@@ -1024,13 +1024,11 @@ fn run_clustering(store: &GraphStore, p: &ParamMap, ctx: &QueryCtx) -> Result<St
     store.require_nonempty()?;
     store.require_symmetric("clustering requires a symmetric graph")?;
     ctx.check()?;
-    let (local, trans) = any_graph!(store, "clustering", |g| (
-        local_clustering(g)?,
-        transitivity(g)
-    ));
-    let avg = local.iter().sum::<f64>() / local.len().max(1) as f64;
+    let c = any_graph!(store, "clustering", |g| clustering(g))?;
+    let avg = c.local.iter().sum::<f64>() / c.local.len().max(1) as f64;
     Ok(format!(
-        "transitivity={trans:.6} avg_local_clustering={avg:.6}\n"
+        "transitivity={:.6} avg_local_clustering={avg:.6}\n",
+        c.transitivity
     ))
 }
 
@@ -1187,12 +1185,12 @@ mod tests {
     }
 
     #[test]
-    fn truss_and_clustering_refuse_lists_that_are_not_mutual() {
+    fn triangles_truss_and_clustering_refuse_lists_that_are_not_mutual() {
         // Flagged symmetric, but 1 lists 0 and 0 lists nothing.
         let g = Graph::from_parts(vec![0, 0, 1], vec![0], vec![], true);
         for backend in [Backend::Csr, Backend::Compressed] {
             let store = GraphStore::from_graph(g.clone(), backend);
-            for id in ["truss", "clustering"] {
+            for id in ["triangles", "truss", "clustering"] {
                 let err = Registry::standard()
                     .run(id, &store, &ParamMap::default(), &QueryCtx::default())
                     .unwrap_err();

@@ -18,7 +18,9 @@ fn bench_truss(c: &mut Criterion) {
         b.iter(|| ktruss(&g, &KtrussParams::default(), &QueryCtx::default()).unwrap())
     });
     group.bench_function("sequential_peel", |b| b.iter(|| ktruss_seq(&g)));
-    group.bench_function("triangle_count_only", |b| b.iter(|| triangle_count(&g)));
+    group.bench_function("triangle_count_only", |b| {
+        b.iter(|| triangle_count(&g).unwrap())
+    });
     group.finish();
 }
 

@@ -68,6 +68,20 @@ pub fn is_degeneracy_order<W: Weight>(
     })
 }
 
+/// The undirected edges `(u, v)`, `u < v`, of a symmetric graph, sorted.
+pub(crate) fn undirected_edges<W: Weight>(g: &Csr<W>) -> Vec<(VertexId, VertexId)> {
+    let mut endpoints: Vec<(VertexId, VertexId)> = Vec::new();
+    for u in 0..g.num_vertices() as VertexId {
+        for &v in g.neighbors(u) {
+            if u < v {
+                endpoints.push((u, v));
+            }
+        }
+    }
+    endpoints.sort_unstable();
+    endpoints
+}
+
 /// Trussness of every undirected edge by literal peeling, mirroring the
 /// definition: for k = 3, 4, … repeatedly delete any live edge closing
 /// fewer than k − 2 triangles in the live subgraph, assigning it trussness
@@ -77,15 +91,7 @@ pub fn is_degeneracy_order<W: Weight>(
 /// sorted — the same edge-id order as the parallel `EdgeIndex`.
 pub fn trussness_peel<W: Weight>(g: &Csr<W>) -> (Vec<(VertexId, VertexId)>, Vec<u32>) {
     let n = g.num_vertices();
-    let mut endpoints: Vec<(VertexId, VertexId)> = Vec::new();
-    for u in 0..n as VertexId {
-        for &v in g.neighbors(u) {
-            if u < v {
-                endpoints.push((u, v));
-            }
-        }
-    }
-    endpoints.sort_unstable();
+    let endpoints = undirected_edges(g);
     let m = endpoints.len();
 
     let adjacency: Vec<HashSet<VertexId>> = (0..n as VertexId)

@@ -157,6 +157,9 @@ mod tests {
         assert_eq!(c[0], 1.0); // deg 2, one triangle
         assert_eq!(c[2], 2.0 / 6.0); // deg 4, two of six pairs closed
         assert_eq!(c[6], 0.0);
+        // Edges (0,1) (0,2) (1,2) (2,3) (2,4) (3,4) (4,5): one triangle on
+        // each of the bow's edges, none on the tail.
+        assert_eq!(triangles::edge_support_naive(&g), vec![1, 1, 1, 1, 1, 1, 0]);
     }
 
     #[test]

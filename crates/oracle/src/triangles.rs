@@ -30,6 +30,25 @@ pub fn triangles_per_vertex<W: Weight>(g: &Csr<W>) -> Vec<u64> {
         .collect()
 }
 
+/// Number of triangles through each undirected edge `(u, v)`, `u < v`, in
+/// [`trussness_peel`](crate::kcore::trussness_peel)'s edge order: every
+/// vertex adjacent to both endpoints closes one.
+pub fn edge_support_naive<W: Weight>(g: &Csr<W>) -> Vec<u32> {
+    let adjacency: Vec<HashSet<VertexId>> = (0..g.num_vertices() as VertexId)
+        .map(|v| g.neighbors(v).iter().copied().collect())
+        .collect();
+    crate::kcore::undirected_edges(g)
+        .into_iter()
+        .map(|(u, v)| {
+            let at_v = &adjacency[v as usize];
+            adjacency[u as usize]
+                .iter()
+                .filter(|w| at_v.contains(w))
+                .count() as u32
+        })
+        .collect()
+}
+
 /// Total triangle count: each triangle touches exactly three vertices.
 pub fn triangle_count_naive<W: Weight>(g: &Csr<W>) -> u64 {
     triangles_per_vertex(g).iter().sum::<u64>() / 3

@@ -26,7 +26,7 @@ fn main() {
         "graph: n = {}, undirected edges = {}, triangles = {}",
         g.num_vertices(),
         idx.num_edges(),
-        triangle_count(&g)
+        triangle_count(&g).unwrap()
     );
 
     let par = ktruss(&g, &KtrussParams::default(), &QueryCtx::default()).unwrap();
